@@ -3,7 +3,10 @@
 Every kernel is written as plain numpy and compiled with numba's ``@njit``
 when available. Setting the environment variable ``CDGATE_NUMBA=0`` selects
 the pure-numpy path instead (same source, same arithmetic, same results);
-``benchmarks/bench_kernels.py`` compares the two.
+``benchmarks/bench_kernels.py`` compares the two. The exception is the
+Monte-Carlo dephasing average: it advances every noise realization at once
+as one batched numpy RK4 loop (``_rk4_average``), which also serves
+Hamiltonian callables, and is never compiled.
 
 The driven Hamiltonians handled here all share one algebraic shape,
 
@@ -11,8 +14,9 @@ The driven Hamiltonians handled here all share one algebraic shape,
     c(t) = g * slope / (2 * (g^2 + J(t)^2)),
 
 which covers the two-qubit gate Hamiltonian, its two-level sector reduction
-and the N-qubit generalization. Arbitrary Hamiltonian callables take the
-generic python path in ``cdgate.dynamics`` instead.
+and the N-qubit generalization. The adaptive evolution of arbitrary
+Hamiltonian callables takes the generic python path in ``cdgate.dynamics``
+instead.
 """
 
 from __future__ import annotations
@@ -229,42 +233,58 @@ def _evolve_ramped(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
     return status, out, drift
 
 
+def _rk4_average(h_det, d, t_start, dt, noise, psi0):
+    """Average ``|psi><psi|`` over white-noise realizations, all at once.
+
+    Realization ``i`` evolves under ``h_det(t) + noise[i, k] * diag(d)``
+    during step ``k``, where ``h_det`` returns the deterministic Hamiltonian
+    shared by every realization and ``d`` is the real diagonal of the jump
+    operator. Each step is one classical RK4 step with stage times ``t``,
+    ``t + dt/2`` and ``t + dt``. Row ``i`` of the working state is
+    realization ``i``, so ``h_det`` is built once per stage time and the
+    memory held beyond ``noise`` is a few ``(n_traj, dim)`` arrays.
+    """
+    n_traj, n_steps = noise.shape
+    y = np.repeat(psi0.reshape(1, -1), n_traj, axis=0)
+    half = 0.5 * dt
+    for k in range(n_steps):
+        t = t_start + k * dt
+        # -i is folded into the stage generators once, not into every product
+        jump = -1j * (noise[:, k].reshape(-1, 1) * d)
+        ha = -1j * h_det(t).T
+        hm = -1j * h_det(t + half).T
+        hb = -1j * h_det(t + dt).T
+        k1 = y @ ha + jump * y
+        y2 = y + half * k1
+        k2 = y2 @ hm + jump * y2
+        y3 = y + half * k2
+        k3 = y3 @ hm + jump * y3
+        y4 = y + dt * k3
+        k4 = y4 @ hb + jump * y4
+        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return (y.T @ y.conj()) / n_traj
+
+
 def _dephasing_average(h0, hz, hcd, slope, g, use_cd, t_start, dt, noise,
                        psi0):
     """Average ``|psi><psi|`` over white-noise drive realizations.
 
     ``noise[i, k]`` is the (pre-scaled) drive offset held constant during
-    step ``k`` of realization ``i``; each step advances the state with one
-    classical RK4 step, rebuilding the deterministic part of the
-    Hamiltonian at the stage times.
+    step ``k`` of realization ``i``; it multiplies ``hz``, which must be
+    diagonal with entries +-1. All realizations advance together through
+    ``_rk4_average``, rebuilding the deterministic part of the Hamiltonian
+    once per stage time.
     """
-    n_traj = noise.shape[0]
-    n_steps = noise.shape[1]
-    dim = psi0.shape[0]
-    rho = np.zeros((dim, dim), dtype=np.complex128)
 
-    def at(t, eta):
+    def h_det(t):
         j2 = slope * t
-        h = h0 + (j2 + eta) * hz
+        h = h0 + j2 * hz
         if use_cd:
             h = h + (g * slope / (2.0 * (g * g + j2 * j2))) * hcd
         return h
 
-    for i in range(n_traj):
-        y = psi0.copy()
-        for k in range(n_steps):
-            t = t_start + k * dt
-            eta = noise[i, k]
-            ha = at(t, eta)
-            hm = at(t + 0.5 * dt, eta)
-            hb = at(t + dt, eta)
-            k1 = -1j * (ha @ y)
-            k2 = -1j * (hm @ (y + (0.5 * dt) * k1))
-            k3 = -1j * (hm @ (y + (0.5 * dt) * k2))
-            k4 = -1j * (hb @ (y + dt * k3))
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = rho + y.reshape(-1, 1) * np.conj(y).reshape(1, -1)
-    return rho / n_traj
+    return _rk4_average(h_det, np.real(np.diag(hz)), t_start, dt, noise,
+                        psi0)
 
 
 def _jacobi_eigh(a_in, tol, max_sweeps):
@@ -334,7 +354,6 @@ def _jacobi_eigh(a_in, tol, max_sweeps):
 
 _PLAIN = {
     "evolve_ramped": _evolve_ramped,
-    "dephasing_average": _dephasing_average,
     "jacobi_eigh": _jacobi_eigh,
 }
 
@@ -344,6 +363,13 @@ if USE_NUMBA:
     }
 else:
     _COMPILED = None
+
+# The Monte-Carlo average hands a Python callable to its batched RK4 loop,
+# which numba cannot compile; it is the same numpy function under every
+# backend name.
+_PLAIN["dephasing_average"] = _dephasing_average
+if _COMPILED is not None:
+    _COMPILED["dephasing_average"] = _dephasing_average
 
 IMPLEMENTATIONS = {"numpy": _PLAIN}
 if _COMPILED is not None:

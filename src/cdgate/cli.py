@@ -420,7 +420,11 @@ def _noise_rows(rc: RunConfig):
         for j, tau in enumerate(grid.tau_values):
             rows.append((alpha, grid.alpha_gap_units[i], tau,
                          result.fidelity[i, j]))
-    return ["alpha_abs", "alpha_in_gap_units", "tau", "fidelity"], rows
+    for cell in result.failed_cells:
+        print(f"cdgate: warning: {cell}; its fidelity is written as NaN",
+              file=sys.stderr)
+    header = ["alpha_abs", "alpha_in_gap_units", "tau", "fidelity"]
+    return header, rows, {"failed_cells": result.failed_cells}
 
 
 def _optimal_tau_rows(rc: RunConfig):
@@ -484,7 +488,7 @@ def run_command(rc: RunConfig) -> tuple[list[str], bool]:
     elif rc.command == "nqubit":
         header, rows = _sweep_tau_rows(rc, n_qubits=rc.n)
     elif rc.command in ("sweep-noise", "heatmap"):
-        header, rows = _noise_rows(rc)
+        header, rows, summary = _noise_rows(rc)
     elif rc.command == "optimal-tau":
         header, rows = _optimal_tau_rows(rc)
     elif rc.command == "tradeoff":

@@ -336,18 +336,34 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
     Per integration step of length dt the drive offset eta is drawn from a
     zero-mean Gaussian with variance alpha/dt, reproducing the dephasing
     dissipator of the master equation in the ensemble average (see
-    docs/noise_model.md). Deterministic for a given seed.
+    docs/noise_model.md). All realizations are advanced together. For a
+    ramped system the noise multiplies its ``hz``, which must be diagonal
+    with entries +-1; for a callable it multiplies sigma_z on the last
+    qubit. Deterministic for a given seed.
     """
     psi0 = as_state(psi0)
+    norm = float(np.linalg.norm(psi0))
+    if abs(norm - 1.0) > TOL.normalization:
+        raise NotNormalizedError(f"psi0 has norm {norm}, expected 1")
     if n_samples < 100:
         raise InvalidSampleCountError(
             f"need at least 100 samples for a meaningful average, got {n_samples}"
         )
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
+    ramped = isinstance(h_of_t, RampedGateHamiltonian)
+    if ramped:
+        d = np.diag(h_of_t.hz)
+        if not (np.array_equal(h_of_t.hz, np.diag(d))
+                and np.all((d == 1.0) | (d == -1.0))):
+            raise ValueError("the noise operator hz must be diagonal with "
+                             "entries +-1")
+    elif use_cd:
+        raise ValueError("use_cd applies to ramped systems only; include "
+                         "the counterdiabatic term in the callable")
     if t_span is not None:
         t0, t1 = float(t_span[0]), float(t_span[1])
-    elif isinstance(h_of_t, RampedGateHamiltonian):
+    elif ramped:
         t0, t1 = h_of_t.t_start, h_of_t.t_end
     else:
         raise ValueError("t_span is required for callable Hamiltonians")
@@ -360,35 +376,23 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
         raise ValueError(
             f"alpha*dt = {alpha * dt_actual:.3f} too coarse; need < 0.1"
         )
+    if not ramped:
+        _check_callable_hermitian(h_of_t, t0, t1)
     rng = np.random.default_rng(seed)
     scale = math.sqrt(alpha / dt_actual) if alpha > 0 else 0.0
-    noise = rng.standard_normal((n_samples, n_steps)) * scale
+    # scaled in place, so no second noise-sized array is ever held
+    noise = rng.standard_normal((n_samples, n_steps))
+    noise *= scale
 
-    if isinstance(h_of_t, RampedGateHamiltonian):
+    if ramped:
         system = h_of_t if not use_cd else replace(h_of_t, use_cd=True)
         return _kernels.dephasing_average(
             system.h0, system.hz, system.hcd, system.slope, system.g,
             system.use_cd, t0, dt_actual, noise, psi0,
         )
-
-    dim = psi0.shape[0]
-    jump = _sigma_z_last(dim)
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(n_samples):
-        y = psi0.copy()
-        for k in range(n_steps):
-            t = t0 + k * dt_actual
-            eta = noise[i, k] * jump
-            ha = h_of_t(t) + eta
-            hm = h_of_t(t + 0.5 * dt_actual) + eta
-            hb = h_of_t(t + dt_actual) + eta
-            k1 = -1j * (ha @ y)
-            k2 = -1j * (hm @ (y + (0.5 * dt_actual) * k1))
-            k3 = -1j * (hm @ (y + (0.5 * dt_actual) * k2))
-            k4 = -1j * (hb @ (y + dt_actual * k3))
-            y = y + (dt_actual / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho += np.outer(y, y.conj())
-    return rho / n_samples
+    d = np.real(np.diag(_sigma_z_last(psi0.shape[0])))
+    return _kernels._rk4_average(lambda t: np.asarray(h_of_t(t)), d, t0,
+                                 dt_actual, noise, psi0)
 
 
 def ground_state_probability(psi, params: CnotParams, j2: float) -> float:

@@ -206,3 +206,28 @@ class TestCommands:
         lines = (tmp_path / "run_heatmap.csv").read_text().splitlines()
         assert lines[0] == "alpha_abs,alpha_in_gap_units,tau,fidelity"
         assert len(lines) == 5
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["summary"]["failed_cells"] == []
+
+    def test_failed_noise_cells_reported(self, tmp_path, capsys, monkeypatch):
+        import cdgate.experiments as exp
+        real = exp._noise_cell
+
+        def flaky(grid, alpha, tau, cfg, initial_state):
+            if tau == 2.0:
+                raise exp.CdgateError("injected failure")
+            return real(grid, alpha, tau, cfg, initial_state)
+
+        monkeypatch.setattr(exp, "_noise_cell", flaky)
+        code, _ = _run(tmp_path, ["sweep-noise", "--alpha", "0.05",
+                                  "--tau", "1,2"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["summary"]["failed_cells"] == [
+            "cell (0,1): injected failure"]
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("cdgate: warning: ")]
+        assert len(warnings) == 1
+        assert "cell (0,1): injected failure" in warnings[0]
+        lines = (tmp_path / "run_sweep-noise.csv").read_text().splitlines()
+        assert lines[2].endswith(",nan")

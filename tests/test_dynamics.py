@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from cdgate.dynamics import (
 from cdgate.errors import (
     InvalidDensityMatrixError,
     InvalidSampleCountError,
+    NotHermitianError,
     NotNormalizedError,
     StepUnderflowError,
 )
@@ -232,6 +235,37 @@ class TestNoiseTrajectoryOracle:
         with pytest.raises(ValueError):
             noise_trajectory_oracle(system, psi0, alpha=50.0, n_samples=100,
                                     dt=0.01, seed=0)
+
+    def test_non_diagonal_noise_operator_rejected(self, params):
+        # the batched average needs hz diagonal +-1; sigma_x on the driven
+        # qubit is a valid Hamiltonian term but not a diagonal jump
+        system = cnot_system(params, tau=1.0)
+        sigma_x_2 = np.kron(np.eye(2), np.array([[0, 1], [1, 0]], dtype=complex))
+        off = replace(system, hz=sigma_x_2)
+        with pytest.raises(ValueError, match="diagonal"):
+            noise_trajectory_oracle(off, ground_start(params, system), 0.1,
+                                    100, 0.01, seed=0)
+
+    def test_unnormalized_psi0_rejected(self, params):
+        system = cnot_system(params, tau=1.0)
+        psi0 = 1.01 * ground_start(params, system)
+        with pytest.raises(NotNormalizedError):
+            noise_trajectory_oracle(system, psi0, 0.1, 100, 0.01, seed=0)
+
+    def test_non_hermitian_callable_rejected(self):
+        plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+        with pytest.raises(NotHermitianError):
+            noise_trajectory_oracle(
+                lambda t: np.array([[0, 1], [0, 0]], dtype=complex), plus,
+                0.1, 100, 0.01, seed=0, t_span=(0.0, 1.0))
+
+    def test_use_cd_with_callable_rejected(self, params):
+        system = cnot_system(params, tau=1.0)
+        with pytest.raises(ValueError, match="use_cd"):
+            noise_trajectory_oracle(
+                lambda t: system(t), ground_start(params, system), 0.1, 100,
+                0.01, seed=0, t_span=(system.t_start, system.t_end),
+                use_cd=True)
 
 
 class TestGroundStateProbability:
