@@ -1,12 +1,14 @@
-"""Hot numeric kernels shared by the evolution engines and the eigensolver.
+"""Numeric kernels shared by the evolution engines and the eigensolver.
 
-Every kernel is written as plain numpy and compiled with numba's ``@njit``
-when available. Setting the environment variable ``CDGATE_NUMBA=0`` selects
-the pure-numpy path instead (same source, same arithmetic, same results);
-``benchmarks/bench_kernels.py`` compares the two. The exception is the
-Monte-Carlo dephasing average: it advances every noise realization at once
-as one batched numpy RK4 loop (``_rk4_average``), which also serves
-Hamiltonian callables, and is never compiled.
+Everything here is plain numpy. One adaptive Dormand-Prince 8(5,3) stepper,
+``dop853``, integrates every Schroedinger and Lindblad evolution: the ramped
+systems below through ``evolve_ramped``, arbitrary Hamiltonian callables
+through ``cdgate.dynamics``. The states are small, so a step costs Python
+calls, not arithmetic; the stepper therefore forms every stage, the solution
+and both error estimates as one matrix product over the block of stage
+derivatives. The Monte-Carlo dephasing average advances every noise
+realization at once as one batched RK4 loop (``_rk4_average``), which also
+serves Hamiltonian callables.
 
 The driven Hamiltonians handled here all share one algebraic shape,
 
@@ -14,25 +16,14 @@ The driven Hamiltonians handled here all share one algebraic shape,
     c(t) = g * slope / (2 * (g^2 + J(t)^2)),
 
 which covers the two-qubit gate Hamiltonian, its two-level sector reduction
-and the N-qubit generalization. The adaptive evolution of arbitrary
-Hamiltonian callables takes the generic python path in ``cdgate.dynamics``
-instead.
+and the N-qubit generalization.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    _NUMBA_IMPORTABLE = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but the
-    _NUMBA_IMPORTABLE = False  # numpy path keeps the package usable without it
-
-USE_NUMBA = _NUMBA_IMPORTABLE and os.environ.get("CDGATE_NUMBA", "1") != "0"
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -97,62 +88,48 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_TOTAL_STEPS = 20_000_000
 
-# status codes returned by the steppers
+# status codes returned by the stepper
 STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
 STATUS_STEP_BUDGET = 2
 
+# stage times as Python floats, and both error estimators in one block
+_C = DP_C.tolist()
+_E53 = np.stack([DP_E5, DP_E3])
 
-def _evolve_ramped(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
-                   sample_times, y0, rtol, atol, max_step, h_init):
-    """Integrate the ramped-drive Schroedinger or Lindblad equation.
 
-    The flat state ``y0`` is a state vector (``is_density=False``) or a
-    row-major flattened density matrix. Output states are recorded exactly
-    at ``sample_times`` (the first entry must equal the start time). The
-    dissipator is ``alpha * (D rho D - rho)`` with ``D = hz`` assumed
-    diagonal with entries +-1. Returns ``(status, states, drift)`` where
-    drift is the largest deviation of norm^2 (pure) or trace (density)
-    from one seen at any accepted step.
+def dop853(rhs, sample_times, y0, rtol, atol, max_step, h_init, drift_of,
+           post_step=None):
+    """Integrate ``dy/dt = rhs(t, y)`` for a flat complex ``y``.
+
+    Output states are recorded exactly at ``sample_times`` (the first entry
+    must equal the start time). Each accepted state passes through
+    ``post_step`` when one is given, and ``drift_of(y)`` is monitored; the
+    state is never renormalized. Returns ``(status, states, drift, stats)``:
+    ``drift`` is the largest ``drift_of`` seen at any accepted step and
+    ``stats`` counts the ``accepted`` and ``rejected`` steps and the
+    ``rhs_evals``.
     """
-    dim = h0.shape[0]
     n = y0.shape[0]
-    nsamp = sample_times.shape[0]
-    out = np.zeros((nsamp, n), dtype=np.complex128)
+    out = np.zeros((sample_times.shape[0], n), dtype=np.complex128)
     out[0] = y0
-
-    d = np.zeros(dim, dtype=np.float64)
-    for i in range(dim):
-        d[i] = np.real(hz[i, i])
-    mask = d.reshape(-1, 1) * d.reshape(1, -1)
-
-    def rhs(t, y):
-        j2 = slope * t
-        h = h0 + j2 * hz
-        if use_cd:
-            h = h + (g * slope / (2.0 * (g * g + j2 * j2))) * hcd
-        if is_density:
-            rho = y.reshape((dim, dim))
-            drho = -1j * (h @ rho - rho @ h)
-            if alpha > 0.0:
-                drho = drho + alpha * (mask * rho - rho)
-            return drho.ravel()
-        return -1j * (h @ y)
-
-    y = y0.copy()
-    t = sample_times[0]
+    y = np.array(y0, dtype=np.complex128)
+    t = float(sample_times[0])
     f = rhs(t, y)
+    rhs_evals = 1
     h_abs = min(h_init, max_step)
     drift = 0.0
     K = np.zeros((_N_STAGES + 1, n), dtype=np.complex128)
-    nsteps = 0
+    # views of the leading stages, so the loop slices nothing
+    k_head = [K[:s] for s in range(_N_STAGES + 1)]
+    accepted = rejected = 0
     status = STATUS_OK
+    dot = np.dot
 
-    for isamp in range(1, nsamp):
-        t_end = sample_times[isamp]
+    for isamp in range(1, sample_times.shape[0]):
+        t_end = float(sample_times[isamp])
         while t < t_end:
-            nsteps += 1
-            if nsteps > _MAX_TOTAL_STEPS:
+            if accepted + rejected >= _MAX_TOTAL_STEPS:
                 status = STATUS_STEP_BUDGET
                 break
             min_step = 16.0 * _EPS * max(abs(t), abs(t_end))
@@ -165,72 +142,126 @@ def _evolve_ramped(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
             if t + h > t_end:
                 h = t_end - t
 
+            ha = h * DP_A
             K[0] = f
             for s in range(1, _N_STAGES):
-                dy = DP_A[s, 0] * K[0]
-                for j in range(1, s):
-                    a_sj = DP_A[s, j]
-                    if a_sj != 0.0:
-                        dy = dy + a_sj * K[j]
-                K[s] = rhs(t + DP_C[s] * h, y + h * dy)
-
-            acc = DP_B[0] * K[0]
-            for j in range(1, _N_STAGES):
-                b_j = DP_B[j]
-                if b_j != 0.0:
-                    acc = acc + b_j * K[j]
-            y_new = y + h * acc
+                K[s] = rhs(t + _C[s] * h, y + dot(ha[s, :s], k_head[s]))
+            y_new = y + dot(h * DP_B, k_head[_N_STAGES])
             f_new = rhs(t + h, y_new)
             K[_N_STAGES] = f_new
+            rhs_evals += _N_STAGES
 
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            e5 = DP_E5[0] * K[0]
-            e3 = DP_E3[0] * K[0]
-            for j in range(1, _N_STAGES + 1):
-                if DP_E5[j] != 0.0:
-                    e5 = e5 + DP_E5[j] * K[j]
-                if DP_E3[j] != 0.0:
-                    e3 = e3 + DP_E3[j] * K[j]
-            err5 = np.sum(np.abs(e5 / scale) ** 2)
-            err3 = np.sum(np.abs(e3 / scale) ** 2)
+            w = np.abs(dot(_E53, K) / scale)
+            err5, err3 = (w * w).sum(axis=1).tolist()
             denom = err5 + 0.01 * err3
             if denom > 0.0:
-                err_norm = abs(h) * err5 / np.sqrt(denom * n)
+                err_norm = h * err5 / math.sqrt(denom * n)
             else:
                 err_norm = 0.0
 
             if err_norm < 1.0:
+                accepted += 1
                 t = t + h
-                if is_density:
-                    # keep rho exactly Hermitian; the retained FSAL
-                    # derivative goes stale by the same O(eps), harmless
-                    rho = y_new.reshape((dim, dim))
-                    rho = (rho + rho.conj().T) * 0.5
-                    y = rho.ravel().copy()
-                    tr = 0.0 + 0.0j
-                    for i in range(dim):
-                        tr = tr + rho[i, i]
-                    dev = abs(tr - 1.0)
-                else:
-                    y = y_new
-                    nrm2 = np.sum(np.real(y * np.conj(y)))
-                    dev = abs(nrm2 - 1.0)
+                y = y_new if post_step is None else post_step(y_new)
+                dev = drift_of(y)
                 if dev > drift:
                     drift = dev
                 f = f_new
                 if err_norm == 0.0:
                     factor = _MAX_FACTOR
                 else:
-                    factor = min(_MAX_FACTOR,
-                                 _SAFETY * err_norm ** (-1.0 / 8.0))
+                    factor = min(_MAX_FACTOR, _SAFETY * err_norm ** -0.125)
                 h_abs = h * factor
             else:
-                h_abs = h * max(_MIN_FACTOR,
-                                _SAFETY * err_norm ** (-1.0 / 8.0))
+                rejected += 1
+                h_abs = h * max(_MIN_FACTOR, _SAFETY * err_norm ** -0.125)
         if status != STATUS_OK:
             break
         out[isamp] = y
-    return status, out, drift
+    stats = {"accepted": accepted, "rejected": rejected,
+             "rhs_evals": rhs_evals}
+    return status, out, drift, stats
+
+
+def norm_drift(y):
+    """|norm^2 - 1| of a flat state vector."""
+    return abs(np.vdot(y, y).real - 1.0)
+
+
+def trace_drift(y):
+    """|trace - 1| of a flattened square density matrix."""
+    dim = math.isqrt(y.shape[0])
+    return abs(y[::dim + 1].sum() - 1.0)
+
+
+def symmetrize(y):
+    """Keep a flattened density matrix exactly Hermitian.
+
+    The stepper's retained FSAL derivative goes stale by the same O(eps),
+    which is harmless.
+    """
+    dim = math.isqrt(y.shape[0])
+    rho = y.reshape(dim, dim)
+    return ((rho + rho.conj().T) * 0.5).ravel()
+
+
+def evolve_ramped(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
+                  sample_times, y0, rtol, atol, max_step, h_init):
+    """Integrate the ramped-drive Schroedinger or Lindblad equation.
+
+    The flat state ``y0`` is a state vector (``is_density=False``) or a
+    row-major flattened density matrix. The dissipator is
+    ``alpha * (D rho D - rho)`` with ``D = hz``, which the caller has
+    checked to be diagonal with entries +-1. Returns ``dop853``'s
+    ``(status, states, drift, stats)``, with drift measured on norm^2 (pure)
+    or trace (density).
+    """
+    dim = h0.shape[0]
+    # M(t) = -i H(t) is one real combination of the float views of -i h0,
+    # -i hz and -i hcd: -i is folded in once per call, and each RHS
+    # evaluation builds M(t) with a single product
+    basis = np.stack([-1j * h0, -1j * hz, -1j * hcd]).reshape(3, -1)
+    basis = basis.view(np.float64)
+    c_num = g * slope / 2.0
+    g2 = g * g
+
+    def generator(t):
+        j2 = slope * t
+        c = c_num / (g2 + j2 * j2) if use_cd else 0.0
+        m = np.dot((1.0, j2, c), basis).view(np.complex128)
+        return m.reshape(dim, dim)
+
+    if not is_density:
+        def rhs(t, y):
+            return np.dot(generator(t), y)
+
+        return dop853(rhs, sample_times, y0, rtol, atol, max_step, h_init,
+                      norm_drift)
+
+    return dop853(lindblad_rhs(generator, np.real(np.diag(hz)), alpha),
+                  sample_times, y0, rtol, atol, max_step, h_init,
+                  trace_drift, symmetrize)
+
+
+def lindblad_rhs(generator, d, alpha):
+    """RHS of ``d rho/dt = [M(t), rho] + alpha (D rho D - rho)`` on a
+    row-major flattened ``rho``, where ``generator(t)`` returns
+    ``M(t) = -i H(t)`` and ``d`` is the real +-1 diagonal of the jump
+    operator ``D``."""
+    dim = d.shape[0]
+    # alpha * (D rho D - rho) elementwise, since D is diagonal +-1
+    dissipator = alpha * (np.outer(d, d) - 1.0)
+
+    def rhs(t, y):
+        rho = y.reshape(dim, dim)
+        m = generator(t)
+        drho = np.dot(m, rho) - np.dot(rho, m)
+        if alpha > 0.0:
+            drho += dissipator * rho
+        return drho.ravel()
+
+    return rhs
 
 
 def _rk4_average(h_det, d, t_start, dt, noise, psi0):
@@ -265,7 +296,7 @@ def _rk4_average(h_det, d, t_start, dt, noise, psi0):
     return (y.T @ y.conj()) / n_traj
 
 
-def _dephasing_average(h0, hz, hcd, slope, g, use_cd, t_start, dt, noise,
+def dephasing_average(h0, hz, hcd, slope, g, use_cd, t_start, dt, noise,
                        psi0):
     """Average ``|psi><psi|`` over white-noise drive realizations.
 
@@ -287,7 +318,7 @@ def _dephasing_average(h0, hz, hcd, slope, g, use_cd, t_start, dt, noise,
                         psi0)
 
 
-def _jacobi_eigh(a_in, tol, max_sweeps):
+def jacobi_eigh(a_in, tol, max_sweeps):
     """Cyclic Jacobi diagonalization of a Hermitian complex matrix.
 
     Returns ``(eigenvalues, eigenvectors, off_norm, converged)`` with raw
@@ -352,35 +383,6 @@ def _jacobi_eigh(a_in, tol, max_sweeps):
     return w, v, off, converged
 
 
-_PLAIN = {
-    "evolve_ramped": _evolve_ramped,
-    "jacobi_eigh": _jacobi_eigh,
-}
-
-if USE_NUMBA:
-    _COMPILED = {
-        name: njit(cache=True, nogil=True)(fn) for name, fn in _PLAIN.items()
-    }
-else:
-    _COMPILED = None
-
-# The Monte-Carlo average hands a Python callable to its batched RK4 loop,
-# which numba cannot compile; it is the same numpy function under every
-# backend name.
-_PLAIN["dephasing_average"] = _dephasing_average
-if _COMPILED is not None:
-    _COMPILED["dephasing_average"] = _dephasing_average
-
-IMPLEMENTATIONS = {"numpy": _PLAIN}
-if _COMPILED is not None:
-    IMPLEMENTATIONS["numba"] = _COMPILED
-
-_ACTIVE = _COMPILED if USE_NUMBA else _PLAIN
-
-evolve_ramped = _ACTIVE["evolve_ramped"]
-dephasing_average = _ACTIVE["dephasing_average"]
-jacobi_eigh = _ACTIVE["jacobi_eigh"]
-
-
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    """The numeric backend recorded in manifests: always plain numpy."""
+    return "numpy"

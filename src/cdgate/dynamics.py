@@ -1,19 +1,20 @@
 """Time-evolution engines: Schroedinger and Lindblad integration plus a
 stochastic white-noise trajectory oracle.
 
-All integrators use the adaptive embedded Dormand-Prince 8(5,3) stepper.
-Structured linear-ramp Hamiltonians (``model.RampedGateHamiltonian``) run
-through the compiled kernels; arbitrary Hamiltonian callables take a plain
-python twin of the same stepper. States are never renormalized during
-integration; norm / trace drift is monitored and reported instead. The only
-in-flight correction is the documented Hermitian symmetrization of the
-density matrix after each accepted step.
+All integrators use the one adaptive embedded Dormand-Prince 8(5,3) stepper,
+``_kernels.dop853``. Structured linear-ramp Hamiltonians
+(``model.RampedGateHamiltonian``) reach it through
+``_kernels.evolve_ramped``; arbitrary Hamiltonian callables through
+``_integrate_callable``. States are never renormalized during integration;
+norm / trace drift is monitored and reported instead. The only in-flight
+correction is the documented Hermitian symmetrization of the density matrix
+after each accepted step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -65,13 +66,16 @@ class Trajectory:
     """Sampled states along one evolution; ``kind`` is 'pure' or 'density'.
 
     ``norm_drift`` is the largest deviation of norm^2 (pure) or trace
-    (density) from one seen at any accepted integrator step.
+    (density) from one seen at any accepted integrator step. ``stats``
+    holds the integrator's ``accepted`` and ``rejected`` step counts and its
+    ``rhs_evals``.
     """
 
     times: np.ndarray
     states: np.ndarray
     norm_drift: float
     kind: str
+    stats: dict = field(default_factory=dict)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -137,61 +141,25 @@ def _raise_for_status(status: int) -> None:
 
 def _integrate_callable(rhs, sample_times, y0, rtol, atol, max_step, h_init,
                         drift_of, post_step=None):
-    """Python twin of ``_kernels._evolve_ramped`` for arbitrary RHS callables."""
-    n = y0.shape[0]
-    nsamp = sample_times.shape[0]
-    out = np.zeros((nsamp, n), dtype=np.complex128)
-    out[0] = y0
-    y = y0.copy()
-    t = sample_times[0]
-    f = rhs(t, y)
-    h_abs = min(h_init, max_step)
-    drift = 0.0
-    K = np.zeros((_kernels._N_STAGES + 1, n), dtype=np.complex128)
-    nsteps = 0
-    A, B, C = _kernels.DP_A, _kernels.DP_B, _kernels.DP_C
-    E3, E5 = _kernels.DP_E3, _kernels.DP_E5
+    """Run ``_kernels.dop853`` on the RHS of a Hamiltonian callable.
 
-    for isamp in range(1, nsamp):
-        t_end = sample_times[isamp]
-        while t < t_end:
-            nsteps += 1
-            if nsteps > _kernels._MAX_TOTAL_STEPS:
-                _raise_for_status(_kernels.STATUS_STEP_BUDGET)
-            min_step = 16.0 * np.finfo(float).eps * max(abs(t), abs(t_end))
-            h_abs = min(h_abs, max_step)
-            if h_abs < min_step:
-                _raise_for_status(_kernels.STATUS_STEP_UNDERFLOW)
-            h = min(h_abs, t_end - t)
+    Returns ``(states, drift, stats)`` and raises on a failed status.
+    """
+    status, out, drift, stats = _kernels.dop853(
+        rhs, sample_times, y0, rtol, atol, max_step, h_init, drift_of,
+        post_step)
+    _raise_for_status(status)
+    return out, drift, stats
 
-            K[0] = f
-            for s in range(1, _kernels._N_STAGES):
-                dy = K[:s].T @ A[s, :s]
-                K[s] = rhs(t + C[s] * h, y + h * dy)
-            y_new = y + h * (K[:-1].T @ B)
-            f_new = rhs(t + h, y_new)
-            K[-1] = f_new
 
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err5 = np.sum(np.abs((K.T @ E5) / scale) ** 2)
-            err3 = np.sum(np.abs((K.T @ E3) / scale) ** 2)
-            denom = err5 + 0.01 * err3
-            err_norm = abs(h) * err5 / np.sqrt(denom * n) if denom > 0 else 0.0
-
-            if err_norm < 1.0:
-                t = t + h
-                y = y_new if post_step is None else post_step(y_new)
-                drift = max(drift, drift_of(y))
-                f = f_new
-                factor = (_kernels._MAX_FACTOR if err_norm == 0.0 else
-                          min(_kernels._MAX_FACTOR,
-                              _kernels._SAFETY * err_norm ** -0.125))
-                h_abs = h * factor
-            else:
-                h_abs = h * max(_kernels._MIN_FACTOR,
-                                _kernels._SAFETY * err_norm ** -0.125)
-        out[isamp] = y
-    return out, drift
+def _check_jump_operator(hz: np.ndarray) -> None:
+    """The dephasing engines take ``hz`` as the jump operator and need it
+    diagonal with entries +-1."""
+    d = np.diag(hz)
+    if not (np.array_equal(hz, np.diag(d))
+            and np.all((d == 1.0) | (d == -1.0))):
+        raise ValueError("the noise operator hz must be diagonal with "
+                         "entries +-1")
 
 
 def _check_callable_hermitian(h_of_t, t0: float, t1: float) -> None:
@@ -204,9 +172,9 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
                        t_span: tuple[float, float] | None = None) -> Trajectory:
     """Integrate d psi/dt = -i H(t) psi without renormalization.
 
-    ``h_of_t`` is either a structured ramp system (fast compiled path; its
-    counterdiabatic term is switched on by ``cfg.use_cd`` or its own flag)
-    or any callable t -> Hermitian matrix.
+    ``h_of_t`` is either a structured ramp system (its counterdiabatic term
+    is switched on by ``cfg.use_cd`` or its own flag) or any callable
+    t -> Hermitian matrix.
     """
     psi0 = as_state(psi0)
     norm = float(np.linalg.norm(psi0))
@@ -220,7 +188,7 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
 
     if isinstance(h_of_t, RampedGateHamiltonian):
         system = _with_cd_flag(h_of_t, cfg)
-        status, states, drift = _kernels.evolve_ramped(
+        status, states, drift, stats = _kernels.evolve_ramped(
             system.h0, system.hz, system.hcd, system.slope, system.g,
             system.use_cd, 0.0, False, times, psi0,
             cfg.rel_tol, cfg.abs_tol, max_step, h_init,
@@ -232,9 +200,9 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
         def rhs(t, y):
             return -1j * (h_of_t(t) @ y)
 
-        states, drift = _integrate_callable(
+        states, drift, stats = _integrate_callable(
             rhs, times, psi0, cfg.rel_tol, cfg.abs_tol, max_step, h_init,
-            drift_of=lambda y: abs(float(np.sum(np.real(y * np.conj(y)))) - 1.0),
+            _kernels.norm_drift,
         )
     if drift > TOL.norm_drift:
         raise NormDriftExceededError(
@@ -242,7 +210,7 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
             "tighten the tolerances"
         )
     return Trajectory(times=times, states=states, norm_drift=float(drift),
-                      kind="pure")
+                      kind="pure", stats=stats)
 
 
 def propagator(h_of_t: HamiltonianLike, cfg: EvolutionConfig,
@@ -268,8 +236,9 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
 
         d rho/dt = -i [H(t), rho] + alpha (sigma_z2 rho sigma_z2 - rho),
 
-    symmetrizing rho after each accepted step. Positivity is checked at the
-    sample points.
+    symmetrizing rho after each accepted step. Positivity is checked at
+    every sample point. For a ramped system the jump operator is its ``hz``,
+    which must be diagonal with entries +-1 (``ValueError`` otherwise).
     """
     rho0 = validate_density_matrix(rho0)
     dim = rho0.shape[0]
@@ -282,7 +251,8 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
         system = _with_cd_flag(h_of_t, cfg)
         if system.dim != dim:
             raise ValueError("rho0 dimension does not match the system")
-        status, flat, drift = _kernels.evolve_ramped(
+        _check_jump_operator(system.hz)
+        status, flat, drift, stats = _kernels.evolve_ramped(
             system.h0, system.hz, system.hcd, system.slope, system.g,
             system.use_cd, noise.alpha, True, times, rho0.ravel(),
             cfg.rel_tol, cfg.abs_tol, max_step, h_init,
@@ -290,41 +260,27 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
         _raise_for_status(status)
     else:
         _check_callable_hermitian(h_of_t, t0, t1)
-        jump = _sigma_z_last(dim)
-        jdiag = np.real(np.diag(jump)).copy()
-        mask = jdiag.reshape(-1, 1) * jdiag.reshape(1, -1)
-        alpha = noise.alpha
-
-        def rhs(t, y):
-            rho = y.reshape(dim, dim)
-            drho = -1j * (h_of_t(t) @ rho - rho @ h_of_t(t))
-            if alpha > 0:
-                drho = drho + alpha * (mask * rho - rho)
-            return drho.ravel()
-
-        def post(y):
-            rho = y.reshape(dim, dim)
-            return ((rho + rho.conj().T) * 0.5).ravel()
-
-        flat, drift = _integrate_callable(
+        rhs = _kernels.lindblad_rhs(lambda t: -1j * np.asarray(h_of_t(t)),
+                                    np.real(np.diag(_sigma_z_last(dim))),
+                                    noise.alpha)
+        flat, drift, stats = _integrate_callable(
             rhs, times, rho0.ravel(), cfg.rel_tol, cfg.abs_tol, max_step,
-            h_init,
-            drift_of=lambda y: abs(complex(np.sum(y.reshape(dim, dim).diagonal())) - 1.0),
-            post_step=post,
+            h_init, _kernels.trace_drift, _kernels.symmetrize,
         )
     if drift > TOL.trace_drift:
         raise TraceDriftExceededError(
             f"trace drifted by {drift:.3e} (limit {TOL.trace_drift:.0e})"
         )
     states = flat.reshape(len(times), dim, dim)
-    for idx in (0, len(times) // 2, len(times) - 1):
-        smallest = float(np.linalg.eigvalsh(states[idx]).min())
-        if smallest < -TOL.positivity_floor:
-            raise PositivityViolationError(
-                f"rho(t={times[idx]}) has eigenvalue {smallest:.3e}"
-            )
+    smallest = np.linalg.eigvalsh(states).min(axis=1)
+    bad = np.flatnonzero(smallest < -TOL.positivity_floor)
+    if bad.size:
+        idx = bad[0]
+        raise PositivityViolationError(
+            f"rho(t={times[idx]}) has eigenvalue {smallest[idx]:.3e}"
+        )
     return Trajectory(times=times, states=states, norm_drift=float(drift),
-                      kind="density")
+                      kind="density", stats=stats)
 
 
 def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
@@ -353,11 +309,7 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
         raise ValueError("alpha must be non-negative")
     ramped = isinstance(h_of_t, RampedGateHamiltonian)
     if ramped:
-        d = np.diag(h_of_t.hz)
-        if not (np.array_equal(h_of_t.hz, np.diag(d))
-                and np.all((d == 1.0) | (d == -1.0))):
-            raise ValueError("the noise operator hz must be diagonal with "
-                             "entries +-1")
+        _check_jump_operator(h_of_t.hz)
     elif use_cd:
         raise ValueError("use_cd applies to ramped systems only; include "
                          "the counterdiabatic term in the callable")

@@ -1,9 +1,11 @@
 """Named experiment recipes: the sweeps, optimum searches and checks that
 regenerate the plot-ready data sets.
 
-All sweeps evaluate their grid cells independently (optionally on a thread
-pool; the compiled kernels release the GIL) and deterministically, so
-results do not depend on evaluation order or worker count. Noise strengths
+All sweeps evaluate their grid cells independently and deterministically,
+so results do not depend on evaluation order or worker count. ``workers``
+keeps its contract (cells on a thread pool of that size), but the work is
+numpy calls on small arrays that hold the GIL, so more than one worker gains
+nothing. Noise strengths
 are specified in units of the minimal gap 2g in user-facing interfaces and
 converted to absolute rates internally.
 """

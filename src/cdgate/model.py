@@ -317,7 +317,7 @@ def nqubit_sector_states(n: int, g: float, j_n: float) -> tuple[np.ndarray, np.n
 class RampedGateHamiltonian:
     """H(t) = h0 + J(t) hz + c(t) hcd with J(t) = slope * t linear in time.
 
-    This is the structured form the compiled evolution kernels understand;
+    This is the structured form the ramped evolution kernels understand;
     calling it returns the assembled matrix at time t. ``hcd`` uses the
     projector normalization, c(t) = g * slope / (2 (g^2 + J^2)).
     """

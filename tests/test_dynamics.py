@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cdgate import _kernels
 from cdgate.dynamics import (
     EvolutionConfig,
     NoiseModel,
@@ -17,6 +18,7 @@ from cdgate.errors import (
     InvalidSampleCountError,
     NotHermitianError,
     NotNormalizedError,
+    PositivityViolationError,
     StepUnderflowError,
 )
 from cdgate.model import SIGMA_Z, analytic_spectrum, cnot_system, lz_system
@@ -87,6 +89,25 @@ class TestSchrodinger:
         system = cnot_system(params, tau=1.0)
         with pytest.raises(NotNormalizedError):
             schrodinger_evolve(system, 2.0 * KET_11, EvolutionConfig(tau=1.0))
+
+    def test_stats_count_steps_and_rhs_evaluations(self, params):
+        system = cnot_system(params, tau=6.0, use_cd=True)
+        psi0 = ground_start(params, system)
+        cfg = EvolutionConfig(tau=6.0, sample_count=4)
+        calls = []
+
+        def h_of_t(t):
+            calls.append(t)
+            return system(t)
+
+        stats = schrodinger_evolve(h_of_t, psi0, cfg).stats
+        # three calls are the Hermiticity check; each RHS evaluation is one
+        assert stats["rhs_evals"] == len(calls) - 3
+        assert stats["rhs_evals"] == 1 + 12 * (stats["accepted"]
+                                               + stats["rejected"])
+        ramped = schrodinger_evolve(system, psi0, cfg).stats
+        assert ramped == schrodinger_evolve(system, psi0, cfg).stats
+        assert ramped["accepted"] > 0
 
     def test_step_underflow_on_impossible_tolerance(self, params):
         system = cnot_system(params, tau=1.0)
@@ -171,6 +192,33 @@ class TestLindblad:
             assert abs(np.trace(rho) - 1.0) < 1e-8
             assert np.linalg.eigvalsh(rho).min() > -1e-6
             assert 0.0 <= np.real(rho[3, 3]) <= 1.0 + 1e-10
+
+    def test_non_diagonal_noise_operator_rejected(self, params):
+        # hz is the jump operator of a ramped system; sigma_x on the driven
+        # qubit used to surface as a trace-drift failure mid-integration
+        system = cnot_system(params, tau=1.0)
+        sigma_x_2 = np.kron(np.eye(2), np.array([[0, 1], [1, 0]], dtype=complex))
+        psi0 = ground_start(params, system)
+        with pytest.raises(ValueError, match="diagonal"):
+            lindblad_evolve(replace(system, hz=sigma_x_2),
+                            np.outer(psi0, psi0.conj()),
+                            NoiseModel(alpha=0.001), EvolutionConfig(tau=1.0))
+
+    def test_positivity_checked_at_every_sample(self, params, monkeypatch):
+        system = cnot_system(params, tau=1.0)
+        psi0 = ground_start(params, system)
+        rho0 = np.outer(psi0, psi0.conj())
+        states = np.repeat(rho0.reshape(1, 16), 5, axis=0)
+        # unit trace, eigenvalue -0.1, at a sample no spot check would pick
+        states[1] = np.diag([1.1, -0.1, 0.0, 0.0]).ravel()
+
+        def fake_kernel(*args):
+            return _kernels.STATUS_OK, states, 0.0, {}
+
+        monkeypatch.setattr(_kernels, "evolve_ramped", fake_kernel)
+        with pytest.raises(PositivityViolationError, match="-1.000e-01"):
+            lindblad_evolve(system, rho0, NoiseModel(alpha=0.1),
+                            EvolutionConfig(tau=1.0, sample_count=5))
 
     def test_rejects_invalid_initial_state(self, params):
         system = cnot_system(params, tau=1.0)
