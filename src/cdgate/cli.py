@@ -1,7 +1,9 @@
 """Command-line front end: parse a run configuration, dispatch experiments,
 serialize plot-ready CSV/JSON with a reproducibility manifest.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration/validation error.
+Exit codes: 0 success, 1 runtime failure (including a sweep with failed
+cells or a failed gate check, whose files are still written), 2
+configuration/validation error.
 Axis values accept the range syntax ``start:stop:count[log]`` or a comma
 list; noise strengths are given in units of the minimal gap 2g. A JSON
 config file (``--config``) supplies defaults that explicit flags override.
@@ -15,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -34,9 +37,6 @@ from .experiments import (
     tradeoff_boundary,
 )
 from .model import CnotParams, analytic_spectrum, cnot_system, linear_ramp
-
-COMMANDS = ("spectrum", "evolve", "sweep-tau", "sweep-noise", "heatmap",
-            "optimal-tau", "tradeoff", "gate-check", "nqubit")
 
 _AXIS_HELP = "range syntax start:stop:count[log] or a comma-separated list"
 
@@ -103,12 +103,34 @@ def parse_axis(spec: str) -> np.ndarray:
     return np.array([float(s)])
 
 
+# Config key -> the type its value is cast to (``str | None`` -> str).
 _FIELDS: dict[str, type] = {
-    "j1": float, "g": float, "j2_amp": float, "tau": str, "alpha": str,
-    "threshold": float, "n": int, "phase_offset": int, "cd": bool,
-    "full_range_ramp": bool, "output": str, "format": str, "seed": int,
-    "workers": int, "samples": int, "rel_tol": float, "abs_tol": float,
-    "tau_window": str, "gnuplot": bool,
+    name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in get_type_hints(RunConfig).items() if name != "command"
+}
+
+# One flag per RunConfig field, --<field> with dashes (j2_amp is --j2); the
+# fields in _COMMANDS options belong to those commands only.
+_HELP = {
+    "j1": "energy scale of qubit 1",
+    "g": "sector coupling strength",
+    "j2_amp": "drive amplitude J2 in J2(t) = J2 t / tau",
+    "full_range_ramp": "ramp endpoints reach +-J2 instead of +-J2/2",
+    "output": "output path prefix",
+    "format": "data file format, csv (default) or json",
+    "seed": "master seed, recorded in the manifest",
+    "workers": "worker thread count (default $CDGATE_WORKERS or 1)",
+    "samples": "output grid size for spectrum/evolve",
+    "rel_tol": "integrator relative tolerance",
+    "abs_tol": "integrator absolute tolerance",
+    "gnuplot": "emit a companion gnuplot script per CSV",
+    "tau": f"driving time(s), {_AXIS_HELP}",
+    "alpha": f"noise strengths in units of 2g, {_AXIS_HELP}",
+    "cd": "add the counterdiabatic field",
+    "threshold": "fidelity threshold in (0.5, 1)",
+    "tau_window": "search window lo:hi",
+    "n": "qubit count (2..6)",
+    "phase_offset": "integer n in phi(0) = 2 pi n",
 }
 
 
@@ -122,86 +144,18 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"cdgate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    per_command = {f for c in _COMMANDS.values() for f in c.options}
+    common = [f for f in _HELP if f not in per_command]
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--j1", type=float, help="energy scale of qubit 1")
-        p.add_argument("--g", type=float, help="sector coupling strength")
-        p.add_argument("--j2", dest="j2_amp", type=float,
-                       help="drive amplitude J2 in J2(t) = J2 t / tau")
-        p.add_argument("--full-range-ramp", action="store_const", const=True,
-                       help="ramp endpoints reach +-J2 instead of +-J2/2")
-        p.add_argument("--output", help="output path prefix")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="data file format (default csv)")
-        p.add_argument("--seed", type=int, help="master seed for metadata "
-                       "and any stochastic oracle")
-        p.add_argument("--workers", type=int,
-                       help="worker thread count (default $CDGATE_WORKERS or 1)")
-        p.add_argument("--samples", type=int,
-                       help="output grid size for spectrum/evolve")
-        p.add_argument("--rel-tol", dest="rel_tol", type=float,
-                       help="integrator relative tolerance")
-        p.add_argument("--abs-tol", dest="abs_tol", type=float,
-                       help="integrator absolute tolerance")
-        p.add_argument("--gnuplot", action="store_const", const=True,
-                       help="emit a companion gnuplot script per CSV")
-
-    specs = {
-        "spectrum": "energy spectrum along the drive",
-        "evolve": "a single gate run (unitary, or noisy with --alpha)",
-        "sweep-tau": "final fidelity and transition probability vs tau",
-        "sweep-noise": "noisy final fidelity over the (alpha, tau) grid",
-        "heatmap": "dense (alpha, tau) fidelity map",
-        "optimal-tau": "optimal driving time under noise, per alpha",
-        "tradeoff": "CD-protected tau*alpha trade-off boundary",
-        "gate-check": "exact-gate verification of the inverse-engineered H",
-        "nqubit": "tau sweep for the N-qubit generalization",
-    }
-    parsers = {}
-    for name, desc in specs.items():
-        p = sub.add_parser(name, help=desc, description=desc)
-        add_common(p)
-        parsers[name] = p
-
-    for name in ("spectrum", "evolve"):
-        parsers[name].add_argument("--tau", help="driving time")
-    for name in ("sweep-tau", "sweep-noise", "heatmap", "tradeoff", "nqubit"):
-        parsers[name].add_argument("--tau", help=f"tau axis, {_AXIS_HELP}")
-    parsers["gate-check"].add_argument("--tau", help="comma list of gate times")
-    parsers["gate-check"].add_argument("--phase-offset", dest="phase_offset",
-                                       type=int,
-                                       help="integer n in phi(0) = 2 pi n")
-    for name in ("evolve", "sweep-noise", "heatmap", "optimal-tau", "tradeoff"):
-        parsers[name].add_argument(
-            "--alpha", help=f"noise strengths in units of 2g, {_AXIS_HELP}")
-    for name in ("sweep-tau", "sweep-noise", "heatmap", "evolve", "nqubit"):
-        parsers[name].add_argument("--cd", action="store_const", const=True,
-                                   help="add the counterdiabatic field")
-    parsers["tradeoff"].add_argument("--threshold", type=float,
-                                     help="fidelity threshold in (0.5, 1)")
-    parsers["optimal-tau"].add_argument("--tau-window", dest="tau_window",
-                                        help="search window lo:hi")
-    parsers["nqubit"].add_argument("--n", type=int, help="qubit count (2..6)")
+        for field in common + list(command.options):
+            flag = "--j2" if field == "j2_amp" else "--" + field.replace("_", "-")
+            kind = _FIELDS[field]
+            kwargs = ({"action": "store_const", "const": True} if kind is bool
+                      else {"type": kind})
+            p.add_argument(flag, dest=field, help=_HELP[field], **kwargs)
     return parser
-
-
-_COMMAND_DEFAULTS = {
-    "spectrum": {"tau": "20"},
-    "evolve": {"tau": "20"},
-    "sweep-tau": {"tau": "1:200:60log"},
-    "sweep-noise": {"tau": "1:200:60log"},
-    "heatmap": {"tau": "1:200:30log", "alpha": "0:0.2:21"},
-    "optimal-tau": {},
-    "tradeoff": {"tau": "1:100:40log", "alpha": "0.02:0.2:8log"},
-    "gate-check": {"tau": "0.5,1,7.3"},
-    "nqubit": {"tau": "0.5:50:20log"},
-}
-
-_REQUIRED = {
-    "sweep-noise": ("alpha",),
-    "optimal-tau": ("alpha",),
-    "nqubit": ("n",),
-}
 
 
 def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -243,7 +197,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             )
 
     merged = {}
-    defaults = dict(_COMMAND_DEFAULTS.get(command, {}))
+    defaults = _COMMANDS[command].defaults
     for name, caster in _FIELDS.items():
         cli_value = getattr(ns, name, None)
         if cli_value is not None:
@@ -257,7 +211,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         elif name in defaults:
             merged[name] = defaults[name]
 
-    for name in _REQUIRED.get(command, ()):
+    for name in _COMMANDS[command].required:
         if merged.get(name) is None:
             parser.error(f"--{name} is required for {command}")
 
@@ -345,7 +299,7 @@ def _spectrum_rows(rc: RunConfig):
         j2 = ramp.value(float(t))
         snap = analytic_spectrum(params, j2)
         rows.append((t, j2, *snap.energies, snap.gap))
-    return ["t", "J2", "E1", "E2", "E3", "E4", "gap"], rows
+    return ["t", "J2", "E1", "E2", "E3", "E4", "gap"], rows, {}
 
 
 def _evolve_rows(rc: RunConfig):
@@ -373,8 +327,6 @@ def _evolve_rows(rc: RunConfig):
         noise = NoiseModel.from_gap_units(alpha_gap, params.g)
         rho0 = np.outer(start, start.conj())
         traj = lindblad_evolve(system, rho0, noise, cfg)
-        target = np.zeros(4, dtype=complex)
-        target[3] = 1.0
         for t, rho in zip(traj.times, traj.states):
             snap = analytic_spectrum(params, system.drive_value(float(t)))
             v1, v2 = snap.states[0], snap.states[1]
@@ -385,34 +337,33 @@ def _evolve_rows(rc: RunConfig):
                 float(np.real(np.vdot(v2, rho @ v2))),
                 float(np.real(np.trace(rho))),
             ))
-    return header, rows
+    return header, rows, {}
 
 
-def _sweep_tau_rows(rc: RunConfig, n_qubits: int | None = None):
+def _sweep_tau_rows(rc: RunConfig):
     params = rc.params()
     taus = parse_axis(rc.tau)
     cfg = rc.evolution_config(1.0, use_cd=rc.cd)
-    if n_qubits is None:
+    if rc.command == "nqubit":
+        result = n_qubit_demo(rc.n, params, taus, rc.cd, cfg,
+                              full_range_ramp=rc.full_range_ramp,
+                              workers=rc.workers)
+    else:
         result = sweep_tau(params, taus, rc.cd, cfg,
                            full_range_ramp=rc.full_range_ramp,
                            workers=rc.workers)
-    else:
-        result = n_qubit_demo(n_qubits, params, taus, rc.cd, cfg,
-                              full_range_ramp=rc.full_range_ramp,
-                              workers=rc.workers)
     rows = [
         (tau, result.fidelity[0, j], result.transition_prob[0, j],
          lz_prediction_for(params, float(tau), rc.full_range_ramp))
         for j, tau in enumerate(taus)
     ]
-    return ["tau", "fidelity", "transition_prob", "lz_prediction"], rows
+    return ["tau", "fidelity", "transition_prob", "lz_prediction"], rows, {}
 
 
 def _noise_rows(rc: RunConfig):
     params = rc.params()
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
-                     cd_enabled=rc.cd, master_seed=rc.seed,
-                     full_range_ramp=rc.full_range_ramp)
+                     cd_enabled=rc.cd, full_range_ramp=rc.full_range_ramp)
     cfg = rc.evolution_config(1.0, use_cd=rc.cd)
     result = sweep_noise(grid, cfg, workers=rc.workers)
     rows = []
@@ -441,14 +392,13 @@ def _optimal_tau_rows(rc: RunConfig):
             params, alpha, cfg, tau_window=(lo, hi),
             full_range_ramp=rc.full_range_ramp)
         rows.append((alpha, alpha_gap, tau_star, f_star))
-    return ["alpha_abs", "alpha_in_gap_units", "tau_star", "f_star"], rows
+    return ["alpha_abs", "alpha_in_gap_units", "tau_star", "f_star"], rows, {}
 
 
 def _tradeoff_rows(rc: RunConfig):
     params = rc.params()
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
-                     cd_enabled=True, master_seed=rc.seed,
-                     full_range_ramp=rc.full_range_ramp)
+                     cd_enabled=True, full_range_ramp=rc.full_range_ramp)
     cfg = rc.evolution_config(1.0, use_cd=True)
     curve = tradeoff_boundary(grid, rc.threshold, cfg, workers=rc.workers)
     rows = [(alpha, alpha / (2 * params.g), tau_max, alpha * tau_max)
@@ -470,37 +420,68 @@ def _gate_check_rows(rc: RunConfig):
         all_passed = all_passed and report.passed
     header = ["tau", "frobenius_distance", "phase_insensitive_distance",
               "commutator_residual", "passed"]
-    return header, rows, all_passed
+    return header, rows, {"all_passed": all_passed}
 
 
-def run_command(rc: RunConfig) -> tuple[list[str], bool]:
-    """Execute the configured command; returns written files and a success
-    flag. The manifest is written last so its presence signals completion."""
+class _Command(NamedTuple):
+    help: str
+    rows: Callable   # RunConfig -> (header, rows, manifest summary)
+    options: tuple[str, ...] = ("tau",)
+    defaults: dict = {}
+    required: tuple[str, ...] = ()
+
+
+# One entry per subcommand. The row functions reach the experiments and
+# writers through their module-level names at call time, never through a
+# stored reference, so wrappers put on those names (perfbench/tracer.py)
+# see every call.
+_COMMANDS = {
+    "spectrum": _Command("energy spectrum along the drive", _spectrum_rows),
+    "evolve": _Command("a single gate run (unitary, or noisy with --alpha)",
+                       _evolve_rows, ("tau", "alpha", "cd")),
+    "sweep-tau": _Command(
+        "final fidelity and transition probability vs tau", _sweep_tau_rows,
+        ("tau", "cd"), {"tau": "1:200:60log"}),
+    "sweep-noise": _Command(
+        "noisy final fidelity over the (alpha, tau) grid", _noise_rows,
+        ("tau", "alpha", "cd"), {"tau": "1:200:60log"}, ("alpha",)),
+    "heatmap": _Command(
+        "dense (alpha, tau) fidelity map", _noise_rows, ("tau", "alpha", "cd"),
+        {"tau": "1:200:30log", "alpha": "0:0.2:21"}),
+    "optimal-tau": _Command(
+        "optimal driving time under noise, per alpha", _optimal_tau_rows,
+        ("alpha", "tau_window"), required=("alpha",)),
+    "tradeoff": _Command(
+        "CD-protected tau*alpha trade-off boundary", _tradeoff_rows,
+        ("tau", "alpha", "threshold"),
+        {"tau": "1:100:40log", "alpha": "0.02:0.2:8log"}),
+    "gate-check": _Command(
+        "exact-gate verification of the inverse-engineered H",
+        _gate_check_rows, ("tau", "phase_offset"), {"tau": "0.5,1,7.3"}),
+    "nqubit": _Command(
+        "tau sweep for the N-qubit generalization", _sweep_tau_rows,
+        ("tau", "cd", "n"), {"tau": "0.5:50:20log"}, ("n",)),
+}
+
+
+def _failure(summary: dict) -> str | None:
+    """Why a run that wrote its files still failed, from its summary."""
+    if summary.get("failed_cells"):
+        return (f"{len(summary['failed_cells'])} sweep cell(s) failed; "
+                "their fidelity is written as NaN")
+    if summary.get("all_passed") is False:
+        return "gate check failed the 1e-10 distance bound"
+    return None
+
+
+def run_command(rc: RunConfig) -> tuple[list[str], str | None]:
+    """Execute the configured command; returns the written files and, for a
+    run whose summary records a failure, its cause (None on success). The
+    manifest is written last so its presence signals completion."""
     t0 = time.perf_counter()
-    summary: dict = {}
-    ok = True
-    if rc.command == "spectrum":
-        header, rows = _spectrum_rows(rc)
-    elif rc.command == "evolve":
-        header, rows = _evolve_rows(rc)
-    elif rc.command == "sweep-tau":
-        header, rows = _sweep_tau_rows(rc)
-    elif rc.command == "nqubit":
-        header, rows = _sweep_tau_rows(rc, n_qubits=rc.n)
-    elif rc.command in ("sweep-noise", "heatmap"):
-        header, rows, summary = _noise_rows(rc)
-    elif rc.command == "optimal-tau":
-        header, rows = _optimal_tau_rows(rc)
-    elif rc.command == "tradeoff":
-        header, rows, summary = _tradeoff_rows(rc)
-    elif rc.command == "gate-check":
-        header, rows, ok = _gate_check_rows(rc)
-        summary = {"all_passed": ok}
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown command {rc.command!r}")
+    header, rows, summary = _COMMANDS[rc.command].rows(rc)
 
-    ext = "csv" if rc.format == "csv" else "json"
-    data_path = f"{rc.output}_{rc.command}.{ext}"
+    data_path = f"{rc.output}_{rc.command}.{rc.format}"
     writer = emit_csv if rc.format == "csv" else emit_json
     count = writer(data_path, header, rows)
     files = [{"path": data_path, "rows": count}]
@@ -525,7 +506,7 @@ def run_command(rc: RunConfig) -> tuple[list[str], bool]:
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return [f["path"] for f in files] + [manifest_path], ok
+    return [f["path"] for f in files] + [manifest_path], _failure(summary)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -534,15 +515,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        files, ok = run_command(rc)
+        files, failure = run_command(rc)
     except (CdgateError, ValueError, OSError) as exc:
         print(f"cdgate: error: {exc}", file=sys.stderr)
         return 1
     for path in files:
         print(path)
-    if not ok:
-        print("cdgate: gate check failed the 1e-10 distance bound",
-              file=sys.stderr)
+    if failure is not None:
+        print(f"cdgate: {failure}", file=sys.stderr)
         return 1
     return 0
 

@@ -24,14 +24,13 @@ from .errors import (
     InvalidSampleCountError,
     NormDriftExceededError,
     NotHermitianError,
-    NotNormalizedError,
     PositivityViolationError,
     StepUnderflowError,
     TraceDriftExceededError,
 )
 from .model import SIGMA_Z, CnotParams, RampedGateHamiltonian, analytic_spectrum
 from .numerics import TOL, as_state, hermiticity_defect
-from .observables import validate_density_matrix
+from .observables import _require_normalized, validate_density_matrix
 
 HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
 
@@ -177,9 +176,7 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
     t -> Hermitian matrix.
     """
     psi0 = as_state(psi0)
-    norm = float(np.linalg.norm(psi0))
-    if abs(norm - 1.0) > TOL.normalization:
-        raise NotNormalizedError(f"psi0 has norm {norm}, expected 1")
+    _require_normalized(psi0, "psi0")
 
     t0, t1 = _resolve_span(h_of_t, cfg, t_span)
     times = np.linspace(t0, t1, cfg.sample_count)
@@ -298,9 +295,7 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
     qubit. Deterministic for a given seed.
     """
     psi0 = as_state(psi0)
-    norm = float(np.linalg.norm(psi0))
-    if abs(norm - 1.0) > TOL.normalization:
-        raise NotNormalizedError(f"psi0 has norm {norm}, expected 1")
+    _require_normalized(psi0, "psi0")
     if n_samples < 100:
         raise InvalidSampleCountError(
             f"need at least 100 samples for a meaningful average, got {n_samples}"
@@ -350,14 +345,6 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
 def ground_state_probability(psi, params: CnotParams, j2: float) -> float:
     """|<E1(j2)|psi>|^2 with the closed-form instantaneous ground state."""
     psi = as_state(psi)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > TOL.normalization:
-        raise NotNormalizedError(f"psi has norm {norm}, expected 1")
+    _require_normalized(psi, "psi")
     ground = analytic_spectrum(params, j2).states[0]
     return float(abs(np.vdot(ground, psi)) ** 2)
-
-
-def ground_state_population(rho, params: CnotParams, j2: float) -> float:
-    """<E1(j2)| rho |E1(j2)> for mixed states."""
-    ground = analytic_spectrum(params, j2).states[0]
-    return float(np.real(np.vdot(ground, np.asarray(rho) @ ground)))

@@ -75,7 +75,6 @@ class SweepGrid:
     alpha_gap_units: np.ndarray
     cd_enabled: bool
     params: CnotParams
-    master_seed: int = 0
     full_range_ramp: bool = False
 
     def __post_init__(self):
@@ -92,7 +91,7 @@ class SweepGrid:
 
 
 def make_grid(params: CnotParams, tau_values, alpha_gap_units, cd_enabled,
-              master_seed: int = 0, full_range_ramp: bool = False) -> SweepGrid:
+              full_range_ramp: bool = False) -> SweepGrid:
     """Build a sweep grid from noise strengths given in units of 2g."""
     alpha_gap = np.asarray(alpha_gap_units, dtype=float)
     return SweepGrid(
@@ -101,7 +100,6 @@ def make_grid(params: CnotParams, tau_values, alpha_gap_units, cd_enabled,
         alpha_gap_units=alpha_gap,
         cd_enabled=cd_enabled,
         params=params,
-        master_seed=master_seed,
         full_range_ramp=full_range_ramp,
     )
 
@@ -196,9 +194,23 @@ def _unitary_cell(n: int, params: CnotParams, tau: float, cd: bool,
     return fid, p_trans, p_ground
 
 
-def _sweep_unitary(n: int, params: CnotParams, tau_values, cd_enabled: bool,
-                   cfg: EvolutionConfig | None, full_range_ramp: bool,
-                   initial_state: str, workers: int | None) -> SweepResult:
+def sweep_tau(params: CnotParams, tau_values, cd_enabled: bool,
+              cfg: EvolutionConfig | None = None,
+              full_range_ramp: bool = False, initial_state: str = "exact",
+              workers: int | None = None) -> SweepResult:
+    """Final fidelity, transition and ground-state probability per driving
+    time for the unitary two-qubit gate."""
+    return n_qubit_demo(2, params, tau_values, cd_enabled, cfg,
+                        full_range_ramp, initial_state, workers)
+
+
+def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
+                 cfg: EvolutionConfig | None = None,
+                 full_range_ramp: bool = False,
+                 initial_state: str = "exact",
+                 workers: int | None = None) -> SweepResult:
+    """The tau sweep on the 2^n-dimensional generalization, with target
+    |1...1> and the |1...10> sector ground state as the start."""
     tau_values = np.asarray(tau_values, dtype=float)
     grid = SweepGrid(
         tau_values=tau_values,
@@ -220,27 +232,6 @@ def _sweep_unitary(n: int, params: CnotParams, tau_values, cd_enabled: bool,
     meta = _metadata(cfg, time.perf_counter() - t_start, n_qubits=n)
     return SweepResult(grid=grid, fidelity=fid, transition_prob=trans,
                        ground_prob=ground, metadata=meta)
-
-
-def sweep_tau(params: CnotParams, tau_values, cd_enabled: bool,
-              cfg: EvolutionConfig | None = None,
-              full_range_ramp: bool = False, initial_state: str = "exact",
-              workers: int | None = None) -> SweepResult:
-    """Final fidelity, transition and ground-state probability per driving
-    time for the unitary two-qubit gate."""
-    return _sweep_unitary(2, params, tau_values, cd_enabled, cfg,
-                          full_range_ramp, initial_state, workers)
-
-
-def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
-                 cfg: EvolutionConfig | None = None,
-                 full_range_ramp: bool = False,
-                 initial_state: str = "exact",
-                 workers: int | None = None) -> SweepResult:
-    """The tau sweep on the 2^n-dimensional generalization, with target
-    |1...1> and the |1...10> sector ground state as the start."""
-    return _sweep_unitary(n, params, tau_values, cd_enabled, cfg,
-                          full_range_ramp, initial_state, workers)
 
 
 def _noise_cell(grid: SweepGrid, alpha: float, tau: float,

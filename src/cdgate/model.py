@@ -132,8 +132,6 @@ class SpectrumSnapshot:
 
     energies: tuple[float, float, float, float]
     states: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    alphas: tuple[float, float]
-    ks: tuple[float, float]
     gap: float
 
 
@@ -168,8 +166,6 @@ def analytic_spectrum(params: CnotParams, j2: float) -> SpectrumSnapshot:
     return SpectrumSnapshot(
         energies=(float(e1), float(e2), float(e3), float(e4)),
         states=(v1, v2, v3, v4),
-        alphas=(float(a_plus), float(a_minus)),
-        ks=(float(kp), float(km)),
         gap=float(e2 - e1),
     )
 
@@ -288,16 +284,6 @@ def build_h_cd_n(n: int, g: float, j_n: float, j_n_dot: float) -> np.ndarray:
     return pref * (control_projector(n) @ _op_on(SIGMA_Y, n - 1, n))
 
 
-def sector_ground_state(params: CnotParams, j2: float) -> np.ndarray:
-    """|E1(j2)>, the instantaneous ground state (coupled sector)."""
-    return analytic_spectrum(params, j2).states[0]
-
-
-def sector_excited_state(params: CnotParams, j2: float) -> np.ndarray:
-    """|E2(j2)>, the upper sector eigenstate."""
-    return analytic_spectrum(params, j2).states[1]
-
-
 def nqubit_sector_states(n: int, g: float, j_n: float) -> tuple[np.ndarray, np.ndarray]:
     """Ground and excited eigenstates of the coupled {|1..10>, |1..11>}
     sector of the N-qubit Hamiltonian (same two-level closed form)."""
@@ -330,7 +316,6 @@ class RampedGateHamiltonian:
     use_cd: bool
     t_start: float
     t_end: float
-    label: str = ""
 
     @property
     def dim(self) -> int:
@@ -350,38 +335,49 @@ class RampedGateHamiltonian:
         return h
 
 
-def cnot_system(params: CnotParams, tau: float, use_cd: bool = False,
-                full_range_ramp: bool = False) -> RampedGateHamiltonian:
-    """The linearly driven two-qubit gate as a kernel-ready system."""
+def _ramped_system(params: CnotParams, tau: float, use_cd: bool,
+                   full_range_ramp: bool, h0: np.ndarray, hz: np.ndarray,
+                   hcd: np.ndarray) -> RampedGateHamiltonian:
     schedule = linear_ramp(params, tau, full_range_ramp)
-    proj2 = kron((IDENTITY_2 - SIGMA_Z) / 2.0, SIGMA_Y)
     return RampedGateHamiltonian(
-        h0=build_h_cnot(params, 0.0),
-        hz=kron(IDENTITY_2, SIGMA_Z),
-        hcd=proj2,
+        h0=h0,
+        hz=hz,
+        hcd=hcd,
         slope=schedule.derivative(0.0),
         g=params.g,
         use_cd=use_cd,
         t_start=schedule.t_start,
         t_end=schedule.t_end,
-        label="cnot",
     )
+
+
+def _gate_system(n: int, params: CnotParams, tau: float, use_cd: bool,
+                 full_range_ramp: bool) -> RampedGateHamiltonian:
+    # Shared by cnot_system and nqubit_system so that one call to either
+    # is one system build, not two; build_h_n checks n.
+    return _ramped_system(
+        params, tau, use_cd, full_range_ramp,
+        h0=build_h_n(n, params.j1, 0.0, params.g),
+        hz=_op_on(SIGMA_Z, n - 1, n),
+        hcd=control_projector(n) @ _op_on(SIGMA_Y, n - 1, n),
+    )
+
+
+def cnot_system(params: CnotParams, tau: float, use_cd: bool = False,
+                full_range_ramp: bool = False) -> RampedGateHamiltonian:
+    """The linearly driven two-qubit gate as a kernel-ready system: the
+    n = 2 case of ``nqubit_system``."""
+    return _gate_system(2, params, tau, use_cd, full_range_ramp)
 
 
 def lz_system(params: CnotParams, tau: float, use_cd: bool = False,
               full_range_ramp: bool = False) -> RampedGateHamiltonian:
     """The two-level sector reduction as a kernel-ready system."""
-    schedule = linear_ramp(params, tau, full_range_ramp)
-    return RampedGateHamiltonian(
+    return _ramped_system(
+        params, tau, use_cd, full_range_ramp,
         h0=(-params.g * SIGMA_X - params.j1 * IDENTITY_2),
         hz=SIGMA_Z.copy(),
         hcd=SIGMA_Y.copy(),
-        slope=schedule.derivative(0.0),
-        g=params.g,
-        use_cd=use_cd,
-        t_start=schedule.t_start,
-        t_end=schedule.t_end,
-        label="lz-sector",
     )
 
 
@@ -390,16 +386,4 @@ def nqubit_system(n: int, params: CnotParams, tau: float,
                   full_range_ramp: bool = False) -> RampedGateHamiltonian:
     """The N-qubit generalization as a kernel-ready system; the first n-1
     qubits carry j1, the driven last qubit ramps with amplitude j2_amp."""
-    _check_qubit_count(n)
-    schedule = linear_ramp(params, tau, full_range_ramp)
-    return RampedGateHamiltonian(
-        h0=build_h_n(n, params.j1, 0.0, params.g),
-        hz=_op_on(SIGMA_Z, n - 1, n),
-        hcd=control_projector(n) @ _op_on(SIGMA_Y, n - 1, n),
-        slope=schedule.derivative(0.0),
-        g=params.g,
-        use_cd=use_cd,
-        t_start=schedule.t_start,
-        t_end=schedule.t_end,
-        label=f"nqubit-{n}",
-    )
+    return _gate_system(n, params, tau, use_cd, full_range_ramp)

@@ -22,9 +22,6 @@ class Tolerances:
     """Central numeric tolerances used across the package."""
 
     hermiticity: float = 1e-10        # relative ||H - H^dag|| precondition
-    eig_residual: float = 1e-12       # ||H v - w v|| <= tol * ||H||
-    eig_orthonormality: float = 1e-12
-    unitarity: float = 1e-8
     norm_drift: float = 1e-8          # | ||psi||^2 - 1 | monitor limit
     trace_drift: float = 1e-8
     positivity_floor: float = 1e-6    # eigenvalues >= -floor for valid rho
@@ -70,29 +67,11 @@ def dagger(m) -> np.ndarray:
     return as_operator(m).conj().T
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = as_operator(a), as_operator(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def matrix_apply(m, v) -> np.ndarray:
-    m, v = as_operator(m), as_state(v)
-    if m.shape[1] != v.shape[0]:
-        raise DimensionMismatchError(f"cannot apply {m.shape} to {v.shape}")
-    return m @ v
-
-
 def commutator(a, b) -> np.ndarray:
     a, b = as_operator(a), as_operator(b)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"commutator needs equal shapes, got {a.shape}, {b.shape}")
     return a @ b - b @ a
-
-
-def trace(m) -> complex:
-    return complex(np.trace(as_operator(m)))
 
 
 def frobenius_distance(u, v) -> float:
@@ -122,10 +101,6 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(m - m.conj().T).max() / scale)
 
 
-def is_hermitian(m, tol: float = TOL.hermiticity) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 def hermitian_eig(h) -> EigenDecomposition:
     """Diagonalize a Hermitian matrix with the cyclic Jacobi kernel.
 
@@ -152,10 +127,6 @@ def hermitian_eig(h) -> EigenDecomposition:
         if abs(pivot) > 0.0:
             v[:, k] *= np.conj(pivot) / abs(pivot)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def hermitian_eigenvalues(h) -> np.ndarray:
-    return hermitian_eig(h).eigenvalues
 
 
 def spectral_propagator(h, duration: float) -> np.ndarray:

@@ -221,7 +221,7 @@ class TestCommands:
         monkeypatch.setattr(exp, "_noise_cell", flaky)
         code, _ = _run(tmp_path, ["sweep-noise", "--alpha", "0.05",
                                   "--tau", "1,2"])
-        assert code == 0
+        assert code == 1
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["summary"]["failed_cells"] == [
             "cell (0,1): injected failure"]
@@ -231,3 +231,23 @@ class TestCommands:
         assert "cell (0,1): injected failure" in warnings[0]
         lines = (tmp_path / "run_sweep-noise.csv").read_text().splitlines()
         assert lines[2].endswith(",nan")
+
+    def test_failed_heatmap_cells_exit_1_with_cause(self, tmp_path, capsys,
+                                                    monkeypatch):
+        import cdgate.experiments as exp
+        real = exp._noise_cell
+
+        def flaky(grid, alpha, tau, cfg, initial_state):
+            if alpha > 0.0:
+                raise exp.CdgateError("injected failure")
+            return real(grid, alpha, tau, cfg, initial_state)
+
+        monkeypatch.setattr(exp, "_noise_cell", flaky)
+        code, _ = _run(tmp_path, ["heatmap", "--alpha", "0,0.1",
+                                  "--tau", "1,2"])
+        assert code == 1
+        assert (tmp_path / "run_heatmap.csv").exists()
+        assert (tmp_path / "run_manifest.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == ("cdgate: 2 sweep cell(s) failed; their fidelity "
+                           "is written as NaN")

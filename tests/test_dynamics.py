@@ -316,6 +316,50 @@ class TestNoiseTrajectoryOracle:
                 use_cd=True)
 
 
+class TestScipyOracle:
+    """The DOP853 stepper against scipy's independent DOP853 at tight
+    tolerances: final states agree to 1e-8."""
+
+    @pytest.mark.parametrize("use_cd", [False, True])
+    @pytest.mark.parametrize("tau", [1.0, 20.0])
+    def test_schrodinger(self, params, tau, use_cd):
+        integrate = pytest.importorskip("scipy.integrate")
+        system = cnot_system(params, tau, use_cd)
+        psi0 = ground_start(params, system)
+        psi = schrodinger_evolve(system, psi0,
+                                 EvolutionConfig(tau=tau)).final_state
+        ref = integrate.solve_ivp(
+            lambda t, y: -1j * (system(t) @ y),
+            (system.t_start, system.t_end), psi0, method="DOP853",
+            rtol=1e-12, atol=1e-14)
+        assert ref.success
+        assert np.abs(psi - ref.y[:, -1]).max() < 1e-8
+
+    @pytest.mark.parametrize("use_cd", [False, True])
+    @pytest.mark.parametrize("tau", [1.0, 20.0])
+    def test_lindblad(self, params, tau, use_cd):
+        integrate = pytest.importorskip("scipy.integrate")
+        system = cnot_system(params, tau, use_cd)
+        psi0 = ground_start(params, system)
+        rho0 = np.outer(psi0, psi0.conj())
+        alpha = 0.1 * 2.0 * params.g
+        rho = lindblad_evolve(system, rho0, NoiseModel(alpha=alpha),
+                              EvolutionConfig(tau=tau)).final_state
+        z2 = np.kron(np.eye(2), SIGMA_Z)
+
+        def rhs(t, y):
+            r = y.reshape(4, 4)
+            h = system(t)
+            return (-1j * (h @ r - r @ h)
+                    + alpha * (z2 @ r @ z2 - r)).ravel()
+
+        ref = integrate.solve_ivp(
+            rhs, (system.t_start, system.t_end), rho0.ravel(),
+            method="DOP853", rtol=1e-12, atol=1e-14)
+        assert ref.success
+        assert np.abs(rho - ref.y[:, -1].reshape(4, 4)).max() < 1e-8
+
+
 class TestGroundStateProbability:
     def test_eigenstates(self, params):
         snap = analytic_spectrum(params, 5.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgate.errors import (
     DimensionTooLargeError,
@@ -8,6 +9,7 @@ from cdgate.errors import (
 )
 from cdgate.model import (
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     CnotParams,
     analytic_spectrum,
@@ -23,6 +25,7 @@ from cdgate.model import (
     effective_lz,
     linear_phase_ramp,
     linear_ramp,
+    lz_system,
     nqubit_sector_states,
     nqubit_system,
 )
@@ -282,6 +285,33 @@ class TestRampedSystems:
             j2 = system.drive_value(t)
             expected = build_h_cnot(p, j2) + build_h_cd_analytic(p, j2, 0.5)
             assert np.abs(system(t) - expected).max() < 1e-14
+
+    @settings(derandomize=True, max_examples=30, deadline=None,
+              database=None)
+    @given(j1=st.floats(0.1, 3.0), g=st.floats(0.05, 3.0),
+           amp_factor=st.floats(1.0, 5.0), sign=st.sampled_from((1.0, -1.0)),
+           tau=st.floats(0.05, 300.0), t_frac=st.floats(-0.5, 0.5),
+           use_cd=st.booleans(), full_range_ramp=st.booleans())
+    def test_systems_match_closed_form_builders(self, j1, g, amp_factor, sign,
+                                                tau, t_frac, use_cd,
+                                                full_range_ramp):
+        # |j2_amp| >= 4 max(j1, g) keeps CnotParams from warning
+        p = CnotParams(j1=j1, g=g, j2_amp=sign * 4.0 * max(j1, g) * amp_factor)
+        t = t_frac * tau
+        slope = p.j2_amp * (2.0 if full_range_ramp else 1.0) / tau
+        j = slope * t
+
+        gate = cnot_system(p, tau, use_cd, full_range_ramp)
+        expected = build_h_cnot(p, j)
+        if use_cd:
+            expected = expected + build_h_cd_analytic(p, j, slope)
+        assert np.abs(gate(t) - expected).max() <= 1e-12
+
+        sector = lz_system(p, tau, use_cd, full_range_ramp)
+        expected = effective_lz(p, j)
+        if use_cd:
+            expected = expected + g * slope / (2.0 * (g * g + j * j)) * SIGMA_Y
+        assert np.abs(sector(t) - expected).max() <= 1e-12
 
     def test_nqubit_system_matches_cnot_system(self):
         p = CnotParams()

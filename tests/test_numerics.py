@@ -9,11 +9,8 @@ from cdgate.numerics import (
     frobenius_distance,
     hermitian_eig,
     kron,
-    matmul,
-    matrix_apply,
     phase_insensitive_distance,
     spectral_propagator,
-    trace,
 )
 
 from conftest import random_hermitian
@@ -118,18 +115,8 @@ class TestElementaryOps:
         assert frobenius_distance(u, v) > 0.1
         assert phase_insensitive_distance(u, v) < 1e-12
 
-    def test_matrix_apply_and_trace(self):
-        v = np.array([1.0, 0.0], dtype=complex)
-        assert np.array_equal(matrix_apply(SIGMA_X, v), np.array([0, 1.0]))
-        assert trace(SIGMA_Z) == 0.0
-        assert matmul(SIGMA_X, SIGMA_X)[0, 0] == 1.0
-
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            matmul(SIGMA_X, np.eye(4))
         with pytest.raises(DimensionMismatchError):
             commutator(SIGMA_X, np.eye(4))
         with pytest.raises(DimensionMismatchError):
             frobenius_distance(SIGMA_X, np.eye(4))
-        with pytest.raises(DimensionMismatchError):
-            matrix_apply(SIGMA_X, np.zeros(4, dtype=complex))
