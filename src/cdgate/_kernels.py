@@ -3,12 +3,15 @@
 Everything here is plain numpy. One adaptive Dormand-Prince 8(5,3) stepper,
 ``dop853``, integrates every Schroedinger and Lindblad evolution: the ramped
 systems below through ``evolve_ramped``, arbitrary Hamiltonian callables
-through ``cdgate.dynamics``. The states are small, so a step costs Python
-calls, not arithmetic; the stepper therefore forms every stage, the solution
-and both error estimates as one matrix product over the block of stage
-derivatives. The Monte-Carlo dephasing average advances every noise
-realization at once as one batched RK4 loop (``_rk4_average``), which also
-serves Hamiltonian callables.
+through ``cdgate.dynamics``. It takes ``generators(ts)``, the generators
+``M(t) = -i H(t)`` stacked over an array of times, and ``apply(M, y)``, the
+derivative. The states are small, so a step costs Python calls, not
+arithmetic: the stepper therefore asks for the generators of all twelve
+stage times of a step at once (one product for the ramped systems), and
+forms every stage, the solution and both error estimates as one matrix
+product over the block of stage derivatives. The Monte-Carlo dephasing
+average advances every noise realization at once as one batched RK4 loop
+(``_rk4_average``), which also serves Hamiltonian callables.
 
 The driven Hamiltonians handled here all share one algebraic shape,
 
@@ -93,32 +96,37 @@ STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
 STATUS_STEP_BUDGET = 2
 
-# stage times as Python floats, and both error estimators in one block
-_C = DP_C.tolist()
+# stage times of a step as fractions of h: stages 1..11, then the FSAL point
+C_STAGE = np.append(DP_C[1:], 1.0)
 _E53 = np.stack([DP_E5, DP_E3])
 
 
-def dop853(rhs, sample_times, y0, rtol, atol, max_step, h_init, drift_of,
-           post_step=None):
-    """Integrate ``dy/dt = rhs(t, y)`` for a flat complex ``y``.
+def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
+           drift_of, post_step=None):
+    """Integrate ``dy/dt = apply(M(t), y)`` for a flat complex ``y``.
 
-    Output states are recorded exactly at ``sample_times`` (the first entry
-    must equal the start time). Each accepted state passes through
-    ``post_step`` when one is given, and ``drift_of(y)`` is monitored; the
-    state is never renormalized. Returns ``(status, states, drift, stats)``:
-    ``drift`` is the largest ``drift_of`` seen at any accepted step and
-    ``stats`` counts the ``accepted`` and ``rejected`` steps and the
-    ``rhs_evals``.
+    ``generators(ts)`` returns the generators ``M(t)`` stacked over an array
+    of times. It is called once at the start time and then once per attempted
+    step, at ``t + h * C_STAGE``; stage ``s`` uses row ``s - 1`` and the FSAL
+    derivative the last row. Output states are recorded exactly at
+    ``sample_times`` (the first entry must equal the start time). Each
+    accepted state passes through ``post_step`` when one is given, and
+    ``drift_of(y)`` is monitored; the state is never renormalized. Returns
+    ``(status, states, drift, stats)``: ``drift`` is the largest
+    ``drift_of`` seen at any accepted step and ``stats`` counts the
+    ``accepted`` and ``rejected`` steps and the ``rhs_evals``, and holds the
+    smallest and largest accepted step, ``h_min`` and ``h_max`` (0 when no
+    step was accepted).
     """
     n = y0.shape[0]
     out = np.zeros((sample_times.shape[0], n), dtype=np.complex128)
     out[0] = y0
     y = np.array(y0, dtype=np.complex128)
     t = float(sample_times[0])
-    f = rhs(t, y)
-    rhs_evals = 1
+    f = apply(generators(np.array([t]))[0], y)
     h_abs = min(h_init, max_step)
     drift = 0.0
+    h_min, h_max = math.inf, 0.0
     K = np.zeros((_N_STAGES + 1, n), dtype=np.complex128)
     # views of the leading stages, so the loop slices nothing
     k_head = [K[:s] for s in range(_N_STAGES + 1)]
@@ -143,13 +151,13 @@ def dop853(rhs, sample_times, y0, rtol, atol, max_step, h_init, drift_of,
                 h = t_end - t
 
             ha = h * DP_A
+            m = generators(t + h * C_STAGE)
             K[0] = f
             for s in range(1, _N_STAGES):
-                K[s] = rhs(t + _C[s] * h, y + dot(ha[s, :s], k_head[s]))
+                K[s] = apply(m[s - 1], y + dot(ha[s, :s], k_head[s]))
             y_new = y + dot(h * DP_B, k_head[_N_STAGES])
-            f_new = rhs(t + h, y_new)
+            f_new = apply(m[_N_STAGES - 1], y_new)
             K[_N_STAGES] = f_new
-            rhs_evals += _N_STAGES
 
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
             w = np.abs(dot(_E53, K) / scale)
@@ -163,6 +171,10 @@ def dop853(rhs, sample_times, y0, rtol, atol, max_step, h_init, drift_of,
             if err_norm < 1.0:
                 accepted += 1
                 t = t + h
+                if h < h_min:
+                    h_min = h
+                if h > h_max:
+                    h_max = h
                 y = y_new if post_step is None else post_step(y_new)
                 dev = drift_of(y)
                 if dev > drift:
@@ -180,7 +192,8 @@ def dop853(rhs, sample_times, y0, rtol, atol, max_step, h_init, drift_of,
             break
         out[isamp] = y
     stats = {"accepted": accepted, "rejected": rejected,
-             "rhs_evals": rhs_evals}
+             "rhs_evals": 1 + _N_STAGES * (accepted + rejected),
+             "h_min": h_min if accepted else 0.0, "h_max": h_max}
     return status, out, drift, stats
 
 
@@ -218,50 +231,50 @@ def evolve_ramped(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
     or trace (density).
     """
     dim = h0.shape[0]
-    # M(t) = -i H(t) is one real combination of the float views of -i h0,
-    # -i hz and -i hcd: -i is folded in once per call, and each RHS
-    # evaluation builds M(t) with a single product
+    # M(t) = -i H(t) is one real combination (1, J(t), c(t)) of the float
+    # views of -i h0, -i hz and -i hcd: -i is folded in once per call, and
+    # the generators of all stage times of a step are one product
     basis = np.stack([-1j * h0, -1j * hz, -1j * hcd]).reshape(3, -1)
     basis = basis.view(np.float64)
     c_num = g * slope / 2.0
     g2 = g * g
+    # rows (1, J(t), c(t)), one per stage time; without CD c stays zero
+    coef = np.zeros((C_STAGE.shape[0], 3))
+    coef[:, 0] = 1.0
 
-    def generator(t):
-        j2 = slope * t
-        c = c_num / (g2 + j2 * j2) if use_cd else 0.0
-        m = np.dot((1.0, j2, c), basis).view(np.complex128)
-        return m.reshape(dim, dim)
+    def generators(ts):
+        k = ts.shape[0]
+        j2, c = coef[:k, 1], coef[:k, 2]
+        np.multiply(ts, slope, out=j2)
+        if use_cd:
+            np.divide(c_num, np.add(g2, np.square(j2, out=c), out=c), out=c)
+        return np.dot(coef[:k], basis).view(np.complex128).reshape(k, dim, dim)
 
     if not is_density:
-        def rhs(t, y):
-            return np.dot(generator(t), y)
+        return dop853(generators, np.dot, sample_times, y0, rtol, atol,
+                      max_step, h_init, norm_drift)
 
-        return dop853(rhs, sample_times, y0, rtol, atol, max_step, h_init,
-                      norm_drift)
-
-    return dop853(lindblad_rhs(generator, np.real(np.diag(hz)), alpha),
+    return dop853(generators, lindblad_apply(np.real(np.diag(hz)), alpha),
                   sample_times, y0, rtol, atol, max_step, h_init,
                   trace_drift, symmetrize)
 
 
-def lindblad_rhs(generator, d, alpha):
-    """RHS of ``d rho/dt = [M(t), rho] + alpha (D rho D - rho)`` on a
-    row-major flattened ``rho``, where ``generator(t)`` returns
-    ``M(t) = -i H(t)`` and ``d`` is the real +-1 diagonal of the jump
-    operator ``D``."""
+def lindblad_apply(d, alpha):
+    """``apply`` for ``d rho/dt = [M, rho] + alpha (D rho D - rho)`` on a
+    row-major flattened ``rho``, where ``M = -i H(t)`` and ``d`` is the real
+    +-1 diagonal of the jump operator ``D``."""
     dim = d.shape[0]
     # alpha * (D rho D - rho) elementwise, since D is diagonal +-1
     dissipator = alpha * (np.outer(d, d) - 1.0)
 
-    def rhs(t, y):
+    def apply(m, y):
         rho = y.reshape(dim, dim)
-        m = generator(t)
         drho = np.dot(m, rho) - np.dot(rho, m)
         if alpha > 0.0:
             drho += dissipator * rho
         return drho.ravel()
 
-    return rhs
+    return apply
 
 
 def _rk4_average(h_det, d, t_start, dt, noise, psi0):

@@ -360,6 +360,11 @@ def _sweep_tau_rows(rc: RunConfig):
     return ["tau", "fidelity", "transition_prob", "lz_prediction"], rows, {}
 
 
+def _warn_failed(cells: list, effect: str) -> None:
+    for cell in cells:
+        print(f"cdgate: warning: {cell}; {effect}", file=sys.stderr)
+
+
 def _noise_rows(rc: RunConfig):
     params = rc.params()
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
@@ -371,9 +376,7 @@ def _noise_rows(rc: RunConfig):
         for j, tau in enumerate(grid.tau_values):
             rows.append((alpha, grid.alpha_gap_units[i], tau,
                          result.fidelity[i, j]))
-    for cell in result.failed_cells:
-        print(f"cdgate: warning: {cell}; its fidelity is written as NaN",
-              file=sys.stderr)
+    _warn_failed(result.failed_cells, "its fidelity is written as NaN")
     header = ["alpha_abs", "alpha_in_gap_units", "tau", "fidelity"]
     return header, rows, {"failed_cells": result.failed_cells}
 
@@ -404,9 +407,11 @@ def _tradeoff_rows(rc: RunConfig):
     rows = [(alpha, alpha / (2 * params.g), tau_max, alpha * tau_max)
             for alpha, tau_max in curve.points]
     header = ["alpha_abs", "alpha_in_gap_units", "tau_max", "tau_alpha_product"]
+    _warn_failed(curve.failed_cells, "it counts as below the threshold")
     summary = {"product_mean": curve.product_mean,
                "product_spread": curve.product_spread,
-               "threshold": curve.threshold}
+               "threshold": curve.threshold,
+               "failed_cells": curve.failed_cells}
     return header, rows, summary
 
 
@@ -467,8 +472,9 @@ _COMMANDS = {
 def _failure(summary: dict) -> str | None:
     """Why a run that wrote its files still failed, from its summary."""
     if summary.get("failed_cells"):
-        return (f"{len(summary['failed_cells'])} sweep cell(s) failed; "
-                "their fidelity is written as NaN")
+        effect = ("they count as below the threshold" if "threshold" in summary
+                  else "their fidelity is written as NaN")
+        return f"{len(summary['failed_cells'])} sweep cell(s) failed; {effect}"
     if summary.get("all_passed") is False:
         return "gate check failed the 1e-10 distance bound"
     return None

@@ -66,8 +66,9 @@ class Trajectory:
 
     ``norm_drift`` is the largest deviation of norm^2 (pure) or trace
     (density) from one seen at any accepted integrator step. ``stats``
-    holds the integrator's ``accepted`` and ``rejected`` step counts and its
-    ``rhs_evals``.
+    holds the integrator's ``accepted`` and ``rejected`` step counts, its
+    ``rhs_evals``, and the smallest and largest accepted step, ``h_min`` and
+    ``h_max``.
     """
 
     times: np.ndarray
@@ -138,15 +139,20 @@ def _raise_for_status(status: int) -> None:
         raise StepUnderflowError("step budget exhausted before reaching t_end")
 
 
-def _integrate_callable(rhs, sample_times, y0, rtol, atol, max_step, h_init,
-                        drift_of, post_step=None):
-    """Run ``_kernels.dop853`` on the RHS of a Hamiltonian callable.
+def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, max_step,
+                        h_init, drift_of, post_step=None):
+    """Run ``_kernels.dop853`` with the generators ``-i H(t)`` of a
+    Hamiltonian callable, calling it once per stage time.
 
     Returns ``(states, drift, stats)`` and raises on a failed status.
     """
+
+    def generators(ts):
+        return np.stack([-1j * np.asarray(h_of_t(t)) for t in ts.tolist()])
+
     status, out, drift, stats = _kernels.dop853(
-        rhs, sample_times, y0, rtol, atol, max_step, h_init, drift_of,
-        post_step)
+        generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
+        drift_of, post_step)
     _raise_for_status(status)
     return out, drift, stats
 
@@ -193,13 +199,9 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
         _raise_for_status(status)
     else:
         _check_callable_hermitian(h_of_t, t0, t1)
-
-        def rhs(t, y):
-            return -1j * (h_of_t(t) @ y)
-
         states, drift, stats = _integrate_callable(
-            rhs, times, psi0, cfg.rel_tol, cfg.abs_tol, max_step, h_init,
-            _kernels.norm_drift,
+            h_of_t, np.dot, times, psi0, cfg.rel_tol, cfg.abs_tol, max_step,
+            h_init, _kernels.norm_drift,
         )
     if drift > TOL.norm_drift:
         raise NormDriftExceededError(
@@ -257,12 +259,11 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
         _raise_for_status(status)
     else:
         _check_callable_hermitian(h_of_t, t0, t1)
-        rhs = _kernels.lindblad_rhs(lambda t: -1j * np.asarray(h_of_t(t)),
-                                    np.real(np.diag(_sigma_z_last(dim))),
-                                    noise.alpha)
+        apply = _kernels.lindblad_apply(
+            np.real(np.diag(_sigma_z_last(dim))), noise.alpha)
         flat, drift, stats = _integrate_callable(
-            rhs, times, rho0.ravel(), cfg.rel_tol, cfg.abs_tol, max_step,
-            h_init, _kernels.trace_drift, _kernels.symmetrize,
+            h_of_t, apply, times, rho0.ravel(), cfg.rel_tol, cfg.abs_tol,
+            max_step, h_init, _kernels.trace_drift, _kernels.symmetrize,
         )
     if drift > TOL.trace_drift:
         raise TraceDriftExceededError(

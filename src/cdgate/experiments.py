@@ -116,12 +116,17 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class TradeoffCurve:
-    """Largest tau keeping fidelity above a threshold, per noise strength."""
+    """Largest tau keeping fidelity above a threshold, per noise strength.
+
+    ``failed_cells`` lists the sweep cells that raised; each counts as below
+    the threshold, so it can only lower a ``tau_max``.
+    """
 
     threshold: float
     points: list
     product_mean: float
     product_spread: float
+    failed_cells: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -361,7 +366,8 @@ def tradeoff_boundary(grid: SweepGrid, threshold: float,
     else:
         mean, spread = float("nan"), float("nan")
     return TradeoffCurve(threshold=threshold, points=points,
-                         product_mean=mean, product_spread=spread)
+                         product_mean=mean, product_spread=spread,
+                         failed_cells=result.failed_cells)
 
 
 def gate_unitary_check(tau: float, n_offset: int = 0,

@@ -251,3 +251,35 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == ("cdgate: 2 sweep cell(s) failed; their fidelity "
                            "is written as NaN")
+
+    def test_failed_tradeoff_cells_exit_1_with_cause(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import cdgate.experiments as exp
+        real = exp._noise_cell
+
+        def flaky(grid, alpha, tau, cfg, initial_state):
+            if tau > 50.0:
+                raise exp.CdgateError("injected failure")
+            return real(grid, alpha, tau, cfg, initial_state)
+
+        monkeypatch.setattr(exp, "_noise_cell", flaky)
+        code, _ = _run(tmp_path, ["tradeoff", "--alpha", "0.02,0.2",
+                                  "--tau", "1:100:4log"])
+        assert code == 1
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["summary"]["failed_cells"] == [
+            "cell (0,3): injected failure", "cell (1,3): injected failure"]
+        err = capsys.readouterr().err.splitlines()
+        warnings = [line for line in err if line.startswith("cdgate: warning: ")]
+        assert warnings == [
+            f"cdgate: warning: cell ({i},3): injected failure; it counts as "
+            "below the threshold" for i in (0, 1)]
+        assert err[-1] == ("cdgate: 2 sweep cell(s) failed; they count as "
+                           "below the threshold")
+
+    def test_tradeoff_summary_lists_no_failed_cells(self, tmp_path):
+        code, _ = _run(tmp_path, ["tradeoff", "--alpha", "0.02,0.2",
+                                  "--tau", "1,4"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["summary"]["failed_cells"] == []

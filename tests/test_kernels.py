@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cdgate import _kernels
-from cdgate.dynamics import NoiseModel, noise_trajectory_oracle
+from cdgate.dynamics import (EvolutionConfig, NoiseModel,
+                             noise_trajectory_oracle, schrodinger_evolve)
 from cdgate.model import CnotParams, analytic_spectrum, cnot_system, nqubit_system
 
 from conftest import random_hermitian, random_state
@@ -177,6 +178,7 @@ class TestVectorizedStepper:
         status, _, _, stats = _kernels.evolve_ramped(*args)
         assert status == _kernels.STATUS_STEP_UNDERFLOW
         assert stats["accepted"] == stats["rejected"] == 0
+        assert stats["h_min"] == stats["h_max"] == 0.0
 
     def test_step_budget_status(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_MAX_TOTAL_STEPS", 5)
@@ -184,6 +186,114 @@ class TestVectorizedStepper:
         status, _, _, stats = _kernels.evolve_ramped(*args)
         assert status == _kernels.STATUS_STEP_BUDGET
         assert stats["accepted"] + stats["rejected"] == 5
+
+
+class TestStepperInterface:
+    """``dop853`` builds the generators of a step's stage times in one call."""
+
+    def test_generators_called_once_per_step(self, rng):
+        m0 = -1j * random_hermitian(rng, 2)
+        sizes = []
+
+        def generators(ts):
+            sizes.append(ts.shape[0])
+            return np.repeat(m0[None], ts.shape[0], axis=0)
+
+        psi0 = random_state(rng, 2)
+        # a first step of 3 is far too long, so rejected steps count too
+        status, states, _, stats = _kernels.dop853(
+            generators, np.dot, np.array([0.0, 3.0, 7.0]), psi0, 1e-10, 1e-12,
+            np.inf, 5.0, _kernels.norm_drift)
+        assert status == _kernels.STATUS_OK
+        steps = stats["accepted"] + stats["rejected"]
+        assert stats["accepted"] > 0 and stats["rejected"] > 0
+        assert len(sizes) == 1 + steps
+        assert sizes == [1] + [12] * steps
+        w, v = np.linalg.eigh(1j * m0)
+        exact = v @ (np.exp(-1j * w * 7.0) * (v.conj().T @ psi0))
+        assert np.abs(states[-1] - exact).max() < 1e-9
+
+    @pytest.mark.parametrize("use_cd", [False, True])
+    @pytest.mark.parametrize("build", [
+        lambda use_cd: cnot_system(CnotParams(), 6.0, use_cd=use_cd),
+        lambda use_cd: nqubit_system(3, CnotParams(), 6.0, use_cd=use_cd),
+    ], ids=["cnot", "n3"])
+    def test_ramped_block_matches_system(self, monkeypatch, build, use_cd):
+        system = build(use_cd)
+        captured = {}
+
+        def capture(generators, *args):
+            captured["generators"] = generators
+            return _kernels.STATUS_OK, None, 0.0, {}
+
+        monkeypatch.setattr(_kernels, "dop853", capture)
+        _kernels.evolve_ramped(*_ramped_args(system, 6.0, False))
+        for t, h in [(system.t_start, 0.37), (-0.2, 1.1), (2.5, 0.05)]:
+            ts = t + h * _kernels.C_STAGE
+            block = captured["generators"](ts)
+            assert block.shape == (12, system.dim, system.dim)
+            for t_k, m in zip(ts, block):
+                assert np.abs(m - (-1j) * system(t_k)).max() < 1e-14
+        assert _kernels.C_STAGE[-1] == 1.0
+        assert np.array_equal(_kernels.C_STAGE[:-1], _kernels.DP_C[1:])
+
+
+class TestStepTelemetry:
+    _KEYS = {"accepted", "rejected", "rhs_evals", "h_min", "h_max"}
+
+    @pytest.mark.parametrize("is_density,alpha", [(False, 0.0), (True, 0.1)])
+    def test_step_extremes(self, is_density, alpha):
+        system = _SYSTEMS["cnot_cd"](20.0)
+        args = _ramped_args(system, 20.0, is_density, alpha)
+        first = _kernels.evolve_ramped(*args)[3]
+        second = _kernels.evolve_ramped(*args)[3]
+        assert set(first) == self._KEYS
+        assert first == second
+        assert 0.0 < first["h_min"] <= first["h_max"]
+        assert first["h_max"] <= system.t_end - system.t_start
+
+    def test_callable_step_extremes(self):
+        system = _SYSTEMS["cnot"](5.0)
+        psi0 = random_state(np.random.default_rng(5), system.dim)
+        cfg = EvolutionConfig(tau=5.0, sample_count=3)
+        first = schrodinger_evolve(lambda t: system(t), psi0, cfg).stats
+        assert set(first) == self._KEYS
+        assert first == schrodinger_evolve(lambda t: system(t), psi0, cfg).stats
+        assert 0.0 < first["h_min"] <= first["h_max"] <= 5.0
+        # the ramped path takes the same steps
+        assert first == schrodinger_evolve(system, psi0, cfg).stats
+
+    def test_step_extremes_are_of_accepted_steps(self, rng):
+        m0 = -1j * random_hermitian(rng, 2)
+        last = {}
+        ends = [0.0]
+
+        def generators(ts):
+            last["end"] = float(ts[-1])
+            return np.repeat(m0[None], ts.shape[0], axis=0)
+
+        def drift_of(y):
+            # called once per accepted step, after its generators
+            ends.append(last["end"])
+            return _kernels.norm_drift(y)
+
+        # a first step of 3 is far too long and is rejected
+        _, _, _, stats = _kernels.dop853(
+            generators, np.dot, np.array([0.0, 3.0, 7.0]), random_state(rng, 2),
+            1e-10, 1e-12, np.inf, 5.0, drift_of)
+        assert stats["rejected"] > 0
+        steps = np.diff(ends)
+        assert len(steps) == stats["accepted"]
+        assert stats["h_min"] == pytest.approx(steps.min(), rel=1e-12)
+        assert stats["h_max"] == pytest.approx(steps.max(), rel=1e-12)
+
+    def test_step_extremes_at_max_step(self):
+        args = list(_ramped_args(_SYSTEMS["cnot"](20.0), 20.0, False))
+        args[12] = 0.05
+        stats = _kernels.evolve_ramped(*args)[3]
+        # a step capped by max_step is taken as exactly max_step
+        assert stats["h_max"] == 0.05
+        assert 0.0 < stats["h_min"] <= 0.05
 
 
 def test_backend_name_is_numpy():
