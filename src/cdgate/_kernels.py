@@ -1,25 +1,22 @@
 """Numeric kernels shared by the evolution engines and the eigensolver.
 
 Everything here is plain numpy. One adaptive Dormand-Prince 8(5,3) stepper,
-``dop853``, integrates every Schroedinger and Lindblad evolution: the ramped
-systems below through ``evolve_ramped``, arbitrary Hamiltonian callables
-through ``cdgate.dynamics``. It takes ``generators(ts)``, the generators
-``M(t) = -i H(t)`` stacked over an array of times, and ``apply(M, y)``, the
-derivative. The states are small, so a step costs Python calls, not
-arithmetic: the stepper therefore asks for the generators of all twelve
-stage times of a step at once (one product for the ramped systems), and
+``dop853``, integrates every Schroedinger and Lindblad evolution. It takes
+``generators(ts)``, the generators ``M(t) = -i H(t)`` stacked over an array
+of times, and ``apply(M, y)``, the derivative; ``cdgate.dynamics`` chooses
+the equation (``apply``, drift monitor, symmetrization) and the generator
+source: ``evolve_ramped`` for a ramped system, one call per stage time for a
+Hamiltonian callable. The states are small, so a step costs Python calls,
+not arithmetic: the stepper therefore asks for the generators of a step's
+eleven distinct stage times at once (one product for a ramped system), and
 forms every stage, the solution and both error estimates as one matrix
 product over the block of stage derivatives. The Monte-Carlo dephasing
-average advances every noise realization at once as one batched RK4 loop
-(``_rk4_average``), which also serves Hamiltonian callables.
+average, ``dephasing_average``, advances every noise realization at once as
+one batched RK4 loop.
 
-The driven Hamiltonians handled here all share one algebraic shape,
-
-    H(t) = H0 + J(t) * Hz + c(t) * Hcd,      J(t) = slope * t,
-    c(t) = g * slope / (2 * (g^2 + J(t)^2)),
-
-which covers the two-qubit gate Hamiltonian, its two-level sector reduction
-and the N-qubit generalization.
+The ramped Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd``, with its drive
+``J(t)`` and counterdiabatic coefficient ``c(t)``, is defined in one place:
+``model.RampedGateHamiltonian``.
 """
 
 from __future__ import annotations
@@ -96,8 +93,9 @@ STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
 STATUS_STEP_BUDGET = 2
 
-# stage times of a step as fractions of h: stages 1..11, then the FSAL point
-C_STAGE = np.append(DP_C[1:], 1.0)
+# stage times of a step as fractions of h: stages 2..12. The last, c = 1, is
+# also the FSAL point t + h.
+C_STAGE = DP_C[1:]
 _E53 = np.stack([DP_E5, DP_E3])
 
 
@@ -107,16 +105,16 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
 
     ``generators(ts)`` returns the generators ``M(t)`` stacked over an array
     of times. It is called once at the start time and then once per attempted
-    step, at ``t + h * C_STAGE``; stage ``s`` uses row ``s - 1`` and the FSAL
-    derivative the last row. Output states are recorded exactly at
-    ``sample_times`` (the first entry must equal the start time). Each
-    accepted state passes through ``post_step`` when one is given, and
-    ``drift_of(y)`` is monitored; the state is never renormalized. Returns
-    ``(status, states, drift, stats)``: ``drift`` is the largest
-    ``drift_of`` seen at any accepted step and ``stats`` counts the
-    ``accepted`` and ``rejected`` steps and the ``rhs_evals``, and holds the
-    smallest and largest accepted step, ``h_min`` and ``h_max`` (0 when no
-    step was accepted).
+    step, at ``t + h * C_STAGE``; stage ``s`` uses row ``s - 1``, and the
+    FSAL derivative the last row, stage 12's time ``t + h``. Output states
+    are recorded exactly at ``sample_times`` (the first entry must equal the
+    start time). Each accepted state passes through ``post_step`` when one
+    is given, and ``drift_of(y)`` is monitored; the state is never
+    renormalized. Returns ``(status, states, drift, stats)``: ``drift`` is
+    the largest ``drift_of`` seen at any accepted step and ``stats`` counts
+    the ``accepted`` and ``rejected`` steps and the ``rhs_evals``, and holds
+    the smallest and largest accepted step, ``h_min`` and ``h_max`` (0 when
+    no step was accepted).
     """
     n = y0.shape[0]
     out = np.zeros((sample_times.shape[0], n), dtype=np.complex128)
@@ -156,7 +154,7 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
             for s in range(1, _N_STAGES):
                 K[s] = apply(m[s - 1], y + dot(ha[s, :s], k_head[s]))
             y_new = y + dot(h * DP_B, k_head[_N_STAGES])
-            f_new = apply(m[_N_STAGES - 1], y_new)
+            f_new = apply(m[-1], y_new)
             K[_N_STAGES] = f_new
 
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
@@ -219,44 +217,32 @@ def symmetrize(y):
     return ((rho + rho.conj().T) * 0.5).ravel()
 
 
-def evolve_ramped(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
-                  sample_times, y0, rtol, atol, max_step, h_init):
-    """Integrate the ramped-drive Schroedinger or Lindblad equation.
+def evolve_ramped(h, apply, sample_times, y0, rtol, atol, max_step, h_init,
+                  drift_of, post_step=None):
+    """``dop853`` on the ramped system ``h``, a
+    ``model.RampedGateHamiltonian``, in place of ``generators``.
 
-    The flat state ``y0`` is a state vector (``is_density=False``) or a
-    row-major flattened density matrix. The dissipator is
-    ``alpha * (D rho D - rho)`` with ``D = hz``, which the caller has
-    checked to be diagonal with entries +-1. Returns ``dop853``'s
-    ``(status, states, drift, stats)``, with drift measured on norm^2 (pure)
-    or trace (density).
+    ``M(t) = -i H(t)`` is one real combination ``(1, J(t), c(t))`` of the
+    float views of ``-i h0``, ``-i hz`` and ``-i hcd``: -i is folded in once
+    per call, and the generators of all stage times of a step are one
+    product. The other arguments and the result are ``dop853``'s.
     """
-    dim = h0.shape[0]
-    # M(t) = -i H(t) is one real combination (1, J(t), c(t)) of the float
-    # views of -i h0, -i hz and -i hcd: -i is folded in once per call, and
-    # the generators of all stage times of a step are one product
-    basis = np.stack([-1j * h0, -1j * hz, -1j * hcd]).reshape(3, -1)
+    dim = h.dim
+    basis = np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd]).reshape(3, -1)
     basis = basis.view(np.float64)
-    c_num = g * slope / 2.0
-    g2 = g * g
     # rows (1, J(t), c(t)), one per stage time; without CD c stays zero
     coef = np.zeros((C_STAGE.shape[0], 3))
     coef[:, 0] = 1.0
 
     def generators(ts):
         k = ts.shape[0]
-        j2, c = coef[:k, 1], coef[:k, 2]
-        np.multiply(ts, slope, out=j2)
-        if use_cd:
-            np.divide(c_num, np.add(g2, np.square(j2, out=c), out=c), out=c)
+        coef[:k, 1] = h.drive_value(ts)
+        if h.use_cd:
+            coef[:k, 2] = h.cd_coefficient(ts)
         return np.dot(coef[:k], basis).view(np.complex128).reshape(k, dim, dim)
 
-    if not is_density:
-        return dop853(generators, np.dot, sample_times, y0, rtol, atol,
-                      max_step, h_init, norm_drift)
-
-    return dop853(generators, lindblad_apply(np.real(np.diag(hz)), alpha),
-                  sample_times, y0, rtol, atol, max_step, h_init,
-                  trace_drift, symmetrize)
+    return dop853(generators, apply, sample_times, y0, rtol, atol, max_step,
+                  h_init, drift_of, post_step)
 
 
 def lindblad_apply(d, alpha):
@@ -277,14 +263,15 @@ def lindblad_apply(d, alpha):
     return apply
 
 
-def _rk4_average(h_det, d, t_start, dt, noise, psi0):
+def dephasing_average(h_det, d, t_start, dt, noise, psi0):
     """Average ``|psi><psi|`` over white-noise realizations, all at once.
 
     Realization ``i`` evolves under ``h_det(t) + noise[i, k] * diag(d)``
     during step ``k``, where ``h_det`` returns the deterministic Hamiltonian
-    shared by every realization and ``d`` is the real diagonal of the jump
-    operator. Each step is one classical RK4 step with stage times ``t``,
-    ``t + dt/2`` and ``t + dt``. Row ``i`` of the working state is
+    shared by every realization (a ramped system or any callable) and ``d``
+    is the real +-1 diagonal of the jump operator; ``noise`` is pre-scaled.
+    Each step is one classical RK4 step with stage times ``t``, ``t + dt/2``
+    and ``t + dt``. Row ``i`` of the working state is
     realization ``i``, so ``h_det`` is built once per stage time and the
     memory held beyond ``noise`` is a few ``(n_traj, dim)`` arrays.
     """
@@ -295,9 +282,9 @@ def _rk4_average(h_det, d, t_start, dt, noise, psi0):
         t = t_start + k * dt
         # -i is folded into the stage generators once, not into every product
         jump = -1j * (noise[:, k].reshape(-1, 1) * d)
-        ha = -1j * h_det(t).T
-        hm = -1j * h_det(t + half).T
-        hb = -1j * h_det(t + dt).T
+        ha = -1j * np.asarray(h_det(t)).T
+        hm = -1j * np.asarray(h_det(t + half)).T
+        hb = -1j * np.asarray(h_det(t + dt)).T
         k1 = y @ ha + jump * y
         y2 = y + half * k1
         k2 = y2 @ hm + jump * y2
@@ -307,28 +294,6 @@ def _rk4_average(h_det, d, t_start, dt, noise, psi0):
         k4 = y4 @ hb + jump * y4
         y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     return (y.T @ y.conj()) / n_traj
-
-
-def dephasing_average(h0, hz, hcd, slope, g, use_cd, t_start, dt, noise,
-                       psi0):
-    """Average ``|psi><psi|`` over white-noise drive realizations.
-
-    ``noise[i, k]`` is the (pre-scaled) drive offset held constant during
-    step ``k`` of realization ``i``; it multiplies ``hz``, which must be
-    diagonal with entries +-1. All realizations advance together through
-    ``_rk4_average``, rebuilding the deterministic part of the Hamiltonian
-    once per stage time.
-    """
-
-    def h_det(t):
-        j2 = slope * t
-        h = h0 + j2 * hz
-        if use_cd:
-            h = h + (g * slope / (2.0 * (g * g + j2 * j2))) * hcd
-        return h
-
-    return _rk4_average(h_det, np.real(np.diag(hz)), t_start, dt, noise,
-                        psi0)
 
 
 def jacobi_eigh(a_in, tol, max_sweeps):

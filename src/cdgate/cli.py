@@ -119,7 +119,7 @@ _HELP = {
     "output": "output path prefix",
     "format": "data file format, csv (default) or json",
     "seed": "master seed, recorded in the manifest",
-    "workers": "worker thread count (default $CDGATE_WORKERS or 1)",
+    "workers": "accepted and recorded, but ignored: sweeps run on one thread",
     "samples": "output grid size for spectrum/evolve",
     "rel_tol": "integrator relative tolerance",
     "abs_tol": "integrator absolute tolerance",
@@ -346,12 +346,10 @@ def _sweep_tau_rows(rc: RunConfig):
     cfg = rc.evolution_config(1.0, use_cd=rc.cd)
     if rc.command == "nqubit":
         result = n_qubit_demo(rc.n, params, taus, rc.cd, cfg,
-                              full_range_ramp=rc.full_range_ramp,
-                              workers=rc.workers)
+                              full_range_ramp=rc.full_range_ramp)
     else:
         result = sweep_tau(params, taus, rc.cd, cfg,
-                           full_range_ramp=rc.full_range_ramp,
-                           workers=rc.workers)
+                           full_range_ramp=rc.full_range_ramp)
     rows = [
         (tau, result.fidelity[0, j], result.transition_prob[0, j],
          lz_prediction_for(params, float(tau), rc.full_range_ramp))
@@ -370,7 +368,7 @@ def _noise_rows(rc: RunConfig):
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
                      cd_enabled=rc.cd, full_range_ramp=rc.full_range_ramp)
     cfg = rc.evolution_config(1.0, use_cd=rc.cd)
-    result = sweep_noise(grid, cfg, workers=rc.workers)
+    result = sweep_noise(grid, cfg)
     rows = []
     for i, alpha in enumerate(grid.alpha_values):
         for j, tau in enumerate(grid.tau_values):
@@ -403,7 +401,7 @@ def _tradeoff_rows(rc: RunConfig):
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
                      cd_enabled=True, full_range_ramp=rc.full_range_ramp)
     cfg = rc.evolution_config(1.0, use_cd=True)
-    curve = tradeoff_boundary(grid, rc.threshold, cfg, workers=rc.workers)
+    curve = tradeoff_boundary(grid, rc.threshold, cfg)
     rows = [(alpha, alpha / (2 * params.g), tau_max, alpha * tau_max)
             for alpha, tau_max in curve.points]
     header = ["alpha_abs", "alpha_in_gap_units", "tau_max", "tau_alpha_product"]
@@ -502,7 +500,7 @@ def run_command(rc: RunConfig) -> tuple[list[str], str | None]:
         "config": rc.echo(),
         "version": __version__,
         "backend": backend_name(),
-        "workers": rc.workers or default_worker_count(),
+        "workers": default_worker_count(),
         "wall_seconds": time.perf_counter() - t0,
         "files": files,
     }

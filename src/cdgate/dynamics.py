@@ -1,11 +1,16 @@
 """Time-evolution engines: Schroedinger and Lindblad integration plus a
 stochastic white-noise trajectory oracle.
 
-All integrators use the one adaptive embedded Dormand-Prince 8(5,3) stepper,
-``_kernels.dop853``. Structured linear-ramp Hamiltonians
-(``model.RampedGateHamiltonian``) reach it through
-``_kernels.evolve_ramped``; arbitrary Hamiltonian callables through
-``_integrate_callable``. States are never renormalized during integration;
+The gate Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd`` is written once, in
+``model.RampedGateHamiltonian``; any callable t -> Hermitian matrix is
+accepted as well. Each remaining choice is made in one place here.
+``_integrate`` runs every adaptive evolution through the one Dormand-Prince
+8(5,3) stepper, ``_kernels.dop853``, taking the generators of a ramped
+system from ``_kernels.evolve_ramped`` and those of a callable from
+``_integrate_callable``; the Schroedinger and Lindblad engines differ only
+in the ``apply``, drift monitor and symmetrization they pass it.
+``_jump_diagonal`` picks the dephasing jump operator for the Lindblad engine
+and the oracle alike. States are never renormalized during integration;
 norm / trace drift is monitored and reported instead. The only in-flight
 correction is the documented Hermitian symmetrization of the density matrix
 after each accepted step.
@@ -28,7 +33,7 @@ from .errors import (
     StepUnderflowError,
     TraceDriftExceededError,
 )
-from .model import SIGMA_Z, CnotParams, RampedGateHamiltonian, analytic_spectrum
+from .model import CnotParams, RampedGateHamiltonian, analytic_spectrum
 from .numerics import TOL, as_state, hermiticity_defect
 from .observables import _require_normalized, validate_density_matrix
 
@@ -101,14 +106,6 @@ class NoiseModel:
         return cls(alpha=value * 2.0 * g)
 
 
-def _sigma_z_last(dim: int) -> np.ndarray:
-    n = int(round(math.log2(dim)))
-    if 2 ** n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    out = np.eye(dim // 2, dtype=np.complex128)
-    return np.kron(out, SIGMA_Z) if dim > 2 else SIGMA_Z.copy()
-
-
 def _resolve_span(h_of_t: HamiltonianLike, cfg: EvolutionConfig,
                   t_span: tuple[float, float] | None) -> tuple[float, float]:
     if t_span is not None:
@@ -125,11 +122,47 @@ def _with_cd_flag(h: RampedGateHamiltonian,
     return h
 
 
-def _initial_step(span: float, max_step: float) -> float:
-    return float(min(max_step, max(span * 1e-3, 1e3 * np.finfo(float).eps * span)))
+def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, max_step,
+                        h_init, drift_of, post_step=None):
+    """``_kernels.dop853`` with the generators ``-i H(t)`` of a Hamiltonian
+    callable, called once per stage time; the twin of
+    ``_kernels.evolve_ramped``, with the same arguments and result."""
+
+    def generators(ts):
+        return np.stack([-1j * np.asarray(h_of_t(t)) for t in ts.tolist()])
+
+    return _kernels.dop853(generators, apply, sample_times, y0, rtol, atol,
+                           max_step, h_init, drift_of, post_step)
 
 
-def _raise_for_status(status: int) -> None:
+def _check_callable_hermitian(h_of_t, t0: float, t1: float) -> None:
+    for t in (t0, 0.5 * (t0 + t1), t1):
+        if hermiticity_defect(h_of_t(t)) > TOL.hermiticity:
+            raise NotHermitianError(f"H(t) is not Hermitian at t={t}")
+
+
+def _integrate(h_of_t: HamiltonianLike, apply, times: np.ndarray, y0,
+               cfg: EvolutionConfig, drift_of, post_step=None):
+    """Integrate ``dy/dt = apply(-i H(t), y)`` from ``times[0]``, recording
+    ``y`` at ``times``.
+
+    A ramped system runs through ``_kernels.evolve_ramped``, with its
+    counterdiabatic term switched on by ``cfg.use_cd`` or its own flag; a
+    callable is checked for Hermiticity and runs through
+    ``_integrate_callable``. Returns ``(states, drift, stats)`` and raises
+    on a failed status.
+    """
+    t0, t1 = float(times[0]), float(times[-1])
+    max_step = np.inf if cfg.max_step is None else float(cfg.max_step)
+    h_init = min(max_step, (t1 - t0) * 1e-3)
+    if isinstance(h_of_t, RampedGateHamiltonian):
+        engine, h = _kernels.evolve_ramped, _with_cd_flag(h_of_t, cfg)
+    else:
+        _check_callable_hermitian(h_of_t, t0, t1)
+        engine, h = _integrate_callable, h_of_t
+    status, states, drift, stats = engine(
+        h, apply, times, y0, cfg.rel_tol, cfg.abs_tol, max_step, h_init,
+        drift_of, post_step)
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise StepUnderflowError(
             "adaptive step size underflowed; the problem is too stiff for "
@@ -137,40 +170,30 @@ def _raise_for_status(status: int) -> None:
         )
     if status == _kernels.STATUS_STEP_BUDGET:
         raise StepUnderflowError("step budget exhausted before reaching t_end")
+    return states, drift, stats
 
 
-def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, max_step,
-                        h_init, drift_of, post_step=None):
-    """Run ``_kernels.dop853`` with the generators ``-i H(t)`` of a
-    Hamiltonian callable, calling it once per stage time.
+def _jump_diagonal(h_of_t: HamiltonianLike, dim: int) -> np.ndarray:
+    """The real +-1 diagonal of the dephasing jump operator on states of
+    dimension ``dim``.
 
-    Returns ``(states, drift, stats)`` and raises on a failed status.
+    For a ramped system it is ``hz``, which must be diagonal with entries
+    +-1 and match ``dim`` (``ValueError`` otherwise); for a callable it is
+    sigma_z on the last qubit.
     """
-
-    def generators(ts):
-        return np.stack([-1j * np.asarray(h_of_t(t)) for t in ts.tolist()])
-
-    status, out, drift, stats = _kernels.dop853(
-        generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
-        drift_of, post_step)
-    _raise_for_status(status)
-    return out, drift, stats
-
-
-def _check_jump_operator(hz: np.ndarray) -> None:
-    """The dephasing engines take ``hz`` as the jump operator and need it
-    diagonal with entries +-1."""
-    d = np.diag(hz)
-    if not (np.array_equal(hz, np.diag(d))
-            and np.all((d == 1.0) | (d == -1.0))):
-        raise ValueError("the noise operator hz must be diagonal with "
-                         "entries +-1")
-
-
-def _check_callable_hermitian(h_of_t, t0: float, t1: float) -> None:
-    for t in (t0, 0.5 * (t0 + t1), t1):
-        if hermiticity_defect(h_of_t(t)) > TOL.hermiticity:
-            raise NotHermitianError(f"H(t) is not Hermitian at t={t}")
+    if isinstance(h_of_t, RampedGateHamiltonian):
+        if h_of_t.dim != dim:
+            raise ValueError("the state dimension does not match the system")
+        hz = h_of_t.hz
+        d = np.real(np.diag(hz))
+        if not (np.array_equal(hz, np.diag(d))
+                and np.all((d == 1.0) | (d == -1.0))):
+            raise ValueError("the noise operator hz must be diagonal with "
+                             "entries +-1")
+        return d
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"dimension {dim} is not a power of two")
+    return np.tile([1.0, -1.0], dim // 2)
 
 
 def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
@@ -183,26 +206,9 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
     """
     psi0 = as_state(psi0)
     _require_normalized(psi0, "psi0")
-
-    t0, t1 = _resolve_span(h_of_t, cfg, t_span)
-    times = np.linspace(t0, t1, cfg.sample_count)
-    max_step = np.inf if cfg.max_step is None else float(cfg.max_step)
-    h_init = _initial_step(t1 - t0, max_step)
-
-    if isinstance(h_of_t, RampedGateHamiltonian):
-        system = _with_cd_flag(h_of_t, cfg)
-        status, states, drift, stats = _kernels.evolve_ramped(
-            system.h0, system.hz, system.hcd, system.slope, system.g,
-            system.use_cd, 0.0, False, times, psi0,
-            cfg.rel_tol, cfg.abs_tol, max_step, h_init,
-        )
-        _raise_for_status(status)
-    else:
-        _check_callable_hermitian(h_of_t, t0, t1)
-        states, drift, stats = _integrate_callable(
-            h_of_t, np.dot, times, psi0, cfg.rel_tol, cfg.abs_tol, max_step,
-            h_init, _kernels.norm_drift,
-        )
+    times = np.linspace(*_resolve_span(h_of_t, cfg, t_span), cfg.sample_count)
+    states, drift, stats = _integrate(h_of_t, np.dot, times, psi0, cfg,
+                                      _kernels.norm_drift)
     if drift > TOL.norm_drift:
         raise NormDriftExceededError(
             f"norm^2 drifted by {drift:.3e} (limit {TOL.norm_drift:.0e}); "
@@ -237,34 +243,15 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
 
     symmetrizing rho after each accepted step. Positivity is checked at
     every sample point. For a ramped system the jump operator is its ``hz``,
-    which must be diagonal with entries +-1 (``ValueError`` otherwise).
+    which must be diagonal with entries +-1 (``ValueError`` otherwise); for
+    a callable it is sigma_z on the last qubit.
     """
     rho0 = validate_density_matrix(rho0)
     dim = rho0.shape[0]
-    t0, t1 = _resolve_span(h_of_t, cfg, t_span)
-    times = np.linspace(t0, t1, cfg.sample_count)
-    max_step = np.inf if cfg.max_step is None else float(cfg.max_step)
-    h_init = _initial_step(t1 - t0, max_step)
-
-    if isinstance(h_of_t, RampedGateHamiltonian):
-        system = _with_cd_flag(h_of_t, cfg)
-        if system.dim != dim:
-            raise ValueError("rho0 dimension does not match the system")
-        _check_jump_operator(system.hz)
-        status, flat, drift, stats = _kernels.evolve_ramped(
-            system.h0, system.hz, system.hcd, system.slope, system.g,
-            system.use_cd, noise.alpha, True, times, rho0.ravel(),
-            cfg.rel_tol, cfg.abs_tol, max_step, h_init,
-        )
-        _raise_for_status(status)
-    else:
-        _check_callable_hermitian(h_of_t, t0, t1)
-        apply = _kernels.lindblad_apply(
-            np.real(np.diag(_sigma_z_last(dim))), noise.alpha)
-        flat, drift, stats = _integrate_callable(
-            h_of_t, apply, times, rho0.ravel(), cfg.rel_tol, cfg.abs_tol,
-            max_step, h_init, _kernels.trace_drift, _kernels.symmetrize,
-        )
+    times = np.linspace(*_resolve_span(h_of_t, cfg, t_span), cfg.sample_count)
+    apply = _kernels.lindblad_apply(_jump_diagonal(h_of_t, dim), noise.alpha)
+    flat, drift, stats = _integrate(h_of_t, apply, times, rho0.ravel(), cfg,
+                                    _kernels.trace_drift, _kernels.symmetrize)
     if drift > TOL.trace_drift:
         raise TraceDriftExceededError(
             f"trace drifted by {drift:.3e} (limit {TOL.trace_drift:.0e})"
@@ -290,10 +277,10 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
     Per integration step of length dt the drive offset eta is drawn from a
     zero-mean Gaussian with variance alpha/dt, reproducing the dephasing
     dissipator of the master equation in the ensemble average (see
-    docs/noise_model.md). All realizations are advanced together. For a
-    ramped system the noise multiplies its ``hz``, which must be diagonal
-    with entries +-1; for a callable it multiplies sigma_z on the last
-    qubit. Deterministic for a given seed.
+    docs/noise_model.md). All realizations are advanced together. The noise
+    multiplies the jump operator of ``lindblad_evolve``: a ramped system's
+    ``hz``, which must be diagonal with entries +-1, or sigma_z on the last
+    qubit for a callable. Deterministic for a given seed.
     """
     psi0 = as_state(psi0)
     _require_normalized(psi0, "psi0")
@@ -303,12 +290,13 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
         )
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
+    d = _jump_diagonal(h_of_t, psi0.shape[0])
     ramped = isinstance(h_of_t, RampedGateHamiltonian)
-    if ramped:
-        _check_jump_operator(h_of_t.hz)
-    elif use_cd:
-        raise ValueError("use_cd applies to ramped systems only; include "
-                         "the counterdiabatic term in the callable")
+    if use_cd:
+        if not ramped:
+            raise ValueError("use_cd applies to ramped systems only; include "
+                             "the counterdiabatic term in the callable")
+        h_of_t = replace(h_of_t, use_cd=True)
     if t_span is not None:
         t0, t1 = float(t_span[0]), float(t_span[1])
     elif ramped:
@@ -331,16 +319,9 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
     # scaled in place, so no second noise-sized array is ever held
     noise = rng.standard_normal((n_samples, n_steps))
     noise *= scale
-
-    if ramped:
-        system = h_of_t if not use_cd else replace(h_of_t, use_cd=True)
-        return _kernels.dephasing_average(
-            system.h0, system.hz, system.hcd, system.slope, system.g,
-            system.use_cd, t0, dt_actual, noise, psi0,
-        )
-    d = np.real(np.diag(_sigma_z_last(psi0.shape[0])))
-    return _kernels._rk4_average(lambda t: np.asarray(h_of_t(t)), d, t0,
-                                 dt_actual, noise, psi0)
+    # noise by keyword: perfbench/tracer.py counts RK4 steps from it
+    return _kernels.dephasing_average(h_of_t, d, t0, dt_actual, noise=noise,
+                                      psi0=psi0)
 
 
 def ground_state_probability(psi, params: CnotParams, j2: float) -> float:

@@ -1,20 +1,16 @@
 """Named experiment recipes: the sweeps, optimum searches and checks that
 regenerate the plot-ready data sets.
 
-All sweeps evaluate their grid cells independently and deterministically,
-so results do not depend on evaluation order or worker count. ``workers``
-keeps its contract (cells on a thread pool of that size), but the work is
-numpy calls on small arrays that hold the GIL, so more than one worker gains
-nothing. Noise strengths
-are specified in units of the minimal gap 2g in user-facing interfaces and
-converted to absolute rates internally.
+Every sweep evaluates its grid cells one after another on the calling
+thread, each independently and deterministically: the work is numpy calls
+on small arrays that hold the GIL, so threads would gain nothing. Noise
+strengths are specified in units of the minimal gap 2g in user-facing
+interfaces and converted to absolute rates internally.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,19 +46,8 @@ _GATE_DISTANCE_LIMIT = 1e-10
 
 
 def default_worker_count() -> int:
-    env = os.environ.get("CDGATE_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def _pool_map(fn, items, workers: int | None):
-    workers = default_worker_count() if workers is None else max(1, workers)
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Sweeps run on one thread. Kept because perfbench/tracer.py wraps it."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -201,19 +186,18 @@ def _unitary_cell(n: int, params: CnotParams, tau: float, cd: bool,
 
 def sweep_tau(params: CnotParams, tau_values, cd_enabled: bool,
               cfg: EvolutionConfig | None = None,
-              full_range_ramp: bool = False, initial_state: str = "exact",
-              workers: int | None = None) -> SweepResult:
+              full_range_ramp: bool = False,
+              initial_state: str = "exact") -> SweepResult:
     """Final fidelity, transition and ground-state probability per driving
     time for the unitary two-qubit gate."""
     return n_qubit_demo(2, params, tau_values, cd_enabled, cfg,
-                        full_range_ramp, initial_state, workers)
+                        full_range_ramp, initial_state)
 
 
 def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
                  cfg: EvolutionConfig | None = None,
                  full_range_ramp: bool = False,
-                 initial_state: str = "exact",
-                 workers: int | None = None) -> SweepResult:
+                 initial_state: str = "exact") -> SweepResult:
     """The tau sweep on the 2^n-dimensional generalization, with target
     |1...1> and the |1...10> sector ground state as the start."""
     tau_values = np.asarray(tau_values, dtype=float)
@@ -226,11 +210,9 @@ def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
         full_range_ramp=full_range_ramp,
     )
     t_start = time.perf_counter()
-    rows = _pool_map(
-        lambda tau: _unitary_cell(n, params, float(tau), cd_enabled, cfg,
-                                  full_range_ramp, initial_state),
-        tau_values, workers,
-    )
+    rows = [_unitary_cell(n, params, float(tau), cd_enabled, cfg,
+                          full_range_ramp, initial_state)
+            for tau in tau_values]
     fid = np.array([[r[0] for r in rows]])
     trans = np.array([[r[1] for r in rows]])
     ground = np.array([[r[2] for r in rows]])
@@ -252,30 +234,21 @@ def _noise_cell(grid: SweepGrid, alpha: float, tau: float,
 
 
 def sweep_noise(grid: SweepGrid, cfg: EvolutionConfig | None = None,
-                initial_state: str = "exact",
-                workers: int | None = None) -> SweepResult:
+                initial_state: str = "exact") -> SweepResult:
     """Lindblad evolution per (alpha, tau) cell; final mixed-state fidelity
     against |11>. Failed cells are recorded as NaN and the sweep continues."""
     n_a, n_t = len(grid.alpha_values), len(grid.tau_values)
-    cells = [(i, j) for i in range(n_a) for j in range(n_t)]
-
-    def run(cell):
-        i, j = cell
-        try:
-            return _noise_cell(grid, float(grid.alpha_values[i]),
-                               float(grid.tau_values[j]), cfg, initial_state)
-        except CdgateError as exc:
-            return ("failed", f"cell ({i},{j}): {exc}")
-
     t_start = time.perf_counter()
-    results = _pool_map(run, cells, workers)
     fid = np.full((n_a, n_t), np.nan)
     failed = []
-    for (i, j), value in zip(cells, results):
-        if isinstance(value, tuple):
-            failed.append(value[1])
-        else:
-            fid[i, j] = value
+    for i in range(n_a):
+        for j in range(n_t):
+            try:
+                fid[i, j] = _noise_cell(grid, float(grid.alpha_values[i]),
+                                        float(grid.tau_values[j]), cfg,
+                                        initial_state)
+            except CdgateError as exc:
+                failed.append(f"cell ({i},{j}): {exc}")
     meta = _metadata(cfg, time.perf_counter() - t_start)
     return SweepResult(grid=grid, fidelity=fid, metadata=meta,
                        failed_cells=failed)
@@ -337,8 +310,7 @@ def find_optimal_tau(params: CnotParams, alpha: float,
 
 def tradeoff_boundary(grid: SweepGrid, threshold: float,
                       cfg: EvolutionConfig | None = None,
-                      initial_state: str = "exact",
-                      workers: int | None = None) -> TradeoffCurve:
+                      initial_state: str = "exact") -> TradeoffCurve:
     """For each noise strength, the largest driving time whose CD-protected
     fidelity stays at or above the threshold; reports how constant the
     tau_max * alpha product is."""
@@ -346,7 +318,7 @@ def tradeoff_boundary(grid: SweepGrid, threshold: float,
         raise ValueError("tradeoff_boundary expects a CD-enabled grid")
     if not 0.5 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0.5, 1), got {threshold}")
-    result = sweep_noise(grid, cfg, initial_state, workers)
+    result = sweep_noise(grid, cfg, initial_state)
     points = []
     products = []
     tau = grid.tau_values

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -63,13 +62,18 @@ class CnotParams:
 
 @dataclass(frozen=True)
 class DriveSchedule:
-    """A drive waveform with its exact derivative on [t_start, t_end]."""
+    """A linear drive ``value(t) = offset + rate * t`` on [t_start, t_end]."""
 
-    value: Callable[[float], float]
-    derivative: Callable[[float], float]
+    rate: float
+    offset: float
     t_start: float
     t_end: float
-    kind: str = "custom"
+
+    def value(self, t: float) -> float:
+        return self.offset + self.rate * t
+
+    def derivative(self, t: float) -> float:
+        return self.rate
 
 
 def linear_ramp(params: CnotParams, tau: float,
@@ -82,13 +86,8 @@ def linear_ramp(params: CnotParams, tau: float,
     if tau <= 0:
         raise NonPositiveTauError(f"tau must be positive, got {tau}")
     slope = params.j2_amp * (2.0 if full_range_ramp else 1.0) / tau
-    return DriveSchedule(
-        value=lambda t: slope * t,
-        derivative=lambda t: slope,
-        t_start=-tau / 2.0,
-        t_end=tau / 2.0,
-        kind="linear",
-    )
+    return DriveSchedule(rate=slope, offset=0.0, t_start=-tau / 2.0,
+                         t_end=tau / 2.0)
 
 
 def linear_phase_ramp(tau: float, n_offset: int = 0) -> DriveSchedule:
@@ -96,15 +95,8 @@ def linear_phase_ramp(tau: float, n_offset: int = 0) -> DriveSchedule:
     phi(tau) = (2n + 1) pi."""
     if tau <= 0:
         raise NonPositiveTauError(f"tau must be positive, got {tau}")
-    rate = np.pi / tau
-    offset = 2.0 * np.pi * n_offset
-    return DriveSchedule(
-        value=lambda t: offset + rate * t,
-        derivative=lambda t: rate,
-        t_start=0.0,
-        t_end=tau,
-        kind="linear-phase",
-    )
+    return DriveSchedule(rate=np.pi / tau, offset=2.0 * np.pi * n_offset,
+                         t_start=0.0, t_end=tau)
 
 
 def build_h_cnot(params: CnotParams, j2: float) -> np.ndarray:
@@ -306,6 +298,8 @@ class RampedGateHamiltonian:
     This is the structured form the ramped evolution kernels understand;
     calling it returns the assembled matrix at time t. ``hcd`` uses the
     projector normalization, c(t) = g * slope / (2 (g^2 + J^2)).
+    ``drive_value`` and ``cd_coefficient`` are the only place J(t) and c(t)
+    are written; both take a float or a numpy array of times.
     """
 
     h0: np.ndarray
@@ -321,12 +315,13 @@ class RampedGateHamiltonian:
     def dim(self) -> int:
         return self.h0.shape[0]
 
-    def drive_value(self, t: float) -> float:
+    def drive_value(self, t):
         return self.slope * t
 
-    def cd_coefficient(self, t: float) -> float:
-        j2 = self.slope * t
-        return self.g * self.slope / (2.0 * (self.g * self.g + j2 * j2))
+    def cd_coefficient(self, t):
+        j2 = self.drive_value(t)
+        # g * slope / (2 (g^2 + J^2)); halving g * slope first is exact
+        return 0.5 * self.g * self.slope / (self.g * self.g + j2 * j2)
 
     def __call__(self, t: float) -> np.ndarray:
         h = self.h0 + self.drive_value(t) * self.hz
@@ -343,7 +338,7 @@ def _ramped_system(params: CnotParams, tau: float, use_cd: bool,
         h0=h0,
         hz=hz,
         hcd=hcd,
-        slope=schedule.derivative(0.0),
+        slope=schedule.rate,
         g=params.g,
         use_cd=use_cd,
         t_start=schedule.t_start,

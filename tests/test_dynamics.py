@@ -101,13 +101,31 @@ class TestSchrodinger:
             return system(t)
 
         stats = schrodinger_evolve(h_of_t, psi0, cfg).stats
-        # three calls are the Hermiticity check; each RHS evaluation is one
-        assert stats["rhs_evals"] == len(calls) - 3
-        assert stats["rhs_evals"] == 1 + 12 * (stats["accepted"]
-                                               + stats["rejected"])
+        steps = stats["accepted"] + stats["rejected"]
+        # three calls are the Hermiticity check, one is the start; a step
+        # has eleven distinct stage times, the last also the FSAL point
+        assert len(calls) - 3 == 1 + 11 * steps
+        assert stats["rhs_evals"] == 1 + 12 * steps
         ramped = schrodinger_evolve(system, psi0, cfg).stats
         assert ramped == schrodinger_evolve(system, psi0, cfg).stats
         assert ramped["accepted"] > 0
+
+    def test_config_switches_cd_on(self, params):
+        # cfg.use_cd adds the CD term to a system built without it, on both
+        # equations
+        system = cnot_system(params, tau=6.0)
+        psi0 = ground_start(params, system)
+        rho0 = np.outer(psi0, psi0.conj())
+        noise = NoiseModel(alpha=0.05)
+        on, off = EvolutionConfig(tau=6.0, use_cd=True), EvolutionConfig(tau=6.0)
+        built = replace(system, use_cd=True)
+        assert np.array_equal(schrodinger_evolve(system, psi0, on).states,
+                              schrodinger_evolve(built, psi0, off).states)
+        assert np.array_equal(lindblad_evolve(system, rho0, noise, on).states,
+                              lindblad_evolve(built, rho0, noise, off).states)
+        assert not np.array_equal(
+            schrodinger_evolve(system, psi0, off).states,
+            schrodinger_evolve(built, psi0, off).states)
 
     def test_step_underflow_on_impossible_tolerance(self, params):
         system = cnot_system(params, tau=1.0)

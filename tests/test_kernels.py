@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cdgate import _kernels
-from cdgate.dynamics import (EvolutionConfig, NoiseModel,
+from cdgate.dynamics import (EvolutionConfig, NoiseModel, lindblad_evolve,
                              noise_trajectory_oracle, schrodinger_evolve)
 from cdgate.model import CnotParams, analytic_spectrum, cnot_system, nqubit_system
 
@@ -129,12 +129,26 @@ def _evolve_ramped_loop(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
 
 
 def _ramped_args(system, tau, is_density, alpha=0.0):
+    """``evolve_ramped`` arguments from a random start: the Schroedinger
+    equation, or with ``is_density`` the Lindblad equation whose jump
+    operator is ``hz``."""
     psi0 = random_state(np.random.default_rng(11), system.dim)
-    y0 = np.outer(psi0, psi0.conj()).ravel() if is_density else psi0
     times = np.array([system.t_start, 0.0, system.t_end])
+    if is_density:
+        return (system, _kernels.lindblad_apply(np.real(np.diag(system.hz)),
+                                                alpha),
+                times, np.outer(psi0, psi0.conj()).ravel(), 1e-10, 1e-12,
+                np.inf, tau * 1e-3, _kernels.trace_drift, _kernels.symmetrize)
+    return (system, np.dot, times, psi0, 1e-10, 1e-12, np.inf, tau * 1e-3,
+            _kernels.norm_drift)
+
+
+def _loop_args(args, is_density, alpha):
+    """The run of ``_ramped_args`` in the arguments of the scalar loop."""
+    system, _, times, y0, rtol, atol, max_step, h_init = args[:8]
     return (system.h0, system.hz, system.hcd, system.slope, system.g,
-            system.use_cd, alpha, is_density, times, y0, 1e-10, 1e-12,
-            np.inf, tau * 1e-3)
+            system.use_cd, alpha, is_density, times, y0, rtol, atol,
+            max_step, h_init)
 
 
 _SYSTEMS = {
@@ -155,7 +169,7 @@ class TestVectorizedStepper:
         args = _ramped_args(_SYSTEMS[name](tau), tau, is_density, alpha)
         status, states, drift, stats = _kernels.evolve_ramped(*args)
         ref_status, ref_states, ref_drift, accepted, rejected = \
-            _evolve_ramped_loop(*args)
+            _evolve_ramped_loop(*_loop_args(args, is_density, alpha))
         assert status == ref_status == _kernels.STATUS_OK
         assert np.abs(states - ref_states).max() < 1e-11
         assert abs(drift - ref_drift) < 1e-11
@@ -174,7 +188,7 @@ class TestVectorizedStepper:
     def test_step_underflow_status(self):
         args = list(_ramped_args(_SYSTEMS["cnot"](8.0), 8.0, False))
         # a step far below 16 eps |t| at t = -4 underflows at once
-        args[12], args[13] = 1e-16, 1e-16
+        args[6], args[7] = 1e-16, 1e-16
         status, _, _, stats = _kernels.evolve_ramped(*args)
         assert status == _kernels.STATUS_STEP_UNDERFLOW
         assert stats["accepted"] == stats["rejected"] == 0
@@ -208,7 +222,8 @@ class TestStepperInterface:
         steps = stats["accepted"] + stats["rejected"]
         assert stats["accepted"] > 0 and stats["rejected"] > 0
         assert len(sizes) == 1 + steps
-        assert sizes == [1] + [12] * steps
+        # eleven distinct stage times: the last is also the FSAL point
+        assert sizes == [1] + [11] * steps
         w, v = np.linalg.eigh(1j * m0)
         exact = v @ (np.exp(-1j * w * 7.0) * (v.conj().T @ psi0))
         assert np.abs(states[-1] - exact).max() < 1e-9
@@ -231,11 +246,11 @@ class TestStepperInterface:
         for t, h in [(system.t_start, 0.37), (-0.2, 1.1), (2.5, 0.05)]:
             ts = t + h * _kernels.C_STAGE
             block = captured["generators"](ts)
-            assert block.shape == (12, system.dim, system.dim)
+            assert block.shape == (11, system.dim, system.dim)
             for t_k, m in zip(ts, block):
                 assert np.abs(m - (-1j) * system(t_k)).max() < 1e-14
         assert _kernels.C_STAGE[-1] == 1.0
-        assert np.array_equal(_kernels.C_STAGE[:-1], _kernels.DP_C[1:])
+        assert np.array_equal(_kernels.C_STAGE, _kernels.DP_C[1:])
 
 
 class TestStepTelemetry:
@@ -252,16 +267,25 @@ class TestStepTelemetry:
         assert 0.0 < first["h_min"] <= first["h_max"]
         assert first["h_max"] <= system.t_end - system.t_start
 
-    def test_callable_step_extremes(self):
+    @pytest.mark.parametrize("lindblad", [False, True],
+                             ids=["schrodinger", "lindblad"])
+    def test_callable_step_extremes(self, lindblad):
         system = _SYSTEMS["cnot"](5.0)
         psi0 = random_state(np.random.default_rng(5), system.dim)
         cfg = EvolutionConfig(tau=5.0, sample_count=3)
-        first = schrodinger_evolve(lambda t: system(t), psi0, cfg).stats
+
+        def stats_of(h_of_t):
+            if lindblad:
+                return lindblad_evolve(h_of_t, np.outer(psi0, psi0.conj()),
+                                       NoiseModel(alpha=0.1), cfg).stats
+            return schrodinger_evolve(h_of_t, psi0, cfg).stats
+
+        first = stats_of(lambda t: system(t))
         assert set(first) == self._KEYS
-        assert first == schrodinger_evolve(lambda t: system(t), psi0, cfg).stats
+        assert first == stats_of(lambda t: system(t))
         assert 0.0 < first["h_min"] <= first["h_max"] <= 5.0
         # the ramped path takes the same steps
-        assert first == schrodinger_evolve(system, psi0, cfg).stats
+        assert first == stats_of(system)
 
     def test_step_extremes_are_of_accepted_steps(self, rng):
         m0 = -1j * random_hermitian(rng, 2)
@@ -289,7 +313,7 @@ class TestStepTelemetry:
 
     def test_step_extremes_at_max_step(self):
         args = list(_ramped_args(_SYSTEMS["cnot"](20.0), 20.0, False))
-        args[12] = 0.05
+        args[6] = 0.05
         stats = _kernels.evolve_ramped(*args)[3]
         # a step capped by max_step is taken as exactly max_step
         assert stats["h_max"] == 0.05
@@ -335,8 +359,8 @@ def _ramped_batched_vs_loop(system):
     dt = (system.t_end - system.t_start) / 150
     noise = np.random.default_rng(17).standard_normal((30, 150)) * 2.0
     batched = _kernels.dephasing_average(
-        system.h0, system.hz, system.hcd, system.slope, system.g,
-        system.use_cd, system.t_start, dt, noise, psi0)
+        system, np.real(np.diag(system.hz)), system.t_start, dt, noise=noise,
+        psi0=psi0)
     loop = _rk4_loop(system, system.hz, system.t_start, dt, noise, psi0)
     return batched, loop
 

@@ -58,7 +58,7 @@ class TestLinearRamp:
         assert ramp.derivative(10.0) == 0.5
         assert ramp.value(-10.0) == -5.0
         assert (ramp.t_start, ramp.t_end) == (-10.0, 10.0)
-        assert ramp.kind == "linear"
+        assert (ramp.rate, ramp.offset) == (0.5, 0.0)
 
     def test_full_range_doubles_slope(self):
         ramp = linear_ramp(CnotParams(), tau=20.0, full_range_ramp=True)
