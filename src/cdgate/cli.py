@@ -67,11 +67,10 @@ class RunConfig:
     def params(self) -> CnotParams:
         return CnotParams(j1=self.j1, g=self.g, j2_amp=self.j2_amp)
 
-    def evolution_config(self, tau: float, sample_count: int = 2,
-                         use_cd: bool = False) -> EvolutionConfig:
+    def evolution_config(self, tau: float,
+                         sample_count: int = 2) -> EvolutionConfig:
         return EvolutionConfig(tau=tau, abs_tol=self.abs_tol,
-                               rel_tol=self.rel_tol,
-                               sample_count=sample_count, use_cd=use_cd)
+                               rel_tol=self.rel_tol, sample_count=sample_count)
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -79,7 +78,8 @@ class RunConfig:
 
 
 def parse_axis(spec: str) -> np.ndarray:
-    """Parse ``start:stop:count[log]``, a comma list, or a single value."""
+    """Parse ``start:stop:count[log]``, a comma list, or a single value;
+    every value must be finite."""
     s = str(spec).strip()
     if ":" in s:
         parts = s.split(":")
@@ -89,18 +89,29 @@ def parse_axis(spec: str) -> np.ndarray:
         count_part = parts[2].strip()
         log = count_part.endswith("log")
         count = int(count_part[:-3] if log else count_part)
-        if count < 1:
-            raise ValueError(f"range {s!r} needs a positive count")
+        if count < 1 or not np.isfinite([start, stop]).all():
+            raise ValueError(f"range {s!r} needs finite ends, a positive count")
         if count == 1:
-            return np.array([start])
-        if log:
-            if start <= 0 or stop <= 0:
-                raise ValueError(f"log range {s!r} needs positive endpoints")
-            return np.logspace(np.log10(start), np.log10(stop), count)
-        return np.linspace(start, stop, count)
-    if "," in s:
-        return np.array([float(x) for x in s.split(",") if x.strip()])
-    return np.array([float(s)])
+            values = np.array([start])
+        elif not log:
+            values = np.linspace(start, stop, count)
+        elif start > 0 and stop > 0:
+            values = np.logspace(np.log10(start), np.log10(stop), count)
+        else:
+            raise ValueError(f"log range {s!r} needs positive endpoints")
+    else:
+        values = np.array([float(x) for x in s.split(",") if x.strip()])
+    if not (values.size and np.isfinite(values).all()):
+        raise ValueError(f"axis {s!r} needs finite values")
+    return values
+
+
+def _parse_window(spec: str) -> tuple[float, float]:
+    """Parse a ``lo:hi`` search window with ``0 < lo < hi``."""
+    parts = [float(x) for x in str(spec).split(":")]
+    if len(parts) != 2 or not 0 < parts[0] < parts[1] < np.inf:
+        raise ValueError(f"--tau-window must be lo:hi, 0 < lo < hi; got {spec!r}")
+    return parts[0], parts[1]
 
 
 # Config key -> the type its value is cast to (``str | None`` -> str).
@@ -223,6 +234,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             value = getattr(rc, axis_name)
             if value is not None:
                 parse_axis(value)
+        if command == "optimal-tau":
+            _parse_window(rc.tau_window)
         if rc.format not in ("csv", "json"):
             parser.error(f"unsupported format {rc.format!r}")
         if command == "tradeoff" and not 0.5 < rc.threshold < 1.0:
@@ -307,7 +320,7 @@ def _evolve_rows(rc: RunConfig):
     tau = float(parse_axis(rc.tau)[0])
     system = cnot_system(params, tau, use_cd=rc.cd,
                          full_range_ramp=rc.full_range_ramp)
-    cfg = rc.evolution_config(tau, sample_count=rc.samples, use_cd=rc.cd)
+    cfg = rc.evolution_config(tau, sample_count=rc.samples)
     start = analytic_spectrum(params, system.drive_value(system.t_start)).states[0]
     header = ["t", "fidelity", "ground_prob", "transition_prob", "norm"]
     rows = []
@@ -343,7 +356,7 @@ def _evolve_rows(rc: RunConfig):
 def _sweep_tau_rows(rc: RunConfig):
     params = rc.params()
     taus = parse_axis(rc.tau)
-    cfg = rc.evolution_config(1.0, use_cd=rc.cd)
+    cfg = rc.evolution_config(1.0)
     if rc.command == "nqubit":
         result = n_qubit_demo(rc.n, params, taus, rc.cd, cfg,
                               full_range_ramp=rc.full_range_ramp)
@@ -367,7 +380,7 @@ def _noise_rows(rc: RunConfig):
     params = rc.params()
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
                      cd_enabled=rc.cd, full_range_ramp=rc.full_range_ramp)
-    cfg = rc.evolution_config(1.0, use_cd=rc.cd)
+    cfg = rc.evolution_config(1.0)
     result = sweep_noise(grid, cfg)
     rows = []
     for i, alpha in enumerate(grid.alpha_values):
@@ -381,10 +394,7 @@ def _noise_rows(rc: RunConfig):
 
 def _optimal_tau_rows(rc: RunConfig):
     params = rc.params()
-    parts = rc.tau_window.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"--tau-window must be lo:hi, got {rc.tau_window!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+    lo, hi = _parse_window(rc.tau_window)
     cfg = rc.evolution_config(1.0)
     rows = []
     for alpha_gap in parse_axis(rc.alpha):
@@ -400,7 +410,7 @@ def _tradeoff_rows(rc: RunConfig):
     params = rc.params()
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
                      cd_enabled=True, full_range_ramp=rc.full_range_ramp)
-    cfg = rc.evolution_config(1.0, use_cd=True)
+    cfg = rc.evolution_config(1.0)
     curve = tradeoff_boundary(grid, rc.threshold, cfg)
     rows = [(alpha, alpha / (2 * params.g), tau_max, alpha * tau_max)
             for alpha, tau_max in curve.points]

@@ -4,6 +4,8 @@ stochastic white-noise trajectory oracle.
 The gate Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd`` is written once, in
 ``model.RampedGateHamiltonian``; any callable t -> Hermitian matrix is
 accepted as well. Each remaining choice is made in one place here.
+The counterdiabatic term is part of the system (``use_cd`` when it is
+built); ``EvolutionConfig`` carries only numerical controls.
 ``_integrate`` runs every adaptive evolution through the one Dormand-Prince
 8(5,3) stepper, ``_kernels.dop853``, taking the generators of a ramped
 system from ``_kernels.evolve_ramped`` and those of a callable from
@@ -19,7 +21,7 @@ after each accepted step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -52,15 +54,13 @@ class EvolutionConfig:
     tau: float
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_step: float | None = None
     sample_count: int = 2
-    use_cd: bool = False
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.sample_count < 2:
             raise ValueError("sample_count must be at least 2")
 
@@ -95,8 +95,8 @@ class NoiseModel:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
     def in_gap_units(self, g: float) -> float:
         return self.alpha / (2.0 * g)
@@ -113,13 +113,6 @@ def _resolve_span(h_of_t: HamiltonianLike, cfg: EvolutionConfig,
     if isinstance(h_of_t, RampedGateHamiltonian):
         return h_of_t.t_start, h_of_t.t_end
     return -cfg.tau / 2.0, cfg.tau / 2.0
-
-
-def _with_cd_flag(h: RampedGateHamiltonian,
-                  cfg: EvolutionConfig) -> RampedGateHamiltonian:
-    if cfg.use_cd and not h.use_cd:
-        return replace(h, use_cd=True)
-    return h
 
 
 def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, max_step,
@@ -146,23 +139,20 @@ def _integrate(h_of_t: HamiltonianLike, apply, times: np.ndarray, y0,
     """Integrate ``dy/dt = apply(-i H(t), y)`` from ``times[0]``, recording
     ``y`` at ``times``.
 
-    A ramped system runs through ``_kernels.evolve_ramped``, with its
-    counterdiabatic term switched on by ``cfg.use_cd`` or its own flag; a
+    A ramped system runs through ``_kernels.evolve_ramped`` as built; a
     callable is checked for Hermiticity and runs through
-    ``_integrate_callable``. Returns ``(states, drift, stats)`` and raises
-    on a failed status.
+    ``_integrate_callable``. Steps are unbounded, the first 1e-3 of the
+    span. Returns ``(states, drift, stats)``; raises on a failed status.
     """
     t0, t1 = float(times[0]), float(times[-1])
-    max_step = np.inf if cfg.max_step is None else float(cfg.max_step)
-    h_init = min(max_step, (t1 - t0) * 1e-3)
     if isinstance(h_of_t, RampedGateHamiltonian):
-        engine, h = _kernels.evolve_ramped, _with_cd_flag(h_of_t, cfg)
+        engine = _kernels.evolve_ramped
     else:
         _check_callable_hermitian(h_of_t, t0, t1)
-        engine, h = _integrate_callable, h_of_t
+        engine = _integrate_callable
     status, states, drift, stats = engine(
-        h, apply, times, y0, cfg.rel_tol, cfg.abs_tol, max_step, h_init,
-        drift_of, post_step)
+        h_of_t, apply, times, y0, cfg.rel_tol, cfg.abs_tol, np.inf,
+        (t1 - t0) * 1e-3, drift_of, post_step)
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise StepUnderflowError(
             "adaptive step size underflowed; the problem is too stiff for "
@@ -200,8 +190,8 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
                        t_span: tuple[float, float] | None = None) -> Trajectory:
     """Integrate d psi/dt = -i H(t) psi without renormalization.
 
-    ``h_of_t`` is either a structured ramp system (its counterdiabatic term
-    is switched on by ``cfg.use_cd`` or its own flag) or any callable
+    ``h_of_t`` is either a structured ramp system, which carries its
+    counterdiabatic term when built with ``use_cd=True``, or any callable
     t -> Hermitian matrix.
     """
     psi0 = as_state(psi0)
@@ -270,8 +260,8 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
 
 def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
                             n_samples: int, dt: float, seed: int,
-                            t_span: tuple[float, float] | None = None,
-                            use_cd: bool = False) -> np.ndarray:
+                            t_span: tuple[float, float] | None = None
+                            ) -> np.ndarray:
     """Monte-Carlo average of |psi><psi| over white-noise drive realizations.
 
     Per integration step of length dt the drive offset eta is drawn from a
@@ -288,15 +278,10 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
         raise InvalidSampleCountError(
             f"need at least 100 samples for a meaningful average, got {n_samples}"
         )
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be non-negative and finite")
     d = _jump_diagonal(h_of_t, psi0.shape[0])
     ramped = isinstance(h_of_t, RampedGateHamiltonian)
-    if use_cd:
-        if not ramped:
-            raise ValueError("use_cd applies to ramped systems only; include "
-                             "the counterdiabatic term in the callable")
-        h_of_t = replace(h_of_t, use_cd=True)
     if t_span is not None:
         t0, t1 = float(t_span[0]), float(t_span[1])
     elif ramped:

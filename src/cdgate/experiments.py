@@ -43,6 +43,8 @@ from .numerics import (
 from .observables import FidelityPoint, fidelity_mixed, lz_formula
 
 _GATE_DISTANCE_LIMIT = 1e-10
+_COARSE_POINTS = 18    # find_optimal_tau's log-spaced scan
+_RESOLUTION = 0.5      # width at which its golden-section search stops
 
 
 def default_worker_count() -> int:
@@ -67,10 +69,10 @@ class SweepGrid:
         alpha = np.asarray(self.alpha_values, dtype=float)
         if tau.size == 0 or alpha.size == 0:
             raise ValueError("grid axes must be non-empty")
-        if np.any(tau <= 0):
-            raise ValueError("all tau values must be positive")
-        if np.any(alpha < 0):
-            raise ValueError("all alpha values must be non-negative")
+        if not np.all(np.isfinite(tau) & (tau > 0)):
+            raise ValueError("all tau values must be positive and finite")
+        if not np.all(np.isfinite(alpha) & (alpha >= 0)):
+            raise ValueError("all alpha values must be non-negative and finite")
         if np.any(np.diff(tau) < 0) or np.any(np.diff(alpha) < 0):
             raise ValueError("grid axes must be ascending")
 
@@ -123,13 +125,6 @@ class GateCheckReport:
     passed: bool
 
 
-def _base_cfg(cfg: EvolutionConfig | None, tau: float,
-              use_cd: bool) -> EvolutionConfig:
-    if cfg is None:
-        return EvolutionConfig(tau=tau, use_cd=use_cd)
-    return replace(cfg, tau=tau, use_cd=use_cd)
-
-
 def _target_state(n: int) -> np.ndarray:
     dim = 2 ** n
     v = np.zeros(dim, dtype=np.complex128)
@@ -137,44 +132,36 @@ def _target_state(n: int) -> np.ndarray:
     return v
 
 
-def _initial_vector(system: RampedGateHamiltonian, n: int, params: CnotParams,
-                    initial_state: str) -> np.ndarray:
-    if initial_state == "bare":
-        dim = 2 ** n
-        v = np.zeros(dim, dtype=np.complex128)
-        v[dim - 2] = 1.0
-        return v
-    if initial_state != "exact":
-        raise ValueError(f"initial_state must be 'exact' or 'bare', got {initial_state!r}")
+def _initial_vector(system: RampedGateHamiltonian, n: int,
+                    params: CnotParams) -> np.ndarray:
     j2_start = system.drive_value(system.t_start)
-    ground, _ = nqubit_sector_states(n, params.g, j2_start)
-    return ground
+    return nqubit_sector_states(n, params.g, j2_start)[0]
 
 
-def adiabatic_profile(params: CnotParams, tau: float,
+def adiabatic_profile(params: CnotParams, tau: float, cd_enabled: bool = False,
                       cfg: EvolutionConfig | None = None,
-                      full_range_ramp: bool = False,
-                      initial_state: str = "exact") -> list[FidelityPoint]:
-    """Instantaneous fidelity |<Psi(t)|11>|^2 along one unitary gate run."""
-    run_cfg = _base_cfg(cfg, tau, use_cd=cfg.use_cd if cfg else False)
+                      full_range_ramp: bool = False) -> list[FidelityPoint]:
+    """Instantaneous fidelity |<Psi(t)|11>|^2 along one unitary gate run,
+    sampled at 201 points unless ``cfg`` asks for at least 3."""
+    run_cfg = cfg or EvolutionConfig(tau=tau)
     if run_cfg.sample_count < 3:
         run_cfg = replace(run_cfg, sample_count=201)
-    system = cnot_system(params, tau, use_cd=run_cfg.use_cd,
+    system = cnot_system(params, tau, use_cd=cd_enabled,
                          full_range_ramp=full_range_ramp)
-    psi0 = _initial_vector(system, 2, params, initial_state)
+    psi0 = _initial_vector(system, 2, params)
     traj = schrodinger_evolve(system, psi0, run_cfg)
     return [FidelityPoint(t=float(t), value=float(abs(psi[3]) ** 2))
             for t, psi in zip(traj.times, traj.states)]
 
 
 def _unitary_cell(n: int, params: CnotParams, tau: float, cd: bool,
-                  cfg: EvolutionConfig | None, full_range_ramp: bool,
-                  initial_state: str) -> tuple[float, float, float]:
+                  cfg: EvolutionConfig | None,
+                  full_range_ramp: bool) -> tuple[float, float, float]:
     system = nqubit_system(n, params, tau, use_cd=cd,
                            full_range_ramp=full_range_ramp)
-    psi0 = _initial_vector(system, n, params, initial_state)
-    run_cfg = _base_cfg(cfg, tau, cd)
-    psi = schrodinger_evolve(system, psi0, run_cfg).final_state
+    psi0 = _initial_vector(system, n, params)
+    psi = schrodinger_evolve(system, psi0,
+                             cfg or EvolutionConfig(tau=tau)).final_state
     j2_end = system.drive_value(system.t_end)
     ground, excited = nqubit_sector_states(n, params.g, j2_end)
     target = _target_state(n)
@@ -186,18 +173,16 @@ def _unitary_cell(n: int, params: CnotParams, tau: float, cd: bool,
 
 def sweep_tau(params: CnotParams, tau_values, cd_enabled: bool,
               cfg: EvolutionConfig | None = None,
-              full_range_ramp: bool = False,
-              initial_state: str = "exact") -> SweepResult:
+              full_range_ramp: bool = False) -> SweepResult:
     """Final fidelity, transition and ground-state probability per driving
     time for the unitary two-qubit gate."""
     return n_qubit_demo(2, params, tau_values, cd_enabled, cfg,
-                        full_range_ramp, initial_state)
+                        full_range_ramp)
 
 
 def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
                  cfg: EvolutionConfig | None = None,
-                 full_range_ramp: bool = False,
-                 initial_state: str = "exact") -> SweepResult:
+                 full_range_ramp: bool = False) -> SweepResult:
     """The tau sweep on the 2^n-dimensional generalization, with target
     |1...1> and the |1...10> sector ground state as the start."""
     tau_values = np.asarray(tau_values, dtype=float)
@@ -211,7 +196,7 @@ def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
     )
     t_start = time.perf_counter()
     rows = [_unitary_cell(n, params, float(tau), cd_enabled, cfg,
-                          full_range_ramp, initial_state)
+                          full_range_ramp)
             for tau in tau_values]
     fid = np.array([[r[0] for r in rows]])
     trans = np.array([[r[1] for r in rows]])
@@ -221,32 +206,30 @@ def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
                        ground_prob=ground, metadata=meta)
 
 
-def _noise_cell(grid: SweepGrid, alpha: float, tau: float,
-                cfg: EvolutionConfig | None,
-                initial_state: str) -> float:
-    system = cnot_system(grid.params, tau, use_cd=grid.cd_enabled,
-                         full_range_ramp=grid.full_range_ramp)
-    psi0 = _initial_vector(system, 2, grid.params, initial_state)
+def _noise_cell(params: CnotParams, alpha: float, tau: float, cd: bool,
+                full_range_ramp: bool, cfg: EvolutionConfig | None) -> float:
+    system = cnot_system(params, tau, use_cd=cd,
+                         full_range_ramp=full_range_ramp)
+    psi0 = _initial_vector(system, 2, params)
     rho0 = np.outer(psi0, psi0.conj())
-    run_cfg = _base_cfg(cfg, tau, grid.cd_enabled)
-    traj = lindblad_evolve(system, rho0, NoiseModel(alpha=alpha), run_cfg)
+    traj = lindblad_evolve(system, rho0, NoiseModel(alpha=alpha),
+                           cfg or EvolutionConfig(tau=tau))
     return fidelity_mixed(traj.final_state, _target_state(2))
 
 
-def sweep_noise(grid: SweepGrid, cfg: EvolutionConfig | None = None,
-                initial_state: str = "exact") -> SweepResult:
+def sweep_noise(grid: SweepGrid,
+                cfg: EvolutionConfig | None = None) -> SweepResult:
     """Lindblad evolution per (alpha, tau) cell; final mixed-state fidelity
     against |11>. Failed cells are recorded as NaN and the sweep continues."""
-    n_a, n_t = len(grid.alpha_values), len(grid.tau_values)
     t_start = time.perf_counter()
-    fid = np.full((n_a, n_t), np.nan)
+    fid = np.full((len(grid.alpha_values), len(grid.tau_values)), np.nan)
     failed = []
-    for i in range(n_a):
-        for j in range(n_t):
+    for i, alpha in enumerate(grid.alpha_values):
+        for j, tau in enumerate(grid.tau_values):
             try:
-                fid[i, j] = _noise_cell(grid, float(grid.alpha_values[i]),
-                                        float(grid.tau_values[j]), cfg,
-                                        initial_state)
+                fid[i, j] = _noise_cell(grid.params, float(alpha), float(tau),
+                                        grid.cd_enabled, grid.full_range_ramp,
+                                        cfg)
             except CdgateError as exc:
                 failed.append(f"cell ({i},{j}): {exc}")
     meta = _metadata(cfg, time.perf_counter() - t_start)
@@ -257,30 +240,25 @@ def sweep_noise(grid: SweepGrid, cfg: EvolutionConfig | None = None,
 def find_optimal_tau(params: CnotParams, alpha: float,
                      cfg: EvolutionConfig | None = None,
                      tau_window: tuple[float, float] = (2.0, 120.0),
-                     coarse_points: int = 18,
-                     resolution: float = 0.5,
-                     initial_state: str = "exact",
                      full_range_ramp: bool = False) -> tuple[float, float]:
     """Locate the driving time maximizing the noisy no-CD final fidelity.
 
-    Coarse log-spaced scan followed by golden-section refinement down to
-    ``resolution``. Raises NoInteriorMaximumError when the coarse scan is
-    monotone (the optimum sits outside the window, e.g. for alpha -> 0).
+    An 18-point log-spaced scan of ``tau_window = (lo, hi)``, with
+    ``0 < lo < hi`` (``ValueError`` otherwise), then golden-section
+    refinement to a bracket 0.5 wide. Raises NoInteriorMaximumError when
+    the scan is monotone (the optimum lies outside the window).
     """
     if alpha <= 0:
         raise ValueError("find_optimal_tau needs alpha > 0; the noiseless "
                          "fidelity is monotone in tau")
+    if not 0 < tau_window[0] < tau_window[1] < np.inf:
+        raise ValueError(f"tau_window needs 0 < lo < hi, got {tau_window}")
 
     def f_of(tau: float) -> float:
-        grid = SweepGrid(
-            tau_values=np.array([tau]), alpha_values=np.array([alpha]),
-            alpha_gap_units=np.array([alpha / (2 * params.g)]),
-            cd_enabled=False, params=params, full_range_ramp=full_range_ramp,
-        )
-        return _noise_cell(grid, alpha, tau, cfg, initial_state)
+        return _noise_cell(params, alpha, tau, False, full_range_ramp, cfg)
 
     taus = np.logspace(np.log10(tau_window[0]), np.log10(tau_window[1]),
-                       coarse_points)
+                       _COARSE_POINTS)
     values = [f_of(float(t)) for t in taus]
     k = int(np.argmax(values))
     if k == 0 or k == len(taus) - 1:
@@ -294,7 +272,7 @@ def find_optimal_tau(params: CnotParams, alpha: float,
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f_of(x1), f_of(x2)
-    while hi - lo > resolution:
+    while hi - lo > _RESOLUTION:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
@@ -309,8 +287,7 @@ def find_optimal_tau(params: CnotParams, alpha: float,
 
 
 def tradeoff_boundary(grid: SweepGrid, threshold: float,
-                      cfg: EvolutionConfig | None = None,
-                      initial_state: str = "exact") -> TradeoffCurve:
+                      cfg: EvolutionConfig | None = None) -> TradeoffCurve:
     """For each noise strength, the largest driving time whose CD-protected
     fidelity stays at or above the threshold; reports how constant the
     tau_max * alpha product is."""
@@ -318,7 +295,7 @@ def tradeoff_boundary(grid: SweepGrid, threshold: float,
         raise ValueError("tradeoff_boundary expects a CD-enabled grid")
     if not 0.5 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0.5, 1), got {threshold}")
-    result = sweep_noise(grid, cfg, initial_state)
+    result = sweep_noise(grid, cfg)
     points = []
     products = []
     tau = grid.tau_values
@@ -342,16 +319,13 @@ def tradeoff_boundary(grid: SweepGrid, threshold: float,
                          failed_cells=result.failed_cells)
 
 
-def gate_unitary_check(tau: float, n_offset: int = 0,
-                       cfg: EvolutionConfig | None = None) -> GateCheckReport:
+def gate_unitary_check(tau: float, n_offset: int = 0) -> GateCheckReport:
     """Propagate the inverse-engineered Hamiltonian with a linear phase ramp
-    over [0, tau] and compare against the exact CNOT; also confirms the
-    Hamiltonian commutes with itself across times."""
+    over [0, tau] at rel_tol 1e-12 / abs_tol 1e-14 and compare against the
+    exact CNOT; also confirms the Hamiltonian commutes with itself across
+    times."""
     schedule = linear_phase_ramp(tau, n_offset)
-    if cfg is None:
-        cfg = EvolutionConfig(tau=tau, abs_tol=1e-14, rel_tol=1e-12)
-    else:
-        cfg = replace(cfg, tau=tau)
+    cfg = EvolutionConfig(tau=tau, abs_tol=1e-14, rel_tol=1e-12)
 
     def h_of_t(t: float) -> np.ndarray:
         return build_inverse_engineered(schedule.derivative(t))

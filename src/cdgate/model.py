@@ -45,12 +45,12 @@ class CnotParams:
     j2_amp: float = 10.0
 
     def __post_init__(self):
-        if self.g <= 0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        if self.j1 <= 0:
-            raise ValueError(f"j1 must be positive, got {self.j1}")
-        if self.j2_amp == 0:
-            raise ValueError("j2_amp must be nonzero")
+        if not 0 < self.g < np.inf:
+            raise ValueError(f"g must be positive and finite, got {self.g}")
+        if not 0 < self.j1 < np.inf:
+            raise ValueError(f"j1 must be positive and finite, got {self.j1}")
+        if not 0 < abs(self.j2_amp) < np.inf:
+            raise ValueError(f"j2_amp must be nonzero and finite, got {self.j2_amp}")
         if abs(self.j2_amp) < 4.0 * max(self.j1, self.g):
             warnings.warn(
                 f"|j2_amp|={abs(self.j2_amp)} is not much larger than "
@@ -83,8 +83,8 @@ def linear_ramp(params: CnotParams, tau: float,
     With ``full_range_ramp`` the slope is doubled so the endpoints reach
     +-j2_amp instead of +-j2_amp/2.
     """
-    if tau <= 0:
-        raise NonPositiveTauError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise NonPositiveTauError(f"tau must be positive and finite, got {tau}")
     slope = params.j2_amp * (2.0 if full_range_ramp else 1.0) / tau
     return DriveSchedule(rate=slope, offset=0.0, t_start=-tau / 2.0,
                          t_end=tau / 2.0)
@@ -93,8 +93,8 @@ def linear_ramp(params: CnotParams, tau: float,
 def linear_phase_ramp(tau: float, n_offset: int = 0) -> DriveSchedule:
     """phi(t) = 2 pi n + pi t / tau on [0, tau], so phi(0) = 2 pi n and
     phi(tau) = (2n + 1) pi."""
-    if tau <= 0:
-        raise NonPositiveTauError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise NonPositiveTauError(f"tau must be positive and finite, got {tau}")
     return DriveSchedule(rate=np.pi / tau, offset=2.0 * np.pi * n_offset,
                          t_start=0.0, t_end=tau)
 

@@ -30,3 +30,29 @@ def test_every_traced_namespace_imports():
     tracer = _load_tracer()
     for name in tracer.NAMESPACES:
         importlib.import_module(name)
+
+
+def test_oracle_passes_noise_by_keyword(monkeypatch):
+    # the tracer counts RK4 steps from the ``noise`` keyword of
+    # dephasing_average; a positional noise array would break that count
+    import numpy as np
+
+    from cdgate import _kernels
+    from cdgate.dynamics import noise_trajectory_oracle
+    from cdgate.model import CnotParams, cnot_system
+
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return np.eye(4, dtype=complex) / 4.0
+
+    monkeypatch.setattr(_kernels, "dephasing_average", record)
+    system = cnot_system(CnotParams(), tau=1.0)
+    psi0 = np.array([0, 0, 1, 0], dtype=complex)
+    noise_trajectory_oracle(system, psi0, 0.1, n_samples=100, dt=0.01, seed=0)
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert "noise" in kwargs
+    assert kwargs["noise"].shape[0] == 100
+    assert _load_tracer()._rk4_steps(args, kwargs, None) == kwargs["noise"].size

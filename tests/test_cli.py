@@ -31,6 +31,12 @@ class TestParseAxis:
         with pytest.raises(ValueError):
             parse_axis("1:10:0")
 
+    @pytest.mark.parametrize("spec", ["nan,1", "inf", "-inf", "1:nan:3",
+                                      "1:inf:4log", ","])
+    def test_rejects_non_finite_or_empty(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            parse_axis(spec)
+
 
 class TestParseConfig:
     def test_sweep_tau_flags(self):
@@ -85,6 +91,29 @@ class TestParseConfig:
     def test_threshold_validation(self):
         with pytest.raises(SystemExit):
             parse_config(["tradeoff", "--threshold", "0.3"])
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-tau", "--tau", "nan,1"],
+        ["sweep-tau", "--tau", "inf"],
+        ["heatmap", "--alpha", "nan", "--tau", "1,2"],
+        ["sweep-noise", "--alpha", "0.04", "--tau", "1,inf"],
+        ["sweep-tau", "--tau", "1", "--g", "nan"],
+        ["sweep-tau", "--tau", "1", "--j2", "inf"],
+    ])
+    def test_non_finite_input_exits_2(self, argv, tmp_path, capsys):
+        assert main(argv + ["--output", str(tmp_path / "r")]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("window", ["5", "-1:5", "5:2", "3:3", "0:5",
+                                        "1:inf", "nan:5", "1:2:3"])
+    def test_bad_tau_window_exits_2(self, window, tmp_path, capsys):
+        code = main(["optimal-tau", "--alpha", "0.04",
+                     f"--tau-window={window}",
+                     "--output", str(tmp_path / "r")])
+        assert code == 2
+        assert "--tau-window" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
 
 class TestEmitCsv:
@@ -213,10 +242,10 @@ class TestCommands:
         import cdgate.experiments as exp
         real = exp._noise_cell
 
-        def flaky(grid, alpha, tau, cfg, initial_state):
+        def flaky(params, alpha, tau, *rest):
             if tau == 2.0:
                 raise exp.CdgateError("injected failure")
-            return real(grid, alpha, tau, cfg, initial_state)
+            return real(params, alpha, tau, *rest)
 
         monkeypatch.setattr(exp, "_noise_cell", flaky)
         code, _ = _run(tmp_path, ["sweep-noise", "--alpha", "0.05",
@@ -237,10 +266,10 @@ class TestCommands:
         import cdgate.experiments as exp
         real = exp._noise_cell
 
-        def flaky(grid, alpha, tau, cfg, initial_state):
+        def flaky(params, alpha, tau, *rest):
             if alpha > 0.0:
                 raise exp.CdgateError("injected failure")
-            return real(grid, alpha, tau, cfg, initial_state)
+            return real(params, alpha, tau, *rest)
 
         monkeypatch.setattr(exp, "_noise_cell", flaky)
         code, _ = _run(tmp_path, ["heatmap", "--alpha", "0,0.1",
@@ -257,10 +286,10 @@ class TestCommands:
         import cdgate.experiments as exp
         real = exp._noise_cell
 
-        def flaky(grid, alpha, tau, cfg, initial_state):
+        def flaky(params, alpha, tau, *rest):
             if tau > 50.0:
                 raise exp.CdgateError("injected failure")
-            return real(grid, alpha, tau, cfg, initial_state)
+            return real(params, alpha, tau, *rest)
 
         monkeypatch.setattr(exp, "_noise_cell", flaky)
         code, _ = _run(tmp_path, ["tradeoff", "--alpha", "0.02,0.2",

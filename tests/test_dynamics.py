@@ -34,6 +34,20 @@ def ground_start(params, system):
     return analytic_spectrum(params, system.drive_value(system.t_start)).states[0]
 
 
+class TestEvolutionConfig:
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            EvolutionConfig(tau=tau)
+
+    @pytest.mark.parametrize("tol", [0.0, np.nan, np.inf])
+    def test_rejects_bad_tolerances(self, tol):
+        with pytest.raises(ValueError, match="tolerances"):
+            EvolutionConfig(tau=1.0, rel_tol=tol)
+        with pytest.raises(ValueError, match="tolerances"):
+            EvolutionConfig(tau=1.0, abs_tol=tol)
+
+
 class TestSchrodinger:
     def test_zero_hamiltonian_freezes_state(self, rng):
         psi0 = random_state(rng, 4)
@@ -109,23 +123,6 @@ class TestSchrodinger:
         ramped = schrodinger_evolve(system, psi0, cfg).stats
         assert ramped == schrodinger_evolve(system, psi0, cfg).stats
         assert ramped["accepted"] > 0
-
-    def test_config_switches_cd_on(self, params):
-        # cfg.use_cd adds the CD term to a system built without it, on both
-        # equations
-        system = cnot_system(params, tau=6.0)
-        psi0 = ground_start(params, system)
-        rho0 = np.outer(psi0, psi0.conj())
-        noise = NoiseModel(alpha=0.05)
-        on, off = EvolutionConfig(tau=6.0, use_cd=True), EvolutionConfig(tau=6.0)
-        built = replace(system, use_cd=True)
-        assert np.array_equal(schrodinger_evolve(system, psi0, on).states,
-                              schrodinger_evolve(built, psi0, off).states)
-        assert np.array_equal(lindblad_evolve(system, rho0, noise, on).states,
-                              lindblad_evolve(built, rho0, noise, off).states)
-        assert not np.array_equal(
-            schrodinger_evolve(system, psi0, off).states,
-            schrodinger_evolve(built, psi0, off).states)
 
     def test_step_underflow_on_impossible_tolerance(self, params):
         system = cnot_system(params, tau=1.0)
@@ -248,6 +245,11 @@ class TestLindblad:
         with pytest.raises(ValueError):
             NoiseModel(alpha=-0.1)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(alpha=alpha)
+
     def test_gap_unit_conversion(self):
         noise = NoiseModel.from_gap_units(0.08, g=0.5)
         assert abs(noise.alpha - 0.08) < 1e-15
@@ -295,6 +297,13 @@ class TestNoiseTrajectoryOracle:
         with pytest.raises(InvalidSampleCountError):
             noise_trajectory_oracle(system, psi0, 0.1, 50, 0.01, seed=0)
 
+    @pytest.mark.parametrize("alpha", [-0.1, np.nan, np.inf])
+    def test_bad_alpha_rejected(self, params, alpha):
+        system = cnot_system(params, tau=1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            noise_trajectory_oracle(system, ground_start(params, system),
+                                    alpha, 100, 0.01, seed=0)
+
     def test_coarse_dt_rejected(self, params):
         system = cnot_system(params, tau=10.0)
         psi0 = ground_start(params, system)
@@ -324,14 +333,6 @@ class TestNoiseTrajectoryOracle:
             noise_trajectory_oracle(
                 lambda t: np.array([[0, 1], [0, 0]], dtype=complex), plus,
                 0.1, 100, 0.01, seed=0, t_span=(0.0, 1.0))
-
-    def test_use_cd_with_callable_rejected(self, params):
-        system = cnot_system(params, tau=1.0)
-        with pytest.raises(ValueError, match="use_cd"):
-            noise_trajectory_oracle(
-                lambda t: system(t), ground_start(params, system), 0.1, 100,
-                0.01, seed=0, t_span=(system.t_start, system.t_end),
-                use_cd=True)
 
 
 class TestScipyOracle:

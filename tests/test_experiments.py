@@ -25,6 +25,15 @@ class TestAdiabaticProfile:
         mid = min(points, key=lambda p: abs(p.t))
         assert points[0].value < mid.value < points[-1].value
 
+    def test_cd_enabled_restores_the_adiabatic_target(self, params):
+        # at tau = 0.5 the bare run stays near its start; with CD it ends on
+        # the ramp-end ground state, |<11|ground(J2 = 5)>|^2 = c
+        c = 0.9975185951049945
+        with_cd = adiabatic_profile(params, tau=0.5, cd_enabled=True)
+        bare = adiabatic_profile(params, tau=0.5)
+        assert abs(with_cd[-1].value - c) < 1e-10
+        assert bare[-1].value < 0.1
+
     def test_sudden_quench_freezes_fidelity(self, params):
         points = adiabatic_profile(params, tau=0.1)
         start_overlap = abs(analytic_spectrum(params, -5.0).states[0][3]) ** 2
@@ -86,10 +95,10 @@ class TestSweepNoise:
         import cdgate.experiments as exp
         real = exp._noise_cell
 
-        def flaky(grid, alpha, tau, cfg, initial_state):
+        def flaky(params, alpha, tau, *rest):
             if tau == 2.0:
                 raise exp.CdgateError("injected failure")
-            return real(grid, alpha, tau, cfg, initial_state)
+            return real(params, alpha, tau, *rest)
 
         monkeypatch.setattr(exp, "_noise_cell", flaky)
         grid = make_grid(params, [1.0, 2.0, 3.0], [0.05], cd_enabled=True)
@@ -106,6 +115,14 @@ class TestSweepNoise:
                       params=params)
         with pytest.raises(ValueError):
             make_grid(params, [1.0, -2.0], [0.0], cd_enabled=False)
+
+    @pytest.mark.parametrize("taus, alphas", [
+        ([1.0, np.nan], [0.0]), ([1.0, np.inf], [0.0]),
+        ([1.0], [np.nan]), ([1.0], [0.0, np.inf]),
+    ])
+    def test_grid_rejects_non_finite(self, params, taus, alphas):
+        with pytest.raises(ValueError, match="finite"):
+            make_grid(params, taus, alphas, cd_enabled=False)
 
     def test_alpha_units_stored_both_ways(self, params):
         grid = make_grid(params, [1.0], [0.04, 0.08], cd_enabled=False)
@@ -128,6 +145,13 @@ class TestFindOptimalTau:
             tau_star, _ = find_optimal_tau(params, alpha)
             stars.append(tau_star)
         assert all(a >= b - 0.5 for a, b in zip(stars, stars[1:]))
+
+    @pytest.mark.parametrize("window", [(-1.0, 5.0), (0.0, 5.0), (5.0, 2.0),
+                                        (3.0, 3.0), (1.0, np.inf),
+                                        (np.nan, 5.0)])
+    def test_rejects_bad_window(self, params, window):
+        with pytest.raises(ValueError, match="tau_window"):
+            find_optimal_tau(params, 0.04, tau_window=window)
 
     def test_noiseless_limit_has_no_interior_maximum(self, params):
         with pytest.raises(NoInteriorMaximumError):

@@ -45,6 +45,12 @@ class TestParams:
         with pytest.raises(ValueError):
             CnotParams(j2_amp=0.0)
 
+    @pytest.mark.parametrize("field", ["j1", "g", "j2_amp"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            CnotParams(**{field: value})
+
     def test_warns_outside_recommended_regime(self):
         with pytest.warns(UserWarning):
             CnotParams(j2_amp=1.0)
@@ -67,6 +73,13 @@ class TestLinearRamp:
     def test_rejects_bad_tau(self):
         with pytest.raises(NonPositiveTauError):
             linear_ramp(CnotParams(), tau=0.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(NonPositiveTauError):
+            linear_ramp(CnotParams(), tau=tau)
+        with pytest.raises(NonPositiveTauError):
+            linear_phase_ramp(tau)
 
     def test_derivative_is_true_derivative(self):
         ramp = linear_ramp(CnotParams(), tau=7.0)
