@@ -230,6 +230,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     try:
         rc = RunConfig(command=command, **rc_kwargs)
         rc.params()
+        rc.evolution_config(1.0)
         for axis_name in ("tau", "alpha"):
             value = getattr(rc, axis_name)
             if value is not None:
@@ -368,7 +369,9 @@ def _sweep_tau_rows(rc: RunConfig):
          lz_prediction_for(params, float(tau), rc.full_range_ramp))
         for j, tau in enumerate(taus)
     ]
-    return ["tau", "fidelity", "transition_prob", "lz_prediction"], rows, {}
+    _warn_failed(result.failed_cells, "its fidelity is written as NaN")
+    header = ["tau", "fidelity", "transition_prob", "lz_prediction"]
+    return header, rows, {"failed_cells": result.failed_cells}
 
 
 def _warn_failed(cells: list, effect: str) -> None:

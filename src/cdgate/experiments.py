@@ -1,11 +1,13 @@
 """Named experiment recipes: the sweeps, optimum searches and checks that
 regenerate the plot-ready data sets.
 
-Every sweep evaluates its grid cells one after another on the calling
-thread, each independently and deterministically: the work is numpy calls
-on small arrays that hold the GIL, so threads would gain nothing. Noise
-strengths are specified in units of the minimal gap 2g in user-facing
-interfaces and converted to absolute rates internally.
+Every grid recipe runs through one loop, ``_sweep``, which evaluates the
+cells one after another on the calling thread, each independently and
+deterministically: the work is numpy calls on small arrays that hold the
+GIL, so threads would gain nothing. A cell that fails is written as NaN and
+listed in ``failed_cells``; the sweep goes on. Noise strengths are
+specified in units of the minimal gap 2g in user-facing interfaces and
+converted to absolute rates internally.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def sweep_tau(params: CnotParams, tau_values, cd_enabled: bool,
               cfg: EvolutionConfig | None = None,
               full_range_ramp: bool = False) -> SweepResult:
     """Final fidelity, transition and ground-state probability per driving
-    time for the unitary two-qubit gate."""
+    time for the unitary two-qubit gate; a failed cell is NaN in all three."""
     return n_qubit_demo(2, params, tau_values, cd_enabled, cfg,
                         full_range_ramp)
 
@@ -184,26 +186,12 @@ def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
                  cfg: EvolutionConfig | None = None,
                  full_range_ramp: bool = False) -> SweepResult:
     """The tau sweep on the 2^n-dimensional generalization, with target
-    |1...1> and the |1...10> sector ground state as the start."""
-    tau_values = np.asarray(tau_values, dtype=float)
-    grid = SweepGrid(
-        tau_values=tau_values,
-        alpha_values=np.array([0.0]),
-        alpha_gap_units=np.array([0.0]),
-        cd_enabled=cd_enabled,
-        params=params,
-        full_range_ramp=full_range_ramp,
-    )
-    t_start = time.perf_counter()
-    rows = [_unitary_cell(n, params, float(tau), cd_enabled, cfg,
-                          full_range_ramp)
-            for tau in tau_values]
-    fid = np.array([[r[0] for r in rows]])
-    trans = np.array([[r[1] for r in rows]])
-    ground = np.array([[r[2] for r in rows]])
-    meta = _metadata(cfg, time.perf_counter() - t_start, n_qubits=n)
-    return SweepResult(grid=grid, fidelity=fid, transition_prob=trans,
-                       ground_prob=ground, metadata=meta)
+    |1...1> and the |1...10> sector ground state as the start. A failed
+    cell is NaN in all three arrays and listed in ``failed_cells``."""
+    grid = make_grid(params, tau_values, [0.0], cd_enabled, full_range_ramp)
+    return _sweep(grid, lambda alpha, tau: _unitary_cell(
+        n, params, tau, cd_enabled, cfg, full_range_ramp), cfg,
+        ("fidelity", "transition_prob", "ground_prob"), n_qubits=n)
 
 
 def _noise_cell(params: CnotParams, alpha: float, tau: float, cd: bool,
@@ -221,19 +209,35 @@ def sweep_noise(grid: SweepGrid,
                 cfg: EvolutionConfig | None = None) -> SweepResult:
     """Lindblad evolution per (alpha, tau) cell; final mixed-state fidelity
     against |11>. Failed cells are recorded as NaN and the sweep continues."""
+    return _sweep(grid, lambda alpha, tau: (_noise_cell(
+        grid.params, alpha, tau, grid.cd_enabled, grid.full_range_ramp,
+        cfg),), cfg)
+
+
+def _sweep(grid: SweepGrid, cell, cfg: EvolutionConfig | None,
+           fields: tuple[str, ...] = ("fidelity",), **extra) -> SweepResult:
+    """Evaluate ``cell(alpha, tau)``, which returns one float per field, over
+    the grid with alphas as rows and taus as columns. A cell that raises
+    CdgateError stays NaN in every field and is listed in ``failed_cells``;
+    ``extra`` joins the metadata."""
     t_start = time.perf_counter()
-    fid = np.full((len(grid.alpha_values), len(grid.tau_values)), np.nan)
+    shape = (len(grid.alpha_values), len(grid.tau_values))
+    arrays = {name: np.full(shape, np.nan) for name in fields}
     failed = []
     for i, alpha in enumerate(grid.alpha_values):
         for j, tau in enumerate(grid.tau_values):
             try:
-                fid[i, j] = _noise_cell(grid.params, float(alpha), float(tau),
-                                        grid.cd_enabled, grid.full_range_ramp,
-                                        cfg)
+                values = cell(float(alpha), float(tau))
             except CdgateError as exc:
                 failed.append(f"cell ({i},{j}): {exc}")
-    meta = _metadata(cfg, time.perf_counter() - t_start)
-    return SweepResult(grid=grid, fidelity=fid, metadata=meta,
+                continue
+            for name, value in zip(fields, values):
+                arrays[name][i, j] = value
+    run_cfg = cfg or EvolutionConfig(tau=1.0)
+    meta = {"version": _version, "backend": backend_name(),
+            "rel_tol": run_cfg.rel_tol, "abs_tol": run_cfg.abs_tol,
+            "wall_seconds": time.perf_counter() - t_start, **extra}
+    return SweepResult(grid=grid, **arrays, metadata=meta,
                        failed_cells=failed)
 
 
@@ -301,7 +305,7 @@ def tradeoff_boundary(grid: SweepGrid, threshold: float,
     tau = grid.tau_values
     for i, alpha in enumerate(grid.alpha_values):
         row = result.fidelity[i]
-        ok = np.where(np.nan_to_num(row, nan=-1.0) >= threshold)[0]
+        ok = np.where(row >= threshold)[0]
         if ok.size == 0:
             continue
         tau_max = float(tau[ok.max()])
@@ -347,19 +351,6 @@ def gate_unitary_check(tau: float, n_offset: int = 0) -> GateCheckReport:
         commutator_residual=resid,
         passed=bool(phase_dist < _GATE_DISTANCE_LIMIT),
     )
-
-
-def _metadata(cfg: EvolutionConfig | None, wall_seconds: float,
-              **extra) -> dict:
-    out = {
-        "version": _version,
-        "backend": backend_name(),
-        "rel_tol": cfg.rel_tol if cfg else EvolutionConfig(tau=1.0).rel_tol,
-        "abs_tol": cfg.abs_tol if cfg else EvolutionConfig(tau=1.0).abs_tol,
-        "wall_seconds": wall_seconds,
-    }
-    out.update(extra)
-    return out
 
 
 def lz_prediction_for(params: CnotParams, tau: float,

@@ -105,6 +105,28 @@ class TestParseConfig:
         assert "finite" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("flags, file_values", [
+        (["--rel-tol", "nan"], None),
+        (["--abs-tol", "0"], None),
+        (["--rel-tol", "-1"], None),
+        ([], {"abs_tol": -1e-12}),
+        ([], {"rel_tol": float("inf")}),
+    ], ids=["flag-rel-nan", "flag-abs-zero", "flag-rel-negative",
+            "file-abs-negative", "file-rel-inf"])
+    def test_bad_tolerance_exits_2(self, flags, file_values, tmp_path,
+                                   capsys):
+        if file_values is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(file_values))
+            flags = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["sweep-tau", "--tau", "1", *flags,
+                     "--output", str(out / "r")])
+        assert code == 2
+        assert "tolerances must be positive and finite" in capsys.readouterr().err
+        assert not os.listdir(out)
+
     @pytest.mark.parametrize("window", ["5", "-1:5", "5:2", "3:3", "0:5",
                                         "1:inf", "nan:5", "1:2:3"])
     def test_bad_tau_window_exits_2(self, window, tmp_path, capsys):
@@ -281,6 +303,35 @@ class TestCommands:
         assert err[-1] == ("cdgate: 2 sweep cell(s) failed; their fidelity "
                            "is written as NaN")
 
+    def test_failed_sweep_tau_cells_exit_1_with_cause(self, tmp_path, capsys,
+                                                      monkeypatch):
+        import cdgate.experiments as exp
+        real = exp._unitary_cell
+
+        def flaky(n, params, tau, *rest):
+            if tau > 50.0:
+                raise exp.CdgateError("injected failure")
+            return real(n, params, tau, *rest)
+
+        monkeypatch.setattr(exp, "_unitary_cell", flaky)
+        code, _ = _run(tmp_path, ["sweep-tau", "--tau", "1,20,60,100"])
+        assert code == 1
+        lines = (tmp_path / "run_sweep-tau.csv").read_text().splitlines()
+        for line in lines[1:]:
+            tau, fid, trans, lz = line.split(",")
+            failed = float(tau) > 50.0
+            assert (fid == "nan") == failed and (trans == "nan") == failed
+            assert np.isfinite(float(lz))
+        cells = [f"cell (0,{j}): injected failure" for j in (2, 3)]
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["summary"]["failed_cells"] == cells
+        err = capsys.readouterr().err.splitlines()
+        warnings = [line for line in err if line.startswith("cdgate: warning: ")]
+        assert warnings == [f"cdgate: warning: {cell}; its fidelity is "
+                            "written as NaN" for cell in cells]
+        assert err[-1] == ("cdgate: 2 sweep cell(s) failed; their fidelity "
+                           "is written as NaN")
+
     def test_failed_tradeoff_cells_exit_1_with_cause(self, tmp_path, capsys,
                                                      monkeypatch):
         import cdgate.experiments as exp
@@ -306,9 +357,13 @@ class TestCommands:
         assert err[-1] == ("cdgate: 2 sweep cell(s) failed; they count as "
                            "below the threshold")
 
-    def test_tradeoff_summary_lists_no_failed_cells(self, tmp_path):
-        code, _ = _run(tmp_path, ["tradeoff", "--alpha", "0.02,0.2",
-                                  "--tau", "1,4"])
+    @pytest.mark.parametrize("argv", [
+        ["tradeoff", "--alpha", "0.02,0.2", "--tau", "1,4"],
+        ["sweep-tau", "--tau", "1,4"],
+        ["nqubit", "--n", "3", "--tau", "1,4"],
+    ], ids=["tradeoff", "sweep-tau", "nqubit"])
+    def test_summary_lists_no_failed_cells(self, tmp_path, argv):
+        code, _ = _run(tmp_path, argv)
         assert code == 0
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["summary"]["failed_cells"] == []

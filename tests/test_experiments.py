@@ -91,22 +91,35 @@ class TestSweepNoise:
         diffs = np.diff(result.fidelity, axis=0)
         assert (diffs <= 1e-10).all()
 
-    def test_failed_cells_are_recorded_and_skipped(self, params, monkeypatch):
+    @pytest.mark.parametrize("cell, run, fields", [
+        ("_noise_cell",
+         lambda exp, p: exp.sweep_noise(
+             make_grid(p, [1.0, 2.0, 3.0], [0.05], cd_enabled=True)),
+         ("fidelity",)),
+        ("_unitary_cell",
+         lambda exp, p: exp.n_qubit_demo(3, p, [1.0, 2.0, 3.0], True),
+         ("fidelity", "transition_prob", "ground_prob")),
+    ], ids=["sweep_noise", "n_qubit_demo"])
+    def test_failed_cells_are_recorded_and_skipped(self, params, monkeypatch,
+                                                   cell, run, fields):
         import cdgate.experiments as exp
-        real = exp._noise_cell
+        clean = run(exp, params)
+        real = getattr(exp, cell)
 
-        def flaky(params, alpha, tau, *rest):
-            if tau == 2.0:
+        def flaky(*args):
+            if args[2] == 2.0:  # tau is the third argument of both cells
                 raise exp.CdgateError("injected failure")
-            return real(params, alpha, tau, *rest)
+            return real(*args)
 
-        monkeypatch.setattr(exp, "_noise_cell", flaky)
-        grid = make_grid(params, [1.0, 2.0, 3.0], [0.05], cd_enabled=True)
-        result = exp.sweep_noise(grid)
-        assert len(result.failed_cells) == 1
-        assert np.isnan(result.fidelity[0, 1])
-        assert np.isfinite(result.fidelity[0, 0])
-        assert np.isfinite(result.fidelity[0, 2])
+        monkeypatch.setattr(exp, cell, flaky)
+        result = run(exp, params)
+        assert result.failed_cells == ["cell (0,1): injected failure"]
+        assert clean.failed_cells == []
+        for name in fields:
+            got, want = getattr(result, name), getattr(clean, name)
+            assert np.isnan(got[0, 1])
+            assert np.isfinite(want).all()
+            assert np.array_equal(got[:, [0, 2]], want[:, [0, 2]])
 
     def test_grid_validation(self, params):
         with pytest.raises(ValueError):
