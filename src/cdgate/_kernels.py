@@ -2,11 +2,15 @@
 
 Everything here is plain numpy. One adaptive Dormand-Prince 8(5,3) stepper,
 ``dop853``, integrates every Schroedinger and Lindblad evolution. It takes
-``generators(ts)``, the generators ``M(t) = -i H(t)`` stacked over an array
-of times, and ``apply(M, y)``, the derivative; ``cdgate.dynamics`` chooses
-the equation (``apply``, drift monitor, symmetrization) and the generator
-source: ``evolve_ramped`` for a ramped system, one call per stage time for a
-Hamiltonian callable. The states are small, so a step costs Python calls,
+``generators(ts)``, the stage operators stacked over an array of times, and
+``apply(M, y)``, the derivative; ``cdgate.dynamics`` chooses the equation
+(``apply``, drift monitor, symmetrization) and the generator source:
+``evolve_ramped`` for a ramped system, one call per stage time for a
+Hamiltonian callable. A stage operator is a generator ``M(t) = -i H(t)``,
+or for a small density matrix its ``Liouvillian`` superoperator, so that
+every Lindblad stage is then one matrix-vector product, as a Schroedinger
+stage is; larger density matrices use the commutator form,
+``lindblad_apply``. The states are small, so a step costs Python calls,
 not arithmetic: the stepper therefore asks for the generators of a step's
 eleven distinct stage times at once (one product for a ramped system), and
 forms every stage, the solution and both error estimates as one matrix
@@ -103,12 +107,13 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
            drift_of, post_step=None):
     """Integrate ``dy/dt = apply(M(t), y)`` for a flat complex ``y``.
 
-    ``generators(ts)`` returns the generators ``M(t)`` stacked over an array
-    of times. It is called once at the start time and then once per attempted
-    step, at ``t + h * C_STAGE``; stage ``s`` uses row ``s - 1``, and the
-    FSAL derivative the last row, stage 12's time ``t + h``. Output states
-    are recorded exactly at ``sample_times`` (the first entry must equal the
-    start time). Each accepted state passes through ``post_step`` when one
+    ``generators(ts)`` returns the stage operators ``M(t)`` (generators
+    ``-i H(t)`` or their ``Liouvillian`` superoperators) stacked over an
+    array of times. It is called once at the start time and then once per
+    attempted step, at ``t + h * C_STAGE``; stage ``s`` uses row ``s - 1``,
+    and the FSAL derivative the last row, stage 12's time ``t + h``. Output
+    states are recorded exactly at ``sample_times`` (the first entry must
+    equal the start time). Each accepted state passes through ``post_step`` when one
     is given, and ``drift_of(y)`` is monitored; the state is never
     renormalized. Returns ``(status, states, drift, stats)``: ``drift`` is
     the largest ``drift_of`` seen at any accepted step and ``stats`` counts
@@ -218,18 +223,27 @@ def symmetrize(y):
 
 
 def evolve_ramped(h, apply, sample_times, y0, rtol, atol, max_step, h_init,
-                  drift_of, post_step=None):
+                  drift_of, post_step=None, lift=None):
     """``dop853`` on the ramped system ``h``, a
     ``model.RampedGateHamiltonian``, in place of ``generators``.
 
     ``M(t) = -i H(t)`` is one real combination ``(1, J(t), c(t))`` of the
     float views of ``-i h0``, ``-i hz`` and ``-i hcd``: -i is folded in once
     per call, and the generators of all stage times of a step are one
-    product. The other arguments and the result are ``dop853``'s.
+    product. With a ``Liouvillian`` as ``lift`` (and ``np.dot`` as
+    ``apply``) the stage operators are its superoperators instead: the three
+    terms are lifted once per call, so the same product builds them, and
+    ``lift.finish`` writes their diagonals from those of the generators. The
+    other arguments and the result are ``dop853``'s.
     """
+    terms = np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd])
+    if lift is None:
+        basis = terms.reshape(3, -1).view(np.float64)
+    else:
+        basis = lift.commutator(terms).view(np.float64)
+        diagonals = np.diagonal(terms, axis1=1, axis2=2).copy()
+        diagonals = diagonals.view(np.float64)
     dim = h.dim
-    basis = np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd]).reshape(3, -1)
-    basis = basis.view(np.float64)
     # rows (1, J(t), c(t)), one per stage time; without CD c stays zero
     coef = np.zeros((C_STAGE.shape[0], 3))
     coef[:, 0] = 1.0
@@ -239,7 +253,11 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, max_step, h_init,
         coef[:k, 1] = h.drive_value(ts)
         if h.use_cd:
             coef[:k, 2] = h.cd_coefficient(ts)
-        return np.dot(coef[:k], basis).view(np.complex128).reshape(k, dim, dim)
+        block = np.dot(coef[:k], basis).view(np.complex128)
+        if lift is None:
+            return block.reshape(k, dim, dim)
+        return lift.finish(block,
+                           np.dot(coef[:k], diagonals).view(np.complex128))
 
     return dop853(generators, apply, sample_times, y0, rtol, atol, max_step,
                   h_init, drift_of, post_step)
@@ -261,6 +279,49 @@ def lindblad_apply(d, alpha):
         return drho.ravel()
 
     return apply
+
+
+class Liouvillian:
+    """The equation of ``lindblad_apply`` as ``d vec(rho)/dt = L vec(rho)``.
+
+    ``vec`` is row-major, as the flattened state, so
+    ``vec(A rho B) = (A (x) B^T) vec(rho)`` and
+    ``L = M (x) I - I (x) M^T + diag(alpha (d_a d_c - 1))``: ``apply`` is
+    ``np.dot``. A generator source lifts its stacked ``M`` with
+    ``commutator``, which is linear, so a ramped system may lift its terms
+    before combining them; ``finish`` then writes each diagonal entry as
+    ``(M_aa - M_cc) + alpha (d_a d_c - 1)`` from the combined ``M``. Off the
+    diagonal an entry of ``L`` is one entry of ``M``, so both sources build
+    the same bits and take the same steps.
+    """
+
+    def __init__(self, d, alpha):
+        self.dim = d.shape[0]
+        self.dissipator = (alpha * (np.outer(d, d) - 1.0)).ravel()
+
+    def commutator(self, m):
+        """``M (x) I - I (x) M^T`` for each ``M`` of the stack ``m``,
+        flattened to ``(k, dim^4)``; ``finish`` sets the diagonals."""
+        eye = np.eye(self.dim)
+        m_t = m.transpose(0, 2, 1)
+        # axes (k, a, c, b, e): M_ab delta_ce - delta_ab M_ec
+        lifted = (m[:, :, None, :, None] * eye[:, None, :]
+                  - eye[:, None, :, None] * m_t[:, None, :, None])
+        return lifted.reshape(m.shape[0], -1)
+
+    def finish(self, flat, m_diagonals):
+        """Write the diagonals of the superoperators ``flat`` (``(k,
+        dim^4)``, in place) from the diagonals ``(k, dim)`` of their
+        generators; returns them as ``(k, dim^2, dim^2)``."""
+        k, n = flat.shape[0], self.dim * self.dim
+        flat[:, ::n + 1] = ((m_diagonals[:, :, None] - m_diagonals[:, None, :])
+                            .reshape(k, n) + self.dissipator)
+        return flat.reshape(k, n, n)
+
+    def __call__(self, m):
+        """The superoperators of a stack of generators ``m``."""
+        return self.finish(self.commutator(m),
+                           np.diagonal(m, axis1=1, axis2=2))
 
 
 def dephasing_average(h_det, d, t_start, dt, noise, psi0):

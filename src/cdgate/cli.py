@@ -231,10 +231,14 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         rc = RunConfig(command=command, **rc_kwargs)
         rc.params()
         rc.evolution_config(1.0)
+        spec = _COMMANDS[command]
         for axis_name in ("tau", "alpha"):
             value = getattr(rc, axis_name)
             if value is not None:
-                parse_axis(value)
+                descends = np.any(np.diff(parse_axis(value)) < 0)
+                if spec.grid and axis_name in spec.options and descends:
+                    parser.error(f"--{axis_name} must be ascending for "
+                                 f"{command}, got {value!r}")
         if command == "optimal-tau":
             _parse_window(rc.tau_window)
         if rc.format not in ("csv", "json"):
@@ -445,6 +449,7 @@ class _Command(NamedTuple):
     options: tuple[str, ...] = ("tau",)
     defaults: dict = {}
     required: tuple[str, ...] = ()
+    grid: bool = False  # its tau and alpha axes span a sweep grid, ascending
 
 
 # One entry per subcommand. The row functions reach the experiments and
@@ -457,26 +462,26 @@ _COMMANDS = {
                        _evolve_rows, ("tau", "alpha", "cd")),
     "sweep-tau": _Command(
         "final fidelity and transition probability vs tau", _sweep_tau_rows,
-        ("tau", "cd"), {"tau": "1:200:60log"}),
+        ("tau", "cd"), {"tau": "1:200:60log"}, grid=True),
     "sweep-noise": _Command(
         "noisy final fidelity over the (alpha, tau) grid", _noise_rows,
-        ("tau", "alpha", "cd"), {"tau": "1:200:60log"}, ("alpha",)),
+        ("tau", "alpha", "cd"), {"tau": "1:200:60log"}, ("alpha",), grid=True),
     "heatmap": _Command(
         "dense (alpha, tau) fidelity map", _noise_rows, ("tau", "alpha", "cd"),
-        {"tau": "1:200:30log", "alpha": "0:0.2:21"}),
+        {"tau": "1:200:30log", "alpha": "0:0.2:21"}, grid=True),
     "optimal-tau": _Command(
         "optimal driving time under noise, per alpha", _optimal_tau_rows,
         ("alpha", "tau_window"), required=("alpha",)),
     "tradeoff": _Command(
         "CD-protected tau*alpha trade-off boundary", _tradeoff_rows,
         ("tau", "alpha", "threshold"),
-        {"tau": "1:100:40log", "alpha": "0.02:0.2:8log"}),
+        {"tau": "1:100:40log", "alpha": "0.02:0.2:8log"}, grid=True),
     "gate-check": _Command(
         "exact-gate verification of the inverse-engineered H",
         _gate_check_rows, ("tau", "phase_offset"), {"tau": "0.5,1,7.3"}),
     "nqubit": _Command(
         "tau sweep for the N-qubit generalization", _sweep_tau_rows,
-        ("tau", "cd", "n"), {"tau": "0.5:50:20log"}, ("n",)),
+        ("tau", "cd", "n"), {"tau": "0.5:50:20log"}, ("n",), grid=True),
 }
 
 

@@ -10,7 +10,11 @@ built); ``EvolutionConfig`` carries only numerical controls.
 8(5,3) stepper, ``_kernels.dop853``, taking the generators of a ramped
 system from ``_kernels.evolve_ramped`` and those of a callable from
 ``_integrate_callable``; the Schroedinger and Lindblad engines differ only
-in the ``apply``, drift monitor and symmetrization they pass it.
+in the ``apply``, drift monitor and symmetrization they pass it. A small
+density matrix (dimension up to ``_LIOUVILLIAN_MAX_DIM``) is integrated as
+``vec(rho)`` under the Liouvillian superoperator, one matrix-vector product
+per stage like a pure state; a larger one under the commutator plus
+dissipator of ``_kernels.lindblad_apply``.
 ``_jump_diagonal`` picks the dephasing jump operator for the Lindblad engine
 and the oracle alike. States are never renormalized during integration;
 norm / trace drift is monitored and reported instead. The only in-flight
@@ -40,6 +44,13 @@ from .numerics import TOL, as_state, hermiticity_defect
 from .observables import _require_normalized, validate_density_matrix
 
 HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
+
+# Largest density-matrix dimension integrated as vec(rho) under the
+# Liouvillian: one d^2 x d^2 product per stage beats the commutator's five
+# numpy calls at d = 4 (about half the time per step), but building the
+# stage operators costs d^4 and loses from d = 8 on (timings in
+# docs/noise_model.md, "Integration"); at d = 64 one would hold 268 MB.
+_LIOUVILLIAN_MAX_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -116,13 +127,15 @@ def _resolve_span(h_of_t: HamiltonianLike, cfg: EvolutionConfig,
 
 
 def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, max_step,
-                        h_init, drift_of, post_step=None):
+                        h_init, drift_of, post_step=None, lift=None):
     """``_kernels.dop853`` with the generators ``-i H(t)`` of a Hamiltonian
-    callable, called once per stage time; the twin of
+    callable, called once per stage time, or with their superoperators when
+    ``lift`` is a ``_kernels.Liouvillian``; the twin of
     ``_kernels.evolve_ramped``, with the same arguments and result."""
 
     def generators(ts):
-        return np.stack([-1j * np.asarray(h_of_t(t)) for t in ts.tolist()])
+        m = np.stack([-1j * np.asarray(h_of_t(t)) for t in ts.tolist()])
+        return m if lift is None else lift(m)
 
     return _kernels.dop853(generators, apply, sample_times, y0, rtol, atol,
                            max_step, h_init, drift_of, post_step)
@@ -135,9 +148,10 @@ def _check_callable_hermitian(h_of_t, t0: float, t1: float) -> None:
 
 
 def _integrate(h_of_t: HamiltonianLike, apply, times: np.ndarray, y0,
-               cfg: EvolutionConfig, drift_of, post_step=None):
+               cfg: EvolutionConfig, drift_of, post_step=None, lift=None):
     """Integrate ``dy/dt = apply(-i H(t), y)`` from ``times[0]``, recording
-    ``y`` at ``times``.
+    ``y`` at ``times``; with a ``_kernels.Liouvillian`` as ``lift``, the
+    stage operators are its superoperators of ``-i H(t)``.
 
     A ramped system runs through ``_kernels.evolve_ramped`` as built; a
     callable is checked for Hermiticity and runs through
@@ -152,7 +166,7 @@ def _integrate(h_of_t: HamiltonianLike, apply, times: np.ndarray, y0,
         engine = _integrate_callable
     status, states, drift, stats = engine(
         h_of_t, apply, times, y0, cfg.rel_tol, cfg.abs_tol, np.inf,
-        (t1 - t0) * 1e-3, drift_of, post_step)
+        (t1 - t0) * 1e-3, drift_of, post_step, lift)
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise StepUnderflowError(
             "adaptive step size underflowed; the problem is too stiff for "
@@ -231,17 +245,25 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
 
         d rho/dt = -i [H(t), rho] + alpha (sigma_z2 rho sigma_z2 - rho),
 
-    symmetrizing rho after each accepted step. Positivity is checked at
-    every sample point. For a ramped system the jump operator is its ``hz``,
+    symmetrizing rho after each accepted step. Up to dimension
+    ``_LIOUVILLIAN_MAX_DIM`` the stages apply the Liouvillian to
+    ``vec(rho)`` (``_kernels.Liouvillian``); above it, the commutator form
+    (``_kernels.lindblad_apply``), whose stages build nothing of size d^4;
+    the two agree to rounding. Positivity is checked at every sample point. For a ramped system the jump operator is its ``hz``,
     which must be diagonal with entries +-1 (``ValueError`` otherwise); for
     a callable it is sigma_z on the last qubit.
     """
     rho0 = validate_density_matrix(rho0)
     dim = rho0.shape[0]
     times = np.linspace(*_resolve_span(h_of_t, cfg, t_span), cfg.sample_count)
-    apply = _kernels.lindblad_apply(_jump_diagonal(h_of_t, dim), noise.alpha)
+    d = _jump_diagonal(h_of_t, dim)
+    if dim <= _LIOUVILLIAN_MAX_DIM:
+        apply, lift = np.dot, _kernels.Liouvillian(d, noise.alpha)
+    else:
+        apply, lift = _kernels.lindblad_apply(d, noise.alpha), None
     flat, drift, stats = _integrate(h_of_t, apply, times, rho0.ravel(), cfg,
-                                    _kernels.trace_drift, _kernels.symmetrize)
+                                    _kernels.trace_drift, _kernels.symmetrize,
+                                    lift)
     if drift > TOL.trace_drift:
         raise TraceDriftExceededError(
             f"trace drifted by {drift:.3e} (limit {TOL.trace_drift:.0e})"

@@ -105,6 +105,31 @@ class TestParseConfig:
         assert "finite" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-tau", "--tau", "20,1"],
+        ["sweep-tau", "--tau", "20:1:5log"],
+        ["nqubit", "--n", "3", "--tau", "5,0.5"],
+        ["sweep-noise", "--alpha", "0.04", "--tau", "1,2,1.5"],
+        ["sweep-noise", "--alpha", "0.1,0.04", "--tau", "1"],
+        ["heatmap", "--alpha", "0.1,0", "--tau", "1"],
+        ["tradeoff", "--alpha", "0.2,0.02", "--tau", "1,5"],
+    ], ids=["sweep-tau", "sweep-tau-range", "nqubit", "sweep-noise-tau",
+            "sweep-noise-alpha", "heatmap", "tradeoff"])
+    def test_descending_grid_axis_exits_2(self, argv, tmp_path, capsys):
+        assert main(argv + ["--output", str(tmp_path / "r")]) == 2
+        assert "must be ascending" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_descending_axis_outside_a_grid_is_accepted(self, tmp_path):
+        rc = parse_config(["gate-check", "--tau", "7.3,1"])
+        assert list(parse_axis(rc.tau)) == [7.3, 1.0]
+        rc = parse_config(["optimal-tau", "--alpha", "0.1,0.04"])
+        assert list(parse_axis(rc.alpha)) == [0.1, 0.04]
+        # an axis the command does not take is not checked
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"alpha": "0.1,0"}))
+        assert parse_config(["sweep-tau", "--config", str(cfg)]).alpha == "0.1,0"
+
     @pytest.mark.parametrize("flags, file_values", [
         (["--rel-tol", "nan"], None),
         (["--abs-tol", "0"], None),

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cdgate import _kernels
+from cdgate import _kernels, dynamics
 from cdgate.dynamics import (EvolutionConfig, NoiseModel, lindblad_evolve,
                              noise_trajectory_oracle, schrodinger_evolve)
-from cdgate.model import CnotParams, analytic_spectrum, cnot_system, nqubit_system
+from cdgate.model import (CnotParams, analytic_spectrum, cnot_system,
+                          lz_system, nqubit_system)
 
 from conftest import random_hermitian, random_state
 
@@ -128,17 +129,19 @@ def _evolve_ramped_loop(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
     return status, out, drift, accepted, rejected
 
 
-def _ramped_args(system, tau, is_density, alpha=0.0):
+def _ramped_args(system, tau, is_density, alpha=0.0, liouvillian=False):
     """``evolve_ramped`` arguments from a random start: the Schroedinger
     equation, or with ``is_density`` the Lindblad equation whose jump
-    operator is ``hz``."""
+    operator is ``hz``, in commutator or ``liouvillian`` form."""
     psi0 = random_state(np.random.default_rng(11), system.dim)
     times = np.array([system.t_start, 0.0, system.t_end])
     if is_density:
-        return (system, _kernels.lindblad_apply(np.real(np.diag(system.hz)),
-                                                alpha),
-                times, np.outer(psi0, psi0.conj()).ravel(), 1e-10, 1e-12,
-                np.inf, tau * 1e-3, _kernels.trace_drift, _kernels.symmetrize)
+        d = np.real(np.diag(system.hz))
+        apply, lift = ((np.dot, _kernels.Liouvillian(d, alpha)) if liouvillian
+                       else (_kernels.lindblad_apply(d, alpha), None))
+        return (system, apply, times, np.outer(psi0, psi0.conj()).ravel(),
+                1e-10, 1e-12, np.inf, tau * 1e-3, _kernels.trace_drift,
+                _kernels.symmetrize, lift)
     return (system, np.dot, times, psi0, 1e-10, 1e-12, np.inf, tau * 1e-3,
             _kernels.norm_drift)
 
@@ -154,19 +157,38 @@ def _loop_args(args, is_density, alpha):
 _SYSTEMS = {
     "cnot": lambda tau: cnot_system(CnotParams(), tau),
     "cnot_cd": lambda tau: cnot_system(CnotParams(), tau, use_cd=True),
+    "lz_cd": lambda tau: lz_system(CnotParams(), tau, use_cd=True),
     "n3_cd": lambda tau: nqubit_system(3, CnotParams(), tau, use_cd=True),
 }
+
+
+def _stepper_cases():
+    """(name, tau, is_density, alpha, liouvillian): the pure state and the
+    commutator form everywhere, the Liouvillian form at the dimensions
+    ``lindblad_evolve`` integrates with it."""
+    for tau in (1.0, 8.0, 50.0):
+        for name in sorted(_SYSTEMS):
+            small = (_SYSTEMS[name](tau).dim
+                     <= dynamics._LIOUVILLIAN_MAX_DIM)
+            for is_density, alpha, liouvillian in [
+                    (False, 0.0, False), (True, 0.0, False),
+                    (True, 0.1, False), (True, 0.0, True), (True, 0.1, True)]:
+                if liouvillian and not small:
+                    continue
+                form = "-liouvillian" if liouvillian else ""
+                yield pytest.param(name, tau, is_density, alpha, liouvillian,
+                                   id=f"{is_density}-{alpha}{form}-{name}-{tau}")
 
 
 class TestVectorizedStepper:
     """``evolve_ramped`` against the scalar-loop reference it replaced."""
 
-    @pytest.mark.parametrize("tau", [1.0, 8.0, 50.0])
-    @pytest.mark.parametrize("name", sorted(_SYSTEMS))
-    @pytest.mark.parametrize("is_density,alpha", [(False, 0.0), (True, 0.0),
-                                                  (True, 0.1)])
-    def test_matches_scalar_loop(self, name, tau, is_density, alpha):
-        args = _ramped_args(_SYSTEMS[name](tau), tau, is_density, alpha)
+    @pytest.mark.parametrize("name,tau,is_density,alpha,liouvillian",
+                             _stepper_cases())
+    def test_matches_scalar_loop(self, name, tau, is_density, alpha,
+                                 liouvillian):
+        args = _ramped_args(_SYSTEMS[name](tau), tau, is_density, alpha,
+                            liouvillian)
         status, states, drift, stats = _kernels.evolve_ramped(*args)
         ref_status, ref_states, ref_drift, accepted, rejected = \
             _evolve_ramped_loop(*_loop_args(args, is_density, alpha))
@@ -200,6 +222,59 @@ class TestVectorizedStepper:
         status, _, _, stats = _kernels.evolve_ramped(*args)
         assert status == _kernels.STATUS_STEP_BUDGET
         assert stats["accepted"] + stats["rejected"] == 5
+
+
+class TestLiouvillian:
+    """The vectorized Lindblad form and the dimensions that use it."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_matches_commutator_form(self, rng, dim, alpha):
+        m = np.stack([-1j * random_hermitian(rng, dim) for _ in range(3)])
+        d = np.tile([1.0, -1.0], dim // 2)
+        psi = random_state(rng, dim)
+        y = np.outer(psi, psi.conj()).ravel()
+        superops = _kernels.Liouvillian(d, alpha)(m)
+        assert superops.shape == (3, dim * dim, dim * dim)
+        apply = _kernels.lindblad_apply(d, alpha)
+        for m_k, l_k in zip(m, superops):
+            assert np.abs(l_k @ y - apply(m_k, y)).max() < 1e-14
+
+    @pytest.mark.parametrize("use_cd", [False, True])
+    def test_ramped_block_is_lift_of_system(self, monkeypatch, use_cd):
+        system = cnot_system(CnotParams(), 6.0, use_cd=use_cd)
+        captured = {}
+
+        def capture(generators, *args):
+            captured["generators"] = generators
+            return _kernels.STATUS_OK, None, 0.0, {}
+
+        monkeypatch.setattr(_kernels, "dop853", capture)
+        args = _ramped_args(system, 6.0, True, 0.1, liouvillian=True)
+        lift = args[-1]
+        _kernels.evolve_ramped(*args)
+        ts = -0.2 + 1.1 * _kernels.C_STAGE
+        block = captured["generators"](ts)
+        # bit for bit what a callable of the same Hamiltonian builds
+        stack = np.stack([-1j * system(t) for t in ts])
+        assert np.array_equal(block, lift(stack))
+
+    @pytest.mark.parametrize("n,commutator", [(2, False), (3, True)])
+    def test_form_follows_dimension(self, monkeypatch, n, commutator):
+        built = []
+        original = _kernels.lindblad_apply
+
+        def spy(d, alpha):
+            built.append(d.shape[0])
+            return original(d, alpha)
+
+        monkeypatch.setattr(_kernels, "lindblad_apply", spy)
+        system = nqubit_system(n, CnotParams(), 2.0, use_cd=True)
+        psi0 = random_state(np.random.default_rng(3), system.dim)
+        traj = lindblad_evolve(system, np.outer(psi0, psi0.conj()),
+                               NoiseModel(alpha=0.1), EvolutionConfig(tau=2.0))
+        assert traj.stats["accepted"] > 0
+        assert built == ([8] if commutator else [])
 
 
 class TestStepperInterface:
