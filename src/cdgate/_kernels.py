@@ -3,20 +3,21 @@
 Everything here is plain numpy. One adaptive Dormand-Prince 8(5,3) stepper,
 ``dop853``, integrates every Schroedinger and Lindblad evolution. It takes
 ``generators(ts)``, the stage operators stacked over an array of times, and
-``apply(M, y)``, the derivative; ``cdgate.dynamics`` chooses the equation
-(``apply``, drift monitor, symmetrization) and the generator source:
-``evolve_ramped`` for a ramped system, one call per stage time for a
-Hamiltonian callable. A stage operator is a generator ``M(t) = -i H(t)``,
-or for a small density matrix its ``Liouvillian`` superoperator, so that
-every Lindblad stage is then one matrix-vector product, as a Schroedinger
-stage is; larger density matrices use the commutator form,
-``lindblad_apply``. The states are small, so a step costs Python calls,
-not arithmetic: the stepper therefore asks for the generators of a step's
-eleven distinct stage times at once (one product for a ramped system), and
-forms every stage, the solution and both error estimates as one matrix
-product over the block of stage derivatives. The Monte-Carlo dephasing
-average, ``dephasing_average``, advances every noise realization at once as
-one batched RK4 loop.
+``apply(M, y, out)``, the derivative written into ``out`` as by ``np.dot``;
+``cdgate.dynamics`` chooses the equation (``apply``, drift monitor,
+symmetrization) and the generator source: ``evolve_ramped`` for a ramped
+system, one call per stage time for a Hamiltonian callable. A stage
+operator is a generator ``M(t) = -i H(t)``, or for a small density matrix
+its ``Liouvillian`` superoperator, so that every Lindblad stage is then one
+matrix-vector product, as a Schroedinger stage is; larger density matrices
+use the commutator form, ``lindblad_apply``. The states are small, so a
+step costs Python calls, not arithmetic: the stepper therefore asks for the
+generators of a step's eleven distinct stage times at once (one product for
+a ramped system). The state and the stage derivatives are the rows of one
+block, so each stage, the solution and both error estimates are one matrix
+product over it, and ``apply`` writes each stage into its row. The
+Monte-Carlo dephasing average, ``dephasing_average``, advances every noise
+realization at once as one batched RK4 loop.
 
 The ramped Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd``, with its drive
 ``J(t)`` and counterdiabatic coefficient ``c(t)``, is defined in one place:
@@ -100,7 +101,9 @@ STATUS_STEP_BUDGET = 2
 # stage times of a step as fractions of h: stages 2..12. The last, c = 1, is
 # also the FSAL point t + h.
 C_STAGE = DP_C[1:]
-_E53 = np.stack([DP_E5, DP_E3])
+# stage weights, then the solution's; complex, so the products cast nothing
+_A_AUG = np.vstack([DP_A, DP_B])
+_E53 = np.stack([DP_E5, DP_E3]).astype(np.complex128)
 
 
 def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
@@ -111,9 +114,12 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
     ``-i H(t)`` or their ``Liouvillian`` superoperators) stacked over an
     array of times. It is called once at the start time and then once per
     attempted step, at ``t + h * C_STAGE``; stage ``s`` uses row ``s - 1``,
-    and the FSAL derivative the last row, stage 12's time ``t + h``. Output
-    states are recorded exactly at ``sample_times`` (the first entry must
-    equal the start time). Each accepted state passes through ``post_step`` when one
+    and the FSAL derivative the last row, stage 12's time ``t + h``. The
+    state and the stage derivatives are the rows of one block ``Z``: stage
+    ``s`` is ``apply(M, (1, h a_s) . Z[:s + 1], out)``, which writes the
+    derivative into its row ``out``, as ``np.dot`` does. Output states are
+    recorded exactly at ``sample_times`` (the first entry must equal the
+    start time). Each accepted state passes through ``post_step`` when one
     is given, and ``drift_of(y)`` is monitored; the state is never
     renormalized. Returns ``(status, states, drift, stats)``: ``drift`` is
     the largest ``drift_of`` seen at any accepted step and ``stats`` counts
@@ -124,15 +130,18 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
     n = y0.shape[0]
     out = np.zeros((sample_times.shape[0], n), dtype=np.complex128)
     out[0] = y0
-    y = np.array(y0, dtype=np.complex128)
+    Z = np.zeros((_N_STAGES + 2, n), dtype=np.complex128)
+    y, K = Z[0], Z[1:]  # the state, then the stage derivatives
+    y[:] = y0
+    # column 0 weighs y; the rest is h * _A_AUG, filled per attempted step
+    HA = np.ones((_N_STAGES + 1, _N_STAGES + 1), dtype=np.complex128)
+    stages = [(HA[s, :s + 1], Z[:s + 1], K[s]) for s in range(1, _N_STAGES)]
+    solution = HA[_N_STAGES], Z[:_N_STAGES + 1]
     t = float(sample_times[0])
-    f = apply(generators(np.array([t]))[0], y)
+    apply(generators(np.array([t]))[0], y, K[0])
     h_abs = min(h_init, max_step)
     drift = 0.0
     h_min, h_max = math.inf, 0.0
-    K = np.zeros((_N_STAGES + 1, n), dtype=np.complex128)
-    # views of the leading stages, so the loop slices nothing
-    k_head = [K[:s] for s in range(_N_STAGES + 1)]
     accepted = rejected = 0
     status = STATUS_OK
     dot = np.dot
@@ -153,18 +162,16 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
             if t + h > t_end:
                 h = t_end - t
 
-            ha = h * DP_A
+            np.multiply(h, _A_AUG, out=HA[:, 1:])
             m = generators(t + h * C_STAGE)
-            K[0] = f
-            for s in range(1, _N_STAGES):
-                K[s] = apply(m[s - 1], y + dot(ha[s, :s], k_head[s]))
-            y_new = y + dot(h * DP_B, k_head[_N_STAGES])
-            f_new = apply(m[-1], y_new)
-            K[_N_STAGES] = f_new
+            for (coef, head, k), m_s in zip(stages, m):
+                apply(m_s, dot(coef, head), k)
+            y_new = dot(*solution)
+            apply(m[-1], y_new, K[_N_STAGES])
 
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            w = np.abs(dot(_E53, K) / scale)
-            err5, err3 = (w * w).sum(axis=1).tolist()
+            w = (dot(_E53, K) / scale).view(np.float64)
+            (err5, _), (_, err3) = dot(w, w.T).tolist()
             denom = err5 + 0.01 * err3
             if denom > 0.0:
                 err_norm = h * err5 / math.sqrt(denom * n)
@@ -178,11 +185,11 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
                     h_min = h
                 if h > h_max:
                     h_max = h
-                y = y_new if post_step is None else post_step(y_new)
+                y[:] = y_new if post_step is None else post_step(y_new)
                 dev = drift_of(y)
                 if dev > drift:
                     drift = dev
-                f = f_new
+                K[0] = K[_N_STAGES]
                 if err_norm == 0.0:
                     factor = _MAX_FACTOR
                 else:
@@ -271,9 +278,10 @@ def lindblad_apply(d, alpha):
     # alpha * (D rho D - rho) elementwise, since D is diagonal +-1
     dissipator = alpha * (np.outer(d, d) - 1.0)
 
-    def apply(m, y):
+    def apply(m, y, out=None):
         rho = y.reshape(dim, dim)
-        drho = np.dot(m, rho) - np.dot(rho, m)
+        drho = np.subtract(np.dot(m, rho), np.dot(rho, m),
+                           out=None if out is None else out.reshape(dim, dim))
         if alpha > 0.0:
             drho += dissipator * rho
         return drho.ravel()

@@ -243,6 +243,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             _parse_window(rc.tau_window)
         if rc.format not in ("csv", "json"):
             parser.error(f"unsupported format {rc.format!r}")
+        if not os.path.isdir(os.path.dirname(rc.output) or "."):
+            parser.error(f"--output directory does not exist: {rc.output!r}")
         if command == "tradeoff" and not 0.5 < rc.threshold < 1.0:
             parser.error(f"--threshold must lie in (0.5, 1), got {rc.threshold}")
         if command == "nqubit" and not 2 <= (rc.n or 0) <= 6:

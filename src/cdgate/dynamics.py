@@ -47,9 +47,9 @@ HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
 
 # Largest density-matrix dimension integrated as vec(rho) under the
 # Liouvillian: one d^2 x d^2 product per stage beats the commutator's five
-# numpy calls at d = 4 (about half the time per step), but building the
-# stage operators costs d^4 and loses from d = 8 on (timings in
-# docs/noise_model.md, "Integration"); at d = 64 one would hold 268 MB.
+# numpy calls at d = 4 (about half the time per step, 95-106 against 188-190
+# us), but building the stage operators costs d^4 and loses from d = 8 on
+# (timings in docs/noise_model.md, "Integration"); at d = 64 one is 268 MB.
 _LIOUVILLIAN_MAX_DIM = 4
 
 

@@ -162,6 +162,14 @@ class TestParseConfig:
         assert "--tau-window" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    def test_missing_output_directory_exits_2(self, tmp_path, capsys):
+        # found before any gate is computed, so no file is written
+        code = main(["gate-check", "--tau", "7.3,1",
+                     "--output", str(tmp_path / "missing" / "r")])
+        assert code == 2
+        assert "--output directory does not exist" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
 
 class TestEmitCsv:
     def test_seventeen_digit_floats_and_lf(self, tmp_path):

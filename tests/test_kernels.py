@@ -4,6 +4,7 @@ import pytest
 from cdgate import _kernels, dynamics
 from cdgate.dynamics import (EvolutionConfig, NoiseModel, lindblad_evolve,
                              noise_trajectory_oracle, schrodinger_evolve)
+from cdgate.experiments import _initial_vector
 from cdgate.model import (CnotParams, analytic_spectrum, cnot_system,
                           lz_system, nqubit_system)
 
@@ -393,6 +394,80 @@ class TestStepTelemetry:
         # a step capped by max_step is taken as exactly max_step
         assert stats["h_max"] == 0.05
         assert 0.0 < stats["h_min"] <= 0.05
+
+
+class TestPinnedSteps:
+    """Exact step counts of sweep cells at the default tolerances: a change
+    that moves them changes the steps, not only their cost."""
+
+    @pytest.mark.parametrize("tau,steps", [(1.0, (19, 0)), (20.0, (217, 0)),
+                                           (200.0, (2160, 1))])
+    def test_sweep_tau_cell(self, tau, steps):
+        params = CnotParams()
+        system = nqubit_system(2, params, tau)
+        psi0 = _initial_vector(system, 2, params)
+        stats = schrodinger_evolve(system, psi0, EvolutionConfig(tau=tau)).stats
+        assert (stats["accepted"], stats["rejected"]) == steps
+
+    def test_cd_lindblad_cell(self):
+        params = CnotParams()
+        system = cnot_system(params, 200.0, use_cd=True)
+        psi0 = _initial_vector(system, 2, params)
+        stats = lindblad_evolve(system, np.outer(psi0, psi0.conj()),
+                                NoiseModel.from_gap_units(0.15, params.g),
+                                EvolutionConfig(tau=200.0)).stats
+        assert (stats["accepted"], stats["rejected"]) == (784, 28)
+
+
+class TestStepperBuffers:
+    """The stepper works in one state-and-stage block; nothing it returns or
+    was given may share memory with it."""
+
+    def test_y0_kept_and_states_copied(self, rng):
+        m0 = -1j * random_hermitian(rng, 2)
+        psi0 = random_state(rng, 2)
+        y0 = psi0.copy()
+        seen = []
+
+        def apply(m, y, out):
+            seen.extend([y, out])
+            return np.dot(m, y, out)
+
+        def drift_of(y):
+            seen.append(y)
+            return _kernels.norm_drift(y)
+
+        # a first step of 3 is far too long, so rejected steps occur too
+        status, states, _, stats = _kernels.dop853(
+            lambda ts: np.repeat(m0[None], ts.shape[0], axis=0), apply,
+            np.array([0.0, 3.0, 7.0]), y0, 1e-10, 1e-12, np.inf, 5.0,
+            drift_of)
+        assert status == _kernels.STATUS_OK and stats["rejected"] > 0
+        assert np.array_equal(y0, psi0)
+        assert np.array_equal(states[0], psi0)
+        kept = states.copy()
+        for buffer in seen:
+            assert not np.shares_memory(buffer, states)
+            assert not np.shares_memory(buffer, y0)
+            buffer[...] = np.nan
+        assert np.array_equal(states, kept)
+        # three distinct samples, each the exact evolution
+        w, v = np.linalg.eigh(1j * m0)
+        for t, state in zip([0.0, 3.0, 7.0], states):
+            exact = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi0))
+            assert np.abs(state - exact).max() < 1e-9
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_lindblad_apply_writes_its_result(self, rng, dim, alpha):
+        apply = _kernels.lindblad_apply(np.tile([1.0, -1.0], dim // 2), alpha)
+        m = -1j * random_hermitian(rng, dim)
+        psi = random_state(rng, dim)
+        y = np.outer(psi, psi.conj()).ravel()
+        out = np.full(dim * dim, np.nan, dtype=np.complex128)
+        written = apply(m, y, out)
+        assert np.array_equal(out, apply(m, y))
+        assert np.shares_memory(written, out)
 
 
 def test_backend_name_is_numpy():
