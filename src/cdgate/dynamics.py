@@ -15,6 +15,8 @@ density matrix (dimension up to ``_LIOUVILLIAN_MAX_DIM``) is integrated as
 ``vec(rho)`` under the Liouvillian superoperator, one matrix-vector product
 per stage like a pure state; a larger one under the commutator plus
 dissipator of ``_kernels.lindblad_apply``.
+The Monte-Carlo oracle takes its stage Hamiltonians the same way: a ramped
+system evaluated on an array of times, a callable stacked by ``_stacked``.
 ``_jump_diagonal`` picks the dephasing jump operator for the Lindblad engine
 and the oracle alike. States are never renormalized during integration;
 norm / trace drift is monitored and reported instead. The only in-flight
@@ -126,15 +128,26 @@ def _resolve_span(h_of_t: HamiltonianLike, cfg: EvolutionConfig,
     return -cfg.tau / 2.0, cfg.tau / 2.0
 
 
+def _stacked(h_of_t):
+    """A Hamiltonian callable over a 1-D array of times: one call per time,
+    in order, stacked into ``(k, dim, dim)``."""
+
+    def h_stack(ts):
+        return np.stack([np.asarray(h_of_t(t)) for t in ts.tolist()])
+
+    return h_stack
+
+
 def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, max_step,
                         h_init, drift_of, post_step=None, lift=None):
     """``_kernels.dop853`` with the generators ``-i H(t)`` of a Hamiltonian
     callable, called once per stage time, or with their superoperators when
     ``lift`` is a ``_kernels.Liouvillian``; the twin of
     ``_kernels.evolve_ramped``, with the same arguments and result."""
+    h_stack = _stacked(h_of_t)
 
     def generators(ts):
-        m = np.stack([-1j * np.asarray(h_of_t(t)) for t in ts.tolist()])
+        m = -1j * h_stack(ts)
         return m if lift is None else lift(m)
 
     return _kernels.dop853(generators, apply, sample_times, y0, rtol, atol,
@@ -326,8 +339,10 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
     # scaled in place, so no second noise-sized array is ever held
     noise = rng.standard_normal((n_samples, n_steps))
     noise *= scale
+    # a ramped system evaluates itself on an array of times
+    h_stack = h_of_t if ramped else _stacked(h_of_t)
     # noise by keyword: perfbench/tracer.py counts RK4 steps from it
-    return _kernels.dephasing_average(h_of_t, d, t0, dt_actual, noise=noise,
+    return _kernels.dephasing_average(h_stack, d, t0, dt_actual, noise=noise,
                                       psi0=psi0)
 
 

@@ -339,10 +339,10 @@ def gate_unitary_check(tau: float, n_offset: int = 0) -> GateCheckReport:
     dist = frobenius_distance(u, target)
     phase_dist = phase_insensitive_distance(u, target)
 
-    sample_ts = np.linspace(0.0, tau, 5)
+    samples = [h_of_t(t) for t in np.linspace(0.0, tau, 5)]
     resid = max(
-        float(np.abs(commutator(h_of_t(t1), h_of_t(t2))).max())
-        for t1 in sample_ts for t2 in sample_ts
+        float(np.abs(commutator(h1, h2)).max())
+        for h1 in samples for h2 in samples
     )
     return GateCheckReport(
         tau=float(tau),

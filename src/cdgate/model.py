@@ -169,12 +169,18 @@ def effective_lz(params: CnotParams, j2: float) -> np.ndarray:
             - params.j1 * IDENTITY_2).astype(np.complex128)
 
 
+# The constant operator shapes of the closed-form fields, built once: each
+# field is a scalar times its shape, returned as a fresh array.
+_CD_ANALYTIC_SHAPE = kron(SIGMA_Z - IDENTITY_2, SIGMA_Y)
+_INVERSE_ENGINEERED_SHAPE = kron(SIGMA_Z - IDENTITY_2, SIGMA_X - IDENTITY_2)
+
+
 def build_h_cd_analytic(params: CnotParams, j2: float,
                         j2dot: float) -> np.ndarray:
     """Closed-form counterdiabatic field:
     -(g * j2dot / (4 (g^2 + j2^2))) (sigma_z1 - 1)(sigma_y2)."""
     pref = -params.g * j2dot / (4.0 * (params.g ** 2 + j2 * j2))
-    return pref * kron(SIGMA_Z - IDENTITY_2, SIGMA_Y)
+    return pref * _CD_ANALYTIC_SHAPE
 
 
 def build_h_cd_spectral(h, hdot, gap_tol: float | None = None,
@@ -223,8 +229,7 @@ def build_inverse_engineered(phidot: float) -> np.ndarray:
     """Inverse-engineered gate Hamiltonian
     -(phidot / 4)(sigma_z1 - 1)(sigma_x2 - 1); generates an exact CNOT when
     the phase advances by an odd multiple of pi."""
-    return (-phidot / 4.0) * kron(SIGMA_Z - IDENTITY_2,
-                                  SIGMA_X - IDENTITY_2)
+    return (-phidot / 4.0) * _INVERSE_ENGINEERED_SHAPE
 
 
 def _check_qubit_count(n: int) -> None:
@@ -296,10 +301,13 @@ class RampedGateHamiltonian:
     """H(t) = h0 + J(t) hz + c(t) hcd with J(t) = slope * t linear in time.
 
     This is the structured form the ramped evolution kernels understand;
-    calling it returns the assembled matrix at time t. ``hcd`` uses the
-    projector normalization, c(t) = g * slope / (2 (g^2 + J^2)).
-    ``drive_value`` and ``cd_coefficient`` are the only place J(t) and c(t)
-    are written; both take a float or a numpy array of times.
+    calling it returns the assembled matrix at time t, or the matrices
+    stacked over an array of times (shape ``t.shape + (dim, dim)``) with the
+    same elementwise arithmetic, so each equals its scalar call bit for bit.
+    ``hcd`` uses the projector normalization,
+    c(t) = g * slope / (2 (g^2 + J^2)). ``drive_value`` and
+    ``cd_coefficient`` are the only place J(t) and c(t) are written; both
+    take a float or a numpy array of times.
     """
 
     h0: np.ndarray
@@ -323,10 +331,11 @@ class RampedGateHamiltonian:
         # g * slope / (2 (g^2 + J^2)); halving g * slope first is exact
         return 0.5 * self.g * self.slope / (self.g * self.g + j2 * j2)
 
-    def __call__(self, t: float) -> np.ndarray:
-        h = self.h0 + self.drive_value(t) * self.hz
+    def __call__(self, t) -> np.ndarray:
+        shape = np.shape(t) + (1, 1)
+        h = self.h0 + np.reshape(self.drive_value(t), shape) * self.hz
         if self.use_cd:
-            h = h + self.cd_coefficient(t) * self.hcd
+            h = h + np.reshape(self.cd_coefficient(t), shape) * self.hcd
         return h
 
 

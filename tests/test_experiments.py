@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cdgate import _kernels, experiments
 from cdgate.errors import NoInteriorMaximumError
 from cdgate.experiments import (
     SweepGrid,
@@ -212,6 +213,32 @@ class TestGateUnitaryCheck:
     def test_hamiltonian_commutes_across_times(self):
         report = gate_unitary_check(2.0)
         assert report.commutator_residual < 1e-12
+
+    def test_builds_the_hamiltonian_once_per_stage_time(self, monkeypatch):
+        # perfbench's traced oracle-check needs the
+        # model.build_inverse_engineered span, so the callable must call it
+        # at each stage time rather than cache its matrix
+        builds, stage_times = [], []
+        build, dop853 = experiments.build_inverse_engineered, _kernels.dop853
+
+        def counted_build(phidot):
+            builds.append(phidot)
+            return build(phidot)
+
+        def counted_dop853(generators, *args):
+            def counted(ts):
+                stage_times.append(ts.shape[0])
+                return generators(ts)
+            return dop853(counted, *args)
+
+        monkeypatch.setattr(experiments, "build_inverse_engineered",
+                            counted_build)
+        monkeypatch.setattr(_kernels, "dop853", counted_dop853)
+        gate_unitary_check(1.0)
+        # 4 propagator columns, each checked for Hermiticity at 3 times;
+        # 1 call for the propagator's dimension; 5 commutator samples
+        assert len(builds) == sum(stage_times) + 4 * 3 + 1 + 5
+        assert len(stage_times) > 4
 
 
 class TestNQubitDemo:

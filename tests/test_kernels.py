@@ -528,6 +528,34 @@ class TestBatchedDephasingAverage:
         batched, loop = _ramped_batched_vs_loop(system)
         assert np.abs(batched - loop).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_blocks_match_loop_and_each_other(self, n, monkeypatch):
+        system = nqubit_system(n, CnotParams(), 3.0, use_cd=True)
+        dim = system.dim
+        default = _kernels._oracle_block_steps(dim)
+        # three default blocks, the last one partial
+        n_steps = 2 * default + 3
+        assert n_steps % 7 and n_steps % default
+        psi0 = random_state(np.random.default_rng(3), dim)
+        dt = (system.t_end - system.t_start) / n_steps
+        noise = np.random.default_rng(17).standard_normal((6, n_steps)) * 2.0
+        d = np.real(np.diag(system.hz))
+        callable_stack = dynamics._stacked(lambda t: system(t))
+        runs = []
+        for steps in (None, 1, 7):
+            if steps is not None:
+                # bytes of exactly ``steps`` steps of stage Hamiltonians
+                monkeypatch.setattr(_kernels, "_ORACLE_BLOCK_BYTES",
+                                    steps * 3 * 16 * dim * dim)
+                assert _kernels._oracle_block_steps(dim) == steps
+            for h_stack in (system, callable_stack):
+                runs.append(_kernels.dephasing_average(
+                    h_stack, d, system.t_start, dt, noise=noise, psi0=psi0))
+        for rho in runs[1:]:
+            assert rho.tobytes() == runs[0].tobytes()
+        loop = _rk4_loop(system, system.hz, system.t_start, dt, noise, psi0)
+        assert np.abs(runs[0] - loop).max() < 1e-12
+
     def test_callable_oracle_matches_per_trajectory_loop(self):
         system = cnot_system(CnotParams(), 2.0, use_cd=True)
         psi0 = analytic_spectrum(CnotParams(), system.drive_value(system.t_start)).states[0]

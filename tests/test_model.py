@@ -29,7 +29,7 @@ from cdgate.model import (
     nqubit_sector_states,
     nqubit_system,
 )
-from cdgate.numerics import hermitian_eig
+from cdgate.numerics import hermitian_eig, kron
 
 
 class TestParams:
@@ -204,6 +204,18 @@ class TestCounterdiabatic:
         out = build_h_cd_spectral(build_h_cnot(p, 0.0), hdot)
         assert np.abs(out - build_h_cd_analytic(p, 0.0, 0.7)).max() < 1e-10
 
+    def test_cached_shape_matches_kron_and_is_never_aliased(self):
+        p = CnotParams()
+        shape = kron(SIGMA_Z - np.eye(2), SIGMA_Y)
+        for j2, j2dot in ((0.0, 0.7), (1.3, -0.4), (-6.0, 2.5)):
+            pref = -p.g * j2dot / (4.0 * (p.g ** 2 + j2 * j2))
+            h = build_h_cd_analytic(p, j2, j2dot)
+            assert h.tobytes() == (pref * shape).tobytes()
+        first = build_h_cd_analytic(p, 1.3, 0.7)
+        expected = build_h_cd_analytic(p, 1.3, 0.7).copy()
+        first[...] = 99.0
+        assert np.array_equal(build_h_cd_analytic(p, 1.3, 0.7), expected)
+
     def test_genuinely_singular_raises(self):
         h = np.diag([1.0, 1.0]).astype(complex)
         with pytest.raises(GapCollisionError):
@@ -234,6 +246,16 @@ class TestInverseEngineered:
     def test_idle_sector_untouched(self):
         h = build_inverse_engineered(1.3)
         assert np.abs(h[:2, :]).max() == 0.0
+
+    def test_cached_shape_matches_kron_and_is_never_aliased(self):
+        shape = kron(SIGMA_Z - np.eye(2), SIGMA_X - np.eye(2))
+        for phidot in (0.0, 1.3, -2.7, np.pi / 7.0):
+            h = build_inverse_engineered(phidot)
+            assert h.tobytes() == ((-phidot / 4.0) * shape).tobytes()
+        first = build_inverse_engineered(1.3)
+        first[...] = 99.0
+        assert np.array_equal(build_inverse_engineered(1.3),
+                              (-1.3 / 4.0) * shape)
 
     def test_cnot_unitary_shape(self):
         u = cnot_unitary()
@@ -325,6 +347,27 @@ class TestRampedSystems:
         if use_cd:
             expected = expected + g * slope / (2.0 * (g * g + j * j)) * SIGMA_Y
         assert np.abs(sector(t) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("use_cd", [False, True])
+    def test_array_of_times_stacks_scalar_calls_bit_for_bit(self, n, use_cd):
+        system = nqubit_system(n, CnotParams(), tau=6.0, use_cd=use_cd)
+        ts = np.linspace(system.t_start, system.t_end, 12) + 1e-3
+        stacked = system(ts)
+        assert stacked.shape == (12, system.dim, system.dim)
+        one_by_one = np.stack([system(t) for t in ts.tolist()])
+        assert stacked.tobytes() == one_by_one.tobytes()
+        # the scalar formula, one float coefficient at a time
+        for t, h in zip(ts.tolist(), stacked):
+            expected = system.h0 + system.drive_value(t) * system.hz
+            if use_cd:
+                expected = expected + system.cd_coefficient(t) * system.hcd
+            assert h.tobytes() == expected.tobytes()
+        # any array shape of times: (4, 3) times give (4, 3, dim, dim)
+        grid = system(ts.reshape(4, 3))
+        assert grid.reshape(stacked.shape).tobytes() == stacked.tobytes()
+        assert system(0.3).shape == (system.dim, system.dim)
+        assert system(np.float64(0.3)).shape == (system.dim, system.dim)
 
     def test_nqubit_system_matches_cnot_system(self):
         p = CnotParams()
