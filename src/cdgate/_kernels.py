@@ -2,7 +2,8 @@
 
 Everything here is plain numpy. One adaptive Dormand-Prince 8(5,3) stepper,
 ``dop853``, integrates every Schroedinger and Lindblad evolution. It takes
-``generators(ts)``, the stage operators stacked over an array of times, and
+``generators(ts, out=None)``, the stage operators stacked over an array of
+times (written into ``out`` and returned, when given), and
 ``apply(M, y, out)``, the derivative written into ``out`` as by ``np.dot``;
 ``cdgate.dynamics`` chooses the equation (``apply``, drift monitor,
 symmetrization) and the generator source: ``evolve_ramped`` for a ramped
@@ -13,12 +14,13 @@ matrix-vector product, as a Schroedinger stage is; larger density matrices
 use the commutator form, ``lindblad_apply``. The states are small, so a
 step costs Python calls, not arithmetic: the stepper therefore asks for the
 generators of a step's eleven distinct stage times at once (one product for
-a ramped system). The state and the stage derivatives are the rows of one
-block, so each stage, the solution and both error estimates are one matrix
-product over it, and ``apply`` writes each stage into its row. The
-Monte-Carlo dephasing average, ``dephasing_average``, advances every noise
-realization at once as one batched RK4 loop, building the stage
-Hamiltonians of a block of steps at once.
+a ramped system), into a block of its own. The state and the stage
+derivatives are the rows of one block, so each stage, the solution and both
+error estimates are one matrix product over it, and ``apply`` writes each
+stage into its row; a step allocates no array. The Monte-Carlo dephasing
+average, ``dephasing_average``, advances every noise realization at once
+as one batched RK4 loop, building the stage Hamiltonians of a block of
+steps at once.
 
 The ramped Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd``, with its drive
 ``J(t)`` and counterdiabatic coefficient ``c(t)``, is defined in one place:
@@ -102,6 +104,8 @@ STATUS_STEP_BUDGET = 2
 # stage times of a step as fractions of h: stages 2..12. The last, c = 1, is
 # also the FSAL point t + h.
 C_STAGE = DP_C[1:]
+# ``np.dot`` without its array-function dispatch, a quarter of a small product
+matvec = np.ndarray.dot
 # stage weights, then the solution's; complex, so the products cast nothing
 _A_AUG = np.vstack([DP_A, DP_B])
 _E53 = np.stack([DP_E5, DP_E3]).astype(np.complex128)
@@ -111,21 +115,24 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
            drift_of, post_step=None):
     """Integrate ``dy/dt = apply(M(t), y)`` for a flat complex ``y``.
 
-    ``generators(ts)`` returns the stage operators ``M(t)`` (generators
-    ``-i H(t)`` or their ``Liouvillian`` superoperators) stacked over an
-    array of times. It is called once at the start time and then once per
-    attempted step, at ``t + h * C_STAGE``; stage ``s`` uses row ``s - 1``,
-    and the FSAL derivative the last row, stage 12's time ``t + h``. The
-    state and the stage derivatives are the rows of one block ``Z``: stage
-    ``s`` is ``apply(M, (1, h a_s) . Z[:s + 1], out)``, which writes the
-    derivative into its row ``out``, as ``np.dot`` does. Output states are
-    recorded exactly at ``sample_times`` (the first entry must equal the
-    start time). Each accepted state passes through ``post_step`` when one
-    is given, and ``drift_of(y)`` is monitored; the state is never
-    renormalized. Returns ``(status, states, drift, stats)``: ``drift`` is
-    the largest ``drift_of`` seen at any accepted step and ``stats`` counts
-    the ``accepted`` and ``rejected`` steps and the ``rhs_evals``, and holds
-    the smallest and largest accepted step, ``h_min`` and ``h_max`` (0 when
+    ``generators(ts, out=None)`` returns the stage operators ``M(t)``
+    (generators ``-i H(t)`` or their ``Liouvillian`` superoperators)
+    stacked over an array of times, written into ``out`` when given. The
+    start-time call sizes the stepper's own ``(11,) + op_shape`` block,
+    which each attempted step passes as ``out``, at ``t + h * C_STAGE``:
+    stage ``s`` uses row ``s - 1``, and the FSAL derivative the last row,
+    stage 12's time ``t + h``. The state and the stage derivatives are the
+    rows of one block ``Z``: stage ``s`` is
+    ``apply(M, (1, h a_s) . Z[:s + 1], out)``, which writes the derivative
+    into its row ``out``, as ``np.dot`` does. Every per-step array is
+    allocated once per call and written in place. Output states are recorded exactly at
+    ``sample_times`` (the first entry must equal the start time). Each
+    accepted state passes through ``post_step`` when one is given, and
+    ``drift_of(y)`` is monitored; the state is never renormalized. Returns
+    ``(status, states, drift, stats)``: ``drift`` is the largest
+    ``drift_of`` seen at any accepted step and ``stats`` counts the
+    ``accepted`` and ``rejected`` steps and the ``rhs_evals``, and holds the
+    smallest and largest accepted step, ``h_min`` and ``h_max`` (0 when
     no step was accepted).
     """
     n = y0.shape[0]
@@ -134,18 +141,29 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
     Z = np.zeros((_N_STAGES + 2, n), dtype=np.complex128)
     y, K = Z[0], Z[1:]  # the state, then the stage derivatives
     y[:] = y0
+    t = float(sample_times[0])
+    m0 = generators(np.array([t]))
+    apply(m0[0], y, K[0])
+    # the stage operators of every attempted step, written by ``generators``
+    M = np.empty(C_STAGE.shape + m0.shape[1:], dtype=np.complex128)
     # column 0 weighs y; the rest is h * _A_AUG, filled per attempted step
     HA = np.ones((_N_STAGES + 1, _N_STAGES + 1), dtype=np.complex128)
-    stages = [(HA[s, :s + 1], Z[:s + 1], K[s]) for s in range(1, _N_STAGES)]
-    solution = HA[_N_STAGES], Z[:_N_STAGES + 1]
-    t = float(sample_times[0])
-    apply(generators(np.array([t]))[0], y, K[0])
+    weights = HA[:, 1:]
+    stages = [(HA[s, :s + 1], Z[:s + 1], M[s - 1], K[s])
+              for s in range(1, _N_STAGES)]
+    b_row, head_all = HA[_N_STAGES], Z[:_N_STAGES + 1]  # the solution's
+    # the other per-step arrays, each written in place
+    ts = np.empty(C_STAGE.shape[0])
+    dy, y_new = np.empty((2, n), dtype=np.complex128)
+    m_fsal, k_fsal = M[-1], K[_N_STAGES]
+    err = np.empty((2, n), dtype=np.complex128)
+    w = err.view(np.float64)
+    abs_y, abs_new, scale = np.abs(y), np.empty(n), np.empty(n)
     h_abs = min(h_init, max_step)
     drift = 0.0
     h_min, h_max = math.inf, 0.0
     accepted = rejected = 0
     status = STATUS_OK
-    dot = np.dot
 
     for isamp in range(1, sample_times.shape[0]):
         t_end = float(sample_times[isamp])
@@ -163,16 +181,22 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
             if t + h > t_end:
                 h = t_end - t
 
-            np.multiply(h, _A_AUG, out=HA[:, 1:])
-            m = generators(t + h * C_STAGE)
-            for (coef, head, k), m_s in zip(stages, m):
-                apply(m_s, dot(coef, head), k)
-            y_new = dot(*solution)
-            apply(m[-1], y_new, K[_N_STAGES])
+            np.multiply(h, _A_AUG, out=weights)
+            np.multiply(C_STAGE, h, out=ts)
+            ts += t
+            generators(ts, M)
+            for coef, head, m_s, k in stages:
+                apply(m_s, coef.dot(head, dy), k)
+            b_row.dot(head_all, y_new)
+            apply(m_fsal, y_new, k_fsal)
 
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            w = (dot(_E53, K) / scale).view(np.float64)
-            (err5, _), (_, err3) = dot(w, w.T).tolist()
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= rtol
+            scale += atol
+            _E53.dot(K, err)
+            err /= scale
+            (err5, _), (_, err3) = w.dot(w.T).tolist()
             denom = err5 + 0.01 * err3
             if denom > 0.0:
                 err_norm = h * err5 / math.sqrt(denom * n)
@@ -187,10 +211,14 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
                 if h > h_max:
                     h_max = h
                 y[:] = y_new if post_step is None else post_step(y_new)
+                if post_step is None:  # |y| is |y_new|: swap the buffers
+                    abs_y, abs_new = abs_new, abs_y
+                else:
+                    np.abs(y, out=abs_y)
                 dev = drift_of(y)
                 if dev > drift:
                     drift = dev
-                K[0] = K[_N_STAGES]
+                K[0] = k_fsal
                 if err_norm == 0.0:
                     factor = _MAX_FACTOR
                 else:
@@ -238,8 +266,8 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, max_step, h_init,
     ``M(t) = -i H(t)`` is one real combination ``(1, J(t), c(t))`` of the
     float views of ``-i h0``, ``-i hz`` and ``-i hcd``: -i is folded in once
     per call, and the generators of all stage times of a step are one
-    product. With a ``Liouvillian`` as ``lift`` (and ``np.dot`` as
-    ``apply``) the stage operators are its superoperators instead: the three
+    product, written into the stepper's block. With a ``Liouvillian`` as
+    ``lift`` (and ``matvec`` as ``apply``) the stage operators are its superoperators instead: the three
     terms are lifted once per call, so the same product builds them, and
     ``lift.finish`` writes their diagonals from those of the generators. The
     other arguments and the result are ``dop853``'s.
@@ -251,21 +279,25 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, max_step, h_init,
         basis = lift.commutator(terms).view(np.float64)
         diagonals = np.diagonal(terms, axis1=1, axis2=2).copy()
         diagonals = diagonals.view(np.float64)
-    dim = h.dim
+        m_diagonals = np.empty((C_STAGE.shape[0], diagonals.shape[1]))
+    side = h.dim if lift is None else h.dim * h.dim
     # rows (1, J(t), c(t)), one per stage time; without CD c stays zero
     coef = np.zeros((C_STAGE.shape[0], 3))
     coef[:, 0] = 1.0
 
-    def generators(ts):
+    def generators(ts, out=None):
         k = ts.shape[0]
         coef[:k, 1] = h.drive_value(ts)
         if h.use_cd:
             coef[:k, 2] = h.cd_coefficient(ts)
-        block = np.dot(coef[:k], basis).view(np.complex128)
-        if lift is None:
-            return block.reshape(k, dim, dim)
-        return lift.finish(block,
-                           np.dot(coef[:k], diagonals).view(np.complex128))
+        if out is None:
+            out = np.empty((k, side, side), dtype=np.complex128)
+        flat = out.reshape(k, -1)
+        coef[:k].dot(basis, flat.view(np.float64))
+        if lift is not None:
+            lift.finish(flat, coef[:k].dot(diagonals, m_diagonals[:k])
+                        .view(np.complex128))
+        return out
 
     return dop853(generators, apply, sample_times, y0, rtol, atol, max_step,
                   h_init, drift_of, post_step)
@@ -281,7 +313,7 @@ def lindblad_apply(d, alpha):
 
     def apply(m, y, out=None):
         rho = y.reshape(dim, dim)
-        drho = np.subtract(np.dot(m, rho), np.dot(rho, m),
+        drho = np.subtract(m.dot(rho), rho.dot(m),
                            out=None if out is None else out.reshape(dim, dim))
         if alpha > 0.0:
             drho += dissipator * rho
@@ -308,14 +340,17 @@ class Liouvillian:
         self.dim = d.shape[0]
         self.dissipator = (alpha * (np.outer(d, d) - 1.0)).ravel()
 
-    def commutator(self, m):
+    def commutator(self, m, out=None):
         """``M (x) I - I (x) M^T`` for each ``M`` of the stack ``m``,
-        flattened to ``(k, dim^4)``; ``finish`` sets the diagonals."""
+        flattened to ``(k, dim^4)`` (written into ``out``, a ``(k, dim^2,
+        dim^2)`` block, when given); ``finish`` sets the diagonals."""
         eye = np.eye(self.dim)
         m_t = m.transpose(0, 2, 1)
         # axes (k, a, c, b, e): M_ab delta_ce - delta_ab M_ec
-        lifted = (m[:, :, None, :, None] * eye[:, None, :]
-                  - eye[:, None, :, None] * m_t[:, None, :, None])
+        lifted = np.subtract(
+            m[:, :, None, :, None] * eye[:, None, :],
+            eye[:, None, :, None] * m_t[:, None, :, None],
+            out=None if out is None else out.reshape((-1,) + (self.dim,) * 4))
         return lifted.reshape(m.shape[0], -1)
 
     def finish(self, flat, m_diagonals):
@@ -323,14 +358,18 @@ class Liouvillian:
         dim^4)``, in place) from the diagonals ``(k, dim)`` of their
         generators; returns them as ``(k, dim^2, dim^2)``."""
         k, n = flat.shape[0], self.dim * self.dim
-        flat[:, ::n + 1] = ((m_diagonals[:, :, None] - m_diagonals[:, None, :])
-                            .reshape(k, n) + self.dissipator)
+        diagonals = flat[:, ::n + 1]  # a view: written in place
+        np.subtract(m_diagonals[:, :, None], m_diagonals[:, None, :],
+                    out=diagonals.reshape(k, self.dim, self.dim))
+        diagonals += self.dissipator
         return flat.reshape(k, n, n)
 
-    def __call__(self, m):
-        """The superoperators of a stack of generators ``m``."""
-        return self.finish(self.commutator(m),
-                           np.diagonal(m, axis1=1, axis2=2))
+    def __call__(self, m, out=None):
+        """The superoperators of a stack of generators ``m``, written into
+        ``out`` when given."""
+        lifted = self.finish(self.commutator(m, out),
+                             np.diagonal(m, axis1=1, axis2=2))
+        return lifted if out is None else out
 
 
 # Bytes of stage Hamiltonians built at once by ``dephasing_average``, at any

@@ -7,12 +7,14 @@ configuration/validation error.
 Axis values accept the range syntax ``start:stop:count[log]`` or a comma
 list; noise strengths are given in units of the minimal gap 2g. A JSON
 config file (``--config``) supplies defaults that explicit flags override.
+JSON output is strict: a NaN is written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -104,6 +106,23 @@ def parse_axis(spec: str) -> np.ndarray:
     if not (values.size and np.isfinite(values).all()):
         raise ValueError(f"axis {s!r} needs finite values")
     return values
+
+
+def _axis_problem(command: str, name: str, values: np.ndarray) -> str | None:
+    """Why the ``--tau`` or ``--alpha`` values do not suit ``command``, or
+    None. An axis the command does not take is not checked."""
+    spec = _COMMANDS[command]
+    if name not in spec.options:
+        return None
+    if spec.single and values.size > 1:
+        return "takes one value"
+    # tau is a duration; alpha = 0 has no optimal tau
+    positive = name == "tau" or command == "optimal-tau"
+    if np.any(values <= 0.0 if positive else values < 0.0):
+        return "must be positive" if positive else "must be non-negative"
+    if spec.grid and np.any(np.diff(values) < 0):
+        return "must be ascending"
+    return None
 
 
 def _parse_window(spec: str) -> tuple[float, float]:
@@ -231,14 +250,13 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         rc = RunConfig(command=command, **rc_kwargs)
         rc.params()
         rc.evolution_config(1.0)
-        spec = _COMMANDS[command]
         for axis_name in ("tau", "alpha"):
             value = getattr(rc, axis_name)
-            if value is not None:
-                descends = np.any(np.diff(parse_axis(value)) < 0)
-                if spec.grid and axis_name in spec.options and descends:
-                    parser.error(f"--{axis_name} must be ascending for "
-                                 f"{command}, got {value!r}")
+            problem = (None if value is None else
+                       _axis_problem(command, axis_name, parse_axis(value)))
+            if problem:
+                parser.error(f"--{axis_name} {problem} for {command}, "
+                             f"got {value!r}")
         if command == "optimal-tau":
             _parse_window(rc.tau_window)
         if rc.format not in ("csv", "json"):
@@ -281,13 +299,25 @@ def emit_csv(path: str, header: list[str], rows) -> int:
         raise
 
 
+def _strict_json(value):
+    """``value`` with each NaN or infinite float as None, so that it dumps
+    as RFC 8259 JSON, which has no NaN: a failed cell reads ``null``."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def emit_json(path: str, header: list[str], rows) -> int:
     try:
         payload = [dict(zip(header, [bool(x) if isinstance(x, (bool, np.bool_))
                                      else float(x) for x in row]))
                    for row in rows]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(_strict_json(payload), fh, indent=1, allow_nan=False)
             fh.write("\n")
         return len(payload)
     except OSError:
@@ -452,6 +482,7 @@ class _Command(NamedTuple):
     defaults: dict = {}
     required: tuple[str, ...] = ()
     grid: bool = False  # its tau and alpha axes span a sweep grid, ascending
+    single: bool = False  # it runs one gate: one tau, and one alpha
 
 
 # One entry per subcommand. The row functions reach the experiments and
@@ -459,9 +490,10 @@ class _Command(NamedTuple):
 # stored reference, so wrappers put on those names (perfbench/tracer.py)
 # see every call.
 _COMMANDS = {
-    "spectrum": _Command("energy spectrum along the drive", _spectrum_rows),
+    "spectrum": _Command("energy spectrum along the drive", _spectrum_rows,
+                         single=True),
     "evolve": _Command("a single gate run (unitary, or noisy with --alpha)",
-                       _evolve_rows, ("tau", "alpha", "cd")),
+                       _evolve_rows, ("tau", "alpha", "cd"), single=True),
     "sweep-tau": _Command(
         "final fidelity and transition probability vs tau", _sweep_tau_rows,
         ("tau", "cd"), {"tau": "1:200:60log"}, grid=True),
@@ -528,7 +560,8 @@ def run_command(rc: RunConfig) -> tuple[list[str], str | None]:
         manifest["summary"] = summary
     manifest_path = f"{rc.output}_manifest.json"
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+        json.dump(_strict_json(manifest), fh, indent=1, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     return [f["path"] for f in files] + [manifest_path], _failure(summary)
 

@@ -146,9 +146,10 @@ def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, max_step,
     ``_kernels.evolve_ramped``, with the same arguments and result."""
     h_stack = _stacked(h_of_t)
 
-    def generators(ts):
-        m = -1j * h_stack(ts)
-        return m if lift is None else lift(m)
+    def generators(ts, out=None):
+        if lift is None:
+            return np.multiply(-1j, h_stack(ts), out=out)
+        return lift(-1j * h_stack(ts), out)
 
     return _kernels.dop853(generators, apply, sample_times, y0, rtol, atol,
                            max_step, h_init, drift_of, post_step)
@@ -224,7 +225,7 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
     psi0 = as_state(psi0)
     _require_normalized(psi0, "psi0")
     times = np.linspace(*_resolve_span(h_of_t, cfg, t_span), cfg.sample_count)
-    states, drift, stats = _integrate(h_of_t, np.dot, times, psi0, cfg,
+    states, drift, stats = _integrate(h_of_t, _kernels.matvec, times, psi0, cfg,
                                       _kernels.norm_drift)
     if drift > TOL.norm_drift:
         raise NormDriftExceededError(
@@ -271,7 +272,7 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
     times = np.linspace(*_resolve_span(h_of_t, cfg, t_span), cfg.sample_count)
     d = _jump_diagonal(h_of_t, dim)
     if dim <= _LIOUVILLIAN_MAX_DIM:
-        apply, lift = np.dot, _kernels.Liouvillian(d, noise.alpha)
+        apply, lift = _kernels.matvec, _kernels.Liouvillian(d, noise.alpha)
     else:
         apply, lift = _kernels.lindblad_apply(d, noise.alpha), None
     flat, drift, stats = _integrate(h_of_t, apply, times, rho0.ravel(), cfg,

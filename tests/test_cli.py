@@ -120,6 +120,50 @@ class TestParseConfig:
         assert "must be ascending" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("argv, file_values, problem", [
+        (["evolve", "--tau", "-3"], None, "--tau must be positive"),
+        (["spectrum", "--tau", "0"], None, "--tau must be positive"),
+        (["sweep-tau", "--tau=-1,2"], None, "--tau must be positive"),
+        (["heatmap", "--alpha=-0.1,0.1", "--tau", "1,2"], None,
+         "--alpha must be non-negative"),
+        (["evolve", "--tau", "5", "--alpha=-0.1"], None,
+         "--alpha must be non-negative"),
+        (["gate-check", "--tau=0.5,-1"], None, "--tau must be positive"),
+        (["optimal-tau", "--alpha", "0"], None, "--alpha must be positive"),
+        (["nqubit", "--n", "3"], {"tau": "0:5:3"}, "--tau must be positive"),
+        (["tradeoff"], {"alpha": "-0.2,0.1"}, "--alpha must be non-negative"),
+        (["optimal-tau"], {"alpha": "0.04,0"}, "--alpha must be positive"),
+    ], ids=["evolve-tau", "spectrum-tau", "sweep-tau", "heatmap-alpha",
+            "evolve-alpha", "gate-check", "optimal-tau-alpha", "file-tau",
+            "file-alpha", "file-optimal-tau-alpha"])
+    def test_out_of_range_axis_exits_2(self, argv, file_values, problem,
+                                       tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        if file_values is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(file_values))
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv + ["--output", str(out / "r")]) == 2
+        assert problem in capsys.readouterr().err
+        assert not os.listdir(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--tau", "5,10", "--samples", "3"],
+        ["evolve", "--alpha", "0.1,0.2"],
+        ["evolve", "--tau", "1:10:3log"],
+        ["spectrum", "--tau", "1,2"],
+    ], ids=["evolve-tau", "evolve-alpha", "evolve-tau-range", "spectrum"])
+    def test_single_run_takes_one_value(self, argv, tmp_path, capsys):
+        assert main(argv + ["--output", str(tmp_path / "r")]) == 2
+        assert "takes one value" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_one_value_range_is_one_value(self):
+        assert parse_config(["spectrum", "--tau", "5:9:1"]).tau == "5:9:1"
+        rc = parse_config(["evolve", "--tau", "5", "--alpha", "0"])
+        assert (rc.tau, rc.alpha) == ("5", "0")
+
     def test_descending_axis_outside_a_grid_is_accepted(self, tmp_path):
         rc = parse_config(["gate-check", "--tau", "7.3,1"])
         assert list(parse_axis(rc.tau)) == [7.3, 1.0]
@@ -389,6 +433,34 @@ class TestCommands:
             "below the threshold" for i in (0, 1)]
         assert err[-1] == ("cdgate: 2 sweep cell(s) failed; they count as "
                            "below the threshold")
+
+    def test_json_files_are_strict(self, tmp_path, monkeypatch):
+        import cdgate.experiments as exp
+        real = exp._unitary_cell
+
+        def flaky(n, params, tau, *rest):
+            if tau > 1.0:
+                raise exp.CdgateError("injected failure")
+            return real(n, params, tau, *rest)
+
+        def strict(text):
+            def reject(name):
+                raise ValueError(f"{name} is not JSON")
+            return json.loads(text, parse_constant=reject)
+
+        # one alpha on a short axis: no product, so its mean is undefined
+        code, _ = _run(tmp_path, ["tradeoff", "--alpha", "0.02",
+                                  "--tau", "1,2", "--threshold", "0.9"])
+        assert code == 0
+        summary = strict((tmp_path / "run_manifest.json").read_text())["summary"]
+        assert summary["product_mean"] is None
+        monkeypatch.setattr(exp, "_unitary_cell", flaky)
+        code, _ = _run(tmp_path, ["sweep-tau", "--tau", "1,2",
+                                  "--format", "json"])
+        assert code == 1
+        rows = strict((tmp_path / "run_sweep-tau.json").read_text())
+        assert [row["fidelity"] is None for row in rows] == [False, True]
+        strict((tmp_path / "run_manifest.json").read_text())
 
     @pytest.mark.parametrize("argv", [
         ["tradeoff", "--alpha", "0.02,0.2", "--tau", "1,4"],

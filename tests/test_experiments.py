@@ -226,9 +226,9 @@ class TestGateUnitaryCheck:
             return build(phidot)
 
         def counted_dop853(generators, *args):
-            def counted(ts):
+            def counted(ts, out=None):
                 stage_times.append(ts.shape[0])
-                return generators(ts)
+                return generators(ts, out)
             return dop853(counted, *args)
 
         monkeypatch.setattr(experiments, "build_inverse_engineered",

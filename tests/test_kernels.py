@@ -278,16 +278,86 @@ class TestLiouvillian:
         assert built == ([8] if commutator else [])
 
 
+def _constant_block(m0, ts, out=None):
+    """The generator ``m0`` at every time of ``ts``, written into ``out``
+    when given, as a generator source does."""
+    if out is None:
+        out = np.empty(ts.shape + m0.shape, dtype=np.complex128)
+    out[...] = m0
+    return out
+
+
+def _captured_generators(monkeypatch, engine, args):
+    """The ``generators`` that ``engine`` hands to ``dop853``."""
+    captured = {}
+
+    def capture(generators, *rest):
+        captured["generators"] = generators
+        return _kernels.STATUS_OK, None, 0.0, {}
+
+    monkeypatch.setattr(_kernels, "dop853", capture)
+    engine(*args)
+    return captured["generators"]
+
+
 class TestStepperInterface:
     """``dop853`` builds the generators of a step's stage times in one call."""
+
+    @pytest.mark.parametrize("use_cd", [False, True])
+    @pytest.mark.parametrize("liouvillian", [False, True],
+                             ids=["schrodinger", "liouvillian"])
+    @pytest.mark.parametrize("source", ["ramped", "callable"])
+    def test_out_holds_the_returned_bytes(self, monkeypatch, source,
+                                          liouvillian, use_cd):
+        system = cnot_system(CnotParams(), 6.0, use_cd=use_cd)
+        args = list(_ramped_args(system, 6.0, liouvillian, 0.1, liouvillian))
+        engine = _kernels.evolve_ramped
+        if source == "callable":
+            args[0], engine = (lambda t: system(t)), dynamics._integrate_callable
+        generators = _captured_generators(monkeypatch, engine, args)
+        dim = system.dim ** 2 if liouvillian else system.dim
+        assert generators(np.array([system.t_start])).shape == (1, dim, dim)
+        out = np.full((11, dim, dim), np.nan, dtype=np.complex128)
+        # the second call writes over the first one's operators
+        for t, h in [(-0.2, 1.1), (2.5, 0.05)]:
+            ts = t + h * _kernels.C_STAGE
+            expected = generators(ts)
+            assert generators(ts, out) is out
+            assert out.tobytes() == expected.tobytes()
+
+    def test_stage_operators_are_one_block(self, rng):
+        m0 = -1j * random_hermitian(rng, 2)
+        outs, received = [], []
+
+        def generators(ts, out=None):
+            outs.append(out)
+            return _constant_block(m0, ts, out)
+
+        def apply(m, y, out):
+            received.append(m)
+            return np.dot(m, y, out)
+
+        # a first step of 3 is far too long, so rejected steps count too
+        status, _, _, stats = _kernels.dop853(
+            generators, apply, np.array([0.0, 3.0, 7.0]), random_state(rng, 2),
+            1e-10, 1e-12, np.inf, 5.0, _kernels.norm_drift)
+        assert status == _kernels.STATUS_OK and stats["rejected"] > 0
+        steps = stats["accepted"] + stats["rejected"]
+        # the start-time call sizes the block that every step then fills
+        block = outs[1]
+        assert outs[0] is None and block.shape == (11, 2, 2)
+        assert len(outs) == 1 + steps
+        assert all(out is block for out in outs[1:])
+        assert len(received) == stats["rhs_evals"]
+        assert all(np.shares_memory(m, block) for m in received[1:])
 
     def test_generators_called_once_per_step(self, rng):
         m0 = -1j * random_hermitian(rng, 2)
         sizes = []
 
-        def generators(ts):
+        def generators(ts, out=None):
             sizes.append(ts.shape[0])
-            return np.repeat(m0[None], ts.shape[0], axis=0)
+            return _constant_block(m0, ts, out)
 
         psi0 = random_state(rng, 2)
         # a first step of 3 is far too long, so rejected steps count too
@@ -368,9 +438,9 @@ class TestStepTelemetry:
         last = {}
         ends = [0.0]
 
-        def generators(ts):
+        def generators(ts, out=None):
             last["end"] = float(ts[-1])
-            return np.repeat(m0[None], ts.shape[0], axis=0)
+            return _constant_block(m0, ts, out)
 
         def drift_of(y):
             # called once per accepted step, after its generators
@@ -439,7 +509,7 @@ class TestStepperBuffers:
 
         # a first step of 3 is far too long, so rejected steps occur too
         status, states, _, stats = _kernels.dop853(
-            lambda ts: np.repeat(m0[None], ts.shape[0], axis=0), apply,
+            lambda ts, out=None: _constant_block(m0, ts, out), apply,
             np.array([0.0, 3.0, 7.0]), y0, 1e-10, 1e-12, np.inf, 5.0,
             drift_of)
         assert status == _kernels.STATUS_OK and stats["rejected"] > 0
