@@ -17,10 +17,14 @@ generators of a step's eleven distinct stage times at once (one product for
 a ramped system), into a block of its own. The state and the stage
 derivatives are the rows of one block, so each stage, the solution and both
 error estimates are one matrix product over it, and ``apply`` writes each
-stage into its row; a step allocates no array. The Monte-Carlo dephasing
-average, ``dephasing_average``, advances every noise realization at once
-as one batched RK4 loop, building the stage Hamiltonians of a block of
-steps at once.
+stage into its row; a step allocates no array. A ramped source binds its
+views of that block once: the model writes the drive and CD coefficients
+into its coefficient block, and the ``Liouvillian`` diagonals are written
+through views and a scratch made once per run. ``symmetrize`` writes each
+accepted density matrix straight into the state row. The Monte-Carlo
+dephasing average, ``dephasing_average``, advances every noise realization
+at once as one batched RK4 loop, building the stage Hamiltonians of a block
+of steps at once.
 
 The ramped Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd``, with its drive
 ``J(t)`` and counterdiabatic coefficient ``c(t)``, is defined in one place:
@@ -125,9 +129,10 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
     rows of one block ``Z``: stage ``s`` is
     ``apply(M, (1, h a_s) . Z[:s + 1], out)``, which writes the derivative
     into its row ``out``, as ``np.dot`` does. Every per-step array is
-    allocated once per call and written in place. Output states are recorded exactly at
-    ``sample_times`` (the first entry must equal the start time). Each
-    accepted state passes through ``post_step`` when one is given, and
+    allocated once per call and written in place. Output states are
+    recorded exactly at ``sample_times`` (the first entry must equal the
+    start time). When a ``post_step`` is given, ``post_step(y_new, y)``
+    writes each accepted state into the state row ``y``, and
     ``drift_of(y)`` is monitored; the state is never renormalized. Returns
     ``(status, states, drift, stats)``: ``drift`` is the largest
     ``drift_of`` seen at any accepted step and ``stats`` counts the
@@ -147,8 +152,9 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
     # the stage operators of every attempted step, written by ``generators``
     M = np.empty(C_STAGE.shape + m0.shape[1:], dtype=np.complex128)
     # column 0 weighs y; the rest is h * _A_AUG, filled per attempted step
+    # through the float view of its real parts (the imaginary parts stay 0)
     HA = np.ones((_N_STAGES + 1, _N_STAGES + 1), dtype=np.complex128)
-    weights = HA[:, 1:]
+    weights = HA.view(np.float64)[:, 2::2]
     stages = [(HA[s, :s + 1], Z[:s + 1], M[s - 1], K[s])
               for s in range(1, _N_STAGES)]
     b_row, head_all = HA[_N_STAGES], Z[:_N_STAGES + 1]  # the solution's
@@ -210,10 +216,11 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
                     h_min = h
                 if h > h_max:
                     h_max = h
-                y[:] = y_new if post_step is None else post_step(y_new)
                 if post_step is None:  # |y| is |y_new|: swap the buffers
+                    y[:] = y_new
                     abs_y, abs_new = abs_new, abs_y
                 else:
+                    post_step(y_new, y)
                     np.abs(y, out=abs_y)
                 dev = drift_of(y)
                 if dev > drift:
@@ -244,18 +251,27 @@ def norm_drift(y):
 def trace_drift(y):
     """|trace - 1| of a flattened square density matrix."""
     dim = math.isqrt(y.shape[0])
-    return abs(y[::dim + 1].sum() - 1.0)
+    return abs(np.add.reduce(y[::dim + 1]) - 1.0)
 
 
-def symmetrize(y):
-    """Keep a flattened density matrix exactly Hermitian.
+def symmetrize(y, out=None):
+    """Keep a flattened density matrix exactly Hermitian: ``(rho + rho^H)
+    / 2``, written into ``out`` (a new array when None) and returned.
 
-    The stepper's retained FSAL derivative goes stale by the same O(eps),
-    which is harmless.
+    ``rho^H`` is written into ``out``, then ``rho`` is added and the sum
+    halved in place, so ``y`` is only read and no temporary is made; the
+    stepper passes its state row as ``out``. The stepper's retained FSAL
+    derivative goes stale by the same O(eps), which is harmless.
     """
     dim = math.isqrt(y.shape[0])
     rho = y.reshape(dim, dim)
-    return ((rho + rho.conj().T) * 0.5).ravel()
+    if out is None:
+        out = np.empty_like(y)
+    sym = out.reshape(dim, dim)
+    np.conjugate(rho.T, out=sym)
+    np.add(rho, sym, out=sym)
+    np.multiply(sym, 0.5, out=sym)
+    return out
 
 
 def evolve_ramped(h, apply, sample_times, y0, rtol, atol, max_step, h_init,
@@ -266,11 +282,15 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, max_step, h_init,
     ``M(t) = -i H(t)`` is one real combination ``(1, J(t), c(t))`` of the
     float views of ``-i h0``, ``-i hz`` and ``-i hcd``: -i is folded in once
     per call, and the generators of all stage times of a step are one
-    product, written into the stepper's block. With a ``Liouvillian`` as
-    ``lift`` (and ``matvec`` as ``apply``) the stage operators are its superoperators instead: the three
-    terms are lifted once per call, so the same product builds them, and
-    ``lift.finish`` writes their diagonals from those of the generators. The
-    other arguments and the result are ``dop853``'s.
+    product, written into the stepper's block. The model writes ``J(t)``
+    and ``c(t)`` into the columns of the coefficient block. With a
+    ``Liouvillian`` as ``lift`` (and ``matvec`` as ``apply``) the stage
+    operators are its superoperators instead: the three terms are lifted
+    once per call, so the same product builds them, and the writer of
+    ``lift.diagonal_writer`` sets their diagonals from those of the
+    generators. The views of a block, and its diagonal writer, are bound
+    when the block is first seen, so once per call for the stepper's own
+    block. The other arguments and the result are ``dop853``'s.
     """
     terms = np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd])
     if lift is None:
@@ -279,24 +299,39 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, max_step, h_init,
         basis = lift.commutator(terms).view(np.float64)
         diagonals = np.diagonal(terms, axis1=1, axis2=2).copy()
         diagonals = diagonals.view(np.float64)
-        m_diagonals = np.empty((C_STAGE.shape[0], diagonals.shape[1]))
     side = h.dim if lift is None else h.dim * h.dim
     # rows (1, J(t), c(t)), one per stage time; without CD c stays zero
     coef = np.zeros((C_STAGE.shape[0], 3))
     coef[:, 0] = 1.0
 
-    def generators(ts, out=None):
-        k = ts.shape[0]
-        coef[:k, 1] = h.drive_value(ts)
-        if h.use_cd:
-            coef[:k, 2] = h.cd_coefficient(ts)
-        if out is None:
-            out = np.empty((k, side, side), dtype=np.complex128)
-        flat = out.reshape(k, -1)
-        coef[:k].dot(basis, flat.view(np.float64))
+    def bind(out):
+        """The writer of the generators at ``ts`` into the block ``out``."""
+        k = out.shape[0]
+        rows, target = coef[:k], out.reshape(k, -1).view(np.float64)
+        drive, cd = rows[:, 1], rows[:, 2]
         if lift is not None:
-            lift.finish(flat, coef[:k].dot(diagonals, m_diagonals[:k])
-                        .view(np.complex128))
+            m_diagonals = np.empty((k, diagonals.shape[1]))
+            finish = lift.diagonal_writer(out, m_diagonals.view(np.complex128))
+
+        def write(ts):
+            h.drive_value(ts, drive)
+            if h.use_cd:
+                h.cd_coefficient(ts, cd)
+            rows.dot(basis, target)
+            if lift is not None:
+                rows.dot(diagonals, m_diagonals)
+                finish()
+
+        return write
+
+    bound = [None, None]  # the block last written and its writer
+
+    def generators(ts, out=None):
+        if out is None:
+            out = np.empty((ts.shape[0], side, side), dtype=np.complex128)
+        if out is not bound[0]:
+            bound[:] = out, bind(out)
+        bound[1](ts)
         return out
 
     return dop853(generators, apply, sample_times, y0, rtol, atol, max_step,
@@ -330,10 +365,11 @@ class Liouvillian:
     ``L = M (x) I - I (x) M^T + diag(alpha (d_a d_c - 1))``: ``apply`` is
     ``np.dot``. A generator source lifts its stacked ``M`` with
     ``commutator``, which is linear, so a ramped system may lift its terms
-    before combining them; ``finish`` then writes each diagonal entry as
-    ``(M_aa - M_cc) + alpha (d_a d_c - 1)`` from the combined ``M``. Off the
-    diagonal an entry of ``L`` is one entry of ``M``, so both sources build
-    the same bits and take the same steps.
+    before combining them; the writer that ``diagonal_writer`` binds then
+    writes each diagonal entry as ``(M_aa - M_cc) + alpha (d_a d_c - 1)``
+    from the combined ``M``. Off the diagonal an entry of ``L`` is one
+    entry of ``M``, so both sources build the same bits and take the same
+    steps.
     """
 
     def __init__(self, d, alpha):
@@ -343,7 +379,8 @@ class Liouvillian:
     def commutator(self, m, out=None):
         """``M (x) I - I (x) M^T`` for each ``M`` of the stack ``m``,
         flattened to ``(k, dim^4)`` (written into ``out``, a ``(k, dim^2,
-        dim^2)`` block, when given); ``finish`` sets the diagonals."""
+        dim^2)`` block, when given); ``diagonal_writer`` sets the
+        diagonals."""
         eye = np.eye(self.dim)
         m_t = m.transpose(0, 2, 1)
         # axes (k, a, c, b, e): M_ab delta_ce - delta_ab M_ec
@@ -353,23 +390,31 @@ class Liouvillian:
             out=None if out is None else out.reshape((-1,) + (self.dim,) * 4))
         return lifted.reshape(m.shape[0], -1)
 
-    def finish(self, flat, m_diagonals):
-        """Write the diagonals of the superoperators ``flat`` (``(k,
-        dim^4)``, in place) from the diagonals ``(k, dim)`` of their
-        generators; returns them as ``(k, dim^2, dim^2)``."""
-        k, n = flat.shape[0], self.dim * self.dim
-        diagonals = flat[:, ::n + 1]  # a view: written in place
-        np.subtract(m_diagonals[:, :, None], m_diagonals[:, None, :],
-                    out=diagonals.reshape(k, self.dim, self.dim))
-        diagonals += self.dissipator
-        return flat.reshape(k, n, n)
+    def diagonal_writer(self, lifted, m_diagonals):
+        """A function that, at each call, writes the diagonals of the
+        contiguous superoperator block ``lifted`` from ``m_diagonals``, the
+        ``(k, dim)`` diagonals of their generators: ``M_aa - M_cc`` into a
+        contiguous scratch, then that plus the dissipator into the strided
+        diagonal of ``lifted``. The views and the scratch are made here."""
+        k, n = lifted.shape[0], self.dim * self.dim
+        target = lifted.reshape(k, -1)[:, ::n + 1]  # a view: written in place
+        scratch = np.empty((k, self.dim, self.dim), dtype=np.complex128)
+        flat, dissipator = scratch.reshape(k, n), self.dissipator
+        m_aa, m_cc = m_diagonals[:, :, None], m_diagonals[:, None, :]
+
+        def finish():
+            np.subtract(m_aa, m_cc, out=scratch)
+            np.add(flat, dissipator, out=target)
+
+        return finish
 
     def __call__(self, m, out=None):
-        """The superoperators of a stack of generators ``m``, written into
-        ``out`` when given."""
-        lifted = self.finish(self.commutator(m, out),
-                             np.diagonal(m, axis1=1, axis2=2))
-        return lifted if out is None else out
+        """The ``(k, dim^2, dim^2)`` superoperators of a stack of generators
+        ``m``, written into ``out`` when given."""
+        lifted = self.commutator(m, out)
+        self.diagonal_writer(lifted, np.diagonal(m, axis1=1, axis2=2))()
+        n = self.dim * self.dim
+        return lifted.reshape(-1, n, n) if out is None else out
 
 
 # Bytes of stage Hamiltonians built at once by ``dephasing_average``, at any

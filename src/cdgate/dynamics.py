@@ -49,7 +49,7 @@ HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
 
 # Largest density-matrix dimension integrated as vec(rho) under the
 # Liouvillian: one d^2 x d^2 product per stage beats the commutator's five
-# numpy calls at d = 4 (about half the time per step, 95-106 against 188-190
+# numpy calls at d = 4 (under half the time per step, 29-37 against 65-74
 # us), but building the stage operators costs d^4 and loses from d = 8 on
 # (timings in docs/noise_model.md, "Integration"); at d = 64 one is 268 MB.
 _LIOUVILLIAN_MAX_DIM = 4
@@ -259,13 +259,15 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
 
         d rho/dt = -i [H(t), rho] + alpha (sigma_z2 rho sigma_z2 - rho),
 
-    symmetrizing rho after each accepted step. Up to dimension
-    ``_LIOUVILLIAN_MAX_DIM`` the stages apply the Liouvillian to
-    ``vec(rho)`` (``_kernels.Liouvillian``); above it, the commutator form
+    symmetrizing rho in place after each accepted step
+    (``_kernels.symmetrize``). Up to dimension ``_LIOUVILLIAN_MAX_DIM`` the
+    stages apply the Liouvillian to ``vec(rho)``
+    (``_kernels.Liouvillian``); above it, the commutator form
     (``_kernels.lindblad_apply``), whose stages build nothing of size d^4;
-    the two agree to rounding. Positivity is checked at every sample point. For a ramped system the jump operator is its ``hz``,
-    which must be diagonal with entries +-1 (``ValueError`` otherwise); for
-    a callable it is sigma_z on the last qubit.
+    the two agree to rounding. Positivity is checked at every sample point.
+    For a ramped system the jump operator is its ``hz``, which must be
+    diagonal with entries +-1 (``ValueError`` otherwise); for a callable it
+    is sigma_z on the last qubit.
     """
     rho0 = validate_density_matrix(rho0)
     dim = rho0.shape[0]

@@ -307,7 +307,10 @@ class RampedGateHamiltonian:
     ``hcd`` uses the projector normalization,
     c(t) = g * slope / (2 (g^2 + J^2)). ``drive_value`` and
     ``cd_coefficient`` are the only place J(t) and c(t) are written; both
-    take a float or a numpy array of times.
+    take a float or a numpy array of times. A float gives a float; for an
+    array, ``out`` (an array of its shape, a strided view included) is
+    written in place with the same operations in the same order, and
+    returned.
     """
 
     h0: np.ndarray
@@ -323,13 +326,20 @@ class RampedGateHamiltonian:
     def dim(self) -> int:
         return self.h0.shape[0]
 
-    def drive_value(self, t):
-        return self.slope * t
+    def drive_value(self, t, out=None):
+        if out is None:
+            return self.slope * t
+        return np.multiply(self.slope, t, out=out)
 
-    def cd_coefficient(self, t):
-        j2 = self.drive_value(t)
+    def cd_coefficient(self, t, out=None):
         # g * slope / (2 (g^2 + J^2)); halving g * slope first is exact
-        return 0.5 * self.g * self.slope / (self.g * self.g + j2 * j2)
+        if out is None:
+            j2 = self.drive_value(t)
+            return 0.5 * self.g * self.slope / (self.g * self.g + j2 * j2)
+        j2 = self.drive_value(t, out)
+        np.multiply(j2, j2, out=out)
+        np.add(self.g * self.g, out, out=out)
+        return np.divide(0.5 * self.g * self.slope, out, out=out)
 
     def __call__(self, t) -> np.ndarray:
         shape = np.shape(t) + (1, 1)

@@ -21,7 +21,8 @@ from cdgate.errors import (
     PositivityViolationError,
     StepUnderflowError,
 )
-from cdgate.model import SIGMA_Z, analytic_spectrum, cnot_system, lz_system
+from cdgate.model import (SIGMA_Z, analytic_spectrum, cnot_system, lz_system,
+                          nqubit_system)
 from cdgate.numerics import spectral_propagator
 from cdgate.observables import fidelity_pure
 
@@ -256,6 +257,58 @@ class TestLindblad:
         assert abs(noise.in_gap_units(0.5) - 0.08) < 1e-15
         other = NoiseModel.from_gap_units(0.08, g=0.25)
         assert abs(other.alpha - 0.04) < 1e-15
+
+
+class TestSectorEmbedding:
+    """``build_h_n`` is block diagonal and its only coupled block, the last
+    two basis states, is ``lz_system`` up to the global phase of
+    ``-(n - 2) j1 I``. A run started in that block stays in it, exactly,
+    and there equals the two-level run; the jump operator is diagonal, so
+    under dephasing the density matrix stays in the block too."""
+
+    TAU = 7.0
+    CFG = EvolutionConfig(tau=TAU, rel_tol=1e-12, abs_tol=1e-14)
+
+    def _sector_start(self, params, use_cd):
+        """``lz_system`` and its instantaneous ground state at the start."""
+        lz = lz_system(params, self.TAU, use_cd)
+        return lz, np.linalg.eigh(lz(lz.t_start))[1][:, 0]
+
+    # n = 2 is the CNOT, integrated in the Liouvillian form as lz_system
+    # is; n = 3 runs the commutator form, so it also checks the Liouvillian
+    # diagonal and dissipator against an independent form (measured: up to
+    # 3.8e-13 at n = 2 and 1.1e-12 at n = 3)
+    @pytest.mark.parametrize("n,bound", [(2, 1e-12), (3, 1e-11)])
+    @pytest.mark.parametrize("use_cd", [False, True])
+    def test_lindblad_sector_block_is_lz_run(self, params, n, bound, use_cd):
+        lz, phi = self._sector_start(params, use_cd)
+        noise = NoiseModel(alpha=0.1)
+        ref = lindblad_evolve(lz, np.outer(phi, phi.conj()), noise, self.CFG)
+        system = nqubit_system(n, params, self.TAU, use_cd)
+        psi0 = np.concatenate([np.zeros(system.dim - 2), phi])
+        traj = lindblad_evolve(system, np.outer(psi0, psi0.conj()), noise,
+                               self.CFG)
+        outside = traj.states.copy()
+        outside[:, -2:, -2:] = 0.0
+        assert not outside.any()
+        # the step counts differ (the error norm divides by n), the states
+        # agree far below the tolerance; the global phase cancels in rho
+        assert np.abs(traj.states[:, -2:, -2:] - ref.states).max() < bound
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("use_cd", [False, True])
+    def test_schrodinger_nqubit_sector_is_lz_run(self, params, n, use_cd):
+        lz, phi = self._sector_start(params, use_cd)
+        ref = schrodinger_evolve(lz, phi, self.CFG)
+        system = nqubit_system(n, params, self.TAU, use_cd)
+        psi0 = np.concatenate([np.zeros(system.dim - 2), phi])
+        traj = schrodinger_evolve(system, psi0, self.CFG)
+        assert not traj.states[:, :-2].any()
+        phase = np.exp(1j * (n - 2) * params.j1 * (traj.times - lz.t_start))
+        assert abs(phase[-1] - np.exp(1j * (n - 2) * params.j1 * self.TAU)) \
+            < 1e-14
+        assert np.abs(traj.states[:, -2:]
+                      - phase[:, None] * ref.states).max() < 1e-10
 
 
 class TestNoiseTrajectoryOracle:

@@ -4,9 +4,10 @@ import pytest
 from cdgate import _kernels, dynamics
 from cdgate.dynamics import (EvolutionConfig, NoiseModel, lindblad_evolve,
                              noise_trajectory_oracle, schrodinger_evolve)
-from cdgate.experiments import _initial_vector
+from cdgate.experiments import _initial_vector, _noise_cell, _target_state
 from cdgate.model import (CnotParams, analytic_spectrum, cnot_system,
                           lz_system, nqubit_system)
+from cdgate.observables import fidelity_mixed
 
 from conftest import random_hermitian, random_state
 
@@ -488,6 +489,22 @@ class TestPinnedSteps:
                                 EvolutionConfig(tau=200.0)).stats
         assert (stats["accepted"], stats["rejected"]) == (784, 28)
 
+    def test_cd_lindblad_cell_fidelity(self):
+        params = CnotParams()
+        system = cnot_system(params, 200.0, use_cd=True)
+        psi0 = _initial_vector(system, 2, params)
+        rho = lindblad_evolve(system, np.outer(psi0, psi0.conj()),
+                              NoiseModel.from_gap_units(0.15, params.g),
+                              EvolutionConfig(tau=200.0)).final_state
+        assert abs(fidelity_mixed(rho, _target_state(2))
+                   - 0.500076909642514) < 1e-14
+
+    def test_optimal_tau_cell_fidelity(self):
+        params = CnotParams()
+        alpha = NoiseModel.from_gap_units(0.04, params.g).alpha
+        fidelity = _noise_cell(params, alpha, 30.0, False, False, None)
+        assert abs(fidelity - 0.7997376672936184) < 1e-14
+
 
 class TestStepperBuffers:
     """The stepper works in one state-and-stage block; nothing it returns or
@@ -538,6 +555,26 @@ class TestStepperBuffers:
         written = apply(m, y, out)
         assert np.array_equal(out, apply(m, y))
         assert np.shares_memory(written, out)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_symmetrize_into_out_equals_allocating(self, rng, dim):
+        rho = random_hermitian(rng, dim) + 1e-3j * random_hermitian(rng, dim)
+        y = rho.ravel()
+        kept = y.copy()
+        # ``out`` is the middle row of a block, as the state row of the
+        # stepper is
+        block = np.full((3, dim * dim), np.nan, dtype=np.complex128)
+        written = _kernels.symmetrize(y, block[1])
+        assert np.shares_memory(written, block[1])
+        assert np.array_equal(block[1], _kernels.symmetrize(y))
+        assert np.array_equal(block[1], ((rho + rho.conj().T) * 0.5).ravel())
+        assert np.array_equal(y, kept)
+        assert np.isnan(block[[0, 2]]).all()
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_trace_drift_is_trace_deviation(self, rng, dim):
+        rho = random_hermitian(rng, dim)
+        assert _kernels.trace_drift(rho.ravel()) == abs(np.trace(rho) - 1.0)
 
 
 def test_backend_name_is_numpy():

@@ -369,6 +369,23 @@ class TestRampedSystems:
         assert system(0.3).shape == (system.dim, system.dim)
         assert system(np.float64(0.3)).shape == (system.dim, system.dim)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("use_cd", [False, True])
+    def test_out_forms_equal_allocating_forms(self, n, use_cd):
+        system = nqubit_system(n, CnotParams(), tau=6.0, use_cd=use_cd)
+        ts = np.linspace(system.t_start, system.t_end, 11) + 1e-3
+        # the columns of a coefficient block, strided, as the kernel writes
+        block = np.full((11, 3), np.nan)
+        drive = system.drive_value(ts, block[:, 1])
+        cd = system.cd_coefficient(ts, block[:, 2])
+        assert np.shares_memory(drive, block) and np.shares_memory(cd, block)
+        assert np.array_equal(block[:, 1], system.drive_value(ts))
+        assert np.array_equal(block[:, 2], system.cd_coefficient(ts))
+        assert np.isnan(block[:, 0]).all()
+        for t in ts.tolist():
+            assert type(system.drive_value(t)) is float
+            assert type(system.cd_coefficient(t)) is float
+
     def test_nqubit_system_matches_cnot_system(self):
         p = CnotParams()
         a = cnot_system(p, tau=8.0, use_cd=True)
