@@ -1,4 +1,4 @@
-"""Numeric kernels shared by the evolution engines and the eigensolver.
+"""Numeric kernels shared by the evolution engines.
 
 Everything here is plain numpy. One adaptive Dormand-Prince 8(5,3) stepper,
 ``dop853``, integrates every Schroedinger and Lindblad evolution. It takes
@@ -115,8 +115,8 @@ _A_AUG = np.vstack([DP_A, DP_B])
 _E53 = np.stack([DP_E5, DP_E3]).astype(np.complex128)
 
 
-def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
-           drift_of, post_step=None):
+def dop853(generators, apply, sample_times, y0, rtol, atol, h_init, drift_of,
+           post_step=None):
     """Integrate ``dy/dt = apply(M(t), y)`` for a flat complex ``y``.
 
     ``generators(ts, out=None)`` returns the stage operators ``M(t)``
@@ -165,7 +165,7 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
     err = np.empty((2, n), dtype=np.complex128)
     w = err.view(np.float64)
     abs_y, abs_new, scale = np.abs(y), np.empty(n), np.empty(n)
-    h_abs = min(h_init, max_step)
+    h_abs = h_init
     drift = 0.0
     h_min, h_max = math.inf, 0.0
     accepted = rejected = 0
@@ -178,8 +178,6 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
                 status = STATUS_STEP_BUDGET
                 break
             min_step = 16.0 * _EPS * max(abs(t), abs(t_end))
-            if h_abs > max_step:
-                h_abs = max_step
             if h_abs < min_step:
                 status = STATUS_STEP_UNDERFLOW
                 break
@@ -206,8 +204,10 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, max_step, h_init,
             denom = err5 + 0.01 * err3
             if denom > 0.0:
                 err_norm = h * err5 / math.sqrt(denom * n)
-            else:
+            elif denom == 0.0:
                 err_norm = 0.0
+            else:  # NaN: reject, so a non-finite state ends in underflow
+                err_norm = math.inf
 
             if err_norm < 1.0:
                 accepted += 1
@@ -274,8 +274,8 @@ def symmetrize(y, out=None):
     return out
 
 
-def evolve_ramped(h, apply, sample_times, y0, rtol, atol, max_step, h_init,
-                  drift_of, post_step=None, lift=None):
+def evolve_ramped(h, apply, sample_times, y0, rtol, atol, h_init, drift_of,
+                  post_step=None, lift=None):
     """``dop853`` on the ramped system ``h``, a
     ``model.RampedGateHamiltonian``, in place of ``generators``.
 
@@ -334,8 +334,8 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, max_step, h_init,
         bound[1](ts)
         return out
 
-    return dop853(generators, apply, sample_times, y0, rtol, atol, max_step,
-                  h_init, drift_of, post_step)
+    return dop853(generators, apply, sample_times, y0, rtol, atol, h_init,
+                  drift_of, post_step)
 
 
 def lindblad_apply(d, alpha):
@@ -474,71 +474,6 @@ def dephasing_average(h_stack, d, t_start, dt, noise, psi0):
             k4 = y4 @ hb + jump * y4
             y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     return (y.T @ y.conj()) / n_traj
-
-
-def jacobi_eigh(a_in, tol, max_sweeps):
-    """Cyclic Jacobi diagonalization of a Hermitian complex matrix.
-
-    Returns ``(eigenvalues, eigenvectors, off_norm, converged)`` with raw
-    (unsorted) eigenvalues on the diagonal after convergence; ``off_norm``
-    is the remaining off-diagonal Frobenius norm. Columns of the returned
-    matrix are the eigenvectors.
-    """
-    n = a_in.shape[0]
-    a = a_in.astype(np.complex128).copy()
-    v = np.eye(n, dtype=np.complex128)
-
-    fro = 0.0
-    for p in range(n):
-        for q in range(n):
-            fro += abs(a[p, q]) ** 2
-    fro = np.sqrt(fro)
-    thresh = tol * max(fro, 1.0)
-
-    converged = False
-    off = 0.0
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * abs(a[p, q]) ** 2
-        off = np.sqrt(off)
-        if off <= thresh:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= thresh / (n * n):
-                    continue
-                u = apq / r
-                tau_pq = (np.real(a[q, q]) - np.real(a[p, p])) / (2.0 * r)
-                if tau_pq >= 0.0:
-                    tr = 1.0 / (tau_pq + np.sqrt(1.0 + tau_pq * tau_pq))
-                else:
-                    tr = -1.0 / (-tau_pq + np.sqrt(1.0 + tau_pq * tau_pq))
-                c = 1.0 / np.sqrt(1.0 + tr * tr)
-                s = tr * c
-
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * np.conj(u) * colq
-                a[:, q] = s * u * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * u * rowq
-                a[q, :] = s * np.conj(u) * rowp + c * rowq
-
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(u) * vq
-                v[:, q] = s * u * vp + c * vq
-
-    w = np.zeros(n, dtype=np.float64)
-    for p in range(n):
-        w[p] = np.real(a[p, p])
-    return w, v, off, converged
 
 
 def backend_name() -> str:

@@ -138,8 +138,8 @@ def _stacked(h_of_t):
     return h_stack
 
 
-def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, max_step,
-                        h_init, drift_of, post_step=None, lift=None):
+def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, h_init,
+                        drift_of, post_step=None, lift=None):
     """``_kernels.dop853`` with the generators ``-i H(t)`` of a Hamiltonian
     callable, called once per stage time, or with their superoperators when
     ``lift`` is a ``_kernels.Liouvillian``; the twin of
@@ -152,7 +152,7 @@ def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, max_step,
         return lift(-1j * h_stack(ts), out)
 
     return _kernels.dop853(generators, apply, sample_times, y0, rtol, atol,
-                           max_step, h_init, drift_of, post_step)
+                           h_init, drift_of, post_step)
 
 
 def _check_callable_hermitian(h_of_t, t0: float, t1: float) -> None:
@@ -179,12 +179,12 @@ def _integrate(h_of_t: HamiltonianLike, apply, times: np.ndarray, y0,
         _check_callable_hermitian(h_of_t, t0, t1)
         engine = _integrate_callable
     status, states, drift, stats = engine(
-        h_of_t, apply, times, y0, cfg.rel_tol, cfg.abs_tol, np.inf,
-        (t1 - t0) * 1e-3, drift_of, post_step, lift)
+        h_of_t, apply, times, y0, cfg.rel_tol, cfg.abs_tol, (t1 - t0) * 1e-3,
+        drift_of, post_step, lift)
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise StepUnderflowError(
             "adaptive step size underflowed; the problem is too stiff for "
-            "the requested tolerances"
+            "the requested tolerances, or H(t) is not finite"
         )
     if status == _kernels.STATUS_STEP_BUDGET:
         raise StepUnderflowError("step budget exhausted before reaching t_end")
@@ -327,7 +327,7 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
     else:
         raise ValueError("t_span is required for callable Hamiltonians")
     span = t1 - t0
-    if dt <= 0 or dt > span:
+    if not 0 < dt <= span:
         raise ValueError(f"dt must lie in (0, {span}], got {dt}")
     n_steps = max(1, int(math.ceil(span / dt)))
     dt_actual = span / n_steps

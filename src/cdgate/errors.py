@@ -13,14 +13,6 @@ class NotHermitianError(CdgateError):
     """Matrix fails the Hermiticity precondition."""
 
 
-class NoConvergenceError(CdgateError):
-    """Iterative eigensolver hit its sweep cap; carries the residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class NonPositiveTauError(CdgateError):
     """Drive duration must be positive."""
 

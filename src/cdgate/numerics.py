@@ -2,19 +2,19 @@
 
 States are 1-D ``complex128`` arrays, operators square 2-D ``complex128``
 arrays; elementary operations are thin, shape-checked wrappers over numpy.
-The Hermitian eigensolver is a cyclic complex Jacobi iteration (see
-``_kernels.jacobi_eigh``) so the package carries its own numeric oracle for
-the closed-form spectra instead of leaning on LAPACK.
+The Hermitian eigensolver is LAPACK's, through ``np.linalg.eigh``; it checks
+the closed-form spectra. Its precondition rejects non-Hermitian and
+non-finite input, which LAPACK would not: it reads one triangle only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .errors import DimensionMismatchError, NoConvergenceError, NotHermitianError
+from .errors import DimensionMismatchError, NotHermitianError
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,6 @@ class Tolerances:
 
 
 TOL = Tolerances()
-
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -93,8 +90,11 @@ def phase_insensitive_distance(u, v) -> float:
 
 
 def hermiticity_defect(m) -> float:
-    """||H - H^dag||_inf relative to ||H||_inf (0 for the zero matrix)."""
+    """||H - H^dag||_inf relative to ||H||_inf (0 for the zero matrix, inf
+    for a matrix with a NaN or infinite entry)."""
     m = as_operator(m)
+    if not np.isfinite(m).all():
+        return math.inf
     scale = np.abs(m).max()
     if scale == 0.0:
         return 0.0
@@ -102,7 +102,7 @@ def hermiticity_defect(m) -> float:
 
 
 def hermitian_eig(h) -> EigenDecomposition:
-    """Diagonalize a Hermitian matrix with the cyclic Jacobi kernel.
+    """Diagonalize a Hermitian matrix with LAPACK (``np.linalg.eigh``).
 
     Eigenvalues come back ascending; each eigenvector's largest-magnitude
     component is made real and positive so comparisons are deterministic.
@@ -113,14 +113,7 @@ def hermitian_eig(h) -> EigenDecomposition:
         raise NotHermitianError(
             f"matrix is not Hermitian (relative defect {defect:.3e})"
         )
-    w, v, off, converged = _kernels.jacobi_eigh(h, _JACOBI_TOL, _JACOBI_MAX_SWEEPS)
-    if not converged:
-        raise NoConvergenceError(
-            f"Jacobi sweeps exhausted (off-diagonal residual {off:.3e})", float(off)
-        )
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = np.linalg.eigh(h)
     for k in range(v.shape[1]):
         i = int(np.argmax(np.abs(v[:, k])))
         pivot = v[i, k]

@@ -14,6 +14,7 @@ from cdgate.dynamics import (
     schrodinger_evolve,
 )
 from cdgate.errors import (
+    CdgateError,
     InvalidDensityMatrixError,
     InvalidSampleCountError,
     NotHermitianError,
@@ -131,6 +132,14 @@ class TestSchrodinger:
         with pytest.raises(StepUnderflowError):
             schrodinger_evolve(system, ground_start(params, system), cfg)
 
+    def test_all_nan_callable_rejected(self, params):
+        system = cnot_system(params, tau=4.0)
+        nan_matrix = np.full((4, 4), np.nan, dtype=complex)
+        with pytest.raises(NotHermitianError):
+            schrodinger_evolve(lambda t: nan_matrix,
+                               ground_start(params, system),
+                               EvolutionConfig(tau=4.0))
+
     def test_tolerance_halving_changes_little(self, params):
         system = cnot_system(params, tau=20.0)
         psi0 = ground_start(params, system)
@@ -141,6 +150,27 @@ class TestSchrodinger:
         f_base = abs(base.final_state[3]) ** 2
         f_tight = abs(tight.final_state[3]) ** 2
         assert abs(f_base - f_tight) < 1e-6
+
+
+@pytest.mark.parametrize("lindblad", [False, True],
+                         ids=["schrodinger", "lindblad"])
+def test_nan_midway_fails_loudly(params, lindblad):
+    # finite at the three points the Hermiticity check samples, NaN within
+    # the span: a step that meets it is rejected until the step underflows
+    system = cnot_system(params, tau=4.0)
+    psi0 = ground_start(params, system)
+
+    def h_of_t(t):
+        return system(t) * np.nan if 0.3 < t < 0.6 else system(t)
+
+    cfg = EvolutionConfig(tau=4.0)
+    with np.errstate(invalid="ignore", divide="ignore"), \
+            pytest.raises(CdgateError):
+        if lindblad:
+            lindblad_evolve(h_of_t, np.outer(psi0, psi0.conj()),
+                            NoiseModel(alpha=0.1), cfg)
+        else:
+            schrodinger_evolve(h_of_t, psi0, cfg)
 
 
 class TestPropagator:
@@ -363,6 +393,13 @@ class TestNoiseTrajectoryOracle:
         with pytest.raises(ValueError):
             noise_trajectory_oracle(system, psi0, alpha=50.0, n_samples=100,
                                     dt=0.01, seed=0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, 1.5])
+    def test_bad_dt_rejected(self, params, dt):
+        system = cnot_system(params, tau=1.0)
+        with pytest.raises(ValueError, match="dt must lie"):
+            noise_trajectory_oracle(system, ground_start(params, system), 0.1,
+                                    100, dt, seed=0)
 
     def test_non_diagonal_noise_operator_rejected(self, params):
         # the batched average needs hz diagonal +-1; sigma_x on the driven

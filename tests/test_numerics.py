@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgate.errors import DimensionMismatchError, NotHermitianError
 from cdgate.model import SIGMA_X, SIGMA_Z, IDENTITY_2, CnotParams, analytic_spectrum, build_h_cnot
@@ -98,6 +99,46 @@ class TestHermitianEig:
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(NotHermitianError):
             hermitian_eig(bad)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NotHermitianError):
+            hermitian_eig(np.diag([1.0, 1.0, bad]))
+        # LAPACK reads the lower triangle only, so it would never see this
+        upper = np.eye(2, dtype=complex)
+        upper[0, 1] = bad
+        with pytest.raises(NotHermitianError):
+            hermitian_eig(upper)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+           repeats=st.integers(0, 16))
+    def test_properties(self, dim, seed, repeats):
+        """Random Hermitian matrices, or with ``repeats >= 2`` a rotated
+        spectrum with an eigenvalue of that multiplicity (capped at
+        ``dim``): ``U diag(1, ..., 1, e_m, ...) U^H``."""
+        rng = np.random.default_rng(seed)
+        if repeats < 2:
+            h = random_hermitian(rng, dim)
+        else:
+            m = min(repeats, dim)
+            spectrum = np.concatenate([np.ones(m),
+                                       rng.uniform(-3.0, 3.0, dim - m)])
+            u, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                                + 1j * rng.standard_normal((dim, dim)))
+            h = (u * spectrum) @ u.conj().T
+        dec = hermitian_eig(h)
+        w, v = dec.eigenvalues, dec.eigenvectors
+        assert np.all(np.diff(w) >= 0.0)
+        if repeats >= 2:
+            assert np.abs(w - np.sort(spectrum)).max() < 1e-12
+        assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-12
+        rebuilt = (v * w) @ v.conj().T
+        assert np.linalg.norm(rebuilt - h) / np.linalg.norm(h) < 1e-11
+        for column in v.T:
+            pivot = column[np.argmax(np.abs(column))]
+            assert pivot.real > 0.0
+            assert abs(pivot.imag) <= 1e-15 * pivot.real
 
 
 class TestElementaryOps:
