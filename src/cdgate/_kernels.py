@@ -23,8 +23,9 @@ into its coefficient block, and the ``Liouvillian`` diagonals are written
 through views and a scratch made once per run. ``symmetrize`` writes each
 accepted density matrix straight into the state row. The Monte-Carlo
 dephasing average, ``dephasing_average``, advances every noise realization
-at once as one batched RK4 loop, building the stage Hamiltonians of a block
-of steps at once.
+at once: the noise is constant within an RK4 step, so the step is one
+polynomial in it, whose matrices (``_rk4_polynomials``) are built for a
+block of steps at once and shared by every realization.
 
 The ramped Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd``, with its drive
 ``J(t)`` and counterdiabatic coefficient ``c(t)``, is defined in one place:
@@ -418,9 +419,12 @@ class Liouvillian:
 
 
 # Bytes of stage Hamiltonians built at once by ``dephasing_average``, at any
-# dimension: 85 steps at dim 4. On a 2-core x86 host, blocks of 1 MB ran no
-# faster and raised the peak RSS of perfbench's oracle-check by 2.8 MB (7%);
-# blocks of 64 KB raised it by 0.2 MB.
+# dimension: 85 steps at dim 4. A block also holds its step polynomials,
+# 5/3 of that size, and the polynomials that build them. On a 2-core x86
+# host (perfbench oracle-check, seed 2, three runs each), blocks of 16 KB
+# took 0.078-0.083 s at a peak RSS of 38.9 MB; 64 KB took 0.072-0.074 s at
+# 39.0-39.1 MB; 256 KB and 1 MB ran no faster (0.070-0.078 s) at 40.3 and
+# 44.2 MB.
 _ORACLE_BLOCK_BYTES = 1 << 16
 
 
@@ -429,6 +433,52 @@ def _oracle_block_steps(dim):
     complex ``dim x dim`` stage Hamiltonians per step, within
     ``_ORACLE_BLOCK_BYTES``."""
     return max(1, _ORACLE_BLOCK_BYTES // (3 * 16 * dim * dim))
+
+
+def _rk4_polynomials(stages, jump, dt):
+    """One classical RK4 step of ``dy/dt = (M(t) + eta J) y`` as a
+    polynomial in the constant ``eta``: ``y' = sum_p eta^p Q_p y``.
+
+    ``stages`` stacks the generators ``M = -i H`` at ``t``, ``t + dt/2``
+    and ``t + dt`` of each step of a block, shape ``(steps, 3, dim, dim)``;
+    ``jump`` is the diagonal of ``J`` as a ``(dim, 1)`` column. The RK4
+    stages are run on the identity, with matrix polynomials in ``eta`` for
+    values: ``K1 = M_a + eta J``, ``K2 = (M_m + eta J)(I + dt/2 K1)``,
+    ``K3 = (M_m + eta J)(I + dt/2 K2)``, ``K4 = (M_b + eta J)(I + dt K3)``
+    and ``P = I + dt/6 K1 + dt/3 (K2 + K3) + dt/6 K4``, of degree 4. A
+    polynomial of degree ``p`` is held wide, its coefficients side by side
+    in ``(steps, dim, (p + 1) dim)``, so ``M Y`` is one product per step
+    and ``J Y`` scales the rows and moves each coefficient one block to the
+    right. Returns ``P`` wide: row block ``k`` is ``[Q_0 | ... | Q_4]`` of
+    step ``k``, so the step is one product with the stacked ``eta^p y``.
+    """
+    steps, _, dim, _ = stages.shape
+    q = np.zeros((steps, dim, 5 * dim), dtype=np.complex128)
+    q[:, :, :dim] = np.eye(dim)
+    k = np.empty((steps, dim, 2 * dim), dtype=np.complex128)
+    k[:, :, :dim] = stages[:, 0]  # K1 = M_a + eta J
+    k[:, :, dim:] = np.diagflat(jump)
+    # each K is scaled in place: by its weight in P, added to q, then to
+    # the fraction of dt of the next stage's argument
+    for m, weight, frac in ((stages[:, 1], 1.0 / 6.0, 0.5),
+                            (stages[:, 1], 1.0 / 3.0, 0.5),
+                            (stages[:, 2], 1.0 / 3.0, 1.0)):
+        width = k.shape[2]
+        k *= weight * dt
+        q[:, :, :width] += k
+        k *= frac / weight
+        # the argument Y = I + frac dt K: in a row of K, flattened, the
+        # diagonal of block 0 is every (width + 1)-th entry
+        k.reshape(steps, -1)[:, ::width + 1] += 1.0
+        # (M + eta J) Y: M Y_p is degree p, J Y_p degree p + 1
+        nxt = np.zeros((steps, dim, width + dim), dtype=np.complex128)
+        np.matmul(m, k, out=nxt[:, :, :width])
+        k *= jump
+        nxt[:, :, dim:] += k
+        k = nxt
+    k *= dt / 6.0
+    q += k
+    return q
 
 
 def dephasing_average(h_stack, d, t_start, dt, noise, psi0):
@@ -441,39 +491,48 @@ def dephasing_average(h_stack, d, t_start, dt, noise, psi0):
     over a 1-D array of times: a ramped system evaluates it on the array,
     and ``cdgate.dynamics`` stacks one call per time of any other callable.
     Each step is one classical RK4 step with stage times ``t``,
-    ``t + dt/2`` and ``t + dt``. The stage Hamiltonians of a block of steps
-    (``_oracle_block_steps(dim)``) come from one ``h_stack`` call, and -i
-    and the transpose are folded into them once per block; the result does
-    not depend on the block size. Row ``i`` of the working state is
-    realization ``i``, so the memory held beyond ``noise`` is a few
-    ``(n_traj, dim)`` arrays and one block of stage Hamiltonians.
+    ``t + dt/2`` and ``t + dt``. The noise ``eta`` is constant within a
+    step, so the step is exactly ``y' = sum_p eta^p Q_p y`` for p = 0..4,
+    with matrices ``Q_p`` shared by every realization
+    (``_rk4_polynomials``). The stage Hamiltonians of a block of steps
+    (``_oracle_block_steps(dim)``) come from one ``h_stack`` call, -i is
+    folded into them once per block and -i d once per run, and the
+    ``Q_p`` of the block follow from a few stacked products; the result
+    does not depend on the block size. Column ``i`` of the working state
+    is realization ``i``: a step writes ``eta^p y`` into a ``(5, dim,
+    n_traj)`` buffer, four multiplies, and takes one ``(dim, 5 dim) @
+    (5 dim, n_traj)`` product. The memory held beyond ``noise`` is two such
+    buffers, one block of stage Hamiltonians and its ``Q_p`` tables.
     """
     n_traj, n_steps = noise.shape
     dim = psi0.shape[0]
     block = _oracle_block_steps(dim)
-    y = np.repeat(psi0.reshape(1, -1), n_traj, axis=0)
-    half = 0.5 * dt
-    offsets = np.array([0.0, half, dt])
-    # -i (eta d) is exactly (0, eta (-d)): only the imaginary part is
-    # written per step, and -d is folded in once per run
-    jump = np.zeros((n_traj, dim), dtype=np.complex128)
-    minus_d = -d
+    offsets = np.array([0.0, 0.5 * dt, dt])
+    jump = (-1j * d).reshape(-1, 1)
+    # two buffers of eta^p y, p = 0..4, realizations as columns; row 0 of
+    # the current one is the state, and each step writes the other's
+    buffers = np.empty((2, 5, dim, n_traj), dtype=np.complex128)
+    buffers[0, 0] = psi0[:, None]
+    cur, nxt = [(*b, b.reshape(5 * dim, n_traj)) for b in buffers]
+    eta_c = np.empty(n_traj, dtype=np.complex128)
+    multiply = np.multiply
     for k0 in range(0, n_steps, block):
         stop = min(k0 + block, n_steps)
         ts = (t_start + np.arange(k0, stop) * dt)[:, None] + offsets
-        h = h_stack(ts.ravel()).reshape(stop - k0, 3, dim, dim)
-        stages = -1j * h.transpose(0, 1, 3, 2)
-        for (ha, hm, hb), eta in zip(stages, noise[:, k0:stop].T):
-            np.multiply(eta.reshape(-1, 1), minus_d, out=jump.imag)
-            k1 = y @ ha + jump * y
-            y2 = y + half * k1
-            k2 = y2 @ hm + jump * y2
-            y3 = y + half * k2
-            k3 = y3 @ hm + jump * y3
-            y4 = y + dt * k3
-            k4 = y4 @ hb + jump * y4
-            y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return (y.T @ y.conj()) / n_traj
+        stages = np.multiply(-1j, h_stack(ts.ravel()))
+        q = _rk4_polynomials(stages.reshape(stop - k0, 3, dim, dim), jump, dt)
+        for q_k, eta in zip(q, noise[:, k0:stop].T):
+            y, y1, y2, y3, y4, stacked = cur
+            eta_c[:] = eta
+            multiply(y, eta_c, y1)
+            multiply(y1, eta_c, y2)
+            multiply(y2, eta_c, y3)
+            multiply(y3, eta_c, y4)
+            q_k.dot(stacked, nxt[0])
+            cur, nxt = nxt, cur
+        del stages, q, q_k  # before the next block's are built
+    y = cur[0]
+    return (y @ y.conj().T) / n_traj
 
 
 def backend_name() -> str:

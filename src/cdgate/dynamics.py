@@ -27,6 +27,7 @@ after each accepted step.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -312,6 +313,11 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
     """
     psi0 = as_state(psi0)
     _require_normalized(psi0, "psi0")
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise InvalidSampleCountError(
+            f"n_samples must be an integer, got {n_samples!r}") from None
     if n_samples < 100:
         raise InvalidSampleCountError(
             f"need at least 100 samples for a meaningful average, got {n_samples}"

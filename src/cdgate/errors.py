@@ -42,7 +42,8 @@ class PositivityViolationError(CdgateError):
 
 
 class InvalidSampleCountError(CdgateError):
-    """Monte-Carlo sample count below the supported minimum."""
+    """Monte-Carlo sample count not an integer, or below the supported
+    minimum."""
 
 
 class NotNormalizedError(CdgateError):

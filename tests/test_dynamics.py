@@ -380,6 +380,27 @@ class TestNoiseTrajectoryOracle:
         with pytest.raises(InvalidSampleCountError):
             noise_trajectory_oracle(system, psi0, 0.1, 50, 0.01, seed=0)
 
+    @pytest.mark.parametrize("n_samples", [100.0, 150.5, np.float64(200.0)])
+    def test_non_integral_sample_count_rejected_before_any_draw(
+            self, params, monkeypatch, n_samples):
+        system = cnot_system(params, tau=1.0)
+        psi0 = ground_start(params, system)
+
+        def no_draw(seed):
+            raise AssertionError("noise drawn before n_samples was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(InvalidSampleCountError, match="integer"):
+            noise_trajectory_oracle(system, psi0, 0.1, n_samples, 0.01, seed=0)
+
+    def test_numpy_integer_sample_count_accepted(self, params):
+        system = cnot_system(params, tau=1.0)
+        psi0 = ground_start(params, system)
+        a = noise_trajectory_oracle(system, psi0, 0.1, np.int64(100), 0.01,
+                                    seed=3)
+        b = noise_trajectory_oracle(system, psi0, 0.1, 100, 0.01, seed=3)
+        assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("alpha", [-0.1, np.nan, np.inf])
     def test_bad_alpha_rejected(self, params, alpha):
         system = cnot_system(params, tau=1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -669,3 +671,60 @@ class TestBatchedDephasingAverage:
         rho = noise_trajectory_oracle(system, psi0, alpha, n_samples=100,
                                       dt=0.01, seed=7000)
         assert abs(rho[3, 3].real - 0.7374347125323591) < 1e-12
+
+
+class TestDephasingStepPolynomial:
+    """The step polynomial at the oracle's largest step, and its memory."""
+
+    @pytest.mark.parametrize("case", ["lz_callable", "cnot_cd", "n3_cd"])
+    def test_matches_loop_at_the_guard_edge(self, case):
+        # alpha * dt = 0.099, the largest the oracle accepts, makes |eta| dt
+        # largest: the high powers of eta weigh most
+        params = CnotParams()
+        system = {"lz_callable": lz_system(params, 3.0),
+                  "cnot_cd": cnot_system(params, 3.0, use_cd=True),
+                  "n3_cd": nqubit_system(3, params, 3.0, use_cd=True)}[case]
+        n_steps = 150
+        dt = (system.t_end - system.t_start) / n_steps
+        alpha = 0.099 / dt
+        noise = np.random.default_rng(23).standard_normal((30, n_steps))
+        noise *= np.sqrt(alpha / dt)
+        assert np.abs(noise).max() * dt > 1.0
+        psi0 = random_state(np.random.default_rng(5), system.dim)
+        h_stack = system
+        if case == "lz_callable":
+            h_stack = dynamics._stacked(lambda t: system(t))
+        rho = _kernels.dephasing_average(
+            h_stack, np.real(np.diag(system.hz)), system.t_start, dt,
+            noise=noise, psi0=psi0)
+        loop = _rk4_loop(system, system.hz, system.t_start, dt, noise, psi0)
+        assert np.abs(rho - loop).max() < 1e-12
+
+    @pytest.mark.parametrize("case", ["criterion_10a", "oracle_check"])
+    def test_traced_peak_beyond_noise(self, case):
+        # criterion 10a's shape (callable, dim 2, 600 x 500) and perfbench's
+        # oracle-check (ramped, dim 4, 100 x 2000): the memory held beyond
+        # the noise array stays at two (5, dim, n_samples) state buffers,
+        # one block of stage Hamiltonians and its step polynomials
+        if case == "criterion_10a":
+            h_stack = dynamics._stacked(
+                lambda t: np.zeros((2, 2), dtype=complex))
+            d, t_start, dt = np.array([1.0, -1.0]), 0.0, 0.004
+            psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+            shape, scale = (600, 500), np.sqrt(0.25 / dt)
+        else:
+            params = CnotParams()
+            h_stack = cnot_system(params, 20.0)
+            d, t_start, dt = np.real(np.diag(h_stack.hz)), h_stack.t_start, 0.01
+            psi0 = analytic_spectrum(params, h_stack.drive_value(t_start)).states[0]
+            shape, scale = (100, 2000), 1.0
+        noise = np.random.default_rng(0).standard_normal(shape)
+        noise *= scale
+        tracemalloc.start()
+        try:
+            _kernels.dephasing_average(h_stack, d, t_start, dt, noise=noise,
+                                       psi0=psi0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"traced peak {peak / 2**20:.2f} MB"
