@@ -25,9 +25,11 @@ import numpy as np
 
 from ._kernels import backend_name
 from ._version import __version__
-from .dynamics import EvolutionConfig, NoiseModel, lindblad_evolve, schrodinger_evolve
+from .dynamics import EvolutionConfig, NoiseModel
 from .errors import CdgateError
 from .experiments import (
+    _gate_cell,
+    _run_cell,
     default_worker_count,
     find_optimal_tau,
     gate_unitary_check,
@@ -38,7 +40,7 @@ from .experiments import (
     sweep_tau,
     tradeoff_boundary,
 )
-from .model import CnotParams, analytic_spectrum, cnot_system, linear_ramp
+from .model import CnotParams, analytic_spectrum, linear_ramp
 
 _AXIS_HELP = "range syntax start:stop:count[log] or a comma-separated list"
 
@@ -355,38 +357,24 @@ def _spectrum_rows(rc: RunConfig):
 def _evolve_rows(rc: RunConfig):
     params = rc.params()
     tau = float(parse_axis(rc.tau)[0])
-    system = cnot_system(params, tau, use_cd=rc.cd,
-                         full_range_ramp=rc.full_range_ramp)
-    cfg = rc.evolution_config(tau, sample_count=rc.samples)
-    start = analytic_spectrum(params, system.drive_value(system.t_start)).states[0]
+    alpha = (None if rc.alpha is None else NoiseModel.from_gap_units(
+        float(parse_axis(rc.alpha)[0]), params.g).alpha)
+    system, _, _ = cell = _gate_cell(params, tau, rc.cd, rc.full_range_ramp,
+                                     alpha=alpha)
+    traj = _run_cell(cell, rc.evolution_config(tau, sample_count=rc.samples))
     header = ["t", "fidelity", "ground_prob", "transition_prob", "norm"]
     rows = []
-    if rc.alpha is None:
-        traj = schrodinger_evolve(system, start, cfg)
-        for t, psi in zip(traj.times, traj.states):
-            snap = analytic_spectrum(params, system.drive_value(float(t)))
-            rows.append((
-                t,
-                abs(psi[3]) ** 2,
-                abs(np.vdot(snap.states[0], psi)) ** 2,
-                abs(np.vdot(snap.states[1], psi)) ** 2,
-                float(np.sum(np.abs(psi) ** 2)),
-            ))
-    else:
-        alpha_gap = float(parse_axis(rc.alpha)[0])
-        noise = NoiseModel.from_gap_units(alpha_gap, params.g)
-        rho0 = np.outer(start, start.conj())
-        traj = lindblad_evolve(system, rho0, noise, cfg)
-        for t, rho in zip(traj.times, traj.states):
-            snap = analytic_spectrum(params, system.drive_value(float(t)))
-            v1, v2 = snap.states[0], snap.states[1]
-            rows.append((
-                t,
-                float(np.real(rho[3, 3])),
-                float(np.real(np.vdot(v1, rho @ v1))),
-                float(np.real(np.vdot(v2, rho @ v2))),
-                float(np.real(np.trace(rho))),
-            ))
+    for t, y in zip(traj.times, traj.states):
+        v1, v2 = analytic_spectrum(params, system.drive_value(float(t))).states[:2]
+        if alpha is None:
+            rows.append((t, abs(y[3]) ** 2, abs(np.vdot(v1, y)) ** 2,
+                         abs(np.vdot(v2, y)) ** 2,
+                         float(np.sum(np.abs(y) ** 2))))
+        else:
+            rows.append((t, float(np.real(y[3, 3])),
+                         float(np.real(np.vdot(v1, y @ v1))),
+                         float(np.real(np.vdot(v2, y @ v2))),
+                         float(np.real(np.trace(y)))))
     return header, rows, {}
 
 

@@ -56,6 +56,14 @@ HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
 _LIOUVILLIAN_MAX_DIM = 4
 
 
+def _as_index(value, name: str, error=ValueError) -> int:
+    """``value`` as an int by ``operator.index``; ``error`` if it is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Integration controls; the sample grid spans the drive window
@@ -75,7 +83,7 @@ class EvolutionConfig:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.sample_count < 2:
+        if _as_index(self.sample_count, "sample_count") < 2:
             raise ValueError("sample_count must be at least 2")
 
 
@@ -309,15 +317,13 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
     docs/noise_model.md). All realizations are advanced together. The noise
     multiplies the jump operator of ``lindblad_evolve``: a ramped system's
     ``hz``, which must be diagonal with entries +-1, or sigma_z on the last
-    qubit for a callable. Deterministic for a given seed.
+    qubit for a callable. Deterministic for a given ``seed``, which must be
+    an integer (``ValueError`` otherwise).
     """
     psi0 = as_state(psi0)
     _require_normalized(psi0, "psi0")
-    try:
-        n_samples = operator.index(n_samples)
-    except TypeError:
-        raise InvalidSampleCountError(
-            f"n_samples must be an integer, got {n_samples!r}") from None
+    n_samples = _as_index(n_samples, "n_samples", InvalidSampleCountError)
+    seed = _as_index(seed, "seed")
     if n_samples < 100:
         raise InvalidSampleCountError(
             f"need at least 100 samples for a meaningful average, got {n_samples}"

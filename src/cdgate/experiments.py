@@ -1,13 +1,18 @@
 """Named experiment recipes: the sweeps, optimum searches and checks that
 regenerate the plot-ready data sets.
 
-Every grid recipe runs through one loop, ``_sweep``, which evaluates the
-cells one after another on the calling thread, each independently and
-deterministically: the work is numpy calls on small arrays that hold the
-GIL, so threads would gain nothing. A cell that fails is written as NaN and
-listed in ``failed_cells``; the sweep goes on. Noise strengths are
-specified in units of the minimal gap 2g in user-facing interfaces and
-converted to absolute rates internally.
+Every ramped gate run is one set-up, ``_gate_cell`` (the system and its
+start state, pure or as a density matrix), one runner, ``_run_cell`` (the
+default ``EvolutionConfig``, then the Schroedinger or Lindblad engine),
+and the recipe's own readout of the trajectory: ``_unitary_cell``,
+``_noise_cell``, ``adiabatic_profile`` and the CLI's ``evolve`` differ
+only there. Every grid recipe runs through one loop, ``_sweep``, which
+evaluates the cells one after another on the calling thread, each
+independently and deterministically: the work is numpy calls on small
+arrays that hold the GIL, so threads would gain nothing. A cell that
+fails is written as NaN and listed in ``failed_cells``; the sweep goes
+on. Noise strengths are specified in units of the minimal gap 2g in
+user-facing interfaces and converted to absolute rates internally.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from ._version import __version__ as _version
 from .dynamics import (
     EvolutionConfig,
     NoiseModel,
+    Trajectory,
     lindblad_evolve,
     propagator,
     schrodinger_evolve,
@@ -128,9 +134,8 @@ class GateCheckReport:
 
 
 def _target_state(n: int) -> np.ndarray:
-    dim = 2 ** n
-    v = np.zeros(dim, dtype=np.complex128)
-    v[dim - 1] = 1.0
+    v = np.zeros(2 ** n, dtype=np.complex128)
+    v[-1] = 1.0
     return v
 
 
@@ -140,18 +145,37 @@ def _initial_vector(system: RampedGateHamiltonian, n: int,
     return nqubit_sector_states(n, params.g, j2_start)[0]
 
 
+def _gate_cell(params: CnotParams, tau: float, cd: bool,
+               full_range_ramp: bool, n: int = 2, alpha: float | None = None):
+    """One ramped gate run's set-up ``(system, y0, alpha)``: y0 is the start's
+    sector ground state, pure, or as a density matrix given a rate alpha;
+    n = 2 builds with ``cnot_system``, bit for bit ``nqubit_system(2, ...)``."""
+    system = (cnot_system(params, tau, cd, full_range_ramp) if n == 2
+              else nqubit_system(n, params, tau, cd, full_range_ramp))
+    psi0 = _initial_vector(system, n, params)
+    y0 = psi0 if alpha is None else np.outer(psi0, psi0.conj())
+    return system, y0, alpha
+
+
+def _run_cell(cell, cfg: EvolutionConfig | None) -> Trajectory:
+    """Run a ``_gate_cell`` set-up: Schroedinger without an alpha, Lindblad
+    with one; ``cfg`` defaults to the default tolerances and two samples."""
+    system, y0, alpha = cell
+    cfg = cfg or EvolutionConfig(tau=system.t_end - system.t_start)
+    if alpha is None:
+        return schrodinger_evolve(system, y0, cfg)
+    return lindblad_evolve(system, y0, NoiseModel(alpha=alpha), cfg)
+
+
 def adiabatic_profile(params: CnotParams, tau: float, cd_enabled: bool = False,
                       cfg: EvolutionConfig | None = None,
                       full_range_ramp: bool = False) -> list[FidelityPoint]:
     """Instantaneous fidelity |<Psi(t)|11>|^2 along one unitary gate run,
     sampled at 201 points unless ``cfg`` asks for at least 3."""
-    run_cfg = cfg or EvolutionConfig(tau=tau)
-    if run_cfg.sample_count < 3:
-        run_cfg = replace(run_cfg, sample_count=201)
-    system = cnot_system(params, tau, use_cd=cd_enabled,
-                         full_range_ramp=full_range_ramp)
-    psi0 = _initial_vector(system, 2, params)
-    traj = schrodinger_evolve(system, psi0, run_cfg)
+    if cfg is None or cfg.sample_count < 3:
+        cfg = replace(cfg or EvolutionConfig(tau=tau), sample_count=201)
+    traj = _run_cell(_gate_cell(params, tau, cd_enabled, full_range_ramp),
+                     cfg)
     return [FidelityPoint(t=float(t), value=float(abs(psi[3]) ** 2))
             for t, psi in zip(traj.times, traj.states)]
 
@@ -159,18 +183,13 @@ def adiabatic_profile(params: CnotParams, tau: float, cd_enabled: bool = False,
 def _unitary_cell(n: int, params: CnotParams, tau: float, cd: bool,
                   cfg: EvolutionConfig | None,
                   full_range_ramp: bool) -> tuple[float, float, float]:
-    system = nqubit_system(n, params, tau, use_cd=cd,
-                           full_range_ramp=full_range_ramp)
-    psi0 = _initial_vector(system, n, params)
-    psi = schrodinger_evolve(system, psi0,
-                             cfg or EvolutionConfig(tau=tau)).final_state
+    system, _, _ = cell = _gate_cell(params, tau, cd, full_range_ramp, n)
+    psi = _run_cell(cell, cfg).final_state
     j2_end = system.drive_value(system.t_end)
     ground, excited = nqubit_sector_states(n, params.g, j2_end)
-    target = _target_state(n)
-    fid = float(abs(np.vdot(target, psi)) ** 2)
-    p_trans = float(abs(np.vdot(excited, psi)) ** 2)
-    p_ground = float(abs(np.vdot(ground, psi)) ** 2)
-    return fid, p_trans, p_ground
+    # fidelity, transition and ground-state probability
+    return tuple(float(abs(np.vdot(v, psi)) ** 2)
+                 for v in (_target_state(n), excited, ground))
 
 
 def sweep_tau(params: CnotParams, tau_values, cd_enabled: bool,
@@ -196,13 +215,8 @@ def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
 
 def _noise_cell(params: CnotParams, alpha: float, tau: float, cd: bool,
                 full_range_ramp: bool, cfg: EvolutionConfig | None) -> float:
-    system = cnot_system(params, tau, use_cd=cd,
-                         full_range_ramp=full_range_ramp)
-    psi0 = _initial_vector(system, 2, params)
-    rho0 = np.outer(psi0, psi0.conj())
-    traj = lindblad_evolve(system, rho0, NoiseModel(alpha=alpha),
-                           cfg or EvolutionConfig(tau=tau))
-    return fidelity_mixed(traj.final_state, _target_state(2))
+    cell = _gate_cell(params, tau, cd, full_range_ramp, alpha=alpha)
+    return fidelity_mixed(_run_cell(cell, cfg).final_state, _target_state(2))
 
 
 def sweep_noise(grid: SweepGrid,
@@ -355,6 +369,8 @@ def gate_unitary_check(tau: float, n_offset: int = 0) -> GateCheckReport:
 
 def lz_prediction_for(params: CnotParams, tau: float,
                       full_range_ramp: bool = False) -> float:
-    """Closed-form LZ transition probability for the configured ramp."""
-    amp = params.j2_amp * (2.0 if full_range_ramp else 1.0)
+    """Closed-form LZ transition probability for the configured ramp; it
+    depends on the sweep rate's magnitude only, so the amplitude's sign
+    does not enter."""
+    amp = abs(params.j2_amp) * (2.0 if full_range_ramp else 1.0)
     return lz_formula(params.g, amp, tau)

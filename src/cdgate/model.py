@@ -131,32 +131,20 @@ def analytic_spectrum(params: CnotParams, j2: float) -> SpectrumSnapshot:
     """Closed-form instantaneous eigenenergies and eigenstates.
 
     E1 = -alpha_+ - K_-, E2 = alpha_+ - K_+, E3 = K_-, E4 = K_+ with
-    alpha_pm = j2 +- sqrt(g^2 + j2^2); the sector eigenvectors have
-    components (-alpha_mp, g) / sqrt(g^2 + alpha_mp^2) on (|10>, |11>).
+    alpha_pm = j2 +- sqrt(g^2 + j2^2); the sector eigenvectors are
+    ``nqubit_sector_states(2, g, j2)``.
     """
     g = params.g
-    root = np.sqrt(g * g + j2 * j2)
-    a_plus = j2 + root
-    a_minus = j2 - root
+    a_plus = j2 + np.sqrt(g * g + j2 * j2)
     kp = params.j1 + j2
     km = params.j1 - j2
-
     e1 = -a_plus - km
     e2 = a_plus - kp
-    e3 = km
-    e4 = kp
-
-    n_minus = np.sqrt(g * g + a_minus * a_minus)
-    v1 = np.array([0.0, 0.0, -a_minus / n_minus, g / n_minus],
-                  dtype=np.complex128)
-    n_plus = np.sqrt(g * g + a_plus * a_plus)
-    v2 = np.array([0.0, 0.0, -a_plus / n_plus, g / n_plus],
-                  dtype=np.complex128)
+    v1, v2 = nqubit_sector_states(2, g, j2)
     v3 = np.array([0.0, 1.0, 0.0, 0.0], dtype=np.complex128)
     v4 = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
-
     return SpectrumSnapshot(
-        energies=(float(e1), float(e2), float(e3), float(e4)),
+        energies=(float(e1), float(e2), float(km), float(kp)),
         states=(v1, v2, v3, v4),
         gap=float(e2 - e1),
     )
@@ -283,7 +271,8 @@ def build_h_cd_n(n: int, g: float, j_n: float, j_n_dot: float) -> np.ndarray:
 
 def nqubit_sector_states(n: int, g: float, j_n: float) -> tuple[np.ndarray, np.ndarray]:
     """Ground and excited eigenstates of the coupled {|1..10>, |1..11>}
-    sector of the N-qubit Hamiltonian (same two-level closed form)."""
+    sector of the N-qubit Hamiltonian: components (-a, g) / sqrt(g^2 + a^2)
+    on that pair, with a = j_n -+ sqrt(g^2 + j_n^2)."""
     _check_qubit_count(n)
     dim = 2 ** n
     root = np.sqrt(g * g + j_n * j_n)

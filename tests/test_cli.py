@@ -472,3 +472,39 @@ class TestCommands:
         assert code == 0
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["summary"]["failed_cells"] == []
+
+
+def _columns(path):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+class TestSharedGateRun:
+    @pytest.mark.parametrize("argv", [
+        ["sweep-tau", "--tau", "2,5,10"],
+        ["nqubit", "--n", "3", "--cd", "--tau", "1:5:3"],
+    ], ids=["sweep-tau", "nqubit"])
+    def test_negative_amplitude_matches_positive(self, tmp_path, argv):
+        # the Landau-Zener exponent depends on the sweep rate's magnitude,
+        # and J2 -> -J2 is a basis swap within the coupled sector
+        columns = []
+        for amp in ("-10", "10"):
+            out = tmp_path / f"amp{amp}"
+            assert main(argv + ["--j2", amp, "--output", str(out)]) == 0
+            columns.append(_columns(tmp_path / f"amp{amp}_{argv[0]}.csv"))
+        neg, pos = columns
+        assert neg["lz_prediction"] == pos["lz_prediction"]
+        np.testing.assert_allclose(neg["transition_prob"],
+                                   pos["transition_prob"], rtol=0, atol=1e-12)
+
+    def test_evolve_fidelity_is_the_adiabatic_profile(self, tmp_path):
+        from cdgate.experiments import adiabatic_profile
+
+        code, _ = _run(tmp_path, ["evolve", "--tau", "10"])
+        assert code == 0
+        columns = _columns(tmp_path / "run_evolve.csv")
+        profile = adiabatic_profile(CnotParams(), tau=10.0)
+        assert columns["t"] == [p.t for p in profile]
+        assert columns["fidelity"] == [p.value for p in profile]

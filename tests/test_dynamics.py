@@ -49,6 +49,17 @@ class TestEvolutionConfig:
         with pytest.raises(ValueError, match="tolerances"):
             EvolutionConfig(tau=1.0, abs_tol=tol)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(4.0), "5"])
+    def test_rejects_non_integral_sample_count(self, count):
+        with pytest.raises(ValueError, match="sample_count must be an integer"):
+            EvolutionConfig(tau=1.0, sample_count=count)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        cfg = EvolutionConfig(tau=1.0, sample_count=np.int64(5))
+        times = schrodinger_evolve(lambda t: np.eye(2, dtype=complex),
+                                   [1.0, 0.0], cfg).times
+        assert times.shape == (5,)
+
 
 class TestSchrodinger:
     def test_zero_hamiltonian_freezes_state(self, rng):
@@ -399,6 +410,27 @@ class TestNoiseTrajectoryOracle:
         a = noise_trajectory_oracle(system, psi0, 0.1, np.int64(100), 0.01,
                                     seed=3)
         b = noise_trajectory_oracle(system, psi0, 0.1, 100, 0.01, seed=3)
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", [1.5, None, "7"])
+    def test_non_integral_seed_rejected_before_any_draw(self, params,
+                                                        monkeypatch, seed):
+        system = cnot_system(params, tau=1.0)
+        psi0 = ground_start(params, system)
+
+        def no_draw(seed):
+            raise AssertionError("noise drawn before seed was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            noise_trajectory_oracle(system, psi0, 0.1, 100, 0.01, seed=seed)
+
+    def test_numpy_integer_seed_gives_the_int_seeds_bits(self, params):
+        system = cnot_system(params, tau=1.0)
+        psi0 = ground_start(params, system)
+        a = noise_trajectory_oracle(system, psi0, 0.1, 100, 0.01,
+                                    seed=np.int64(7))
+        b = noise_trajectory_oracle(system, psi0, 0.1, 100, 0.01, seed=7)
         assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("alpha", [-0.1, np.nan, np.inf])

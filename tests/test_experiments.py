@@ -266,3 +266,94 @@ class TestNQubitDemo:
         assert "version" in result.metadata
         assert "backend" in result.metadata
         assert "wall_seconds" in result.metadata
+
+
+@pytest.fixture
+def run_spy(monkeypatch):
+    """Counts ``_run_cell`` calls (from experiments and from the CLI) and
+    engine calls, and fails an engine call made outside ``_run_cell``."""
+    import cdgate.cli as cli
+
+    counts = {"cells": 0, "evolutions": 0}
+    depth = [0]
+    real_run = experiments._run_cell
+
+    def run_cell(cell, cfg):
+        counts["cells"] += 1
+        depth[0] += 1
+        try:
+            return real_run(cell, cfg)
+        finally:
+            depth[0] -= 1
+
+    def engine(real):
+        def counted(*args, **kwargs):
+            assert depth[0] == 1, "an evolution ran outside _run_cell"
+            counts["evolutions"] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(experiments, "_run_cell", run_cell)
+    monkeypatch.setattr(cli, "_run_cell", run_cell)
+    for name in ("schrodinger_evolve", "lindblad_evolve"):
+        monkeypatch.setattr(experiments, name,
+                            engine(getattr(experiments, name)))
+    return counts
+
+
+class TestSinglePath:
+    """Every ramped gate run is one ``_gate_cell`` set-up and one
+    ``_run_cell`` call, whichever recipe asks for it."""
+
+    @pytest.mark.parametrize("recipe, runs", [
+        (lambda p: sweep_tau(p, [1.0, 5.0], cd_enabled=False), 2),
+        (lambda p: sweep_tau(p, [1.0, 5.0], cd_enabled=True), 2),
+        (lambda p: n_qubit_demo(3, p, [1.0, 5.0], cd_enabled=True), 2),
+        (lambda p: sweep_noise(make_grid(p, [1.0, 5.0], [0.0, 0.1], True)),
+         4),
+        (lambda p: adiabatic_profile(p, tau=5.0), 1),
+    ], ids=["sweep_tau", "sweep_tau_cd", "n_qubit_demo_3", "sweep_noise",
+            "adiabatic_profile"])
+    def test_one_run_cell_call_per_evolution(self, params, run_spy, recipe,
+                                             runs):
+        recipe(params)
+        assert run_spy == {"cells": runs, "evolutions": runs}
+
+    def test_optimum_search_evaluations(self, params, run_spy):
+        find_optimal_tau(params, 0.08, tau_window=(5.0, 60.0))
+        assert run_spy["cells"] == run_spy["evolutions"] > 18
+
+    @pytest.mark.parametrize("flags", [[], ["--alpha", "0.05", "--cd"]],
+                             ids=["unitary", "noisy"])
+    def test_cli_evolve(self, run_spy, tmp_path, flags):
+        from cdgate.cli import main
+
+        argv = ["evolve", "--tau", "3", "--samples", "5",
+                "--output", str(tmp_path / "run")]
+        assert main(argv + flags) == 0
+        assert run_spy == {"cells": 1, "evolutions": 1}
+
+    @pytest.mark.parametrize("n, builder", [(2, "cnot_system"),
+                                            (3, "nqubit_system"),
+                                            (4, "nqubit_system")])
+    def test_system_builder_by_qubit_count(self, params, monkeypatch, n,
+                                           builder):
+        built = []
+        for name in ("cnot_system", "nqubit_system"):
+            def counted(*args, _name=name, _real=getattr(experiments, name),
+                        **kwargs):
+                built.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, counted)
+        n_qubit_demo(n, params, [1.0, 2.0], cd_enabled=True)
+        assert built == [builder, builder]
+
+    def test_noisy_cell_starts_from_the_pure_cells_state(self, params):
+        system, psi0, alpha = experiments._gate_cell(params, 5.0, False,
+                                                     False)
+        _, rho0, rate = experiments._gate_cell(params, 5.0, False, False,
+                                               alpha=0.1)
+        assert alpha is None and rate == 0.1
+        assert np.array_equal(rho0, np.outer(psi0, psi0.conj()))
+        assert np.array_equal(psi0, experiments._initial_vector(system, 2,
+                                                                params))
