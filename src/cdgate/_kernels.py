@@ -7,17 +7,21 @@ times (written into ``out`` and returned, when given), and
 ``apply(M, y, out)``, the derivative written into ``out`` as by ``np.dot``;
 ``cdgate.dynamics`` chooses the equation (``apply``, drift monitor,
 symmetrization) and the generator source: ``evolve_ramped`` for a ramped
-system, one call per stage time for a Hamiltonian callable. A stage
-operator is a generator ``M(t) = -i H(t)``, or for a small density matrix
-its ``Liouvillian`` superoperator, so that every Lindblad stage is then one
-matrix-vector product, as a Schroedinger stage is; larger density matrices
-use the commutator form, ``lindblad_apply``. The states are small, so a
-step costs Python calls, not arithmetic: the stepper therefore asks for the
-generators of a step's eleven distinct stage times at once (one product for
-a ramped system), into a block of its own. The state and the stage
-derivatives are the rows of one block, so each stage, the solution and both
-error estimates are one matrix product over it, and ``apply`` writes each
-stage into its row; a step allocates no array. A ramped source binds its
+system, one call per stage time for a Hamiltonian callable. Given the
+indices of an invariant sector, the stepper and the Monte-Carlo average
+integrate those entries of a full-width state alone, under operators of
+the sector's size, and return full-width states; the stepper's error norm
+still divides by the full width, so it takes the full run's steps. A stage
+operator is a generator ``M(t) = -i H(t)``, or for a density matrix on a
+small sector its ``Liouvillian`` superoperator, so that every Lindblad
+stage is then one matrix-vector product, as a Schroedinger stage is;
+larger sectors use the commutator form, ``lindblad_apply``. The states are
+small, so a step costs Python calls, not arithmetic: the stepper therefore
+asks for the generators of a step's eleven distinct stage times at once
+(one product for a ramped system), into a block of its own. The state and
+the stage derivatives are the rows of one block, so each stage, the
+solution and both error estimates are one matrix product over it, and
+``apply`` writes each stage into its row; a step allocates no array. A ramped source binds its
 views of that block once: the model writes the drive and CD coefficients
 into its coefficient block, and the ``Liouvillian`` diagonals are written
 through views and a scratch made once per run. ``symmetrize`` writes each
@@ -117,7 +121,7 @@ _E53 = np.stack([DP_E5, DP_E3]).astype(np.complex128)
 
 
 def dop853(generators, apply, sample_times, y0, rtol, atol, h_init, drift_of,
-           post_step=None):
+           post_step=None, sector=None):
     """Integrate ``dy/dt = apply(M(t), y)`` for a flat complex ``y``.
 
     ``generators(ts, out=None)`` returns the stage operators ``M(t)``
@@ -134,17 +138,26 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, h_init, drift_of,
     recorded exactly at ``sample_times`` (the first entry must equal the
     start time). When a ``post_step`` is given, ``post_step(y_new, y)``
     writes each accepted state into the state row ``y``, and
-    ``drift_of(y)`` is monitored; the state is never renormalized. Returns
-    ``(status, states, drift, stats)``: ``drift`` is the largest
+    ``drift_of(y)`` is monitored; the state is never renormalized. With a
+    ``sector`` (an index array into ``y0``), only ``y0[sector]`` is
+    integrated, under stage operators of that size: the caller vouches that
+    the other entries stay exactly 0. ``states`` keep the width of ``y0``,
+    each sample written back into the sector, and the error norm still
+    divides by that full width, so the steps are those of the full-width
+    run. Returns ``(status, states, drift, stats)``: ``drift`` is the largest
     ``drift_of`` seen at any accepted step and ``stats`` counts the
     ``accepted`` and ``rejected`` steps and the ``rhs_evals``, and holds the
     smallest and largest accepted step, ``h_min`` and ``h_max`` (0 when
     no step was accepted).
     """
-    n = y0.shape[0]
+    n = y0.shape[0]  # the error norm's width, whatever the sector
     out = np.zeros((sample_times.shape[0], n), dtype=np.complex128)
     out[0] = y0
-    Z = np.zeros((_N_STAGES + 2, n), dtype=np.complex128)
+    if sector is None:
+        sector = slice(None)
+    y0 = y0[sector]
+    size = y0.shape[0]
+    Z = np.zeros((_N_STAGES + 2, size), dtype=np.complex128)
     y, K = Z[0], Z[1:]  # the state, then the stage derivatives
     y[:] = y0
     t = float(sample_times[0])
@@ -161,11 +174,11 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, h_init, drift_of,
     b_row, head_all = HA[_N_STAGES], Z[:_N_STAGES + 1]  # the solution's
     # the other per-step arrays, each written in place
     ts = np.empty(C_STAGE.shape[0])
-    dy, y_new = np.empty((2, n), dtype=np.complex128)
+    dy, y_new = np.empty((2, size), dtype=np.complex128)
     m_fsal, k_fsal = M[-1], K[_N_STAGES]
-    err = np.empty((2, n), dtype=np.complex128)
+    err = np.empty((2, size), dtype=np.complex128)
     w = err.view(np.float64)
-    abs_y, abs_new, scale = np.abs(y), np.empty(n), np.empty(n)
+    abs_y, abs_new, scale = np.abs(y), np.empty(size), np.empty(size)
     h_abs = h_init
     drift = 0.0
     h_min, h_max = math.inf, 0.0
@@ -237,7 +250,7 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, h_init, drift_of,
                 h_abs = h * max(_MIN_FACTOR, _SAFETY * err_norm ** -0.125)
         if status != STATUS_OK:
             break
-        out[isamp] = y
+        out[isamp, sector] = y
     stats = {"accepted": accepted, "rejected": rejected,
              "rhs_evals": 1 + _N_STAGES * (accepted + rejected),
              "h_min": h_min if accepted else 0.0, "h_max": h_max}
@@ -276,7 +289,7 @@ def symmetrize(y, out=None):
 
 
 def evolve_ramped(h, apply, sample_times, y0, rtol, atol, h_init, drift_of,
-                  post_step=None, lift=None):
+                  post_step=None, lift=None, sector=None):
     """``dop853`` on the ramped system ``h``, a
     ``model.RampedGateHamiltonian``, in place of ``generators``.
 
@@ -291,7 +304,9 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, h_init, drift_of,
     ``lift.diagonal_writer`` sets their diagonals from those of the
     generators. The views of a block, and its diagonal writer, are bound
     when the block is first seen, so once per call for the stepper's own
-    block. The other arguments and the result are ``dop853``'s.
+    block. With a ``sector``, ``h`` is the system restricted to it
+    (``RampedGateHamiltonian.restricted``) and ``y0`` stays full width. The
+    other arguments and the result are ``dop853``'s.
     """
     terms = np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd])
     if lift is None:
@@ -336,7 +351,7 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, h_init, drift_of,
         return out
 
     return dop853(generators, apply, sample_times, y0, rtol, atol, h_init,
-                  drift_of, post_step)
+                  drift_of, post_step, sector)
 
 
 def lindblad_apply(d, alpha):
@@ -424,7 +439,11 @@ class Liouvillian:
 # host (perfbench oracle-check, seed 2, three runs each), blocks of 16 KB
 # took 0.078-0.083 s at a peak RSS of 38.9 MB; 64 KB took 0.072-0.074 s at
 # 39.0-39.1 MB; 256 KB and 1 MB ran no faster (0.070-0.078 s) at 40.3 and
-# 44.2 MB.
+# 44.2 MB. The dimension is the sector's: a ramped gate start is 2 at any
+# n, so only a callable or a wider start (full support at n = 5 or 6) runs
+# at dim 32 or 64, where building the step polynomials costs about 9 dim^3
+# per step and this block holds one step, about 2x slower than advancing
+# the stages one by one would be.
 _ORACLE_BLOCK_BYTES = 1 << 16
 
 
@@ -481,7 +500,7 @@ def _rk4_polynomials(stages, jump, dt):
     return q
 
 
-def dephasing_average(h_stack, d, t_start, dt, noise, psi0):
+def dephasing_average(h_stack, d, t_start, dt, noise, psi0, sector=None):
     """Average ``|psi><psi|`` over white-noise realizations, all at once.
 
     Realization ``i`` evolves under ``H(t) + noise[i, k] * diag(d)`` during
@@ -503,8 +522,16 @@ def dephasing_average(h_stack, d, t_start, dt, noise, psi0):
     n_traj)`` buffer, four multiplies, and takes one ``(dim, 5 dim) @
     (5 dim, n_traj)`` product. The memory held beyond ``noise`` is two such
     buffers, one block of stage Hamiltonians and its ``Q_p`` tables.
+
+    With a ``sector`` (an index array into ``psi0``), only ``psi0[sector]``
+    is evolved: ``h_stack`` and ``d`` are then the sector's, and the
+    returned ``|psi><psi|`` keeps the full width, zero outside the sector.
     """
     n_traj, n_steps = noise.shape
+    full = psi0.shape[0]
+    if sector is None:
+        sector = np.arange(full)
+    psi0 = psi0[sector]
     dim = psi0.shape[0]
     block = _oracle_block_steps(dim)
     offsets = np.array([0.0, 0.5 * dt, dt])
@@ -532,7 +559,9 @@ def dephasing_average(h_stack, d, t_start, dt, noise, psi0):
             cur, nxt = nxt, cur
         del stages, q, q_k  # before the next block's are built
     y = cur[0]
-    return (y @ y.conj().T) / n_traj
+    rho = np.zeros((full, full), dtype=np.complex128)
+    rho[np.ix_(sector, sector)] = (y @ y.conj().T) / n_traj
+    return rho
 
 
 def backend_name() -> str:

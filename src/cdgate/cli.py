@@ -30,6 +30,7 @@ from .errors import CdgateError
 from .experiments import (
     _gate_cell,
     _run_cell,
+    _target_index,
     default_worker_count,
     find_optimal_tau,
     gate_unitary_check,
@@ -362,16 +363,17 @@ def _evolve_rows(rc: RunConfig):
     system, _, _ = cell = _gate_cell(params, tau, rc.cd, rc.full_range_ramp,
                                      alpha=alpha)
     traj = _run_cell(cell, rc.evolution_config(tau, sample_count=rc.samples))
+    target = _target_index(system)
     header = ["t", "fidelity", "ground_prob", "transition_prob", "norm"]
     rows = []
     for t, y in zip(traj.times, traj.states):
         v1, v2 = analytic_spectrum(params, system.drive_value(float(t))).states[:2]
         if alpha is None:
-            rows.append((t, abs(y[3]) ** 2, abs(np.vdot(v1, y)) ** 2,
+            rows.append((t, abs(y[target]) ** 2, abs(np.vdot(v1, y)) ** 2,
                          abs(np.vdot(v2, y)) ** 2,
                          float(np.sum(np.abs(y) ** 2))))
         else:
-            rows.append((t, float(np.real(y[3, 3])),
+            rows.append((t, float(np.real(y[target, target])),
                          float(np.real(np.vdot(v1, y @ v1))),
                          float(np.real(np.vdot(v2, y @ v2))),
                          float(np.real(np.trace(y)))))

@@ -10,13 +10,19 @@ built); ``EvolutionConfig`` carries only numerical controls.
 8(5,3) stepper, ``_kernels.dop853``, taking the generators of a ramped
 system from ``_kernels.evolve_ramped`` and those of a callable from
 ``_integrate_callable``; the Schroedinger and Lindblad engines differ only
-in the ``apply``, drift monitor and symmetrization they pass it. A small
-density matrix (dimension up to ``_LIOUVILLIAN_MAX_DIM``) is integrated as
-``vec(rho)`` under the Liouvillian superoperator, one matrix-vector product
-per stage like a pure state; a larger one under the commutator plus
-dissipator of ``_kernels.lindblad_apply``.
-The Monte-Carlo oracle takes its stage Hamiltonians the same way: a ramped
-system evaluated on an array of times, a callable stacked by ``_stacked``.
+in the ``apply``, drift monitor and symmetrization they pass it. A ramped
+run integrates only its invariant sector (``_invariant_sector``), the
+closure of the start's support under the nonzero pattern of the system's
+terms: the entries outside it stay exactly 0, so the stepper integrates
+the sector of the full-width state and writes the samples back (a gate
+start is 2 amplitudes at any n), with the full run's steps. A density
+matrix on a small sector (dimension up to ``_LIOUVILLIAN_MAX_DIM``) is
+integrated as ``vec(rho)`` under the Liouvillian superoperator, one
+matrix-vector product per stage like a pure state; a larger one under the
+commutator plus dissipator of ``_kernels.lindblad_apply``.
+The Monte-Carlo oracle takes its stage Hamiltonians the same way, on the
+same sector: a ramped system evaluated on an array of times, a callable
+stacked by ``_stacked``.
 ``_jump_diagonal`` picks the dephasing jump operator for the Lindblad engine
 and the oracle alike. States are never renormalized during integration;
 norm / trace drift is monitored and reported instead. The only in-flight
@@ -48,8 +54,8 @@ from .observables import _require_normalized, validate_density_matrix
 
 HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
 
-# Largest density-matrix dimension integrated as vec(rho) under the
-# Liouvillian: one d^2 x d^2 product per stage beats the commutator's five
+# Largest sector dimension of a density matrix integrated as vec(rho) under
+# the Liouvillian: one d^2 x d^2 product per stage beats the commutator's five
 # numpy calls at d = 4 (under half the time per step, 29-37 against 65-74
 # us), but building the stage operators costs d^4 and loses from d = 8 on
 # (timings in docs/noise_model.md, "Integration"); at d = 64 one is 268 MB.
@@ -148,7 +154,7 @@ def _stacked(h_of_t):
 
 
 def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, h_init,
-                        drift_of, post_step=None, lift=None):
+                        drift_of, post_step=None, lift=None, sector=None):
     """``_kernels.dop853`` with the generators ``-i H(t)`` of a Hamiltonian
     callable, called once per stage time, or with their superoperators when
     ``lift`` is a ``_kernels.Liouvillian``; the twin of
@@ -161,7 +167,7 @@ def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, h_init,
         return lift(-1j * h_stack(ts), out)
 
     return _kernels.dop853(generators, apply, sample_times, y0, rtol, atol,
-                           h_init, drift_of, post_step)
+                           h_init, drift_of, post_step, sector)
 
 
 def _check_callable_hermitian(h_of_t, t0: float, t1: float) -> None:
@@ -170,11 +176,37 @@ def _check_callable_hermitian(h_of_t, t0: float, t1: float) -> None:
             raise NotHermitianError(f"H(t) is not Hermitian at t={t}")
 
 
-def _integrate(h_of_t: HamiltonianLike, apply, times: np.ndarray, y0,
+def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray):
+    """The system on the invariant sector of a start supported on the
+    boolean mask ``support`` over the basis, and the sector's indices.
+
+    For a ramped system the sector is the closure of the support under the
+    joint nonzero pattern of ``h0``, ``hz`` and ``hcd``, and the system is
+    restricted to it: ``H(t)`` couples the sector to nothing else at any t
+    and the jump operator is diagonal, so every entry outside it stays
+    exactly 0 and need not be integrated. A callable's pattern is unknown,
+    so its sector is the whole space.
+    """
+    if not isinstance(h_of_t, RampedGateHamiltonian):
+        return h_of_t, np.arange(support.shape[0])
+    coupled = (h_of_t.h0 != 0) | (h_of_t.hz != 0) | (h_of_t.hcd != 0)
+    reach = support
+    while True:
+        grown = reach | coupled[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            idx = np.flatnonzero(reach)
+            return h_of_t.restricted(idx), idx
+        reach = grown
+
+
+def _integrate(h_of_t: HamiltonianLike, sector, apply, times: np.ndarray, y0,
                cfg: EvolutionConfig, drift_of, post_step=None, lift=None):
     """Integrate ``dy/dt = apply(-i H(t), y)`` from ``times[0]``, recording
     ``y`` at ``times``; with a ``_kernels.Liouvillian`` as ``lift``, the
-    stage operators are its superoperators of ``-i H(t)``.
+    stage operators are its superoperators of ``-i H(t)``. Only the entries
+    ``sector`` of the full-width ``y0`` are integrated: ``h_of_t`` and
+    ``apply`` act on them alone (``_invariant_sector``), and the states
+    come back full width.
 
     A ramped system runs through ``_kernels.evolve_ramped`` as built; a
     callable is checked for Hermiticity and runs through
@@ -189,7 +221,7 @@ def _integrate(h_of_t: HamiltonianLike, apply, times: np.ndarray, y0,
         engine = _integrate_callable
     status, states, drift, stats = engine(
         h_of_t, apply, times, y0, cfg.rel_tol, cfg.abs_tol, (t1 - t0) * 1e-3,
-        drift_of, post_step, lift)
+        drift_of, post_step, lift, sector)
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise StepUnderflowError(
             "adaptive step size underflowed; the problem is too stiff for "
@@ -234,8 +266,9 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
     psi0 = as_state(psi0)
     _require_normalized(psi0, "psi0")
     times = np.linspace(*_resolve_span(h_of_t, cfg, t_span), cfg.sample_count)
-    states, drift, stats = _integrate(h_of_t, _kernels.matvec, times, psi0, cfg,
-                                      _kernels.norm_drift)
+    system, sector = _invariant_sector(h_of_t, psi0 != 0)
+    states, drift, stats = _integrate(system, sector, _kernels.matvec, times,
+                                      psi0, cfg, _kernels.norm_drift)
     if drift > TOL.norm_drift:
         raise NormDriftExceededError(
             f"norm^2 drifted by {drift:.3e} (limit {TOL.norm_drift:.0e}); "
@@ -269,11 +302,13 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
         d rho/dt = -i [H(t), rho] + alpha (sigma_z2 rho sigma_z2 - rho),
 
     symmetrizing rho in place after each accepted step
-    (``_kernels.symmetrize``). Up to dimension ``_LIOUVILLIAN_MAX_DIM`` the
-    stages apply the Liouvillian to ``vec(rho)``
-    (``_kernels.Liouvillian``); above it, the commutator form
+    (``_kernels.symmetrize``). Only the invariant sector of ``rho0`` is
+    integrated (``_invariant_sector``). Up to a sector dimension of
+    ``_LIOUVILLIAN_MAX_DIM`` the stages apply the Liouvillian to
+    ``vec(rho)`` (``_kernels.Liouvillian``); above it, the commutator form
     (``_kernels.lindblad_apply``), whose stages build nothing of size d^4;
-    the two agree to rounding. Positivity is checked at every sample point.
+    the two agree to rounding. Positivity is checked on the full ``rho`` at
+    every sample point.
     For a ramped system the jump operator is its ``hz``, which must be
     diagonal with entries +-1 (``ValueError`` otherwise); for a callable it
     is sigma_z on the last qubit.
@@ -282,13 +317,17 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
     dim = rho0.shape[0]
     times = np.linspace(*_resolve_span(h_of_t, cfg, t_span), cfg.sample_count)
     d = _jump_diagonal(h_of_t, dim)
-    if dim <= _LIOUVILLIAN_MAX_DIM:
+    system, idx = _invariant_sector(h_of_t, (rho0 != 0).any(axis=0))
+    d = d[idx]
+    if idx.size <= _LIOUVILLIAN_MAX_DIM:
         apply, lift = _kernels.matvec, _kernels.Liouvillian(d, noise.alpha)
     else:
         apply, lift = _kernels.lindblad_apply(d, noise.alpha), None
-    flat, drift, stats = _integrate(h_of_t, apply, times, rho0.ravel(), cfg,
-                                    _kernels.trace_drift, _kernels.symmetrize,
-                                    lift)
+    # the sector's entries of the row-major flattened rho
+    sector = (idx[:, None] * dim + idx).ravel()
+    flat, drift, stats = _integrate(system, sector, apply, times,
+                                    rho0.ravel(), cfg, _kernels.trace_drift,
+                                    _kernels.symmetrize, lift)
     if drift > TOL.trace_drift:
         raise TraceDriftExceededError(
             f"trace drifted by {drift:.3e} (limit {TOL.trace_drift:.0e})"
@@ -354,11 +393,12 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
     # scaled in place, so no second noise-sized array is ever held
     noise = rng.standard_normal((n_samples, n_steps))
     noise *= scale
-    # a ramped system evaluates itself on an array of times
-    h_stack = h_of_t if ramped else _stacked(h_of_t)
+    # a ramped system evaluates itself, on its sector, on an array of times
+    system, sector = _invariant_sector(h_of_t, psi0 != 0)
+    h_stack = system if ramped else _stacked(h_of_t)
     # noise by keyword: perfbench/tracer.py counts RK4 steps from it
-    return _kernels.dephasing_average(h_stack, d, t0, dt_actual, noise=noise,
-                                      psi0=psi0)
+    return _kernels.dephasing_average(h_stack, d[sector], t0, dt_actual,
+                                      noise=noise, psi0=psi0, sector=sector)
 
 
 def ground_state_probability(psi, params: CnotParams, j2: float) -> float:

@@ -133,9 +133,16 @@ class GateCheckReport:
     passed: bool
 
 
-def _target_state(n: int) -> np.ndarray:
+def _target_index(system: RampedGateHamiltonian) -> int:
+    """The basis state the gate should end in, counted from the end:
+    |1..11> (-1), or |1..10> (-2) when the ramp ends at a negative drive,
+    where the sector ground state then lies."""
+    return -1 if system.drive_value(system.t_end) > 0 else -2
+
+
+def _target_state(n: int, index: int = -1) -> np.ndarray:
     v = np.zeros(2 ** n, dtype=np.complex128)
-    v[-1] = 1.0
+    v[index] = 1.0
     return v
 
 
@@ -170,13 +177,15 @@ def _run_cell(cell, cfg: EvolutionConfig | None) -> Trajectory:
 def adiabatic_profile(params: CnotParams, tau: float, cd_enabled: bool = False,
                       cfg: EvolutionConfig | None = None,
                       full_range_ramp: bool = False) -> list[FidelityPoint]:
-    """Instantaneous fidelity |<Psi(t)|11>|^2 along one unitary gate run,
-    sampled at 201 points unless ``cfg`` asks for at least 3."""
+    """Instantaneous fidelity |<Psi(t)|11>|^2 (|10> for a negative
+    amplitude, ``_target_index``) along one unitary gate run, sampled at
+    201 points unless ``cfg`` asks for at least 3."""
     if cfg is None or cfg.sample_count < 3:
         cfg = replace(cfg or EvolutionConfig(tau=tau), sample_count=201)
-    traj = _run_cell(_gate_cell(params, tau, cd_enabled, full_range_ramp),
-                     cfg)
-    return [FidelityPoint(t=float(t), value=float(abs(psi[3]) ** 2))
+    system, _, _ = cell = _gate_cell(params, tau, cd_enabled, full_range_ramp)
+    traj = _run_cell(cell, cfg)
+    target = _target_index(system)
+    return [FidelityPoint(t=float(t), value=float(abs(psi[target]) ** 2))
             for t, psi in zip(traj.times, traj.states)]
 
 
@@ -189,7 +198,8 @@ def _unitary_cell(n: int, params: CnotParams, tau: float, cd: bool,
     ground, excited = nqubit_sector_states(n, params.g, j2_end)
     # fidelity, transition and ground-state probability
     return tuple(float(abs(np.vdot(v, psi)) ** 2)
-                 for v in (_target_state(n), excited, ground))
+                 for v in (_target_state(n, _target_index(system)), excited,
+                           ground))
 
 
 def sweep_tau(params: CnotParams, tau_values, cd_enabled: bool,
@@ -205,8 +215,9 @@ def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
                  cfg: EvolutionConfig | None = None,
                  full_range_ramp: bool = False) -> SweepResult:
     """The tau sweep on the 2^n-dimensional generalization, with target
-    |1...1> and the |1...10> sector ground state as the start. A failed
-    cell is NaN in all three arrays and listed in ``failed_cells``."""
+    |1...1> (|1...10> for a negative amplitude) and the start's sector
+    ground state as the start. A failed cell is NaN in all three arrays
+    and listed in ``failed_cells``."""
     grid = make_grid(params, tau_values, [0.0], cd_enabled, full_range_ramp)
     return _sweep(grid, lambda alpha, tau: _unitary_cell(
         n, params, tau, cd_enabled, cfg, full_range_ramp), cfg,
@@ -215,14 +226,17 @@ def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
 
 def _noise_cell(params: CnotParams, alpha: float, tau: float, cd: bool,
                 full_range_ramp: bool, cfg: EvolutionConfig | None) -> float:
-    cell = _gate_cell(params, tau, cd, full_range_ramp, alpha=alpha)
-    return fidelity_mixed(_run_cell(cell, cfg).final_state, _target_state(2))
+    system, _, _ = cell = _gate_cell(params, tau, cd, full_range_ramp,
+                                     alpha=alpha)
+    return fidelity_mixed(_run_cell(cell, cfg).final_state,
+                          _target_state(2, _target_index(system)))
 
 
 def sweep_noise(grid: SweepGrid,
                 cfg: EvolutionConfig | None = None) -> SweepResult:
     """Lindblad evolution per (alpha, tau) cell; final mixed-state fidelity
-    against |11>. Failed cells are recorded as NaN and the sweep continues."""
+    against |11> (|10> for a negative amplitude). Failed cells are recorded
+    as NaN and the sweep continues."""
     return _sweep(grid, lambda alpha, tau: (_noise_cell(
         grid.params, alpha, tau, grid.cd_enabled, grid.full_range_ramp,
         cfg),), cfg)

@@ -508,3 +508,63 @@ class TestSharedGateRun:
         profile = adiabatic_profile(CnotParams(), tau=10.0)
         assert columns["t"] == [p.t for p in profile]
         assert columns["fidelity"] == [p.value for p in profile]
+
+
+class TestNegativeAmplitude:
+    """J2 -> -J2 swaps |1..10> and |1..11> within the coupled sector, so a
+    negative amplitude ends the ramp near |1..10>; the fidelity is scored
+    against that state and reads as the positive run's."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-tau", "--tau", "1,10,40"],
+        ["sweep-tau", "--tau", "1:5:3", "--cd"],
+        ["nqubit", "--n", "3", "--cd", "--tau", "1:5:3"],
+        ["evolve", "--tau", "10", "--samples", "6"],
+        ["evolve", "--tau", "10", "--alpha", "0.05", "--cd", "--samples", "6"],
+        ["heatmap", "--alpha", "0,0.1", "--tau", "1,10", "--cd"],
+    ], ids=["sweep-tau", "sweep-tau-cd", "nqubit", "evolve", "evolve-noisy",
+            "heatmap"])
+    def test_fidelity_matches_positive(self, tmp_path, argv):
+        columns = []
+        for amp in ("-10", "10"):
+            out = tmp_path / f"amp{amp}"
+            assert main(argv + ["--j2", amp, "--output", str(out)]) == 0
+            columns.append(_columns(tmp_path / f"amp{amp}_{argv[0]}.csv"))
+        neg, pos = columns
+        assert max(pos["fidelity"]) > 0.5  # the run reaches its target
+        np.testing.assert_allclose(neg["fidelity"], pos["fidelity"],
+                                   rtol=0, atol=1e-12)
+
+
+class TestSectorWidth:
+    """Every gate-run cell integrates its coupled pair alone: the stepper
+    gets 2 amplitudes, or the 4 entries of a 2x2 density block, whatever
+    the number of qubits."""
+
+    @pytest.mark.parametrize("argv, cells, width", [
+        (["sweep-tau", "--tau", "1:5:3"], 3, 2),
+        (["sweep-tau", "--tau", "1:5:3", "--cd"], 3, 2),
+        (["nqubit", "--n", "3", "--tau", "1:5:3"], 3, 2),
+        (["nqubit", "--n", "4", "--cd", "--tau", "1:5:3"], 3, 2),
+        (["heatmap", "--alpha", "0,0.1", "--tau", "1,10", "--cd"], 4, 4),
+    ], ids=["sweep-tau", "sweep-tau-cd", "nqubit-3", "nqubit-4-cd",
+            "heatmap"])
+    def test_stepper_gets_the_sector(self, tmp_path, monkeypatch, argv,
+                                     cells, width):
+        import inspect
+
+        from cdgate import _kernels
+
+        real = _kernels.dop853
+        signature = inspect.signature(real)
+        widths = []
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            widths.append(bound["y0"][bound["sector"]].size)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "dop853", spy)
+        code, _ = _run(tmp_path, argv)
+        assert code == 0
+        assert widths == [width] * cells

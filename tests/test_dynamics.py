@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cdgate import _kernels
+from cdgate import _kernels, dynamics
 from cdgate.dynamics import (
     EvolutionConfig,
     NoiseModel,
@@ -23,7 +23,7 @@ from cdgate.errors import (
     StepUnderflowError,
 )
 from cdgate.model import (SIGMA_Z, analytic_spectrum, cnot_system, lz_system,
-                          nqubit_system)
+                          nqubit_sector_states, nqubit_system)
 from cdgate.numerics import spectral_propagator
 from cdgate.observables import fidelity_pure
 
@@ -350,6 +350,144 @@ class TestSectorEmbedding:
             < 1e-14
         assert np.abs(traj.states[:, -2:]
                       - phase[:, None] * ref.states).max() < 1e-10
+
+
+def _sector(system, y0):
+    """The indices a run started at ``y0`` (a state or density matrix)
+    integrates."""
+    support = np.asarray(y0) != 0
+    if support.ndim == 2:
+        support = support.any(axis=0)
+    return dynamics._invariant_sector(system, support)[1].tolist()
+
+
+def _sector_start(params, n, tau, use_cd):
+    """``nqubit_system`` and its sector ground state at the start."""
+    system = nqubit_system(n, params, tau, use_cd)
+    j2 = system.drive_value(system.t_start)
+    return system, nqubit_sector_states(n, params.g, j2)[0]
+
+
+class TestInvariantSector:
+    """A ramped run integrates only the closure of its start's support under
+    the joint nonzero pattern of ``h0``, ``hz`` and ``hcd``."""
+
+    def test_cnot_sectors(self, params, rng):
+        system = cnot_system(params, 2.0, use_cd=True)
+        basis = np.eye(4, dtype=complex)
+        assert _sector(system, basis[2]) == [2, 3]  # |10>
+        assert _sector(system, basis[0]) == [0]     # |00>
+        assert _sector(system, random_state(rng, 4)) == [0, 1, 2, 3]
+        ket = random_state(rng, 4)
+        assert _sector(system, np.outer(ket, ket.conj())) == [0, 1, 2, 3]
+
+    def test_each_term_couples(self, params):
+        system = cnot_system(params, 2.0)
+        zero = np.zeros((4, 4), dtype=complex)
+        flip = np.kron(np.eye(2), [[0, 1], [1, 0]]).astype(complex)
+        ket = np.eye(4, dtype=complex)[2]
+        bare = replace(system, h0=zero, hz=zero, hcd=zero)
+        assert _sector(bare, ket) == [2]
+        for term in ("h0", "hcd"):
+            assert _sector(replace(bare, **{term: system.h0}), ket) == [2, 3]
+        assert _sector(replace(bare, hz=flip), ket) == [2, 3]
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_lz_system_is_one_sector(self, params, k):
+        system = lz_system(params, 2.0)
+        assert _sector(system, np.eye(2, dtype=complex)[k]) == [0, 1]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("use_cd", [False, True])
+    def test_nqubit_sector_start_is_the_coupled_pair(self, params, n, use_cd):
+        system, psi0 = _sector_start(params, n, 2.0, use_cd)
+        dim = system.dim
+        assert _sector(system, psi0) == [dim - 2, dim - 1]
+        assert _sector(system, np.outer(psi0, psi0.conj())) == [dim - 2,
+                                                                dim - 1]
+
+    def test_restricted_system_is_the_sliced_hamiltonian(self, params):
+        system = nqubit_system(3, params, 4.0, use_cd=True)
+        sub = system.restricted(np.array([6, 7]))
+        ts = np.linspace(system.t_start, system.t_end, 5)
+        assert sub.dim == 2
+        assert np.array_equal(sub(ts), system(ts)[:, 6:, 6:])
+
+    def test_callable_sector_is_the_whole_space(self, params):
+        system = cnot_system(params, 2.0)
+        assert _sector(lambda t: system(t), np.eye(4)[2]) == [0, 1, 2, 3]
+
+
+class TestSectorRunMatchesFullRun:
+    """A sector run takes the full-width run's steps: the error norm still
+    divides by the full state length. Pure states agree to rounding (the
+    norm sums in another order); under the Liouvillian form the densities
+    are bit-identical."""
+
+    TAU = 5.0
+    CFG = EvolutionConfig(tau=TAU, sample_count=5)
+
+    def _full_width(self, system, y0, apply, drift_of, *rest):
+        times = np.linspace(system.t_start, system.t_end, 5)
+        status, states, _, stats = _kernels.evolve_ramped(
+            system, apply, times, y0, self.CFG.rel_tol, self.CFG.abs_tol,
+            self.TAU * 1e-3, drift_of, *rest)
+        assert status == _kernels.STATUS_OK
+        return states, stats
+
+    @staticmethod
+    def _counts(stats):
+        return stats["accepted"], stats["rejected"], stats["rhs_evals"]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("use_cd", [False, True])
+    def test_pure(self, params, n, use_cd):
+        system, psi0 = _sector_start(params, n, self.TAU, use_cd)
+        traj = schrodinger_evolve(system, psi0, self.CFG)
+        states, stats = self._full_width(system, psi0, _kernels.matvec,
+                                         _kernels.norm_drift)
+        assert self._counts(traj.stats) == self._counts(stats)
+        assert np.abs(traj.states - states).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("use_cd", [False, True])
+    def test_density(self, params, n, use_cd):
+        system, psi0 = _sector_start(params, n, self.TAU, use_cd)
+        rho0 = np.outer(psi0, psi0.conj())
+        alpha = 0.1
+        traj = lindblad_evolve(system, rho0, NoiseModel(alpha=alpha),
+                               self.CFG)
+        d = np.real(np.diag(system.hz))
+        states, stats = self._full_width(
+            system, rho0.ravel(), _kernels.matvec, _kernels.trace_drift,
+            _kernels.symmetrize, _kernels.Liouvillian(d, alpha))
+        assert traj.stats == stats
+        assert traj.states.reshape(states.shape).tobytes() == states.tobytes()
+
+
+class TestLindbladFormFollowsSector:
+    """The sector's dimension picks the Lindblad form: a sector start at
+    n = 3 runs the Liouvillian on its 2x2 block, a full-support start the
+    commutator form on all 8 states."""
+
+    @pytest.mark.parametrize("full_support", [False, True])
+    def test_commutator_form_only_for_full_support(self, params, rng,
+                                                   monkeypatch, full_support):
+        built = []
+        original = _kernels.lindblad_apply
+
+        def spy(d, alpha):
+            built.append(d.shape[0])
+            return original(d, alpha)
+
+        monkeypatch.setattr(_kernels, "lindblad_apply", spy)
+        system, psi0 = _sector_start(params, 3, 2.0, True)
+        if full_support:
+            psi0 = random_state(rng, system.dim)
+        traj = lindblad_evolve(system, np.outer(psi0, psi0.conj()),
+                               NoiseModel(alpha=0.1), EvolutionConfig(tau=2.0))
+        assert traj.stats["accepted"] > 0
+        assert built == ([8] if full_support else [])
 
 
 class TestNoiseTrajectoryOracle:
