@@ -13,23 +13,25 @@ integrate those entries of a full-width state alone, under operators of
 the sector's size, and return full-width states; the stepper's error norm
 still divides by the full width, so it takes the full run's steps. A stage
 operator is a generator ``M(t) = -i H(t)``, or for a density matrix on a
-small sector its ``Liouvillian`` superoperator, so that every Lindblad
-stage is then one matrix-vector product, as a Schroedinger stage is;
-larger sectors use the commutator form, ``lindblad_apply``. The states are
-small, so a step costs Python calls, not arithmetic: the stepper therefore
-asks for the generators of a step's eleven distinct stage times at once
-(one product for a ramped system), into a block of its own. The state and
-the stage derivatives are the rows of one block, so each stage, the
-solution and both error estimates are one matrix product over it, and
-``apply`` writes each stage into its row; a step allocates no array. A ramped source binds its
-views of that block once: the model writes the drive and CD coefficients
-into its coefficient block, and the ``Liouvillian`` diagonals are written
-through views and a scratch made once per run. ``symmetrize`` writes each
-accepted density matrix straight into the state row. The Monte-Carlo
-dephasing average, ``dephasing_average``, advances every noise realization
-at once: the noise is constant within an RK4 step, so the step is one
-polynomial in it, whose matrices (``_rk4_polynomials``) are built for a
-block of steps at once and shared by every realization.
+small sector its superoperator ``liouvillian(M, D)``, so that every
+Lindblad stage is then one matrix-vector product, as a Schroedinger stage
+is; larger sectors use the commutator form, ``lindblad_apply``. The
+states are small, so a step costs Python calls, not arithmetic: the
+stepper therefore asks for the generators of a step's eleven distinct
+stage times at once (one product for a ramped system), into a block of its
+own. The state and the stage derivatives are the rows of one block, so
+each stage, the solution and both error estimates are one matrix product
+over it, and ``apply`` writes each stage into its row; a step allocates no
+array. A ramped source binds its views of that block once, and the model
+writes the drive and CD coefficients into its coefficient block. The
+dissipator ``D`` is constant, so it is lifted with ``-i h0`` once per run,
+and a Lindblad step builds its superoperators with the one product a
+Schroedinger step uses. ``symmetrize`` writes each accepted density matrix
+straight into the state row. The Monte-Carlo dephasing average,
+``dephasing_average``, advances every noise realization at once: the
+noise is constant within an RK4 step, so the step is one polynomial in it,
+whose matrices (``_rk4_polynomials``) are built for a block of steps at
+once and shared by every realization.
 
 The ramped Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd``, with its drive
 ``J(t)`` and counterdiabatic coefficient ``c(t)``, is defined in one place:
@@ -125,7 +127,7 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, h_init, drift_of,
     """Integrate ``dy/dt = apply(M(t), y)`` for a flat complex ``y``.
 
     ``generators(ts, out=None)`` returns the stage operators ``M(t)``
-    (generators ``-i H(t)`` or their ``Liouvillian`` superoperators)
+    (generators ``-i H(t)`` or their ``liouvillian`` superoperators)
     stacked over an array of times, written into ``out`` when given. The
     start-time call sizes the stepper's own ``(11,) + op_shape`` block,
     which each attempted step passes as ``out``, at ``t + h * C_STAGE``:
@@ -289,7 +291,7 @@ def symmetrize(y, out=None):
 
 
 def evolve_ramped(h, apply, sample_times, y0, rtol, atol, h_init, drift_of,
-                  post_step=None, lift=None, sector=None):
+                  post_step=None, dissipator=None, sector=None):
     """``dop853`` on the ramped system ``h``, a
     ``model.RampedGateHamiltonian``, in place of ``generators``.
 
@@ -297,25 +299,21 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, h_init, drift_of,
     float views of ``-i h0``, ``-i hz`` and ``-i hcd``: -i is folded in once
     per call, and the generators of all stage times of a step are one
     product, written into the stepper's block. The model writes ``J(t)``
-    and ``c(t)`` into the columns of the coefficient block. With a
-    ``Liouvillian`` as ``lift`` (and ``matvec`` as ``apply``) the stage
-    operators are its superoperators instead: the three terms are lifted
-    once per call, so the same product builds them, and the writer of
-    ``lift.diagonal_writer`` sets their diagonals from those of the
-    generators. The views of a block, and its diagonal writer, are bound
-    when the block is first seen, so once per call for the stepper's own
-    block. With a ``sector``, ``h`` is the system restricted to it
+    and ``c(t)`` into the columns of the coefficient block. Given a
+    flattened ``dissipator`` (and ``matvec`` as ``apply``) the same product
+    builds the ``liouvillian`` superoperators
+    ``L(t) = (L0 + D) + J(t) Lz + c(t) Lcd`` of the three terms, lifted
+    once per call. The views of a block are bound when the block is first
+    seen, so once per call for the stepper's own block. With a
+    ``sector``, ``h`` is the system restricted to it
     (``RampedGateHamiltonian.restricted``) and ``y0`` stays full width. The
     other arguments and the result are ``dop853``'s.
     """
     terms = np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd])
-    if lift is None:
-        basis = terms.reshape(3, -1).view(np.float64)
-    else:
-        basis = lift.commutator(terms).view(np.float64)
-        diagonals = np.diagonal(terms, axis1=1, axis2=2).copy()
-        diagonals = diagonals.view(np.float64)
-    side = h.dim if lift is None else h.dim * h.dim
+    if dissipator is not None:  # the constant D joins the lift of -i h0
+        terms = liouvillian(terms, np.outer([1.0, 0.0, 0.0], dissipator))
+    basis = terms.reshape(3, -1).view(np.float64)
+    side = terms.shape[1]
     # rows (1, J(t), c(t)), one per stage time; without CD c stays zero
     coef = np.zeros((C_STAGE.shape[0], 3))
     coef[:, 0] = 1.0
@@ -325,18 +323,12 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, h_init, drift_of,
         k = out.shape[0]
         rows, target = coef[:k], out.reshape(k, -1).view(np.float64)
         drive, cd = rows[:, 1], rows[:, 2]
-        if lift is not None:
-            m_diagonals = np.empty((k, diagonals.shape[1]))
-            finish = lift.diagonal_writer(out, m_diagonals.view(np.complex128))
 
         def write(ts):
             h.drive_value(ts, drive)
             if h.use_cd:
                 h.cd_coefficient(ts, cd)
             rows.dot(basis, target)
-            if lift is not None:
-                rows.dot(diagonals, m_diagonals)
-                finish()
 
         return write
 
@@ -373,64 +365,30 @@ def lindblad_apply(d, alpha):
     return apply
 
 
-class Liouvillian:
-    """The equation of ``lindblad_apply`` as ``d vec(rho)/dt = L vec(rho)``.
+def liouvillian(m, dissipator, out=None):
+    """``M (x) I - I (x) M^T + diag(dissipator)`` for each ``M`` of the
+    stack ``m``: ``(k, dim^2, dim^2)`` superoperators, written into ``out``
+    when given. ``dissipator`` broadcasts against ``(k, dim^2)``.
 
     ``vec`` is row-major, as the flattened state, so
-    ``vec(A rho B) = (A (x) B^T) vec(rho)`` and
-    ``L = M (x) I - I (x) M^T + diag(alpha (d_a d_c - 1))``: ``apply`` is
-    ``np.dot``. A generator source lifts its stacked ``M`` with
-    ``commutator``, which is linear, so a ramped system may lift its terms
-    before combining them; the writer that ``diagonal_writer`` binds then
-    writes each diagonal entry as ``(M_aa - M_cc) + alpha (d_a d_c - 1)``
-    from the combined ``M``. Off the diagonal an entry of ``L`` is one
-    entry of ``M``, so both sources build the same bits and take the same
-    steps.
+    ``vec(A rho B) = (A (x) B^T) vec(rho)``: for ``M = -i H(t)`` and the
+    flattened ``alpha (d_a d_c - 1)`` as ``dissipator``, this is the
+    equation of ``lindblad_apply`` as ``d vec(rho)/dt = L vec(rho)``, whose
+    ``apply`` is ``np.dot``. The commutator part is linear in ``M``, so a
+    ramped system lifts its terms once and combines the lifts.
     """
-
-    def __init__(self, d, alpha):
-        self.dim = d.shape[0]
-        self.dissipator = (alpha * (np.outer(d, d) - 1.0)).ravel()
-
-    def commutator(self, m, out=None):
-        """``M (x) I - I (x) M^T`` for each ``M`` of the stack ``m``,
-        flattened to ``(k, dim^4)`` (written into ``out``, a ``(k, dim^2,
-        dim^2)`` block, when given); ``diagonal_writer`` sets the
-        diagonals."""
-        eye = np.eye(self.dim)
-        m_t = m.transpose(0, 2, 1)
-        # axes (k, a, c, b, e): M_ab delta_ce - delta_ab M_ec
-        lifted = np.subtract(
-            m[:, :, None, :, None] * eye[:, None, :],
-            eye[:, None, :, None] * m_t[:, None, :, None],
-            out=None if out is None else out.reshape((-1,) + (self.dim,) * 4))
-        return lifted.reshape(m.shape[0], -1)
-
-    def diagonal_writer(self, lifted, m_diagonals):
-        """A function that, at each call, writes the diagonals of the
-        contiguous superoperator block ``lifted`` from ``m_diagonals``, the
-        ``(k, dim)`` diagonals of their generators: ``M_aa - M_cc`` into a
-        contiguous scratch, then that plus the dissipator into the strided
-        diagonal of ``lifted``. The views and the scratch are made here."""
-        k, n = lifted.shape[0], self.dim * self.dim
-        target = lifted.reshape(k, -1)[:, ::n + 1]  # a view: written in place
-        scratch = np.empty((k, self.dim, self.dim), dtype=np.complex128)
-        flat, dissipator = scratch.reshape(k, n), self.dissipator
-        m_aa, m_cc = m_diagonals[:, :, None], m_diagonals[:, None, :]
-
-        def finish():
-            np.subtract(m_aa, m_cc, out=scratch)
-            np.add(flat, dissipator, out=target)
-
-        return finish
-
-    def __call__(self, m, out=None):
-        """The ``(k, dim^2, dim^2)`` superoperators of a stack of generators
-        ``m``, written into ``out`` when given."""
-        lifted = self.commutator(m, out)
-        self.diagonal_writer(lifted, np.diagonal(m, axis1=1, axis2=2))()
-        n = self.dim * self.dim
-        return lifted.reshape(-1, n, n) if out is None else out
+    k, dim = m.shape[0], m.shape[1]
+    n = dim * dim
+    eye = np.eye(dim)
+    m_t = m.transpose(0, 2, 1)
+    # axes (k, a, c, b, e): M_ab delta_ce - delta_ab M_ec
+    lifted = np.subtract(
+        m[:, :, None, :, None] * eye[:, None, :],
+        eye[:, None, :, None] * m_t[:, None, :, None],
+        out=None if out is None else out.reshape((k,) + (dim,) * 4))
+    diagonal = lifted.reshape(k, -1)[:, ::n + 1]  # a view: written in place
+    diagonal += dissipator
+    return lifted.reshape(k, n, n) if out is None else out
 
 
 # Bytes of stage Hamiltonians built at once by ``dephasing_average``, at any

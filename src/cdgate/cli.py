@@ -72,10 +72,9 @@ class RunConfig:
     def params(self) -> CnotParams:
         return CnotParams(j1=self.j1, g=self.g, j2_amp=self.j2_amp)
 
-    def evolution_config(self, tau: float,
-                         sample_count: int = 2) -> EvolutionConfig:
-        return EvolutionConfig(tau=tau, abs_tol=self.abs_tol,
-                               rel_tol=self.rel_tol, sample_count=sample_count)
+    def evolution_config(self, sample_count: int = 2) -> EvolutionConfig:
+        return EvolutionConfig(abs_tol=self.abs_tol, rel_tol=self.rel_tol,
+                               sample_count=sample_count)
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -252,7 +251,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     try:
         rc = RunConfig(command=command, **rc_kwargs)
         rc.params()
-        rc.evolution_config(1.0)
+        rc.evolution_config()
         for axis_name in ("tau", "alpha"):
             value = getattr(rc, axis_name)
             problem = (None if value is None else
@@ -362,7 +361,7 @@ def _evolve_rows(rc: RunConfig):
         float(parse_axis(rc.alpha)[0]), params.g).alpha)
     system, _, _ = cell = _gate_cell(params, tau, rc.cd, rc.full_range_ramp,
                                      alpha=alpha)
-    traj = _run_cell(cell, rc.evolution_config(tau, sample_count=rc.samples))
+    traj = _run_cell(cell, rc.evolution_config(sample_count=rc.samples))
     target = _target_index(system)
     header = ["t", "fidelity", "ground_prob", "transition_prob", "norm"]
     rows = []
@@ -383,7 +382,7 @@ def _evolve_rows(rc: RunConfig):
 def _sweep_tau_rows(rc: RunConfig):
     params = rc.params()
     taus = parse_axis(rc.tau)
-    cfg = rc.evolution_config(1.0)
+    cfg = rc.evolution_config()
     if rc.command == "nqubit":
         result = n_qubit_demo(rc.n, params, taus, rc.cd, cfg,
                               full_range_ramp=rc.full_range_ramp)
@@ -409,7 +408,7 @@ def _noise_rows(rc: RunConfig):
     params = rc.params()
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
                      cd_enabled=rc.cd, full_range_ramp=rc.full_range_ramp)
-    cfg = rc.evolution_config(1.0)
+    cfg = rc.evolution_config()
     result = sweep_noise(grid, cfg)
     rows = []
     for i, alpha in enumerate(grid.alpha_values):
@@ -424,7 +423,7 @@ def _noise_rows(rc: RunConfig):
 def _optimal_tau_rows(rc: RunConfig):
     params = rc.params()
     lo, hi = _parse_window(rc.tau_window)
-    cfg = rc.evolution_config(1.0)
+    cfg = rc.evolution_config()
     rows = []
     for alpha_gap in parse_axis(rc.alpha):
         alpha = NoiseModel.from_gap_units(float(alpha_gap), params.g).alpha
@@ -439,7 +438,7 @@ def _tradeoff_rows(rc: RunConfig):
     params = rc.params()
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
                      cd_enabled=True, full_range_ramp=rc.full_range_ramp)
-    cfg = rc.evolution_config(1.0)
+    cfg = rc.evolution_config()
     curve = tradeoff_boundary(grid, rc.threshold, cfg)
     rows = [(alpha, alpha / (2 * params.g), tau_max, alpha * tau_max)
             for alpha, tau_max in curve.points]

@@ -5,8 +5,8 @@ The gate Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd`` is written once, in
 ``model.RampedGateHamiltonian``; any callable t -> Hermitian matrix is
 accepted as well. Each remaining choice is made in one place here.
 The counterdiabatic term is part of the system (``use_cd`` when it is
-built); ``EvolutionConfig`` carries only numerical controls.
-``_integrate`` runs every adaptive evolution through the one Dormand-Prince
+built); ``EvolutionConfig`` carries numerical controls and, for a callable
+only, a default span. ``_integrate`` runs every adaptive evolution through the one Dormand-Prince
 8(5,3) stepper, ``_kernels.dop853``, taking the generators of a ramped
 system from ``_kernels.evolve_ramped`` and those of a callable from
 ``_integrate_callable``; the Schroedinger and Lindblad engines differ only
@@ -17,9 +17,9 @@ terms: the entries outside it stay exactly 0, so the stepper integrates
 the sector of the full-width state and writes the samples back (a gate
 start is 2 amplitudes at any n), with the full run's steps. A density
 matrix on a small sector (dimension up to ``_LIOUVILLIAN_MAX_DIM``) is
-integrated as ``vec(rho)`` under the Liouvillian superoperator, one
-matrix-vector product per stage like a pure state; a larger one under the
-commutator plus dissipator of ``_kernels.lindblad_apply``.
+integrated as ``vec(rho)`` under its ``_kernels.liouvillian``, the
+dissipator on the diagonal: one matrix-vector product per stage like a
+pure state; a larger one under ``_kernels.lindblad_apply``.
 The Monte-Carlo oracle takes its stage Hamiltonians the same way, on the
 same sector: a ramped system evaluated on an array of times, a callable
 stacked by ``_stacked``.
@@ -72,20 +72,20 @@ def _as_index(value, name: str, error=ValueError) -> int:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Integration controls; the sample grid spans the drive window
-    [-tau/2, +tau/2] inclusive unless an explicit span is given.
+    """Integration controls. ``tau`` is read only for a callable given no
+    ``t_span``, whose samples then span [-tau/2, +tau/2] inclusive.
 
     The default tolerances keep the accumulated norm^2 drift of unitary
     runs below the 1e-8 monitor limit out to tau = 200 with clear margin.
     """
 
-    tau: float
+    tau: float | None = None
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     sample_count: int = 2
 
     def __post_init__(self):
-        if not 0 < self.tau < math.inf:
+        if self.tau is not None and not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
@@ -134,12 +134,17 @@ class NoiseModel:
         return cls(alpha=value * 2.0 * g)
 
 
-def _resolve_span(h_of_t: HamiltonianLike, cfg: EvolutionConfig,
+def _resolve_span(h_of_t: HamiltonianLike, cfg: EvolutionConfig | None,
                   t_span: tuple[float, float] | None) -> tuple[float, float]:
+    """``t_span``, else a ramped system's ramp window, else a callable's
+    [-tau/2, tau/2] from ``cfg``; ``ValueError`` for a callable without."""
     if t_span is not None:
         return float(t_span[0]), float(t_span[1])
     if isinstance(h_of_t, RampedGateHamiltonian):
         return h_of_t.t_start, h_of_t.t_end
+    if cfg is None or cfg.tau is None:
+        raise ValueError("t_span is required for callable Hamiltonians "
+                         "without a tau")
     return -cfg.tau / 2.0, cfg.tau / 2.0
 
 
@@ -154,17 +159,18 @@ def _stacked(h_of_t):
 
 
 def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, h_init,
-                        drift_of, post_step=None, lift=None, sector=None):
+                        drift_of, post_step=None, dissipator=None,
+                        sector=None):
     """``_kernels.dop853`` with the generators ``-i H(t)`` of a Hamiltonian
-    callable, called once per stage time, or with their superoperators when
-    ``lift`` is a ``_kernels.Liouvillian``; the twin of
+    callable, called once per stage time, or their ``_kernels.liouvillian``
+    superoperators given a ``dissipator``; the twin of
     ``_kernels.evolve_ramped``, with the same arguments and result."""
     h_stack = _stacked(h_of_t)
 
     def generators(ts, out=None):
-        if lift is None:
+        if dissipator is None:
             return np.multiply(-1j, h_stack(ts), out=out)
-        return lift(-1j * h_stack(ts), out)
+        return _kernels.liouvillian(-1j * h_stack(ts), dissipator, out)
 
     return _kernels.dop853(generators, apply, sample_times, y0, rtol, atol,
                            h_init, drift_of, post_step, sector)
@@ -200,10 +206,11 @@ def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray):
 
 
 def _integrate(h_of_t: HamiltonianLike, sector, apply, times: np.ndarray, y0,
-               cfg: EvolutionConfig, drift_of, post_step=None, lift=None):
+               cfg: EvolutionConfig, drift_of, post_step=None,
+               dissipator=None):
     """Integrate ``dy/dt = apply(-i H(t), y)`` from ``times[0]``, recording
-    ``y`` at ``times``; with a ``_kernels.Liouvillian`` as ``lift``, the
-    stage operators are its superoperators of ``-i H(t)``. Only the entries
+    ``y`` at ``times``; given a ``dissipator``, the stage operators are the
+    ``_kernels.liouvillian`` superoperators of ``-i H(t)``. Only the entries
     ``sector`` of the full-width ``y0`` are integrated: ``h_of_t`` and
     ``apply`` act on them alone (``_invariant_sector``), and the states
     come back full width.
@@ -221,7 +228,7 @@ def _integrate(h_of_t: HamiltonianLike, sector, apply, times: np.ndarray, y0,
         engine = _integrate_callable
     status, states, drift, stats = engine(
         h_of_t, apply, times, y0, cfg.rel_tol, cfg.abs_tol, (t1 - t0) * 1e-3,
-        drift_of, post_step, lift, sector)
+        drift_of, post_step, dissipator, sector)
     if status == _kernels.STATUS_STEP_UNDERFLOW:
         raise StepUnderflowError(
             "adaptive step size underflowed; the problem is too stiff for "
@@ -305,7 +312,7 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
     (``_kernels.symmetrize``). Only the invariant sector of ``rho0`` is
     integrated (``_invariant_sector``). Up to a sector dimension of
     ``_LIOUVILLIAN_MAX_DIM`` the stages apply the Liouvillian to
-    ``vec(rho)`` (``_kernels.Liouvillian``); above it, the commutator form
+    ``vec(rho)`` (``_kernels.liouvillian``); above it, the commutator form
     (``_kernels.lindblad_apply``), whose stages build nothing of size d^4;
     the two agree to rounding. Positivity is checked on the full ``rho`` at
     every sample point.
@@ -320,14 +327,15 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
     system, idx = _invariant_sector(h_of_t, (rho0 != 0).any(axis=0))
     d = d[idx]
     if idx.size <= _LIOUVILLIAN_MAX_DIM:
-        apply, lift = _kernels.matvec, _kernels.Liouvillian(d, noise.alpha)
+        apply = _kernels.matvec
+        dissipator = (noise.alpha * (np.outer(d, d) - 1.0)).ravel()
     else:
-        apply, lift = _kernels.lindblad_apply(d, noise.alpha), None
+        apply, dissipator = _kernels.lindblad_apply(d, noise.alpha), None
     # the sector's entries of the row-major flattened rho
     sector = (idx[:, None] * dim + idx).ravel()
     flat, drift, stats = _integrate(system, sector, apply, times,
                                     rho0.ravel(), cfg, _kernels.trace_drift,
-                                    _kernels.symmetrize, lift)
+                                    _kernels.symmetrize, dissipator)
     if drift > TOL.trace_drift:
         raise TraceDriftExceededError(
             f"trace drifted by {drift:.3e} (limit {TOL.trace_drift:.0e})"
@@ -371,12 +379,7 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
         raise ValueError("alpha must be non-negative and finite")
     d = _jump_diagonal(h_of_t, psi0.shape[0])
     ramped = isinstance(h_of_t, RampedGateHamiltonian)
-    if t_span is not None:
-        t0, t1 = float(t_span[0]), float(t_span[1])
-    elif ramped:
-        t0, t1 = h_of_t.t_start, h_of_t.t_end
-    else:
-        raise ValueError("t_span is required for callable Hamiltonians")
+    t0, t1 = _resolve_span(h_of_t, None, t_span)
     span = t1 - t0
     if not 0 < dt <= span:
         raise ValueError(f"dt must lie in (0, {span}], got {dt}")

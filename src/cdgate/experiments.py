@@ -168,7 +168,7 @@ def _run_cell(cell, cfg: EvolutionConfig | None) -> Trajectory:
     """Run a ``_gate_cell`` set-up: Schroedinger without an alpha, Lindblad
     with one; ``cfg`` defaults to the default tolerances and two samples."""
     system, y0, alpha = cell
-    cfg = cfg or EvolutionConfig(tau=system.t_end - system.t_start)
+    cfg = cfg or EvolutionConfig()
     if alpha is None:
         return schrodinger_evolve(system, y0, cfg)
     return lindblad_evolve(system, y0, NoiseModel(alpha=alpha), cfg)
@@ -181,7 +181,7 @@ def adiabatic_profile(params: CnotParams, tau: float, cd_enabled: bool = False,
     amplitude, ``_target_index``) along one unitary gate run, sampled at
     201 points unless ``cfg`` asks for at least 3."""
     if cfg is None or cfg.sample_count < 3:
-        cfg = replace(cfg or EvolutionConfig(tau=tau), sample_count=201)
+        cfg = replace(cfg or EvolutionConfig(), sample_count=201)
     system, _, _ = cell = _gate_cell(params, tau, cd_enabled, full_range_ramp)
     traj = _run_cell(cell, cfg)
     target = _target_index(system)
@@ -261,7 +261,7 @@ def _sweep(grid: SweepGrid, cell, cfg: EvolutionConfig | None,
                 continue
             for name, value in zip(fields, values):
                 arrays[name][i, j] = value
-    run_cfg = cfg or EvolutionConfig(tau=1.0)
+    run_cfg = cfg or EvolutionConfig()
     meta = {"version": _version, "backend": backend_name(),
             "rel_tol": run_cfg.rel_tol, "abs_tol": run_cfg.abs_tol,
             "wall_seconds": time.perf_counter() - t_start, **extra}
@@ -357,7 +357,7 @@ def gate_unitary_check(tau: float, n_offset: int = 0) -> GateCheckReport:
     exact CNOT; also confirms the Hamiltonian commutes with itself across
     times."""
     schedule = linear_phase_ramp(tau, n_offset)
-    cfg = EvolutionConfig(tau=tau, abs_tol=1e-14, rel_tol=1e-12)
+    cfg = EvolutionConfig(abs_tol=1e-14, rel_tol=1e-12)
 
     def h_of_t(t: float) -> np.ndarray:
         return build_inverse_engineered(schedule.derivative(t))

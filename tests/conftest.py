@@ -22,3 +22,9 @@ def random_hermitian(rng, dim):
 def random_state(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def dephasing_dissipator(d, alpha):
+    """The flattened diagonal ``alpha (d_a d_c - 1)`` that ``lindblad_evolve``
+    puts into the Liouvillian for the +-1 jump diagonal ``d``."""
+    return (alpha * (np.outer(d, d) - 1.0)).ravel()

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgate import _kernels, dynamics
 from cdgate.dynamics import (
@@ -22,12 +24,15 @@ from cdgate.errors import (
     PositivityViolationError,
     StepUnderflowError,
 )
-from cdgate.model import (SIGMA_Z, analytic_spectrum, cnot_system, lz_system,
+from cdgate.experiments import _gate_cell, _run_cell
+from cdgate.model import (SIGMA_Z, CnotParams, analytic_spectrum, cnot_system,
+                          lz_system,
                           nqubit_sector_states, nqubit_system)
-from cdgate.numerics import spectral_propagator
+from cdgate.numerics import TOL, spectral_propagator
 from cdgate.observables import fidelity_pure
 
-from conftest import random_hermitian, random_state
+from conftest import (dephasing_dissipator, random_hermitian,
+                      random_state)
 
 KET_11 = np.array([0, 0, 0, 1], dtype=complex)
 
@@ -59,6 +64,27 @@ class TestEvolutionConfig:
         times = schrodinger_evolve(lambda t: np.eye(2, dtype=complex),
                                    [1.0, 0.0], cfg).times
         assert times.shape == (5,)
+
+    def test_ramped_run_ignores_tau(self, params):
+        system = cnot_system(params, 3.0)
+        psi0 = ground_start(params, system)
+        runs = [schrodinger_evolve(system, psi0, EvolutionConfig(tau=tau))
+                for tau in (None, 50.0)]
+        assert EvolutionConfig().tau is None
+        assert runs[0].states.tobytes() == runs[1].states.tobytes()
+        assert runs[0].times[0] == system.t_start
+
+    def test_callable_needs_t_span_or_tau(self):
+        def h_of_t(t):
+            return np.eye(2, dtype=complex)
+
+        with pytest.raises(ValueError, match="t_span"):
+            schrodinger_evolve(h_of_t, [1.0, 0.0], EvolutionConfig())
+        with pytest.raises(ValueError, match="t_span"):
+            propagator(h_of_t, EvolutionConfig())
+        traj = schrodinger_evolve(h_of_t, [1.0, 0.0], EvolutionConfig(),
+                                  t_span=(0.0, 1.0))
+        assert traj.times[-1] == 1.0
 
 
 class TestSchrodinger:
@@ -315,10 +341,11 @@ class TestSectorEmbedding:
         lz = lz_system(params, self.TAU, use_cd)
         return lz, np.linalg.eigh(lz(lz.t_start))[1][:, 0]
 
-    # n = 2 is the CNOT, integrated in the Liouvillian form as lz_system
-    # is; n = 3 runs the commutator form, so it also checks the Liouvillian
-    # diagonal and dissipator against an independent form (measured: up to
-    # 3.8e-13 at n = 2 and 1.1e-12 at n = 3)
+    # n = 2 is the CNOT; n = 2 and n = 3 both integrate their 2x2 sector
+    # block in the Liouvillian form, as lz_system does, so this compares
+    # the embeddings, and test_lindblad_sector_forms_agree compares the
+    # form with the commutator form (measured: up to 3.8e-13 at n = 2 and
+    # 1.1e-12 at n = 3)
     @pytest.mark.parametrize("n,bound", [(2, 1e-12), (3, 1e-11)])
     @pytest.mark.parametrize("use_cd", [False, True])
     def test_lindblad_sector_block_is_lz_run(self, params, n, bound, use_cd):
@@ -335,6 +362,25 @@ class TestSectorEmbedding:
         # the step counts differ (the error norm divides by n), the states
         # agree far below the tolerance; the global phase cancels in rho
         assert np.abs(traj.states[:, -2:, -2:] - ref.states).max() < bound
+
+    @pytest.mark.parametrize("tau", [2.0, 20.0, 150.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    @pytest.mark.parametrize("use_cd", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lindblad_sector_forms_agree(self, params, monkeypatch, n, use_cd,
+                                         alpha, tau):
+        # a sector start run in the Liouvillian form, then forced into the
+        # independent commutator form: a dissipator on the wrong term or a
+        # flipped diagonal shows here (measured: same steps in all 36
+        # cases, states within 2.8e-14)
+        cell = _gate_cell(params, tau, use_cd, False, n, alpha=alpha)
+        folded = _run_cell(cell, None)
+        monkeypatch.setattr(dynamics, "_LIOUVILLIAN_MAX_DIM", 0)
+        commutator = _run_cell(cell, None)
+        counts = ("accepted", "rejected")
+        assert ([folded.stats[k] for k in counts]
+                == [commutator.stats[k] for k in counts])
+        assert np.abs(folded.states - commutator.states).max() < 1e-13
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("use_cd", [False, True])
@@ -460,7 +506,7 @@ class TestSectorRunMatchesFullRun:
         d = np.real(np.diag(system.hz))
         states, stats = self._full_width(
             system, rho0.ravel(), _kernels.matvec, _kernels.trace_drift,
-            _kernels.symmetrize, _kernels.Liouvillian(d, alpha))
+            _kernels.symmetrize, dephasing_dissipator(d, alpha))
         assert traj.stats == stats
         assert traj.states.reshape(states.shape).tobytes() == states.tobytes()
 
@@ -488,6 +534,37 @@ class TestLindbladFormFollowsSector:
                                NoiseModel(alpha=0.1), EvolutionConfig(tau=2.0))
         assert traj.stats["accepted"] > 0
         assert built == ([8] if full_support else [])
+
+
+class TestLindbladProperties:
+    """Over random gate parameters, a CNOT sector start run in the
+    Liouvillian form takes the commutator form's steps and states, and
+    keeps rho Hermitian with a steady trace."""
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(g=st.floats(0.2, 1.0), j2_amp=st.floats(5.0, 20.0),
+           tau=st.floats(1.0, 30.0), alpha_gap=st.floats(0.0, 0.2),
+           use_cd=st.booleans())
+    def test_forms_agree_and_invariants_hold(self, g, j2_amp, tau, alpha_gap,
+                                             use_cd):
+        params = CnotParams(g=g, j2_amp=j2_amp)
+        alpha = NoiseModel.from_gap_units(alpha_gap, g).alpha
+        cell = _gate_cell(params, tau, use_cd, False, alpha=alpha)
+        cfg = EvolutionConfig(sample_count=5)
+        folded = _run_cell(cell, cfg)
+        with mock.patch.object(dynamics, "_LIOUVILLIAN_MAX_DIM", 0):
+            commutator = _run_cell(cell, cfg)
+        counts = ("accepted", "rejected")
+        assert ([folded.stats[k] for k in counts]
+                == [commutator.stats[k] for k in counts])
+        assert np.abs(folded.states - commutator.states).max() < 1e-12
+        for traj in (folded, commutator):
+            states = traj.states
+            # symmetrized after every accepted step: exactly Hermitian
+            assert np.array_equal(states, states.conj().transpose(0, 2, 1))
+            traces = np.trace(states, axis1=1, axis2=2)
+            assert np.abs(traces - 1.0).max() < TOL.trace_drift
+            assert traj.norm_drift < TOL.trace_drift
 
 
 class TestNoiseTrajectoryOracle:

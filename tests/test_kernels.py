@@ -6,12 +6,14 @@ import pytest
 from cdgate import _kernels, dynamics
 from cdgate.dynamics import (EvolutionConfig, NoiseModel, lindblad_evolve,
                              noise_trajectory_oracle, schrodinger_evolve)
-from cdgate.experiments import _initial_vector, _noise_cell, _target_state
+from cdgate.experiments import (_gate_cell, _initial_vector, _noise_cell,
+                                 _target_state)
 from cdgate.model import (CnotParams, analytic_spectrum, cnot_system,
                           lz_system, nqubit_system)
 from cdgate.observables import fidelity_mixed
 
-from conftest import random_hermitian, random_state
+from conftest import (dephasing_dissipator, random_hermitian,
+                      random_state)
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -142,11 +144,12 @@ def _ramped_args(system, tau, is_density, alpha=0.0, liouvillian=False):
     times = np.array([system.t_start, 0.0, system.t_end])
     if is_density:
         d = np.real(np.diag(system.hz))
-        apply, lift = ((np.dot, _kernels.Liouvillian(d, alpha)) if liouvillian
-                       else (_kernels.lindblad_apply(d, alpha), None))
+        apply, dissipator = (
+            (np.dot, dephasing_dissipator(d, alpha)) if liouvillian
+            else (_kernels.lindblad_apply(d, alpha), None))
         return (system, apply, times, np.outer(psi0, psi0.conj()).ravel(),
                 1e-10, 1e-12, tau * 1e-3, _kernels.trace_drift,
-                _kernels.symmetrize, lift)
+                _kernels.symmetrize, dissipator)
     return (system, np.dot, times, psi0, 1e-10, 1e-12, tau * 1e-3,
             _kernels.norm_drift)
 
@@ -238,7 +241,7 @@ class TestLiouvillian:
         d = np.tile([1.0, -1.0], dim // 2)
         psi = random_state(rng, dim)
         y = np.outer(psi, psi.conj()).ravel()
-        superops = _kernels.Liouvillian(d, alpha)(m)
+        superops = _kernels.liouvillian(m, dephasing_dissipator(d, alpha))
         assert superops.shape == (3, dim * dim, dim * dim)
         apply = _kernels.lindblad_apply(d, alpha)
         for m_k, l_k in zip(m, superops):
@@ -255,13 +258,45 @@ class TestLiouvillian:
 
         monkeypatch.setattr(_kernels, "dop853", capture)
         args = _ramped_args(system, 6.0, True, 0.1, liouvillian=True)
-        lift = args[-1]
         _kernels.evolve_ramped(*args)
         ts = -0.2 + 1.1 * _kernels.C_STAGE
         block = captured["generators"](ts)
-        # bit for bit what a callable of the same Hamiltonian builds
         stack = np.stack([-1j * system(t) for t in ts])
-        assert np.array_equal(block, lift(stack))
+        lifted = _kernels.liouvillian(stack, args[-1])
+        # off the diagonal an entry is one entry of M: bit for bit what a
+        # callable of the same Hamiltonian builds
+        off = ~np.eye(16, dtype=bool)
+        assert np.array_equal(block[:, off], lifted[:, off])
+        # on it the ramped lift adds exact differences of the terms, where
+        # the callable's M_aa - M_cc rounds: measured 2 eps on entries up
+        # to 5, bounded at twice that
+        assert np.abs(block - lifted).max() <= 4 * _EPS
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("use_cd", [False, True])
+    def test_sector_block_diagonal_is_exact(self, monkeypatch, n, use_cd):
+        # the sector's h0 has equal diagonal entries, so their lift cancels
+        # exactly: a stage diagonal is the dissipator plus
+        # -i J(t) (hz_aa - hz_cc), each exact
+        system, rho0, alpha = _gate_cell(CnotParams(), 6.0, use_cd, False, n,
+                                         alpha=0.1)
+        sub, idx = dynamics._invariant_sector(system, rho0.any(axis=0))
+        assert idx.size == 2
+        d = np.real(np.diag(sub.hz))
+        dissipator = dephasing_dissipator(d, alpha)
+        args = (sub, np.dot, np.array([sub.t_start, sub.t_end]), rho0.ravel(),
+                1e-10, 1e-12, 6e-3, _kernels.trace_drift, _kernels.symmetrize,
+                dissipator)
+        generators = _captured_generators(monkeypatch, _kernels.evolve_ramped,
+                                          args)
+        hz_diff = np.subtract.outer(d, d).ravel()
+        for t, h in [(sub.t_start, 0.37), (-0.2, 1.1), (2.5, 0.05)]:
+            ts = t + h * _kernels.C_STAGE
+            diagonal = np.diagonal(generators(ts), axis1=1, axis2=2)
+            assert np.array_equal(diagonal.real,
+                                  np.broadcast_to(dissipator, diagonal.shape))
+            assert np.array_equal(diagonal.imag,
+                                  -(sub.drive_value(ts)[:, None] * hz_diff))
 
     @pytest.mark.parametrize("n,commutator", [(2, False), (3, True)])
     def test_form_follows_dimension(self, monkeypatch, n, commutator):
@@ -423,18 +458,29 @@ class TestStepTelemetry:
         psi0 = random_state(np.random.default_rng(5), system.dim)
         cfg = EvolutionConfig(tau=5.0, sample_count=3)
 
-        def stats_of(h_of_t):
+        def run(h_of_t):
             if lindblad:
                 return lindblad_evolve(h_of_t, np.outer(psi0, psi0.conj()),
-                                       NoiseModel(alpha=0.1), cfg).stats
-            return schrodinger_evolve(h_of_t, psi0, cfg).stats
+                                       NoiseModel(alpha=0.1), cfg)
+            return schrodinger_evolve(h_of_t, psi0, cfg)
 
-        first = stats_of(lambda t: system(t))
+        callable_run = run(lambda t: system(t))
+        first = callable_run.stats
         assert set(first) == self._KEYS
-        assert first == stats_of(lambda t: system(t))
+        assert first == run(lambda t: system(t)).stats
         assert 0.0 < first["h_min"] <= first["h_max"] <= 5.0
         # the ramped path takes the same steps
-        assert first == stats_of(system)
+        ramped = run(system)
+        counts = ("accepted", "rejected", "rhs_evals")
+        assert [ramped.stats[k] for k in counts] == [first[k] for k in counts]
+        if not lindblad:
+            assert ramped.stats == first
+        # its Liouvillian diagonal rounds differently (TestLiouvillian):
+        # measured h_min 5.0e-8 and h_max 9.4e-9 relative, states 1.6e-15;
+        # bounded at 2x and 3x those
+        for key in ("h_min", "h_max"):
+            assert ramped.stats[key] == pytest.approx(first[key], rel=1e-7)
+        assert np.abs(ramped.states - callable_run.states).max() < 5e-15
 
     def test_step_extremes_are_of_accepted_steps(self, rng):
         m0 = -1j * random_hermitian(rng, 2)
