@@ -70,7 +70,9 @@ class RunConfig:
     gnuplot: bool = False
 
     def params(self) -> CnotParams:
-        return CnotParams(j1=self.j1, g=self.g, j2_amp=self.j2_amp)
+        # a full-range ramp reaches +-J2: the library's j2_amp doubled
+        scale = 2.0 if self.full_range_ramp else 1.0
+        return CnotParams(j1=self.j1, g=self.g, j2_amp=self.j2_amp * scale)
 
     def evolution_config(self, sample_count: int = 2) -> EvolutionConfig:
         return EvolutionConfig(abs_tol=self.abs_tol, rel_tol=self.rel_tol,
@@ -147,7 +149,8 @@ _HELP = {
     "j1": "energy scale of qubit 1",
     "g": "sector coupling strength",
     "j2_amp": "drive amplitude J2 in J2(t) = J2 t / tau",
-    "full_range_ramp": "ramp endpoints reach +-J2 instead of +-J2/2",
+    "full_range_ramp": "ramp endpoints reach +-J2 instead of +-J2/2, "
+                       "the same run as --j2 doubled",
     "output": "output path prefix",
     "format": "data file format, csv (default) or json",
     "seed": "master seed, recorded in the manifest",
@@ -209,6 +212,8 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
             parser.error(f"config key {key!r} must be a boolean")
         if want in (int, float) and isinstance(value, bool):
             parser.error(f"config key {key!r} must be a number")
+        if want is int and isinstance(value, float):  # as --n 3.0 exits 2
+            parser.error(f"config key {key!r} must be an integer, got {value}")
     return data
 
 
@@ -344,7 +349,7 @@ def _gnuplot_script(csv_path: str, header: list[str]) -> str:
 def _spectrum_rows(rc: RunConfig):
     params = rc.params()
     tau = float(parse_axis(rc.tau)[0])
-    ramp = linear_ramp(params, tau, rc.full_range_ramp)
+    ramp = linear_ramp(params, tau)
     times = np.linspace(ramp.t_start, ramp.t_end, rc.samples)
     rows = []
     for t in times:
@@ -359,8 +364,7 @@ def _evolve_rows(rc: RunConfig):
     tau = float(parse_axis(rc.tau)[0])
     alpha = (None if rc.alpha is None else NoiseModel.from_gap_units(
         float(parse_axis(rc.alpha)[0]), params.g).alpha)
-    system, _, _ = cell = _gate_cell(params, tau, rc.cd, rc.full_range_ramp,
-                                     alpha=alpha)
+    system, _, _ = cell = _gate_cell(params, tau, rc.cd, alpha=alpha)
     traj = _run_cell(cell, rc.evolution_config(sample_count=rc.samples))
     target = _target_index(system)
     header = ["t", "fidelity", "ground_prob", "transition_prob", "norm"]
@@ -384,14 +388,12 @@ def _sweep_tau_rows(rc: RunConfig):
     taus = parse_axis(rc.tau)
     cfg = rc.evolution_config()
     if rc.command == "nqubit":
-        result = n_qubit_demo(rc.n, params, taus, rc.cd, cfg,
-                              full_range_ramp=rc.full_range_ramp)
+        result = n_qubit_demo(rc.n, params, taus, rc.cd, cfg)
     else:
-        result = sweep_tau(params, taus, rc.cd, cfg,
-                           full_range_ramp=rc.full_range_ramp)
+        result = sweep_tau(params, taus, rc.cd, cfg)
     rows = [
         (tau, result.fidelity[0, j], result.transition_prob[0, j],
-         lz_prediction_for(params, float(tau), rc.full_range_ramp))
+         lz_prediction_for(params, float(tau)))
         for j, tau in enumerate(taus)
     ]
     _warn_failed(result.failed_cells, "its fidelity is written as NaN")
@@ -407,7 +409,7 @@ def _warn_failed(cells: list, effect: str) -> None:
 def _noise_rows(rc: RunConfig):
     params = rc.params()
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
-                     cd_enabled=rc.cd, full_range_ramp=rc.full_range_ramp)
+                     cd_enabled=rc.cd)
     cfg = rc.evolution_config()
     result = sweep_noise(grid, cfg)
     rows = []
@@ -427,9 +429,8 @@ def _optimal_tau_rows(rc: RunConfig):
     rows = []
     for alpha_gap in parse_axis(rc.alpha):
         alpha = NoiseModel.from_gap_units(float(alpha_gap), params.g).alpha
-        tau_star, f_star = find_optimal_tau(
-            params, alpha, cfg, tau_window=(lo, hi),
-            full_range_ramp=rc.full_range_ramp)
+        tau_star, f_star = find_optimal_tau(params, alpha, cfg,
+                                            tau_window=(lo, hi))
         rows.append((alpha, alpha_gap, tau_star, f_star))
     return ["alpha_abs", "alpha_in_gap_units", "tau_star", "f_star"], rows, {}
 
@@ -437,11 +438,11 @@ def _optimal_tau_rows(rc: RunConfig):
 def _tradeoff_rows(rc: RunConfig):
     params = rc.params()
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
-                     cd_enabled=True, full_range_ramp=rc.full_range_ramp)
+                     cd_enabled=True)
     cfg = rc.evolution_config()
     curve = tradeoff_boundary(grid, rc.threshold, cfg)
-    rows = [(alpha, alpha / (2 * params.g), tau_max, alpha * tau_max)
-            for alpha, tau_max in curve.points]
+    rows = [(alpha, NoiseModel(alpha=alpha).in_gap_units(params.g), tau_max,
+             alpha * tau_max) for alpha, tau_max in curve.points]
     header = ["alpha_abs", "alpha_in_gap_units", "tau_max", "tau_alpha_product"]
     _warn_failed(curve.failed_cells, "it counts as below the threshold")
     summary = {"product_mean": curve.product_mean,

@@ -56,9 +56,9 @@ HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
 
 # Largest sector dimension of a density matrix integrated as vec(rho) under
 # the Liouvillian: one d^2 x d^2 product per stage beats the commutator's five
-# numpy calls at d = 4 (under half the time per step, 29-37 against 65-74
-# us), but building the stage operators costs d^4 and loses from d = 8 on
-# (timings in docs/noise_model.md, "Integration"); at d = 64 one is 268 MB.
+# numpy calls at d = 2 and 4 (36-65 against 93-159 us per step at d = 4), but
+# building the stage operators costs d^4 and loses from d = 8 on (timings in
+# docs/noise_model.md, "Integration"); at d = 64 one is 268 MB.
 _LIOUVILLIAN_MAX_DIM = 4
 
 
@@ -131,7 +131,7 @@ class NoiseModel:
 
     @classmethod
     def from_gap_units(cls, value: float, g: float) -> "NoiseModel":
-        return cls(alpha=value * 2.0 * g)
+        return cls(alpha=value * (2.0 * g))
 
 
 def _resolve_span(h_of_t: HamiltonianLike, cfg: EvolutionConfig | None,

@@ -36,6 +36,7 @@ from .errors import CdgateError, NoInteriorMaximumError
 from .model import (
     CnotParams,
     RampedGateHamiltonian,
+    _check_qubit_count,
     build_inverse_engineered,
     cnot_system,
     cnot_unitary,
@@ -70,7 +71,6 @@ class SweepGrid:
     alpha_gap_units: np.ndarray
     cd_enabled: bool
     params: CnotParams
-    full_range_ramp: bool = False
 
     def __post_init__(self):
         tau = np.asarray(self.tau_values, dtype=float)
@@ -85,8 +85,8 @@ class SweepGrid:
             raise ValueError("grid axes must be ascending")
 
 
-def make_grid(params: CnotParams, tau_values, alpha_gap_units, cd_enabled,
-              full_range_ramp: bool = False) -> SweepGrid:
+def make_grid(params: CnotParams, tau_values, alpha_gap_units,
+              cd_enabled) -> SweepGrid:
     """Build a sweep grid from noise strengths given in units of 2g."""
     alpha_gap = np.asarray(alpha_gap_units, dtype=float)
     return SweepGrid(
@@ -95,7 +95,6 @@ def make_grid(params: CnotParams, tau_values, alpha_gap_units, cd_enabled,
         alpha_gap_units=alpha_gap,
         cd_enabled=cd_enabled,
         params=params,
-        full_range_ramp=full_range_ramp,
     )
 
 
@@ -152,13 +151,15 @@ def _initial_vector(system: RampedGateHamiltonian, n: int,
     return nqubit_sector_states(n, params.g, j2_start)[0]
 
 
-def _gate_cell(params: CnotParams, tau: float, cd: bool,
-               full_range_ramp: bool, n: int = 2, alpha: float | None = None):
+def _gate_cell(params: CnotParams, tau: float, cd: bool, n: int = 2,
+               alpha: float | None = None):
     """One ramped gate run's set-up ``(system, y0, alpha)``: y0 is the start's
     sector ground state, pure, or as a density matrix given a rate alpha;
     n = 2 builds with ``cnot_system``, bit for bit ``nqubit_system(2, ...)``."""
-    system = (cnot_system(params, tau, cd, full_range_ramp) if n == 2
-              else nqubit_system(n, params, tau, cd, full_range_ramp))
+    # perfbench's traced noise-map and optimal-tau require a
+    # model.cnot_system span, so n = 2 keeps its own builder
+    system = (cnot_system(params, tau, cd) if n == 2
+              else nqubit_system(n, params, tau, cd))
     psi0 = _initial_vector(system, n, params)
     y0 = psi0 if alpha is None else np.outer(psi0, psi0.conj())
     return system, y0, alpha
@@ -175,14 +176,14 @@ def _run_cell(cell, cfg: EvolutionConfig | None) -> Trajectory:
 
 
 def adiabatic_profile(params: CnotParams, tau: float, cd_enabled: bool = False,
-                      cfg: EvolutionConfig | None = None,
-                      full_range_ramp: bool = False) -> list[FidelityPoint]:
+                      cfg: EvolutionConfig | None = None
+                      ) -> list[FidelityPoint]:
     """Instantaneous fidelity |<Psi(t)|11>|^2 (|10> for a negative
     amplitude, ``_target_index``) along one unitary gate run, sampled at
     201 points unless ``cfg`` asks for at least 3."""
     if cfg is None or cfg.sample_count < 3:
         cfg = replace(cfg or EvolutionConfig(), sample_count=201)
-    system, _, _ = cell = _gate_cell(params, tau, cd_enabled, full_range_ramp)
+    system, _, _ = cell = _gate_cell(params, tau, cd_enabled)
     traj = _run_cell(cell, cfg)
     target = _target_index(system)
     return [FidelityPoint(t=float(t), value=float(abs(psi[target]) ** 2))
@@ -190,9 +191,8 @@ def adiabatic_profile(params: CnotParams, tau: float, cd_enabled: bool = False,
 
 
 def _unitary_cell(n: int, params: CnotParams, tau: float, cd: bool,
-                  cfg: EvolutionConfig | None,
-                  full_range_ramp: bool) -> tuple[float, float, float]:
-    system, _, _ = cell = _gate_cell(params, tau, cd, full_range_ramp, n)
+                  cfg: EvolutionConfig | None) -> tuple[float, float, float]:
+    system, _, _ = cell = _gate_cell(params, tau, cd, n)
     psi = _run_cell(cell, cfg).final_state
     j2_end = system.drive_value(system.t_end)
     ground, excited = nqubit_sector_states(n, params.g, j2_end)
@@ -203,31 +203,29 @@ def _unitary_cell(n: int, params: CnotParams, tau: float, cd: bool,
 
 
 def sweep_tau(params: CnotParams, tau_values, cd_enabled: bool,
-              cfg: EvolutionConfig | None = None,
-              full_range_ramp: bool = False) -> SweepResult:
+              cfg: EvolutionConfig | None = None) -> SweepResult:
     """Final fidelity, transition and ground-state probability per driving
     time for the unitary two-qubit gate; a failed cell is NaN in all three."""
-    return n_qubit_demo(2, params, tau_values, cd_enabled, cfg,
-                        full_range_ramp)
+    return n_qubit_demo(2, params, tau_values, cd_enabled, cfg)
 
 
 def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
-                 cfg: EvolutionConfig | None = None,
-                 full_range_ramp: bool = False) -> SweepResult:
+                 cfg: EvolutionConfig | None = None) -> SweepResult:
     """The tau sweep on the 2^n-dimensional generalization, with target
     |1...1> (|1...10> for a negative amplitude) and the start's sector
     ground state as the start. A failed cell is NaN in all three arrays
-    and listed in ``failed_cells``."""
-    grid = make_grid(params, tau_values, [0.0], cd_enabled, full_range_ramp)
+    and listed in ``failed_cells``; an unsupported n raises
+    ``DimensionTooLargeError`` before any cell runs."""
+    _check_qubit_count(n)
+    grid = make_grid(params, tau_values, [0.0], cd_enabled)
     return _sweep(grid, lambda alpha, tau: _unitary_cell(
-        n, params, tau, cd_enabled, cfg, full_range_ramp), cfg,
+        n, params, tau, cd_enabled, cfg), cfg,
         ("fidelity", "transition_prob", "ground_prob"), n_qubits=n)
 
 
 def _noise_cell(params: CnotParams, alpha: float, tau: float, cd: bool,
-                full_range_ramp: bool, cfg: EvolutionConfig | None) -> float:
-    system, _, _ = cell = _gate_cell(params, tau, cd, full_range_ramp,
-                                     alpha=alpha)
+                cfg: EvolutionConfig | None) -> float:
+    system, _, _ = cell = _gate_cell(params, tau, cd, alpha=alpha)
     return fidelity_mixed(_run_cell(cell, cfg).final_state,
                           _target_state(2, _target_index(system)))
 
@@ -238,8 +236,7 @@ def sweep_noise(grid: SweepGrid,
     against |11> (|10> for a negative amplitude). Failed cells are recorded
     as NaN and the sweep continues."""
     return _sweep(grid, lambda alpha, tau: (_noise_cell(
-        grid.params, alpha, tau, grid.cd_enabled, grid.full_range_ramp,
-        cfg),), cfg)
+        grid.params, alpha, tau, grid.cd_enabled, cfg),), cfg)
 
 
 def _sweep(grid: SweepGrid, cell, cfg: EvolutionConfig | None,
@@ -271,8 +268,8 @@ def _sweep(grid: SweepGrid, cell, cfg: EvolutionConfig | None,
 
 def find_optimal_tau(params: CnotParams, alpha: float,
                      cfg: EvolutionConfig | None = None,
-                     tau_window: tuple[float, float] = (2.0, 120.0),
-                     full_range_ramp: bool = False) -> tuple[float, float]:
+                     tau_window: tuple[float, float] = (2.0, 120.0)
+                     ) -> tuple[float, float]:
     """Locate the driving time maximizing the noisy no-CD final fidelity.
 
     An 18-point log-spaced scan of ``tau_window = (lo, hi)``, with
@@ -287,7 +284,7 @@ def find_optimal_tau(params: CnotParams, alpha: float,
         raise ValueError(f"tau_window needs 0 < lo < hi, got {tau_window}")
 
     def f_of(tau: float) -> float:
-        return _noise_cell(params, alpha, tau, False, full_range_ramp, cfg)
+        return _noise_cell(params, alpha, tau, False, cfg)
 
     taus = np.logspace(np.log10(tau_window[0]), np.log10(tau_window[1]),
                        _COARSE_POINTS)
@@ -381,10 +378,8 @@ def gate_unitary_check(tau: float, n_offset: int = 0) -> GateCheckReport:
     )
 
 
-def lz_prediction_for(params: CnotParams, tau: float,
-                      full_range_ramp: bool = False) -> float:
+def lz_prediction_for(params: CnotParams, tau: float) -> float:
     """Closed-form LZ transition probability for the configured ramp; it
     depends on the sweep rate's magnitude only, so the amplitude's sign
     does not enter."""
-    amp = abs(params.j2_amp) * (2.0 if full_range_ramp else 1.0)
-    return lz_formula(params.g, amp, tau)
+    return lz_formula(params.g, abs(params.j2_amp), tau)

@@ -76,18 +76,13 @@ class DriveSchedule:
         return self.rate
 
 
-def linear_ramp(params: CnotParams, tau: float,
-                full_range_ramp: bool = False) -> DriveSchedule:
-    """J2(t) = j2_amp * t / tau on [-tau/2, tau/2].
-
-    With ``full_range_ramp`` the slope is doubled so the endpoints reach
-    +-j2_amp instead of +-j2_amp/2.
-    """
+def linear_ramp(params: CnotParams, tau: float) -> DriveSchedule:
+    """J2(t) = j2_amp * t / tau on [-tau/2, tau/2]; the endpoints reach
+    +-j2_amp/2 (a ramp to +-J2 is ``j2_amp = 2 J2``)."""
     if not 0 < tau < np.inf:
         raise NonPositiveTauError(f"tau must be positive and finite, got {tau}")
-    slope = params.j2_amp * (2.0 if full_range_ramp else 1.0) / tau
-    return DriveSchedule(rate=slope, offset=0.0, t_start=-tau / 2.0,
-                         t_end=tau / 2.0)
+    return DriveSchedule(rate=params.j2_amp / tau, offset=0.0,
+                         t_start=-tau / 2.0, t_end=tau / 2.0)
 
 
 def linear_phase_ramp(tau: float, n_offset: int = 0) -> DriveSchedule:
@@ -171,16 +166,15 @@ def build_h_cd_analytic(params: CnotParams, j2: float,
     return pref * _CD_ANALYTIC_SHAPE
 
 
-def build_h_cd_spectral(h, hdot, gap_tol: float | None = None,
-                        elem_tol: float | None = None) -> np.ndarray:
+def build_h_cd_spectral(h, hdot) -> np.ndarray:
     """Generic counterdiabatic field from the spectral formula,
 
         i * sum_{m != n} |E_m> <E_m|Hdot|E_n> / (E_n - E_m) <E_n|.
 
-    Near-degenerate pairs (|E_n - E_m| below ``gap_tol`` scaled by the
-    spectral range) contribute nothing when the coupling element is below
-    ``elem_tol``; a large element at a tiny gap is a genuinely singular
-    construction and raises GapCollisionError.
+    Near-degenerate pairs (|E_n - E_m| below ``TOL.gap_collision`` scaled
+    by the spectral range) contribute nothing when the coupling element is
+    below ``TOL.cd_element``; a large element at a tiny gap is a genuinely
+    singular construction and raises GapCollisionError.
     """
     h = as_operator(h)
     hdot = as_operator(hdot)
@@ -188,8 +182,7 @@ def build_h_cd_spectral(h, hdot, gap_tol: float | None = None,
     w = dec.eigenvalues
     v = dec.eigenvectors
     scale = max(1.0, float(np.abs(w).max()))
-    gap_cut = (TOL.gap_collision if gap_tol is None else gap_tol) * scale
-    elem_cut = TOL.cd_element if elem_tol is None else elem_tol
+    gap_cut = TOL.gap_collision * scale
 
     coupling = v.conj().T @ hdot @ v
     dim = w.shape[0]
@@ -201,7 +194,7 @@ def build_h_cd_spectral(h, hdot, gap_tol: float | None = None,
             gap = w[n] - w[m]
             elem = coupling[m, n]
             if abs(gap) < gap_cut:
-                if abs(elem) >= elem_cut:
+                if abs(elem) >= TOL.cd_element:
                     raise GapCollisionError(
                         f"eigenvalue gap {abs(gap):.3e} below tolerance with "
                         f"coupling {abs(elem):.3e}; counterdiabatic field is "
@@ -346,9 +339,9 @@ class RampedGateHamiltonian:
 
 
 def _ramped_system(params: CnotParams, tau: float, use_cd: bool,
-                   full_range_ramp: bool, h0: np.ndarray, hz: np.ndarray,
+                   h0: np.ndarray, hz: np.ndarray,
                    hcd: np.ndarray) -> RampedGateHamiltonian:
-    schedule = linear_ramp(params, tau, full_range_ramp)
+    schedule = linear_ramp(params, tau)
     return RampedGateHamiltonian(
         h0=h0,
         hz=hz,
@@ -361,39 +354,36 @@ def _ramped_system(params: CnotParams, tau: float, use_cd: bool,
     )
 
 
-def _gate_system(n: int, params: CnotParams, tau: float, use_cd: bool,
-                 full_range_ramp: bool) -> RampedGateHamiltonian:
+def _gate_system(n: int, params: CnotParams, tau: float,
+                 use_cd: bool) -> RampedGateHamiltonian:
     # Shared by cnot_system and nqubit_system so that one call to either
     # is one system build, not two; build_h_n checks n.
     return _ramped_system(
-        params, tau, use_cd, full_range_ramp,
-        h0=build_h_n(n, params.j1, 0.0, params.g),
+        params, tau, use_cd, h0=build_h_n(n, params.j1, 0.0, params.g),
         hz=_op_on(SIGMA_Z, n - 1, n),
         hcd=control_projector(n) @ _op_on(SIGMA_Y, n - 1, n),
     )
 
 
-def cnot_system(params: CnotParams, tau: float, use_cd: bool = False,
-                full_range_ramp: bool = False) -> RampedGateHamiltonian:
+def cnot_system(params: CnotParams, tau: float,
+                use_cd: bool = False) -> RampedGateHamiltonian:
     """The linearly driven two-qubit gate as a kernel-ready system: the
     n = 2 case of ``nqubit_system``."""
-    return _gate_system(2, params, tau, use_cd, full_range_ramp)
+    return _gate_system(2, params, tau, use_cd)
 
 
-def lz_system(params: CnotParams, tau: float, use_cd: bool = False,
-              full_range_ramp: bool = False) -> RampedGateHamiltonian:
+def lz_system(params: CnotParams, tau: float,
+              use_cd: bool = False) -> RampedGateHamiltonian:
     """The two-level sector reduction as a kernel-ready system."""
     return _ramped_system(
-        params, tau, use_cd, full_range_ramp,
-        h0=(-params.g * SIGMA_X - params.j1 * IDENTITY_2),
+        params, tau, use_cd, h0=(-params.g * SIGMA_X - params.j1 * IDENTITY_2),
         hz=SIGMA_Z.copy(),
         hcd=SIGMA_Y.copy(),
     )
 
 
 def nqubit_system(n: int, params: CnotParams, tau: float,
-                  use_cd: bool = False,
-                  full_range_ramp: bool = False) -> RampedGateHamiltonian:
+                  use_cd: bool = False) -> RampedGateHamiltonian:
     """The N-qubit generalization as a kernel-ready system; the first n-1
     qubits carry j1, the driven last qubit ramps with amplitude j2_amp."""
-    return _gate_system(n, params, tau, use_cd, full_range_ramp)
+    return _gate_system(n, params, tau, use_cd)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,25 @@ class TestParseConfig:
             parse_config(["sweep-tau", "--config", str(cfg)])
         assert exc.value.code == 2
         assert "gg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n", "phase_offset", "seed",
+                                     "workers", "samples"])
+    @pytest.mark.parametrize("value", [3.7, 3.0])
+    def test_non_integer_config_number_exits_2(self, key, value, tmp_path,
+                                               capsys):
+        # argparse rejects --n 3.0 as well; a file value is not truncated
+        argv = {"n": ["nqubit"], "phase_offset": ["gate-check"]}.get(
+            key, ["spectrum"])
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(argv + ["--config", str(cfg),
+                            "--output", str(out / "r")]) == 2
+        assert key in capsys.readouterr().err
+        assert not os.listdir(out)
+        cfg.write_text(json.dumps({key: 3}))
+        assert getattr(parse_config(argv + ["--config", str(cfg)]), key) == 3
 
     def test_invalid_params_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -508,6 +528,64 @@ class TestSharedGateRun:
         profile = adiabatic_profile(CnotParams(), tau=10.0)
         assert columns["t"] == [p.t for p in profile]
         assert columns["fidelity"] == [p.value for p in profile]
+
+
+class TestFullRangeRamp:
+    """``--full-range-ramp`` is ``--j2`` doubled: ``RunConfig.params`` folds
+    it into the amplitude, and the manifest still echoes both as given."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-tau", "--tau", "1:20:3log"],
+        ["sweep-tau", "--tau", "1:20:3log", "--cd"],
+        ["nqubit", "--n", "3", "--cd", "--tau", "1:5:3"],
+        ["heatmap", "--alpha", "0,0.1", "--tau", "1,10"],
+        ["sweep-noise", "--alpha", "0.05", "--tau", "1,10", "--cd"],
+        ["optimal-tau", "--alpha", "0.04", "--tau-window", "5:120"],
+        ["tradeoff", "--alpha", "0.05,0.1", "--tau", "1:40:4log"],
+        ["spectrum", "--samples", "9"],
+        ["evolve", "--tau", "10", "--samples", "6"],
+        ["evolve", "--tau", "10", "--alpha", "0.05", "--cd", "--samples", "6"],
+    ], ids=["sweep-tau", "sweep-tau-cd", "nqubit-cd", "heatmap",
+            "sweep-noise", "optimal-tau", "tradeoff", "spectrum", "evolve",
+            "evolve-noisy"])
+    def test_data_file_is_the_doubled_amplitudes(self, tmp_path, argv):
+        assert main(argv + ["--full-range-ramp",
+                            "--output", str(tmp_path / "full")]) == 0
+        assert main(argv + ["--j2", "20",
+                            "--output", str(tmp_path / "j2")]) == 0
+        name = f"_{argv[0]}.csv"
+        assert ((tmp_path / ("full" + name)).read_bytes()
+                == (tmp_path / ("j2" + name)).read_bytes())
+        config = json.loads(
+            (tmp_path / "full_manifest.json").read_text())["config"]
+        assert config["full_range_ramp"] is True
+        assert config["j2_amp"] == 10.0
+
+    def test_non_finite_doubled_amplitude_exits_2(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from cdgate import cli
+
+        def no_work(*args):
+            raise AssertionError("a command ran")
+        monkeypatch.setattr(cli, "run_command", no_work)
+        assert main(["sweep-tau", "--j2", "1e308", "--full-range-ramp",
+                     "--output", str(tmp_path / "r")]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("flags, warns", [
+        (["--j2", "1.5", "--full-range-ramp"], True),
+        (["--j2", "3"], True),
+        (["--j2", "3", "--full-range-ramp"], False),
+        (["--j2", "6"], False),
+    ])
+    def test_small_amplitude_warning_follows_the_run(self, flags, warns):
+        # j1 = 1, g = 0.5: the warning fires below |j2_amp| = 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_config(["spectrum"] + flags)
+        small = [w for w in caught if "not much larger" in str(w.message)]
+        assert bool(small) == warns
 
 
 class TestNegativeAmplitude:

@@ -325,6 +325,11 @@ class TestLindblad:
         other = NoiseModel.from_gap_units(0.08, g=0.25)
         assert abs(other.alpha - 0.04) < 1e-15
 
+    def test_gap_unit_conversion_does_not_overflow_early(self):
+        # 2 g is formed first, as make_grid does, so a finite rate stays
+        # finite: 1e308 * 2.0 would overflow before the * g
+        assert NoiseModel.from_gap_units(1e308, 0.5).alpha == 1e308
+
 
 class TestSectorEmbedding:
     """``build_h_n`` is block diagonal and its only coupled block, the last
@@ -373,7 +378,7 @@ class TestSectorEmbedding:
         # independent commutator form: a dissipator on the wrong term or a
         # flipped diagonal shows here (measured: same steps in all 36
         # cases, states within 2.8e-14)
-        cell = _gate_cell(params, tau, use_cd, False, n, alpha=alpha)
+        cell = _gate_cell(params, tau, use_cd, n, alpha=alpha)
         folded = _run_cell(cell, None)
         monkeypatch.setattr(dynamics, "_LIOUVILLIAN_MAX_DIM", 0)
         commutator = _run_cell(cell, None)
@@ -549,7 +554,7 @@ class TestLindbladProperties:
                                              use_cd):
         params = CnotParams(g=g, j2_amp=j2_amp)
         alpha = NoiseModel.from_gap_units(alpha_gap, g).alpha
-        cell = _gate_cell(params, tau, use_cd, False, alpha=alpha)
+        cell = _gate_cell(params, tau, use_cd, alpha=alpha)
         cfg = EvolutionConfig(sample_count=5)
         folded = _run_cell(cell, cfg)
         with mock.patch.object(dynamics, "_LIOUVILLIAN_MAX_DIM", 0):

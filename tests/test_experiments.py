@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cdgate import _kernels, experiments
-from cdgate.errors import NoInteriorMaximumError
+from cdgate.errors import DimensionTooLargeError, NoInteriorMaximumError
 from cdgate.experiments import (
     SweepGrid,
     adiabatic_profile,
@@ -184,9 +184,9 @@ class TestTradeoffBoundary:
         taus = [tau for _, tau in curve.points]
         assert all(a >= b for a, b in zip(taus, taus[1:]))
 
-    def test_noiseless_column_saturates_grid(self, params):
-        grid = make_grid(params, [1.0, 5.0, 20.0], [0.0], cd_enabled=True,
-                         full_range_ramp=True)
+    def test_noiseless_column_saturates_grid(self):
+        grid = make_grid(CnotParams(j2_amp=20.0), [1.0, 5.0, 20.0], [0.0],
+                         cd_enabled=True)
         curve = tradeoff_boundary(grid, threshold=0.999)
         assert curve.points == [(0.0, 20.0)]
 
@@ -348,10 +348,15 @@ class TestSinglePath:
         n_qubit_demo(n, params, [1.0, 2.0], cd_enabled=True)
         assert built == [builder, builder]
 
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_bad_qubit_count_raises_before_any_cell(self, params, run_spy, n):
+        with pytest.raises(DimensionTooLargeError, match="2..6"):
+            n_qubit_demo(n, params, [1.0, 2.0], cd_enabled=True)
+        assert run_spy == {"cells": 0, "evolutions": 0}
+
     def test_noisy_cell_starts_from_the_pure_cells_state(self, params):
-        system, psi0, alpha = experiments._gate_cell(params, 5.0, False,
-                                                     False)
-        _, rho0, rate = experiments._gate_cell(params, 5.0, False, False,
+        system, psi0, alpha = experiments._gate_cell(params, 5.0, False)
+        _, rho0, rate = experiments._gate_cell(params, 5.0, False,
                                                alpha=0.1)
         assert alpha is None and rate == 0.1
         assert np.array_equal(rho0, np.outer(psi0, psi0.conj()))

@@ -278,7 +278,7 @@ class TestLiouvillian:
         # the sector's h0 has equal diagonal entries, so their lift cancels
         # exactly: a stage diagonal is the dissipator plus
         # -i J(t) (hz_aa - hz_cc), each exact
-        system, rho0, alpha = _gate_cell(CnotParams(), 6.0, use_cd, False, n,
+        system, rho0, alpha = _gate_cell(CnotParams(), 6.0, use_cd, n,
                                          alpha=0.1)
         sub, idx = dynamics._invariant_sector(system, rho0.any(axis=0))
         assert idx.size == 2
@@ -542,7 +542,7 @@ class TestPinnedSteps:
     def test_optimal_tau_cell_fidelity(self):
         params = CnotParams()
         alpha = NoiseModel.from_gap_units(0.04, params.g).alpha
-        fidelity = _noise_cell(params, alpha, 30.0, False, False, None)
+        fidelity = _noise_cell(params, alpha, 30.0, False, None)
         assert abs(fidelity - 0.7997376672936184) < 1e-14
 
 
