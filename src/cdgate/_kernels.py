@@ -1,37 +1,37 @@
 """Numeric kernels shared by the evolution engines.
 
 Everything here is plain numpy. One adaptive Dormand-Prince 8(5,3) stepper,
-``dop853``, integrates every Schroedinger and Lindblad evolution. It takes
-``generators(ts, out=None)``, the stage operators stacked over an array of
-times (written into ``out`` and returned, when given), and
-``apply(M, y, out)``, the derivative written into ``out`` as by ``np.dot``;
+``dop853``, integrates every Schroedinger and Lindblad evolution. The
+kernels integrate exactly the state they are given: ``cdgate.dynamics``
+restricts a run to its invariant sector and embeds the result, and passes
+the full state's length as ``width``, which enters only the error norm, so
+a sector run takes the full run's steps. The stepper picks its first step
+(a thousandth of the span) and raises ``StepUnderflowError`` itself. Every
+callback has one call shape: ``generators(ts)`` writes the stage operators
+at the times ``ts`` into a block of its own and returns it, the same array
+on every call; ``apply(M, y, out)`` writes the derivative into ``out``, as
+``np.dot`` does; ``post_step(y_new, out)`` writes the accepted state.
 ``cdgate.dynamics`` chooses the equation (``apply``, drift monitor,
 symmetrization) and the generator source: ``evolve_ramped`` for a ramped
-system, one call per stage time for a Hamiltonian callable. Given the
-indices of an invariant sector, the stepper and the Monte-Carlo average
-integrate those entries of a full-width state alone, under operators of
-the sector's size, and return full-width states; the stepper's error norm
-still divides by the full width, so it takes the full run's steps. A stage
+system, one call per stage time for a Hamiltonian callable. A stage
 operator is a generator ``M(t) = -i H(t)``, or for a density matrix on a
 small sector its superoperator ``liouvillian(M, D)``, so that every
 Lindblad stage is then one matrix-vector product, as a Schroedinger stage
-is; larger sectors use the commutator form, ``lindblad_apply``. The
-states are small, so a step costs Python calls, not arithmetic: the
-stepper therefore asks for the generators of a step's eleven distinct
-stage times at once (one product for a ramped system), into a block of its
-own. The state and the stage derivatives are the rows of one block, so
-each stage, the solution and both error estimates are one matrix product
-over it, and ``apply`` writes each stage into its row; a step allocates no
-array. A ramped source binds its views of that block once, and the model
-writes the drive and CD coefficients into its coefficient block. The
-dissipator ``D`` is constant, so it is lifted with ``-i h0`` once per run,
-and a Lindblad step builds its superoperators with the one product a
-Schroedinger step uses. ``symmetrize`` writes each accepted density matrix
-straight into the state row. The Monte-Carlo dephasing average,
-``dephasing_average``, advances every noise realization at once: the
-noise is constant within an RK4 step, so the step is one polynomial in it,
-whose matrices (``_rk4_polynomials``) are built for a block of steps at
-once and shared by every realization.
+is; larger sectors use the commutator form, ``lindblad_apply``; both take
+the dissipator ``D = alpha (d_a d_c - 1)``. The states are small, so a
+step costs Python calls, not arithmetic: the stepper asks for the
+generators of a step's eleven distinct stage times at once (one product
+for a ramped system). The state and the stage derivatives are the rows of
+one block, so each stage, the solution and both error estimates are one
+matrix product over it, and ``apply`` writes each stage into its row; a
+step allocates no array. The dissipator is constant, so it is lifted with
+``-i h0`` once per run, and a Lindblad step builds its superoperators with
+the one product a Schroedinger step uses. ``symmetrize`` writes each
+accepted density matrix straight into the state row. The Monte-Carlo
+dephasing average, ``dephasing_average``, advances every noise realization
+at once: the noise is constant within an RK4 step, so the step is one
+polynomial in it, whose matrices (``_rk4_polynomials``) are built for a
+block of steps at once and shared by every realization.
 
 The ramped Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd``, with its drive
 ``J(t)`` and counterdiabatic coefficient ``c(t)``, is defined in one place:
@@ -43,6 +43,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import StepUnderflowError
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -107,11 +109,6 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_TOTAL_STEPS = 20_000_000
 
-# status codes returned by the stepper
-STATUS_OK = 0
-STATUS_STEP_UNDERFLOW = 1
-STATUS_STEP_BUDGET = 2
-
 # stage times of a step as fractions of h: stages 2..12. The last, c = 1, is
 # also the FSAL point t + h.
 C_STAGE = DP_C[1:]
@@ -122,51 +119,46 @@ _A_AUG = np.vstack([DP_A, DP_B])
 _E53 = np.stack([DP_E5, DP_E3]).astype(np.complex128)
 
 
-def dop853(generators, apply, sample_times, y0, rtol, atol, h_init, drift_of,
-           post_step=None, sector=None):
+def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
+           post_step=None, width=None):
     """Integrate ``dy/dt = apply(M(t), y)`` for a flat complex ``y``.
 
-    ``generators(ts, out=None)`` returns the stage operators ``M(t)``
-    (generators ``-i H(t)`` or their ``liouvillian`` superoperators)
-    stacked over an array of times, written into ``out`` when given. The
-    start-time call sizes the stepper's own ``(11,) + op_shape`` block,
-    which each attempted step passes as ``out``, at ``t + h * C_STAGE``:
-    stage ``s`` uses row ``s - 1``, and the FSAL derivative the last row,
-    stage 12's time ``t + h``. The state and the stage derivatives are the
-    rows of one block ``Z``: stage ``s`` is
-    ``apply(M, (1, h a_s) . Z[:s + 1], out)``, which writes the derivative
-    into its row ``out``, as ``np.dot`` does. Every per-step array is
-    allocated once per call and written in place. Output states are
-    recorded exactly at ``sample_times`` (the first entry must equal the
-    start time). When a ``post_step`` is given, ``post_step(y_new, y)``
-    writes each accepted state into the state row ``y``, and
-    ``drift_of(y)`` is monitored; the state is never renormalized. With a
-    ``sector`` (an index array into ``y0``), only ``y0[sector]`` is
-    integrated, under stage operators of that size: the caller vouches that
-    the other entries stay exactly 0. ``states`` keep the width of ``y0``,
-    each sample written back into the sector, and the error norm still
-    divides by that full width, so the steps are those of the full-width
-    run. Returns ``(status, states, drift, stats)``: ``drift`` is the largest
-    ``drift_of`` seen at any accepted step and ``stats`` counts the
-    ``accepted`` and ``rejected`` steps and the ``rhs_evals``, and holds the
-    smallest and largest accepted step, ``h_min`` and ``h_max`` (0 when
-    no step was accepted).
+    ``generators(ts)`` writes the stage operators ``M(t)`` (generators
+    ``-i H(t)`` or their ``liouvillian`` superoperators) at the eleven
+    times ``ts`` into a block of its own and returns it, the same array on
+    every call. Each attempted step asks for ``t + h * C_STAGE``: stage
+    ``s`` uses row ``s - 1``, and the FSAL derivative the last row, stage
+    12's time ``t + h``; the start call passes eleven copies of the start
+    time and uses row 0. The state and the stage derivatives are the rows
+    of one block ``Z``: stage ``s`` is ``apply(M, (1, h a_s) . Z[:s + 1],
+    out)``, which writes the derivative into its row ``out``, as
+    ``np.dot`` does. Every per-step array is allocated once per call and
+    written in place. Output states are recorded exactly at
+    ``sample_times`` (the first entry must equal the start time); the first
+    step is a thousandth of their span. When a ``post_step`` is given,
+    ``post_step(y_new, y)`` writes each accepted state into the state row
+    ``y``, and ``drift_of(y)`` is monitored; the state is never
+    renormalized. The error norm divides by ``width`` (``len(y0)`` when
+    None): a caller that integrates an invariant sector of a longer state
+    passes that state's length, and takes its steps. Returns ``(states,
+    drift, stats)``: ``drift`` is the largest ``drift_of`` seen at any
+    accepted step and ``stats`` counts the ``accepted`` and ``rejected``
+    steps and the ``rhs_evals``, and holds the smallest and largest
+    accepted step, ``h_min`` and ``h_max`` (0 when no step was accepted).
+    Raises ``StepUnderflowError`` when the step falls below 16 eps |t| or
+    the step budget runs out.
     """
-    n = y0.shape[0]  # the error norm's width, whatever the sector
-    out = np.zeros((sample_times.shape[0], n), dtype=np.complex128)
-    out[0] = y0
-    if sector is None:
-        sector = slice(None)
-    y0 = y0[sector]
     size = y0.shape[0]
+    n = size if width is None else width  # the error norm's width
+    out = np.empty((sample_times.shape[0], size), dtype=np.complex128)
+    out[0] = y0
     Z = np.zeros((_N_STAGES + 2, size), dtype=np.complex128)
     y, K = Z[0], Z[1:]  # the state, then the stage derivatives
     y[:] = y0
     t = float(sample_times[0])
-    m0 = generators(np.array([t]))
-    apply(m0[0], y, K[0])
     # the stage operators of every attempted step, written by ``generators``
-    M = np.empty(C_STAGE.shape + m0.shape[1:], dtype=np.complex128)
+    M = generators(np.full(C_STAGE.shape, t))
+    apply(M[0], y, K[0])
     # column 0 weighs y; the rest is h * _A_AUG, filled per attempted step
     # through the float view of its real parts (the imaginary parts stay 0)
     HA = np.ones((_N_STAGES + 1, _N_STAGES + 1), dtype=np.complex128)
@@ -181,22 +173,22 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, h_init, drift_of,
     err = np.empty((2, size), dtype=np.complex128)
     w = err.view(np.float64)
     abs_y, abs_new, scale = np.abs(y), np.empty(size), np.empty(size)
-    h_abs = h_init
+    h_abs = (float(sample_times[-1]) - t) * 1e-3
     drift = 0.0
     h_min, h_max = math.inf, 0.0
     accepted = rejected = 0
-    status = STATUS_OK
 
     for isamp in range(1, sample_times.shape[0]):
         t_end = float(sample_times[isamp])
         while t < t_end:
             if accepted + rejected >= _MAX_TOTAL_STEPS:
-                status = STATUS_STEP_BUDGET
-                break
-            min_step = 16.0 * _EPS * max(abs(t), abs(t_end))
-            if h_abs < min_step:
-                status = STATUS_STEP_UNDERFLOW
-                break
+                raise StepUnderflowError(
+                    "step budget exhausted before reaching t_end")
+            if h_abs < 16.0 * _EPS * max(abs(t), abs(t_end)):
+                raise StepUnderflowError(
+                    "adaptive step size underflowed; the problem is too "
+                    "stiff for the requested tolerances, or H(t) is not "
+                    "finite")
             h = h_abs
             if t + h > t_end:
                 h = t_end - t
@@ -204,7 +196,7 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, h_init, drift_of,
             np.multiply(h, _A_AUG, out=weights)
             np.multiply(C_STAGE, h, out=ts)
             ts += t
-            generators(ts, M)
+            generators(ts)
             for coef, head, m_s, k in stages:
                 apply(m_s, coef.dot(head, dy), k)
             b_row.dot(head_all, y_new)
@@ -250,13 +242,11 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, h_init, drift_of,
             else:
                 rejected += 1
                 h_abs = h * max(_MIN_FACTOR, _SAFETY * err_norm ** -0.125)
-        if status != STATUS_OK:
-            break
-        out[isamp, sector] = y
+        out[isamp] = y
     stats = {"accepted": accepted, "rejected": rejected,
              "rhs_evals": 1 + _N_STAGES * (accepted + rejected),
              "h_min": h_min if accepted else 0.0, "h_max": h_max}
-    return status, out, drift, stats
+    return out, drift, stats
 
 
 def norm_drift(y):
@@ -270,9 +260,9 @@ def trace_drift(y):
     return abs(np.add.reduce(y[::dim + 1]) - 1.0)
 
 
-def symmetrize(y, out=None):
+def symmetrize(y, out):
     """Keep a flattened density matrix exactly Hermitian: ``(rho + rho^H)
-    / 2``, written into ``out`` (a new array when None) and returned.
+    / 2``, written into ``out``.
 
     ``rho^H`` is written into ``out``, then ``rho`` is added and the sum
     halved in place, so ``y`` is only read and no temporary is made; the
@@ -281,94 +271,71 @@ def symmetrize(y, out=None):
     """
     dim = math.isqrt(y.shape[0])
     rho = y.reshape(dim, dim)
-    if out is None:
-        out = np.empty_like(y)
     sym = out.reshape(dim, dim)
     np.conjugate(rho.T, out=sym)
     np.add(rho, sym, out=sym)
     np.multiply(sym, 0.5, out=sym)
-    return out
 
 
-def evolve_ramped(h, apply, sample_times, y0, rtol, atol, h_init, drift_of,
-                  post_step=None, dissipator=None, sector=None):
+def evolve_ramped(h, apply, sample_times, y0, rtol, atol, drift_of,
+                  post_step=None, dissipator=None, width=None):
     """``dop853`` on the ramped system ``h``, a
     ``model.RampedGateHamiltonian``, in place of ``generators``.
 
     ``M(t) = -i H(t)`` is one real combination ``(1, J(t), c(t))`` of the
     float views of ``-i h0``, ``-i hz`` and ``-i hcd``: -i is folded in once
     per call, and the generators of all stage times of a step are one
-    product, written into the stepper's block. The model writes ``J(t)``
+    product, written into the source's block. The model writes ``J(t)``
     and ``c(t)`` into the columns of the coefficient block. Given a
     flattened ``dissipator`` (and ``matvec`` as ``apply``) the same product
     builds the ``liouvillian`` superoperators
     ``L(t) = (L0 + D) + J(t) Lz + c(t) Lcd`` of the three terms, lifted
-    once per call. The views of a block are bound when the block is first
-    seen, so once per call for the stepper's own block. With a
-    ``sector``, ``h`` is the system restricted to it
-    (``RampedGateHamiltonian.restricted``) and ``y0`` stays full width. The
-    other arguments and the result are ``dop853``'s.
+    once per call. The other arguments and the result are ``dop853``'s.
     """
     terms = np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd])
     if dissipator is not None:  # the constant D joins the lift of -i h0
         terms = liouvillian(terms, np.outer([1.0, 0.0, 0.0], dissipator))
     basis = terms.reshape(3, -1).view(np.float64)
-    side = terms.shape[1]
+    block = np.empty(C_STAGE.shape + terms.shape[1:], dtype=np.complex128)
+    target = block.reshape(C_STAGE.shape[0], -1).view(np.float64)
     # rows (1, J(t), c(t)), one per stage time; without CD c stays zero
     coef = np.zeros((C_STAGE.shape[0], 3))
     coef[:, 0] = 1.0
+    drive, cd = coef[:, 1], coef[:, 2]
 
-    def bind(out):
-        """The writer of the generators at ``ts`` into the block ``out``."""
-        k = out.shape[0]
-        rows, target = coef[:k], out.reshape(k, -1).view(np.float64)
-        drive, cd = rows[:, 1], rows[:, 2]
+    def generators(ts):
+        h.drive_value(ts, drive)
+        if h.use_cd:
+            h.cd_coefficient(ts, cd)
+        coef.dot(basis, target)
+        return block
 
-        def write(ts):
-            h.drive_value(ts, drive)
-            if h.use_cd:
-                h.cd_coefficient(ts, cd)
-            rows.dot(basis, target)
-
-        return write
-
-    bound = [None, None]  # the block last written and its writer
-
-    def generators(ts, out=None):
-        if out is None:
-            out = np.empty((ts.shape[0], side, side), dtype=np.complex128)
-        if out is not bound[0]:
-            bound[:] = out, bind(out)
-        bound[1](ts)
-        return out
-
-    return dop853(generators, apply, sample_times, y0, rtol, atol, h_init,
-                  drift_of, post_step, sector)
+    return dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
+                  post_step, width)
 
 
-def lindblad_apply(d, alpha):
-    """``apply`` for ``d rho/dt = [M, rho] + alpha (D rho D - rho)`` on a
-    row-major flattened ``rho``, where ``M = -i H(t)`` and ``d`` is the real
-    +-1 diagonal of the jump operator ``D``."""
-    dim = d.shape[0]
-    # alpha * (D rho D - rho) elementwise, since D is diagonal +-1
-    dissipator = alpha * (np.outer(d, d) - 1.0)
+def lindblad_apply(dissipator):
+    """``apply`` for ``d rho/dt = [M, rho] + dissipator * rho`` on a
+    row-major flattened ``rho``, where ``M = -i H(t)`` and ``dissipator``
+    is the ``(dim, dim)`` block ``alpha (d_a d_c - 1)`` of a jump operator
+    ``D`` with real +-1 diagonal ``d``: ``alpha (D rho D - rho)``
+    elementwise."""
+    dim = dissipator.shape[0]
+    noisy = dissipator.any()
 
-    def apply(m, y, out=None):
+    def apply(m, y, out):
         rho = y.reshape(dim, dim)
-        drho = np.subtract(m.dot(rho), rho.dot(m),
-                           out=None if out is None else out.reshape(dim, dim))
-        if alpha > 0.0:
+        drho = np.subtract(m.dot(rho), rho.dot(m), out=out.reshape(dim, dim))
+        if noisy:
             drho += dissipator * rho
-        return drho.ravel()
 
     return apply
 
 
-def liouvillian(m, dissipator, out=None):
+def liouvillian(m, dissipator):
     """``M (x) I - I (x) M^T + diag(dissipator)`` for each ``M`` of the
-    stack ``m``: ``(k, dim^2, dim^2)`` superoperators, written into ``out``
-    when given. ``dissipator`` broadcasts against ``(k, dim^2)``.
+    stack ``m``: ``(k, dim^2, dim^2)`` superoperators. ``dissipator``
+    broadcasts against ``(k, dim^2)``.
 
     ``vec`` is row-major, as the flattened state, so
     ``vec(A rho B) = (A (x) B^T) vec(rho)``: for ``M = -i H(t)`` and the
@@ -382,13 +349,11 @@ def liouvillian(m, dissipator, out=None):
     eye = np.eye(dim)
     m_t = m.transpose(0, 2, 1)
     # axes (k, a, c, b, e): M_ab delta_ce - delta_ab M_ec
-    lifted = np.subtract(
-        m[:, :, None, :, None] * eye[:, None, :],
-        eye[:, None, :, None] * m_t[:, None, :, None],
-        out=None if out is None else out.reshape((k,) + (dim,) * 4))
+    lifted = (m[:, :, None, :, None] * eye[:, None, :]
+              - eye[:, None, :, None] * m_t[:, None, :, None])
     diagonal = lifted.reshape(k, -1)[:, ::n + 1]  # a view: written in place
     diagonal += dissipator
-    return lifted.reshape(k, n, n) if out is None else out
+    return lifted.reshape(k, n, n)
 
 
 # Bytes of stage Hamiltonians built at once by ``dephasing_average``, at any
@@ -458,7 +423,7 @@ def _rk4_polynomials(stages, jump, dt):
     return q
 
 
-def dephasing_average(h_stack, d, t_start, dt, noise, psi0, sector=None):
+def dephasing_average(h_stack, d, t_start, dt, noise, psi0):
     """Average ``|psi><psi|`` over white-noise realizations, all at once.
 
     Realization ``i`` evolves under ``H(t) + noise[i, k] * diag(d)`` during
@@ -480,16 +445,8 @@ def dephasing_average(h_stack, d, t_start, dt, noise, psi0, sector=None):
     n_traj)`` buffer, four multiplies, and takes one ``(dim, 5 dim) @
     (5 dim, n_traj)`` product. The memory held beyond ``noise`` is two such
     buffers, one block of stage Hamiltonians and its ``Q_p`` tables.
-
-    With a ``sector`` (an index array into ``psi0``), only ``psi0[sector]``
-    is evolved: ``h_stack`` and ``d`` are then the sector's, and the
-    returned ``|psi><psi|`` keeps the full width, zero outside the sector.
     """
     n_traj, n_steps = noise.shape
-    full = psi0.shape[0]
-    if sector is None:
-        sector = np.arange(full)
-    psi0 = psi0[sector]
     dim = psi0.shape[0]
     block = _oracle_block_steps(dim)
     offsets = np.array([0.0, 0.5 * dt, dt])
@@ -517,9 +474,7 @@ def dephasing_average(h_stack, d, t_start, dt, noise, psi0, sector=None):
             cur, nxt = nxt, cur
         del stages, q, q_k  # before the next block's are built
     y = cur[0]
-    rho = np.zeros((full, full), dtype=np.complex128)
-    rho[np.ix_(sector, sector)] = (y @ y.conj().T) / n_traj
-    return rho
+    return (y @ y.conj().T) / n_traj
 
 
 def backend_name() -> str:

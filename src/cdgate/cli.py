@@ -255,7 +255,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     rc_kwargs = {k: v for k, v in merged.items() if v is not None}
     try:
         rc = RunConfig(command=command, **rc_kwargs)
-        rc.params()
+        params = rc.params()
         rc.evolution_config()
         for axis_name in ("tau", "alpha"):
             value = getattr(rc, axis_name)
@@ -264,6 +264,9 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             if problem:
                 parser.error(f"--{axis_name} {problem} for {command}, "
                              f"got {value!r}")
+        if rc.alpha is not None and "alpha" in _COMMANDS[command].options:
+            for value in parse_axis(rc.alpha):
+                NoiseModel.from_gap_units(float(value), params.g)
         if command == "optimal-tau":
             _parse_window(rc.tau_window)
         if rc.format not in ("csv", "json"):

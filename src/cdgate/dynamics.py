@@ -6,23 +6,24 @@ The gate Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd`` is written once, in
 accepted as well. Each remaining choice is made in one place here.
 The counterdiabatic term is part of the system (``use_cd`` when it is
 built); ``EvolutionConfig`` carries numerical controls and, for a callable
-only, a default span. ``_integrate`` runs every adaptive evolution through the one Dormand-Prince
-8(5,3) stepper, ``_kernels.dop853``, taking the generators of a ramped
-system from ``_kernels.evolve_ramped`` and those of a callable from
-``_integrate_callable``; the Schroedinger and Lindblad engines differ only
-in the ``apply``, drift monitor and symmetrization they pass it. A ramped
-run integrates only its invariant sector (``_invariant_sector``), the
-closure of the start's support under the nonzero pattern of the system's
-terms: the entries outside it stay exactly 0, so the stepper integrates
-the sector of the full-width state and writes the samples back (a gate
-start is 2 amplitudes at any n), with the full run's steps. A density
-matrix on a small sector (dimension up to ``_LIOUVILLIAN_MAX_DIM``) is
-integrated as ``vec(rho)`` under its ``_kernels.liouvillian``, the
-dissipator on the diagonal: one matrix-vector product per stage like a
-pure state; a larger one under ``_kernels.lindblad_apply``.
-The Monte-Carlo oracle takes its stage Hamiltonians the same way, on the
-same sector: a ramped system evaluated on an array of times, a callable
-stacked by ``_stacked``.
+only, a default span. ``_integrate`` runs every adaptive evolution
+through the one Dormand-Prince 8(5,3) stepper, ``_kernels.dop853``,
+taking the generators of a ramped system from ``_kernels.evolve_ramped``
+and those of a callable from ``_integrate_callable``; the Schroedinger and
+Lindblad engines differ only in the ``apply``, drift monitor and
+symmetrization they pass it. This module alone restricts and embeds: a
+ramped run integrates only its invariant sector (``_invariant_sector``),
+the closure of the start's support under the nonzero pattern of the
+system's terms, whose outside entries stay exactly 0. ``_integrate`` hands
+the kernels the sector's entries (a gate start is 2 amplitudes at any n)
+with the full width for the error norm, so the run takes the full run's
+steps, and scatters the samples back. A density matrix on a small sector
+(dimension up to ``_LIOUVILLIAN_MAX_DIM``) is integrated as ``vec(rho)``
+under its ``_kernels.liouvillian``, the dissipator on the diagonal: one
+matrix-vector product per stage like a pure state; a larger one under
+``_kernels.lindblad_apply``. The Monte-Carlo oracle evolves the same
+sector and embeds its average: a ramped system evaluated on an array of
+times, a callable stacked by ``_stacked``.
 ``_jump_diagonal`` picks the dephasing jump operator for the Lindblad engine
 and the oracle alike. States are never renormalized during integration;
 norm / trace drift is monitored and reported instead. The only in-flight
@@ -45,7 +46,6 @@ from .errors import (
     NormDriftExceededError,
     NotHermitianError,
     PositivityViolationError,
-    StepUnderflowError,
     TraceDriftExceededError,
 )
 from .model import CnotParams, RampedGateHamiltonian, analytic_spectrum
@@ -60,6 +60,8 @@ HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
 # building the stage operators costs d^4 and loses from d = 8 on (timings in
 # docs/noise_model.md, "Integration"); at d = 64 one is 268 MB.
 _LIOUVILLIAN_MAX_DIM = 4
+# The largest dephasing rate whose dissipator entry, -2 alpha, is finite.
+_ALPHA_MAX = np.finfo(np.float64).max / 2.0
 
 
 def _as_index(value, name: str, error=ValueError) -> int:
@@ -123,8 +125,9 @@ class NoiseModel:
     alpha: float
 
     def __post_init__(self):
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 <= self.alpha <= _ALPHA_MAX:
+            raise ValueError(f"alpha must be >= 0 with 2 alpha finite, got "
+                             f"{self.alpha}")
 
     def in_gap_units(self, g: float) -> float:
         return self.alpha / (2.0 * g)
@@ -158,22 +161,29 @@ def _stacked(h_of_t):
     return h_stack
 
 
-def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, h_init,
-                        drift_of, post_step=None, dissipator=None,
-                        sector=None):
+def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, drift_of,
+                        post_step=None, dissipator=None, width=None):
     """``_kernels.dop853`` with the generators ``-i H(t)`` of a Hamiltonian
     callable, called once per stage time, or their ``_kernels.liouvillian``
-    superoperators given a ``dissipator``; the twin of
-    ``_kernels.evolve_ramped``, with the same arguments and result."""
+    superoperators given a ``dissipator``, copied into the block the first
+    call makes; the twin of ``_kernels.evolve_ramped``, with the same
+    arguments and result."""
     h_stack = _stacked(h_of_t)
+    block = None
 
-    def generators(ts, out=None):
-        if dissipator is None:
-            return np.multiply(-1j, h_stack(ts), out=out)
-        return _kernels.liouvillian(-1j * h_stack(ts), dissipator, out)
+    def generators(ts):
+        nonlocal block
+        m = -1j * h_stack(ts)
+        if dissipator is not None:
+            m = _kernels.liouvillian(m, dissipator)
+        if block is None:
+            block = m
+        else:
+            block[...] = m
+        return block
 
     return _kernels.dop853(generators, apply, sample_times, y0, rtol, atol,
-                           h_init, drift_of, post_step, sector)
+                           drift_of, post_step, width)
 
 
 def _check_callable_hermitian(h_of_t, t0: float, t1: float) -> None:
@@ -212,30 +222,24 @@ def _integrate(h_of_t: HamiltonianLike, sector, apply, times: np.ndarray, y0,
     ``y`` at ``times``; given a ``dissipator``, the stage operators are the
     ``_kernels.liouvillian`` superoperators of ``-i H(t)``. Only the entries
     ``sector`` of the full-width ``y0`` are integrated: ``h_of_t`` and
-    ``apply`` act on them alone (``_invariant_sector``), and the states
-    come back full width.
+    ``apply`` act on them alone (``_invariant_sector``), the stepper's error
+    norm divides by the full width, and the samples are scattered back into
+    full-width states, zero outside the sector.
 
     A ramped system runs through ``_kernels.evolve_ramped`` as built; a
     callable is checked for Hermiticity and runs through
-    ``_integrate_callable``. Steps are unbounded, the first 1e-3 of the
-    span. Returns ``(states, drift, stats)``; raises on a failed status.
+    ``_integrate_callable``. Returns ``(states, drift, stats)``.
     """
-    t0, t1 = float(times[0]), float(times[-1])
     if isinstance(h_of_t, RampedGateHamiltonian):
         engine = _kernels.evolve_ramped
     else:
-        _check_callable_hermitian(h_of_t, t0, t1)
+        _check_callable_hermitian(h_of_t, float(times[0]), float(times[-1]))
         engine = _integrate_callable
-    status, states, drift, stats = engine(
-        h_of_t, apply, times, y0, cfg.rel_tol, cfg.abs_tol, (t1 - t0) * 1e-3,
-        drift_of, post_step, dissipator, sector)
-    if status == _kernels.STATUS_STEP_UNDERFLOW:
-        raise StepUnderflowError(
-            "adaptive step size underflowed; the problem is too stiff for "
-            "the requested tolerances, or H(t) is not finite"
-        )
-    if status == _kernels.STATUS_STEP_BUDGET:
-        raise StepUnderflowError("step budget exhausted before reaching t_end")
+    sampled, drift, stats = engine(
+        h_of_t, apply, times, y0[sector], cfg.rel_tol, cfg.abs_tol, drift_of,
+        post_step, dissipator, y0.size)
+    states = np.zeros((times.size, y0.size), dtype=np.complex128)
+    states[:, sector] = sampled
     return states, drift, stats
 
 
@@ -326,11 +330,11 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
     d = _jump_diagonal(h_of_t, dim)
     system, idx = _invariant_sector(h_of_t, (rho0 != 0).any(axis=0))
     d = d[idx]
+    dissipator = noise.alpha * (np.outer(d, d) - 1.0)
     if idx.size <= _LIOUVILLIAN_MAX_DIM:
-        apply = _kernels.matvec
-        dissipator = (noise.alpha * (np.outer(d, d) - 1.0)).ravel()
+        apply, dissipator = _kernels.matvec, dissipator.ravel()
     else:
-        apply, dissipator = _kernels.lindblad_apply(d, noise.alpha), None
+        apply, dissipator = _kernels.lindblad_apply(dissipator), None
     # the sector's entries of the row-major flattened rho
     sector = (idx[:, None] * dim + idx).ravel()
     flat, drift, stats = _integrate(system, sector, apply, times,
@@ -400,8 +404,11 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
     system, sector = _invariant_sector(h_of_t, psi0 != 0)
     h_stack = system if ramped else _stacked(h_of_t)
     # noise by keyword: perfbench/tracer.py counts RK4 steps from it
-    return _kernels.dephasing_average(h_stack, d[sector], t0, dt_actual,
-                                      noise=noise, psi0=psi0, sector=sector)
+    block = _kernels.dephasing_average(h_stack, d[sector], t0, dt_actual,
+                                       noise=noise, psi0=psi0[sector])
+    rho = np.zeros((psi0.size, psi0.size), dtype=np.complex128)
+    rho[np.ix_(sector, sector)] = block
+    return rho
 
 
 def ground_state_probability(psi, params: CnotParams, j2: float) -> float:

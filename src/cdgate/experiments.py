@@ -25,6 +25,7 @@ import numpy as np
 from ._kernels import backend_name
 from ._version import __version__ as _version
 from .dynamics import (
+    _ALPHA_MAX,
     EvolutionConfig,
     NoiseModel,
     Trajectory,
@@ -79,8 +80,9 @@ class SweepGrid:
             raise ValueError("grid axes must be non-empty")
         if not np.all(np.isfinite(tau) & (tau > 0)):
             raise ValueError("all tau values must be positive and finite")
-        if not np.all(np.isfinite(alpha) & (alpha >= 0)):
-            raise ValueError("all alpha values must be non-negative and finite")
+        if not np.all((alpha >= 0) & (alpha <= _ALPHA_MAX)):
+            raise ValueError("all alpha values must be non-negative, with "
+                             "2 alpha finite")
         if np.any(np.diff(tau) < 0) or np.any(np.diff(alpha) < 0):
             raise ValueError("grid axes must be ascending")
 

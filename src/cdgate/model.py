@@ -51,6 +51,11 @@ class CnotParams:
             raise ValueError(f"j1 must be positive and finite, got {self.j1}")
         if not 0 < abs(self.j2_amp) < np.inf:
             raise ValueError(f"j2_amp must be nonzero and finite, got {self.j2_amp}")
+        # the spectrum, the start states and the CD term form g^2 + J^2
+        if float(self.g) * float(self.g) < np.finfo(np.float64).tiny:
+            raise ValueError(f"g^2 underflows, got g={self.g}")
+        if float(self.j2_amp) * float(self.j2_amp) == np.inf:
+            raise ValueError(f"j2_amp^2 overflows, got j2_amp={self.j2_amp}")
         if abs(self.j2_amp) < 4.0 * max(self.j1, self.g):
             warnings.warn(
                 f"|j2_amp|={abs(self.j2_amp)} is not much larger than "

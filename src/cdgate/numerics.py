@@ -120,10 +120,3 @@ def hermitian_eig(h) -> EigenDecomposition:
         if abs(pivot) > 0.0:
             v[:, k] *= np.conj(pivot) / abs(pivot)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def spectral_propagator(h, duration: float) -> np.ndarray:
-    """exp(-i H t) for time-independent Hermitian H, via the eigensolver."""
-    dec = hermitian_eig(h)
-    phases = np.exp(-1j * dec.eigenvalues * duration)
-    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T

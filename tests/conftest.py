@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cdgate.model import CnotParams
+from cdgate.numerics import hermitian_eig
 
 
 @pytest.fixture
@@ -25,6 +26,15 @@ def random_state(rng, dim):
 
 
 def dephasing_dissipator(d, alpha):
-    """The flattened diagonal ``alpha (d_a d_c - 1)`` that ``lindblad_evolve``
-    puts into the Liouvillian for the +-1 jump diagonal ``d``."""
-    return (alpha * (np.outer(d, d) - 1.0)).ravel()
+    """The ``(dim, dim)`` block ``alpha (d_a d_c - 1)`` that
+    ``lindblad_evolve`` builds for the +-1 jump diagonal ``d``: the
+    commutator form takes it as it is, the Liouvillian form flattened."""
+    return alpha * (np.outer(d, d) - 1.0)
+
+
+def spectral_propagator(h, duration):
+    """exp(-i H t) for time-independent Hermitian H, via the eigensolver:
+    the oracle of a constant-Hamiltonian evolution."""
+    dec = hermitian_eig(h)
+    phases = np.exp(-1j * dec.eigenvalues * duration)
+    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T

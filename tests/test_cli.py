@@ -125,6 +125,24 @@ class TestParseConfig:
         assert "finite" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("argv, problem", [
+        (["evolve", "--tau", "1", "--g", "1e-300"], "g^2 underflows"),
+        (["evolve", "--tau", "1", "--g", "1e-160"], "g^2 underflows"),
+        (["sweep-tau", "--tau", "1", "--j2", "1e160"], "j2_amp^2 overflows"),
+        (["evolve", "--tau", "10", "--alpha", "1e308"], "2 alpha finite"),
+        (["heatmap", "--alpha", "0:1e308:2", "--tau", "1,2"],
+         "2 alpha finite"),
+        (["optimal-tau", "--alpha", "1e308"], "2 alpha finite"),
+    ], ids=["g-1e-300", "g-1e-160", "j2", "evolve-alpha", "heatmap-alpha",
+            "optimal-tau-alpha"])
+    def test_unrepresentable_input_exits_2(self, argv, problem, tmp_path,
+                                           capsys):
+        # each ran before: a tiny g wrote NaN rows or a start vector whose
+        # norm is off, and exited 0; a huge J2 or alpha overflowed mid-run
+        assert main(argv + ["--output", str(tmp_path / "r")]) == 2
+        assert problem in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     @pytest.mark.parametrize("argv", [
         ["sweep-tau", "--tau", "20,1"],
         ["sweep-tau", "--tau", "20:1:5log"],
@@ -617,32 +635,33 @@ class TestNegativeAmplitude:
 class TestSectorWidth:
     """Every gate-run cell integrates its coupled pair alone: the stepper
     gets 2 amplitudes, or the 4 entries of a 2x2 density block, whatever
-    the number of qubits."""
+    the number of qubits, and the full state's length as the width of its
+    error norm."""
 
-    @pytest.mark.parametrize("argv, cells, width", [
-        (["sweep-tau", "--tau", "1:5:3"], 3, 2),
-        (["sweep-tau", "--tau", "1:5:3", "--cd"], 3, 2),
-        (["nqubit", "--n", "3", "--tau", "1:5:3"], 3, 2),
-        (["nqubit", "--n", "4", "--cd", "--tau", "1:5:3"], 3, 2),
-        (["heatmap", "--alpha", "0,0.1", "--tau", "1,10", "--cd"], 4, 4),
+    @pytest.mark.parametrize("argv, cells, size, width", [
+        (["sweep-tau", "--tau", "1:5:3"], 3, 2, 4),
+        (["sweep-tau", "--tau", "1:5:3", "--cd"], 3, 2, 4),
+        (["nqubit", "--n", "3", "--tau", "1:5:3"], 3, 2, 8),
+        (["nqubit", "--n", "4", "--cd", "--tau", "1:5:3"], 3, 2, 16),
+        (["heatmap", "--alpha", "0,0.1", "--tau", "1,10", "--cd"], 4, 4, 16),
     ], ids=["sweep-tau", "sweep-tau-cd", "nqubit-3", "nqubit-4-cd",
             "heatmap"])
     def test_stepper_gets_the_sector(self, tmp_path, monkeypatch, argv,
-                                     cells, width):
+                                     cells, size, width):
         import inspect
 
         from cdgate import _kernels
 
         real = _kernels.dop853
         signature = inspect.signature(real)
-        widths = []
+        seen = []
 
         def spy(*args, **kwargs):
             bound = signature.bind(*args, **kwargs).arguments
-            widths.append(bound["y0"][bound["sector"]].size)
+            seen.append((bound["y0"].size, bound["width"]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, "dop853", spy)
         code, _ = _run(tmp_path, argv)
         assert code == 0
-        assert widths == [width] * cells
+        assert seen == [(size, width)] * cells

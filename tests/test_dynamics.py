@@ -28,11 +28,11 @@ from cdgate.experiments import _gate_cell, _run_cell
 from cdgate.model import (SIGMA_Z, CnotParams, analytic_spectrum, cnot_system,
                           lz_system,
                           nqubit_sector_states, nqubit_system)
-from cdgate.numerics import TOL, spectral_propagator
+from cdgate.numerics import TOL
 from cdgate.observables import fidelity_pure
 
 from conftest import (dephasing_dissipator, random_hermitian,
-                      random_state)
+                      random_state, spectral_propagator)
 
 KET_11 = np.array([0, 0, 0, 1], dtype=complex)
 
@@ -155,9 +155,10 @@ class TestSchrodinger:
 
         stats = schrodinger_evolve(h_of_t, psi0, cfg).stats
         steps = stats["accepted"] + stats["rejected"]
-        # three calls are the Hermiticity check, one is the start; a step
-        # has eleven distinct stage times, the last also the FSAL point
-        assert len(calls) - 3 == 1 + 11 * steps
+        # three calls are the Hermiticity check; the start call and each
+        # step have eleven stage times (a step's last is also the FSAL
+        # point, the start's are eleven copies of the start time)
+        assert len(calls) - 3 == 11 * (1 + steps)
         assert stats["rhs_evals"] == 1 + 12 * steps
         ramped = schrodinger_evolve(system, psi0, cfg).stats
         assert ramped == schrodinger_evolve(system, psi0, cfg).stats
@@ -291,12 +292,15 @@ class TestLindblad:
         system = cnot_system(params, tau=1.0)
         psi0 = ground_start(params, system)
         rho0 = np.outer(psi0, psi0.conj())
-        states = np.repeat(rho0.reshape(1, 16), 5, axis=0)
-        # unit trace, eigenvalue -0.1, at a sample no spot check would pick
-        states[1] = np.diag([1.1, -0.1, 0.0, 0.0]).ravel()
 
-        def fake_kernel(*args):
-            return _kernels.STATUS_OK, states, 0.0, {}
+        def fake_kernel(h, apply, times, y0, *rest):
+            # the kernel gets the 2x2 sector block of |10>, |11>
+            assert y0.size == 4
+            states = np.repeat(y0[None], 5, axis=0)
+            # unit trace, eigenvalue -0.1, at a sample no spot check would
+            # pick
+            states[1] = np.diag([1.1, -0.1]).ravel()
+            return states, 0.0, {}
 
         monkeypatch.setattr(_kernels, "evolve_ramped", fake_kernel)
         with pytest.raises(PositivityViolationError, match="-1.000e-01"):
@@ -326,9 +330,17 @@ class TestLindblad:
         assert abs(other.alpha - 0.04) < 1e-15
 
     def test_gap_unit_conversion_does_not_overflow_early(self):
-        # 2 g is formed first, as make_grid does, so a finite rate stays
-        # finite: 1e308 * 2.0 would overflow before the * g
-        assert NoiseModel.from_gap_units(1e308, 0.5).alpha == 1e308
+        # 2 g is formed first, as make_grid does, so a representable rate
+        # stays finite: 1.5e308 * 2.0 would overflow before the * g
+        assert NoiseModel.from_gap_units(1.5e308, 0.25).alpha == 7.5e307
+
+    def test_alpha_whose_dissipator_overflows_rejected(self):
+        # the dissipator's entries are -2 alpha
+        largest = np.finfo(np.float64).max / 2.0
+        assert NoiseModel(alpha=largest).alpha == largest
+        for alpha in (np.nextafter(largest, np.inf), 1e308):
+            with pytest.raises(ValueError, match="2 alpha finite"):
+                NoiseModel(alpha=alpha)
 
 
 class TestSectorEmbedding:
@@ -346,12 +358,13 @@ class TestSectorEmbedding:
         lz = lz_system(params, self.TAU, use_cd)
         return lz, np.linalg.eigh(lz(lz.t_start))[1][:, 0]
 
-    # n = 2 is the CNOT; n = 2 and n = 3 both integrate their 2x2 sector
-    # block in the Liouvillian form, as lz_system does, so this compares
-    # the embeddings, and test_lindblad_sector_forms_agree compares the
-    # form with the commutator form (measured: up to 3.8e-13 at n = 2 and
-    # 1.1e-12 at n = 3)
-    @pytest.mark.parametrize("n,bound", [(2, 1e-12), (3, 1e-11)])
+    # n = 2 is the CNOT; every n integrates its 2x2 sector block in the
+    # Liouvillian form, as lz_system does, so this compares the
+    # embeddings, and test_lindblad_sector_forms_agree compares the form
+    # with the commutator form (measured: up to 3.8e-13 at n = 2, 1.1e-12
+    # at n = 3, 2.7e-12 at n = 4 and 1.2e-11 at n = 6)
+    @pytest.mark.parametrize("n,bound", [(2, 1e-12), (3, 1e-11), (4, 1e-11),
+                                         (6, 5e-11)])
     @pytest.mark.parametrize("use_cd", [False, True])
     def test_lindblad_sector_block_is_lz_run(self, params, n, bound, use_cd):
         lz, phi = self._sector_start(params, use_cd)
@@ -371,13 +384,13 @@ class TestSectorEmbedding:
     @pytest.mark.parametrize("tau", [2.0, 20.0, 150.0])
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     @pytest.mark.parametrize("use_cd", [False, True])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_lindblad_sector_forms_agree(self, params, monkeypatch, n, use_cd,
                                          alpha, tau):
         # a sector start run in the Liouvillian form, then forced into the
         # independent commutator form: a dissipator on the wrong term or a
-        # flipped diagonal shows here (measured: same steps in all 36
-        # cases, states within 2.8e-14)
+        # flipped diagonal shows here (measured: same steps in all 48
+        # cases, states within 4.0e-14)
         cell = _gate_cell(params, tau, use_cd, n, alpha=alpha)
         folded = _run_cell(cell, None)
         monkeypatch.setattr(dynamics, "_LIOUVILLIAN_MAX_DIM", 0)
@@ -387,7 +400,8 @@ class TestSectorEmbedding:
                 == [commutator.stats[k] for k in counts])
         assert np.abs(folded.states - commutator.states).max() < 1e-13
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    # measured: up to 4.4e-13 at n = 2, growing with n to 1.8e-11 at n = 6
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("use_cd", [False, True])
     def test_schrodinger_nqubit_sector_is_lz_run(self, params, n, use_cd):
         lz, phi = self._sector_start(params, use_cd)
@@ -480,10 +494,9 @@ class TestSectorRunMatchesFullRun:
 
     def _full_width(self, system, y0, apply, drift_of, *rest):
         times = np.linspace(system.t_start, system.t_end, 5)
-        status, states, _, stats = _kernels.evolve_ramped(
+        states, _, stats = _kernels.evolve_ramped(
             system, apply, times, y0, self.CFG.rel_tol, self.CFG.abs_tol,
-            self.TAU * 1e-3, drift_of, *rest)
-        assert status == _kernels.STATUS_OK
+            drift_of, *rest)
         return states, stats
 
     @staticmethod
@@ -511,7 +524,7 @@ class TestSectorRunMatchesFullRun:
         d = np.real(np.diag(system.hz))
         states, stats = self._full_width(
             system, rho0.ravel(), _kernels.matvec, _kernels.trace_drift,
-            _kernels.symmetrize, dephasing_dissipator(d, alpha))
+            _kernels.symmetrize, dephasing_dissipator(d, alpha).ravel())
         assert traj.stats == stats
         assert traj.states.reshape(states.shape).tobytes() == states.tobytes()
 
@@ -527,9 +540,9 @@ class TestLindbladFormFollowsSector:
         built = []
         original = _kernels.lindblad_apply
 
-        def spy(d, alpha):
-            built.append(d.shape[0])
-            return original(d, alpha)
+        def spy(dissipator):
+            built.append(dissipator.shape)
+            return original(dissipator)
 
         monkeypatch.setattr(_kernels, "lindblad_apply", spy)
         system, psi0 = _sector_start(params, 3, 2.0, True)
@@ -538,7 +551,7 @@ class TestLindbladFormFollowsSector:
         traj = lindblad_evolve(system, np.outer(psi0, psi0.conj()),
                                NoiseModel(alpha=0.1), EvolutionConfig(tau=2.0))
         assert traj.stats["accepted"] > 0
-        assert built == ([8] if full_support else [])
+        assert built == ([(8, 8)] if full_support else [])
 
 
 class TestLindbladProperties:

@@ -138,6 +138,11 @@ class TestSweepNoise:
         with pytest.raises(ValueError, match="finite"):
             make_grid(params, taus, alphas, cd_enabled=False)
 
+    def test_grid_rejects_alpha_whose_dissipator_overflows(self, params):
+        # 1e308 in units of 2g = 1 is a finite rate, but -2 alpha is not
+        with pytest.raises(ValueError, match="2 alpha finite"):
+            make_grid(params, [1.0], [0.0, 1e308], cd_enabled=False)
+
     def test_alpha_units_stored_both_ways(self, params):
         grid = make_grid(params, [1.0], [0.04, 0.08], cd_enabled=False)
         assert np.allclose(grid.alpha_values, [0.04, 0.08])  # 2g = 1 here
@@ -226,9 +231,9 @@ class TestGateUnitaryCheck:
             return build(phidot)
 
         def counted_dop853(generators, *args):
-            def counted(ts, out=None):
+            def counted(ts):
                 stage_times.append(ts.shape[0])
-                return generators(ts, out)
+                return generators(ts)
             return dop853(counted, *args)
 
         monkeypatch.setattr(experiments, "build_inverse_engineered",

@@ -51,6 +51,22 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             CnotParams(**{field: value})
 
+    @pytest.mark.parametrize("g", [1e-160, 1e-300, 5e-324])
+    def test_g_whose_square_underflows_rejected(self, g):
+        with pytest.raises(ValueError, match="g\\^2 underflows"):
+            CnotParams(g=g)
+
+    @pytest.mark.parametrize("j2_amp", [1e160, -1e160, 1e300])
+    def test_j2_whose_square_overflows_rejected(self, j2_amp):
+        with pytest.raises(ValueError, match="j2_amp\\^2 overflows"):
+            CnotParams(j2_amp=j2_amp)
+
+    def test_squares_at_the_edges_accepted(self):
+        # g^2 is the smallest normal double or above, J2^2 is finite
+        params = CnotParams(g=1.5e-154, j2_amp=1.3e154)
+        assert params.g ** 2 >= np.finfo(np.float64).tiny
+        assert np.isfinite(params.j2_amp ** 2)
+
     def test_warns_outside_recommended_regime(self):
         with pytest.warns(UserWarning):
             CnotParams(j2_amp=1.0)

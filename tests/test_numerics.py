@@ -11,10 +11,9 @@ from cdgate.numerics import (
     hermitian_eig,
     kron,
     phase_insensitive_distance,
-    spectral_propagator,
 )
 
-from conftest import random_hermitian
+from conftest import random_hermitian, spectral_propagator
 
 
 class TestKron:

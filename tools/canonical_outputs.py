@@ -28,6 +28,9 @@ CONFIGS = {
     "sweep-tau-cd": ["sweep-tau", "--cd"],
     "nqubit-n4-cd": ["nqubit", "--n", "4", "--cd"],
     "nqubit-n3": ["nqubit", "--n", "3"],
+    # the widest error norms: 32 and 64 entries against a sector of 2
+    "nqubit-n5-cd": ["nqubit", "--n", "5", "--cd"],
+    "nqubit-n6": ["nqubit", "--n", "6"],
     "heatmap-cd": ["heatmap", "--alpha", "0:0.15:4", "--tau", "1:200:10log",
                    "--cd"],
     "heatmap": ["heatmap", "--alpha", "0:0.1:3", "--tau", "1:100:6log"],
