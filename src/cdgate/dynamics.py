@@ -17,7 +17,9 @@ the closure of the start's support under the nonzero pattern of the
 system's terms, whose outside entries stay exactly 0. ``_integrate`` hands
 the kernels the sector's entries (a gate start is 2 amplitudes at any n)
 with the full width for the error norm, so the run takes the full run's
-steps, and scatters the samples back. A density matrix on a small sector
+steps, and scatters the samples back. ``schrodinger_evolve`` integrates a
+ramped sector without the global phase of its mean energy, restored on
+each sample. A density matrix on a small sector
 (dimension up to ``_LIOUVILLIAN_MAX_DIM``) is integrated as ``vec(rho)``
 under its ``_kernels.liouvillian``, the dissipator on the diagonal: one
 matrix-vector product per stage like a pure state; a larger one under
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -77,8 +79,11 @@ class EvolutionConfig:
     """Integration controls. ``tau`` is read only for a callable given no
     ``t_span``, whose samples then span [-tau/2, +tau/2] inclusive.
 
-    The default tolerances keep the accumulated norm^2 drift of unitary
-    runs below the 1e-8 monitor limit out to tau = 200 with clear margin.
+    The default tolerances keep the accumulated norm^2 drift of the gate
+    runs below the 1e-8 monitor limit out to tau = 200 for n <= 6 at the
+    default ``j2_amp`` (6.0e-9 at n = 6, 1.3e-9 at n = 2). They do not at
+    tau = 2000 (1.16e-8 at n = 2), nor at n = 6, tau = 200 with ``j2_amp``
+    20 (1.2e-8).
     """
 
     tau: float | None = None
@@ -164,22 +169,23 @@ def _stacked(h_of_t):
 def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, drift_of,
                         post_step=None, dissipator=None, width=None):
     """``_kernels.dop853`` with the generators ``-i H(t)`` of a Hamiltonian
-    callable, called once per stage time, or their ``_kernels.liouvillian``
-    superoperators given a ``dissipator``, copied into the block the first
-    call makes; the twin of ``_kernels.evolve_ramped``, with the same
+    callable, called once per distinct stage time, or their
+    ``_kernels.liouvillian`` superoperators given a ``dissipator``, copied
+    into one block; the twin of ``_kernels.evolve_ramped``, with the same
     arguments and result."""
     h_stack = _stacked(h_of_t)
     block = None
 
     def generators(ts):
         nonlocal block
-        m = -1j * h_stack(ts)
+        # the stage times never decrease, so equal ends mean one time (the
+        # start call's eleven copies): evaluate it once and broadcast
+        m = -1j * h_stack(ts[:1] if ts[0] == ts[-1] else ts)
         if dissipator is not None:
             m = _kernels.liouvillian(m, dissipator)
         if block is None:
-            block = m
-        else:
-            block[...] = m
+            block = np.empty(ts.shape + m.shape[1:], dtype=np.complex128)
+        block[...] = m
         return block
 
     return _kernels.dop853(generators, apply, sample_times, y0, rtol, atol,
@@ -278,8 +284,17 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
     _require_normalized(psi0, "psi0")
     times = np.linspace(*_resolve_span(h_of_t, cfg, t_span), cfg.sample_count)
     system, sector = _invariant_sector(h_of_t, psi0 != 0)
+    # A ramped sector is integrated without the global phase of its mean
+    # energy c = tr(h0) / d, which commutes with every term, so the stepper
+    # need not resolve it; each sample gets exp(-i c (t - t0)) back.
+    shift = (np.trace(system.h0).real / system.dim
+             if isinstance(system, RampedGateHamiltonian) else 0.0)
+    if shift:
+        system = replace(system, h0=system.h0 - shift * np.eye(system.dim))
     states, drift, stats = _integrate(system, sector, _kernels.matvec, times,
                                       psi0, cfg, _kernels.norm_drift)
+    if shift:
+        states *= np.exp(-1j * shift * (times - times[0]))[:, None]
     if drift > TOL.norm_drift:
         raise NormDriftExceededError(
             f"norm^2 drifted by {drift:.3e} (limit {TOL.norm_drift:.0e}); "

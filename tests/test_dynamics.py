@@ -155,10 +155,10 @@ class TestSchrodinger:
 
         stats = schrodinger_evolve(h_of_t, psi0, cfg).stats
         steps = stats["accepted"] + stats["rejected"]
-        # three calls are the Hermiticity check; the start call and each
-        # step have eleven stage times (a step's last is also the FSAL
-        # point, the start's are eleven copies of the start time)
-        assert len(calls) - 3 == 11 * (1 + steps)
+        # three calls are the Hermiticity check; the start call's eleven
+        # copies of the start time are one call, and each step has eleven
+        # stage times (a step's last is also the FSAL point)
+        assert len(calls) - 3 == 1 + 11 * steps
         assert stats["rhs_evals"] == 1 + 12 * steps
         ramped = schrodinger_evolve(system, psi0, cfg).stats
         assert ramped == schrodinger_evolve(system, psi0, cfg).stats
@@ -485,9 +485,11 @@ class TestInvariantSector:
 
 class TestSectorRunMatchesFullRun:
     """A sector run takes the full-width run's steps: the error norm still
-    divides by the full state length. Pure states agree to rounding (the
-    norm sums in another order); under the Liouvillian form the densities
-    are bit-identical."""
+    divides by the full state length. A pure run drops its sector's mean
+    energy from ``h0``, so the full-width reference drops the same and
+    restores the same phase; the states agree to rounding (the norm sums in
+    another order). Under the Liouvillian form the densities are
+    bit-identical."""
 
     TAU = 5.0
     CFG = EvolutionConfig(tau=TAU, sample_count=5)
@@ -508,8 +510,14 @@ class TestSectorRunMatchesFullRun:
     def test_pure(self, params, n, use_cd):
         system, psi0 = _sector_start(params, n, self.TAU, use_cd)
         traj = schrodinger_evolve(system, psi0, self.CFG)
-        states, stats = self._full_width(system, psi0, _kernels.matvec,
+        # the sector is the start's support, |1..10> and |1..11>
+        assert _sector(system, psi0) == [system.dim - 2, system.dim - 1]
+        shift = np.trace(system.h0[-2:, -2:]).real / 2
+        assert shift == -(n - 1) * params.j1
+        shifted = replace(system, h0=system.h0 - shift * np.eye(system.dim))
+        states, stats = self._full_width(shifted, psi0, _kernels.matvec,
                                          _kernels.norm_drift)
+        states *= np.exp(-1j * shift * (traj.times - traj.times[0]))[:, None]
         assert self._counts(traj.stats) == self._counts(stats)
         assert np.abs(traj.states - states).max() < 1e-12
 
@@ -527,6 +535,26 @@ class TestSectorRunMatchesFullRun:
             _kernels.symmetrize, dephasing_dissipator(d, alpha).ravel())
         assert traj.stats == stats
         assert traj.states.reshape(states.shape).tobytes() == states.tobytes()
+
+
+class TestGlobalPhase:
+    """A pure ramped run integrates its sector without the global phase of
+    the sector's mean energy and restores that phase at every sample, so
+    every sampled complex state, not only its populations, is the
+    unshifted full-width run's (measured worst 2.9e-9, at n = 4 and
+    tau 40; a flipped phase is off by more than 1)."""
+
+    @pytest.mark.parametrize("tau", [5.0, 40.0])
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("use_cd", [False, True])
+    def test_samples_match_unshifted_full_run(self, params, tau, n, use_cd):
+        system, psi0 = _sector_start(params, n, tau, use_cd)
+        cfg = EvolutionConfig(sample_count=5)
+        traj = schrodinger_evolve(system, psi0, cfg)
+        states, _, _ = _kernels.evolve_ramped(
+            system, _kernels.matvec, traj.times, psi0, cfg.rel_tol,
+            cfg.abs_tol, _kernels.norm_drift)
+        assert np.abs(traj.states - states).max() < 1e-8
 
 
 class TestLindbladFormFollowsSector:

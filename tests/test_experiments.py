@@ -222,7 +222,8 @@ class TestGateUnitaryCheck:
     def test_builds_the_hamiltonian_once_per_stage_time(self, monkeypatch):
         # perfbench's traced oracle-check needs the
         # model.build_inverse_engineered span, so the callable must call it
-        # at each stage time rather than cache its matrix
+        # at each distinct stage time rather than cache its matrix; the
+        # start call's eleven copies of the start time are one build
         builds, stage_times = [], []
         build, dop853 = experiments.build_inverse_engineered, _kernels.dop853
 
@@ -232,7 +233,7 @@ class TestGateUnitaryCheck:
 
         def counted_dop853(generators, *args):
             def counted(ts):
-                stage_times.append(ts.shape[0])
+                stage_times.append(np.unique(ts).size)
                 return generators(ts)
             return dop853(counted, *args)
 
@@ -265,6 +266,23 @@ class TestNQubitDemo:
         predicted = np.array([lz_formula(params.g, params.j2_amp, t)
                               for t in taus])
         assert np.abs(result.transition_prob[0] - predicted).max() < 0.02
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_cd_fidelity_is_the_closed_form(self, params, n):
+        # With CD the state stays in the sector's instantaneous ground
+        # state, so every cell's fidelity is its |1..1> weight at the ramp
+        # end, g^2 / (g^2 + a^2) with a = J_end - sqrt(g^2 + J_end^2), at
+        # any tau and n (Berry, J. Phys. A 42, 365303 (2009)). Measured
+        # worst |F - exact|: 1.2e-9 at n = 2, 6.0e-9 at n = 6, both at
+        # tau 200.
+        j_end = 0.5 * params.j2_amp
+        a = j_end - np.sqrt(params.g ** 2 + j_end ** 2)
+        exact = params.g ** 2 / (params.g ** 2 + a ** 2)
+        assert abs(exact - 0.9975185951049945) < 1e-15
+        result = n_qubit_demo(n, params, np.geomspace(0.5, 200.0, 12),
+                              cd_enabled=True)
+        assert not result.failed_cells
+        assert np.abs(result.fidelity - exact).max() <= 1e-8
 
     def test_metadata_present(self, params):
         result = n_qubit_demo(3, params, [1.0], cd_enabled=False)

@@ -31,6 +31,10 @@ CONFIGS = {
     # the widest error norms: 32 and 64 entries against a sector of 2
     "nqubit-n5-cd": ["nqubit", "--n", "5", "--cd"],
     "nqubit-n6": ["nqubit", "--n", "6"],
+    # out to tau 200, where the widest norm drift is largest
+    "nqubit-n6-long": ["nqubit", "--n", "6", "--tau", "1:200:20log"],
+    "nqubit-n6-long-cd": ["nqubit", "--n", "6", "--tau", "1:200:20log",
+                          "--cd"],
     "heatmap-cd": ["heatmap", "--alpha", "0:0.15:4", "--tau", "1:200:10log",
                    "--cd"],
     "heatmap": ["heatmap", "--alpha", "0:0.1:3", "--tau", "1:100:6log"],
