@@ -6,32 +6,41 @@ kernels integrate exactly the state they are given: ``cdgate.dynamics``
 restricts a run to its invariant sector and embeds the result, and passes
 the full state's length as ``width``, which enters only the error norm, so
 a sector run takes the full run's steps. The stepper picks its first step
-(a thousandth of the span) and raises ``StepUnderflowError`` itself. Every
-callback has one call shape: ``generators(ts)`` writes the stage operators
-at the times ``ts`` into a block of its own and returns it, the same array
-on every call; ``apply(M, y, out)`` writes the derivative into ``out``, as
-``np.dot`` does; ``post_step(y_new, out)`` writes the accepted state.
-``cdgate.dynamics`` chooses the equation (``apply``, drift monitor,
-symmetrization) and the generator source: ``evolve_ramped`` for a ramped
-system, one call per stage time for a Hamiltonian callable. A stage
-operator is a generator ``M(t) = -i H(t)``, or for a density matrix on a
-small sector its superoperator ``liouvillian(M, D)``, so that every
+(a thousandth of the span) and raises ``StepUnderflowError`` itself.
+
+``dop853`` is a block stepper with one step-size controller: a block is
+``m`` steps, 1 to ``_BLOCK_STEPS``, of one length per sample interval; it
+keeps its steps before the first that fails, and at ``m = 1`` it is the
+classical controller. Every callback has one call shape:
+``generators(ts)`` returns the stage operators at the times ``ts``, one
+per time, and is called once per block with its ``11 m + 1`` distinct
+stage times; ``apply(M, y, out)`` writes the derivative into ``out``, as
+``np.dot`` does; ``post_step(y, out)`` writes a block's last accepted
+state. ``cdgate.dynamics`` chooses the equation (``apply``, drift
+monitor, symmetrization) and the generator source: ``evolve_ramped`` for
+a ramped system, one call per stage time for a Hamiltonian callable. A
+stage operator is a generator ``M(t) = -i H(t)``, or for a density matrix
+on a small sector its superoperator ``liouvillian(M, D)``, so that every
 Lindblad stage is then one matrix-vector product, as a Schroedinger stage
 is; larger sectors use the commutator form, ``lindblad_apply``; both take
-the dissipator ``D = alpha (d_a d_c - 1)``. The states are small, so a
-step costs Python calls, not arithmetic: the stepper asks for the
-generators of a step's eleven distinct stage times at once (one product
-for a ramped system). The state and the stage derivatives are the rows of
-one block, so each stage, the solution and both error estimates are one
-matrix product over it, and ``apply`` writes each stage into its row; a
-step allocates no array. The dissipator is constant, so it is lifted with
-``-i h0`` once per run, and a Lindblad step builds its superoperators with
-the one product a Schroedinger step uses. ``symmetrize`` writes each
-accepted density matrix straight into the state row. The Monte-Carlo
-dephasing average, ``dephasing_average``, advances every noise realization
-at once: the noise is constant within an RK4 step, so the step is one
-polynomial in it, whose matrices (``_rk4_polynomials``) are built for a
-block of steps at once and shared by every realization.
+the dissipator ``D = alpha (d_a d_c - 1)``. The dissipator is constant, so
+it is lifted with ``-i h0`` once per run, and a block's superoperators are
+the one product that builds its Schroedinger generators.
+
+The states are small, so a step costs numpy calls, not arithmetic. The
+system is linear, so a step is a map ``y -> P y`` whose error estimates
+are matrices too: a block of at least ``_MATRIX_MIN_STEPS`` steps of a
+small state (``_MATRIX_MAX_SIZE``) under ``matvec`` runs in matrix mode
+(``_matrix_mode``), building the stage matrices of all its steps with one
+stacked product per stage, then advancing the state by ``m``
+matrix-vector products. A shorter block or a larger state runs in stage
+mode (``_stage_mode``), stage by stage on the state. Both modes take the
+same blocks and steps. ``symmetrize`` writes each block's last
+accepted density matrix straight into the state. The Monte-Carlo
+dephasing average, ``dephasing_average``, advances every noise
+realization at once: the noise is constant within an RK4 step, so the step
+is one polynomial in it, whose matrices (``_rk4_polynomials``) are built
+for a block of steps at once and shared by every realization.
 
 The ramped Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd``, with its drive
 ``J(t)`` and counterdiabatic coefficient ``c(t)``, is defined in one place:
@@ -108,156 +117,399 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_TOTAL_STEPS = 20_000_000
+# Most steps in one block. A run starts with blocks of one step, doubles the
+# block after each block with no rejected step and halves it after one with.
+# On the 40 noise-map cells, 8 ran slower than 16; 32 took 4% more steps and
+# twice the block memory, for a gain within this host's timing noise.
+_BLOCK_STEPS = 16
+# Longest state advanced in matrix mode; a longer one, or an ``apply`` other
+# than ``matvec``, runs in stage mode. At tau 20 with CD, from a full-support
+# pure start, matrix mode ran 1.8-2.4x faster at length 4 and 0.85-1.08x at
+# 8 (docs/noise_model.md, "Integration").
+_MATRIX_MAX_SIZE = 4
+# Fewest steps of a block run in matrix mode, whose cost barely grows with
+# the steps; a shorter block runs in stage mode, whose cost is per step.
+# The two cost about the same at 2 steps (docs/noise_model.md).
+_MATRIX_MIN_STEPS = 3
 
 # stage times of a step as fractions of h: stages 2..12. The last, c = 1, is
 # also the FSAL point t + h.
 C_STAGE = DP_C[1:]
 # ``np.dot`` without its array-function dispatch, a quarter of a small product
 matvec = np.ndarray.dot
-# stage weights, then the solution's; complex, so the products cast nothing
+# stage weights, then the solution's
 _A_AUG = np.vstack([DP_A, DP_B])
+# the two error estimators; complex, so stage mode's product casts nothing
 _E53 = np.stack([DP_E5, DP_E3]).astype(np.complex128)
+# matrix mode: row s is stage s, row 12 the solution; column 0 weighs the
+# identity, the others h K_0 .. h K_11
+_CHAIN = np.ones((_N_STAGES + 1, _N_STAGES + 1))
+_CHAIN[:, 1:] = _A_AUG
+# the step map, then the two error estimates (the FSAL derivative weighs 0)
+_MAPS = np.zeros((3, _N_STAGES + 1))
+_MAPS[0] = _CHAIN[_N_STAGES]
+_MAPS[1:, 1:] = _E53.real[:, :_N_STAGES]
+
+
+def _error_norm(err5, err3, root_width):
+    """The DOP853 error norm of one step from the squared norms of its two
+    scaled error estimates, each estimate already multiplied by the step
+    length: 0 when both are 0, inf when either is not finite."""
+    denom = err5 + 0.01 * err3
+    if 0.0 < denom < math.inf:
+        return err5 / (math.sqrt(denom) * root_width)
+    return 0.0 if denom == 0.0 else math.inf
+
+
+def _growth(err_norm):
+    """The factor on an accepted step's length for the next step."""
+    if err_norm == 0.0:
+        return _MAX_FACTOR
+    return min(_MAX_FACTOR, _SAFETY * err_norm ** -0.125)
+
+
+def _block_ends(t, h, steps, samples, isamp):
+    """Plan a block of at most ``steps`` steps from ``t``, from sample
+    ``isamp`` on: its step ends, the first of them ``t``; its step lengths
+    as ``(count, length)`` runs; and the samples it reaches as ``(end
+    index, sample index)`` pairs.
+
+    Steps of one sample interval have one length: ``h``, or, where the
+    block reaches the sample time ``s``, the ``ceil((s - t) / h)`` equal
+    steps that end exactly at ``s``. A block goes on past a sample time.
+    """
+    ends, runs, reached = [t], [], []
+    while isamp < len(samples):
+        room = steps + 1 - len(ends)
+        start, stop = ends[-1], samples[isamp]
+        span = stop - start
+        if span > h * room:
+            ends.extend([start + j * h for j in range(1, room + 1)])
+            runs.append((room, h))
+            break
+        if span > 0.0:
+            k = min(room, math.ceil(span / h))
+            ends.extend([start + j * (span / k) for j in range(1, k)])
+            ends.append(stop)
+            runs.append((k, span / k))
+        reached.append((len(ends) - 1, isamp))
+        isamp += 1
+        if len(ends) == steps + 1:
+            break
+    return ends, runs, reached
+
+
+def _matrix_mode(size, rtol, atol, root_width):
+    """The block evaluator of a state of length ``size`` under operators
+    that are ``(size, size)`` matrices on it.
+
+    The system is linear, so a step is a map ``y -> P y`` whose error
+    estimates ``E5 y`` and ``E3 y`` are matrices too, none depending on
+    ``y``. The stage chain runs on the steps of a block at once, starting
+    from the identity: ``U_s = (1, a_s) . (I, h K_0, ...)`` and ``h K_s =
+    (h M_s) U_s``, each one stacked product; one more product gives every
+    ``P``, ``E5`` and ``E3``. The state then takes one matrix-vector
+    product per step, and all error estimates are one product.
+
+    All of it runs in real arithmetic, where a small stacked product costs
+    a third of a complex one: a complex matrix is the real ``2 size x 2
+    size`` matrix that acts on the float view of a complex vector (entry
+    ``(a, b)`` is the block ``[[Re, -Im], [Im, Re]]``), so the states need
+    no conversion. One ``take`` gathers each step's 12 stage operators in
+    that form from the operators and their negatives. The arrays are
+    allocated once per run, for ``_BLOCK_STEPS`` steps, and every block
+    runs the matrix chain on all of them: a step beyond the block's has
+    length 0 and is never read. Arrays sized to each block length would
+    take twice the memory, for no less time. Returns ``steps(M, hs, y) -> (Y,
+    errs)``, as ``_stage_mode``'s, with the error norms of all the block's
+    steps.
+    """
+    entries, wide, n = size * size, 2 * size, _BLOCK_STEPS
+    rows = 11 * n + 1
+    # the operators as floats, then their negatives; zero until written
+    signed = np.zeros((2, rows, 2 * entries))
+    plain, negated = signed
+    # where entry (i, j) of the real form of an operator sits in its row
+    re = 2 * (size * np.arange(size)[:, None] + np.arange(size))
+    source = np.empty((wide, wide), dtype=np.intp)
+    source[0::2, 0::2] = source[1::2, 1::2] = re
+    source[1::2, 0::2] = re + 1
+    source[0::2, 1::2] = rows * 2 * entries + re + 1
+    # step k's stage s reads operator 11 k + s, s = 0..11
+    op = 11 * np.arange(n)[None, :] + np.arange(_N_STAGES)[:, None]
+    index = op[:, :, None, None] * (2 * entries) + source
+    scaled = np.empty(index.shape)  # h M of each stage and step
+    # each step's length over the entries of its operators
+    spread = np.empty((n, wide, wide))
+    spread_rows = spread.reshape(n, -1)
+    # I, then h K_0 .. h K_11 of each step
+    z = np.empty((_N_STAGES + 1, n, wide, wide))
+    z[0] = np.eye(wide)
+    flat = z.reshape(_N_STAGES + 1, -1)
+    u = np.empty(n * wide * wide)
+    u3 = u.reshape(n, wide, wide)
+    chain = [(_CHAIN[s, :s + 1], flat[:s + 1], scaled[s], z[s + 1])
+             for s in range(1, _N_STAGES)]
+    maps = np.empty((3, n, wide, wide))  # P, E5 and E3 of each step
+    states = np.zeros((n + 1, size), dtype=np.complex128)
+    floats = states.view(np.float64)
+    walk = list(zip(maps[0], floats[:-1], floats[1:]))
+    err = np.empty((2, n, wide, 1))
+    err_pairs = err.reshape(2, n, size, 2)
+    magnitude = np.empty((n + 1, size))
+    before, after = magnitude[:-1], magnitude[1:]
+    scale = np.empty((n, size))
+    scale_col = scale[:, :, None]
+    sums = np.empty((2, n))
+    estimators, columns = maps[1:], floats[:-1, :, None]
+    maps_flat = maps.reshape(3, -1)
+
+    def steps(M, hs, y):
+        m, k = hs.shape[0], M.shape[0]
+        ops = M.reshape(k, -1).view(np.float64)
+        plain[:k] = ops
+        np.negative(ops, out=negated[:k])
+        np.take(signed, index, out=scaled, mode="clip")
+        spread_rows[:m] = hs[:, None]
+        spread_rows[m:] = 0.0
+        np.multiply(scaled, spread, out=scaled)
+        z[1] = scaled[0]  # h K_0 = h M_0 I
+        for coef, head, op, k_s in chain:
+            coef.dot(head, u)
+            np.matmul(op, u3, out=k_s)
+        _MAPS.dot(flat, maps_flat)
+        states[0] = y
+        for p, y_k, y_next in walk[:m]:
+            p.dot(y_k, y_next)
+        np.matmul(estimators, columns, out=err)
+        np.abs(states, out=magnitude)
+        np.maximum(before, after, out=scale)
+        np.multiply(scale, rtol, out=scale)
+        np.add(scale, atol, out=scale)
+        np.divide(err_pairs, scale_col, out=err_pairs)
+        np.square(err, out=err)
+        err_pairs.sum(axis=(2, 3), out=sums)
+        err5, err3 = sums[:, :m].tolist()
+        return states, [_error_norm(a, b, root_width)
+                        for a, b in zip(err5, err3)]
+
+    return steps
+
+
+def _stage_mode(apply, size, rtol, atol, root_width):
+    """The block evaluator that runs the stages of each step on the state.
+
+    The state and the stage derivatives are the rows of one block ``Z``:
+    stage ``s`` is ``apply(M, (1, h a_s) . Z[:s + 1], out)``, which writes
+    the derivative into its row. A block's first derivative is evaluated at
+    its start, and the FSAL derivative of each step is the next step's
+    first. The steps of a block run in turn and stop at the
+    first that fails. Returns ``steps(M, hs, y) -> (Y, errs)`` for a
+    block of steps of lengths ``hs``: ``Y[k]`` is the state after ``k``
+    steps of the block (``Y[0]`` is ``y``), ``errs`` the error norms of
+    the steps up to the first that fails.
+    """
+    Z = np.zeros((_N_STAGES + 2, size), dtype=np.complex128)
+    state, K = Z[0], Z[1:]  # the state, then the stage derivatives
+    # column 0 weighs the state; the rest is h * _A_AUG, written per step
+    # through the float view of its real parts (the imaginary parts stay 0)
+    HA = np.ones((_N_STAGES + 1, _N_STAGES + 1), dtype=np.complex128)
+    weights = HA.view(np.float64)[:, 2::2]
+    heads = [(HA[s, :s + 1], Z[:s + 1], K[s]) for s in range(1, _N_STAGES)]
+    b_row, head_all, k_fsal = HA[_N_STAGES], Z[:_N_STAGES + 1], K[_N_STAGES]
+    states = np.empty((_BLOCK_STEPS + 1, size), dtype=np.complex128)
+    dy = np.empty(size, dtype=np.complex128)
+    err = np.empty((2, size), dtype=np.complex128)
+    # real arithmetic on the estimates: a complex division by a NaN warns
+    w = err.view(np.float64)
+    pairs = w.reshape(2, size, 2)
+    magnitude, scale = np.empty((2, size)), np.empty(size)
+    scale_col = scale[:, None]
+
+    def steps(M, hs, y):
+        states[0] = y
+        state[:] = y
+        apply(M[0], state, K[0])
+        old, new = magnitude
+        np.abs(y, out=old)
+        errs = []
+        for k, h in enumerate(hs.tolist()):
+            base = 11 * k
+            np.multiply(h, _A_AUG, out=weights)
+            for s, (coef, head, k_s) in enumerate(heads, 1):
+                apply(M[base + s], coef.dot(head, dy), k_s)
+            y_new = states[k + 1]
+            b_row.dot(head_all, y_new)
+            apply(M[base + _N_STAGES - 1], y_new, k_fsal)
+            np.abs(y_new, out=new)
+            np.maximum(old, new, out=scale)
+            np.multiply(scale, rtol, out=scale)
+            np.add(scale, atol, out=scale)
+            _E53.dot(K, err)
+            np.multiply(w, h, out=w)
+            np.divide(pairs, scale_col, out=pairs)
+            (err5, _), (_, err3) = w.dot(w.T).tolist()
+            errs.append(_error_norm(err5, err3, root_width))
+            if not errs[-1] < 1.0:
+                break
+            state[:] = y_new
+            K[0] = k_fsal
+            old, new = new, old
+        return states, errs
+
+    return steps
 
 
 def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
            post_step=None, width=None):
     """Integrate ``dy/dt = apply(M(t), y)`` for a flat complex ``y``.
 
-    ``generators(ts)`` writes the stage operators ``M(t)`` (generators
-    ``-i H(t)`` or their ``liouvillian`` superoperators) at the eleven
-    times ``ts`` into a block of its own and returns it, the same array on
-    every call. Each attempted step asks for ``t + h * C_STAGE``: stage
-    ``s`` uses row ``s - 1``, and the FSAL derivative the last row, stage
-    12's time ``t + h``; the start call passes eleven copies of the start
-    time and uses row 0. The state and the stage derivatives are the rows
-    of one block ``Z``: stage ``s`` is ``apply(M, (1, h a_s) . Z[:s + 1],
-    out)``, which writes the derivative into its row ``out``, as
-    ``np.dot`` does. Every per-step array is allocated once per call and
-    written in place. Output states are recorded exactly at
-    ``sample_times`` (the first entry must equal the start time); the first
-    step is a thousandth of their span. When a ``post_step`` is given,
-    ``post_step(y_new, y)`` writes each accepted state into the state row
-    ``y``, and ``drift_of(y)`` is monitored; the state is never
-    renormalized. The error norm divides by ``width`` (``len(y0)`` when
-    None): a caller that integrates an invariant sector of a longer state
-    passes that state's length, and takes its steps. Returns ``(states,
-    drift, stats)``: ``drift`` is the largest ``drift_of`` seen at any
-    accepted step and ``stats`` counts the ``accepted`` and ``rejected``
-    steps and the ``rhs_evals``, and holds the smallest and largest
-    accepted step, ``h_min`` and ``h_max`` (0 when no step was accepted).
-    Raises ``StepUnderflowError`` when the step falls below 16 eps |t| or
-    the step budget runs out.
+    A block stepper with one step-size controller. Each block is ``m``
+    steps, from 1 to ``_BLOCK_STEPS``: ``m`` starts at 1, doubles after a
+    block with no rejected step and halves after one with.
+    ``generators(ts)`` is called once per block with the block's ``11 m +
+    1`` distinct stage times (the block's start, then for each step its
+    stages 2 to 12, the last of them, ``t + h``, also the step's FSAL point
+    and the next step's first) and returns the stage operators ``M(t)`` at
+    those times, stacked: generators ``-i H(t)`` or their ``liouvillian``
+    superoperators. ``apply(M, y, out)`` writes the derivative into
+    ``out``, as ``np.dot`` does. Steps of one sample interval have one
+    length (``_block_ends``), a block may cross sample times, and every
+    sample time is a step end, so output states are recorded exactly at
+    ``sample_times`` (the first entry must equal the start time); the
+    first step is a thousandth of their span.
+
+    Each step's error norm is DOP853's, divided by ``width`` (``len(y0)``
+    when None): a caller that integrates an invariant sector of a longer
+    state passes that state's length, and takes its steps. A block
+    accepts its steps before the first whose norm is not below 1. The next
+    step length is the smallest of ``h_k min(10, 0.9 err_k^-1/8)`` over
+    the block's steps when all are accepted, else ``h max(0.2, 0.9
+    err^-1/8)`` of the failed step; at ``m = 1`` this is the classical
+    controller. ``drift_of(Y)`` gives the largest drift over the accepted
+    states of a block, one per row of ``Y``, and the largest is
+    monitored; the state is never renormalized. When a ``post_step`` is
+    given, ``post_step(y, out)`` writes the block's last accepted state,
+    and each sampled state, into ``out``.
+
+    A block runs in matrix mode (``_matrix_mode``) when ``apply`` is
+    ``matvec``, the state has at most ``_MATRIX_MAX_SIZE`` entries and the
+    block at least ``_MATRIX_MIN_STEPS`` steps, else in stage mode
+    (``_stage_mode``); both take the same steps.
+    Returns ``(states, drift, stats)``: ``drift`` is the largest
+    ``drift_of`` seen at any accepted step and ``stats`` counts the
+    ``accepted`` and ``rejected`` steps, the ``blocks``, the steps
+    ``discarded`` (those of a block after its first failed step, whose
+    stage operators were built: matrix mode computes them, stage mode
+    stops at the failure) and the ``rhs_evals``, the stage operators
+    built, ``blocks + 11 (accepted + rejected + discarded)``; it holds the
+    smallest and largest accepted step, ``h_min`` and ``h_max`` (0 when no
+    step was accepted). Raises ``StepUnderflowError`` when the step falls
+    below 16 eps |t| or the step budget of accepted plus rejected steps
+    runs out.
     """
     size = y0.shape[0]
-    n = size if width is None else width  # the error norm's width
-    out = np.empty((sample_times.shape[0], size), dtype=np.complex128)
+    samples = np.asarray(sample_times, dtype=np.float64).tolist()
+    out = np.empty((len(samples), size), dtype=np.complex128)
     out[0] = y0
-    Z = np.zeros((_N_STAGES + 2, size), dtype=np.complex128)
-    y, K = Z[0], Z[1:]  # the state, then the stage derivatives
-    y[:] = y0
-    t = float(sample_times[0])
-    # the stage operators of every attempted step, written by ``generators``
-    M = generators(np.full(C_STAGE.shape, t))
-    apply(M[0], y, K[0])
-    # column 0 weighs y; the rest is h * _A_AUG, filled per attempted step
-    # through the float view of its real parts (the imaginary parts stay 0)
-    HA = np.ones((_N_STAGES + 1, _N_STAGES + 1), dtype=np.complex128)
-    weights = HA.view(np.float64)[:, 2::2]
-    stages = [(HA[s, :s + 1], Z[:s + 1], M[s - 1], K[s])
-              for s in range(1, _N_STAGES)]
-    b_row, head_all = HA[_N_STAGES], Z[:_N_STAGES + 1]  # the solution's
-    # the other per-step arrays, each written in place
-    ts = np.empty(C_STAGE.shape[0])
-    dy, y_new = np.empty((2, size), dtype=np.complex128)
-    m_fsal, k_fsal = M[-1], K[_N_STAGES]
-    err = np.empty((2, size), dtype=np.complex128)
-    w = err.view(np.float64)
-    abs_y, abs_new, scale = np.abs(y), np.empty(size), np.empty(size)
-    h_abs = (float(sample_times[-1]) - t) * 1e-3
+    y = out[0].copy()
+    root_width = math.sqrt(size if width is None else width)
+    stage = _stage_mode(apply, size, rtol, atol, root_width)
+    matrix = (_matrix_mode(size, rtol, atol, root_width)
+              if apply is matvec and size <= _MATRIX_MAX_SIZE else None)
+    times = np.empty(11 * _BLOCK_STEPS + 1)
+    t = samples[0]
+    h_abs = (samples[-1] - t) * 1e-3
+    m, isamp = 1, 1
     drift = 0.0
     h_min, h_max = math.inf, 0.0
-    accepted = rejected = 0
+    accepted = rejected = discarded = blocks = built = 0
 
-    for isamp in range(1, sample_times.shape[0]):
-        t_end = float(sample_times[isamp])
-        while t < t_end:
-            if accepted + rejected >= _MAX_TOTAL_STEPS:
-                raise StepUnderflowError(
-                    "step budget exhausted before reaching t_end")
-            if h_abs < 16.0 * _EPS * max(abs(t), abs(t_end)):
-                raise StepUnderflowError(
-                    "adaptive step size underflowed; the problem is too "
-                    "stiff for the requested tolerances, or H(t) is not "
-                    "finite")
-            h = h_abs
-            if t + h > t_end:
-                h = t_end - t
+    while isamp < len(samples):
+        if samples[isamp] <= t:  # a sample at the current time takes no step
+            out[isamp] = y
+            isamp += 1
+            continue
+        if accepted + rejected >= _MAX_TOTAL_STEPS:
+            raise StepUnderflowError(
+                "step budget exhausted before reaching t_end")
+        if h_abs < 16.0 * _EPS * max(abs(t), abs(samples[isamp])):
+            raise StepUnderflowError(
+                "adaptive step size underflowed; the problem is too "
+                "stiff for the requested tolerances, or H(t) is not "
+                "finite")
+        ends, runs, reached = _block_ends(
+            t, h_abs, min(m, _MAX_TOTAL_STEPS - accepted - rejected),
+            samples, isamp)
+        lengths = [h for count, h in runs for _ in range(count)]
+        planned = len(lengths)
+        bounds = np.array(ends)
+        ts = times[:11 * planned + 1]
+        ts[0] = t
+        grid = ts[1:].reshape(planned, 11)
+        hs = np.array(lengths)
+        np.multiply(hs[:, None], C_STAGE, out=grid)
+        grid += bounds[:-1, None]
+        grid[:, -1] = bounds[1:]  # a step ends exactly where the next starts
+        steps = stage if matrix is None or planned < _MATRIX_MIN_STEPS else matrix
+        Y, errs = steps(generators(ts), hs, y)
+        blocks += 1
+        built += ts.shape[0]
 
-            np.multiply(h, _A_AUG, out=weights)
-            np.multiply(C_STAGE, h, out=ts)
-            ts += t
-            generators(ts)
-            for coef, head, m_s, k in stages:
-                apply(m_s, coef.dot(head, dy), k)
-            b_row.dot(head_all, y_new)
-            apply(m_fsal, y_new, k_fsal)
-
-            np.abs(y_new, out=abs_new)
-            np.maximum(abs_y, abs_new, out=scale)
-            scale *= rtol
-            scale += atol
-            _E53.dot(K, err)
-            err /= scale
-            (err5, _), (_, err3) = w.dot(w.T).tolist()
-            denom = err5 + 0.01 * err3
-            if denom > 0.0:
-                err_norm = h * err5 / math.sqrt(denom * n)
-            elif denom == 0.0:
-                err_norm = 0.0
-            else:  # NaN: reject, so a non-finite state ends in underflow
-                err_norm = math.inf
-
-            if err_norm < 1.0:
-                accepted += 1
-                t = t + h
-                if h < h_min:
-                    h_min = h
-                if h > h_max:
-                    h_max = h
-                if post_step is None:  # |y| is |y_new|: swap the buffers
-                    y[:] = y_new
-                    abs_y, abs_new = abs_new, abs_y
-                else:
-                    post_step(y_new, y)
-                    np.abs(y, out=abs_y)
-                dev = drift_of(y)
-                if dev > drift:
-                    drift = dev
-                K[0] = k_fsal
-                if err_norm == 0.0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * err_norm ** -0.125)
-                h_abs = h * factor
+        f = 0
+        for err_norm in errs:
+            if not err_norm < 1.0:
+                break
+            f += 1
+        if f:
+            accepted += f
+            t = ends[f]
+            h_min = min(h_min, *lengths[:f])
+            h_max = max(h_max, *lengths[:f])
+            drift = max(drift, drift_of(Y[1:f + 1]))
+            if post_step is None:
+                y[:] = Y[f]
             else:
-                rejected += 1
-                h_abs = h * max(_MIN_FACTOR, _SAFETY * err_norm ** -0.125)
-        out[isamp] = y
+                post_step(Y[f], y)
+        for k, i in reached:
+            if k > f:
+                break
+            if post_step is None:
+                out[i] = Y[k]
+            else:
+                post_step(Y[k], out[i])
+            isamp = i + 1
+        if f < planned:
+            rejected += 1
+            discarded += planned - f - 1
+            h_abs = lengths[f] * max(_MIN_FACTOR,
+                                     _SAFETY * errs[f] ** -0.125)
+            m = max(1, m // 2)
+        else:
+            # the worst error of each run of equal steps sets the next step
+            h_abs, start = math.inf, 0
+            for count, h in runs:
+                h_abs = min(h_abs, h * _growth(max(errs[start:start + count])))
+                start += count
+            m = min(2 * m, _BLOCK_STEPS)
     stats = {"accepted": accepted, "rejected": rejected,
-             "rhs_evals": 1 + _N_STAGES * (accepted + rejected),
+             "discarded": discarded, "blocks": blocks, "rhs_evals": built,
              "h_min": h_min if accepted else 0.0, "h_max": h_max}
     return out, drift, stats
 
 
 def norm_drift(y):
-    """|norm^2 - 1| of a flat state vector."""
-    return abs(np.vdot(y, y).real - 1.0)
+    """The largest |norm^2 - 1| over the states ``y``, one per row, or of
+    the one flat state ``y``."""
+    w = y.view(np.float64)
+    return float(np.abs(np.einsum("...i,...i", w, w) - 1.0).max())
 
 
 def trace_drift(y):
-    """|trace - 1| of a flattened square density matrix."""
-    dim = math.isqrt(y.shape[0])
-    return abs(np.add.reduce(y[::dim + 1]) - 1.0)
+    """The largest |trace - 1| over the flattened square density matrices
+    ``y``, one per row, or of the one ``y``."""
+    dim = math.isqrt(y.shape[-1])
+    return float(np.abs(y[..., ::dim + 1].sum(axis=-1) - 1.0).max())
 
 
 def symmetrize(y, out):
@@ -266,8 +518,9 @@ def symmetrize(y, out):
 
     ``rho^H`` is written into ``out``, then ``rho`` is added and the sum
     halved in place, so ``y`` is only read and no temporary is made; the
-    stepper passes its state row as ``out``. The stepper's retained FSAL
-    derivative goes stale by the same O(eps), which is harmless.
+    stepper passes its state as ``out``. The Liouvillian maps Hermitian
+    matrices to Hermitian ones, so between two symmetrizations only
+    rounding departs from it.
     """
     dim = math.isqrt(y.shape[0])
     rho = y.reshape(dim, dim)
@@ -284,11 +537,11 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, drift_of,
 
     ``M(t) = -i H(t)`` is one real combination ``(1, J(t), c(t))`` of the
     float views of ``-i h0``, ``-i hz`` and ``-i hcd``: -i is folded in once
-    per call, and the generators of all stage times of a step are one
-    product, written into the source's block. The model writes ``J(t)``
-    and ``c(t)`` into the columns of the coefficient block. Given a
-    flattened ``dissipator`` (and ``matvec`` as ``apply``) the same product
-    builds the ``liouvillian`` superoperators
+    per call, and the generators of all stage times of a block are one
+    product, written into a block allocated once per call for the largest
+    block. The model writes ``J(t)`` and ``c(t)`` into the columns of the
+    coefficient block. Given a flattened ``dissipator`` (and ``matvec`` as
+    ``apply``) the same product builds the ``liouvillian`` superoperators
     ``L(t) = (L0 + D) + J(t) Lz + c(t) Lcd`` of the three terms, lifted
     once per call. The other arguments and the result are ``dop853``'s.
     """
@@ -296,19 +549,21 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, drift_of,
     if dissipator is not None:  # the constant D joins the lift of -i h0
         terms = liouvillian(terms, np.outer([1.0, 0.0, 0.0], dissipator))
     basis = terms.reshape(3, -1).view(np.float64)
-    block = np.empty(C_STAGE.shape + terms.shape[1:], dtype=np.complex128)
-    target = block.reshape(C_STAGE.shape[0], -1).view(np.float64)
+    rows = 11 * _BLOCK_STEPS + 1
+    block = np.empty((rows,) + terms.shape[1:], dtype=np.complex128)
+    target = block.reshape(rows, -1).view(np.float64)
     # rows (1, J(t), c(t)), one per stage time; without CD c stays zero
-    coef = np.zeros((C_STAGE.shape[0], 3))
+    coef = np.zeros((rows, 3))
     coef[:, 0] = 1.0
     drive, cd = coef[:, 1], coef[:, 2]
 
     def generators(ts):
-        h.drive_value(ts, drive)
+        k = ts.shape[0]
+        h.drive_value(ts, drive[:k])
         if h.use_cd:
-            h.cd_coefficient(ts, cd)
-        coef.dot(basis, target)
-        return block
+            h.cd_coefficient(ts, cd[:k])
+        coef[:k].dot(basis, target[:k])
+        return block[:k]
 
     return dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
                   post_step, width)

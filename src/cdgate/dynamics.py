@@ -30,7 +30,7 @@ times, a callable stacked by ``_stacked``.
 and the oracle alike. States are never renormalized during integration;
 norm / trace drift is monitored and reported instead. The only in-flight
 correction is the documented Hermitian symmetrization of the density matrix
-after each accepted step.
+at the end of each block of steps and at each sample.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ class EvolutionConfig:
 
     The default tolerances keep the accumulated norm^2 drift of the gate
     runs below the 1e-8 monitor limit out to tau = 200 for n <= 6 at the
-    default ``j2_amp`` (6.0e-9 at n = 6, 1.3e-9 at n = 2). They do not at
+    default ``j2_amp`` (6.5e-9 at n = 6, 1.4e-9 at n = 2). They do not at
     tau = 2000 (1.16e-8 at n = 2), nor at n = 6, tau = 200 with ``j2_amp``
-    20 (1.2e-8).
+    20 (1.19e-8, 1.24e-8 with CD).
     """
 
     tau: float | None = None
@@ -106,9 +106,11 @@ class Trajectory:
 
     ``norm_drift`` is the largest deviation of norm^2 (pure) or trace
     (density) from one seen at any accepted integrator step. ``stats``
-    holds the integrator's ``accepted`` and ``rejected`` step counts, its
-    ``rhs_evals``, and the smallest and largest accepted step, ``h_min`` and
-    ``h_max``.
+    holds the integrator's ``accepted`` and ``rejected`` step counts; its
+    ``blocks`` of steps; the steps ``discarded``, planned in a block after
+    its first rejected step; its ``rhs_evals``, the stage operators built,
+    ``blocks + 11 (accepted + rejected + discarded)``; and the smallest and
+    largest accepted step, ``h_min`` and ``h_max`` (``_kernels.dop853``).
     """
 
     times: np.ndarray
@@ -169,24 +171,17 @@ def _stacked(h_of_t):
 def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, drift_of,
                         post_step=None, dissipator=None, width=None):
     """``_kernels.dop853`` with the generators ``-i H(t)`` of a Hamiltonian
-    callable, called once per distinct stage time, or their
-    ``_kernels.liouvillian`` superoperators given a ``dissipator``, copied
-    into one block; the twin of ``_kernels.evolve_ramped``, with the same
-    arguments and result."""
+    callable, called once per stage time of each block, or their
+    ``_kernels.liouvillian`` superoperators given a ``dissipator``; the
+    twin of ``_kernels.evolve_ramped``, with the same arguments and
+    result."""
     h_stack = _stacked(h_of_t)
-    block = None
 
     def generators(ts):
-        nonlocal block
-        # the stage times never decrease, so equal ends mean one time (the
-        # start call's eleven copies): evaluate it once and broadcast
-        m = -1j * h_stack(ts[:1] if ts[0] == ts[-1] else ts)
+        m = -1j * h_stack(ts)
         if dissipator is not None:
             m = _kernels.liouvillian(m, dissipator)
-        if block is None:
-            block = np.empty(ts.shape + m.shape[1:], dtype=np.complex128)
-        block[...] = m
-        return block
+        return m
 
     return _kernels.dop853(generators, apply, sample_times, y0, rtol, atol,
                            drift_of, post_step, width)
@@ -327,7 +322,7 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
 
         d rho/dt = -i [H(t), rho] + alpha (sigma_z2 rho sigma_z2 - rho),
 
-    symmetrizing rho in place after each accepted step
+    symmetrizing rho after each block of steps and at each sample
     (``_kernels.symmetrize``). Only the invariant sector of ``rho0`` is
     integrated (``_invariant_sector``). Up to a sector dimension of
     ``_LIOUVILLIAN_MAX_DIM`` the stages apply the Liouvillian to

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -222,8 +224,8 @@ class TestGateUnitaryCheck:
     def test_builds_the_hamiltonian_once_per_stage_time(self, monkeypatch):
         # perfbench's traced oracle-check needs the
         # model.build_inverse_engineered span, so the callable must call it
-        # at each distinct stage time rather than cache its matrix; the
-        # start call's eleven copies of the start time are one build
+        # at each distinct stage time of a block rather than cache its
+        # matrix
         builds, stage_times = [], []
         build, dop853 = experiments.build_inverse_engineered, _kernels.dop853
 
@@ -270,19 +272,27 @@ class TestNQubitDemo:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_cd_fidelity_is_the_closed_form(self, params, n):
         # With CD the state stays in the sector's instantaneous ground
-        # state, so every cell's fidelity is its |1..1> weight at the ramp
-        # end, g^2 / (g^2 + a^2) with a = J_end - sqrt(g^2 + J_end^2), at
-        # any tau and n (Berry, J. Phys. A 42, 365303 (2009)). Measured
-        # worst |F - exact|: 1.2e-9 at n = 2, 6.0e-9 at n = 6, both at
-        # tau 200.
-        j_end = 0.5 * params.j2_amp
-        a = j_end - np.sqrt(params.g ** 2 + j_end ** 2)
-        exact = params.g ** 2 / (params.g ** 2 + a ** 2)
-        assert abs(exact - 0.9975185951049945) < 1e-15
-        result = n_qubit_demo(n, params, np.geomspace(0.5, 200.0, 12),
-                              cd_enabled=True)
-        assert not result.failed_cells
-        assert np.abs(result.fidelity - exact).max() <= 1e-8
+        # state, so every cell's fidelity is its target weight at the ramp
+        # end, g^2 / (g^2 + a^2) with a = |J_end| - sqrt(g^2 + J_end^2),
+        # at any tau, n and amplitude (Berry, J. Phys. A 42, 365303
+        # (2009)); a negative amplitude ends in |1..10>, its target.
+        # Measured worst |F - exact|, all at tau 200: at j2_amp 10, 1.4e-9
+        # at n = 2 and 6.5e-9 at n = 6; at 4, 6.7e-10 and 3.1e-9; at 20,
+        # 2.7e-9 and 8.4e-9 (n = 5); at -10 as at 10. Left out: n = 6 at
+        # j2_amp 20 and tau 200, whose norm drift (1.24e-8) fails the 1e-8
+        # monitor at the default tolerances.
+        taus = np.geomspace(0.5, 200.0, 12)
+        for j2_amp in (params.j2_amp, 4.0, 20.0, -10.0):
+            amp = replace(params, j2_amp=j2_amp)
+            j_end = 0.5 * abs(j2_amp)
+            a = j_end - np.sqrt(amp.g ** 2 + j_end ** 2)
+            exact = amp.g ** 2 / (amp.g ** 2 + a ** 2)
+            if j2_amp == params.j2_amp:
+                assert abs(exact - 0.9975185951049945) < 1e-15
+            cells = taus[:-1] if (n, j2_amp) == (6, 20.0) else taus
+            result = n_qubit_demo(n, amp, cells, cd_enabled=True)
+            assert not result.failed_cells
+            assert np.abs(result.fidelity - exact).max() <= 1e-8, j2_amp
 
     def test_metadata_present(self, params):
         result = n_qubit_demo(3, params, [1.0], cd_enabled=False)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +23,16 @@ _EPS = float(np.finfo(np.float64).eps)
 
 def _evolve_ramped_loop(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
                         sample_times, y0, rtol, atol, h_init):
-    """Reference: the DOP853 loop as first written for numba, one scalar
-    tableau coefficient at a time, with its own unbounded ``max_step``.
-    Returns ``(status, states, drift, accepted, rejected)``, ``status``
-    one of "ok", "underflow" and "budget"."""
+    """Reference: the DOP853 step as first written for numba, one scalar
+    tableau coefficient at a time, under the block controller of
+    ``dop853`` written out step by step: blocks of ``m`` steps, ``m``
+    doubling from 1 after a block with no rejected step and halving after
+    one with, up to ``_BLOCK_STEPS``; the steps of one sample interval of
+    one length; a block keeping its steps before the first that fails;
+    the next step from the failure or from the worst accepted error; a
+    density matrix symmetrized at the end of each block and at each
+    sample. Returns ``(status, states, drift, accepted, rejected)``,
+    ``status`` one of "ok", "underflow" and "budget"."""
     A, B, C = _kernels.DP_A, _kernels.DP_B, _kernels.DP_C
     E3, E5 = _kernels.DP_E3, _kernels.DP_E5
     dim = h0.shape[0]
@@ -52,108 +59,127 @@ def _evolve_ramped_loop(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
             return drho.ravel()
         return -1j * (h @ y)
 
+    def step(t, h, y):
+        K = np.zeros((13, n), dtype=np.complex128)
+        K[0] = rhs(t, y)
+        for s in range(1, 12):
+            dy = A[s, 0] * K[0]
+            for j in range(1, s):
+                if A[s, j] != 0.0:
+                    dy = dy + A[s, j] * K[j]
+            K[s] = rhs(t + C[s] * h, y + h * dy)
+        acc = B[0] * K[0]
+        for j in range(1, 12):
+            if B[j] != 0.0:
+                acc = acc + B[j] * K[j]
+        y_new = y + h * acc
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        e5 = E5[0] * K[0]
+        e3 = E3[0] * K[0]
+        for j in range(1, 12):
+            if E5[j] != 0.0:
+                e5 = e5 + E5[j] * K[j]
+            if E3[j] != 0.0:
+                e3 = e3 + E3[j] * K[j]
+        err5 = np.sum(np.abs(e5 / scale) ** 2)
+        err3 = np.sum(np.abs(e3 / scale) ** 2)
+        denom = err5 + 0.01 * err3
+        err_norm = abs(h) * err5 / np.sqrt(denom * n) if denom > 0.0 else 0.0
+        return y_new, err_norm
+
+    def finish(y):
+        if not is_density:
+            return y
+        rho = y.reshape((dim, dim))
+        return ((rho + rho.conj().T) * 0.5).ravel()
+
+    def drift_of(y):
+        if is_density:
+            return abs(np.trace(y.reshape((dim, dim))) - 1.0)
+        return abs(np.sum(np.real(y * np.conj(y))) - 1.0)
+
     y = y0.copy()
     t = sample_times[0]
-    f = rhs(t, y)
-    max_step = np.inf
-    h_abs = min(h_init, max_step)
+    h_abs = h_init
+    m, isamp = 1, 1
     drift = 0.0
-    K = np.zeros((13, n), dtype=np.complex128)
-    nsteps = accepted = rejected = 0
+    accepted = rejected = 0
     status = "ok"
 
-    for isamp in range(1, nsamp):
-        t_end = sample_times[isamp]
-        while t < t_end:
-            nsteps += 1
-            if nsteps > _kernels._MAX_TOTAL_STEPS:
-                status = "budget"
-                break
-            min_step = 16.0 * _EPS * max(abs(t), abs(t_end))
-            if h_abs > max_step:
-                h_abs = max_step
-            if h_abs < min_step:
-                status = "underflow"
-                break
-            h = h_abs
-            if t + h > t_end:
-                h = t_end - t
-
-            K[0] = f
-            for s in range(1, 12):
-                dy = A[s, 0] * K[0]
-                for j in range(1, s):
-                    if A[s, j] != 0.0:
-                        dy = dy + A[s, j] * K[j]
-                K[s] = rhs(t + C[s] * h, y + h * dy)
-
-            acc = B[0] * K[0]
-            for j in range(1, 12):
-                if B[j] != 0.0:
-                    acc = acc + B[j] * K[j]
-            y_new = y + h * acc
-            f_new = rhs(t + h, y_new)
-            K[12] = f_new
-
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            e5 = E5[0] * K[0]
-            e3 = E3[0] * K[0]
-            for j in range(1, 13):
-                if E5[j] != 0.0:
-                    e5 = e5 + E5[j] * K[j]
-                if E3[j] != 0.0:
-                    e3 = e3 + E3[j] * K[j]
-            err5 = np.sum(np.abs(e5 / scale) ** 2)
-            err3 = np.sum(np.abs(e3 / scale) ** 2)
-            denom = err5 + 0.01 * err3
-            if denom > 0.0:
-                err_norm = abs(h) * err5 / np.sqrt(denom * n)
-            else:
-                err_norm = 0.0
-
-            if err_norm < 1.0:
-                accepted += 1
-                t = t + h
-                if is_density:
-                    rho = y_new.reshape((dim, dim))
-                    rho = (rho + rho.conj().T) * 0.5
-                    y = rho.ravel().copy()
-                    dev = abs(np.trace(rho) - 1.0)
-                else:
-                    y = y_new
-                    dev = abs(np.sum(np.real(y * np.conj(y))) - 1.0)
-                drift = max(drift, dev)
-                f = f_new
-                if err_norm == 0.0:
-                    factor = 10.0
-                else:
-                    factor = min(10.0, 0.9 * err_norm ** (-1.0 / 8.0))
-                h_abs = h * factor
-            else:
-                rejected += 1
-                h_abs = h * max(0.2, 0.9 * err_norm ** (-1.0 / 8.0))
-        if status != "ok":
+    while isamp < nsamp:
+        if sample_times[isamp] <= t:
+            out[isamp] = y
+            isamp += 1
+            continue
+        if accepted + rejected >= _kernels._MAX_TOTAL_STEPS:
+            status = "budget"
             break
-        out[isamp] = y
+        if h_abs < 16.0 * _EPS * max(abs(t), abs(sample_times[isamp])):
+            status = "underflow"
+            break
+        # the block: (start, length, end, sample reached or None) per step
+        size = min(m, _kernels._MAX_TOTAL_STEPS - accepted - rejected)
+        plan, start, i = [], t, isamp
+        while len(plan) < size and i < nsamp:
+            span, room = sample_times[i] - start, size - len(plan)
+            if span > h_abs * room:
+                plan += [(start + j * h_abs, h_abs, start + (j + 1) * h_abs,
+                          None) for j in range(room)]
+                break
+            k = min(room, int(np.ceil(span / h_abs)))
+            for j in range(k):
+                end = (sample_times[i] if j == k - 1
+                       else start + (j + 1) * (span / k))
+                plan.append((start + j * (span / k), span / k, end,
+                             i if j == k - 1 else None))
+            start = sample_times[i]
+            i += 1
+        next_h, failed = np.inf, False
+        for s0, h, end, reach in plan:
+            y_new, err_norm = step(s0, h, y)
+            if not err_norm < 1.0:
+                rejected += 1
+                failed = True
+                h_abs = h * max(0.2, 0.9 * err_norm ** (-1.0 / 8.0))
+                break
+            accepted += 1
+            y, t = y_new, end
+            drift = max(drift, drift_of(y))
+            factor = (10.0 if err_norm == 0.0
+                      else min(10.0, 0.9 * err_norm ** (-1.0 / 8.0)))
+            next_h = min(next_h, h * factor)
+            if reach is not None:
+                out[reach] = finish(y)
+                isamp = reach + 1
+        y = finish(y)
+        if failed:
+            m = max(1, m // 2)
+        else:
+            h_abs = next_h
+            m = min(2 * m, _kernels._BLOCK_STEPS)
     return status, out, drift, accepted, rejected
 
 
 def _ramped_args(system, tau, is_density, alpha=0.0, liouvillian=False):
     """``evolve_ramped`` arguments from a random start: the Schroedinger
     equation, or with ``is_density`` the Lindblad equation whose jump
-    operator is ``hz``, in commutator or ``liouvillian`` form."""
+    operator is ``hz``, in commutator or ``liouvillian`` form. The matrix
+    forms apply ``matvec``, so a state of up to ``_MATRIX_MAX_SIZE``
+    entries runs in matrix mode."""
     psi0 = random_state(np.random.default_rng(11), system.dim)
     times = np.array([system.t_start, 0.0, system.t_end])
     if is_density:
         d = np.real(np.diag(system.hz))
         apply, dissipator = (
-            (np.dot, dephasing_dissipator(d, alpha).ravel()) if liouvillian
+            (_kernels.matvec, dephasing_dissipator(d, alpha).ravel())
+            if liouvillian
             else (_kernels.lindblad_apply(dephasing_dissipator(d, alpha)),
                   None))
         return (system, apply, times, np.outer(psi0, psi0.conj()).ravel(),
                 1e-10, 1e-12, _kernels.trace_drift, _kernels.symmetrize,
                 dissipator)
-    return (system, np.dot, times, psi0, 1e-10, 1e-12, _kernels.norm_drift)
+    return (system, _kernels.matvec, times, psi0, 1e-10, 1e-12,
+            _kernels.norm_drift)
 
 
 def _loop_args(args, is_density, alpha):
@@ -215,8 +241,10 @@ class TestVectorizedStepper:
         second = _kernels.evolve_ramped(*args)[2]
         assert first == second
         assert first["accepted"] > 0 and first["rejected"] >= 0
-        assert first["rhs_evals"] == 1 + 12 * (first["accepted"]
-                                               + first["rejected"])
+        # each block builds the operators of its start and of 11 stage
+        # times per step it plans
+        computed = first["accepted"] + first["rejected"] + first["discarded"]
+        assert first["rhs_evals"] == first["blocks"] + 11 * computed
 
     def test_step_underflow_raises(self):
         args = list(_ramped_args(_SYSTEMS["cnot"](8.0), 8.0, False))
@@ -232,20 +260,22 @@ class TestVectorizedStepper:
         generators = _constant_generators(-1j * random_hermitian(rng, 2),
                                           sizes)
         with pytest.raises(StepUnderflowError, match="step budget exhausted"):
-            _kernels.dop853(generators, np.dot, np.array([0.0, 7.0]),
+            _kernels.dop853(generators, _kernels.matvec, np.array([0.0, 7.0]),
                             random_state(rng, 2), 1e-10, 1e-12,
                             _kernels.norm_drift)
-        assert len(sizes) == 1 + 5  # the start, then the five steps
+        # blocks of 1, 2 and then the 2 steps the budget has left
+        assert sizes == [12, 23, 23]
 
     def test_no_step_no_extremes(self, rng):
         # a single sample takes no step: both extremes read 0
         states, drift, stats = _kernels.dop853(
-            _constant_generators(-1j * random_hermitian(rng, 2)), np.dot,
-            np.array([1.5]), random_state(rng, 2), 1e-10, 1e-12,
-            _kernels.norm_drift)
+            _constant_generators(-1j * random_hermitian(rng, 2)),
+            _kernels.matvec, np.array([1.5]), random_state(rng, 2), 1e-10,
+            1e-12, _kernels.norm_drift)
         assert states.shape == (1, 2) and drift == 0.0
-        assert stats == {"accepted": 0, "rejected": 0, "rhs_evals": 1,
-                         "h_min": 0.0, "h_max": 0.0}
+        assert stats == {"accepted": 0, "rejected": 0, "discarded": 0,
+                         "blocks": 0, "rhs_evals": 0, "h_min": 0.0,
+                         "h_max": 0.0}
 
 
 class TestLiouvillian:
@@ -298,7 +328,7 @@ class TestLiouvillian:
         assert idx.size == 2
         d = np.real(np.diag(sub.hz))
         dissipator = dephasing_dissipator(d, alpha).ravel()
-        args = (sub, np.dot, np.array([sub.t_start, sub.t_end]),
+        args = (sub, _kernels.matvec, np.array([sub.t_start, sub.t_end]),
                 rho0[np.ix_(idx, idx)].ravel(), 1e-10, 1e-12,
                 _kernels.trace_drift, _kernels.symmetrize, dissipator)
         generators = _captured_generators(monkeypatch, _kernels.evolve_ramped,
@@ -332,18 +362,20 @@ class TestLiouvillian:
 
 def _constant_generators(m0, sizes=None, on=-np.inf):
     """A generator source of ``m0``, switched on at time ``on``: each call
-    writes it (0 before ``on``) at every time of ``ts`` into the source's
-    one block, and appends the number of times to ``sizes`` when given.
-    The stepper's first step, a thousandth of the span, grows tenfold a
-    step, and the steps that meet the switch are rejected."""
-    block = np.empty((_kernels.C_STAGE.shape[0],) + m0.shape,
+    writes it (0 before ``on``) at every time of ``ts`` into the first rows
+    of the source's one block and returns them, and appends the number of
+    times to ``sizes`` when given. The stepper's first step, a thousandth
+    of the span, grows tenfold a step, and the steps that meet the switch
+    are rejected."""
+    block = np.empty((11 * _kernels._BLOCK_STEPS + 1,) + m0.shape,
                      dtype=np.complex128)
 
     def generators(ts):
         if sizes is not None:
             sizes.append(ts.shape[0])
-        np.multiply(m0, (ts >= on)[:, None, None], out=block)
-        return block
+        out = block[:ts.shape[0]]
+        np.multiply(m0, (ts >= on)[:, None, None], out=out)
+        return out
 
     return generators
 
@@ -368,7 +400,7 @@ def _captured_generators(monkeypatch, engine, args):
 
 
 class TestStepperInterface:
-    """``dop853`` builds the generators of a step's stage times in one call."""
+    """``dop853`` builds the stage operators of a block in one call."""
 
     @pytest.mark.parametrize("use_cd", [False, True])
     @pytest.mark.parametrize("liouvillian", [False, True],
@@ -383,17 +415,20 @@ class TestStepperInterface:
             args[0], engine = (lambda t: system(t)), dynamics._integrate_callable
         generators = _captured_generators(monkeypatch, engine, args)
         dim = system.dim ** 2 if liouvillian else system.dim
-        start = np.full(11, system.t_start)
-        block = generators(start)
-        assert block.shape == (11, dim, dim)
-        # the source's own block, the one the start call returned, is
-        # written over by each call and holds the bytes a fresh source
-        # returns at those times
-        for t, h in [(-0.2, 1.1), (2.5, 0.05)]:
-            ts = t + h * _kernels.C_STAGE
+        first = generators(np.full(12, system.t_start))
+        assert first.shape == (12, dim, dim)
+        # a call returns the operators at its times, one per time, with
+        # the bytes a fresh source returns; the ramped source returns the
+        # first rows of its one block
+        for t, h, steps in [(-0.2, 1.1, 1), (2.5, 0.05, 16)]:
+            ts = np.concatenate([[t], t + h * np.add.outer(
+                np.arange(steps), _kernels.C_STAGE).ravel()])
             fresh = _captured_generators(monkeypatch, engine, args)
-            assert generators(ts) is block
+            block = generators(ts)
+            assert block.shape == (11 * steps + 1, dim, dim)
             assert block.tobytes() == fresh(ts).tobytes()
+            if source == "ramped":
+                assert np.shares_memory(block, first)
 
     def test_stage_operators_are_one_block(self, rng):
         m0 = -1j * random_hermitian(rng, 2)
@@ -412,32 +447,47 @@ class TestStepperInterface:
             generators, apply, np.array([0.0, 3.0, 7.0]), random_state(rng, 2),
             1e-10, 1e-12, _kernels.norm_drift)
         assert stats["rejected"] > 0  # their stages use the block too
+        assert len(blocks) == stats["blocks"]
+        # every call returns the first rows of the source's one block
+        assert all(block.base is blocks[0].base for block in blocks)
+        # an ``apply`` other than ``matvec`` runs in stage mode: each block
+        # its start derivative, then 11 stages and the FSAL derivative per
+        # step, and no step after its first failure
         steps = stats["accepted"] + stats["rejected"]
-        # the start call returns the block that every step then fills
-        assert len(blocks) == 1 + steps
-        assert all(block is blocks[0] for block in blocks)
-        assert len(received) == stats["rhs_evals"]
-        assert all(np.shares_memory(m, blocks[0]) for m in received)
+        assert len(received) == stats["blocks"] + 12 * steps
+        assert all(np.shares_memory(m, blocks[0].base) for m in received)
 
-    def test_generators_called_once_per_step(self, rng):
+    @pytest.mark.parametrize("apply", [_kernels.matvec, np.dot],
+                             ids=["matrix", "stage"])
+    def test_generators_called_once_per_block(self, rng, apply):
         m0 = -1j * random_hermitian(rng, 2)
-        sizes, starts = [], []
-        source = _constant_generators(m0, sizes, on=1.0)
+        calls = []
+        source = _constant_generators(m0, on=1.0)
 
         def generators(ts):
-            starts.append(ts[0])
+            calls.append(ts.copy())
             return source(ts)
 
         psi0 = random_state(rng, 2)
         states, _, stats = _kernels.dop853(
-            generators, np.dot, np.array([0.0, 3.0, 7.0]), psi0, 1e-10, 1e-12,
+            generators, apply, np.array([0.0, 3.0, 7.0]), psi0, 1e-10, 1e-12,
             _kernels.norm_drift)
-        steps = stats["accepted"] + stats["rejected"]
         assert stats["accepted"] > 0 and stats["rejected"] > 0
-        # eleven distinct stage times, the last also the FSAL point; the
-        # start call passes eleven copies of the start time
-        assert sizes == [11] * (1 + steps)
-        assert starts[:2] == [0.0, 7.0 * 1e-3 * _kernels.C_STAGE[0]]
+        assert len(calls) == stats["blocks"]
+        computed = stats["accepted"] + stats["rejected"] + stats["discarded"]
+        assert sum(ts.size for ts in calls) == stats["rhs_evals"]
+        assert stats["rhs_evals"] == stats["blocks"] + 11 * computed
+        # the block's start, then per step its eleven distinct stage times,
+        # the last also the step's end and the next step's start; the
+        # first block is the one first step, a thousandth of the span
+        assert np.array_equal(calls[0], 7.0 * 1e-3 * _kernels.DP_C)
+        for ts in calls:
+            ends = ts[::11]
+            assert np.all(np.diff(ends) > 0.0)
+            h = np.diff(ends)
+            stages = ends[:-1, None] + h[:, None] * _kernels.C_STAGE
+            assert np.allclose(ts[1:].reshape(-1, 11), stages, rtol=0,
+                               atol=1e-14)
         # measured 5.3e-10 from the exact state
         exact = _switched_exact(m0, psi0, 7.0, 1.0)
         assert np.abs(states[-1] - exact).max() < 1e-9
@@ -468,9 +518,11 @@ class TestStepperInterface:
         m0 = -1j * random_hermitian(rng, 2)
         psi0 = random_state(rng, 2)
         times = np.array([0.0, 7.0])
-        run = _kernels.dop853(_constant_generators(m0), np.dot, times, psi0,
-                              1e-10, 1e-12, _kernels.norm_drift, width=width)
-        narrow = _kernels.dop853(_constant_generators(m0), np.dot, times,
+        run = _kernels.dop853(_constant_generators(m0), _kernels.matvec, times,
+                              psi0, 1e-10, 1e-12, _kernels.norm_drift,
+                              width=width)
+        narrow = _kernels.dop853(_constant_generators(m0), _kernels.matvec,
+                                 times,
                                  psi0, 1e-10, 1e-12, _kernels.norm_drift)
         assert run[0].shape == (2, 2)
         if width == 64:
@@ -481,7 +533,8 @@ class TestStepperInterface:
 
 
 class TestStepTelemetry:
-    _KEYS = {"accepted", "rejected", "rhs_evals", "h_min", "h_max"}
+    _KEYS = {"accepted", "rejected", "discarded", "blocks", "rhs_evals",
+             "h_min", "h_max"}
 
     @pytest.mark.parametrize("is_density,alpha", [(False, 0.0), (True, 0.1)])
     def test_step_extremes(self, is_density, alpha):
@@ -527,34 +580,108 @@ class TestStepTelemetry:
 
     def test_step_extremes_are_of_accepted_steps(self, rng):
         source = _constant_generators(-1j * random_hermitian(rng, 2), on=1.0)
-        last = {}
-        ends = [0.0]
+        psi0 = random_state(rng, 2)
+        # matvec: blocks of 3 or more steps in matrix mode; np.dot: stage
+        for apply in (_kernels.matvec, np.dot):
+            calls, steps = [], []
+
+            def generators(ts):
+                calls.append(ts[::11].copy())  # the block's step ends
+                return source(ts)
+
+            def drift_of(states):
+                # once per block with an accepted step, after its
+                # generators, with its accepted states, one per row
+                ends = calls[-1][:states.shape[0] + 1]
+                steps.extend(np.diff(ends))
+                return _kernels.norm_drift(states)
+
+            _, _, stats = _kernels.dop853(
+                generators, apply, np.array([0.0, 3.0, 7.0]), psi0, 1e-10,
+                1e-12, drift_of)
+            assert stats["rejected"] > 0
+            assert len(steps) == stats["accepted"]
+            assert stats["h_min"] == pytest.approx(min(steps), rel=1e-12)
+            assert stats["h_max"] == pytest.approx(max(steps), rel=1e-12)
+
+
+    def test_block_counts_on_a_cell_with_rejections(self, monkeypatch):
+        # the tau-20 sweep-tau cell: blocks fail after accepting steps, and
+        # the steps planned after a failure are discarded; stage mode takes
+        # the blocks of matrix mode
+        params = CnotParams()
+        system = nqubit_system(2, params, 20.0)
+        psi0 = _initial_vector(system, 2, params)
+        counts = ("accepted", "rejected", "discarded", "blocks", "rhs_evals")
+        for size in (_kernels._MATRIX_MAX_SIZE, 0):
+            monkeypatch.setattr(_kernels, "_MATRIX_MAX_SIZE", size)
+            stats = schrodinger_evolve(system, psi0,
+                                       EvolutionConfig(tau=20.0)).stats
+            assert [stats[k] for k in counts] == [192, 7, 19, 25, 2423]
+            assert stats["rhs_evals"] == 25 + 11 * (192 + 7 + 19)
+
+
+class TestErrorEstimates:
+    """An error estimate of exactly zero grows the step tenfold; one that is
+    not finite rejects the step until the step underflows. Neither warns."""
+
+    @pytest.mark.parametrize("apply", [_kernels.matvec, np.dot],
+                             ids=["matrix", "stage"])
+    def test_all_zero_error_block_grows_tenfold(self, rng, apply):
+        # under M = 0 both error estimates of every step are exactly 0
+        ends = []
+        source = _constant_generators(np.zeros((2, 2), dtype=np.complex128))
 
         def generators(ts):
-            last["end"] = float(ts[-1])
+            ends.append(ts[::11].copy())
             return source(ts)
 
-        def drift_of(y):
-            # called once per accepted step, after its generators
-            ends.append(last["end"])
-            return _kernels.norm_drift(y)
+        psi0 = random_state(rng, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states, drift, stats = _kernels.dop853(
+                generators, apply, np.array([0.0, 100.0]), psi0, 1e-10,
+                1e-12, _kernels.norm_drift)
+        assert stats["rejected"] == 0
+        assert np.array_equal(states[-1], psi0)
+        # blocks of 1, 2 and 4 steps, each step 10x the last block's; the
+        # fourth block reaches t = 100 in one step of what is left
+        lengths = [np.diff(block) for block in ends]
+        assert [len(h) for h in lengths] == [1, 2, 4, 1]
+        for h, expected in zip(lengths, [0.1, 1.0, 10.0]):
+            assert h == pytest.approx(expected, rel=1e-12)
+        assert ends[-1][-1] == 100.0
 
-        _, _, stats = _kernels.dop853(
-            generators, np.dot, np.array([0.0, 3.0, 7.0]), random_state(rng, 2),
-            1e-10, 1e-12, drift_of)
-        assert stats["rejected"] > 0
-        steps = np.diff(ends)
-        assert len(steps) == stats["accepted"]
-        assert stats["h_min"] == pytest.approx(steps.min(), rel=1e-12)
-        assert stats["h_max"] == pytest.approx(steps.max(), rel=1e-12)
+    @pytest.mark.parametrize("apply", [_kernels.matvec, np.dot],
+                             ids=["matrix", "stage"])
+    def test_nan_operator_ends_in_underflow(self, rng, apply):
+        # NaN from t = 3 on, which a block of at least 3 steps meets: under
+        # ``matvec`` it runs in matrix mode, the shorter blocks after its
+        # failure in stage mode
+        source = _constant_generators(-1j * random_hermitian(rng, 2))
+        blocks = []
+
+        def generators(ts):
+            blocks.append((ts.shape[0] - 1) // 11 >= 3 and ts[-1] >= 3.0)
+            block = source(ts)
+            block[ts >= 3.0] = np.nan
+            return block
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepUnderflowError, match="underflowed"):
+                _kernels.dop853(generators, apply, np.array([0.0, 7.0]),
+                                random_state(rng, 2), 1e-10, 1e-12,
+                                _kernels.norm_drift)
+        assert any(blocks)
 
 
 class TestPinnedSteps:
     """Exact step counts of sweep cells at the default tolerances: a change
     that moves them changes the steps, not only their cost."""
 
-    @pytest.mark.parametrize("tau,steps", [(1.0, (17, 0)), (20.0, (168, 1)),
-                                           (200.0, (1560, 1))])
+    @pytest.mark.parametrize("tau,steps", [(1.0, (22, 1)), (20.0, (192, 7)),
+                                           (200.0, (1595, 7))])
     def test_sweep_tau_cell(self, tau, steps):
         params = CnotParams()
         system = nqubit_system(2, params, tau)
@@ -569,7 +696,7 @@ class TestPinnedSteps:
         stats = lindblad_evolve(system, np.outer(psi0, psi0.conj()),
                                 NoiseModel.from_gap_units(0.15, params.g),
                                 EvolutionConfig(tau=200.0)).stats
-        assert (stats["accepted"], stats["rejected"]) == (784, 28)
+        assert (stats["accepted"], stats["rejected"]) == (846, 1)
 
     def test_cd_lindblad_cell_fidelity(self):
         params = CnotParams()
@@ -585,7 +712,7 @@ class TestPinnedSteps:
         params = CnotParams()
         alpha = NoiseModel.from_gap_units(0.04, params.g).alpha
         fidelity = _noise_cell(params, alpha, 30.0, False, None)
-        assert abs(fidelity - 0.7997376672936184) < 1e-14
+        assert abs(fidelity - 0.7997376673032096) < 1e-14
 
 
 class TestStepperBuffers:

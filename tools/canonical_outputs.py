@@ -1,18 +1,31 @@
-"""Write the data files of the canonical CLI configs into one directory.
+"""Write the data files of the canonical CLI configs into one directory,
+or compare two such directories.
 
 Usage: python tools/canonical_outputs.py OUTDIR
+       python tools/canonical_outputs.py --compare OLD NEW
 
 Runs each config below through ``cdgate.cli.main`` with the cdgate of this
 checkout (its ``src``) and keeps only the data file, named after the
 config, so that a byte-identity check between two checkouts is
 ``diff -r a b``. Manifests are left out: they hold wall times. Exits 1 if
 any config does not exit 0, after running them all.
+
+``--compare`` reads the data files of two such directories and prints, per
+file and column, the largest change ``|new - old| / max(1, |old|)``:
+relative above 1 and absolute below, as ``perfbench`` compares outputs
+with its reference. It also reports files found in one directory only,
+row-count mismatches and NaN cells. Exits 1 if a change exceeds
+``COMPARE_TOL``, a file or row is missing, or a value that was a number is
+NaN; a NaN in both is no change.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import json
+import math
 import os
 import sys
 import tempfile
@@ -21,6 +34,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from cdgate.cli import main  # noqa: E402
+
+# the largest change ``--compare`` accepts, perfbench's reference tolerance
+COMPARE_TOL = 1e-8
 
 # name -> CLI arguments
 CONFIGS = {
@@ -77,7 +93,67 @@ def write_outputs(outdir: str) -> list[str]:
     return failed
 
 
+def read_rows(path: str) -> list[dict]:
+    """The rows of a data file, CSV or JSON, as dicts of column -> value;
+    a CSV cell that reads as a float is one."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        if path.endswith(".json"):
+            rows = json.load(fh)
+            return rows if isinstance(rows, list) else [rows]
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for key, value in row.items():
+            try:
+                row[key] = float(value)
+            except (TypeError, ValueError):
+                pass
+    return rows
+
+
+def compare(old_dir: str, new_dir: str) -> list[str]:
+    """Print the largest change per file and column between two output
+    directories; return the problems, empty when within ``COMPARE_TOL``."""
+    problems = []
+    old_files, new_files = set(os.listdir(old_dir)), set(os.listdir(new_dir))
+    for name in sorted(old_files ^ new_files):
+        problems.append(f"{name}: only in "
+                        f"{old_dir if name in old_files else new_dir}")
+    for name in sorted(old_files & new_files):
+        old = read_rows(os.path.join(old_dir, name))
+        new = read_rows(os.path.join(new_dir, name))
+        if len(old) != len(new):
+            problems.append(f"{name}: {len(old)} rows, now {len(new)}")
+        worst = {}  # column -> (change, row)
+        for k, (a, b) in enumerate(zip(old, new)):
+            for col in a.keys() | b.keys():
+                x, y = a.get(col), b.get(col)
+                if isinstance(x, float) and isinstance(y, float):
+                    if math.isnan(x) and math.isnan(y):
+                        change = 0.0
+                    elif math.isnan(y):
+                        problems.append(f"{name}: {col} row {k} is NaN, "
+                                        f"was {x!r}")
+                        change = math.inf
+                    else:
+                        change = abs(y - x) / max(1.0, abs(x))
+                else:
+                    change = 0.0 if x == y else math.inf
+                if change >= worst.get(col, (-1.0, 0))[0]:
+                    worst[col] = (change, k)
+        for col, (change, k) in sorted(worst.items()):
+            print(f"{name}: {col}: {change:.3g} (row {k})")
+            if change > COMPARE_TOL:
+                problems.append(f"{name}: {col} changed by {change:.3g} "
+                                f"at row {k}")
+    return problems
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        problems = compare(sys.argv[2], sys.argv[3])
+        for line in problems:
+            print(line, file=sys.stderr)
+        sys.exit(1 if problems else 0)
     if len(sys.argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
     failed = write_outputs(sys.argv[1])
