@@ -15,17 +15,17 @@ classical controller. Every callback has one call shape:
 ``generators(ts)`` returns the stage operators at the times ``ts``, one
 per time, and is called once per block with its ``11 m + 1`` distinct
 stage times; ``apply(M, y, out)`` writes the derivative into ``out``, as
-``np.dot`` does; ``post_step(y, out)`` writes a block's last accepted
-state. ``cdgate.dynamics`` chooses the equation (``apply``, drift
-monitor, symmetrization) and the generator source: ``evolve_ramped`` for
-a ramped system, one call per stage time for a Hamiltonian callable. A
-stage operator is a generator ``M(t) = -i H(t)``, or for a density matrix
-on a small sector its superoperator ``liouvillian(M, D)``, so that every
-Lindblad stage is then one matrix-vector product, as a Schroedinger stage
-is; larger sectors use the commutator form, ``lindblad_apply``; both take
-the dissipator ``D = alpha (d_a d_c - 1)``. The dissipator is constant, so
-it is lifted with ``-i h0`` once per run, and a block's superoperators are
-the one product that builds its Schroedinger generators.
+``np.dot`` does. ``cdgate.dynamics`` chooses the equation (``apply``,
+drift monitor, and ``hermitian`` for a flattened density matrix) and the
+generator source: ``evolve_ramped`` for a ramped system, one call per
+stage time for a Hamiltonian callable. A stage operator is a generator
+``M(t) = -i H(t)``, or for a density matrix on a small sector its
+superoperator ``liouvillian(M, D)``, so that every Lindblad stage is then
+one matrix-vector product, as a Schroedinger stage is; larger sectors use
+the commutator form, ``lindblad_apply``; both take the dissipator ``D =
+alpha (d_a d_c - 1)``. The dissipator is constant, so it is lifted with
+``-i h0`` once per run, and a block's superoperators are the one product
+that builds its Schroedinger generators.
 
 The states are small, so a step costs numpy calls, not arithmetic. The
 system is linear, so a step is a map ``y -> P y`` whose error estimates
@@ -33,9 +33,13 @@ are matrices too: a block of at least ``_MATRIX_MIN_STEPS`` steps of a
 small state (``_MATRIX_MAX_SIZE``) under ``matvec`` runs in matrix mode
 (``_matrix_mode``), building the stage matrices of all its steps with one
 stacked product per stage, then advancing the state by ``m``
-matrix-vector products. A shorter block or a larger state runs in stage
-mode (``_stage_mode``), stage by stage on the state. Both modes take the
-same blocks and steps. ``symmetrize`` writes each block's last
+matrix-vector products. It works in real coordinates of the state: the
+float view of amplitudes, or the four Hermitian coordinates of a 2x2
+density block, under real 4x4 stage matrices, as a pure 2-amplitude
+sector (``_coordinate_forms``), so its densities come out exactly
+Hermitian. A shorter block or a larger state runs in stage mode
+(``_stage_mode``), stage by stage on the state. Both modes take the same
+blocks and steps. After a stage-mode block ``symmetrize`` writes the last
 accepted density matrix straight into the state. The Monte-Carlo
 dephasing average, ``dephasing_average``, advances every noise
 realization at once: the noise is constant within an RK4 step, so the step
@@ -199,9 +203,71 @@ def _block_ends(t, h, steps, samples, isamp):
     return ends, runs, reached
 
 
-def _matrix_mode(size, rtol, atol, root_width):
+def _real_form(m):
+    """The real ``(2 size, 2 size)`` matrices that act on the float view of
+    a complex vector as the complex ``(size, size)`` matrices of the stack
+    ``m`` act on the vector: entry ``(a, b)`` is the block ``[[Re, -Im],
+    [Im, Re]]``."""
+    k, size = m.shape[0], m.shape[1]
+    r = np.empty((k, 2 * size, 2 * size))
+    r[:, 0::2, 0::2] = r[:, 1::2, 1::2] = m.real
+    r[:, 1::2, 0::2] = m.imag
+    r[:, 0::2, 1::2] = -m.imag
+    return r
+
+
+def _hermitian_coordinates(dim):
+    """The Hermitian coordinates ``x`` of a flattened ``(dim, dim)``
+    Hermitian matrix: the diagonal, then ``Re rho_ij`` and ``Im rho_ij`` of
+    each ``i < j``; at ``dim`` 2, ``(rho00, rho11, Re rho01, Im rho01)``.
+
+    Returns ``T``, the real ``(2 dim^2, dim^2)`` matrix that maps ``x`` to
+    the float view of ``vec(rho)``, and ``read``, the float indices where
+    ``x`` sits in that view: ``x = view[read]`` exactly, the ``E`` with
+    ``E T = I``. Every entry of ``T`` is 0 or +-1, one nonzero per row, so
+    ``T x`` is exact and its matrix exactly Hermitian.
+    """
+    size = dim * dim
+    t = np.zeros((2 * size, size))
+    read = [2 * (dim + 1) * i for i in range(dim)]
+    t[read, np.arange(dim)] = 1.0
+    col = dim
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            upper, lower = 2 * (dim * i + j), 2 * (dim * j + i)
+            t[[upper, lower], col] = 1.0
+            t[[upper + 1, lower + 1], col + 1] = 1.0, -1.0
+            read += [upper, upper + 1]
+            col += 2
+    return t, np.array(read)
+
+
+def _coordinate_forms(size, hermitian):
+    """``(W, T, read)``: ``W``, the fixed real matrix that maps the float
+    view of a flattened complex ``(size, size)`` operator to the real matrix
+    that acts on a state's coordinates, one product for a stack of
+    operators; ``T`` and ``read`` of the coordinates
+    (``_hermitian_coordinates``), or for a pure state None and every float.
+
+    A pure state's coordinates are its float view and the matrix is the
+    realification ``R(L)`` (``_real_form``): every entry one float of the
+    operator, so the product gathers it exactly. A flattened Hermitian
+    matrix's are its Hermitian coordinates and the matrix is ``E R(L) T``,
+    of a quarter the size: every entry a sum of at most two floats.
+    """
+    basis = np.eye(2 * size * size).view(np.complex128)
+    forms = _real_form(basis.reshape(-1, size, size))
+    t, read = None, np.arange(2 * size)
+    if hermitian:
+        t, read = _hermitian_coordinates(math.isqrt(size))
+        forms = forms[:, read].dot(t)
+    return forms.reshape(forms.shape[0], -1), t, read
+
+
+def _matrix_mode(size, rtol, atol, root_width, hermitian):
     """The block evaluator of a state of length ``size`` under operators
-    that are ``(size, size)`` matrices on it.
+    that are ``(size, size)`` matrices on it; ``hermitian`` when the state
+    is a flattened Hermitian matrix.
 
     The system is linear, so a step is a map ``y -> P y`` whose error
     estimates ``E5 y`` and ``E3 y`` are matrices too, none depending on
@@ -212,33 +278,36 @@ def _matrix_mode(size, rtol, atol, root_width):
     product per step, and all error estimates are one product.
 
     All of it runs in real arithmetic, where a small stacked product costs
-    a third of a complex one: a complex matrix is the real ``2 size x 2
-    size`` matrix that acts on the float view of a complex vector (entry
-    ``(a, b)`` is the block ``[[Re, -Im], [Im, Re]]``), so the states need
-    no conversion. One ``take`` gathers each step's 12 stage operators in
-    that form from the operators and their negatives. The arrays are
+    a third of a complex one, on real coordinates of the state
+    (``_coordinate_forms``): the float view of a pure state, under the
+    ``2 size x 2 size`` realification of its operators, or the ``size``
+    Hermitian coordinates of a density matrix, under ``size x size``
+    matrices, as small as a pure 2-amplitude sector's. One product with
+    ``W`` gathers the block's stage operators in that form. The states and
+    both error estimates are mapped back to complex entries through ``T``
+    (exactly), so the error norm is taken over the complex entries as in
+    stage mode, and a density sample is exactly Hermitian. The arrays are
     allocated once per run, for ``_BLOCK_STEPS`` steps, and every block
     runs the matrix chain on all of them: a step beyond the block's has
     length 0 and is never read. Arrays sized to each block length would
-    take twice the memory, for no less time. Returns ``steps(M, hs, y) -> (Y,
-    errs)``, as ``_stage_mode``'s, with the error norms of all the block's
-    steps.
+    take twice the memory, for no less time. Returns ``steps(M, hs, y) ->
+    (Y, errs)``, as ``_stage_mode``'s, with the error norms of all the
+    block's steps.
     """
-    entries, wide, n = size * size, 2 * size, _BLOCK_STEPS
-    rows = 11 * n + 1
-    # the operators as floats, then their negatives; zero until written
-    signed = np.zeros((2, rows, 2 * entries))
-    plain, negated = signed
-    # where entry (i, j) of the real form of an operator sits in its row
-    re = 2 * (size * np.arange(size)[:, None] + np.arange(size))
-    source = np.empty((wide, wide), dtype=np.intp)
-    source[0::2, 0::2] = source[1::2, 1::2] = re
-    source[1::2, 0::2] = re + 1
-    source[0::2, 1::2] = rows * 2 * entries + re + 1
-    # step k's stage s reads operator 11 k + s, s = 0..11
-    op = 11 * np.arange(n)[None, :] + np.arange(_N_STAGES)[:, None]
-    index = op[:, :, None, None] * (2 * entries) + source
-    scaled = np.empty(index.shape)  # h M of each stage and step
+    n, rows = _BLOCK_STEPS, 11 * _BLOCK_STEPS + 1
+    forms, t, read = _coordinate_forms(size, hermitian)
+    wide = read.shape[0]
+    # the operators of the block's stage times in coordinates; zero until
+    # written
+    gathered = np.zeros((rows, wide, wide))
+    flat_ops = gathered.reshape(rows, -1)
+    # step k's stage s is operator 11 k + s, s = 0..11: a view, as steps
+    # share their end and start operator
+    row, col = gathered.strides[0], gathered.strides[2]
+    stages = np.lib.stride_tricks.as_strided(
+        gathered, (_N_STAGES, n, wide, wide), (row, 11 * row, wide * col, col),
+        writeable=False)
+    scaled = np.empty(stages.shape)  # h M of each stage and step
     # each step's length over the entries of its operators
     spread = np.empty((n, wide, wide))
     spread_rows = spread.reshape(n, -1)
@@ -253,35 +322,42 @@ def _matrix_mode(size, rtol, atol, root_width):
     maps = np.empty((3, n, wide, wide))  # P, E5 and E3 of each step
     states = np.zeros((n + 1, size), dtype=np.complex128)
     floats = states.view(np.float64)
-    walk = list(zip(maps[0], floats[:-1], floats[1:]))
-    err = np.empty((2, n, wide, 1))
+    err = np.empty((2, n, 2 * size, 1))
+    if t is None:
+        x = floats
+    else:
+        x = np.zeros((n + 1, wide))
+        err_x = np.empty((2, n, wide, 1))
+    walk = list(zip(maps[0], x[:-1], x[1:]))
     err_pairs = err.reshape(2, n, size, 2)
     magnitude = np.empty((n + 1, size))
     before, after = magnitude[:-1], magnitude[1:]
     scale = np.empty((n, size))
     scale_col = scale[:, :, None]
     sums = np.empty((2, n))
-    estimators, columns = maps[1:], floats[:-1, :, None]
+    estimators, columns = maps[1:], x[:-1, :, None]
     maps_flat = maps.reshape(3, -1)
 
     def steps(M, hs, y):
         m, k = hs.shape[0], M.shape[0]
-        ops = M.reshape(k, -1).view(np.float64)
-        plain[:k] = ops
-        np.negative(ops, out=negated[:k])
-        np.take(signed, index, out=scaled, mode="clip")
+        M.reshape(k, -1).view(np.float64).dot(forms, flat_ops[:k])
         spread_rows[:m] = hs[:, None]
         spread_rows[m:] = 0.0
-        np.multiply(scaled, spread, out=scaled)
+        np.multiply(stages, spread, out=scaled)
         z[1] = scaled[0]  # h K_0 = h M_0 I
         for coef, head, op, k_s in chain:
             coef.dot(head, u)
             np.matmul(op, u3, out=k_s)
         _MAPS.dot(flat, maps_flat)
-        states[0] = y
-        for p, y_k, y_next in walk[:m]:
-            p.dot(y_k, y_next)
-        np.matmul(estimators, columns, out=err)
+        np.take(y.view(np.float64), read, out=x[0])
+        for p, x_k, x_next in walk[:m]:
+            p.dot(x_k, x_next)
+        if t is None:
+            np.matmul(estimators, columns, out=err)
+        else:
+            np.matmul(estimators, columns, out=err_x)
+            np.matmul(t, err_x, out=err)
+            x.dot(t.T, floats)
         np.abs(states, out=magnitude)
         np.maximum(before, after, out=scale)
         np.multiply(scale, rtol, out=scale)
@@ -361,7 +437,7 @@ def _stage_mode(apply, size, rtol, atol, root_width):
 
 
 def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
-           post_step=None, width=None):
+           hermitian=False, width=None):
     """Integrate ``dy/dt = apply(M(t), y)`` for a flat complex ``y``.
 
     A block stepper with one step-size controller. Each block is ``m``
@@ -388,9 +464,11 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
     err^-1/8)`` of the failed step; at ``m = 1`` this is the classical
     controller. ``drift_of(Y)`` gives the largest drift over the accepted
     states of a block, one per row of ``Y``, and the largest is
-    monitored; the state is never renormalized. When a ``post_step`` is
-    given, ``post_step(y, out)`` writes the block's last accepted state,
-    and each sampled state, into ``out``.
+    monitored; the state is never renormalized. ``hermitian`` says that
+    ``y`` is a flattened Hermitian matrix: matrix mode then integrates its
+    Hermitian coordinates, read from the diagonal and upper triangle, and
+    returns exactly Hermitian states, and after a stage-mode block
+    ``symmetrize`` writes the last accepted state, and each sampled state.
 
     A block runs in matrix mode (``_matrix_mode``) when ``apply`` is
     ``matvec``, the state has at most ``_MATRIX_MAX_SIZE`` entries and the
@@ -415,7 +493,7 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
     y = out[0].copy()
     root_width = math.sqrt(size if width is None else width)
     stage = _stage_mode(apply, size, rtol, atol, root_width)
-    matrix = (_matrix_mode(size, rtol, atol, root_width)
+    matrix = (_matrix_mode(size, rtol, atol, root_width, hermitian)
               if apply is matvec and size <= _MATRIX_MAX_SIZE else None)
     times = np.empty(11 * _BLOCK_STEPS + 1)
     t = samples[0]
@@ -453,6 +531,7 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
         grid[:, -1] = bounds[1:]  # a step ends exactly where the next starts
         steps = stage if matrix is None or planned < _MATRIX_MIN_STEPS else matrix
         Y, errs = steps(generators(ts), hs, y)
+        finish = symmetrize if hermitian and steps is stage else None
         blocks += 1
         built += ts.shape[0]
 
@@ -467,17 +546,17 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
             h_min = min(h_min, *lengths[:f])
             h_max = max(h_max, *lengths[:f])
             drift = max(drift, drift_of(Y[1:f + 1]))
-            if post_step is None:
+            if finish is None:
                 y[:] = Y[f]
             else:
-                post_step(Y[f], y)
+                finish(Y[f], y)
         for k, i in reached:
             if k > f:
                 break
-            if post_step is None:
+            if finish is None:
                 out[i] = Y[k]
             else:
-                post_step(Y[k], out[i])
+                finish(Y[k], out[i])
             isamp = i + 1
         if f < planned:
             rejected += 1
@@ -531,7 +610,7 @@ def symmetrize(y, out):
 
 
 def evolve_ramped(h, apply, sample_times, y0, rtol, atol, drift_of,
-                  post_step=None, dissipator=None, width=None):
+                  hermitian=False, dissipator=None, width=None):
     """``dop853`` on the ramped system ``h``, a
     ``model.RampedGateHamiltonian``, in place of ``generators``.
 
@@ -566,7 +645,7 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, drift_of,
         return block[:k]
 
     return dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
-                  post_step, width)
+                  hermitian, width)
 
 
 def lindblad_apply(dissipator):

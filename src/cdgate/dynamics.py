@@ -10,19 +10,21 @@ only, a default span. ``_integrate`` runs every adaptive evolution
 through the one Dormand-Prince 8(5,3) stepper, ``_kernels.dop853``,
 taking the generators of a ramped system from ``_kernels.evolve_ramped``
 and those of a callable from ``_integrate_callable``; the Schroedinger and
-Lindblad engines differ only in the ``apply``, drift monitor and
-symmetrization they pass it. This module alone restricts and embeds: a
-ramped run integrates only its invariant sector (``_invariant_sector``),
-the closure of the start's support under the nonzero pattern of the
-system's terms, whose outside entries stay exactly 0. ``_integrate`` hands
-the kernels the sector's entries (a gate start is 2 amplitudes at any n)
-with the full width for the error norm, so the run takes the full run's
-steps, and scatters the samples back. ``schrodinger_evolve`` integrates a
-ramped sector without the global phase of its mean energy, restored on
-each sample. A density matrix on a small sector
-(dimension up to ``_LIOUVILLIAN_MAX_DIM``) is integrated as ``vec(rho)``
-under its ``_kernels.liouvillian``, the dissipator on the diagonal: one
-matrix-vector product per stage like a pure state; a larger one under
+Lindblad engines differ only in the ``apply`` and drift monitor they pass
+it, and in the ``hermitian`` flag of a density matrix. This module alone
+restricts and embeds: a ramped run integrates only its invariant sector
+(``_invariant_sector``), the closure of the start's support under the
+nonzero pattern of the system's terms, whose outside entries stay exactly
+0. ``_integrate`` hands the kernels the sector's entries (a gate start is
+2 amplitudes at any n) with the full width for the error norm, so the run
+takes the full run's steps, and scatters the samples back.
+``schrodinger_evolve`` integrates a ramped sector without the global phase
+of its mean energy, restored on each sample. A density matrix on a small
+sector (dimension up to ``_LIOUVILLIAN_MAX_DIM``) is integrated as
+``vec(rho)`` under its ``_kernels.liouvillian``, the dissipator on the
+diagonal: one matrix-vector product per stage like a pure state, and on a
+2x2 block, in the stepper's matrix mode, a real 4-vector of Hermitian
+coordinates like a pure 2-amplitude sector; a larger one under
 ``_kernels.lindblad_apply``. The Monte-Carlo oracle evolves the same
 sector and embeds its average: a ramped system evaluated on an array of
 times, a callable stacked by ``_stacked``.
@@ -30,7 +32,8 @@ times, a callable stacked by ``_stacked``.
 and the oracle alike. States are never renormalized during integration;
 norm / trace drift is monitored and reported instead. The only in-flight
 correction is the documented Hermitian symmetrization of the density matrix
-at the end of each block of steps and at each sample.
+at the end of each stage-mode block of steps and at each sample it
+reaches; matrix mode's densities are exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -58,9 +61,11 @@ HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
 
 # Largest sector dimension of a density matrix integrated as vec(rho) under
 # the Liouvillian: one d^2 x d^2 product per stage beats the commutator's five
-# numpy calls at d = 2 and 4 (36-65 against 93-159 us per step at d = 4), but
-# building the stage operators costs d^4 and loses from d = 8 on (timings in
-# docs/noise_model.md, "Integration"); at d = 64 one is 268 MB.
+# numpy calls at d = 2 and 4 (36-65 against 93-159 us per step at d = 4,
+# single-step stepper), but building the stage operators costs d^4 and loses
+# from d = 8 on (timings in docs/noise_model.md, "Integration"); at d = 64
+# one is 268 MB. At d = 2, every gate sector block, the block stepper's
+# matrix mode runs the Liouvillian on 4 real Hermitian coordinates.
 _LIOUVILLIAN_MAX_DIM = 4
 # The largest dephasing rate whose dissipator entry, -2 alpha, is finite.
 _ALPHA_MAX = np.finfo(np.float64).max / 2.0
@@ -169,7 +174,7 @@ def _stacked(h_of_t):
 
 
 def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, drift_of,
-                        post_step=None, dissipator=None, width=None):
+                        hermitian=False, dissipator=None, width=None):
     """``_kernels.dop853`` with the generators ``-i H(t)`` of a Hamiltonian
     callable, called once per stage time of each block, or their
     ``_kernels.liouvillian`` superoperators given a ``dissipator``; the
@@ -184,7 +189,7 @@ def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, drift_of,
         return m
 
     return _kernels.dop853(generators, apply, sample_times, y0, rtol, atol,
-                           drift_of, post_step, width)
+                           drift_of, hermitian, width)
 
 
 def _check_callable_hermitian(h_of_t, t0: float, t1: float) -> None:
@@ -217,7 +222,7 @@ def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray):
 
 
 def _integrate(h_of_t: HamiltonianLike, sector, apply, times: np.ndarray, y0,
-               cfg: EvolutionConfig, drift_of, post_step=None,
+               cfg: EvolutionConfig, drift_of, hermitian=False,
                dissipator=None):
     """Integrate ``dy/dt = apply(-i H(t), y)`` from ``times[0]``, recording
     ``y`` at ``times``; given a ``dissipator``, the stage operators are the
@@ -238,7 +243,7 @@ def _integrate(h_of_t: HamiltonianLike, sector, apply, times: np.ndarray, y0,
         engine = _integrate_callable
     sampled, drift, stats = engine(
         h_of_t, apply, times, y0[sector], cfg.rel_tol, cfg.abs_tol, drift_of,
-        post_step, dissipator, y0.size)
+        hermitian, dissipator, y0.size)
     states = np.zeros((times.size, y0.size), dtype=np.complex128)
     states[:, sector] = sampled
     return states, drift, stats
@@ -320,16 +325,19 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
                     t_span: tuple[float, float] | None = None) -> Trajectory:
     """Integrate the dephasing master equation
 
-        d rho/dt = -i [H(t), rho] + alpha (sigma_z2 rho sigma_z2 - rho),
+        d rho/dt = -i [H(t), rho] + alpha (sigma_z2 rho sigma_z2 - rho).
 
-    symmetrizing rho after each block of steps and at each sample
-    (``_kernels.symmetrize``). Only the invariant sector of ``rho0`` is
-    integrated (``_invariant_sector``). Up to a sector dimension of
+    Only the invariant sector of ``rho0`` is integrated
+    (``_invariant_sector``). Up to a sector dimension of
     ``_LIOUVILLIAN_MAX_DIM`` the stages apply the Liouvillian to
     ``vec(rho)`` (``_kernels.liouvillian``); above it, the commutator form
     (``_kernels.lindblad_apply``), whose stages build nothing of size d^4;
-    the two agree to rounding. Positivity is checked on the full ``rho`` at
-    every sample point.
+    the two agree to rounding. The stepper knows ``rho`` is Hermitian: on
+    a 2x2 block its matrix mode advances the four real coordinates
+    ``(rho00, rho11, Re rho01, Im rho01)`` and returns exactly Hermitian
+    states; after a block in stage mode, and at each sample it reaches,
+    ``rho`` is symmetrized (``_kernels.symmetrize``). Positivity is
+    checked on the full ``rho`` at every sample point.
     For a ramped system the jump operator is its ``hz``, which must be
     diagonal with entries +-1 (``ValueError`` otherwise); for a callable it
     is sigma_z on the last qubit.
@@ -349,7 +357,7 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
     sector = (idx[:, None] * dim + idx).ravel()
     flat, drift, stats = _integrate(system, sector, apply, times,
                                     rho0.ravel(), cfg, _kernels.trace_drift,
-                                    _kernels.symmetrize, dissipator)
+                                    True, dissipator)
     if drift > TOL.trace_drift:
         raise TraceDriftExceededError(
             f"trace drifted by {drift:.3e} (limit {TOL.trace_drift:.0e})"

@@ -56,6 +56,9 @@ class CnotParams:
             raise ValueError(f"g^2 underflows, got g={self.g}")
         if float(self.j2_amp) * float(self.j2_amp) == np.inf:
             raise ValueError(f"j2_amp^2 overflows, got j2_amp={self.j2_amp}")
+        # the gate sector's trace, 2 (n - 1) j1, is 10 j1 at n = 6
+        if 10.0 * float(self.j1) == np.inf:
+            raise ValueError(f"10 j1 overflows, got j1={self.j1}")
         if abs(self.j2_amp) < 4.0 * max(self.j1, self.g):
             warnings.warn(
                 f"|j2_amp|={abs(self.j2_amp)} is not much larger than "

@@ -133,12 +133,15 @@ class TestParseConfig:
         (["heatmap", "--alpha", "0:1e308:2", "--tau", "1,2"],
          "2 alpha finite"),
         (["optimal-tau", "--alpha", "1e308"], "2 alpha finite"),
+        (["evolve", "--tau", "1", "--j1", "1e308"], "10 j1 overflows"),
+        (["sweep-tau", "--tau", "1:2:2", "--j1", "1e308"], "10 j1 overflows"),
     ], ids=["g-1e-300", "g-1e-160", "j2", "evolve-alpha", "heatmap-alpha",
-            "optimal-tau-alpha"])
+            "optimal-tau-alpha", "evolve-j1", "sweep-tau-j1"])
     def test_unrepresentable_input_exits_2(self, argv, problem, tmp_path,
                                            capsys):
         # each ran before: a tiny g wrote NaN rows or a start vector whose
-        # norm is off, and exited 0; a huge J2 or alpha overflowed mid-run
+        # norm is off, and exited 0; a huge J2, alpha or j1 overflowed
+        # mid-run
         assert main(argv + ["--output", str(tmp_path / "r")]) == 2
         assert problem in capsys.readouterr().err
         assert not os.listdir(tmp_path)

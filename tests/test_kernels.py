@@ -176,8 +176,7 @@ def _ramped_args(system, tau, is_density, alpha=0.0, liouvillian=False):
             else (_kernels.lindblad_apply(dephasing_dissipator(d, alpha)),
                   None))
         return (system, apply, times, np.outer(psi0, psi0.conj()).ravel(),
-                1e-10, 1e-12, _kernels.trace_drift, _kernels.symmetrize,
-                dissipator)
+                1e-10, 1e-12, _kernels.trace_drift, True, dissipator)
     return (system, _kernels.matvec, times, psi0, 1e-10, 1e-12,
             _kernels.norm_drift)
 
@@ -330,7 +329,7 @@ class TestLiouvillian:
         dissipator = dephasing_dissipator(d, alpha).ravel()
         args = (sub, _kernels.matvec, np.array([sub.t_start, sub.t_end]),
                 rho0[np.ix_(idx, idx)].ravel(), 1e-10, 1e-12,
-                _kernels.trace_drift, _kernels.symmetrize, dissipator)
+                _kernels.trace_drift, True, dissipator)
         generators = _captured_generators(monkeypatch, _kernels.evolve_ramped,
                                           args)
         hz_diff = np.subtract.outer(d, d).ravel()
@@ -713,6 +712,113 @@ class TestPinnedSteps:
         alpha = NoiseModel.from_gap_units(0.04, params.g).alpha
         fidelity = _noise_cell(params, alpha, 30.0, False, None)
         assert abs(fidelity - 0.7997376673032096) < 1e-14
+
+
+def _taken_real_forms(ops):
+    """The realification of a stack of complex ``(size, size)`` operators
+    as matrix mode gathered it before ``W``: one ``take`` from their float
+    views and the negatives of those."""
+    k, size = ops.shape[0], ops.shape[1]
+    floats = ops.reshape(k, -1).view(np.float64)
+    signed = np.stack([floats, -floats])
+    re = 2 * (size * np.arange(size)[:, None] + np.arange(size))
+    source = np.empty((2 * size, 2 * size), dtype=np.intp)
+    source[0::2, 0::2] = source[1::2, 1::2] = re
+    source[1::2, 0::2] = re + 1
+    source[0::2, 1::2] = k * floats.shape[1] + re + 1
+    index = np.arange(k)[:, None, None] * floats.shape[1] + source
+    return np.take(signed, index)
+
+
+class TestHermitianCoordinates:
+    """Matrix mode advances a flattened density matrix in its Hermitian
+    coordinates ``x`` under ``E R(L) T``, and a pure state in its float view
+    under the realification ``R(L)``; one product with ``W`` gathers both."""
+
+    @staticmethod
+    def _in_coordinates(ops, hermitian):
+        forms, t, read = _kernels._coordinate_forms(ops.shape[1], hermitian)
+        wide = read.shape[0]
+        gathered = ops.reshape(ops.shape[0], -1).view(np.float64).dot(forms)
+        return gathered.reshape(-1, wide, wide), t, read
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_liouvillian_in_coordinates_is_its_real_form(self, rng, alpha):
+        # T L_x x == R(L) T x: the coordinates' operator acts as the
+        # Liouvillian does on the float view of vec(rho)
+        dissipator = dephasing_dissipator(np.array([1.0, -1.0]), alpha)
+        m = np.stack([-1j * random_hermitian(rng, 2) for _ in range(5)])
+        ops = _kernels.liouvillian(m, dissipator.ravel())
+        l_x, t, read = self._in_coordinates(ops, True)
+        assert l_x.shape == (5, 4, 4) and t.shape == (8, 4)
+        real = _kernels._real_form(ops)
+        for _ in range(4):
+            rho = random_hermitian(rng, 2)
+            x = rho.ravel().view(np.float64)[read]
+            assert np.array_equal(t @ x, rho.ravel().view(np.float64))
+            assert np.abs(l_x @ x @ t.T - real @ (t @ x)).max() < 1e-15
+
+    def test_coordinates_of_a_2x2_block(self):
+        t, read = _kernels._hermitian_coordinates(2)
+        rho = np.array([[0.25, 0.5 - 0.125j], [0.5 + 0.125j, 0.75]])
+        assert rho.ravel().view(np.float64)[read].tolist() == [
+            0.25, 0.75, 0.5, -0.125]
+        # E reads x back exactly: E T = I
+        assert np.array_equal(t[read], np.eye(4))
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_error_norm_is_the_complex_entry_norm(self, rng, monkeypatch,
+                                                  hermitian):
+        # with P = I, E5 = 2 I and E3 = 3 I (column 0 of the maps weighs
+        # the identity) the estimates of every step are 2 y and 3 y: taken
+        # in coordinates and mapped back through T, their norm is the
+        # DOP853 norm over the complex entries of vec(rho)
+        maps = np.zeros_like(_kernels._MAPS)
+        maps[:, 0] = [1.0, 2.0, 3.0]
+        monkeypatch.setattr(_kernels, "_MAPS", maps)
+        y = random_hermitian(rng, 2).ravel()  # exactly Hermitian
+        rtol, atol, root_width = 1e-10, 1e-12, 8.0
+        steps = _kernels._matrix_mode(4, rtol, atol, root_width, hermitian)
+        ops = np.broadcast_to(
+            _kernels.liouvillian((-1j * random_hermitian(rng, 2))[None],
+                                 np.zeros(4)), (34, 4, 4)).copy()
+        states, errs = steps(ops, np.full(3, 0.1), y)
+        scale = atol + rtol * np.abs(y)
+
+        def squared(e):
+            return np.sum((np.abs(e) / scale) ** 2)
+
+        err5, err3 = squared(2.0 * y), squared(3.0 * y)
+        expected = err5 / (np.sqrt(err5 + 0.01 * err3) * root_width)
+        assert errs == pytest.approx([expected] * 3, rel=4 * _EPS)
+        assert all(state.tobytes() == y.tobytes() for state in states[:4])
+
+    def test_matrix_mode_samples_are_exactly_hermitian(self, monkeypatch):
+        # every block in matrix mode, and symmetrization switched off
+        def no_symmetrize(y, out):
+            raise AssertionError("symmetrize was called")
+
+        monkeypatch.setattr(_kernels, "_MATRIX_MIN_STEPS", 1)
+        monkeypatch.setattr(_kernels, "symmetrize", no_symmetrize)
+        system, rho0, alpha = _gate_cell(CnotParams(), 20.0, True, 3,
+                                         alpha=0.1)
+        traj = lindblad_evolve(system, rho0, NoiseModel(alpha),
+                               EvolutionConfig(sample_count=9))
+        assert traj.stats["blocks"] > 10
+        for rho in traj.states:
+            assert np.array_equal(rho, rho.conj().T)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_pure_gather_is_the_old_take(self, rng, size):
+        # every entry of the realification is one float of an operator,
+        # so the product with W gathers it exactly (entries nonzero: a
+        # zero's sign may differ)
+        ops = (rng.standard_normal((23, size, size))
+               + 1j * rng.standard_normal((23, size, size)))
+        gathered, t, read = self._in_coordinates(ops, False)
+        assert t is None and np.array_equal(read, np.arange(2 * size))
+        assert gathered.tobytes() == _taken_real_forms(ops).tobytes()
+        assert gathered.tobytes() == _kernels._real_form(ops).tobytes()
 
 
 class TestStepperBuffers:

@@ -31,6 +31,9 @@ from cdgate.model import (
 )
 from cdgate.numerics import hermitian_eig, kron
 
+# the largest j1 with 10 j1 finite
+J1_MAX = np.finfo(np.float64).max / 10.0
+
 
 class TestParams:
     def test_reference_defaults(self):
@@ -61,11 +64,22 @@ class TestParams:
         with pytest.raises(ValueError, match="j2_amp\\^2 overflows"):
             CnotParams(j2_amp=j2_amp)
 
+    @pytest.mark.parametrize("j1", [1e308, np.nextafter(J1_MAX, np.inf)])
+    def test_j1_whose_sector_trace_overflows_rejected(self, j1):
+        # the gate sector's trace, 2 (n - 1) j1, is 10 j1 at n = 6
+        with pytest.raises(ValueError, match="10 j1 overflows"):
+            CnotParams(j1=j1)
+
     def test_squares_at_the_edges_accepted(self):
         # g^2 is the smallest normal double or above, J2^2 is finite
         params = CnotParams(g=1.5e-154, j2_amp=1.3e154)
         assert params.g ** 2 >= np.finfo(np.float64).tiny
         assert np.isfinite(params.j2_amp ** 2)
+
+    def test_largest_j1_accepted(self):
+        with pytest.warns(UserWarning):  # j2_amp is far below j1
+            params = CnotParams(j1=J1_MAX)
+        assert 10.0 * params.j1 < np.inf
 
     def test_warns_outside_recommended_regime(self):
         with pytest.warns(UserWarning):

@@ -64,3 +64,28 @@ def test_each_fault_is_reported(tmp_path, tool):
         "a.csv: fidelity changed by inf at row 1",
         "b.csv: 2 rows, now 1",
     ]
+
+
+def test_summary_line_names_the_largest_change(tmp_path, tool, capsys):
+    old, new = _dirs(
+        tmp_path,
+        {"a.csv": "tau,fidelity\n1,0.5\n300,0.9\n", "b.csv": "x\n1\n2\n",
+         "c.csv": "x\n0.25\n", "d.csv": "x\n1\n"},
+        {"a.csv": "tau,fidelity\n1,0.5000000001\n300.0000015,0.9\n",
+         "b.csv": "x\n1\n2.000000003\n", "c.csv": "x\n0.250\n",
+         "d.csv": "x\n1\n2\n"})
+    problems = tool.compare(old, new)
+    assert problems == ["d.csv: 1 rows, now 2"]
+    out = capsys.readouterr().out.splitlines()
+    # one line, last: the largest change over every file and column, and
+    # the files whose every value is unchanged (c.csv: same value, other
+    # text; d.csv, with a row more, is not)
+    assert out[-1] == ("largest change 5e-09 (a.csv, tau, row 1); "
+                       "1 of 4 files unchanged")
+
+
+def test_summary_line_without_a_change(tmp_path, tool, capsys):
+    old, new = _dirs(tmp_path, {"a.csv": "x\n1\n"}, {"a.csv": "x\n1\n"})
+    assert tool.compare(old, new) == []
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "largest change 0; 1 of 1 files unchanged")

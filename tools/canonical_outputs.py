@@ -14,7 +14,9 @@ any config does not exit 0, after running them all.
 file and column, the largest change ``|new - old| / max(1, |old|)``:
 relative above 1 and absolute below, as ``perfbench`` compares outputs
 with its reference. It also reports files found in one directory only,
-row-count mismatches and NaN cells. Exits 1 if a change exceeds
+row-count mismatches and NaN cells. It ends with one summary line: the
+largest change over all files, with its file, column and row, and the
+number of files whose every value is unchanged. Exits 1 if a change exceeds
 ``COMPARE_TOL``, a file or row is missing, or a value that was a number is
 NaN; a NaN in both is no change.
 """
@@ -114,6 +116,7 @@ def compare(old_dir: str, new_dir: str) -> list[str]:
     """Print the largest change per file and column between two output
     directories; return the problems, empty when within ``COMPARE_TOL``."""
     problems = []
+    largest, unchanged = (0.0, None, None, None), 0  # (change, file, col, row)
     old_files, new_files = set(os.listdir(old_dir)), set(os.listdir(new_dir))
     for name in sorted(old_files ^ new_files):
         problems.append(f"{name}: only in "
@@ -145,6 +148,14 @@ def compare(old_dir: str, new_dir: str) -> list[str]:
             if change > COMPARE_TOL:
                 problems.append(f"{name}: {col} changed by {change:.3g} "
                                 f"at row {k}")
+            if change > largest[0]:
+                largest = (change, name, col, k)
+        if len(old) == len(new) and not any(c for c, _ in worst.values()):
+            unchanged += 1
+    change, name, col, k = largest
+    where = f" ({name}, {col}, row {k})" if name else ""
+    print(f"largest change {change:.3g}{where}; {unchanged} of "
+          f"{len(old_files & new_files)} files unchanged")
     return problems
 
 
