@@ -11,21 +11,19 @@ a sector run takes the full run's steps. The stepper picks its first step
 ``dop853`` is a block stepper with one step-size controller: a block is
 ``m`` steps, 1 to ``_BLOCK_STEPS``, of one length per sample interval; it
 keeps its steps before the first that fails, and at ``m = 1`` it is the
-classical controller. Every callback has one call shape:
-``generators(ts)`` returns the stage operators at the times ``ts``, one
-per time, and is called once per block with its ``11 m + 1`` distinct
-stage times; ``apply(M, y, out)`` writes the derivative into ``out``, as
-``np.dot`` does. ``cdgate.dynamics`` chooses the equation (``apply``,
-drift monitor, and ``hermitian`` for a flattened density matrix) and the
-generator source: ``evolve_ramped`` for a ramped system, one call per
-stage time for a Hamiltonian callable. A stage operator is a generator
-``M(t) = -i H(t)``, or for a density matrix on a small sector its
-superoperator ``liouvillian(M, D)``, so that every Lindblad stage is then
-one matrix-vector product, as a Schroedinger stage is; larger sectors use
-the commutator form, ``lindblad_apply``; both take the dissipator ``D =
-alpha (d_a d_c - 1)``. The dissipator is constant, so it is lifted with
-``-i h0`` once per run, and a block's superoperators are the one product
-that builds its Schroedinger generators.
+classical controller. Its one equation argument is the dissipator ``D =
+alpha (d_a d_c - 1)`` of a density matrix's sector, None for a pure state;
+the kernels derive the rest from it: drift monitor, Hermitian handling and
+form. ``generators(ts)``, ``evolve_ramped`` for a ramped system or one
+call per stage time of a Hamiltonian callable, returns the stage operators
+(``stage_operators``) at the times ``ts``, once per block with its ``11 m
++ 1`` distinct stage times: generators ``M(t) = -i H(t)``, or for a
+density matrix on a sector of dimension up to ``_LIOUVILLIAN_MAX_DIM``
+(``_lifted``) their superoperators ``liouvillian(M, D)``, so that every
+Lindblad stage is then one matrix-vector product, as a Schroedinger stage
+is; larger sectors use the commutator form, ``lindblad_apply(D)``. The
+dissipator is constant, so it is lifted with ``-i h0`` once per run, and a
+block's superoperators are the one product that builds its generators.
 
 The states are small, so a step costs numpy calls, not arithmetic. The
 system is linear, so a step is a map ``y -> P y`` whose error estimates
@@ -44,10 +42,8 @@ accepted density matrix straight into the state. The Monte-Carlo
 dephasing average, ``dephasing_average``, advances every noise
 realization at once: the noise is constant within an RK4 step, so the step
 is one polynomial in it, whose matrices (``_rk4_polynomials``) are built
-for a block of steps at once and shared by every realization.
-
-The ramped Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd``, with its drive
-``J(t)`` and counterdiabatic coefficient ``c(t)``, is defined in one place:
+for a block of steps at once and shared by every realization. The ramped
+Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd`` is defined in one place:
 ``model.RampedGateHamiltonian``.
 """
 
@@ -126,11 +122,19 @@ _MAX_TOTAL_STEPS = 20_000_000
 # On the 40 noise-map cells, 8 ran slower than 16; 32 took 4% more steps and
 # twice the block memory, for a gain within this host's timing noise.
 _BLOCK_STEPS = 16
-# Longest state advanced in matrix mode; a longer one, or an ``apply`` other
-# than ``matvec``, runs in stage mode. At tau 20 with CD, from a full-support
-# pure start, matrix mode ran 1.8-2.4x faster at length 4 and 0.85-1.08x at
-# 8 (docs/noise_model.md, "Integration").
+# Longest state advanced in matrix mode; a longer one, or a density matrix in
+# the commutator form, runs in stage mode. At tau 20 with CD, from a
+# full-support pure start, matrix mode ran 1.8-2.4x faster at length 4 and
+# 0.85-1.08x at 8 (docs/noise_model.md, "Integration").
 _MATRIX_MAX_SIZE = 4
+# Largest sector dimension of a density matrix integrated as vec(rho) under
+# the Liouvillian: one d^2 x d^2 product per stage beats the commutator's five
+# numpy calls at d = 2 and 4 (36-65 against 93-159 us per step at d = 4,
+# single-step stepper), but building the stage operators costs d^4 and loses
+# from d = 8 on (timings in docs/noise_model.md, "Integration"); at d = 64
+# one is 268 MB. At d = 2, every gate sector block, the block stepper's
+# matrix mode runs the Liouvillian on 4 real Hermitian coordinates.
+_LIOUVILLIAN_MAX_DIM = 4
 # Fewest steps of a block run in matrix mode, whose cost barely grows with
 # the steps; a shorter block runs in stage mode, whose cost is per step.
 # The two cost about the same at 2 steps (docs/noise_model.md).
@@ -242,7 +246,7 @@ def _hermitian_coordinates(dim):
     return t, np.array(read)
 
 
-def _coordinate_forms(size, hermitian):
+def _coordinate_forms(size, dissipator):
     """``(W, T, read)``: ``W``, the fixed real matrix that maps the float
     view of a flattened complex ``(size, size)`` operator to the real matrix
     that acts on a state's coordinates, one product for a stack of
@@ -251,23 +255,23 @@ def _coordinate_forms(size, hermitian):
 
     A pure state's coordinates are its float view and the matrix is the
     realification ``R(L)`` (``_real_form``): every entry one float of the
-    operator, so the product gathers it exactly. A flattened Hermitian
-    matrix's are its Hermitian coordinates and the matrix is ``E R(L) T``,
-    of a quarter the size: every entry a sum of at most two floats.
+    operator, so the product gathers it exactly. A density matrix's are its
+    Hermitian coordinates and the matrix is ``E R(L) T``, of a quarter the
+    size: every entry a sum of at most two floats.
     """
     basis = np.eye(2 * size * size).view(np.complex128)
     forms = _real_form(basis.reshape(-1, size, size))
     t, read = None, np.arange(2 * size)
-    if hermitian:
+    if dissipator is not None:
         t, read = _hermitian_coordinates(math.isqrt(size))
         forms = forms[:, read].dot(t)
     return forms.reshape(forms.shape[0], -1), t, read
 
 
-def _matrix_mode(size, rtol, atol, root_width, hermitian):
+def _matrix_mode(size, rtol, atol, root_width, dissipator):
     """The block evaluator of a state of length ``size`` under operators
-    that are ``(size, size)`` matrices on it; ``hermitian`` when the state
-    is a flattened Hermitian matrix.
+    that are ``(size, size)`` matrices on it: a pure state, or given a
+    ``dissipator`` a flattened density matrix under its ``liouvillian``.
 
     The system is linear, so a step is a map ``y -> P y`` whose error
     estimates ``E5 y`` and ``E3 y`` are matrices too, none depending on
@@ -295,7 +299,7 @@ def _matrix_mode(size, rtol, atol, root_width, hermitian):
     block's steps.
     """
     n, rows = _BLOCK_STEPS, 11 * _BLOCK_STEPS + 1
-    forms, t, read = _coordinate_forms(size, hermitian)
+    forms, t, read = _coordinate_forms(size, dissipator)
     wide = read.shape[0]
     # the operators of the block's stage times in coordinates; zero until
     # written
@@ -372,19 +376,22 @@ def _matrix_mode(size, rtol, atol, root_width, hermitian):
     return steps
 
 
-def _stage_mode(apply, size, rtol, atol, root_width):
+def _stage_mode(size, rtol, atol, root_width, dissipator):
     """The block evaluator that runs the stages of each step on the state.
 
     The state and the stage derivatives are the rows of one block ``Z``:
     stage ``s`` is ``apply(M, (1, h a_s) . Z[:s + 1], out)``, which writes
-    the derivative into its row. A block's first derivative is evaluated at
-    its start, and the FSAL derivative of each step is the next step's
-    first. The steps of a block run in turn and stop at the
+    the derivative into its row: ``matvec``, or ``lindblad_apply`` for a
+    ``dissipator`` that is not ``_lifted``. A block's first derivative is
+    evaluated at its start, and the FSAL derivative of each step is the
+    next step's first. The steps of a block run in turn and stop at the
     first that fails. Returns ``steps(M, hs, y) -> (Y, errs)`` for a
     block of steps of lengths ``hs``: ``Y[k]`` is the state after ``k``
     steps of the block (``Y[0]`` is ``y``), ``errs`` the error norms of
     the steps up to the first that fails.
     """
+    apply = (matvec if dissipator is None or _lifted(dissipator)
+             else lindblad_apply(dissipator))
     Z = np.zeros((_N_STAGES + 2, size), dtype=np.complex128)
     state, K = Z[0], Z[1:]  # the state, then the stage derivatives
     # column 0 weighs the state; the rest is h * _A_AUG, written per step
@@ -436,24 +443,29 @@ def _stage_mode(apply, size, rtol, atol, root_width):
     return steps
 
 
-def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
-           hermitian=False, width=None):
-    """Integrate ``dy/dt = apply(M(t), y)`` for a flat complex ``y``.
+def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
+           width=None):
+    """Integrate a flat complex ``y``: a pure state under ``dy/dt = M(t) y``
+    with its ``norm_drift`` monitored, or, given the ``(dim, dim)``
+    ``dissipator`` block ``alpha (d_a d_c - 1)``, a flattened density
+    matrix under the Lindblad equation with its ``trace_drift`` monitored;
+    never renormalized. A density matrix runs as ``vec(rho)`` under
+    ``liouvillian`` superoperators where ``_lifted``, else in the commutator
+    form (``_stage_mode``), and is kept Hermitian: matrix mode integrates
+    its Hermitian coordinates, read from the diagonal and upper triangle,
+    and after a stage-mode block ``symmetrize`` writes the last accepted
+    and each sampled state.
 
-    A block stepper with one step-size controller. Each block is ``m``
-    steps, from 1 to ``_BLOCK_STEPS``: ``m`` starts at 1, doubles after a
-    block with no rejected step and halves after one with.
-    ``generators(ts)`` is called once per block with the block's ``11 m +
-    1`` distinct stage times (the block's start, then for each step its
-    stages 2 to 12, the last of them, ``t + h``, also the step's FSAL point
-    and the next step's first) and returns the stage operators ``M(t)`` at
-    those times, stacked: generators ``-i H(t)`` or their ``liouvillian``
-    superoperators. ``apply(M, y, out)`` writes the derivative into
-    ``out``, as ``np.dot`` does. Steps of one sample interval have one
-    length (``_block_ends``), a block may cross sample times, and every
-    sample time is a step end, so output states are recorded exactly at
-    ``sample_times`` (the first entry must equal the start time); the
-    first step is a thousandth of their span.
+    Blocks of ``m`` steps (``_BLOCK_STEPS``) share one step-size
+    controller. ``generators(ts)`` is called once per block with its ``11 m
+    + 1`` distinct stage times (its start, then for each step its stages 2
+    to 12, the last, ``t + h``, also the step's FSAL point and the next
+    step's first) and returns the stage operators at those times, stacked
+    (``stage_operators``). Steps of one sample interval have one length
+    (``_block_ends``), a block may cross sample times, and every sample
+    time is a step end, so states are recorded exactly at ``sample_times``
+    (the first entry must equal the start time); the first step is a
+    thousandth of their span.
 
     Each step's error norm is DOP853's, divided by ``width`` (``len(y0)``
     when None): a caller that integrates an invariant sector of a longer
@@ -462,29 +474,21 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
     step length is the smallest of ``h_k min(10, 0.9 err_k^-1/8)`` over
     the block's steps when all are accepted, else ``h max(0.2, 0.9
     err^-1/8)`` of the failed step; at ``m = 1`` this is the classical
-    controller. ``drift_of(Y)`` gives the largest drift over the accepted
-    states of a block, one per row of ``Y``, and the largest is
-    monitored; the state is never renormalized. ``hermitian`` says that
-    ``y`` is a flattened Hermitian matrix: matrix mode then integrates its
-    Hermitian coordinates, read from the diagonal and upper triangle, and
-    returns exactly Hermitian states, and after a stage-mode block
-    ``symmetrize`` writes the last accepted state, and each sampled state.
+    controller. A block runs in matrix mode (``_matrix_mode``) when the
+    stages apply ``matvec``, the state has at most ``_MATRIX_MAX_SIZE``
+    entries and the block at least ``_MATRIX_MIN_STEPS`` steps, else in
+    stage mode (``_stage_mode``); both take the same steps.
 
-    A block runs in matrix mode (``_matrix_mode``) when ``apply`` is
-    ``matvec``, the state has at most ``_MATRIX_MAX_SIZE`` entries and the
-    block at least ``_MATRIX_MIN_STEPS`` steps, else in stage mode
-    (``_stage_mode``); both take the same steps.
-    Returns ``(states, drift, stats)``: ``drift`` is the largest
-    ``drift_of`` seen at any accepted step and ``stats`` counts the
-    ``accepted`` and ``rejected`` steps, the ``blocks``, the steps
-    ``discarded`` (those of a block after its first failed step, whose
-    stage operators were built: matrix mode computes them, stage mode
-    stops at the failure) and the ``rhs_evals``, the stage operators
-    built, ``blocks + 11 (accepted + rejected + discarded)``; it holds the
-    smallest and largest accepted step, ``h_min`` and ``h_max`` (0 when no
-    step was accepted). Raises ``StepUnderflowError`` when the step falls
-    below 16 eps |t| or the step budget of accepted plus rejected steps
-    runs out.
+    Returns ``(states, drift, stats)``: ``drift`` is the largest over the
+    accepted states; ``stats`` counts the ``accepted`` and ``rejected``
+    steps, the ``blocks``, the steps ``discarded`` (those of a block after
+    its first failed step, whose stage operators were built: matrix mode
+    computes them, stage mode stops at the failure) and the ``rhs_evals``,
+    the stage operators built, ``blocks + 11 (accepted + rejected +
+    discarded)``, and holds the smallest and largest accepted step,
+    ``h_min`` and ``h_max`` (0 when no step was accepted). Raises
+    ``StepUnderflowError`` when the step falls below 16 eps |t| or the
+    budget of accepted plus rejected steps runs out.
     """
     size = y0.shape[0]
     samples = np.asarray(sample_times, dtype=np.float64).tolist()
@@ -492,9 +496,12 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
     out[0] = y0
     y = out[0].copy()
     root_width = math.sqrt(size if width is None else width)
-    stage = _stage_mode(apply, size, rtol, atol, root_width)
-    matrix = (_matrix_mode(size, rtol, atol, root_width, hermitian)
-              if apply is matvec and size <= _MATRIX_MAX_SIZE else None)
+    pure = dissipator is None
+    drift_of = norm_drift if pure else trace_drift
+    stage = _stage_mode(size, rtol, atol, root_width, dissipator)
+    matrix = (_matrix_mode(size, rtol, atol, root_width, dissipator)
+              if size <= _MATRIX_MAX_SIZE and (pure or _lifted(dissipator))
+              else None)
     times = np.empty(11 * _BLOCK_STEPS + 1)
     t = samples[0]
     h_abs = (samples[-1] - t) * 1e-3
@@ -531,7 +538,7 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
         grid[:, -1] = bounds[1:]  # a step ends exactly where the next starts
         steps = stage if matrix is None or planned < _MATRIX_MIN_STEPS else matrix
         Y, errs = steps(generators(ts), hs, y)
-        finish = symmetrize if hermitian and steps is stage else None
+        finish = symmetrize if not pure and steps is stage else _copy
         blocks += 1
         built += ts.shape[0]
 
@@ -546,17 +553,11 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
             h_min = min(h_min, *lengths[:f])
             h_max = max(h_max, *lengths[:f])
             drift = max(drift, drift_of(Y[1:f + 1]))
-            if finish is None:
-                y[:] = Y[f]
-            else:
-                finish(Y[f], y)
+            finish(Y[f], y)
         for k, i in reached:
             if k > f:
                 break
-            if finish is None:
-                out[i] = Y[k]
-            else:
-                finish(Y[k], out[i])
+            finish(Y[k], out[i])
             isamp = i + 1
         if f < planned:
             rejected += 1
@@ -575,6 +576,11 @@ def dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
              "discarded": discarded, "blocks": blocks, "rhs_evals": built,
              "h_min": h_min if accepted else 0.0, "h_max": h_max}
     return out, drift, stats
+
+
+def _copy(y, out):
+    """Keep an accepted state as it is, as ``symmetrize`` keeps one."""
+    out[:] = y
 
 
 def norm_drift(y):
@@ -609,8 +615,24 @@ def symmetrize(y, out):
     np.multiply(sym, 0.5, out=sym)
 
 
-def evolve_ramped(h, apply, sample_times, y0, rtol, atol, drift_of,
-                  hermitian=False, dissipator=None, width=None):
+def _lifted(dissipator):
+    """Whether ``dissipator`` is of a sector of dimension up to
+    ``_LIOUVILLIAN_MAX_DIM``, run as ``vec(rho)`` under ``liouvillian``."""
+    return (dissipator is not None
+            and dissipator.shape[0] <= _LIOUVILLIAN_MAX_DIM)
+
+
+def stage_operators(m, dissipator, weights=1.0):
+    """The stage operators of the stack of generators ``m`` in a run with
+    ``dissipator``: ``m``, or where it is ``_lifted`` their ``liouvillian``
+    superoperators, the ``k``-th with ``weights[k] D`` on its diagonal."""
+    if not _lifted(dissipator):
+        return m
+    return liouvillian(m, np.outer(weights, dissipator))
+
+
+def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
+                  width=None):
     """``dop853`` on the ramped system ``h``, a
     ``model.RampedGateHamiltonian``, in place of ``generators``.
 
@@ -619,14 +641,14 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, drift_of,
     per call, and the generators of all stage times of a block are one
     product, written into a block allocated once per call for the largest
     block. The model writes ``J(t)`` and ``c(t)`` into the columns of the
-    coefficient block. Given a flattened ``dissipator`` (and ``matvec`` as
-    ``apply``) the same product builds the ``liouvillian`` superoperators
-    ``L(t) = (L0 + D) + J(t) Lz + c(t) Lcd`` of the three terms, lifted
-    once per call. The other arguments and the result are ``dop853``'s.
+    coefficient block. Where the ``dissipator`` is ``_lifted`` the same
+    product builds the superoperators ``L(t) = (L0 + D) + J(t) Lz + c(t)
+    Lcd`` of the three terms, lifted once per call (``stage_operators``).
+    The other arguments and the result are ``dop853``'s.
     """
-    terms = np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd])
-    if dissipator is not None:  # the constant D joins the lift of -i h0
-        terms = liouvillian(terms, np.outer([1.0, 0.0, 0.0], dissipator))
+    # the constant D joins the lift of -i h0
+    terms = stage_operators(np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd]),
+                            dissipator, [1.0, 0.0, 0.0])
     basis = terms.reshape(3, -1).view(np.float64)
     rows = 11 * _BLOCK_STEPS + 1
     block = np.empty((rows,) + terms.shape[1:], dtype=np.complex128)
@@ -644,8 +666,8 @@ def evolve_ramped(h, apply, sample_times, y0, rtol, atol, drift_of,
         coef[:k].dot(basis, target[:k])
         return block[:k]
 
-    return dop853(generators, apply, sample_times, y0, rtol, atol, drift_of,
-                  hermitian, width)
+    return dop853(generators, sample_times, y0, rtol, atol, dissipator,
+                  width)
 
 
 def lindblad_apply(dissipator):

@@ -41,7 +41,8 @@ from .experiments import (
     sweep_tau,
     tradeoff_boundary,
 )
-from .model import CnotParams, analytic_spectrum, linear_ramp
+from .model import (CnotParams, analytic_spectrum, linear_phase_ramp,
+                    linear_ramp)
 
 _AXIS_HELP = "range syntax start:stop:count[log] or a comma-separated list"
 
@@ -267,8 +268,14 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         if rc.alpha is not None and "alpha" in _COMMANDS[command].options:
             for value in parse_axis(rc.alpha):
                 NoiseModel.from_gap_units(float(value), params.g)
+        if "tau" in _COMMANDS[command].options:
+            # a tau so short that its ramp's rate overflows
+            ramp = (linear_phase_ramp if command == "gate-check"
+                    else lambda tau: linear_ramp(params, tau))
+            for value in parse_axis(rc.tau):
+                ramp(float(value))
         if command == "optimal-tau":
-            _parse_window(rc.tau_window)
+            linear_ramp(params, _parse_window(rc.tau_window)[0])
         if rc.format not in ("csv", "json"):
             parser.error(f"unsupported format {rc.format!r}")
         if not os.path.isdir(os.path.dirname(rc.output) or "."):
@@ -279,7 +286,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             parser.error(f"--n must lie in 2..6, got {rc.n}")
         if rc.samples < 2:
             parser.error("--samples must be at least 2")
-    except ValueError as exc:
+    except (CdgateError, ValueError) as exc:
         parser.error(str(exc))
     return rc
 

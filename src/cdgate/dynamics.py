@@ -10,24 +10,19 @@ only, a default span. ``_integrate`` runs every adaptive evolution
 through the one Dormand-Prince 8(5,3) stepper, ``_kernels.dop853``,
 taking the generators of a ramped system from ``_kernels.evolve_ramped``
 and those of a callable from ``_integrate_callable``; the Schroedinger and
-Lindblad engines differ only in the ``apply`` and drift monitor they pass
-it, and in the ``hermitian`` flag of a density matrix. This module alone
-restricts and embeds: a ramped run integrates only its invariant sector
-(``_invariant_sector``), the closure of the start's support under the
-nonzero pattern of the system's terms, whose outside entries stay exactly
-0. ``_integrate`` hands the kernels the sector's entries (a gate start is
-2 amplitudes at any n) with the full width for the error norm, so the run
-takes the full run's steps, and scatters the samples back.
-``schrodinger_evolve`` integrates a ramped sector without the global phase
-of its mean energy, restored on each sample. A density matrix on a small
-sector (dimension up to ``_LIOUVILLIAN_MAX_DIM``) is integrated as
-``vec(rho)`` under its ``_kernels.liouvillian``, the dissipator on the
-diagonal: one matrix-vector product per stage like a pure state, and on a
-2x2 block, in the stepper's matrix mode, a real 4-vector of Hermitian
-coordinates like a pure 2-amplitude sector; a larger one under
-``_kernels.lindblad_apply``. The Monte-Carlo oracle evolves the same
-sector and embeds its average: a ramped system evaluated on an array of
-times, a callable stacked by ``_stacked``.
+Lindblad engines differ only in the sector's dissipator block they pass
+it, none for a pure state, from which the kernels derive the equation.
+This module alone restricts and embeds: a ramped run integrates only its
+invariant sector (``_invariant_sector``), the closure of the start's
+support under the nonzero pattern of the system's terms, whose outside
+entries stay exactly 0. ``_integrate`` hands the kernels the sector's
+entries (a gate start is 2 amplitudes at any n) with the full width for
+the error norm, so the run takes the full run's steps, and scatters the
+samples back. ``schrodinger_evolve`` integrates a ramped sector without
+the global phase of its mean energy, restored on each sample. The
+Monte-Carlo oracle evolves the same sector and embeds its average: a
+ramped system evaluated on an array of times, a callable stacked by
+``_stacked``.
 ``_jump_diagonal`` picks the dephasing jump operator for the Lindblad engine
 and the oracle alike. States are never renormalized during integration;
 norm / trace drift is monitored and reported instead. The only in-flight
@@ -50,6 +45,7 @@ from .errors import (
     InvalidSampleCountError,
     NormDriftExceededError,
     NotHermitianError,
+    PhaseOverflowError,
     PositivityViolationError,
     TraceDriftExceededError,
 )
@@ -59,14 +55,6 @@ from .observables import _require_normalized, validate_density_matrix
 
 HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
 
-# Largest sector dimension of a density matrix integrated as vec(rho) under
-# the Liouvillian: one d^2 x d^2 product per stage beats the commutator's five
-# numpy calls at d = 2 and 4 (36-65 against 93-159 us per step at d = 4,
-# single-step stepper), but building the stage operators costs d^4 and loses
-# from d = 8 on (timings in docs/noise_model.md, "Integration"); at d = 64
-# one is 268 MB. At d = 2, every gate sector block, the block stepper's
-# matrix mode runs the Liouvillian on 4 real Hermitian coordinates.
-_LIOUVILLIAN_MAX_DIM = 4
 # The largest dephasing rate whose dissipator entry, -2 alpha, is finite.
 _ALPHA_MAX = np.finfo(np.float64).max / 2.0
 
@@ -111,10 +99,8 @@ class Trajectory:
 
     ``norm_drift`` is the largest deviation of norm^2 (pure) or trace
     (density) from one seen at any accepted integrator step. ``stats``
-    holds the integrator's ``accepted`` and ``rejected`` step counts; its
-    ``blocks`` of steps; the steps ``discarded``, planned in a block after
-    its first rejected step; its ``rhs_evals``, the stage operators built,
-    ``blocks + 11 (accepted + rejected + discarded)``; and the smallest and
+    holds the integrator's counts of ``accepted``, ``rejected`` and
+    ``discarded`` steps, ``blocks`` and ``rhs_evals``, and its smallest and
     largest accepted step, ``h_min`` and ``h_max`` (``_kernels.dop853``).
     """
 
@@ -173,23 +159,18 @@ def _stacked(h_of_t):
     return h_stack
 
 
-def _integrate_callable(h_of_t, apply, sample_times, y0, rtol, atol, drift_of,
-                        hermitian=False, dissipator=None, width=None):
-    """``_kernels.dop853`` with the generators ``-i H(t)`` of a Hamiltonian
-    callable, called once per stage time of each block, or their
-    ``_kernels.liouvillian`` superoperators given a ``dissipator``; the
-    twin of ``_kernels.evolve_ramped``, with the same arguments and
-    result."""
+def _integrate_callable(h_of_t, sample_times, y0, rtol, atol, dissipator=None,
+                        width=None):
+    """``_kernels.dop853`` with the ``_kernels.stage_operators`` of a
+    Hamiltonian callable, called once per stage time of each block; the
+    twin of ``_kernels.evolve_ramped``, with its arguments and result."""
     h_stack = _stacked(h_of_t)
 
     def generators(ts):
-        m = -1j * h_stack(ts)
-        if dissipator is not None:
-            m = _kernels.liouvillian(m, dissipator)
-        return m
+        return _kernels.stage_operators(-1j * h_stack(ts), dissipator)
 
-    return _kernels.dop853(generators, apply, sample_times, y0, rtol, atol,
-                           drift_of, hermitian, width)
+    return _kernels.dop853(generators, sample_times, y0, rtol, atol,
+                           dissipator, width)
 
 
 def _check_callable_hermitian(h_of_t, t0: float, t1: float) -> None:
@@ -221,16 +202,14 @@ def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray):
         reach = grown
 
 
-def _integrate(h_of_t: HamiltonianLike, sector, apply, times: np.ndarray, y0,
-               cfg: EvolutionConfig, drift_of, hermitian=False,
-               dissipator=None):
-    """Integrate ``dy/dt = apply(-i H(t), y)`` from ``times[0]``, recording
-    ``y`` at ``times``; given a ``dissipator``, the stage operators are the
-    ``_kernels.liouvillian`` superoperators of ``-i H(t)``. Only the entries
-    ``sector`` of the full-width ``y0`` are integrated: ``h_of_t`` and
-    ``apply`` act on them alone (``_invariant_sector``), the stepper's error
-    norm divides by the full width, and the samples are scattered back into
-    full-width states, zero outside the sector.
+def _integrate(h_of_t: HamiltonianLike, sector, times: np.ndarray, y0,
+               cfg: EvolutionConfig, dissipator=None):
+    """Integrate ``y`` from ``times[0]``, recording it at ``times``: a pure
+    state, or given the sector's ``dissipator`` block a flattened density
+    matrix (``_kernels.dop853``). Only the entries ``sector`` of the
+    full-width ``y0`` are integrated: ``h_of_t`` and ``dissipator`` act on
+    them alone (``_invariant_sector``), the error norm divides by the full
+    width, and the samples are scattered back, zero outside the sector.
 
     A ramped system runs through ``_kernels.evolve_ramped`` as built; a
     callable is checked for Hermiticity and runs through
@@ -241,9 +220,8 @@ def _integrate(h_of_t: HamiltonianLike, sector, apply, times: np.ndarray, y0,
     else:
         _check_callable_hermitian(h_of_t, float(times[0]), float(times[-1]))
         engine = _integrate_callable
-    sampled, drift, stats = engine(
-        h_of_t, apply, times, y0[sector], cfg.rel_tol, cfg.abs_tol, drift_of,
-        hermitian, dissipator, y0.size)
+    sampled, drift, stats = engine(h_of_t, times, y0[sector], cfg.rel_tol,
+                                   cfg.abs_tol, dissipator, y0.size)
     states = np.zeros((times.size, y0.size), dtype=np.complex128)
     states[:, sector] = sampled
     return states, drift, stats
@@ -290,9 +268,13 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
     shift = (np.trace(system.h0).real / system.dim
              if isinstance(system, RampedGateHamiltonian) else 0.0)
     if shift:
+        # in Python floats, so that an overflow does not warn
+        span = float(times[-1]) - float(times[0])
+        if not math.isfinite(float(shift) * span):
+            raise PhaseOverflowError(f"the sector's global phase {shift:.3e} "
+                                     f"(t - t0) overflows over {span:.3e}")
         system = replace(system, h0=system.h0 - shift * np.eye(system.dim))
-    states, drift, stats = _integrate(system, sector, _kernels.matvec, times,
-                                      psi0, cfg, _kernels.norm_drift)
+    states, drift, stats = _integrate(system, sector, times, psi0, cfg)
     if shift:
         states *= np.exp(-1j * shift * (times - times[0]))[:, None]
     if drift > TOL.norm_drift:
@@ -312,12 +294,8 @@ def propagator(h_of_t: HamiltonianLike, cfg: EvolutionConfig,
     else:
         t0, _ = _resolve_span(h_of_t, cfg, t_span)
         dim = np.asarray(h_of_t(t0)).shape[0]
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(dim):
-        basis = np.zeros(dim, dtype=np.complex128)
-        basis[k] = 1.0
-        u[:, k] = schrodinger_evolve(h_of_t, basis, cfg, t_span).final_state
-    return u
+    return np.stack([schrodinger_evolve(h_of_t, basis, cfg, t_span).final_state
+                     for basis in np.eye(dim, dtype=np.complex128)], axis=1)
 
 
 def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
@@ -328,16 +306,10 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
         d rho/dt = -i [H(t), rho] + alpha (sigma_z2 rho sigma_z2 - rho).
 
     Only the invariant sector of ``rho0`` is integrated
-    (``_invariant_sector``). Up to a sector dimension of
-    ``_LIOUVILLIAN_MAX_DIM`` the stages apply the Liouvillian to
-    ``vec(rho)`` (``_kernels.liouvillian``); above it, the commutator form
-    (``_kernels.lindblad_apply``), whose stages build nothing of size d^4;
-    the two agree to rounding. The stepper knows ``rho`` is Hermitian: on
-    a 2x2 block its matrix mode advances the four real coordinates
-    ``(rho00, rho11, Re rho01, Im rho01)`` and returns exactly Hermitian
-    states; after a block in stage mode, and at each sample it reaches,
-    ``rho`` is symmetrized (``_kernels.symmetrize``). Positivity is
-    checked on the full ``rho`` at every sample point.
+    (``_invariant_sector``), under its dissipator block ``alpha (d_a d_c -
+    1)``; the kernels pick the form from the sector's dimension and keep
+    ``rho`` Hermitian (``_kernels.dop853``). Positivity is checked on the
+    full ``rho`` at every sample point.
     For a ramped system the jump operator is its ``hz``, which must be
     diagonal with entries +-1 (``ValueError`` otherwise); for a callable it
     is sigma_z on the last qubit.
@@ -348,16 +320,10 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
     d = _jump_diagonal(h_of_t, dim)
     system, idx = _invariant_sector(h_of_t, (rho0 != 0).any(axis=0))
     d = d[idx]
-    dissipator = noise.alpha * (np.outer(d, d) - 1.0)
-    if idx.size <= _LIOUVILLIAN_MAX_DIM:
-        apply, dissipator = _kernels.matvec, dissipator.ravel()
-    else:
-        apply, dissipator = _kernels.lindblad_apply(dissipator), None
     # the sector's entries of the row-major flattened rho
     sector = (idx[:, None] * dim + idx).ravel()
-    flat, drift, stats = _integrate(system, sector, apply, times,
-                                    rho0.ravel(), cfg, _kernels.trace_drift,
-                                    True, dissipator)
+    flat, drift, stats = _integrate(system, sector, times, rho0.ravel(), cfg,
+                                    noise.alpha * (np.outer(d, d) - 1.0))
     if drift > TOL.trace_drift:
         raise TraceDriftExceededError(
             f"trace drifted by {drift:.3e} (limit {TOL.trace_drift:.0e})"

@@ -37,6 +37,10 @@ class TraceDriftExceededError(CdgateError):
     """Density-matrix trace drifted beyond the allowed monitor limit."""
 
 
+class PhaseOverflowError(CdgateError):
+    """A restored global phase is too large to represent."""
+
+
 class PositivityViolationError(CdgateError):
     """Density matrix developed a significantly negative eigenvalue."""
 

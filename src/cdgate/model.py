@@ -10,6 +10,7 @@ only the {|10>, |11>} sector couples.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -84,36 +85,38 @@ class DriveSchedule:
         return self.rate
 
 
+def _rate(span: float, tau: float) -> float:
+    """A ramp's rate ``span / tau``, in Python floats so that an overflow
+    does not warn; ``NonPositiveTauError`` unless tau and rate are finite
+    and tau positive."""
+    if not 0 < tau < np.inf:
+        raise NonPositiveTauError(f"tau must be positive and finite, got {tau}")
+    if not math.isfinite(rate := float(span) / float(tau)):
+        raise NonPositiveTauError(f"tau {tau} is so short that the ramp rate "
+                                  f"{span} / tau overflows")
+    return rate
+
+
 def linear_ramp(params: CnotParams, tau: float) -> DriveSchedule:
     """J2(t) = j2_amp * t / tau on [-tau/2, tau/2]; the endpoints reach
     +-j2_amp/2 (a ramp to +-J2 is ``j2_amp = 2 J2``)."""
-    if not 0 < tau < np.inf:
-        raise NonPositiveTauError(f"tau must be positive and finite, got {tau}")
-    return DriveSchedule(rate=params.j2_amp / tau, offset=0.0,
+    return DriveSchedule(rate=_rate(params.j2_amp, tau), offset=0.0,
                          t_start=-tau / 2.0, t_end=tau / 2.0)
 
 
 def linear_phase_ramp(tau: float, n_offset: int = 0) -> DriveSchedule:
     """phi(t) = 2 pi n + pi t / tau on [0, tau], so phi(0) = 2 pi n and
     phi(tau) = (2n + 1) pi."""
-    if not 0 < tau < np.inf:
-        raise NonPositiveTauError(f"tau must be positive and finite, got {tau}")
-    return DriveSchedule(rate=np.pi / tau, offset=2.0 * np.pi * n_offset,
+    return DriveSchedule(rate=_rate(np.pi, tau), offset=2.0 * np.pi * n_offset,
                          t_start=0.0, t_end=tau)
 
 
 def build_h_cnot(params: CnotParams, j2: float) -> np.ndarray:
     """Gate Hamiltonian at drive value j2: diag(K+, K-) on the idle sector
     and [[-K-, -g], [-g, -K+]] on the {|10>, |11>} sector."""
-    kp = params.j1 + j2
-    km = params.j1 - j2
-    h = np.zeros((4, 4), dtype=np.complex128)
-    h[0, 0] = kp
-    h[1, 1] = km
-    h[2, 2] = -km
-    h[3, 3] = -kp
-    h[2, 3] = -params.g
-    h[3, 2] = -params.g
+    kp, km = params.j1 + j2, params.j1 - j2
+    h = np.diag(np.array([kp, km, -km, -kp], dtype=np.complex128))
+    h[2, 3] = h[3, 2] = -params.g
     return h
 
 
@@ -351,15 +354,8 @@ def _ramped_system(params: CnotParams, tau: float, use_cd: bool,
                    hcd: np.ndarray) -> RampedGateHamiltonian:
     schedule = linear_ramp(params, tau)
     return RampedGateHamiltonian(
-        h0=h0,
-        hz=hz,
-        hcd=hcd,
-        slope=schedule.rate,
-        g=params.g,
-        use_cd=use_cd,
-        t_start=schedule.t_start,
-        t_end=schedule.t_end,
-    )
+        h0=h0, hz=hz, hcd=hcd, slope=schedule.rate, g=params.g, use_cd=use_cd,
+        t_start=schedule.t_start, t_end=schedule.t_end)
 
 
 def _gate_system(n: int, params: CnotParams, tau: float,

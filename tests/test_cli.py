@@ -135,13 +135,23 @@ class TestParseConfig:
         (["optimal-tau", "--alpha", "1e308"], "2 alpha finite"),
         (["evolve", "--tau", "1", "--j1", "1e308"], "10 j1 overflows"),
         (["sweep-tau", "--tau", "1:2:2", "--j1", "1e308"], "10 j1 overflows"),
+        (["spectrum", "--tau", "1e-308", "--samples", "3"], "rate 10.0 / tau"),
+        (["heatmap", "--alpha", "0", "--tau", "1e-308"], "rate 10.0 / tau"),
+        (["sweep-tau", "--tau", "1e-308,1"], "rate 10.0 / tau"),
+        (["evolve", "--tau", "1e-308"], "rate 10.0 / tau"),
+        (["gate-check", "--tau", "1e-308"], "rate 3.141592653589793 / tau"),
+        (["optimal-tau", "--alpha", "0.1", "--tau-window", "1e-308:2"],
+         "rate 10.0 / tau"),
     ], ids=["g-1e-300", "g-1e-160", "j2", "evolve-alpha", "heatmap-alpha",
-            "optimal-tau-alpha", "evolve-j1", "sweep-tau-j1"])
+            "optimal-tau-alpha", "evolve-j1", "sweep-tau-j1", "spectrum-tau",
+            "heatmap-tau", "sweep-tau-tau", "evolve-tau", "gate-check-tau",
+            "optimal-tau-window"])
     def test_unrepresentable_input_exits_2(self, argv, problem, tmp_path,
                                            capsys):
         # each ran before: a tiny g wrote NaN rows or a start vector whose
         # norm is off, and exited 0; a huge J2, alpha or j1 overflowed
-        # mid-run
+        # mid-run; a tau whose ramp rate overflows wrote inf and NaN rows,
+        # aborted a heatmap or failed with a misleading step underflow
         assert main(argv + ["--output", str(tmp_path / "r")]) == 2
         assert problem in capsys.readouterr().err
         assert not os.listdir(tmp_path)
@@ -513,6 +523,75 @@ class TestCommands:
         assert code == 0
         manifest = json.loads((tmp_path / "run_manifest.json").read_text())
         assert manifest["summary"]["failed_cells"] == []
+
+
+class TestLoudFailures:
+    """Runs that cannot give a number fail loudly, each with its cause: a
+    sweep cell is NaN, listed in ``failed_cells``, and the sweep exits 1; a
+    single run exits 1 with an ``error:`` line. None warns (RuntimeWarnings
+    are errors under pytest) or exits 0 with a NaN."""
+
+    @staticmethod
+    def _failed_cells(tmp_path):
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        return manifest["summary"]["failed_cells"]
+
+    @pytest.mark.parametrize("cd, drift", [(False, "1.193e-08"),
+                                           (True, "1.238e-08")],
+                             ids=["plain", "cd"])
+    def test_norm_drift_fails_the_cell(self, tmp_path, cd, drift):
+        # the default tolerances do not hold the 1e-8 drift monitor at
+        # n = 6, tau 200 with j2_amp 20 (EvolutionConfig)
+        argv = ["nqubit", "--n", "6", "--tau", "200", "--j2", "20"]
+        code, _ = _run(tmp_path, argv + (["--cd"] if cd else []))
+        assert code == 1
+        assert self._failed_cells(tmp_path) == [
+            f"cell (0,0): norm^2 drifted by {drift} (limit 1e-08); tighten "
+            "the tolerances"]
+        row = (tmp_path / "run_nqubit.csv").read_text().splitlines()[1]
+        assert row.split(",")[1:3] == ["nan", "nan"]
+
+    def test_norm_drift_fails_a_single_run(self, tmp_path, capsys):
+        code, _ = _run(tmp_path, ["evolve", "--tau", "2000"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "cdgate: error: norm^2 drifted by 1.115e-08 (limit 1e-08); "
+            "tighten the tolerances\n")
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.filterwarnings("ignore:.*not much larger:UserWarning")
+    def test_overflowing_phase_fails_the_cell(self, tmp_path):
+        # the sector's restored phase (n - 1) j1 (t - t0) is 5e308 at
+        # tau 10: it wrote NaN with exit 0 and two RuntimeWarnings
+        code, _ = _run(tmp_path, ["nqubit", "--n", "6", "--j1", "1e307",
+                                  "--tau", "1,10"])
+        assert code == 1
+        assert self._failed_cells(tmp_path) == [
+            "cell (0,1): the sector's global phase -5.000e+307 (t - t0) "
+            "overflows over 1.000e+01"]
+        rows = (tmp_path / "run_nqubit.csv").read_text().splitlines()[1:]
+        assert np.isfinite(float(rows[0].split(",")[1]))
+        assert rows[1].split(",")[1] == "nan"
+
+    @pytest.mark.filterwarnings("ignore:.*not much larger:UserWarning")
+    def test_overflowing_phase_fails_a_single_run(self, tmp_path, capsys):
+        code, _ = _run(tmp_path, ["evolve", "--tau", "100", "--j1", "1e307",
+                                  "--samples", "3"])
+        assert code == 1
+        assert ("cdgate: error: the sector's global phase -1.000e+307 "
+                "(t - t0) overflows over 1.000e+02") in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_gate_check_at_a_short_tau(self, tmp_path):
+        # samples near pi / tau = 3e300: their product overflowed and wrote
+        # a NaN residual with passed = 1
+        code, _ = _run(tmp_path, ["gate-check", "--tau", "1e-300,0.5"])
+        assert code == 0
+        lines = (tmp_path / "run_gate-check.csv").read_text().splitlines()
+        for line in lines[1:]:
+            values = line.split(",")
+            assert values[3] == "0" and values[4] == "1"
+            assert np.isfinite([float(v) for v in values]).all()
 
 
 def _columns(path):

@@ -21,6 +21,7 @@ from cdgate.errors import (
     InvalidSampleCountError,
     NotHermitianError,
     NotNormalizedError,
+    PhaseOverflowError,
     PositivityViolationError,
     StepUnderflowError,
 )
@@ -295,7 +296,7 @@ class TestLindblad:
         psi0 = ground_start(params, system)
         rho0 = np.outer(psi0, psi0.conj())
 
-        def fake_kernel(h, apply, times, y0, *rest):
+        def fake_kernel(h, times, y0, *rest):
             # the kernel gets the 2x2 sector block of |10>, |11>
             assert y0.size == 4
             states = np.repeat(y0[None], 5, axis=0)
@@ -351,7 +352,8 @@ class TestLargestJ1:
     under dephasing: the sector trace, the phase shift and its lift stay
     finite. The taus are those of the commands that overflowed before the
     bound (1 and 2); there the pure run's restored phase c (t - t0), with
-    |c| = (n - 1) j1, stays finite too."""
+    |c| = (n - 1) j1, stays finite too. Where it does not, the pure run
+    raises ``PhaseOverflowError`` before integrating."""
 
     @pytest.mark.parametrize("n", [2, 6])
     @pytest.mark.parametrize("use_cd", [False, True])
@@ -370,6 +372,20 @@ class TestLargestJ1:
                                         EvolutionConfig())
                 assert np.isfinite(pure.states).all()
                 assert np.isfinite(noisy.states).all()
+
+    @pytest.mark.parametrize("tau", [10.0, 1e300])
+    def test_overflowing_phase_raises(self, tau):
+        # |c| (t - t0) = 5 j1 tau passes 1.8e308, where the restored phase
+        # wrote NaN samples after two RuntimeWarnings; it raises before
+        # integrating
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # j2_amp << j1
+            params = CnotParams(j1=1e307)
+        system, psi0, _ = _gate_cell(params, tau, False, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PhaseOverflowError, match="overflows"):
+                schrodinger_evolve(system, psi0, EvolutionConfig())
 
 
 class TestSectorEmbedding:
@@ -422,7 +438,7 @@ class TestSectorEmbedding:
         # cases, states within 4.0e-14)
         cell = _gate_cell(params, tau, use_cd, n, alpha=alpha)
         folded = _run_cell(cell, None)
-        monkeypatch.setattr(dynamics, "_LIOUVILLIAN_MAX_DIM", 0)
+        monkeypatch.setattr(_kernels, "_LIOUVILLIAN_MAX_DIM", 0)
         commutator = _run_cell(cell, None)
         counts = ("accepted", "rejected")
         assert ([folded.stats[k] for k in counts]
@@ -524,11 +540,10 @@ class TestSectorRunMatchesFullRun:
     TAU = 5.0
     CFG = EvolutionConfig(tau=TAU, sample_count=5)
 
-    def _full_width(self, system, y0, apply, drift_of, *rest):
+    def _full_width(self, system, y0, dissipator=None):
         times = np.linspace(system.t_start, system.t_end, 5)
         states, _, stats = _kernels.evolve_ramped(
-            system, apply, times, y0, self.CFG.rel_tol, self.CFG.abs_tol,
-            drift_of, *rest)
+            system, times, y0, self.CFG.rel_tol, self.CFG.abs_tol, dissipator)
         return states, stats
 
     @staticmethod
@@ -545,8 +560,7 @@ class TestSectorRunMatchesFullRun:
         shift = np.trace(system.h0[-2:, -2:]).real / 2
         assert shift == -(n - 1) * params.j1
         shifted = replace(system, h0=system.h0 - shift * np.eye(system.dim))
-        states, stats = self._full_width(shifted, psi0, _kernels.matvec,
-                                         _kernels.norm_drift)
+        states, stats = self._full_width(shifted, psi0)
         states *= np.exp(-1j * shift * (traj.times - traj.times[0]))[:, None]
         assert self._counts(traj.stats) == self._counts(stats)
         assert np.abs(traj.states - states).max() < 1e-12
@@ -561,8 +575,7 @@ class TestSectorRunMatchesFullRun:
                                self.CFG)
         d = np.real(np.diag(system.hz))
         states, stats = self._full_width(
-            system, rho0.ravel(), _kernels.matvec, _kernels.trace_drift,
-            True, dephasing_dissipator(d, alpha).ravel())
+            system, rho0.ravel(), dephasing_dissipator(d, alpha))
         counts = ("accepted", "rejected", "discarded", "blocks", "rhs_evals")
         assert [traj.stats[k] for k in counts] == [stats[k] for k in counts]
         # the 4 sector entries run in matrix mode, in Hermitian
@@ -609,8 +622,7 @@ class TestGlobalPhase:
         cfg = EvolutionConfig(sample_count=5)
         traj = schrodinger_evolve(system, psi0, cfg)
         states, _, _ = _kernels.evolve_ramped(
-            system, _kernels.matvec, traj.times, psi0, cfg.rel_tol,
-            cfg.abs_tol, _kernels.norm_drift)
+            system, traj.times, psi0, cfg.rel_tol, cfg.abs_tol)
         assert np.abs(traj.states - states).max() < 1e-8
 
 
@@ -655,7 +667,7 @@ class TestLindbladProperties:
         cell = _gate_cell(params, tau, use_cd, alpha=alpha)
         cfg = EvolutionConfig(sample_count=5)
         folded = _run_cell(cell, cfg)
-        with mock.patch.object(dynamics, "_LIOUVILLIAN_MAX_DIM", 0):
+        with mock.patch.object(_kernels, "_LIOUVILLIAN_MAX_DIM", 0):
             commutator = _run_cell(cell, cfg)
         counts = ("accepted", "rejected")
         assert ([folded.stats[k] for k in counts]

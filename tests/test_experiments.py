@@ -221,6 +221,13 @@ class TestGateUnitaryCheck:
         report = gate_unitary_check(2.0)
         assert report.commutator_residual < 1e-12
 
+    def test_residual_of_entries_near_1e300(self):
+        # the samples are pi / (4 tau) times one shape: unscaled, their
+        # products overflowed to a NaN residual
+        report = gate_unitary_check(1e-300)
+        assert report.commutator_residual == 0.0
+        assert report.passed
+
     def test_builds_the_hamiltonian_once_per_stage_time(self, monkeypatch):
         # perfbench's traced oracle-check needs the
         # model.build_inverse_engineered span, so the callable must call it

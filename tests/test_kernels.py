@@ -160,31 +160,32 @@ def _evolve_ramped_loop(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
     return status, out, drift, accepted, rejected
 
 
-def _ramped_args(system, tau, is_density, alpha=0.0, liouvillian=False):
+def _ramped_args(system, tau, is_density, alpha=0.0):
     """``evolve_ramped`` arguments from a random start: the Schroedinger
     equation, or with ``is_density`` the Lindblad equation whose jump
-    operator is ``hz``, in commutator or ``liouvillian`` form. The matrix
-    forms apply ``matvec``, so a state of up to ``_MATRIX_MAX_SIZE``
-    entries runs in matrix mode."""
+    operator is ``hz``, given as its dissipator block. The kernels pick the
+    Lindblad form from the dimension (``_commutator_form`` forces the
+    commutator form); a state of up to ``_MATRIX_MAX_SIZE`` entries under
+    ``matvec`` runs in matrix mode."""
     psi0 = random_state(np.random.default_rng(11), system.dim)
     times = np.array([system.t_start, 0.0, system.t_end])
     if is_density:
         d = np.real(np.diag(system.hz))
-        apply, dissipator = (
-            (_kernels.matvec, dephasing_dissipator(d, alpha).ravel())
-            if liouvillian
-            else (_kernels.lindblad_apply(dephasing_dissipator(d, alpha)),
-                  None))
-        return (system, apply, times, np.outer(psi0, psi0.conj()).ravel(),
-                1e-10, 1e-12, _kernels.trace_drift, True, dissipator)
-    return (system, _kernels.matvec, times, psi0, 1e-10, 1e-12,
-            _kernels.norm_drift)
+        return (system, times, np.outer(psi0, psi0.conj()).ravel(), 1e-10,
+                1e-12, dephasing_dissipator(d, alpha))
+    return (system, times, psi0, 1e-10, 1e-12)
+
+
+def _commutator_form(monkeypatch):
+    """Integrate every density matrix in the commutator form,
+    ``lindblad_apply``: no sector dimension is ``_lifted``."""
+    monkeypatch.setattr(_kernels, "_LIOUVILLIAN_MAX_DIM", 0)
 
 
 def _loop_args(args, is_density, alpha):
     """The run of ``_ramped_args`` in the arguments of the scalar loop, with
     the stepper's first step, a thousandth of the span."""
-    system, _, times, y0, rtol, atol = args[:6]
+    system, times, y0, rtol, atol = args[:5]
     return (system.h0, system.hz, system.hcd, system.slope, system.g,
             system.use_cd, alpha, is_density, times, y0, rtol, atol,
             (times[-1] - times[0]) * 1e-3)
@@ -200,12 +201,12 @@ _SYSTEMS = {
 
 def _stepper_cases():
     """(name, tau, is_density, alpha, liouvillian): the pure state and the
-    commutator form everywhere, the Liouvillian form at the dimensions
-    ``lindblad_evolve`` integrates with it."""
+    commutator form everywhere, the Liouvillian form at the dimensions the
+    kernels integrate with it."""
     for tau in (1.0, 8.0, 50.0):
         for name in sorted(_SYSTEMS):
             small = (_SYSTEMS[name](tau).dim
-                     <= dynamics._LIOUVILLIAN_MAX_DIM)
+                     <= _kernels._LIOUVILLIAN_MAX_DIM)
             for is_density, alpha, liouvillian in [
                     (False, 0.0, False), (True, 0.0, False),
                     (True, 0.1, False), (True, 0.0, True), (True, 0.1, True)]:
@@ -221,10 +222,11 @@ class TestVectorizedStepper:
 
     @pytest.mark.parametrize("name,tau,is_density,alpha,liouvillian",
                              _stepper_cases())
-    def test_matches_scalar_loop(self, name, tau, is_density, alpha,
-                                 liouvillian):
-        args = _ramped_args(_SYSTEMS[name](tau), tau, is_density, alpha,
-                            liouvillian)
+    def test_matches_scalar_loop(self, monkeypatch, name, tau, is_density,
+                                 alpha, liouvillian):
+        if not liouvillian:
+            _commutator_form(monkeypatch)
+        args = _ramped_args(_SYSTEMS[name](tau), tau, is_density, alpha)
         states, drift, stats = _kernels.evolve_ramped(*args)
         ref_status, ref_states, ref_drift, accepted, rejected = \
             _evolve_ramped_loop(*_loop_args(args, is_density, alpha))
@@ -234,7 +236,8 @@ class TestVectorizedStepper:
         # same steps: the saving is in the cost of a step, not their number
         assert (stats["accepted"], stats["rejected"]) == (accepted, rejected)
 
-    def test_step_counts_repeat(self):
+    def test_step_counts_repeat(self, monkeypatch):
+        _commutator_form(monkeypatch)
         args = _ramped_args(_SYSTEMS["cnot_cd"](20.0), 20.0, True, 0.1)
         first = _kernels.evolve_ramped(*args)[2]
         second = _kernels.evolve_ramped(*args)[2]
@@ -249,7 +252,7 @@ class TestVectorizedStepper:
         args = list(_ramped_args(_SYSTEMS["cnot"](8.0), 8.0, False))
         # no step meets a tolerance of 1e-60: each is rejected until the
         # step falls below 16 eps |t|
-        args[4] = args[5] = 1e-60
+        args[3] = args[4] = 1e-60
         with pytest.raises(StepUnderflowError, match="underflowed"):
             _kernels.evolve_ramped(*args)
 
@@ -259,9 +262,8 @@ class TestVectorizedStepper:
         generators = _constant_generators(-1j * random_hermitian(rng, 2),
                                           sizes)
         with pytest.raises(StepUnderflowError, match="step budget exhausted"):
-            _kernels.dop853(generators, _kernels.matvec, np.array([0.0, 7.0]),
-                            random_state(rng, 2), 1e-10, 1e-12,
-                            _kernels.norm_drift)
+            _kernels.dop853(generators, np.array([0.0, 7.0]),
+                            random_state(rng, 2), 1e-10, 1e-12)
         # blocks of 1, 2 and then the 2 steps the budget has left
         assert sizes == [12, 23, 23]
 
@@ -269,8 +271,7 @@ class TestVectorizedStepper:
         # a single sample takes no step: both extremes read 0
         states, drift, stats = _kernels.dop853(
             _constant_generators(-1j * random_hermitian(rng, 2)),
-            _kernels.matvec, np.array([1.5]), random_state(rng, 2), 1e-10,
-            1e-12, _kernels.norm_drift)
+            np.array([1.5]), random_state(rng, 2), 1e-10, 1e-12)
         assert states.shape == (1, 2) and drift == 0.0
         assert stats == {"accepted": 0, "rejected": 0, "discarded": 0,
                          "blocks": 0, "rhs_evals": 0, "h_min": 0.0,
@@ -299,13 +300,13 @@ class TestLiouvillian:
     @pytest.mark.parametrize("use_cd", [False, True])
     def test_ramped_block_is_lift_of_system(self, monkeypatch, use_cd):
         system = cnot_system(CnotParams(), 6.0, use_cd=use_cd)
-        args = _ramped_args(system, 6.0, True, 0.1, liouvillian=True)
+        args = _ramped_args(system, 6.0, True, 0.1)
         generators = _captured_generators(monkeypatch, _kernels.evolve_ramped,
                                           args)
         ts = -0.2 + 1.1 * _kernels.C_STAGE
         block = generators(ts)
         stack = np.stack([-1j * system(t) for t in ts])
-        lifted = _kernels.liouvillian(stack, args[-1])
+        lifted = _kernels.liouvillian(stack, args[-1].ravel())
         # off the diagonal an entry is one entry of M: bit for bit what a
         # callable of the same Hamiltonian builds
         off = ~np.eye(16, dtype=bool)
@@ -326,10 +327,10 @@ class TestLiouvillian:
         sub, idx = dynamics._invariant_sector(system, rho0.any(axis=0))
         assert idx.size == 2
         d = np.real(np.diag(sub.hz))
-        dissipator = dephasing_dissipator(d, alpha).ravel()
-        args = (sub, _kernels.matvec, np.array([sub.t_start, sub.t_end]),
-                rho0[np.ix_(idx, idx)].ravel(), 1e-10, 1e-12,
-                _kernels.trace_drift, True, dissipator)
+        block = dephasing_dissipator(d, alpha)
+        dissipator = block.ravel()
+        args = (sub, np.array([sub.t_start, sub.t_end]),
+                rho0[np.ix_(idx, idx)].ravel(), 1e-10, 1e-12, block)
         generators = _captured_generators(monkeypatch, _kernels.evolve_ramped,
                                           args)
         hz_diff = np.subtract.outer(d, d).ravel()
@@ -408,7 +409,7 @@ class TestStepperInterface:
     def test_out_holds_the_returned_bytes(self, monkeypatch, source,
                                           liouvillian, use_cd):
         system = cnot_system(CnotParams(), 6.0, use_cd=use_cd)
-        args = list(_ramped_args(system, 6.0, liouvillian, 0.1, liouvillian))
+        args = list(_ramped_args(system, 6.0, liouvillian, 0.1))
         engine = _kernels.evolve_ramped
         if source == "callable":
             args[0], engine = (lambda t: system(t)), dynamics._integrate_callable
@@ -429,7 +430,7 @@ class TestStepperInterface:
             if source == "ramped":
                 assert np.shares_memory(block, first)
 
-    def test_stage_operators_are_one_block(self, rng):
+    def test_stage_operators_are_one_block(self, rng, monkeypatch):
         m0 = -1j * random_hermitian(rng, 2)
         blocks, received = [], []
         source = _constant_generators(m0, on=1.0)
@@ -442,23 +443,27 @@ class TestStepperInterface:
             received.append(m)
             return np.dot(m, y, out)
 
+        monkeypatch.setattr(_kernels, "_MATRIX_MAX_SIZE", 0)
+        monkeypatch.setattr(_kernels, "matvec", apply)
         states, _, stats = _kernels.dop853(
-            generators, apply, np.array([0.0, 3.0, 7.0]), random_state(rng, 2),
-            1e-10, 1e-12, _kernels.norm_drift)
+            generators, np.array([0.0, 3.0, 7.0]), random_state(rng, 2),
+            1e-10, 1e-12)
         assert stats["rejected"] > 0  # their stages use the block too
         assert len(blocks) == stats["blocks"]
         # every call returns the first rows of the source's one block
         assert all(block.base is blocks[0].base for block in blocks)
-        # an ``apply`` other than ``matvec`` runs in stage mode: each block
-        # its start derivative, then 11 stages and the FSAL derivative per
-        # step, and no step after its first failure
+        # a state longer than ``_MATRIX_MAX_SIZE`` runs in stage mode: each
+        # block its start derivative, then 11 stages and the FSAL
+        # derivative per step, and no step after its first failure
         steps = stats["accepted"] + stats["rejected"]
         assert len(received) == stats["blocks"] + 12 * steps
         assert all(np.shares_memory(m, blocks[0].base) for m in received)
 
-    @pytest.mark.parametrize("apply", [_kernels.matvec, np.dot],
+    @pytest.mark.parametrize("max_size", [_kernels._MATRIX_MAX_SIZE, 0],
                              ids=["matrix", "stage"])
-    def test_generators_called_once_per_block(self, rng, apply):
+    def test_generators_called_once_per_block(self, rng, monkeypatch,
+                                              max_size):
+        monkeypatch.setattr(_kernels, "_MATRIX_MAX_SIZE", max_size)
         m0 = -1j * random_hermitian(rng, 2)
         calls = []
         source = _constant_generators(m0, on=1.0)
@@ -469,8 +474,7 @@ class TestStepperInterface:
 
         psi0 = random_state(rng, 2)
         states, _, stats = _kernels.dop853(
-            generators, apply, np.array([0.0, 3.0, 7.0]), psi0, 1e-10, 1e-12,
-            _kernels.norm_drift)
+            generators, np.array([0.0, 3.0, 7.0]), psi0, 1e-10, 1e-12)
         assert stats["accepted"] > 0 and stats["rejected"] > 0
         assert len(calls) == stats["blocks"]
         computed = stats["accepted"] + stats["rejected"] + stats["discarded"]
@@ -517,12 +521,10 @@ class TestStepperInterface:
         m0 = -1j * random_hermitian(rng, 2)
         psi0 = random_state(rng, 2)
         times = np.array([0.0, 7.0])
-        run = _kernels.dop853(_constant_generators(m0), _kernels.matvec, times,
-                              psi0, 1e-10, 1e-12, _kernels.norm_drift,
-                              width=width)
-        narrow = _kernels.dop853(_constant_generators(m0), _kernels.matvec,
-                                 times,
-                                 psi0, 1e-10, 1e-12, _kernels.norm_drift)
+        run = _kernels.dop853(_constant_generators(m0), times, psi0, 1e-10,
+                              1e-12, width=width)
+        narrow = _kernels.dop853(_constant_generators(m0), times, psi0, 1e-10,
+                                 1e-12)
         assert run[0].shape == (2, 2)
         if width == 64:
             assert run[2]["accepted"] < narrow[2]["accepted"]
@@ -536,7 +538,8 @@ class TestStepTelemetry:
              "h_min", "h_max"}
 
     @pytest.mark.parametrize("is_density,alpha", [(False, 0.0), (True, 0.1)])
-    def test_step_extremes(self, is_density, alpha):
+    def test_step_extremes(self, monkeypatch, is_density, alpha):
+        _commutator_form(monkeypatch)
         system = _SYSTEMS["cnot_cd"](20.0)
         args = _ramped_args(system, 20.0, is_density, alpha)
         first = _kernels.evolve_ramped(*args)[2]
@@ -577,11 +580,13 @@ class TestStepTelemetry:
             assert ramped.stats[key] == pytest.approx(first[key], rel=1e-7)
         assert np.abs(ramped.states - callable_run.states).max() < 5e-15
 
-    def test_step_extremes_are_of_accepted_steps(self, rng):
+    def test_step_extremes_are_of_accepted_steps(self, rng, monkeypatch):
         source = _constant_generators(-1j * random_hermitian(rng, 2), on=1.0)
         psi0 = random_state(rng, 2)
-        # matvec: blocks of 3 or more steps in matrix mode; np.dot: stage
-        for apply in (_kernels.matvec, np.dot):
+        norm_drift = _kernels.norm_drift
+        # blocks of 3 or more steps in matrix mode, then all in stage mode
+        for size in (_kernels._MATRIX_MAX_SIZE, 0):
+            monkeypatch.setattr(_kernels, "_MATRIX_MAX_SIZE", size)
             calls, steps = [], []
 
             def generators(ts):
@@ -593,11 +598,11 @@ class TestStepTelemetry:
                 # generators, with its accepted states, one per row
                 ends = calls[-1][:states.shape[0] + 1]
                 steps.extend(np.diff(ends))
-                return _kernels.norm_drift(states)
+                return norm_drift(states)
 
+            monkeypatch.setattr(_kernels, "norm_drift", drift_of)
             _, _, stats = _kernels.dop853(
-                generators, apply, np.array([0.0, 3.0, 7.0]), psi0, 1e-10,
-                1e-12, drift_of)
+                generators, np.array([0.0, 3.0, 7.0]), psi0, 1e-10, 1e-12)
             assert stats["rejected"] > 0
             assert len(steps) == stats["accepted"]
             assert stats["h_min"] == pytest.approx(min(steps), rel=1e-12)
@@ -624,10 +629,12 @@ class TestErrorEstimates:
     """An error estimate of exactly zero grows the step tenfold; one that is
     not finite rejects the step until the step underflows. Neither warns."""
 
-    @pytest.mark.parametrize("apply", [_kernels.matvec, np.dot],
+    @pytest.mark.parametrize("max_size", [_kernels._MATRIX_MAX_SIZE, 0],
                              ids=["matrix", "stage"])
-    def test_all_zero_error_block_grows_tenfold(self, rng, apply):
+    def test_all_zero_error_block_grows_tenfold(self, rng, monkeypatch,
+                                                max_size):
         # under M = 0 both error estimates of every step are exactly 0
+        monkeypatch.setattr(_kernels, "_MATRIX_MAX_SIZE", max_size)
         ends = []
         source = _constant_generators(np.zeros((2, 2), dtype=np.complex128))
 
@@ -639,8 +646,7 @@ class TestErrorEstimates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states, drift, stats = _kernels.dop853(
-                generators, apply, np.array([0.0, 100.0]), psi0, 1e-10,
-                1e-12, _kernels.norm_drift)
+                generators, np.array([0.0, 100.0]), psi0, 1e-10, 1e-12)
         assert stats["rejected"] == 0
         assert np.array_equal(states[-1], psi0)
         # blocks of 1, 2 and 4 steps, each step 10x the last block's; the
@@ -651,12 +657,14 @@ class TestErrorEstimates:
             assert h == pytest.approx(expected, rel=1e-12)
         assert ends[-1][-1] == 100.0
 
-    @pytest.mark.parametrize("apply", [_kernels.matvec, np.dot],
+    @pytest.mark.parametrize("max_size", [_kernels._MATRIX_MAX_SIZE, 0],
                              ids=["matrix", "stage"])
-    def test_nan_operator_ends_in_underflow(self, rng, apply):
-        # NaN from t = 3 on, which a block of at least 3 steps meets: under
-        # ``matvec`` it runs in matrix mode, the shorter blocks after its
-        # failure in stage mode
+    def test_nan_operator_ends_in_underflow(self, rng, monkeypatch,
+                                            max_size):
+        # NaN from t = 3 on, which a block of at least 3 steps meets: in
+        # matrix mode when the state is short enough, the shorter blocks
+        # after its failure in stage mode
+        monkeypatch.setattr(_kernels, "_MATRIX_MAX_SIZE", max_size)
         source = _constant_generators(-1j * random_hermitian(rng, 2))
         blocks = []
 
@@ -669,9 +677,8 @@ class TestErrorEstimates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepUnderflowError, match="underflowed"):
-                _kernels.dop853(generators, apply, np.array([0.0, 7.0]),
-                                random_state(rng, 2), 1e-10, 1e-12,
-                                _kernels.norm_drift)
+                _kernels.dop853(generators, np.array([0.0, 7.0]),
+                                random_state(rng, 2), 1e-10, 1e-12)
         assert any(blocks)
 
 
@@ -696,6 +703,22 @@ class TestPinnedSteps:
                                 NoiseModel.from_gap_units(0.15, params.g),
                                 EvolutionConfig(tau=200.0)).stats
         assert (stats["accepted"], stats["rejected"]) == (846, 1)
+
+    @pytest.mark.parametrize("n,steps,entry", [
+        (2, (417, 4, 34), -0.02676366612527056 + 0.02080701982247559j),
+        (3, (471, 3, 35), 0.016676645937873394 + 0.0030324832507260036j),
+    ], ids=["liouvillian-stage", "commutator"])
+    def test_full_support_lindblad(self, n, steps, entry):
+        # the Lindblad paths no CLI config reaches, from the uniform start:
+        # at dimension 4 the Liouvillian on 16 entries, in stage mode; at
+        # dimension 8 the commutator form
+        system = nqubit_system(n, CnotParams(), 20.0, use_cd=True)
+        psi0 = np.ones(system.dim, dtype=complex) / np.sqrt(system.dim)
+        traj = lindblad_evolve(system, np.outer(psi0, psi0.conj()),
+                               NoiseModel(alpha=0.1), EvolutionConfig())
+        stats = traj.stats
+        assert (stats["accepted"], stats["rejected"], stats["blocks"]) == steps
+        assert abs(traj.final_state[0, -1] - entry) < 1e-14
 
     def test_cd_lindblad_cell_fidelity(self):
         params = CnotParams()
@@ -736,8 +759,8 @@ class TestHermitianCoordinates:
     under the realification ``R(L)``; one product with ``W`` gathers both."""
 
     @staticmethod
-    def _in_coordinates(ops, hermitian):
-        forms, t, read = _kernels._coordinate_forms(ops.shape[1], hermitian)
+    def _in_coordinates(ops, dissipator):
+        forms, t, read = _kernels._coordinate_forms(ops.shape[1], dissipator)
         wide = read.shape[0]
         gathered = ops.reshape(ops.shape[0], -1).view(np.float64).dot(forms)
         return gathered.reshape(-1, wide, wide), t, read
@@ -749,7 +772,7 @@ class TestHermitianCoordinates:
         dissipator = dephasing_dissipator(np.array([1.0, -1.0]), alpha)
         m = np.stack([-1j * random_hermitian(rng, 2) for _ in range(5)])
         ops = _kernels.liouvillian(m, dissipator.ravel())
-        l_x, t, read = self._in_coordinates(ops, True)
+        l_x, t, read = self._in_coordinates(ops, dissipator)
         assert l_x.shape == (5, 4, 4) and t.shape == (8, 4)
         real = _kernels._real_form(ops)
         for _ in range(4):
@@ -778,7 +801,8 @@ class TestHermitianCoordinates:
         monkeypatch.setattr(_kernels, "_MAPS", maps)
         y = random_hermitian(rng, 2).ravel()  # exactly Hermitian
         rtol, atol, root_width = 1e-10, 1e-12, 8.0
-        steps = _kernels._matrix_mode(4, rtol, atol, root_width, hermitian)
+        dissipator = np.zeros((2, 2)) if hermitian else None
+        steps = _kernels._matrix_mode(4, rtol, atol, root_width, dissipator)
         ops = np.broadcast_to(
             _kernels.liouvillian((-1j * random_hermitian(rng, 2))[None],
                                  np.zeros(4)), (34, 4, 4)).copy()
@@ -815,7 +839,7 @@ class TestHermitianCoordinates:
         # zero's sign may differ)
         ops = (rng.standard_normal((23, size, size))
                + 1j * rng.standard_normal((23, size, size)))
-        gathered, t, read = self._in_coordinates(ops, False)
+        gathered, t, read = self._in_coordinates(ops, None)
         assert t is None and np.array_equal(read, np.arange(2 * size))
         assert gathered.tobytes() == _taken_real_forms(ops).tobytes()
         assert gathered.tobytes() == _kernels._real_form(ops).tobytes()
@@ -825,11 +849,12 @@ class TestStepperBuffers:
     """The stepper works in one state-and-stage block; nothing it returns or
     was given may share memory with it."""
 
-    def test_y0_kept_and_states_copied(self, rng):
+    def test_y0_kept_and_states_copied(self, rng, monkeypatch):
         m0 = -1j * random_hermitian(rng, 2)
         psi0 = random_state(rng, 2)
         y0 = psi0.copy()
         seen = []
+        norm_drift = _kernels.norm_drift
 
         def apply(m, y, out):
             seen.extend([y, out])
@@ -837,11 +862,15 @@ class TestStepperBuffers:
 
         def drift_of(y):
             seen.append(y)
-            return _kernels.norm_drift(y)
+            return norm_drift(y)
 
+        # stage mode, whose stages apply ``matvec`` to the state
+        monkeypatch.setattr(_kernels, "_MATRIX_MAX_SIZE", 0)
+        monkeypatch.setattr(_kernels, "matvec", apply)
+        monkeypatch.setattr(_kernels, "norm_drift", drift_of)
         states, _, stats = _kernels.dop853(
-            _constant_generators(m0, on=1.0), apply,
-            np.array([0.0, 3.0, 7.0]), y0, 1e-10, 1e-12, drift_of)
+            _constant_generators(m0, on=1.0), np.array([0.0, 3.0, 7.0]), y0,
+            1e-10, 1e-12)
         assert stats["rejected"] > 0
         assert np.array_equal(y0, psi0)
         assert np.array_equal(states[0], psi0)

@@ -107,6 +107,20 @@ class TestLinearRamp:
         with pytest.raises(NonPositiveTauError):
             linear_phase_ramp(tau)
 
+    @pytest.mark.parametrize("tau", [1e-308, np.float64(1e-308), 5e-324])
+    def test_rejects_tau_whose_rate_overflows(self, tau):
+        # j2_amp / tau and pi / tau pass 1.8e308: the rate would be inf
+        with pytest.raises(NonPositiveTauError, match="rate 10.0 / tau"):
+            linear_ramp(CnotParams(), tau=tau)
+        with pytest.raises(NonPositiveTauError, match="overflows"):
+            linear_phase_ramp(tau)
+
+    def test_shortest_tau_keeps_its_rate(self):
+        # the smallest tau with a finite rate keeps the rate of the division
+        tau = np.nextafter(10.0 / np.finfo(np.float64).max, np.inf)
+        assert linear_ramp(CnotParams(), tau).rate == 10.0 / tau
+        assert np.isfinite(linear_phase_ramp(1e-300).rate)
+
     def test_derivative_is_true_derivative(self):
         ramp = linear_ramp(CnotParams(), tau=7.0)
         eps = 1e-6
