@@ -11,13 +11,17 @@ a sector run takes the full run's steps. The stepper picks its first step
 ``dop853`` is a block stepper with one step-size controller: a block is
 ``m`` steps, 1 to ``_BLOCK_STEPS``, of one length per sample interval; it
 keeps its steps before the first that fails, and at ``m = 1`` it is the
-classical controller. Its one equation argument is the dissipator ``D =
-alpha (d_a d_c - 1)`` of a density matrix's sector, None for a pure state;
-the kernels derive the rest from it: drift monitor, Hermitian handling and
-form. ``generators(ts)``, ``evolve_ramped`` for a ramped system or one
-call per stage time of a Hamiltonian callable, returns the stage operators
-(``stage_operators``) at the times ``ts``, once per block with its ``11 m
-+ 1`` distinct stage times: generators ``M(t) = -i H(t)``, or for a
+classical controller. A ramped run, whose block costs one product at any
+length, plans full blocks: ``m`` goes from 1 to ``_BLOCK_STEPS`` after its
+first clean block and stays there after a rejected step; a callable, one
+call per stage time, doubles and halves ``m``. Its one equation argument
+is the dissipator ``D = alpha (d_a d_c - 1)`` of a density matrix's
+sector, None for a pure state; the kernels derive the rest from it: drift
+monitor, Hermitian handling and form. ``generators(ts)``,
+``evolve_ramped`` for a ramped system or one call per stage time of a
+Hamiltonian callable, returns the stage operators (``stage_operators``) at
+the times ``ts``, once per block with its ``11 m + 1`` distinct stage
+times: generators ``M(t) = -i H(t)``, or for a
 density matrix on a sector of dimension up to ``_LIOUVILLIAN_MAX_DIM``
 (``_lifted``) their superoperators ``liouvillian(M, D)``, so that every
 Lindblad stage is then one matrix-vector product, as a Schroedinger stage
@@ -49,6 +53,7 @@ Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd`` is defined in one place:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -117,10 +122,11 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_TOTAL_STEPS = 20_000_000
-# Most steps in one block. A run starts with blocks of one step, doubles the
-# block after each block with no rejected step and halves it after one with.
-# On the 40 noise-map cells, 8 ran slower than 16; 32 took 4% more steps and
-# twice the block memory, for a gain within this host's timing noise.
+# Most steps in one block. A run starts with blocks of one step; a ramped
+# run plans this many after a block with no rejected step and keeps its block
+# after one with, a callable doubles and halves it (``dop853``). On the 40
+# noise-map cells, 8 ran slower than 16; 32 took 4% more steps and twice the
+# block memory, for a gain within this host's timing noise.
 _BLOCK_STEPS = 16
 # Longest state advanced in matrix mode; a longer one, or a density matrix in
 # the commutator form, runs in stage mode. At tau 20 with CD, from a
@@ -246,12 +252,14 @@ def _hermitian_coordinates(dim):
     return t, np.array(read)
 
 
-def _coordinate_forms(size, dissipator):
+@functools.lru_cache(maxsize=8)
+def _coordinate_forms(size, pure):
     """``(W, T, read)``: ``W``, the fixed real matrix that maps the float
     view of a flattened complex ``(size, size)`` operator to the real matrix
     that acts on a state's coordinates, one product for a stack of
-    operators; ``T`` and ``read`` of the coordinates
-    (``_hermitian_coordinates``), or for a pure state None and every float.
+    operators; ``T`` and ``read`` of a density matrix's coordinates
+    (``_hermitian_coordinates``), or for a ``pure`` state None and every
+    float. Built once per ``(size, pure)``, read-only.
 
     A pure state's coordinates are its float view and the matrix is the
     realification ``R(L)`` (``_real_form``): every entry one float of the
@@ -262,10 +270,14 @@ def _coordinate_forms(size, dissipator):
     basis = np.eye(2 * size * size).view(np.complex128)
     forms = _real_form(basis.reshape(-1, size, size))
     t, read = None, np.arange(2 * size)
-    if dissipator is not None:
+    if not pure:
         t, read = _hermitian_coordinates(math.isqrt(size))
         forms = forms[:, read].dot(t)
-    return forms.reshape(forms.shape[0], -1), t, read
+        t.setflags(write=False)
+    forms = forms.reshape(forms.shape[0], -1)
+    for array in (forms, read):
+        array.setflags(write=False)
+    return forms, t, read
 
 
 def _matrix_mode(size, rtol, atol, root_width, dissipator):
@@ -299,7 +311,7 @@ def _matrix_mode(size, rtol, atol, root_width, dissipator):
     block's steps.
     """
     n, rows = _BLOCK_STEPS, 11 * _BLOCK_STEPS + 1
-    forms, t, read = _coordinate_forms(size, dissipator)
+    forms, t, read = _coordinate_forms(size, dissipator is None)
     wide = read.shape[0]
     # the operators of the block's stage times in coordinates; zero until
     # written
@@ -474,10 +486,17 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     step length is the smallest of ``h_k min(10, 0.9 err_k^-1/8)`` over
     the block's steps when all are accepted, else ``h max(0.2, 0.9
     err^-1/8)`` of the failed step; at ``m = 1`` this is the classical
-    controller. A block runs in matrix mode (``_matrix_mode``) when the
-    stages apply ``matvec``, the state has at most ``_MATRIX_MAX_SIZE``
-    entries and the block at least ``_MATRIX_MIN_STEPS`` steps, else in
-    stage mode (``_stage_mode``); both take the same steps.
+    controller. ``m`` starts at 1. A source whose block costs the same at
+    any length sets ``generators.full_blocks`` (``evolve_ramped``: one
+    product builds a block's generators): then ``m`` is ``_BLOCK_STEPS``
+    after a block with no rejected step and is kept after one with. Any
+    other source, such as a callable evaluated once per stage time, doubles
+    ``m`` after a clean block and halves it after a rejected step. A
+    sector run takes the full run's steps under either rule. A block runs
+    in matrix mode (``_matrix_mode``) when the stages apply ``matvec``, the
+    state has at most ``_MATRIX_MAX_SIZE`` entries and the block at least
+    ``_MATRIX_MIN_STEPS`` steps, else in stage mode (``_stage_mode``); both
+    take the same steps.
 
     Returns ``(states, drift, stats)``: ``drift`` is the largest over the
     accepted states; ``stats`` counts the ``accepted`` and ``rejected``
@@ -497,6 +516,7 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     y = out[0].copy()
     root_width = math.sqrt(size if width is None else width)
     pure = dissipator is None
+    full_blocks = getattr(generators, "full_blocks", False)
     drift_of = norm_drift if pure else trace_drift
     stage = _stage_mode(size, rtol, atol, root_width, dissipator)
     matrix = (_matrix_mode(size, rtol, atol, root_width, dissipator)
@@ -564,14 +584,15 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
             discarded += planned - f - 1
             h_abs = lengths[f] * max(_MIN_FACTOR,
                                      _SAFETY * errs[f] ** -0.125)
-            m = max(1, m // 2)
+            if not full_blocks:
+                m = max(1, m // 2)
         else:
             # the worst error of each run of equal steps sets the next step
             h_abs, start = math.inf, 0
             for count, h in runs:
                 h_abs = min(h_abs, h * _growth(max(errs[start:start + count])))
                 start += count
-            m = min(2 * m, _BLOCK_STEPS)
+            m = _BLOCK_STEPS if full_blocks else min(2 * m, _BLOCK_STEPS)
     stats = {"accepted": accepted, "rejected": rejected,
              "discarded": discarded, "blocks": blocks, "rhs_evals": built,
              "h_min": h_min if accepted else 0.0, "h_max": h_max}
@@ -640,10 +661,12 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
     float views of ``-i h0``, ``-i hz`` and ``-i hcd``: -i is folded in once
     per call, and the generators of all stage times of a block are one
     product, written into a block allocated once per call for the largest
-    block. The model writes ``J(t)`` and ``c(t)`` into the columns of the
-    coefficient block. Where the ``dissipator`` is ``_lifted`` the same
-    product builds the superoperators ``L(t) = (L0 + D) + J(t) Lz + c(t)
-    Lcd`` of the three terms, lifted once per call (``stage_operators``).
+    block; so a block costs about the same at any length, and the stepper
+    plans full blocks (``full_blocks``). The model writes ``J(t)`` and
+    ``c(t)`` into the columns of the coefficient block. Where the
+    ``dissipator`` is ``_lifted`` the same product builds the
+    superoperators ``L(t) = (L0 + D) + J(t) Lz + c(t) Lcd`` of the three
+    terms, lifted once per call (``stage_operators``).
     The other arguments and the result are ``dop853``'s.
     """
     # the constant D joins the lift of -i h0
@@ -666,6 +689,7 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
         coef[:k].dot(basis, target[:k])
         return block[:k]
 
+    generators.full_blocks = True
     return dop853(generators, sample_times, y0, rtol, atol, dissipator,
                   width)
 

@@ -74,7 +74,7 @@ class EvolutionConfig:
 
     The default tolerances keep the accumulated norm^2 drift of the gate
     runs below the 1e-8 monitor limit out to tau = 200 for n <= 6 at the
-    default ``j2_amp`` (6.5e-9 at n = 6, 1.4e-9 at n = 2). They do not at
+    default ``j2_amp`` (6.6e-9 at n = 6, 1.4e-9 at n = 2). They do not at
     tau = 2000 (1.16e-8 at n = 2), nor at n = 6, tau = 200 with ``j2_amp``
     20 (1.19e-8, 1.24e-8 with CD).
     """
@@ -138,9 +138,14 @@ class NoiseModel:
 def _resolve_span(h_of_t: HamiltonianLike, cfg: EvolutionConfig | None,
                   t_span: tuple[float, float] | None) -> tuple[float, float]:
     """``t_span``, else a ramped system's ramp window, else a callable's
-    [-tau/2, tau/2] from ``cfg``; ``ValueError`` for a callable without."""
+    [-tau/2, tau/2] from ``cfg``; ``ValueError`` for a callable without,
+    or for a ``t_span`` whose ends are not finite with ``t0 <= t1``."""
     if t_span is not None:
-        return float(t_span[0]), float(t_span[1])
+        t0, t1 = float(t_span[0]), float(t_span[1])
+        if not -math.inf < t0 <= t1 < math.inf:
+            raise ValueError(f"t_span must be finite with t0 <= t1, got "
+                             f"({t0}, {t1})")
+        return t0, t1
     if isinstance(h_of_t, RampedGateHamiltonian):
         return h_of_t.t_start, h_of_t.t_end
     if cfg is None or cfg.tau is None:
@@ -162,7 +167,8 @@ def _stacked(h_of_t):
 def _integrate_callable(h_of_t, sample_times, y0, rtol, atol, dissipator=None,
                         width=None):
     """``_kernels.dop853`` with the ``_kernels.stage_operators`` of a
-    Hamiltonian callable, called once per stage time of each block; the
+    Hamiltonian callable, called once per stage time of each block, so the
+    stepper doubles and halves its blocks rather than plan full ones; the
     twin of ``_kernels.evolve_ramped``, with its arguments and result."""
     h_stack = _stacked(h_of_t)
 

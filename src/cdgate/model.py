@@ -10,6 +10,7 @@ only the {|10>, |11>} sector couples.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -358,15 +359,25 @@ def _ramped_system(params: CnotParams, tau: float, use_cd: bool,
         t_start=schedule.t_start, t_end=schedule.t_end)
 
 
+@functools.lru_cache(maxsize=32)
+def _gate_terms(n: int, j1: float, g: float):
+    """``(h0, hz, hcd)`` of the n-qubit gate, which no tau changes: built
+    once per ``(n, j1, g)`` and read-only, so that a write into one system's
+    term raises instead of reaching every later system; ``build_h_n``
+    checks n."""
+    terms = (build_h_n(n, j1, 0.0, g), _op_on(SIGMA_Z, n - 1, n),
+             control_projector(n) @ _op_on(SIGMA_Y, n - 1, n))
+    for term in terms:
+        term.setflags(write=False)
+    return terms
+
+
 def _gate_system(n: int, params: CnotParams, tau: float,
                  use_cd: bool) -> RampedGateHamiltonian:
     # Shared by cnot_system and nqubit_system so that one call to either
-    # is one system build, not two; build_h_n checks n.
-    return _ramped_system(
-        params, tau, use_cd, h0=build_h_n(n, params.j1, 0.0, params.g),
-        hz=_op_on(SIGMA_Z, n - 1, n),
-        hcd=control_projector(n) @ _op_on(SIGMA_Y, n - 1, n),
-    )
+    # is one system build, not two.
+    h0, hz, hcd = _gate_terms(n, float(params.j1), float(params.g))
+    return _ramped_system(params, tau, use_cd, h0=h0, hz=hz, hcd=hcd)
 
 
 def cnot_system(params: CnotParams, tau: float,

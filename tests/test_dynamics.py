@@ -87,6 +87,45 @@ class TestEvolutionConfig:
                                   t_span=(0.0, 1.0))
         assert traj.times[-1] == 1.0
 
+    @pytest.mark.parametrize("t_span", [(1.0, 0.5), (0.0, np.nan),
+                                        (np.nan, 1.0), (0.0, np.inf),
+                                        (-np.inf, 0.0)])
+    def test_span_must_be_finite_and_ordered(self, t_span):
+        # a reversed span returned the start state at every sample with 0
+        # steps, and the identity as propagator; a NaN or inf end raised
+        # NotHermitianError at t=nan
+        system = cnot_system(CnotParams(), 4.0)
+        cfg = EvolutionConfig(tau=4.0)
+        for h_of_t in (lambda t: system(t), system):
+            with pytest.raises(ValueError, match="t_span must be finite"):
+                schrodinger_evolve(h_of_t, KET_11, cfg, t_span=t_span)
+            with pytest.raises(ValueError, match="t_span must be finite"):
+                lindblad_evolve(h_of_t, np.outer(KET_11, KET_11),
+                                NoiseModel(alpha=0.1), cfg, t_span=t_span)
+            with pytest.raises(ValueError, match="t_span must be finite"):
+                propagator(h_of_t, cfg, t_span=t_span)
+            with pytest.raises(ValueError, match="t_span must be finite"):
+                noise_trajectory_oracle(h_of_t, KET_11, 0.1, 100, 0.01,
+                                        seed=0, t_span=t_span)
+
+    def test_zero_length_span_is_the_identity(self, rng):
+        # every sample lies at the start time: the stepper records the
+        # state there and takes no step
+        system = cnot_system(CnotParams(), 4.0, use_cd=True)
+        psi0 = random_state(rng, 4)
+        cfg = EvolutionConfig(tau=4.0, sample_count=3)
+        for h_of_t in (lambda t: system(t), system):
+            traj = schrodinger_evolve(h_of_t, psi0, cfg, t_span=(0.5, 0.5))
+            assert np.array_equal(traj.states, np.stack([psi0] * 3))
+            assert traj.stats["accepted"] == traj.stats["blocks"] == 0
+            rho0 = np.outer(psi0, psi0.conj())
+            traj = lindblad_evolve(h_of_t, rho0, NoiseModel(alpha=0.1), cfg,
+                                   t_span=(0.5, 0.5))
+            assert np.array_equal(traj.final_state, rho0)
+            assert traj.stats["accepted"] == 0
+            assert np.array_equal(propagator(h_of_t, cfg, t_span=(0.5, 0.5)),
+                                  np.eye(4))
+
 
 class TestSchrodinger:
     def test_zero_hamiltonian_freezes_state(self, rng):

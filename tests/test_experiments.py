@@ -228,6 +228,25 @@ class TestGateUnitaryCheck:
         assert report.commutator_residual == 0.0
         assert report.passed
 
+    def test_callable_columns_halve_and_double_their_blocks(self,
+                                                          monkeypatch):
+        # a callable is called once per stage time, so its blocks keep
+        # the doubling rule that ramped runs left: each propagator column
+        # takes the steps it took under that rule
+        stats = []
+        dop853 = _kernels.dop853
+
+        def spy(*args):
+            result = dop853(*args)
+            stats.append(result[2])
+            return result
+
+        monkeypatch.setattr(_kernels, "dop853", spy)
+        gate_unitary_check(7.3)
+        counts = ("accepted", "rejected", "discarded", "blocks", "rhs_evals")
+        assert [tuple(s[k] for k in counts) for s in stats] == (
+            [(8, 0, 0, 4, 92)] * 2 + [(23, 1, 0, 6, 270)] * 2)
+
     def test_builds_the_hamiltonian_once_per_stage_time(self, monkeypatch):
         # perfbench's traced oracle-check needs the
         # model.build_inverse_engineered span, so the callable must call it
@@ -284,8 +303,8 @@ class TestNQubitDemo:
         # at any tau, n and amplitude (Berry, J. Phys. A 42, 365303
         # (2009)); a negative amplitude ends in |1..10>, its target.
         # Measured worst |F - exact|, all at tau 200: at j2_amp 10, 1.4e-9
-        # at n = 2 and 6.5e-9 at n = 6; at 4, 6.7e-10 and 3.1e-9; at 20,
-        # 2.7e-9 and 8.4e-9 (n = 5); at -10 as at 10. Left out: n = 6 at
+        # at n = 2 and 6.6e-9 at n = 6; at 4, 6.7e-10 and 3.1e-9; at 20,
+        # 2.7e-9 and 8.5e-9 (n = 5); at -10 as at 10. Left out: n = 6 at
         # j2_amp 20 and tau 200, whose norm drift (1.24e-8) fails the 1e-8
         # monitor at the default tolerances.
         taus = np.geomspace(0.5, 200.0, 12)

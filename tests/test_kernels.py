@@ -25,13 +25,13 @@ def _evolve_ramped_loop(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
                         sample_times, y0, rtol, atol, h_init):
     """Reference: the DOP853 step as first written for numba, one scalar
     tableau coefficient at a time, under the block controller of
-    ``dop853`` written out step by step: blocks of ``m`` steps, ``m``
-    doubling from 1 after a block with no rejected step and halving after
-    one with, up to ``_BLOCK_STEPS``; the steps of one sample interval of
-    one length; a block keeping its steps before the first that fails;
-    the next step from the failure or from the worst accepted error; a
-    density matrix symmetrized at the end of each block and at each
-    sample. Returns ``(status, states, drift, accepted, rejected)``,
+    ``dop853`` for a ramped system written out step by step: blocks of
+    ``m`` steps, ``m`` starting at 1, set to ``_BLOCK_STEPS`` after a block
+    with no rejected step and kept after one with; the steps of one sample
+    interval of one length; a block keeping its steps before the first
+    that fails; the next step from the failure or from the worst accepted
+    error; a density matrix symmetrized at the end of each block and at
+    each sample. Returns ``(status, states, drift, accepted, rejected)``,
     ``status`` one of "ok", "underflow" and "budget"."""
     A, B, C = _kernels.DP_A, _kernels.DP_B, _kernels.DP_C
     E3, E5 = _kernels.DP_E3, _kernels.DP_E5
@@ -152,11 +152,9 @@ def _evolve_ramped_loop(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
                 out[reach] = finish(y)
                 isamp = reach + 1
         y = finish(y)
-        if failed:
-            m = max(1, m // 2)
-        else:
+        if not failed:
             h_abs = next_h
-            m = min(2 * m, _kernels._BLOCK_STEPS)
+            m = _kernels._BLOCK_STEPS
     return status, out, drift, accepted, rejected
 
 
@@ -549,12 +547,15 @@ class TestStepTelemetry:
         assert 0.0 < first["h_min"] <= first["h_max"]
         assert first["h_max"] <= system.t_end - system.t_start
 
-    @pytest.mark.parametrize("lindblad", [False, True],
-                             ids=["schrodinger", "lindblad"])
-    def test_callable_step_extremes(self, lindblad):
+    @pytest.mark.parametrize("lindblad,callable_steps,ramped_steps", [
+        (False, (76, 3, 12), (79, 4, 9)), (True, (124, 5, 18), (125, 7, 14))],
+        ids=["schrodinger", "lindblad"])
+    def test_callable_step_extremes(self, monkeypatch, lindblad,
+                                    callable_steps, ramped_steps):
         system = _SYSTEMS["cnot"](5.0)
         psi0 = random_state(np.random.default_rng(5), system.dim)
         cfg = EvolutionConfig(tau=5.0, sample_count=3)
+        pinned = ("accepted", "rejected", "blocks")
 
         def run(h_of_t):
             if lindblad:
@@ -567,7 +568,22 @@ class TestStepTelemetry:
         assert set(first) == self._KEYS
         assert first == run(lambda t: system(t)).stats
         assert 0.0 < first["h_min"] <= first["h_max"] <= 5.0
-        # the ramped path takes the same steps
+        # each path under its own block rule: a callable halves and doubles
+        # its blocks, a ramped system plans full blocks
+        assert tuple(first[k] for k in pinned) == callable_steps
+        ramped = run(system)
+        assert tuple(ramped.stats[k] for k in pinned) == ramped_steps
+        # other steps, each within the tolerances: measured 3.7e-12 and
+        # 4.4e-12, bounded at 1e-11
+        assert np.abs(ramped.states - callable_run.states).max() < 1e-11
+        # under the callable's rule the ramped path takes its steps
+        dop853 = _kernels.dop853
+
+        def halving(generators, *args):
+            generators.full_blocks = False
+            return dop853(generators, *args)
+
+        monkeypatch.setattr(_kernels, "dop853", halving)
         ramped = run(system)
         counts = ("accepted", "rejected", "rhs_evals")
         assert [ramped.stats[k] for k in counts] == [first[k] for k in counts]
@@ -621,8 +637,8 @@ class TestStepTelemetry:
             monkeypatch.setattr(_kernels, "_MATRIX_MAX_SIZE", size)
             stats = schrodinger_evolve(system, psi0,
                                        EvolutionConfig(tau=20.0)).stats
-            assert [stats[k] for k in counts] == [192, 7, 19, 25, 2423]
-            assert stats["rhs_evals"] == 25 + 11 * (192 + 7 + 19)
+            assert [stats[k] for k in counts] == [193, 10, 83, 19, 3165]
+            assert stats["rhs_evals"] == 19 + 11 * (193 + 10 + 83)
 
 
 class TestErrorEstimates:
@@ -682,12 +698,50 @@ class TestErrorEstimates:
         assert any(blocks)
 
 
+class TestBlockRule:
+    """A source whose block costs the same at any length (``full_blocks``,
+    set by ``evolve_ramped``) plans ``_BLOCK_STEPS`` steps after a clean
+    block and keeps its block after a rejected step; any other source
+    doubles and halves it (``TestErrorEstimates``; each path's own steps
+    in ``TestStepTelemetry::test_callable_step_extremes``)."""
+
+    @pytest.mark.parametrize("max_size", [_kernels._MATRIX_MAX_SIZE, 0],
+                             ids=["matrix", "stage"])
+    def test_full_block_after_a_clean_block(self, rng, monkeypatch,
+                                            max_size):
+        monkeypatch.setattr(_kernels, "_MATRIX_MAX_SIZE", max_size)
+        sizes = []
+        generators = _constant_generators(np.zeros((2, 2), dtype=complex),
+                                          sizes)
+        generators.full_blocks = True
+        stats = _kernels.dop853(generators, np.array([0.0, 100.0]),
+                                random_state(rng, 2), 1e-10, 1e-12)[2]
+        # one step of 0.1, 16 of 1.0, then the 9 equal steps to t = 100
+        assert [(k - 1) // 11 for k in sizes] == [1, 16, 9]
+        assert (stats["accepted"], stats["rejected"]) == (26, 0)
+        assert stats["h_max"] == pytest.approx(83.9 / 9, rel=1e-12)
+
+    def test_block_kept_after_a_rejected_step(self, rng):
+        sizes = []
+        generators = _constant_generators(-1j * random_hermitian(rng, 2),
+                                          sizes, on=1.0)
+        generators.full_blocks = True
+        stats = _kernels.dop853(generators, np.array([0.0, 7.0]),
+                                random_state(rng, 2), 1e-10, 1e-12)[2]
+        # the switch rejects steps, yet every block but the first and the
+        # one that reaches t = 7 plans 16 steps
+        assert stats["rejected"] > 0
+        steps = [(k - 1) // 11 for k in sizes]
+        assert steps[0] == 1 and steps[-1] <= _kernels._BLOCK_STEPS
+        assert set(steps[1:-1]) == {_kernels._BLOCK_STEPS}
+
+
 class TestPinnedSteps:
     """Exact step counts of sweep cells at the default tolerances: a change
     that moves them changes the steps, not only their cost."""
 
-    @pytest.mark.parametrize("tau,steps", [(1.0, (22, 1)), (20.0, (192, 7)),
-                                           (200.0, (1595, 7))])
+    @pytest.mark.parametrize("tau,steps", [(1.0, (34, 0)), (20.0, (193, 10)),
+                                           (200.0, (1595, 10))])
     def test_sweep_tau_cell(self, tau, steps):
         params = CnotParams()
         system = nqubit_system(2, params, tau)
@@ -702,11 +756,11 @@ class TestPinnedSteps:
         stats = lindblad_evolve(system, np.outer(psi0, psi0.conj()),
                                 NoiseModel.from_gap_units(0.15, params.g),
                                 EvolutionConfig(tau=200.0)).stats
-        assert (stats["accepted"], stats["rejected"]) == (846, 1)
+        assert (stats["accepted"], stats["rejected"]) == (845, 1)
 
     @pytest.mark.parametrize("n,steps,entry", [
-        (2, (417, 4, 34), -0.02676366612527056 + 0.02080701982247559j),
-        (3, (471, 3, 35), 0.016676645937873394 + 0.0030324832507260036j),
+        (2, (416, 5, 29), -0.026763666126345512 + 0.020807019820788492j),
+        (3, (471, 3, 32), 0.01667664593685525 + 0.0030324832542310315j),
     ], ids=["liouvillian-stage", "commutator"])
     def test_full_support_lindblad(self, n, steps, entry):
         # the Lindblad paths no CLI config reaches, from the uniform start:
@@ -728,13 +782,13 @@ class TestPinnedSteps:
                               NoiseModel.from_gap_units(0.15, params.g),
                               EvolutionConfig(tau=200.0)).final_state
         assert abs(fidelity_mixed(rho, _target_state(2))
-                   - 0.500076909642514) < 1e-14
+                   - 0.5000769096425037) < 1e-14
 
     def test_optimal_tau_cell_fidelity(self):
         params = CnotParams()
         alpha = NoiseModel.from_gap_units(0.04, params.g).alpha
         fidelity = _noise_cell(params, alpha, 30.0, False, None)
-        assert abs(fidelity - 0.7997376673032096) < 1e-14
+        assert abs(fidelity - 0.7997376673018516) < 1e-14
 
 
 def _taken_real_forms(ops):
@@ -760,7 +814,8 @@ class TestHermitianCoordinates:
 
     @staticmethod
     def _in_coordinates(ops, dissipator):
-        forms, t, read = _kernels._coordinate_forms(ops.shape[1], dissipator)
+        forms, t, read = _kernels._coordinate_forms(ops.shape[1],
+                                                    dissipator is None)
         wide = read.shape[0]
         gathered = ops.reshape(ops.shape[0], -1).view(np.float64).dot(forms)
         return gathered.reshape(-1, wide, wide), t, read
@@ -831,6 +886,15 @@ class TestHermitianCoordinates:
         assert traj.stats["blocks"] > 10
         for rho in traj.states:
             assert np.array_equal(rho, rho.conj().T)
+
+    @pytest.mark.parametrize("size,pure", [(2, True), (4, False)])
+    def test_forms_built_once_and_read_only(self, size, pure):
+        forms = _kernels._coordinate_forms(size, pure)
+        assert _kernels._coordinate_forms(size, pure) is forms
+        for array in forms:
+            if array is not None:
+                assert not array.flags.writeable
+        assert (forms[1] is None) == pure
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_pure_gather_is_the_old_take(self, rng, size):

@@ -441,3 +441,65 @@ class TestRampedSystems:
         snap = analytic_spectrum(p, 3.0)
         assert np.abs(ground - snap.states[0]).max() < 1e-14
         assert np.abs(excited - snap.states[1]).max() < 1e-14
+
+
+class TestGateTerms:
+    """``h0``, ``hz`` and ``hcd`` of a gate depend on n, j1 and g, not on
+    tau: every system of one gate shares one read-only set of them."""
+
+    @pytest.mark.parametrize("build", [
+        lambda p, tau: cnot_system(p, tau),
+        lambda p, tau: nqubit_system(4, p, tau, use_cd=True)],
+        ids=["cnot", "n4-cd"])
+    def test_systems_share_read_only_terms(self, build):
+        p = CnotParams()
+        a, b = build(p, 3.0), build(p, 70.0)
+        assert a.slope != b.slope
+        for name in ("h0", "hz", "hcd"):
+            term = getattr(a, name)
+            assert term is getattr(b, name)
+            assert not term.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                term[0, 0] = 1.0
+        # the same terms as built afresh
+        n = a.dim.bit_length() - 1
+        assert np.array_equal(a.h0, build_h_n(n, p.j1, 0.0, p.g))
+
+    def test_other_params_build_other_terms(self):
+        a = cnot_system(CnotParams(), 3.0)
+        b = cnot_system(CnotParams(g=0.25), 3.0)
+        assert a.h0 is not b.h0 and not np.array_equal(a.h0, b.h0)
+        assert np.array_equal(a.hz, b.hz)
+
+    def test_restricted_terms_are_writable_copies(self):
+        system = nqubit_system(3, CnotParams(), 5.0, use_cd=True)
+        sub = system.restricted([6, 7])
+        for name in ("h0", "hz", "hcd"):
+            term, full = getattr(sub, name), getattr(system, name)
+            assert term.flags.writeable
+            assert not np.shares_memory(term, full)
+            assert np.array_equal(term, full[6:, 6:])
+
+    def test_phase_shift_gives_a_writable_h0(self, monkeypatch):
+        # schrodinger_evolve integrates the sector without its mean energy:
+        # a new h0, not a write into the shared one
+        from cdgate import dynamics
+
+        integrated = []
+        integrate = dynamics._integrate
+
+        def spy(system, *args):
+            integrated.append(system)
+            return integrate(system, *args)
+
+        monkeypatch.setattr(dynamics, "_integrate", spy)
+        system = nqubit_system(3, CnotParams(), 5.0)
+        h0 = system.h0.copy()
+        psi0 = np.zeros(8, dtype=complex)
+        psi0[6] = 1.0
+        dynamics.schrodinger_evolve(system, psi0, dynamics.EvolutionConfig())
+        (shifted,) = integrated
+        assert shifted.h0.flags.writeable
+        assert np.trace(shifted.h0) == 0.0
+        assert not np.shares_memory(shifted.h0, system.h0)
+        assert np.array_equal(system.h0, h0)  # the shared h0 is unchanged

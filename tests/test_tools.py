@@ -1,22 +1,53 @@
-"""``tools/canonical_outputs.py --compare``: the change it reports per file
-and column, and what makes it fail."""
+"""The tools: ``tools/canonical_outputs.py``, its command line and the
+change ``--compare`` reports per file and column, and what makes it fail;
+``tools/coverage.py``, the statements it counts as run."""
 
 import importlib.util
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-_TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                     "tools", "canonical_outputs.py")
+_TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "tools")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(_TOOLS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tool():
-    spec = importlib.util.spec_from_file_location("canonical_outputs", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("canonical_outputs")
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_prints_the_usage(tool, capsys, flag):
+    assert tool.run([flag]) == 0
+    assert capsys.readouterr().out.startswith(
+        "Usage: python tools/canonical_outputs.py OUTDIR")
+
+
+@pytest.mark.parametrize("argv", [["--out"], ["-x"], ["a", "b"], [],
+                                  ["--compare", "a"]])
+def test_bad_arguments_exit_2_before_writing(tool, tmp_path, monkeypatch,
+                                             capsys, argv):
+    # --help ran all the configs into a directory named --help
+    def write_outputs(outdir):
+        raise AssertionError("configs ran")
+
+    monkeypatch.setattr(tool, "write_outputs", write_outputs)
+    monkeypatch.chdir(tmp_path)
+    assert tool.run(argv) == 2
+    assert capsys.readouterr().err.startswith("Usage:")
+    assert not os.listdir(tmp_path)
 
 
 def _dirs(tmp_path, old_files, new_files):
@@ -89,3 +120,60 @@ def test_summary_line_without_a_change(tmp_path, tool, capsys):
     assert tool.compare(old, new) == []
     assert capsys.readouterr().out.splitlines()[-1] == (
         "largest change 0; 1 of 1 files unchanged")
+
+
+_TRACED = textwrap.dedent("""\
+    \"\"\"A module.\"\"\"
+    import functools
+
+
+    def f(x):
+        \"\"\"Doc.\"\"\"
+        if x > 0:
+            return -x
+        try:
+            y = (x
+                 + 1)
+        except TypeError:
+            raise
+        return y
+
+
+    @functools.lru_cache(
+        maxsize=None)
+    def g():
+        global _G
+        pass
+    """)
+
+
+def test_coverage_counts_statements_by_their_own_lines(tmp_path):
+    coverage = _load("coverage")
+    path = tmp_path / "traced.py"
+    path.write_text(_TRACED, encoding="utf-8")
+    with coverage.LineTracer(tmp_path) as tracer:
+        spec = importlib.util.spec_from_file_location("traced", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.f(2.0)
+    hits = tracer.hits[os.path.realpath(path)]
+    # no docstring and no global is a statement: 11 are; f's branch that
+    # returns ran, the try and the body of g did not
+    assert coverage.unexecuted(str(path), hits) == (11, [9, 10, 12, 13, 14,
+                                                         21])
+    assert coverage._ranges([9, 10, 12, 13, 14, 21]) == "9-10, 12-14, 21"
+
+
+def test_coverage_reports_every_package_file(tmp_path):
+    # a pytest run of one test, traced: a line per file of src/cdgate, then
+    # the total, and pytest's exit code
+    result = subprocess.run(
+        [sys.executable, os.path.join(_TOOLS, "coverage.py"),
+         "tests/test_tools.py::test_summary_line_without_a_change", "-q",
+         "-p", "no:cacheprovider"],
+        cwd=os.path.join(_TOOLS, os.pardir), capture_output=True, text=True,
+        timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert "model.py: " in "\n".join(lines)
+    assert lines[-1].startswith("total: ")

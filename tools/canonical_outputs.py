@@ -10,6 +10,9 @@ config, so that a byte-identity check between two checkouts is
 ``diff -r a b``. Manifests are left out: they hold wall times. Exits 1 if
 any config does not exit 0, after running them all.
 
+``-h`` or ``--help`` prints the usage; any other option, or a wrong
+number of arguments, exits 2 before anything is written.
+
 ``--compare`` reads the data files of two such directories and prints, per
 file and column, the largest change ``|new - old| / max(1, |old|)``:
 relative above 1 and absolute below, as ``perfbench`` compares outputs
@@ -159,16 +162,27 @@ def compare(old_dir: str, new_dir: str) -> list[str]:
     return problems
 
 
-if __name__ == "__main__":
-    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        problems = compare(sys.argv[2], sys.argv[3])
+def run(argv: list[str]) -> int:
+    """The command line: usage on ``-h``/``--help`` (0), then exit 2 before
+    anything is written for any other option or a wrong argument count."""
+    usage = __doc__.split("\n\n")[1]
+    if argv[:1] in (["-h"], ["--help"]):
+        print(usage)
+        return 0
+    if len(argv) == 3 and argv[0] == "--compare":
+        problems = compare(argv[1], argv[2])
         for line in problems:
             print(line, file=sys.stderr)
-        sys.exit(1 if problems else 0)
-    if len(sys.argv) != 2:
-        sys.exit(__doc__.split("\n\n")[1])
-    failed = write_outputs(sys.argv[1])
+        return 1 if problems else 0
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(usage, file=sys.stderr)
+        return 2
+    failed = write_outputs(argv[0])
     if failed:
         print(f"configs that did not exit 0: {', '.join(failed)}",
               file=sys.stderr)
-    sys.exit(1 if failed else 0)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(sys.argv[1:]))
