@@ -55,7 +55,6 @@ from .numerics import (
     Tolerances,
     TOL,
     commutator,
-    dagger,
     frobenius_distance,
     hermitian_eig,
     kron,

@@ -1,9 +1,11 @@
 """Command-line front end: parse a run configuration, dispatch experiments,
 serialize plot-ready CSV/JSON with a reproducibility manifest.
 
-Exit codes: 0 success, 1 runtime failure (including a sweep with failed
-cells or a failed gate check, whose files are still written), 2
-configuration/validation error.
+Exit codes: 0 success; 1 runtime failure, an ``error:`` line and no
+traceback (a sweep with failed cells or a failed gate check writes its
+files, then exits 1 with its cause); 2 configuration/validation error,
+before any file is written. ``_write`` writes every file and leaves no
+partial one. Defaults and range checks are the library's own.
 Axis values accept the range syntax ``start:stop:count[log]`` or a comma
 list; noise strengths are given in units of the minimal gap 2g. A JSON
 config file (``--config``) supplies defaults that explicit flags override.
@@ -13,6 +15,7 @@ JSON output is strict: a NaN is written as null.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -28,6 +31,11 @@ from ._version import __version__
 from .dynamics import EvolutionConfig, NoiseModel
 from .errors import CdgateError
 from .experiments import (
+    _GATE_DISTANCE_LIMIT,
+    _PROFILE_SAMPLES,
+    _TAU_WINDOW,
+    _check_tau_window,
+    _check_threshold,
     _gate_cell,
     _run_cell,
     _target_index,
@@ -41,18 +49,18 @@ from .experiments import (
     sweep_tau,
     tradeoff_boundary,
 )
-from .model import (CnotParams, analytic_spectrum, linear_phase_ramp,
-                    linear_ramp)
-
-_AXIS_HELP = "range syntax start:stop:count[log] or a comma-separated list"
+from .model import (CnotParams, _check_qubit_count, analytic_spectrum,
+                    linear_phase_ramp, linear_ramp)
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, with the library's defaults."""
+
     command: str
-    j1: float = 1.0
-    g: float = 0.5
-    j2_amp: float = 10.0
+    j1: float = CnotParams.j1
+    g: float = CnotParams.g
+    j2_amp: float = CnotParams.j2_amp
     tau: str = "20"
     alpha: str | None = None
     threshold: float = 0.9
@@ -64,10 +72,10 @@ class RunConfig:
     format: str = "csv"
     seed: int = 0
     workers: int | None = None
-    samples: int = 201
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    tau_window: str = "2:120"
+    samples: int = _PROFILE_SAMPLES
+    rel_tol: float = EvolutionConfig.rel_tol
+    abs_tol: float = EvolutionConfig.abs_tol
+    tau_window: str = "{:g}:{:g}".format(*_TAU_WINDOW)
     gnuplot: bool = False
 
     def params(self) -> CnotParams:
@@ -75,13 +83,9 @@ class RunConfig:
         scale = 2.0 if self.full_range_ramp else 1.0
         return CnotParams(j1=self.j1, g=self.g, j2_amp=self.j2_amp * scale)
 
-    def evolution_config(self, sample_count: int = 2) -> EvolutionConfig:
+    def evolution_config(self, **options) -> EvolutionConfig:
         return EvolutionConfig(abs_tol=self.abs_tol, rel_tol=self.rel_tol,
-                               sample_count=sample_count)
-
-    def echo(self) -> dict:
-        out = asdict(self)
-        return {k: v for k, v in out.items() if v is not None}
+                               **options)
 
 
 def parse_axis(spec: str) -> np.ndarray:
@@ -115,10 +119,8 @@ def parse_axis(spec: str) -> np.ndarray:
 
 def _axis_problem(command: str, name: str, values: np.ndarray) -> str | None:
     """Why the ``--tau`` or ``--alpha`` values do not suit ``command``, or
-    None. An axis the command does not take is not checked."""
+    None."""
     spec = _COMMANDS[command]
-    if name not in spec.options:
-        return None
     if spec.single and values.size > 1:
         return "takes one value"
     # tau is a duration; alpha = 0 has no optimal tau
@@ -131,11 +133,11 @@ def _axis_problem(command: str, name: str, values: np.ndarray) -> str | None:
 
 
 def _parse_window(spec: str) -> tuple[float, float]:
-    """Parse a ``lo:hi`` search window with ``0 < lo < hi``."""
-    parts = [float(x) for x in str(spec).split(":")]
-    if len(parts) != 2 or not 0 < parts[0] < parts[1] < np.inf:
-        raise ValueError(f"--tau-window must be lo:hi, 0 < lo < hi; got {spec!r}")
-    return parts[0], parts[1]
+    """Parse a ``lo:hi`` search window, checked as ``find_optimal_tau``
+    checks it."""
+    window = tuple(float(x) for x in str(spec).split(":"))
+    _check_tau_window(window)
+    return window
 
 
 # Config key -> the type its value is cast to (``str | None`` -> str).
@@ -160,12 +162,13 @@ _HELP = {
     "rel_tol": "integrator relative tolerance",
     "abs_tol": "integrator absolute tolerance",
     "gnuplot": "emit a companion gnuplot script per CSV",
-    "tau": f"driving time(s), {_AXIS_HELP}",
-    "alpha": f"noise strengths in units of 2g, {_AXIS_HELP}",
+    "tau": "driving time(s), range syntax start:stop:count[log] or a "
+           "comma-separated list",
+    "alpha": "noise strengths in units of 2g, in the syntax of --tau",
     "cd": "add the counterdiabatic field",
-    "threshold": "fidelity threshold in (0.5, 1)",
+    "threshold": "fidelity threshold",
     "tau_window": "search window lo:hi",
-    "n": "qubit count (2..6)",
+    "n": "qubit count",
     "phase_offset": "integer n in phi(0) = 2 pi n",
 }
 
@@ -194,7 +197,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
+def _load_config_file(path: str, parser: argparse.ArgumentParser):
+    """A JSON config file's command and values, each cast to its field's
+    type; no boolean is a number, no float an integer (as ``--n 3.0``)."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -205,17 +210,20 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
     unknown = sorted(set(data) - set(_FIELDS) - {"command"})
     if unknown:
         parser.error(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
     for key, value in data.items():
-        if key == "command":
+        want = _FIELDS.get(key)
+        if want is None or value is None:  # the command, or no value
             continue
-        want = _FIELDS[key]
-        if want is bool and not isinstance(value, bool):
-            parser.error(f"config key {key!r} must be a boolean")
-        if want in (int, float) and isinstance(value, bool):
-            parser.error(f"config key {key!r} must be a number")
-        if want is int and isinstance(value, float):  # as --n 3.0 exits 2
-            parser.error(f"config key {key!r} must be an integer, got {value}")
-    return data
+        if ((want is bool) != isinstance(value, bool)
+                or want is int and isinstance(value, float)):
+            parser.error(f"config key {key!r} must be of type "
+                         f"{want.__name__}, got {value!r}")
+        try:
+            values[key] = want(value)
+        except (TypeError, ValueError, OverflowError):
+            parser.error(f"config key {key!r} has an invalid value")
+    return data.get("command"), values
 
 
 def parse_config(argv: list[str] | None = None) -> RunConfig:
@@ -225,95 +233,86 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     ns = parser.parse_args(argv)
     command = ns.command
 
-    file_values: dict = {}
-    if getattr(ns, "config", None):
-        file_values = _load_config_file(ns.config, parser)
-        if file_values.get("command") not in (None, command):
-            parser.error(
-                f"config file is for {file_values['command']!r}, "
-                f"but the command line says {command!r}"
-            )
-
-    merged = {}
-    defaults = _COMMANDS[command].defaults
-    for name, caster in _FIELDS.items():
-        cli_value = getattr(ns, name, None)
-        if cli_value is not None:
-            merged[name] = cli_value
-        elif name in file_values and file_values[name] is not None:
-            try:
-                merged[name] = (bool(file_values[name]) if caster is bool
-                                else caster(file_values[name]))
-            except (TypeError, ValueError):
-                parser.error(f"config key {name!r} has an invalid value")
-        elif name in defaults:
-            merged[name] = defaults[name]
-
+    file_command, file_values = (_load_config_file(ns.config, parser)
+                                 if ns.config else (None, {}))
+    if file_command not in (None, command):
+        parser.error(f"config file is for {file_command!r}, "
+                     f"but the command line says {command!r}")
+    flags = {name: value for name in _FIELDS
+             if (value := getattr(ns, name, None)) is not None}
+    merged = {**_COMMANDS[command].defaults, **file_values, **flags}
     for name in _COMMANDS[command].required:
-        if merged.get(name) is None:
+        if name not in merged:
             parser.error(f"--{name} is required for {command}")
 
-    rc_kwargs = {k: v for k, v in merged.items() if v is not None}
     try:
-        rc = RunConfig(command=command, **rc_kwargs)
+        rc = RunConfig(command=command, **merged)
         params = rc.params()
-        rc.evolution_config()
-        for axis_name in ("tau", "alpha"):
-            value = getattr(rc, axis_name)
-            problem = (None if value is None else
-                       _axis_problem(command, axis_name, parse_axis(value)))
-            if problem:
-                parser.error(f"--{axis_name} {problem} for {command}, "
-                             f"got {value!r}")
-        if rc.alpha is not None and "alpha" in _COMMANDS[command].options:
-            for value in parse_axis(rc.alpha):
-                NoiseModel.from_gap_units(float(value), params.g)
-        if "tau" in _COMMANDS[command].options:
-            # a tau so short that its ramp's rate overflows
-            ramp = (linear_phase_ramp if command == "gate-check"
-                    else lambda tau: linear_ramp(params, tau))
-            for value in parse_axis(rc.tau):
-                ramp(float(value))
-        if command == "optimal-tau":
-            linear_ramp(params, _parse_window(rc.tau_window)[0])
+        rc.evolution_config()  # the tolerances
+        # each value as the run takes it: a tau so short that its ramp's
+        # rate overflows, 2 alpha or a phase offset 2 pi n that is not finite
+        value_checks = {
+            "tau": (lambda tau: linear_phase_ramp(tau, rc.phase_offset))
+            if command == "gate-check" else lambda tau: linear_ramp(params, tau),
+            "alpha": lambda alpha: NoiseModel.from_gap_units(alpha, params.g)}
+        for name, check in value_checks.items():
+            spec = getattr(rc, name)
+            if spec is None or name not in _COMMANDS[command].options:
+                continue  # an axis the command does not take is not checked
+            values = parse_axis(spec)
+            if problem := _axis_problem(command, name, values):
+                parser.error(f"--{name} {problem} for {command}, got {spec!r}")
+            for value in values.tolist():
+                check(value)
+        # the library's checks of the other fields, each error named by its
+        # flag; a field the command does not take is not checked
+        field_checks = {
+            "samples": lambda: rc.evolution_config(sample_count=rc.samples),
+            "tau_window": lambda: linear_ramp(params,
+                                              _parse_window(rc.tau_window)[0]),
+            "threshold": lambda: _check_threshold(rc.threshold),
+            "n": lambda: _check_qubit_count(rc.n)}
+        for name, check in field_checks.items():
+            if name == "samples" or name in _COMMANDS[command].options:
+                try:
+                    check()
+                except (CdgateError, ValueError) as exc:
+                    parser.error(f"--{name.replace('_', '-')}: {exc}")
         if rc.format not in ("csv", "json"):
             parser.error(f"unsupported format {rc.format!r}")
         if not os.path.isdir(os.path.dirname(rc.output) or "."):
             parser.error(f"--output directory does not exist: {rc.output!r}")
-        if command == "tradeoff" and not 0.5 < rc.threshold < 1.0:
-            parser.error(f"--threshold must lie in (0.5, 1), got {rc.threshold}")
-        if command == "nqubit" and not 2 <= (rc.n or 0) <= 6:
-            parser.error(f"--n must lie in 2..6, got {rc.n}")
-        if rc.samples < 2:
-            parser.error("--samples must be at least 2")
     except (CdgateError, ValueError) as exc:
         parser.error(str(exc))
     return rc
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):  # a bool is 1 or 0
         return str(int(value))
     return format(float(value), ".17g")
 
 
-def emit_csv(path: str, header: list[str], rows) -> int:
-    """Write one CSV data file: header row, 17-significant-digit floats,
-    LF endings, UTF-8. Removes the partial file on failure."""
+def _write(path: str, chunks) -> int:
+    """The one file writer: the text ``chunks`` into ``path`` (UTF-8, LF
+    endings), returning their count; a failed write removes the file."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
+        with fh:
             count = 0
-            for row in rows:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
-                count += 1
-        return count
-    except OSError:
-        if os.path.exists(path):
-            os.unlink(path)
+            for count, chunk in enumerate(chunks, 1):
+                fh.write(chunk)
+            return count
+    except BaseException:
+        os.unlink(path)
         raise
+
+
+def emit_csv(path: str, header: list[str], rows) -> int:
+    """Write one CSV data file, a row at a time: header row,
+    17-significant-digit floats. Returns the row count."""
+    lines = (",".join(_fmt(x) for x in row) + "\n" for row in rows)
+    return _write(path, itertools.chain([",".join(header) + "\n"], lines)) - 1
 
 
 def _strict_json(value):
@@ -328,19 +327,18 @@ def _strict_json(value):
     return value
 
 
+def _json_text(value, **options) -> str:
+    return json.dumps(_strict_json(value), indent=1, allow_nan=False,
+                      **options) + "\n"
+
+
 def emit_json(path: str, header: list[str], rows) -> int:
-    try:
-        payload = [dict(zip(header, [bool(x) if isinstance(x, (bool, np.bool_))
-                                     else float(x) for x in row]))
-                   for row in rows]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(_strict_json(payload), fh, indent=1, allow_nan=False)
-            fh.write("\n")
-        return len(payload)
-    except OSError:
-        if os.path.exists(path):
-            os.unlink(path)
-        raise
+    """Write one JSON data file, an object per row. Returns the row count."""
+    payload = [dict(zip(header, [bool(x) if isinstance(x, (bool, np.bool_))
+                                 else float(x) for x in row]))
+               for row in rows]
+    _write(path, [_json_text(payload)])
+    return len(payload)
 
 
 def _gnuplot_script(csv_path: str, header: list[str]) -> str:
@@ -358,8 +356,7 @@ def _gnuplot_script(csv_path: str, header: list[str]) -> str:
 
 def _spectrum_rows(rc: RunConfig):
     params = rc.params()
-    tau = float(parse_axis(rc.tau)[0])
-    ramp = linear_ramp(params, tau)
+    ramp = linear_ramp(params, float(parse_axis(rc.tau)[0]))
     times = np.linspace(ramp.t_start, ramp.t_end, rc.samples)
     rows = []
     for t in times:
@@ -397,10 +394,8 @@ def _sweep_tau_rows(rc: RunConfig):
     params = rc.params()
     taus = parse_axis(rc.tau)
     cfg = rc.evolution_config()
-    if rc.command == "nqubit":
-        result = n_qubit_demo(rc.n, params, taus, rc.cd, cfg)
-    else:
-        result = sweep_tau(params, taus, rc.cd, cfg)
+    result = (n_qubit_demo(rc.n, params, taus, rc.cd, cfg)
+              if rc.command == "nqubit" else sweep_tau(params, taus, rc.cd, cfg))
     rows = [
         (tau, result.fidelity[0, j], result.transition_prob[0, j],
          lz_prediction_for(params, float(tau)))
@@ -420,13 +415,10 @@ def _noise_rows(rc: RunConfig):
     params = rc.params()
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
                      cd_enabled=rc.cd)
-    cfg = rc.evolution_config()
-    result = sweep_noise(grid, cfg)
-    rows = []
-    for i, alpha in enumerate(grid.alpha_values):
-        for j, tau in enumerate(grid.tau_values):
-            rows.append((alpha, grid.alpha_gap_units[i], tau,
-                         result.fidelity[i, j]))
+    result = sweep_noise(grid, rc.evolution_config())
+    rows = [(alpha, grid.alpha_gap_units[i], tau, result.fidelity[i, j])
+            for i, alpha in enumerate(grid.alpha_values)
+            for j, tau in enumerate(grid.tau_values)]
     _warn_failed(result.failed_cells, "its fidelity is written as NaN")
     header = ["alpha_abs", "alpha_in_gap_units", "tau", "fidelity"]
     return header, rows, {"failed_cells": result.failed_cells}
@@ -434,13 +426,13 @@ def _noise_rows(rc: RunConfig):
 
 def _optimal_tau_rows(rc: RunConfig):
     params = rc.params()
-    lo, hi = _parse_window(rc.tau_window)
+    window = _parse_window(rc.tau_window)
     cfg = rc.evolution_config()
     rows = []
     for alpha_gap in parse_axis(rc.alpha):
         alpha = NoiseModel.from_gap_units(float(alpha_gap), params.g).alpha
         tau_star, f_star = find_optimal_tau(params, alpha, cfg,
-                                            tau_window=(lo, hi))
+                                            tau_window=window)
         rows.append((alpha, alpha_gap, tau_star, f_star))
     return ["alpha_abs", "alpha_in_gap_units", "tau_star", "f_star"], rows, {}
 
@@ -449,30 +441,24 @@ def _tradeoff_rows(rc: RunConfig):
     params = rc.params()
     grid = make_grid(params, parse_axis(rc.tau), parse_axis(rc.alpha),
                      cd_enabled=True)
-    cfg = rc.evolution_config()
-    curve = tradeoff_boundary(grid, rc.threshold, cfg)
+    curve = tradeoff_boundary(grid, rc.threshold, rc.evolution_config())
     rows = [(alpha, NoiseModel(alpha=alpha).in_gap_units(params.g), tau_max,
              alpha * tau_max) for alpha, tau_max in curve.points]
     header = ["alpha_abs", "alpha_in_gap_units", "tau_max", "tau_alpha_product"]
     _warn_failed(curve.failed_cells, "it counts as below the threshold")
-    summary = {"product_mean": curve.product_mean,
-               "product_spread": curve.product_spread,
-               "threshold": curve.threshold,
-               "failed_cells": curve.failed_cells}
+    summary = {key: getattr(curve, key) for key in (
+        "product_mean", "product_spread", "threshold", "failed_cells")}
     return header, rows, summary
 
 
 def _gate_check_rows(rc: RunConfig):
-    rows = []
-    all_passed = True
-    for tau in parse_axis(rc.tau):
-        report = gate_unitary_check(float(tau), n_offset=rc.phase_offset)
-        rows.append((report.tau, report.distance, report.phase_insensitive,
-                     report.commutator_residual, report.passed))
-        all_passed = all_passed and report.passed
+    reports = [gate_unitary_check(float(tau), n_offset=rc.phase_offset)
+               for tau in parse_axis(rc.tau)]
+    rows = [(r.tau, r.distance, r.phase_insensitive, r.commutator_residual,
+             r.passed) for r in reports]
     header = ["tau", "frobenius_distance", "phase_insensitive_distance",
               "commutator_residual", "passed"]
-    return header, rows, {"all_passed": all_passed}
+    return header, rows, {"all_passed": all(r.passed for r in reports)}
 
 
 class _Command(NamedTuple):
@@ -526,14 +512,16 @@ def _failure(summary: dict) -> str | None:
                   else "their fidelity is written as NaN")
         return f"{len(summary['failed_cells'])} sweep cell(s) failed; {effect}"
     if summary.get("all_passed") is False:
-        return "gate check failed the 1e-10 distance bound"
+        return (f"gate check failed the {_GATE_DISTANCE_LIMIT:g} distance "
+                "bound")
     return None
 
 
 def run_command(rc: RunConfig) -> tuple[list[str], str | None]:
     """Execute the configured command; returns the written files and, for a
     run whose summary records a failure, its cause (None on success). The
-    manifest is written last so its presence signals completion."""
+    manifest is written last so its presence signals completion; a write
+    that fails leaves no partial file."""
     t0 = time.perf_counter()
     header, rows, summary = _COMMANDS[rc.command].rows(rc)
 
@@ -544,12 +532,11 @@ def run_command(rc: RunConfig) -> tuple[list[str], str | None]:
 
     if rc.gnuplot and rc.format == "csv":
         gp_path = data_path + ".gp"
-        with open(gp_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_gnuplot_script(data_path, header))
+        _write(gp_path, [_gnuplot_script(data_path, header)])
         files.append({"path": gp_path, "rows": None})
 
     manifest = {
-        "config": rc.echo(),
+        "config": {k: v for k, v in asdict(rc).items() if v is not None},
         "version": __version__,
         "backend": backend_name(),
         "workers": default_worker_count(),
@@ -559,10 +546,7 @@ def run_command(rc: RunConfig) -> tuple[list[str], str | None]:
     if summary:
         manifest["summary"] = summary
     manifest_path = f"{rc.output}_manifest.json"
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_strict_json(manifest), fh, indent=1, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
+    _write(manifest_path, [_json_text(manifest, sort_keys=True)])
     return [f["path"] for f in files] + [manifest_path], _failure(summary)
 
 
@@ -573,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         files, failure = run_command(rc)
-    except (CdgateError, ValueError, OSError) as exc:
+    except Exception as exc:  # one error: line, never a traceback
         print(f"cdgate: error: {exc}", file=sys.stderr)
         return 1
     for path in files:

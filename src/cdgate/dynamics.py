@@ -57,6 +57,9 @@ HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
 
 # The largest dephasing rate whose dissipator entry, -2 alpha, is finite.
 _ALPHA_MAX = np.finfo(np.float64).max / 2.0
+# The smallest abs_tol: the error norm squares each error over abs_tol +
+# rel_tol |y|, which can overflow below it.
+_ABS_TOL_MIN = 1e-150
 
 
 def _as_index(value, name: str, error=ValueError) -> int:
@@ -87,8 +90,10 @@ class EvolutionConfig:
     def __post_init__(self):
         if self.tau is not None and not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not (_ABS_TOL_MIN <= self.abs_tol < math.inf
+                and 0 < self.rel_tol < math.inf):
+            raise ValueError(f"tolerances must be positive and finite, with "
+                             f"abs_tol >= {_ABS_TOL_MIN:g}")
         if _as_index(self.sample_count, "sample_count") < 2:
             raise ValueError("sample_count must be at least 2")
 
@@ -295,11 +300,8 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
 def propagator(h_of_t: HamiltonianLike, cfg: EvolutionConfig,
                t_span: tuple[float, float] | None = None) -> np.ndarray:
     """Time-ordered evolution operator over the span, column by column."""
-    if isinstance(h_of_t, RampedGateHamiltonian):
-        dim = h_of_t.dim
-    else:
-        t0, _ = _resolve_span(h_of_t, cfg, t_span)
-        dim = np.asarray(h_of_t(t0)).shape[0]
+    t0, _ = _resolve_span(h_of_t, cfg, t_span)
+    dim = np.asarray(h_of_t(t0)).shape[0]
     return np.stack([schrodinger_evolve(h_of_t, basis, cfg, t_span).final_state
                      for basis in np.eye(dim, dtype=np.complex128)], axis=1)
 
@@ -369,8 +371,7 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
         raise InvalidSampleCountError(
             f"need at least 100 samples for a meaningful average, got {n_samples}"
         )
-    if not 0 <= alpha < math.inf:
-        raise ValueError("alpha must be non-negative and finite")
+    NoiseModel(alpha=alpha)  # its range check
     d = _jump_diagonal(h_of_t, psi0.shape[0])
     ramped = isinstance(h_of_t, RampedGateHamiltonian)
     t0, t1 = _resolve_span(h_of_t, None, t_span)

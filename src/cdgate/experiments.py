@@ -25,7 +25,6 @@ import numpy as np
 from ._kernels import backend_name
 from ._version import __version__ as _version
 from .dynamics import (
-    _ALPHA_MAX,
     EvolutionConfig,
     NoiseModel,
     Trajectory,
@@ -55,6 +54,8 @@ from .observables import FidelityPoint, fidelity_mixed, lz_formula
 _GATE_DISTANCE_LIMIT = 1e-10
 _COARSE_POINTS = 18    # find_optimal_tau's log-spaced scan
 _RESOLUTION = 0.5      # width at which its golden-section search stops
+_TAU_WINDOW = (2.0, 120.0)  # its default search window
+_PROFILE_SAMPLES = 201  # adiabatic_profile's default sample count
 
 
 def default_worker_count() -> int:
@@ -80,9 +81,8 @@ class SweepGrid:
             raise ValueError("grid axes must be non-empty")
         if not np.all(np.isfinite(tau) & (tau > 0)):
             raise ValueError("all tau values must be positive and finite")
-        if not np.all((alpha >= 0) & (alpha <= _ALPHA_MAX)):
-            raise ValueError("all alpha values must be non-negative, with "
-                             "2 alpha finite")
+        for value in alpha.tolist():
+            NoiseModel(alpha=value)  # its range check
         if np.any(np.diff(tau) < 0) or np.any(np.diff(alpha) < 0):
             raise ValueError("grid axes must be ascending")
 
@@ -184,7 +184,7 @@ def adiabatic_profile(params: CnotParams, tau: float, cd_enabled: bool = False,
     amplitude, ``_target_index``) along one unitary gate run, sampled at
     201 points unless ``cfg`` asks for at least 3."""
     if cfg is None or cfg.sample_count < 3:
-        cfg = replace(cfg or EvolutionConfig(), sample_count=201)
+        cfg = replace(cfg or EvolutionConfig(), sample_count=_PROFILE_SAMPLES)
     system, _, _ = cell = _gate_cell(params, tau, cd_enabled)
     traj = _run_cell(cell, cfg)
     target = _target_index(system)
@@ -268,9 +268,19 @@ def _sweep(grid: SweepGrid, cell, cfg: EvolutionConfig | None,
                        failed_cells=failed)
 
 
+def _check_tau_window(tau_window: tuple[float, float]) -> None:
+    if len(tau_window) != 2 or not 0 < tau_window[0] < tau_window[1] < np.inf:
+        raise ValueError(f"tau_window needs 0 < lo < hi, got {tau_window}")
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.5 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0.5, 1), got {threshold}")
+
+
 def find_optimal_tau(params: CnotParams, alpha: float,
                      cfg: EvolutionConfig | None = None,
-                     tau_window: tuple[float, float] = (2.0, 120.0)
+                     tau_window: tuple[float, float] = _TAU_WINDOW
                      ) -> tuple[float, float]:
     """Locate the driving time maximizing the noisy no-CD final fidelity.
 
@@ -282,8 +292,7 @@ def find_optimal_tau(params: CnotParams, alpha: float,
     if alpha <= 0:
         raise ValueError("find_optimal_tau needs alpha > 0; the noiseless "
                          "fidelity is monotone in tau")
-    if not 0 < tau_window[0] < tau_window[1] < np.inf:
-        raise ValueError(f"tau_window needs 0 < lo < hi, got {tau_window}")
+    _check_tau_window(tau_window)
 
     def f_of(tau: float) -> float:
         return _noise_cell(params, alpha, tau, False, cfg)
@@ -324,8 +333,7 @@ def tradeoff_boundary(grid: SweepGrid, threshold: float,
     tau_max * alpha product is."""
     if not grid.cd_enabled:
         raise ValueError("tradeoff_boundary expects a CD-enabled grid")
-    if not 0.5 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0.5, 1), got {threshold}")
+    _check_threshold(threshold)
     result = sweep_noise(grid, cfg)
     points = []
     products = []

@@ -21,6 +21,7 @@ from .errors import (
     DimensionTooLargeError,
     GapCollisionError,
     NonPositiveTauError,
+    PhaseOverflowError,
 )
 from .numerics import TOL, as_operator, hermitian_eig, kron
 
@@ -54,10 +55,12 @@ class CnotParams:
         if not 0 < abs(self.j2_amp) < np.inf:
             raise ValueError(f"j2_amp must be nonzero and finite, got {self.j2_amp}")
         # the spectrum, the start states and the CD term form g^2 + J^2
-        if float(self.g) * float(self.g) < np.finfo(np.float64).tiny:
+        g, j2_amp = float(self.g), float(self.j2_amp)
+        if g * g < np.finfo(np.float64).tiny:
             raise ValueError(f"g^2 underflows, got g={self.g}")
-        if float(self.j2_amp) * float(self.j2_amp) == np.inf:
-            raise ValueError(f"j2_amp^2 overflows, got j2_amp={self.j2_amp}")
+        if g * g + j2_amp * j2_amp == np.inf:
+            raise ValueError(f"g^2 + j2_amp^2 overflows, got g={self.g}, "
+                             f"j2_amp={self.j2_amp}")
         # the gate sector's trace, 2 (n - 1) j1, is 10 j1 at n = 6
         if 10.0 * float(self.j1) == np.inf:
             raise ValueError(f"10 j1 overflows, got j1={self.j1}")
@@ -107,8 +110,14 @@ def linear_ramp(params: CnotParams, tau: float) -> DriveSchedule:
 
 def linear_phase_ramp(tau: float, n_offset: int = 0) -> DriveSchedule:
     """phi(t) = 2 pi n + pi t / tau on [0, tau], so phi(0) = 2 pi n and
-    phi(tau) = (2n + 1) pi."""
-    return DriveSchedule(rate=_rate(np.pi, tau), offset=2.0 * np.pi * n_offset,
+    phi(tau) = (2n + 1) pi; ``PhaseOverflowError`` unless 2 pi n is finite."""
+    try:  # in Python floats, so that an overflow does not warn
+        offset = 2.0 * math.pi * float(n_offset)
+    except OverflowError:  # an int too large for a float
+        offset = math.inf
+    if not math.isfinite(offset):
+        raise PhaseOverflowError("the phase offset 2 pi n is not finite")
+    return DriveSchedule(rate=_rate(np.pi, tau), offset=offset,
                          t_start=0.0, t_end=tau)
 
 

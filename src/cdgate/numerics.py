@@ -60,29 +60,27 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_operator(a), as_operator(b))
 
 
-def dagger(m) -> np.ndarray:
-    return as_operator(m).conj().T
+def _operator_pair(a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as operators of one shape, or an error for ``what``."""
+    a, b = as_operator(a), as_operator(b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"{what} needs equal shapes, got {a.shape}, {b.shape}")
+    return a, b
 
 
 def commutator(a, b) -> np.ndarray:
-    a, b = as_operator(a), as_operator(b)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"commutator needs equal shapes, got {a.shape}, {b.shape}")
+    a, b = _operator_pair(a, b, "commutator")
     return a @ b - b @ a
 
 
 def frobenius_distance(u, v) -> float:
-    u, v = as_operator(u), as_operator(v)
-    if u.shape != v.shape:
-        raise DimensionMismatchError(f"distance needs equal shapes, got {u.shape}, {v.shape}")
+    u, v = _operator_pair(u, v, "distance")
     return float(np.linalg.norm(u - v))
 
 
 def phase_insensitive_distance(u, v) -> float:
     """min over a global phase of ||U - e^{i phi} V||_F."""
-    u, v = as_operator(u), as_operator(v)
-    if u.shape != v.shape:
-        raise DimensionMismatchError(f"distance needs equal shapes, got {u.shape}, {v.shape}")
+    u, v = _operator_pair(u, v, "distance")
     nu2 = np.linalg.norm(u) ** 2
     nv2 = np.linalg.norm(v) ** 2
     overlap = abs(np.trace(u.conj().T @ v))

@@ -1,11 +1,24 @@
+import contextlib
+import inspect
+import io
 import json
+import math
 import os
+import pathlib
+import runpy
+import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cdgate.cli import RunConfig, emit_csv, main, parse_axis, parse_config
+from cdgate import cli
+from cdgate.cli import (RunConfig, emit_csv, emit_json, main, parse_axis,
+                        parse_config)
+from cdgate.dynamics import EvolutionConfig
+from cdgate.experiments import GateCheckReport, find_optimal_tau
 from cdgate.model import CnotParams, analytic_spectrum, linear_ramp
 
 
@@ -142,16 +155,24 @@ class TestParseConfig:
         (["gate-check", "--tau", "1e-308"], "rate 3.141592653589793 / tau"),
         (["optimal-tau", "--alpha", "0.1", "--tau-window", "1e-308:2"],
          "rate 10.0 / tau"),
+        (["spectrum", "--g", "1e300"], "g^2 + j2_amp^2 overflows"),
+        (["gate-check", "--tau", "1", "--phase-offset", "1" + "0" * 400],
+         "the phase offset 2 pi n is not finite"),
+        (["evolve", "--tau", "1", "--rel-tol", "1e-300", "--abs-tol",
+          "1e-300"], "with abs_tol >= 1e-150"),
     ], ids=["g-1e-300", "g-1e-160", "j2", "evolve-alpha", "heatmap-alpha",
             "optimal-tau-alpha", "evolve-j1", "sweep-tau-j1", "spectrum-tau",
             "heatmap-tau", "sweep-tau-tau", "evolve-tau", "gate-check-tau",
-            "optimal-tau-window"])
+            "optimal-tau-window", "g-1e300", "phase-offset", "abs-tol"])
     def test_unrepresentable_input_exits_2(self, argv, problem, tmp_path,
                                            capsys):
         # each ran before: a tiny g wrote NaN rows or a start vector whose
         # norm is off, and exited 0; a huge J2, alpha or j1 overflowed
         # mid-run; a tau whose ramp rate overflows wrote inf and NaN rows,
-        # aborted a heatmap or failed with a misleading step underflow
+        # aborted a heatmap or failed with a misleading step underflow; a
+        # huge g wrote inf rows with exit 0, a 401-digit phase offset ended
+        # in an OverflowError traceback, and tiny tolerances overflowed the
+        # error norm with warnings
         assert main(argv + ["--output", str(tmp_path / "r")]) == 2
         assert problem in capsys.readouterr().err
         assert not os.listdir(tmp_path)
@@ -257,6 +278,55 @@ class TestParseConfig:
         assert "--tau-window" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("text, problem", [
+        (None, "cannot read config file"),
+        ("{not json", "cannot read config file"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"cd": 1}', "config key 'cd' must be of type bool"),
+        ('{"g": true}', "config key 'g' must be of type float"),
+        ('{"command": "heatmap"}', "config file is for 'heatmap'"),
+        ('{"g": "abc"}', "config key 'g' has an invalid value"),
+        ('{"g": [1]}', "config key 'g' has an invalid value"),
+        ('{"g": 1' + "0" * 400 + "}", "config key 'g' has an invalid value"),
+    ], ids=["missing", "not-json", "not-object", "bool-key", "bool-number",
+            "other-command", "not-a-number", "list", "int-too-large"])
+    def test_bad_config_file_exits_2(self, text, problem, tmp_path, capsys):
+        # a 401-digit integer for a float key raised OverflowError, a
+        # traceback
+        cfg = tmp_path / "run.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["sweep-tau", "--config", str(cfg),
+                     "--output", str(out / "r")]) == 2
+        assert problem in capsys.readouterr().err
+        assert not os.listdir(out)
+
+    @pytest.mark.parametrize("argv, problem", [
+        (["spectrum", "--format", "xml"], "unsupported format 'xml'"),
+        (["spectrum", "--samples", "1"],
+         "--samples: sample_count must be at least 2"),
+        (["nqubit", "--n", "9"], "--n: supported qubit counts are 2..6, got 9"),
+        (["tradeoff", "--threshold", "0.3"],
+         "--threshold: threshold must lie in (0.5, 1), got 0.3"),
+        (["optimal-tau", "--alpha", "0.04", "--tau-window", "5:2"],
+         "--tau-window: tau_window needs 0 < lo < hi, got (5.0, 2.0)"),
+    ], ids=["format", "samples", "n", "threshold", "tau-window"])
+    def test_library_check_exits_2_naming_its_flag(self, argv, problem,
+                                                   tmp_path, capsys):
+        # each range is the library's own check, its error named by its flag
+        assert main(argv + ["--output", str(tmp_path / "r")]) == 2
+        assert problem in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_defaults_are_the_librarys(self):
+        rc = RunConfig(command="optimal-tau")
+        assert rc.params() == CnotParams()
+        assert rc.evolution_config() == EvolutionConfig()
+        window = inspect.signature(find_optimal_tau).parameters["tau_window"]
+        assert cli._parse_window(rc.tau_window) == window.default
+
     def test_missing_output_directory_exits_2(self, tmp_path, capsys):
         # found before any gate is computed, so no file is written
         code = main(["gate-check", "--tau", "7.3,1",
@@ -264,6 +334,61 @@ class TestParseConfig:
         assert code == 2
         assert "--output directory does not exist" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
+
+
+class _HalfWriter:
+    """A file that writes half of its first chunk, then fails as a full
+    disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        assert os.path.getsize(self.fh.name) > 0  # a partial file exists
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestWriter:
+    """Every file goes through ``cli._write``: one that fails halfway is
+    removed, the run exits 1 with an ``error:`` line, and the manifest,
+    written last, exists only when every file before it was written."""
+
+    @pytest.mark.parametrize("argv, failing, kept", [
+        (["spectrum"], "r_spectrum.csv", []),
+        (["spectrum", "--format", "json"], "r_spectrum.json", []),
+        (["spectrum", "--gnuplot"], "r_spectrum.csv.gp", ["r_spectrum.csv"]),
+        (["spectrum", "--gnuplot"], "r_manifest.json",
+         ["r_spectrum.csv", "r_spectrum.csv.gp"]),
+    ], ids=["csv", "json", "gnuplot", "manifest"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch,
+                                                 capsys, argv, failing, kept):
+        # the gnuplot script and the manifest were left half written
+        def fake_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return _HalfWriter(fh) if path.endswith(failing) else fh
+
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+        code = main(argv + ["--samples", "5", "--output",
+                            str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "cdgate: error: [Errno 28] No space left on device\n")
+        assert sorted(os.listdir(tmp_path)) == kept
+
+    @pytest.mark.parametrize("emit", [emit_csv, emit_json])
+    def test_failed_row_leaves_no_partial_file(self, tmp_path, emit):
+        path = tmp_path / "x"
+        with pytest.raises(ValueError):
+            emit(str(path), ["a"], [(1.0,), ("not a number",)])
+        assert not path.exists()
 
 
 class TestEmitCsv:
@@ -370,6 +495,47 @@ class TestCommands:
         assert len(payload) == 5
         assert set(payload[0]) == {"t", "fidelity", "ground_prob",
                                    "transition_prob", "norm"}
+
+    def test_failed_gate_check_exits_1_with_cause(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def failing(tau, n_offset=0):
+            return GateCheckReport(tau=tau, distance=1.0,
+                                   phase_insensitive=1.0,
+                                   commutator_residual=0.0, passed=False)
+
+        monkeypatch.setattr(cli, "gate_unitary_check", failing)
+        code, _ = _run(tmp_path, ["gate-check", "--tau", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "cdgate: gate check failed the 1e-10 distance bound\n")
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["summary"] == {"all_passed": False}
+        row = (tmp_path / "run_gate-check.csv").read_text().splitlines()[1]
+        assert row.endswith(",0")
+
+    def test_unexpected_error_exits_1_without_traceback(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # only CdgateError, ValueError and OSError were caught; any other
+        # exception from a run ended in a traceback
+        def broken(*args):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(cli, "analytic_spectrum", broken)
+        code, _ = _run(tmp_path, ["spectrum", "--samples", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == "cdgate: error: injected failure\n"
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.filterwarnings("ignore:.*found in sys.modules:RuntimeWarning")
+    def test_module_runs_as_a_script(self, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "run")
+        monkeypatch.setattr(sys, "argv", ["cdgate", "spectrum", "--samples",
+                                          "3", "--output", out])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("cdgate.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.split() == [
+            out + "_spectrum.csv", out + "_manifest.json"]
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         code = main(["optimal-tau", "--alpha", "1e-6",
@@ -747,3 +913,125 @@ class TestSectorWidth:
         code, _ = _run(tmp_path, argv)
         assert code == 0
         assert seen == [(size, width)] * cells
+
+
+def _number(lo, hi, extremes):
+    """A flag value: a finite float in [lo, hi], or one of ``extremes``."""
+    return st.one_of(st.floats(lo, hi).map(repr), st.sampled_from(extremes))
+
+
+_BAD = ["nan", "inf", "-inf", "0", "-1"]
+
+
+@st.composite
+def _cli_argv(draw):
+    """CLI commands over finite and extreme values, bounded so that each
+    run takes milliseconds: no value makes an integration long, and a huge
+    one fails before any step. Left out: rates near the float maximum
+    that pass the parameter checks (alpha 5e307, j2 5e153, tau 5e28),
+    which fail loudly but with numpy overflow warnings from the kernel."""
+    command = draw(st.sampled_from(["spectrum", "evolve", "sweep-tau",
+                                    "heatmap", "gate-check", "nqubit"]))
+    argv = [command]
+    flags = {
+        "--j1": _number(0.1, 3.0, _BAD + ["1e307", "1e308", "1e-300"]),
+        "--g": _number(0.1, 2.0, _BAD + ["1e-150", "1e-160", "1e-300",
+                                         "1e300"]),
+        "--j2": _number(-20.0, 20.0, _BAD + ["1e-3", "1e160", "-1e308"]),
+        "--rel-tol": _number(1e-10, 1e-6, _BAD + ["1e-300", "1", "1e300"]),
+        "--abs-tol": _number(1e-12, 1e-8, _BAD + ["1e-300", "1", "1e300"]),
+    }
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    tau = _number(0.1, 10.0, _BAD + ["1e-300", "1e-308"])
+    alpha = _number(0.0, 0.2, ["nan", "inf", "-0.1", "1e309"])
+    one_or_two = st.lists(tau, min_size=1, max_size=2).map(",".join)
+    if command in ("spectrum", "evolve"):
+        argv += ["--tau", draw(tau), "--samples",
+                 draw(st.sampled_from(["2", "5", "1", "0"]))]
+    else:
+        argv += ["--tau", draw(one_or_two)]
+    if command == "evolve" and draw(st.booleans()):
+        argv += ["--alpha", draw(alpha)]
+    if command == "heatmap":
+        argv += ["--alpha", draw(st.lists(alpha, min_size=1,
+                                          max_size=2).map(",".join))]
+    if command == "nqubit":
+        argv += ["--n", draw(st.sampled_from(["2", "3", "4", "1", "7"]))]
+    if command == "gate-check":
+        offset = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                           st.sampled_from([10 ** 308, -10 ** 400]))
+        argv += ["--phase-offset", str(draw(offset))]
+    elif command != "spectrum" and draw(st.booleans()):
+        argv.append("--cd")
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+def _data_values(path):
+    """Every value of a CSV or JSON data file, NaN for a JSON null."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        rows = json.loads(text, parse_constant=pytest.fail)
+        return [math.nan if v is None else float(v)
+                for row in rows for v in row.values()]
+    return [float(v) for line in text.splitlines()[1:] for v in line.split(",")]
+
+
+def _check_exit_contract(argv):
+    """Run ``argv`` and check the exit contract: 0 with finite data; 1 with
+    an ``error:`` line and no manifest, or with its cause after files whose
+    manifest records it; 2 before any file is written; never a traceback
+    or a numeric warning; the manifest written last, as strict JSON."""
+    written = []
+    real_write = cli._write
+
+    def spy(path, chunks):
+        written.append(os.path.basename(path))
+        return real_write(path, chunks)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        patch.setattr(cli, "_write", spy)
+        code = main(argv + ["--output", os.path.join(tmp, "r")])
+        err = err.getvalue()
+        files = sorted(os.listdir(tmp))
+        manifest_path = pathlib.Path(tmp, "r_manifest.json")
+        manifest = (json.loads(manifest_path.read_text(),
+                               parse_constant=pytest.fail)
+                    if manifest_path.exists() else None)
+        data = [_data_values(pathlib.Path(tmp, name)) for name in files
+                if name.startswith(f"r_{argv[0]}.") and not name.endswith(".gp")]
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert sorted(written) == files
+    if code == 2:
+        assert files == [] and "error:" in err
+        return
+    lines = err.splitlines()
+    if code == 0:
+        assert manifest is not None and written[-1] == "r_manifest.json"
+        assert all(math.isfinite(v) for values in data for v in values)
+        return
+    assert code == 1
+    if lines[-1].startswith("cdgate: error: "):
+        assert manifest is None
+    else:
+        assert written[-1] == "r_manifest.json"
+        summary = manifest["summary"]
+        assert summary.get("failed_cells") or summary.get("all_passed") is False
+
+
+class TestExitContract:
+    """Generated commands, finite and extreme, keep the exit contract."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(argv=_cli_argv())
+    def test_generated_commands(self, argv):
+        _check_exit_contract(argv)

@@ -24,6 +24,7 @@ from cdgate.errors import (
     PhaseOverflowError,
     PositivityViolationError,
     StepUnderflowError,
+    TraceDriftExceededError,
 )
 from cdgate.experiments import _gate_cell, _run_cell
 from cdgate.model import (SIGMA_Z, CnotParams, analytic_spectrum, cnot_system,
@@ -54,6 +55,12 @@ class TestEvolutionConfig:
             EvolutionConfig(tau=1.0, rel_tol=tol)
         with pytest.raises(ValueError, match="tolerances"):
             EvolutionConfig(tau=1.0, abs_tol=tol)
+
+    def test_abs_tol_floor(self):
+        # a smaller abs_tol overflowed the squared error norm, with warnings
+        with pytest.raises(ValueError, match="abs_tol >= 1e-150"):
+            EvolutionConfig(abs_tol=1e-151)
+        assert EvolutionConfig(abs_tol=1e-150).abs_tol == 1e-150
 
     @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(4.0), "5"])
     def test_rejects_non_integral_sample_count(self, count):
@@ -329,6 +336,33 @@ class TestLindblad:
             lindblad_evolve(replace(system, hz=sigma_x_2),
                             np.outer(psi0, psi0.conj()),
                             NoiseModel(alpha=0.001), EvolutionConfig(tau=1.0))
+
+    def test_state_dimension_must_match_the_system(self, params):
+        system = cnot_system(params, tau=1.0)
+        with pytest.raises(ValueError, match="does not match the system"):
+            lindblad_evolve(system, np.eye(8) / 8.0, NoiseModel(alpha=0.1),
+                            EvolutionConfig())
+
+    def test_callable_dimension_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError, match="dimension 3 is not a power"):
+            lindblad_evolve(lambda t: np.zeros((3, 3)), np.eye(3) / 3.0,
+                            NoiseModel(alpha=0.1), EvolutionConfig(),
+                            t_span=(0.0, 1.0))
+
+    def test_trace_drift_fails_the_run(self, params, monkeypatch):
+        real = _kernels.evolve_ramped
+
+        def drifting(*args):
+            sampled, _, stats = real(*args)
+            return sampled, 2e-8, stats
+
+        monkeypatch.setattr(_kernels, "evolve_ramped", drifting)
+        system = cnot_system(params, tau=1.0)
+        psi0 = ground_start(params, system)
+        with pytest.raises(TraceDriftExceededError,
+                           match=r"trace drifted by 2\.000e-08 \(limit 1e-08\)"):
+            lindblad_evolve(system, np.outer(psi0, psi0.conj()),
+                            NoiseModel(alpha=0.1), EvolutionConfig())
 
     def test_positivity_checked_at_every_sample(self, params, monkeypatch):
         system = cnot_system(params, tau=1.0)

@@ -132,6 +132,12 @@ class TestSweepNoise:
         with pytest.raises(ValueError):
             make_grid(params, [1.0, -2.0], [0.0], cd_enabled=False)
 
+    @pytest.mark.parametrize("taus, alphas", [([2.0, 1.0], [0.0]),
+                                              ([1.0], [0.2, 0.1])])
+    def test_grid_axes_must_ascend(self, params, taus, alphas):
+        with pytest.raises(ValueError, match="grid axes must be ascending"):
+            make_grid(params, taus, alphas, cd_enabled=False)
+
     @pytest.mark.parametrize("taus, alphas", [
         ([1.0, np.nan], [0.0]), ([1.0, np.inf], [0.0]),
         ([1.0], [np.nan]), ([1.0], [0.0, np.inf]),
@@ -196,6 +202,13 @@ class TestTradeoffBoundary:
                          cd_enabled=True)
         curve = tradeoff_boundary(grid, threshold=0.999)
         assert curve.points == [(0.0, 20.0)]
+
+    def test_row_with_no_tau_above_the_threshold_is_left_out(self, params):
+        # at alpha = 2 (4 in units of 2g) even tau 1 ends well below 0.9
+        grid = make_grid(params, [1.0, 2.0], [0.02, 4.0], cd_enabled=True)
+        curve = tradeoff_boundary(grid, threshold=0.9)
+        assert [alpha for alpha, _ in curve.points] == [0.02]
+        assert curve.failed_cells == []
 
     def test_requires_cd_grid_and_sane_threshold(self, params):
         grid = make_grid(params, [1.0], [0.1], cd_enabled=False)

@@ -6,6 +6,7 @@ from cdgate.errors import (
     DimensionTooLargeError,
     GapCollisionError,
     NonPositiveTauError,
+    PhaseOverflowError,
 )
 from cdgate.model import (
     SIGMA_X,
@@ -58,6 +59,12 @@ class TestParams:
     def test_g_whose_square_underflows_rejected(self, g):
         with pytest.raises(ValueError, match="g\\^2 underflows"):
             CnotParams(g=g)
+
+    @pytest.mark.parametrize("g, j2_amp", [(1e300, 10.0), (1.3e154, 1.3e154)])
+    def test_g_whose_square_overflows_rejected(self, g, j2_amp):
+        # g = 1e300 wrote inf energies and gap with exit 0
+        with pytest.raises(ValueError, match=r"g\^2 \+ j2_amp\^2 overflows"):
+            CnotParams(g=g, j2_amp=j2_amp)
 
     @pytest.mark.parametrize("j2_amp", [1e160, -1e160, 1e300])
     def test_j2_whose_square_overflows_rejected(self, j2_amp):
@@ -282,6 +289,15 @@ class TestInverseEngineered:
         ramp = linear_phase_ramp(tau=3.0, n_offset=1)
         assert abs(ramp.value(0.0) - 2 * np.pi) < 1e-15
         assert abs(ramp.value(3.0) - 3 * np.pi) < 1e-15
+
+    @pytest.mark.parametrize("n_offset", [10 ** 400, -10 ** 400, 10 ** 308,
+                                          float("nan")],
+                             ids=["int-too-large", "negative", "2pi-n-inf",
+                                  "nan"])
+    def test_phase_offset_must_be_finite(self, n_offset):
+        # 10**400 raised OverflowError converting to a float
+        with pytest.raises(PhaseOverflowError, match="2 pi n is not finite"):
+            linear_phase_ramp(tau=1.0, n_offset=n_offset)
 
     def test_idle_sector_untouched(self):
         h = build_inverse_engineered(1.3)

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from cdgate.errors import DimensionMismatchError, NotHermitianError
 from cdgate.model import SIGMA_X, SIGMA_Z, IDENTITY_2, CnotParams, analytic_spectrum, build_h_cnot
 from cdgate.numerics import (
+    as_operator,
+    as_state,
     commutator,
-    dagger,
     frobenius_distance,
     hermitian_eig,
     kron,
@@ -162,10 +163,6 @@ class TestElementaryOps:
     def test_self_commutator_vanishes(self):
         assert np.abs(commutator(SIGMA_Z, SIGMA_Z)).max() == 0.0
 
-    def test_dagger_of_hermitian(self, rng):
-        h = random_hermitian(rng, 4)
-        assert np.abs(dagger(h) - h).max() < 1e-15
-
     def test_phase_insensitive_distance_ignores_global_phase(self, rng):
         h = random_hermitian(rng, 4)
         u = spectral_propagator(h, 0.7)
@@ -174,7 +171,17 @@ class TestElementaryOps:
         assert phase_insensitive_distance(u, v) < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError,
+                           match="commutator needs equal shapes"):
             commutator(SIGMA_X, np.eye(4))
-        with pytest.raises(DimensionMismatchError):
-            frobenius_distance(SIGMA_X, np.eye(4))
+        for distance in (frobenius_distance, phase_insensitive_distance):
+            with pytest.raises(DimensionMismatchError,
+                               match=r"distance needs equal shapes, got "
+                                     r"\(2, 2\), \(4, 4\)"):
+                distance(SIGMA_X, np.eye(4))
+
+    def test_operator_and_state_shapes(self):
+        with pytest.raises(DimensionMismatchError, match="square matrix"):
+            as_operator(np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatchError, match="1-D state vector"):
+            as_state(np.eye(2))
