@@ -455,6 +455,8 @@ def _stage_mode(size, rtol, atol, root_width, dissipator):
     return steps
 
 
+# an overflowing stage makes the error norm inf: its step is rejected
+@np.errstate(over="ignore", invalid="ignore")
 def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
            width=None):
     """Integrate a flat complex ``y``: a pure state under ``dy/dt = M(t) y``

@@ -401,14 +401,8 @@ def _sweep_tau_rows(rc: RunConfig):
          lz_prediction_for(params, float(tau)))
         for j, tau in enumerate(taus)
     ]
-    _warn_failed(result.failed_cells, "its fidelity is written as NaN")
     header = ["tau", "fidelity", "transition_prob", "lz_prediction"]
     return header, rows, {"failed_cells": result.failed_cells}
-
-
-def _warn_failed(cells: list, effect: str) -> None:
-    for cell in cells:
-        print(f"cdgate: warning: {cell}; {effect}", file=sys.stderr)
 
 
 def _noise_rows(rc: RunConfig):
@@ -419,7 +413,6 @@ def _noise_rows(rc: RunConfig):
     rows = [(alpha, grid.alpha_gap_units[i], tau, result.fidelity[i, j])
             for i, alpha in enumerate(grid.alpha_values)
             for j, tau in enumerate(grid.tau_values)]
-    _warn_failed(result.failed_cells, "its fidelity is written as NaN")
     header = ["alpha_abs", "alpha_in_gap_units", "tau", "fidelity"]
     return header, rows, {"failed_cells": result.failed_cells}
 
@@ -445,7 +438,6 @@ def _tradeoff_rows(rc: RunConfig):
     rows = [(alpha, NoiseModel(alpha=alpha).in_gap_units(params.g), tau_max,
              alpha * tau_max) for alpha, tau_max in curve.points]
     header = ["alpha_abs", "alpha_in_gap_units", "tau_max", "tau_alpha_product"]
-    _warn_failed(curve.failed_cells, "it counts as below the threshold")
     summary = {key: getattr(curve, key) for key in (
         "product_mean", "product_spread", "threshold", "failed_cells")}
     return header, rows, summary
@@ -506,11 +498,17 @@ _COMMANDS = {
 
 
 def _failure(summary: dict) -> str | None:
-    """Why a run that wrote its files still failed, from its summary."""
-    if summary.get("failed_cells"):
-        effect = ("they count as below the threshold" if "threshold" in summary
-                  else "their fidelity is written as NaN")
-        return f"{len(summary['failed_cells'])} sweep cell(s) failed; {effect}"
+    """Why a run that writes its files still fails, from its summary; each
+    failed sweep cell is warned of on stderr here."""
+    cells = summary.get("failed_cells")
+    if cells:
+        one, every, effect = (
+            ("it counts", "they count", "as below the threshold")
+            if "threshold" in summary
+            else ("its fidelity is", "their fidelity is", "written as NaN"))
+        for cell in cells:
+            print(f"cdgate: warning: {cell}; {one} {effect}", file=sys.stderr)
+        return f"{len(cells)} sweep cell(s) failed; {every} {effect}"
     if summary.get("all_passed") is False:
         return (f"gate check failed the {_GATE_DISTANCE_LIMIT:g} distance "
                 "bound")
@@ -524,6 +522,7 @@ def run_command(rc: RunConfig) -> tuple[list[str], str | None]:
     that fails leaves no partial file."""
     t0 = time.perf_counter()
     header, rows, summary = _COMMANDS[rc.command].rows(rc)
+    failure = _failure(summary)
 
     data_path = f"{rc.output}_{rc.command}.{rc.format}"
     writer = emit_csv if rc.format == "csv" else emit_json
@@ -547,7 +546,7 @@ def run_command(rc: RunConfig) -> tuple[list[str], str | None]:
         manifest["summary"] = summary
     manifest_path = f"{rc.output}_manifest.json"
     _write(manifest_path, [_json_text(manifest, sort_keys=True)])
-    return [f["path"] for f in files] + [manifest_path], _failure(summary)
+    return [f["path"] for f in files] + [manifest_path], failure
 
 
 def main(argv: list[str] | None = None) -> int:

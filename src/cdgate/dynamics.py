@@ -12,17 +12,17 @@ taking the generators of a ramped system from ``_kernels.evolve_ramped``
 and those of a callable from ``_integrate_callable``; the Schroedinger and
 Lindblad engines differ only in the sector's dissipator block they pass
 it, none for a pure state, from which the kernels derive the equation.
-This module alone restricts and embeds: a ramped run integrates only its
-invariant sector (``_invariant_sector``), the closure of the start's
-support under the nonzero pattern of the system's terms, whose outside
-entries stay exactly 0. ``_integrate`` hands the kernels the sector's
-entries (a gate start is 2 amplitudes at any n) with the full width for
-the error norm, so the run takes the full run's steps, and scatters the
-samples back. ``schrodinger_evolve`` integrates a ramped sector without
-the global phase of its mean energy, restored on each sample. The
-Monte-Carlo oracle evolves the same sector and embeds its average: a
-ramped system evaluated on an array of times, a callable stacked by
-``_stacked``.
+This module alone checks, restricts and embeds, each engine in
+``_invariant_sector``: the system is checked against the start, and a
+ramped run integrates only its invariant sector, the closure of the
+start's support under the nonzero pattern of the system's terms, whose
+outside entries stay exactly 0. ``_integrate`` hands the kernels the
+sector's entries (a gate start is 2 amplitudes at any n) with the full
+width for the error norm, so the run takes the full run's steps, and
+scatters the samples back. ``schrodinger_evolve`` integrates a ramped
+sector without the global phase of its mean energy, restored on each
+sample. The Monte-Carlo oracle evolves the same sector system on an
+array of times and embeds its average.
 ``_jump_diagonal`` picks the dephasing jump operator for the Lindblad engine
 and the oracle alike. States are never renormalized during integration;
 norm / trace drift is monitored and reported instead. The only in-flight
@@ -154,8 +154,8 @@ def _resolve_span(h_of_t: HamiltonianLike, cfg: EvolutionConfig | None,
     if isinstance(h_of_t, RampedGateHamiltonian):
         return h_of_t.t_start, h_of_t.t_end
     if cfg is None or cfg.tau is None:
-        raise ValueError("t_span is required for callable Hamiltonians "
-                         "without a tau")
+        raise ValueError("t_span is required for callable Hamiltonians"
+                         + ("" if cfg is None else " without a tau"))
     return -cfg.tau / 2.0, cfg.tau / 2.0
 
 
@@ -169,13 +169,12 @@ def _stacked(h_of_t):
     return h_stack
 
 
-def _integrate_callable(h_of_t, sample_times, y0, rtol, atol, dissipator=None,
+def _integrate_callable(h_stack, sample_times, y0, rtol, atol, dissipator=None,
                         width=None):
     """``_kernels.dop853`` with the ``_kernels.stage_operators`` of a
-    Hamiltonian callable, called once per stage time of each block, so the
+    ``_stacked`` callable, called once per stage time of each block, so the
     stepper doubles and halves its blocks rather than plan full ones; the
     twin of ``_kernels.evolve_ramped``, with its arguments and result."""
-    h_stack = _stacked(h_of_t)
 
     def generators(ts):
         return _kernels.stage_operators(-1j * h_stack(ts), dissipator)
@@ -184,25 +183,31 @@ def _integrate_callable(h_of_t, sample_times, y0, rtol, atol, dissipator=None,
                            dissipator, width)
 
 
-def _check_callable_hermitian(h_of_t, t0: float, t1: float) -> None:
-    for t in (t0, 0.5 * (t0 + t1), t1):
-        if hermiticity_defect(h_of_t(t)) > TOL.hermiticity:
-            raise NotHermitianError(f"H(t) is not Hermitian at t={t}")
-
-
-def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray):
+def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray,
+                      span: tuple[float, float]):
     """The system on the invariant sector of a start supported on the
-    boolean mask ``support`` over the basis, and the sector's indices.
+    boolean mask ``support`` over the basis, and the sector's indices; the
+    one check of every engine's system against its start: it must have the
+    start's dimension (``ValueError``), and a callable must be Hermitian at
+    the start, midpoint and end of the run's ``span`` (``NotHermitianError``).
 
     For a ramped system the sector is the closure of the support under the
     joint nonzero pattern of ``h0``, ``hz`` and ``hcd``, and the system is
     restricted to it: ``H(t)`` couples the sector to nothing else at any t
     and the jump operator is diagonal, so every entry outside it stays
     exactly 0 and need not be integrated. A callable's pattern is unknown,
-    so its sector is the whole space.
+    so its sector is the whole space, and its system is ``_stacked``.
     """
-    if not isinstance(h_of_t, RampedGateHamiltonian):
-        return h_of_t, np.arange(support.shape[0])
+    ramped = isinstance(h_of_t, RampedGateHamiltonian)
+    t0, t1 = span
+    for t in (t0,) if ramped else (t0, 0.5 * (t0 + t1), t1):
+        h = h_of_t.h0 if ramped else np.asarray(h_of_t(t))
+        if h.shape != (support.size, support.size):
+            raise ValueError("the state dimension does not match the system")
+        if not ramped and hermiticity_defect(h) > TOL.hermiticity:
+            raise NotHermitianError(f"H(t) is not Hermitian at t={t}")
+    if not ramped:
+        return _stacked(h_of_t), np.arange(support.size)
     coupled = (h_of_t.h0 != 0) | (h_of_t.hz != 0) | (h_of_t.hcd != 0)
     reach = support
     while True:
@@ -222,15 +227,12 @@ def _integrate(h_of_t: HamiltonianLike, sector, times: np.ndarray, y0,
     them alone (``_invariant_sector``), the error norm divides by the full
     width, and the samples are scattered back, zero outside the sector.
 
-    A ramped system runs through ``_kernels.evolve_ramped`` as built; a
-    callable is checked for Hermiticity and runs through
-    ``_integrate_callable``. Returns ``(states, drift, stats)``.
+    A ramped system runs through ``_kernels.evolve_ramped``, a ``_stacked``
+    callable through ``_integrate_callable``. Returns ``(states, drift,
+    stats)``.
     """
-    if isinstance(h_of_t, RampedGateHamiltonian):
-        engine = _kernels.evolve_ramped
-    else:
-        _check_callable_hermitian(h_of_t, float(times[0]), float(times[-1]))
-        engine = _integrate_callable
+    ramped = isinstance(h_of_t, RampedGateHamiltonian)
+    engine = _kernels.evolve_ramped if ramped else _integrate_callable
     sampled, drift, stats = engine(h_of_t, times, y0[sector], cfg.rel_tol,
                                    cfg.abs_tol, dissipator, y0.size)
     states = np.zeros((times.size, y0.size), dtype=np.complex128)
@@ -243,12 +245,10 @@ def _jump_diagonal(h_of_t: HamiltonianLike, dim: int) -> np.ndarray:
     dimension ``dim``.
 
     For a ramped system it is ``hz``, which must be diagonal with entries
-    +-1 and match ``dim`` (``ValueError`` otherwise); for a callable it is
-    sigma_z on the last qubit.
+    +-1 (``ValueError`` otherwise); for a callable it is sigma_z on the
+    last qubit.
     """
     if isinstance(h_of_t, RampedGateHamiltonian):
-        if h_of_t.dim != dim:
-            raise ValueError("the state dimension does not match the system")
         hz = h_of_t.hz
         d = np.real(np.diag(hz))
         if not (np.array_equal(hz, np.diag(d))
@@ -271,8 +271,9 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
     """
     psi0 = as_state(psi0)
     _require_normalized(psi0, "psi0")
-    times = np.linspace(*_resolve_span(h_of_t, cfg, t_span), cfg.sample_count)
-    system, sector = _invariant_sector(h_of_t, psi0 != 0)
+    span = _resolve_span(h_of_t, cfg, t_span)
+    times = np.linspace(*span, cfg.sample_count)
+    system, sector = _invariant_sector(h_of_t, psi0 != 0, span)
     # A ramped sector is integrated without the global phase of its mean
     # energy c = tr(h0) / d, which commutes with every term, so the stepper
     # need not resolve it; each sample gets exp(-i c (t - t0)) back.
@@ -324,10 +325,10 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
     """
     rho0 = validate_density_matrix(rho0)
     dim = rho0.shape[0]
-    times = np.linspace(*_resolve_span(h_of_t, cfg, t_span), cfg.sample_count)
-    d = _jump_diagonal(h_of_t, dim)
-    system, idx = _invariant_sector(h_of_t, (rho0 != 0).any(axis=0))
-    d = d[idx]
+    span = _resolve_span(h_of_t, cfg, t_span)
+    times = np.linspace(*span, cfg.sample_count)
+    system, idx = _invariant_sector(h_of_t, (rho0 != 0).any(axis=0), span)
+    d = _jump_diagonal(h_of_t, dim)[idx]
     # the sector's entries of the row-major flattened rho
     sector = (idx[:, None] * dim + idx).ravel()
     flat, drift, stats = _integrate(system, sector, times, rho0.ravel(), cfg,
@@ -372,9 +373,9 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
             f"need at least 100 samples for a meaningful average, got {n_samples}"
         )
     NoiseModel(alpha=alpha)  # its range check
-    d = _jump_diagonal(h_of_t, psi0.shape[0])
-    ramped = isinstance(h_of_t, RampedGateHamiltonian)
     t0, t1 = _resolve_span(h_of_t, None, t_span)
+    system, sector = _invariant_sector(h_of_t, psi0 != 0, (t0, t1))
+    d = _jump_diagonal(h_of_t, psi0.shape[0])[sector]
     span = t1 - t0
     if not 0 < dt <= span:
         raise ValueError(f"dt must lie in (0, {span}], got {dt}")
@@ -384,18 +385,13 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
         raise ValueError(
             f"alpha*dt = {alpha * dt_actual:.3f} too coarse; need < 0.1"
         )
-    if not ramped:
-        _check_callable_hermitian(h_of_t, t0, t1)
     rng = np.random.default_rng(seed)
     scale = math.sqrt(alpha / dt_actual) if alpha > 0 else 0.0
     # scaled in place, so no second noise-sized array is ever held
     noise = rng.standard_normal((n_samples, n_steps))
     noise *= scale
-    # a ramped system evaluates itself, on its sector, on an array of times
-    system, sector = _invariant_sector(h_of_t, psi0 != 0)
-    h_stack = system if ramped else _stacked(h_of_t)
     # noise by keyword: perfbench/tracer.py counts RK4 steps from it
-    block = _kernels.dephasing_average(h_stack, d[sector], t0, dt_actual,
+    block = _kernels.dephasing_average(system, d, t0, dt_actual,
                                        noise=noise, psi0=psi0[sector])
     rho = np.zeros((psi0.size, psi0.size), dtype=np.complex128)
     rho[np.ix_(sector, sector)] = block

@@ -19,12 +19,14 @@ class FidelityPoint:
 
 def _require_normalized(psi: np.ndarray, name: str) -> None:
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > TOL.normalization:
+    if not abs(norm - 1.0) <= TOL.normalization:  # a NaN norm fails too
         raise NotNormalizedError(f"{name} has norm {norm}, expected 1")
 
 
 def validate_density_matrix(rho) -> np.ndarray:
     rho = as_operator(rho)
+    if not np.isfinite(rho).all():
+        raise InvalidDensityMatrixError("density matrix is not finite")
     if np.abs(rho - rho.conj().T).max() > 1e-10 * max(np.abs(rho).max(), 1.0):
         raise InvalidDensityMatrixError("density matrix is not Hermitian")
     tr = complex(np.trace(rho))
@@ -68,8 +70,8 @@ def transition_probability(psi_final, params: CnotParams,
 def lz_formula(g: float, j2_amp: float, tau: float) -> float:
     """Landau-Zener transition probability exp(-pi g^2 tau / J2) for the
     linear drive J2(t) = j2_amp t / tau."""
-    if j2_amp <= 0:
-        raise ValueError(f"j2_amp must be positive, got {j2_amp}")
-    if tau < 0:
-        raise ValueError(f"tau must be non-negative, got {tau}")
+    if not 0 < j2_amp < np.inf:
+        raise ValueError(f"j2_amp must be positive and finite, got {j2_amp}")
+    if not 0 <= tau < np.inf:
+        raise ValueError(f"tau must be non-negative and finite, got {tau}")
     return float(np.exp(-np.pi * g * g * tau / j2_amp))

@@ -926,10 +926,10 @@ _BAD = ["nan", "inf", "-inf", "0", "-1"]
 @st.composite
 def _cli_argv(draw):
     """CLI commands over finite and extreme values, bounded so that each
-    run takes milliseconds: no value makes an integration long, and a huge
-    one fails before any step. Left out: rates near the float maximum
-    that pass the parameter checks (alpha 5e307, j2 5e153, tau 5e28),
-    which fail loudly but with numpy overflow warnings from the kernel."""
+    run takes milliseconds: no value makes an integration long. A huge one
+    fails before any step, and a rate near the float maximum that passes
+    the parameter checks (alpha 5e307, j2 5e153, tau 5e28) fails at its
+    first steps, without a numpy warning."""
     command = draw(st.sampled_from(["spectrum", "evolve", "sweep-tau",
                                     "heatmap", "gate-check", "nqubit"]))
     argv = [command]
@@ -937,15 +937,16 @@ def _cli_argv(draw):
         "--j1": _number(0.1, 3.0, _BAD + ["1e307", "1e308", "1e-300"]),
         "--g": _number(0.1, 2.0, _BAD + ["1e-150", "1e-160", "1e-300",
                                          "1e300"]),
-        "--j2": _number(-20.0, 20.0, _BAD + ["1e-3", "1e160", "-1e308"]),
+        "--j2": _number(-20.0, 20.0, _BAD + ["1e-3", "1e160", "-1e308",
+                                             "5e153"]),
         "--rel-tol": _number(1e-10, 1e-6, _BAD + ["1e-300", "1", "1e300"]),
         "--abs-tol": _number(1e-12, 1e-8, _BAD + ["1e-300", "1", "1e300"]),
     }
     for flag, values in flags.items():
         if draw(st.booleans()):
             argv += [flag, draw(values)]
-    tau = _number(0.1, 10.0, _BAD + ["1e-300", "1e-308"])
-    alpha = _number(0.0, 0.2, ["nan", "inf", "-0.1", "1e309"])
+    tau = _number(0.1, 10.0, _BAD + ["1e-300", "1e-308", "5e28"])
+    alpha = _number(0.0, 0.2, ["nan", "inf", "-0.1", "1e309", "5e307"])
     one_or_two = st.lists(tau, min_size=1, max_size=2).map(",".join)
     if command in ("spectrum", "evolve"):
         argv += ["--tau", draw(tau), "--samples",

@@ -237,6 +237,17 @@ class TestSchrodinger:
         assert abs(f_base - f_tight) < 1e-6
 
 
+def test_nan_start_rejected(params):
+    # each passed its precondition and failed later with a misleading error
+    system = cnot_system(params, tau=4.0)
+    psi0 = ground_start(params, system) + np.array([np.nan, 0, 0, 0])
+    with pytest.raises(NotNormalizedError, match="norm nan"):
+        schrodinger_evolve(system, psi0, EvolutionConfig())
+    with pytest.raises(InvalidDensityMatrixError, match="not finite"):
+        lindblad_evolve(system, np.outer(psi0, psi0.conj()),
+                        NoiseModel(alpha=0.1), EvolutionConfig())
+
+
 @pytest.mark.parametrize("lindblad", [False, True],
                          ids=["schrodinger", "lindblad"])
 def test_nan_midway_fails_loudly(params, lindblad):
@@ -461,6 +472,24 @@ class TestLargestJ1:
                 schrodinger_evolve(system, psi0, EvolutionConfig())
 
 
+class TestRatesNearFloatMax:
+    """A drive or dephasing rate that passes every parameter check yet
+    overflows a stage fails the run with ``StepUnderflowError`` and no
+    numpy warning: a step whose error norm is not finite is rejected until
+    the step underflows. Each of these printed two RuntimeWarnings first."""
+
+    @pytest.mark.parametrize("n, j2_amp, alpha", [
+        (2, 5e153, None), (3, 5e153, None), (2, 5e153, 0.1), (2, 10.0, 5e307)],
+        ids=["drive", "drive-n3", "drive-noisy", "dephasing"])
+    def test_fails_without_warnings(self, n, j2_amp, alpha):
+        cell = _gate_cell(CnotParams(g=0.25, j2_amp=j2_amp), 1.0, False, n,
+                          alpha=alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepUnderflowError, match="underflowed"):
+                _run_cell(cell, None)
+
+
 class TestSectorEmbedding:
     """``build_h_n`` is block diagonal and its only coupled block, the last
     two basis states, is ``lz_system`` up to the global phase of
@@ -541,7 +570,7 @@ def _sector(system, y0):
     support = np.asarray(y0) != 0
     if support.ndim == 2:
         support = support.any(axis=0)
-    return dynamics._invariant_sector(system, support)[1].tolist()
+    return dynamics._invariant_sector(system, support, (0.0, 1.0))[1].tolist()
 
 
 def _sector_start(params, n, tau, use_cd):
@@ -879,6 +908,67 @@ class TestNoiseTrajectoryOracle:
             noise_trajectory_oracle(
                 lambda t: np.array([[0, 1], [0, 0]], dtype=complex), plus,
                 0.1, 100, 0.01, seed=0, t_span=(0.0, 1.0))
+
+
+    def test_callable_span_message_names_no_tau(self):
+        # it asked for "a tau", which the oracle does not take
+        with pytest.raises(ValueError) as info:
+            noise_trajectory_oracle(lambda t: np.eye(4), KET_11, 0.1, 100,
+                                    0.01, seed=0)
+        assert str(info.value) == ("t_span is required for callable "
+                                   "Hamiltonians")
+        with pytest.raises(ValueError, match="callable Hamiltonians without "
+                                             "a tau"):
+            schrodinger_evolve(lambda t: np.eye(4), KET_11, EvolutionConfig())
+
+
+class TestSystemMatchesStart:
+    """Every engine checks its system against its start in one place,
+    ``_invariant_sector``, before any integration."""
+
+    @staticmethod
+    def _run(engine, h_of_t, psi0):
+        cfg = EvolutionConfig(sample_count=3)
+        span = (-0.5, 0.5)
+        if engine == "schrodinger":
+            return schrodinger_evolve(h_of_t, psi0, cfg, span)
+        if engine == "lindblad":
+            return lindblad_evolve(h_of_t, np.outer(psi0, psi0.conj()),
+                                   NoiseModel(alpha=0.1), cfg, span)
+        return noise_trajectory_oracle(h_of_t, psi0, 0.1, 100, 0.01, seed=0,
+                                       t_span=span)
+
+    @pytest.fixture
+    def no_integration(self, monkeypatch):
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated before the check")
+
+        monkeypatch.setattr(_kernels, "dop853", integrate)
+        monkeypatch.setattr(_kernels, "dephasing_average", integrate)
+
+    @pytest.mark.parametrize("engine", ["schrodinger", "lindblad", "oracle"])
+    def test_ramped_system_of_another_dimension(self, params, engine,
+                                                no_integration):
+        # schrodinger_evolve failed with numpy's bare IndexError
+        psi0 = np.full(8, 8 ** -0.5, dtype=complex)
+        with pytest.raises(ValueError, match="does not match the system"):
+            self._run(engine, cnot_system(params, tau=1.0), psi0)
+
+    @pytest.mark.parametrize("engine", ["schrodinger", "lindblad", "oracle"])
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (4, 2), (4,), ()])
+    def test_callable_of_another_size(self, engine, shape, no_integration):
+        # a square callable of the wrong size failed inside the kernel with
+        # numpy's "shapes (4,4) and (2,) not aligned"
+        with pytest.raises(ValueError, match="does not match the system"):
+            self._run(engine, lambda t: np.zeros(shape), KET_11)
+
+    @pytest.mark.parametrize("engine", ["schrodinger", "lindblad", "oracle"])
+    def test_callable_must_be_hermitian(self, engine, no_integration):
+        def h_of_t(t):
+            return np.triu(np.ones((4, 4))) if t == 0.0 else np.eye(4)
+
+        with pytest.raises(NotHermitianError, match="t=0.0"):
+            self._run(engine, h_of_t, KET_11)
 
 
 class TestScipyOracle:

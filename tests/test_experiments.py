@@ -1,7 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgate import _kernels, experiments
 from cdgate.errors import DimensionTooLargeError, NoInteriorMaximumError
@@ -288,6 +290,22 @@ class TestGateUnitaryCheck:
         assert len(stage_times) > 4
 
 
+def _log_uniform(draw, lo, hi):
+    return math.exp(draw(st.floats(math.log(lo), math.log(hi))))
+
+
+@st.composite
+def _cd_cells(draw):
+    """``(g, j2_amp, tau)`` of a CD gate cell at the default j1 = 1: g
+    log-uniform in [0.1, 2], |j2_amp| in [4 max(j1, g), 40] of either sign,
+    and tau log-uniform in [0.5, min(200, 4000 / |j2_amp|)], where the
+    default tolerances hold the drift monitor."""
+    g = _log_uniform(draw, 0.1, 2.0)
+    amp = draw(st.floats(4.0 * max(1.0, g), 40.0))
+    tau = _log_uniform(draw, 0.5, min(200.0, 4000.0 / amp))
+    return g, draw(st.sampled_from([amp, -amp])), tau
+
+
 class TestNQubitDemo:
     def test_two_qubit_case_reproduces_sweep_tau(self, params):
         taus = [0.5, 2.0, 8.0]
@@ -332,6 +350,20 @@ class TestNQubitDemo:
             result = n_qubit_demo(n, amp, cells, cd_enabled=True)
             assert not result.failed_cells
             assert np.abs(result.fidelity - exact).max() <= 1e-8, j2_amp
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(cell=_cd_cells())
+    def test_cd_fidelity_is_the_closed_form_anywhere(self, cell):
+        # the closed form of test_cd_fidelity_is_the_closed_form at drawn
+        # (g, j2_amp, tau), within its bound; the worst deviation of such
+        # draws is recorded in docs/noise_model.md
+        g, j2_amp, tau = cell
+        j_end = 0.5 * abs(j2_amp)
+        a = j_end - math.sqrt(g * g + j_end * j_end)
+        result = sweep_tau(CnotParams(g=g, j2_amp=j2_amp), [tau],
+                           cd_enabled=True)
+        assert not result.failed_cells
+        assert abs(result.fidelity[0, 0] - g * g / (g * g + a * a)) <= 1e-8
 
     def test_metadata_present(self, params):
         result = n_qubit_demo(3, params, [1.0], cd_enabled=False)

@@ -322,7 +322,8 @@ class TestLiouvillian:
         # -i J(t) (hz_aa - hz_cc), each exact
         system, rho0, alpha = _gate_cell(CnotParams(), 6.0, use_cd, n,
                                          alpha=0.1)
-        sub, idx = dynamics._invariant_sector(system, rho0.any(axis=0))
+        sub, idx = dynamics._invariant_sector(system, rho0.any(axis=0),
+                                              (0.0, 1.0))
         assert idx.size == 2
         d = np.real(np.diag(sub.hz))
         block = dephasing_dissipator(d, alpha)

@@ -33,6 +33,13 @@ class TestFidelityPure:
         with pytest.raises(NotNormalizedError):
             fidelity_pure(KET_11, 0.5 * KET_11)
 
+    def test_rejects_a_nan_entry(self):
+        # a NaN norm passed the check and gave a NaN fidelity
+        psi = KET_11 + np.array([np.nan, 0, 0, 0])
+        for a, b in ((psi, KET_11), (KET_11, psi)):
+            with pytest.raises(NotNormalizedError, match="norm nan"):
+                fidelity_pure(a, b)
+
 
 class TestFidelityMixed:
     def test_pure_projector(self):
@@ -66,6 +73,15 @@ class TestFidelityMixed:
         with pytest.raises(InvalidDensityMatrixError):
             neg = np.diag([1.5, -0.5, 0, 0]).astype(complex)
             fidelity_mixed(neg, KET_11)  # negative eigenvalue
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, entry):
+        # an all-NaN matrix passed every check and gave a NaN fidelity; an
+        # inf entry raised a RuntimeWarning from the Hermiticity check
+        for bad in (np.full((4, 4), entry, dtype=complex),
+                    np.diag([entry, 0, 0, 0]).astype(complex)):
+            with pytest.raises(InvalidDensityMatrixError, match="not finite"):
+                fidelity_mixed(bad, KET_11)
 
 
 class TestTransitionProbability:
@@ -103,6 +119,13 @@ class TestLzFormula:
             lz_formula(0.5, -1.0, 1.0)
         with pytest.raises(ValueError):
             lz_formula(0.5, 10.0, -1.0)
+
+    @pytest.mark.parametrize("j2_amp, tau", [(np.nan, 1.0), (10.0, np.nan),
+                                             (np.inf, np.inf)])
+    def test_non_finite_input_rejected(self, j2_amp, tau):
+        # each returned NaN
+        with pytest.raises(ValueError, match="finite"):
+            lz_formula(0.5, j2_amp, tau)
 
     def test_bounded(self):
         for tau in np.linspace(0, 50, 20):
