@@ -37,8 +37,8 @@ from .experiments import (
     _check_tau_window,
     _check_threshold,
     _gate_cell,
+    _readout,
     _run_cell,
-    _target_index,
     default_worker_count,
     find_optimal_tau,
     gate_unitary_check,
@@ -373,21 +373,12 @@ def _evolve_rows(rc: RunConfig):
         float(parse_axis(rc.alpha)[0]), params.g).alpha)
     system, _, _ = cell = _gate_cell(params, tau, rc.cd, alpha=alpha)
     traj = _run_cell(cell, rc.evolution_config(sample_count=rc.samples))
-    target = _target_index(system)
-    header = ["t", "fidelity", "ground_prob", "transition_prob", "norm"]
-    rows = []
-    for t, y in zip(traj.times, traj.states):
-        v1, v2 = analytic_spectrum(params, system.drive_value(float(t))).states[:2]
-        if alpha is None:
-            rows.append((t, abs(y[target]) ** 2, abs(np.vdot(v1, y)) ** 2,
-                         abs(np.vdot(v2, y)) ** 2,
-                         float(np.sum(np.abs(y) ** 2))))
-        else:
-            rows.append((t, float(np.real(y[target, target])),
-                         float(np.real(np.vdot(v1, y @ v1))),
-                         float(np.real(np.vdot(v2, y @ v2))),
-                         float(np.real(np.trace(y)))))
-    return header, rows, {}
+    # the last column is norm^2 for a state, the trace for a density matrix
+    rows = [(t, *_readout(system, t, y),
+             float(np.sum(np.abs(y) ** 2)) if alpha is None
+             else float(np.real(np.trace(y))))
+            for t, y in zip(traj.times, traj.states)]
+    return ["t", "fidelity", "ground_prob", "transition_prob", "norm"], rows, {}
 
 
 def _sweep_tau_rows(rc: RunConfig):

@@ -4,15 +4,17 @@ regenerate the plot-ready data sets.
 Every ramped gate run is one set-up, ``_gate_cell`` (the system and its
 start state, pure or as a density matrix), one runner, ``_run_cell`` (the
 default ``EvolutionConfig``, then the Schroedinger or Lindblad engine),
-and the recipe's own readout of the trajectory: ``_unitary_cell``,
-``_noise_cell``, ``adiabatic_profile`` and the CLI's ``evolve`` differ
-only there. Every grid recipe runs through one loop, ``_sweep``, which
-evaluates the cells one after another on the calling thread, each
-independently and deterministically: the work is numpy calls on small
-arrays that hold the GIL, so threads would gain nothing. A cell that
-fails is written as NaN and listed in ``failed_cells``; the sweep goes
-on. Noise strengths are specified in units of the minimal gap 2g in
-user-facing interfaces and converted to absolute rates internally.
+and one readout, ``_readout`` (the fidelity against ``_target``, then the
+sector's ground-state and transition probability), which
+``_unitary_cell``, ``adiabatic_profile`` and the CLI's ``evolve`` take;
+``_noise_cell`` needs only the fidelity. Every grid recipe runs through
+one loop, ``_sweep``, which evaluates the cells one after another on the
+calling thread, each independently and deterministically: the work is
+numpy calls on small arrays that hold the GIL, so threads would gain
+nothing. A cell that fails is written as NaN and listed in
+``failed_cells``; the sweep goes on. Noise strengths are specified in
+units of the minimal gap 2g in user-facing interfaces and converted to
+absolute rates internally.
 """
 
 from __future__ import annotations
@@ -134,23 +136,27 @@ class GateCheckReport:
     passed: bool
 
 
-def _target_index(system: RampedGateHamiltonian) -> int:
-    """The basis state the gate should end in, counted from the end:
-    |1..11> (-1), or |1..10> (-2) when the ramp ends at a negative drive,
-    where the sector ground state then lies."""
-    return -1 if system.drive_value(system.t_end) > 0 else -2
-
-
-def _target_state(n: int, index: int = -1) -> np.ndarray:
-    v = np.zeros(2 ** n, dtype=np.complex128)
-    v[index] = 1.0
+def _target(system: RampedGateHamiltonian) -> np.ndarray:
+    """The basis state the gate should end in: |1..11>, or |1..10> when the
+    ramp ends at a negative drive, where the sector ground state then lies."""
+    v = np.zeros(system.dim, dtype=np.complex128)
+    v[-1 if system.drive_value(system.t_end) > 0 else -2] = 1.0
     return v
 
 
-def _initial_vector(system: RampedGateHamiltonian, n: int,
-                    params: CnotParams) -> np.ndarray:
-    j2_start = system.drive_value(system.t_start)
-    return nqubit_sector_states(n, params.g, j2_start)[0]
+def _readout(system: RampedGateHamiltonian, t: float,
+             y: np.ndarray) -> tuple[float, float, float]:
+    """Fidelity against ``_target``, then the sector's ground-state and
+    transition probability at J(t), of a state or (checked by
+    ``fidelity_mixed``) a density matrix ``y``."""
+    n = system.dim.bit_length() - 1
+    ground, excited = nqubit_sector_states(n, system.g, system.drive_value(t))
+    target = _target(system)
+    if y.ndim == 1:
+        return tuple(float(abs(np.vdot(v, y)) ** 2)
+                     for v in (target, ground, excited))
+    return (fidelity_mixed(y, target),
+            *(float(np.vdot(v, y @ v).real) for v in (ground, excited)))
 
 
 def _gate_cell(params: CnotParams, tau: float, cd: bool, n: int = 2,
@@ -162,7 +168,8 @@ def _gate_cell(params: CnotParams, tau: float, cd: bool, n: int = 2,
     # model.cnot_system span, so n = 2 keeps its own builder
     system = (cnot_system(params, tau, cd) if n == 2
               else nqubit_system(n, params, tau, cd))
-    psi0 = _initial_vector(system, n, params)
+    psi0 = nqubit_sector_states(n, params.g,
+                                system.drive_value(system.t_start))[0]
     y0 = psi0 if alpha is None else np.outer(psi0, psi0.conj())
     return system, y0, alpha
 
@@ -181,27 +188,20 @@ def adiabatic_profile(params: CnotParams, tau: float, cd_enabled: bool = False,
                       cfg: EvolutionConfig | None = None
                       ) -> list[FidelityPoint]:
     """Instantaneous fidelity |<Psi(t)|11>|^2 (|10> for a negative
-    amplitude, ``_target_index``) along one unitary gate run, sampled at
-    201 points unless ``cfg`` asks for at least 3."""
+    amplitude, ``_target``) along one unitary gate run, sampled at 201
+    points unless ``cfg`` asks for at least 3."""
     if cfg is None or cfg.sample_count < 3:
         cfg = replace(cfg or EvolutionConfig(), sample_count=_PROFILE_SAMPLES)
     system, _, _ = cell = _gate_cell(params, tau, cd_enabled)
     traj = _run_cell(cell, cfg)
-    target = _target_index(system)
-    return [FidelityPoint(t=float(t), value=float(abs(psi[target]) ** 2))
+    return [FidelityPoint(t=float(t), value=_readout(system, t, psi)[0])
             for t, psi in zip(traj.times, traj.states)]
 
 
 def _unitary_cell(n: int, params: CnotParams, tau: float, cd: bool,
                   cfg: EvolutionConfig | None) -> tuple[float, float, float]:
     system, _, _ = cell = _gate_cell(params, tau, cd, n)
-    psi = _run_cell(cell, cfg).final_state
-    j2_end = system.drive_value(system.t_end)
-    ground, excited = nqubit_sector_states(n, params.g, j2_end)
-    # fidelity, transition and ground-state probability
-    return tuple(float(abs(np.vdot(v, psi)) ** 2)
-                 for v in (_target_state(n, _target_index(system)), excited,
-                           ground))
+    return _readout(system, system.t_end, _run_cell(cell, cfg).final_state)
 
 
 def sweep_tau(params: CnotParams, tau_values, cd_enabled: bool,
@@ -222,14 +222,13 @@ def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
     grid = make_grid(params, tau_values, [0.0], cd_enabled)
     return _sweep(grid, lambda alpha, tau: _unitary_cell(
         n, params, tau, cd_enabled, cfg), cfg,
-        ("fidelity", "transition_prob", "ground_prob"), n_qubits=n)
+        ("fidelity", "ground_prob", "transition_prob"), n_qubits=n)
 
 
 def _noise_cell(params: CnotParams, alpha: float, tau: float, cd: bool,
                 cfg: EvolutionConfig | None) -> float:
     system, _, _ = cell = _gate_cell(params, tau, cd, alpha=alpha)
-    return fidelity_mixed(_run_cell(cell, cfg).final_state,
-                          _target_state(2, _target_index(system)))
+    return fidelity_mixed(_run_cell(cell, cfg).final_state, _target(system))
 
 
 def sweep_noise(grid: SweepGrid,

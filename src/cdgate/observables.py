@@ -18,7 +18,8 @@ class FidelityPoint:
 
 
 def _require_normalized(psi: np.ndarray, name: str) -> None:
-    norm = float(np.linalg.norm(psi))
+    with np.errstate(over="ignore"):  # a huge state's norm is inf: it fails
+        norm = float(np.linalg.norm(psi))
     if not abs(norm - 1.0) <= TOL.normalization:  # a NaN norm fails too
         raise NotNormalizedError(f"{name} has norm {norm}, expected 1")
 
@@ -70,6 +71,8 @@ def transition_probability(psi_final, params: CnotParams,
 def lz_formula(g: float, j2_amp: float, tau: float) -> float:
     """Landau-Zener transition probability exp(-pi g^2 tau / J2) for the
     linear drive J2(t) = j2_amp t / tau."""
+    if not 0 < g < np.inf:
+        raise ValueError(f"g must be positive and finite, got {g}")
     if not 0 < j2_amp < np.inf:
         raise ValueError(f"j2_amp must be positive and finite, got {j2_amp}")
     if not 0 <= tau < np.inf:

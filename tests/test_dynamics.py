@@ -248,6 +248,21 @@ def test_nan_start_rejected(params):
                         NoiseModel(alpha=0.1), EvolutionConfig())
 
 
+@pytest.mark.parametrize("oracle", [False, True],
+                         ids=["schrodinger", "oracle"])
+def test_huge_start_rejected_without_a_warning(params, oracle):
+    # its squared norm overflowed with a RuntimeWarning
+    system = cnot_system(params, tau=5.0)
+    psi0 = np.array([1e200, 0, 0, 0])
+    with warnings.catch_warnings(), \
+            pytest.raises(NotNormalizedError, match="norm inf"):
+        warnings.simplefilter("error")
+        if oracle:
+            noise_trajectory_oracle(system, psi0, 0.1, 100, 0.01, seed=0)
+        else:
+            schrodinger_evolve(system, psi0, EvolutionConfig())
+
+
 @pytest.mark.parametrize("lindblad", [False, True],
                          ids=["schrodinger", "lindblad"])
 def test_nan_midway_fails_loudly(params, lindblad):

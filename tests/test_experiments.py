@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdgate import _kernels, experiments
+from cdgate.dynamics import EvolutionConfig, schrodinger_evolve
 from cdgate.errors import DimensionTooLargeError, NoInteriorMaximumError
 from cdgate.experiments import (
     SweepGrid,
@@ -18,8 +19,11 @@ from cdgate.experiments import (
     sweep_tau,
     tradeoff_boundary,
 )
-from cdgate.model import CnotParams, analytic_spectrum
+from cdgate.model import (CnotParams, analytic_spectrum, cnot_system,
+                          nqubit_sector_states)
 from cdgate.observables import lz_formula
+
+from conftest import random_state
 
 
 class TestAdiabaticProfile:
@@ -365,6 +369,22 @@ class TestNQubitDemo:
         assert not result.failed_cells
         assert abs(result.fidelity[0, 0] - g * g / (g * g + a * a)) <= 1e-8
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(cell=_cd_cells(), use_cd=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_populations_are_conserved_from_any_start(self, cell, use_cd,
+                                                      seed):
+        # |00> and |01> only gain phases and the coupled sector keeps its
+        # total, with or without CD; the worst deviation of such draws is
+        # recorded in docs/noise_model.md
+        g, j2_amp, tau = cell
+        psi0 = random_state(np.random.default_rng(seed), 4)
+        system = cnot_system(CnotParams(g=g, j2_amp=j2_amp), tau, use_cd)
+        pop = np.abs(schrodinger_evolve(
+            system, psi0, EvolutionConfig(sample_count=5)).states) ** 2
+        groups = np.stack([pop[:, 0], pop[:, 1], pop[:, 2] + pop[:, 3]], 1)
+        assert np.abs(groups - groups[0]).max() <= 1e-8
+
     def test_metadata_present(self, params):
         result = n_qubit_demo(3, params, [1.0], cd_enabled=False)
         assert "version" in result.metadata
@@ -464,5 +484,5 @@ class TestSinglePath:
                                                alpha=0.1)
         assert alpha is None and rate == 0.1
         assert np.array_equal(rho0, np.outer(psi0, psi0.conj()))
-        assert np.array_equal(psi0, experiments._initial_vector(system, 2,
-                                                                params))
+        assert np.array_equal(psi0, nqubit_sector_states(
+            2, params.g, system.drive_value(system.t_start))[0])

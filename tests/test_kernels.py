@@ -8,8 +8,7 @@ from cdgate import _kernels, dynamics
 from cdgate.dynamics import (EvolutionConfig, NoiseModel, lindblad_evolve,
                              noise_trajectory_oracle, schrodinger_evolve)
 from cdgate.errors import StepUnderflowError
-from cdgate.experiments import (_gate_cell, _initial_vector, _noise_cell,
-                                 _target_state)
+from cdgate.experiments import _gate_cell, _noise_cell, _target
 from cdgate.model import (CnotParams, analytic_spectrum, cnot_system,
                           lz_system, nqubit_system)
 from cdgate.observables import fidelity_mixed
@@ -631,8 +630,7 @@ class TestStepTelemetry:
         # the steps planned after a failure are discarded; stage mode takes
         # the blocks of matrix mode
         params = CnotParams()
-        system = nqubit_system(2, params, 20.0)
-        psi0 = _initial_vector(system, 2, params)
+        system, psi0, _ = _gate_cell(params, 20.0, False)
         counts = ("accepted", "rejected", "discarded", "blocks", "rhs_evals")
         for size in (_kernels._MATRIX_MAX_SIZE, 0):
             monkeypatch.setattr(_kernels, "_MATRIX_MAX_SIZE", size)
@@ -745,15 +743,13 @@ class TestPinnedSteps:
                                            (200.0, (1595, 10))])
     def test_sweep_tau_cell(self, tau, steps):
         params = CnotParams()
-        system = nqubit_system(2, params, tau)
-        psi0 = _initial_vector(system, 2, params)
+        system, psi0, _ = _gate_cell(params, tau, False)
         stats = schrodinger_evolve(system, psi0, EvolutionConfig(tau=tau)).stats
         assert (stats["accepted"], stats["rejected"]) == steps
 
     def test_cd_lindblad_cell(self):
         params = CnotParams()
-        system = cnot_system(params, 200.0, use_cd=True)
-        psi0 = _initial_vector(system, 2, params)
+        system, psi0, _ = _gate_cell(params, 200.0, True)
         stats = lindblad_evolve(system, np.outer(psi0, psi0.conj()),
                                 NoiseModel.from_gap_units(0.15, params.g),
                                 EvolutionConfig(tau=200.0)).stats
@@ -777,12 +773,11 @@ class TestPinnedSteps:
 
     def test_cd_lindblad_cell_fidelity(self):
         params = CnotParams()
-        system = cnot_system(params, 200.0, use_cd=True)
-        psi0 = _initial_vector(system, 2, params)
+        system, psi0, _ = _gate_cell(params, 200.0, True)
         rho = lindblad_evolve(system, np.outer(psi0, psi0.conj()),
                               NoiseModel.from_gap_units(0.15, params.g),
                               EvolutionConfig(tau=200.0)).final_state
-        assert abs(fidelity_mixed(rho, _target_state(2))
+        assert abs(fidelity_mixed(rho, _target(system))
                    - 0.5000769096425037) < 1e-14
 
     def test_optimal_tau_cell_fidelity(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,8 +42,24 @@ class TestFidelityPure:
             with pytest.raises(NotNormalizedError, match="norm nan"):
                 fidelity_pure(a, b)
 
+    def test_rejects_a_huge_state_without_a_warning(self):
+        # its squared norm overflowed with a RuntimeWarning
+        huge = np.array([1e200, 0, 0, 0])
+        for a, b in ((huge, KET_11), (KET_11, huge)):
+            with warnings.catch_warnings(), \
+                    pytest.raises(NotNormalizedError, match="norm inf"):
+                warnings.simplefilter("error")
+                fidelity_pure(a, b)
+
 
 class TestFidelityMixed:
+    def test_rejects_a_huge_target_without_a_warning(self):
+        rho = np.outer(KET_11, KET_11.conj())
+        with warnings.catch_warnings(), \
+                pytest.raises(NotNormalizedError, match="norm inf"):
+            warnings.simplefilter("error")
+            fidelity_mixed(rho, np.array([1e200, 0, 0, 0]))
+
     def test_pure_projector(self):
         rho = np.outer(KET_11, KET_11.conj())
         assert abs(fidelity_mixed(rho, KET_11) - 1.0) < 1e-15
@@ -119,6 +137,12 @@ class TestLzFormula:
             lz_formula(0.5, -1.0, 1.0)
         with pytest.raises(ValueError):
             lz_formula(0.5, 10.0, -1.0)
+
+    @pytest.mark.parametrize("g", [np.nan, -1.0, 0.0, np.inf])
+    def test_bad_coupling_rejected(self, g):
+        # a NaN g gave NaN, and g = -1 gave 0.730, as g = 1 does
+        with pytest.raises(ValueError, match="g must be positive and finite"):
+            lz_formula(g, 10.0, 1.0)
 
     @pytest.mark.parametrize("j2_amp, tau", [(np.nan, 1.0), (10.0, np.nan),
                                              (np.inf, np.inf)])

@@ -66,6 +66,10 @@ CONFIGS = {
     "evolve-noisy-cd": ["evolve", "--tau", "10", "--alpha", "0.05", "--cd"],
     "evolve-json": ["evolve", "--tau", "10", "--format", "json"],
     "spectrum": ["spectrum"],
+    # a ramp that ends at a negative drive, whose target is |10>
+    "sweep-tau-neg": ["sweep-tau", "--j2", "-10"],
+    "evolve-noisy-cd-neg": ["evolve", "--tau", "10", "--j2", "-10",
+                            "--alpha", "0.05", "--cd"],
 }
 # --full-range-ramp is --j2 doubled; these runs pin that it stays so
 _FULL_RANGE_BASES = {
