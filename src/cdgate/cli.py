@@ -282,7 +282,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             parser.error(f"unsupported format {rc.format!r}")
         if not os.path.isdir(os.path.dirname(rc.output) or "."):
             parser.error(f"--output directory does not exist: {rc.output!r}")
-    except (CdgateError, ValueError) as exc:
+    # numpy's MemoryError: an axis count it cannot allocate
+    except (CdgateError, ValueError, MemoryError) as exc:
         parser.error(str(exc))
     return rc
 

@@ -50,7 +50,7 @@ from .errors import (
     TraceDriftExceededError,
 )
 from .model import CnotParams, RampedGateHamiltonian, analytic_spectrum
-from .numerics import TOL, as_state, hermiticity_defect
+from .numerics import TOL, as_state
 from .observables import _require_normalized, validate_density_matrix
 
 HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
@@ -100,7 +100,8 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled states along one evolution; ``kind`` is 'pure' or 'density'.
+    """Sampled states along one evolution: ``states`` holds one state per
+    sample time, a vector (pure) or a density matrix.
 
     ``norm_drift`` is the largest deviation of norm^2 (pure) or trace
     (density) from one seen at any accepted integrator step. ``stats``
@@ -112,7 +113,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     norm_drift: float
-    kind: str
     stats: dict = field(default_factory=dict)
 
     @property
@@ -188,8 +188,9 @@ def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray,
     """The system on the invariant sector of a start supported on the
     boolean mask ``support`` over the basis, and the sector's indices; the
     one check of every engine's system against its start: it must have the
-    start's dimension (``ValueError``), and a callable must be Hermitian at
-    the start, midpoint and end of the run's ``span`` (``NotHermitianError``).
+    start's dimension (``ValueError``) and be Hermitian
+    (``NotHermitianError``): a ramped system in each of its three terms
+    on the sector, a callable at the start, midpoint and end of ``span``.
 
     For a ramped system the sector is the closure of the support under the
     joint nonzero pattern of ``h0``, ``hz`` and ``hcd``, and the system is
@@ -200,22 +201,33 @@ def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray,
     """
     ramped = isinstance(h_of_t, RampedGateHamiltonian)
     t0, t1 = span
-    for t in (t0,) if ramped else (t0, 0.5 * (t0 + t1), t1):
-        h = h_of_t.h0 if ramped else np.asarray(h_of_t(t))
-        if h.shape != (support.size, support.size):
-            raise ValueError("the state dimension does not match the system")
-        if not ramped and hermiticity_defect(h) > TOL.hermiticity:
-            raise NotHermitianError(f"H(t) is not Hermitian at t={t}")
-    if not ramped:
-        return _stacked(h_of_t), np.arange(support.size)
-    coupled = (h_of_t.h0 != 0) | (h_of_t.hz != 0) | (h_of_t.hcd != 0)
-    reach = support
-    while True:
-        grown = reach | coupled[:, reach].any(axis=1)
-        if np.array_equal(grown, reach):
-            idx = np.flatnonzero(reach)
-            return h_of_t.restricted(idx), idx
-        reach = grown
+    times = (t0, 0.5 * (t0 + t1), t1)
+    terms = ((h_of_t.h0, h_of_t.hz, h_of_t.hcd) if ramped
+             else [np.asarray(h_of_t(t)) for t in times])
+    if any(h.shape != (support.size, support.size) for h in terms):
+        raise ValueError("the state dimension does not match the system")
+    if ramped:
+        coupled = (terms[0] != 0) | (terms[1] != 0) | (terms[2] != 0)
+        reach = support
+        while not np.array_equal(
+                grown := reach | coupled[:, reach].any(axis=1), reach):
+            reach = grown
+        idx = np.flatnonzero(reach)
+        system = h_of_t.restricted(idx)
+        terms = (system.h0, system.hz, system.hcd)
+    else:
+        system, idx = _stacked(h_of_t), np.arange(support.size)
+    # numerics.hermiticity_defect of each, in one pass over their stack
+    stack = np.array(terms)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
+        defect = abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        ok = defect <= TOL.hermiticity * abs(stack).max(axis=(1, 2))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise NotHermitianError((f"the system's {('h0', 'hz', 'hcd')[k]}"
+                                 if ramped else f"H(t) at t={times[k]}")
+                                + " is not Hermitian")
+    return system, idx
 
 
 def _integrate(h_of_t: HamiltonianLike, sector, times: np.ndarray, y0,
@@ -295,7 +307,7 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
             "tighten the tolerances"
         )
     return Trajectory(times=times, states=states, norm_drift=float(drift),
-                      kind="pure", stats=stats)
+                      stats=stats)
 
 
 def propagator(h_of_t: HamiltonianLike, cfg: EvolutionConfig,
@@ -346,7 +358,7 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
             f"rho(t={times[idx]}) has eigenvalue {smallest[idx]:.3e}"
         )
     return Trajectory(times=times, states=states, norm_drift=float(drift),
-                      kind="density", stats=stats)
+                      stats=stats)
 
 
 def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,

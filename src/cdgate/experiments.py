@@ -5,14 +5,13 @@ Every ramped gate run is one set-up, ``_gate_cell`` (the system and its
 start state, pure or as a density matrix), one runner, ``_run_cell`` (the
 default ``EvolutionConfig``, then the Schroedinger or Lindblad engine),
 and one readout, ``_readout`` (the fidelity against ``_target``, then the
-sector's ground-state and transition probability), which
-``_unitary_cell``, ``adiabatic_profile`` and the CLI's ``evolve`` take;
-``_noise_cell`` needs only the fidelity. Every grid recipe runs through
-one loop, ``_sweep``, which evaluates the cells one after another on the
-calling thread, each independently and deterministically: the work is
-numpy calls on small arrays that hold the GIL, so threads would gain
-nothing. A cell that fails is written as NaN and listed in
-``failed_cells``; the sweep goes on. Noise strengths are specified in
+sector's ground-state and transition probability). Every sweep and search
+runs one cell, ``_cell``, the readout of a final state, unitary or noisy;
+every grid recipe fills its three arrays in one loop, ``_sweep``, cell
+after cell on the calling thread, each independently and
+deterministically: the work is numpy calls on small arrays that hold the
+GIL, so threads would gain nothing. A cell that fails is written as NaN
+and listed in ``failed_cells``; the sweep goes on. Noise strengths are specified in
 units of the minimal gap 2g in user-facing interfaces and converted to
 absolute rates internally.
 """
@@ -106,8 +105,8 @@ def make_grid(params: CnotParams, tau_values, alpha_gap_units,
 class SweepResult:
     grid: SweepGrid
     fidelity: np.ndarray
-    transition_prob: np.ndarray | None = None
-    ground_prob: np.ndarray | None = None
+    transition_prob: np.ndarray
+    ground_prob: np.ndarray
     metadata: dict = field(default_factory=dict)
     failed_cells: list = field(default_factory=list)
 
@@ -198,9 +197,11 @@ def adiabatic_profile(params: CnotParams, tau: float, cd_enabled: bool = False,
             for t, psi in zip(traj.times, traj.states)]
 
 
-def _unitary_cell(n: int, params: CnotParams, tau: float, cd: bool,
-                  cfg: EvolutionConfig | None) -> tuple[float, float, float]:
-    system, _, _ = cell = _gate_cell(params, tau, cd, n)
+def _cell(params: CnotParams, tau: float, cd: bool,
+          cfg: EvolutionConfig | None, n: int = 2,
+          alpha: float | None = None) -> tuple[float, float, float]:
+    """The ``_readout`` of a gate run's final state, noisy given alpha."""
+    system, _, _ = cell = _gate_cell(params, tau, cd, n, alpha)
     return _readout(system, system.t_end, _run_cell(cell, cfg).final_state)
 
 
@@ -220,51 +221,42 @@ def n_qubit_demo(n: int, params: CnotParams, tau_values, cd_enabled: bool,
     ``DimensionTooLargeError`` before any cell runs."""
     _check_qubit_count(n)
     grid = make_grid(params, tau_values, [0.0], cd_enabled)
-    return _sweep(grid, lambda alpha, tau: _unitary_cell(
-        n, params, tau, cd_enabled, cfg), cfg,
-        ("fidelity", "ground_prob", "transition_prob"), n_qubits=n)
-
-
-def _noise_cell(params: CnotParams, alpha: float, tau: float, cd: bool,
-                cfg: EvolutionConfig | None) -> float:
-    system, _, _ = cell = _gate_cell(params, tau, cd, alpha=alpha)
-    return fidelity_mixed(_run_cell(cell, cfg).final_state, _target(system))
+    return _sweep(grid, lambda alpha, tau: _cell(
+        params, tau, cd_enabled, cfg, n), cfg, n_qubits=n)
 
 
 def sweep_noise(grid: SweepGrid,
                 cfg: EvolutionConfig | None = None) -> SweepResult:
     """Lindblad evolution per (alpha, tau) cell; final mixed-state fidelity
-    against |11> (|10> for a negative amplitude). Failed cells are recorded
-    as NaN and the sweep continues."""
-    return _sweep(grid, lambda alpha, tau: (_noise_cell(
-        grid.params, alpha, tau, grid.cd_enabled, cfg),), cfg)
+    against |11> (|10> for a negative amplitude), with the sector's
+    ground-state and transition probability. Failed cells are recorded as
+    NaN and the sweep continues."""
+    return _sweep(grid, lambda alpha, tau: _cell(
+        grid.params, tau, grid.cd_enabled, cfg, alpha=alpha), cfg)
 
 
 def _sweep(grid: SweepGrid, cell, cfg: EvolutionConfig | None,
-           fields: tuple[str, ...] = ("fidelity",), **extra) -> SweepResult:
-    """Evaluate ``cell(alpha, tau)``, which returns one float per field, over
-    the grid with alphas as rows and taus as columns. A cell that raises
-    CdgateError stays NaN in every field and is listed in ``failed_cells``;
-    ``extra`` joins the metadata."""
+           **extra) -> SweepResult:
+    """Evaluate ``cell(alpha, tau)``, a ``_cell``, over the grid with alphas
+    as rows and taus as columns. A cell that raises CdgateError stays NaN
+    in every array and is listed in ``failed_cells``; ``extra`` joins the
+    metadata."""
     t_start = time.perf_counter()
-    shape = (len(grid.alpha_values), len(grid.tau_values))
-    arrays = {name: np.full(shape, np.nan) for name in fields}
+    values = np.full((3, len(grid.alpha_values), len(grid.tau_values)), np.nan)
     failed = []
     for i, alpha in enumerate(grid.alpha_values):
         for j, tau in enumerate(grid.tau_values):
             try:
-                values = cell(float(alpha), float(tau))
+                values[:, i, j] = cell(float(alpha), float(tau))
             except CdgateError as exc:
                 failed.append(f"cell ({i},{j}): {exc}")
-                continue
-            for name, value in zip(fields, values):
-                arrays[name][i, j] = value
+    fidelity, ground, transition = values  # _readout's order
     run_cfg = cfg or EvolutionConfig()
     meta = {"version": _version, "backend": backend_name(),
             "rel_tol": run_cfg.rel_tol, "abs_tol": run_cfg.abs_tol,
             "wall_seconds": time.perf_counter() - t_start, **extra}
-    return SweepResult(grid=grid, **arrays, metadata=meta,
-                       failed_cells=failed)
+    return SweepResult(grid=grid, fidelity=fidelity, transition_prob=transition,
+                       ground_prob=ground, metadata=meta, failed_cells=failed)
 
 
 def _check_tau_window(tau_window: tuple[float, float]) -> None:
@@ -294,7 +286,7 @@ def find_optimal_tau(params: CnotParams, alpha: float,
     _check_tau_window(tau_window)
 
     def f_of(tau: float) -> float:
-        return _noise_cell(params, alpha, tau, False, cfg)
+        return _cell(params, tau, False, cfg, alpha=alpha)[0]
 
     taus = np.logspace(np.log10(tau_window[0]), np.log10(tau_window[1]),
                        _COARSE_POINTS)

@@ -21,9 +21,11 @@ from .errors import (
     DimensionTooLargeError,
     GapCollisionError,
     NonPositiveTauError,
+    NotHermitianError,
     PhaseOverflowError,
 )
-from .numerics import TOL, as_operator, hermitian_eig, kron
+from .numerics import (TOL, _operator_pair, hermitian_eig,
+                       hermiticity_defect, kron)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -195,34 +197,30 @@ def build_h_cd_spectral(h, hdot) -> np.ndarray:
     Near-degenerate pairs (|E_n - E_m| below ``TOL.gap_collision`` scaled
     by the spectral range) contribute nothing when the coupling element is
     below ``TOL.cd_element``; a large element at a tiny gap is a genuinely
-    singular construction and raises GapCollisionError.
+    singular construction and raises GapCollisionError. ``h`` and ``hdot``
+    must be Hermitian (``NotHermitianError``) and of one shape
+    (``DimensionMismatchError``).
     """
-    h = as_operator(h)
-    hdot = as_operator(hdot)
+    h, hdot = _operator_pair(h, hdot, "build_h_cd_spectral")
+    if hermiticity_defect(hdot) > TOL.hermiticity:
+        raise NotHermitianError("hdot is not Hermitian")
     dec = hermitian_eig(h)
-    w = dec.eigenvalues
-    v = dec.eigenvectors
-    scale = max(1.0, float(np.abs(w).max()))
-    gap_cut = TOL.gap_collision * scale
-
+    w, v = dec.eigenvalues, dec.eigenvectors
+    gap_cut = TOL.gap_collision * max(1.0, float(np.abs(w).max()))
     coupling = v.conj().T @ hdot @ v
-    dim = w.shape[0]
-    core = np.zeros((dim, dim), dtype=np.complex128)
-    for m in range(dim):
-        for n in range(dim):
-            if m == n:
-                continue
-            gap = w[n] - w[m]
-            elem = coupling[m, n]
-            if abs(gap) < gap_cut:
-                if abs(elem) >= TOL.cd_element:
-                    raise GapCollisionError(
-                        f"eigenvalue gap {abs(gap):.3e} below tolerance with "
-                        f"coupling {abs(elem):.3e}; counterdiabatic field is "
-                        "singular at this point"
-                    )
-                continue
-            core[m, n] = 1j * elem / gap
+    gap = w - w[:, None]  # E_n - E_m at [m, n]
+    off = ~np.eye(w.size, dtype=bool)
+    near = off & (np.abs(gap) < gap_cut)
+    singular = np.argwhere(near & (np.abs(coupling) >= TOL.cd_element))
+    if singular.size:
+        m, n = singular[0]
+        raise GapCollisionError(
+            f"eigenvalue gap {abs(gap[m, n]):.3e} below tolerance with "
+            f"coupling {abs(coupling[m, n]):.3e}; counterdiabatic field is "
+            "singular at this point")
+    far = off & ~near
+    core = np.zeros_like(coupling)
+    core[far] = 1j * coupling[far] / gap[far]
     out = v @ core @ v.conj().T
     return (out + out.conj().T) * 0.5
 
@@ -244,20 +242,15 @@ def _check_qubit_count(n: int) -> None:
 def _op_on(op: np.ndarray, site: int, n: int) -> np.ndarray:
     ops = [IDENTITY_2] * n
     ops[site] = op
-    out = ops[0]
-    for o in ops[1:]:
-        out = np.kron(out, o)
-    return out
+    return functools.reduce(np.kron, ops)
 
 
 def control_projector(n: int) -> np.ndarray:
     """Projector onto |1...1> of the first n-1 qubits, identity on the last:
     prod_{i<n} (1 - sigma_z_i)/2."""
     _check_qubit_count(n)
-    out = np.eye(1, dtype=np.complex128)
-    for _ in range(n - 1):
-        out = np.kron(out, (IDENTITY_2 - SIGMA_Z) / 2.0)
-    return np.kron(out, IDENTITY_2)
+    return functools.reduce(
+        np.kron, [(IDENTITY_2 - SIGMA_Z) / 2.0] * (n - 1) + [IDENTITY_2])
 
 
 def build_h_n(n: int, j: float, j_n: float, g: float) -> np.ndarray:

@@ -220,6 +220,26 @@ class TestParseConfig:
         assert problem in capsys.readouterr().err
         assert not os.listdir(out)
 
+    # 1e13 values ask numpy for 72.8 TiB, which it refuses at once
+    @pytest.mark.parametrize("argv, file_values", [
+        (["sweep-tau", "--tau", "1:2:10000000000000"], None),
+        (["heatmap", "--alpha", "0.01:0.1:10000000000000log"], None),
+        (["nqubit", "--n", "3"], {"tau": "1:2:10000000000000"}),
+    ], ids=["tau", "alpha-log", "file-tau"])
+    def test_unallocatable_axis_exits_2(self, argv, file_values, tmp_path,
+                                        capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        if file_values is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(file_values))
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv + ["--output", str(out / "r")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("cdgate: error: Unable to allocate 72.8 TiB")
+        assert "Traceback" not in "\n".join(err)
+        assert not os.listdir(out)
+
     @pytest.mark.parametrize("argv", [
         ["evolve", "--tau", "5,10", "--samples", "3"],
         ["evolve", "--alpha", "0.1,0.2"],
@@ -556,14 +576,14 @@ class TestCommands:
 
     def test_failed_noise_cells_reported(self, tmp_path, capsys, monkeypatch):
         import cdgate.experiments as exp
-        real = exp._noise_cell
+        real = exp._cell
 
-        def flaky(params, alpha, tau, *rest):
+        def flaky(params, tau, *rest, **kwargs):
             if tau == 2.0:
                 raise exp.CdgateError("injected failure")
-            return real(params, alpha, tau, *rest)
+            return real(params, tau, *rest, **kwargs)
 
-        monkeypatch.setattr(exp, "_noise_cell", flaky)
+        monkeypatch.setattr(exp, "_cell", flaky)
         code, _ = _run(tmp_path, ["sweep-noise", "--alpha", "0.05",
                                   "--tau", "1,2"])
         assert code == 1
@@ -580,14 +600,14 @@ class TestCommands:
     def test_failed_heatmap_cells_exit_1_with_cause(self, tmp_path, capsys,
                                                     monkeypatch):
         import cdgate.experiments as exp
-        real = exp._noise_cell
+        real = exp._cell
 
-        def flaky(params, alpha, tau, *rest):
+        def flaky(params, tau, cd, cfg, n=2, alpha=None):
             if alpha > 0.0:
                 raise exp.CdgateError("injected failure")
-            return real(params, alpha, tau, *rest)
+            return real(params, tau, cd, cfg, n, alpha)
 
-        monkeypatch.setattr(exp, "_noise_cell", flaky)
+        monkeypatch.setattr(exp, "_cell", flaky)
         code, _ = _run(tmp_path, ["heatmap", "--alpha", "0,0.1",
                                   "--tau", "1,2"])
         assert code == 1
@@ -600,14 +620,14 @@ class TestCommands:
     def test_failed_sweep_tau_cells_exit_1_with_cause(self, tmp_path, capsys,
                                                       monkeypatch):
         import cdgate.experiments as exp
-        real = exp._unitary_cell
+        real = exp._cell
 
-        def flaky(n, params, tau, *rest):
+        def flaky(params, tau, *rest, **kwargs):
             if tau > 50.0:
                 raise exp.CdgateError("injected failure")
-            return real(n, params, tau, *rest)
+            return real(params, tau, *rest, **kwargs)
 
-        monkeypatch.setattr(exp, "_unitary_cell", flaky)
+        monkeypatch.setattr(exp, "_cell", flaky)
         code, _ = _run(tmp_path, ["sweep-tau", "--tau", "1,20,60,100"])
         assert code == 1
         lines = (tmp_path / "run_sweep-tau.csv").read_text().splitlines()
@@ -629,14 +649,14 @@ class TestCommands:
     def test_failed_tradeoff_cells_exit_1_with_cause(self, tmp_path, capsys,
                                                      monkeypatch):
         import cdgate.experiments as exp
-        real = exp._noise_cell
+        real = exp._cell
 
-        def flaky(params, alpha, tau, *rest):
+        def flaky(params, tau, *rest, **kwargs):
             if tau > 50.0:
                 raise exp.CdgateError("injected failure")
-            return real(params, alpha, tau, *rest)
+            return real(params, tau, *rest, **kwargs)
 
-        monkeypatch.setattr(exp, "_noise_cell", flaky)
+        monkeypatch.setattr(exp, "_cell", flaky)
         code, _ = _run(tmp_path, ["tradeoff", "--alpha", "0.02,0.2",
                                   "--tau", "1:100:4log"])
         assert code == 1
@@ -653,12 +673,12 @@ class TestCommands:
 
     def test_json_files_are_strict(self, tmp_path, monkeypatch):
         import cdgate.experiments as exp
-        real = exp._unitary_cell
+        real = exp._cell
 
-        def flaky(n, params, tau, *rest):
+        def flaky(params, tau, *rest, **kwargs):
             if tau > 1.0:
                 raise exp.CdgateError("injected failure")
-            return real(n, params, tau, *rest)
+            return real(params, tau, *rest, **kwargs)
 
         def strict(text):
             def reject(name):
@@ -671,7 +691,7 @@ class TestCommands:
         assert code == 0
         summary = strict((tmp_path / "run_manifest.json").read_text())["summary"]
         assert summary["product_mean"] is None
-        monkeypatch.setattr(exp, "_unitary_cell", flaky)
+        monkeypatch.setattr(exp, "_cell", flaky)
         code, _ = _run(tmp_path, ["sweep-tau", "--tau", "1,2",
                                   "--format", "json"])
         assert code == 1

@@ -37,6 +37,7 @@ from conftest import (dephasing_dissipator, random_hermitian,
                       random_state, spectral_propagator)
 
 KET_11 = np.array([0, 0, 0, 1], dtype=complex)
+KET_10 = np.array([0, 0, 1, 0], dtype=complex)
 
 
 def ground_start(params, system):
@@ -984,6 +985,17 @@ class TestSystemMatchesStart:
 
         with pytest.raises(NotHermitianError, match="t=0.0"):
             self._run(engine, h_of_t, KET_11)
+
+    @pytest.mark.parametrize("engine", ["schrodinger", "lindblad", "oracle"])
+    def test_ramped_system_must_be_hermitian(self, params, engine,
+                                             no_integration):
+        # the oracle returned a rho of trace 1.47 and the two engines failed
+        # on their drift and positivity monitors, "tighten the tolerances"
+        system = cnot_system(params, tau=10.0)
+        h0 = system.h0.copy()
+        h0[2, 3], h0[3, 2] = -0.5, 0.2
+        with pytest.raises(NotHermitianError, match="h0 is not Hermitian"):
+            self._run(engine, replace(system, h0=h0), KET_10)
 
 
 class TestScipyOracle:

@@ -100,31 +100,27 @@ class TestSweepNoise:
         diffs = np.diff(result.fidelity, axis=0)
         assert (diffs <= 1e-10).all()
 
-    @pytest.mark.parametrize("cell, run, fields", [
-        ("_noise_cell",
-         lambda exp, p: exp.sweep_noise(
-             make_grid(p, [1.0, 2.0, 3.0], [0.05], cd_enabled=True)),
-         ("fidelity",)),
-        ("_unitary_cell",
-         lambda exp, p: exp.n_qubit_demo(3, p, [1.0, 2.0, 3.0], True),
-         ("fidelity", "transition_prob", "ground_prob")),
+    @pytest.mark.parametrize("run", [
+        lambda exp, p: exp.sweep_noise(
+            make_grid(p, [1.0, 2.0, 3.0], [0.05], cd_enabled=True)),
+        lambda exp, p: exp.n_qubit_demo(3, p, [1.0, 2.0, 3.0], True),
     ], ids=["sweep_noise", "n_qubit_demo"])
     def test_failed_cells_are_recorded_and_skipped(self, params, monkeypatch,
-                                                   cell, run, fields):
+                                                   run):
         import cdgate.experiments as exp
         clean = run(exp, params)
-        real = getattr(exp, cell)
+        real = exp._cell
 
-        def flaky(*args):
-            if args[2] == 2.0:  # tau is the third argument of both cells
+        def flaky(params, tau, *rest, **kwargs):
+            if tau == 2.0:
                 raise exp.CdgateError("injected failure")
-            return real(*args)
+            return real(params, tau, *rest, **kwargs)
 
-        monkeypatch.setattr(exp, cell, flaky)
+        monkeypatch.setattr(exp, "_cell", flaky)
         result = run(exp, params)
         assert result.failed_cells == ["cell (0,1): injected failure"]
         assert clean.failed_cells == []
-        for name in fields:
+        for name in ("fidelity", "transition_prob", "ground_prob"):
             got, want = getattr(result, name), getattr(clean, name)
             assert np.isnan(got[0, 1])
             assert np.isfinite(want).all()

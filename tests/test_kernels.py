@@ -8,7 +8,7 @@ from cdgate import _kernels, dynamics
 from cdgate.dynamics import (EvolutionConfig, NoiseModel, lindblad_evolve,
                              noise_trajectory_oracle, schrodinger_evolve)
 from cdgate.errors import StepUnderflowError
-from cdgate.experiments import _gate_cell, _noise_cell, _target
+from cdgate.experiments import _cell, _gate_cell, _target
 from cdgate.model import (CnotParams, analytic_spectrum, cnot_system,
                           lz_system, nqubit_system)
 from cdgate.observables import fidelity_mixed
@@ -783,7 +783,7 @@ class TestPinnedSteps:
     def test_optimal_tau_cell_fidelity(self):
         params = CnotParams()
         alpha = NoiseModel.from_gap_units(0.04, params.g).alpha
-        fidelity = _noise_cell(params, alpha, 30.0, False, None)
+        fidelity = _cell(params, 30.0, False, None, alpha=alpha)[0]
         assert abs(fidelity - 0.7997376673018516) < 1e-14
 
 

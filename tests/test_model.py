@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdgate.errors import (
+    DimensionMismatchError,
     DimensionTooLargeError,
     GapCollisionError,
     NonPositiveTauError,
+    NotHermitianError,
     PhaseOverflowError,
 )
 from cdgate.model import (
@@ -267,6 +269,16 @@ class TestCounterdiabatic:
         h = np.diag([1.0, 1.0]).astype(complex)
         with pytest.raises(GapCollisionError):
             build_h_cd_spectral(h, SIGMA_X)
+
+    def test_spectral_shapes_must_match(self):
+        # it failed inside numpy's matmul
+        with pytest.raises(DimensionMismatchError, match="equal shapes"):
+            build_h_cd_spectral(build_h_cnot(CnotParams(), 1.0), SIGMA_X)
+
+    def test_spectral_hdot_must_be_hermitian(self):
+        # it was symmetrized into the field [[0, 0.5j], [-0.5j, 0]]
+        with pytest.raises(NotHermitianError, match="hdot"):
+            build_h_cd_spectral(np.diag([1.0, 2.0]), [[0, 1], [0, 0]])
 
     def test_spectral_output_hermitian(self):
         p = CnotParams()

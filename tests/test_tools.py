@@ -122,6 +122,46 @@ def test_summary_line_without_a_change(tmp_path, tool, capsys):
         "largest change 0; 1 of 1 files unchanged")
 
 
+def _git_head():
+    return subprocess.run(["git", "rev-parse", "HEAD"],
+                          cwd=os.path.join(_TOOLS, os.pardir),
+                          capture_output=True).returncode == 0
+
+
+@pytest.mark.skipif(not _git_head(), reason="needs a git checkout")
+def test_against_head_is_byte_identical(tmp_path, tool, capsys):
+    # HEAD's src and this checkout's, each in a fresh interpreter
+    assert tool.against("HEAD", str(tmp_path), ["evolve"]) == []
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "1 of 1 files byte-identical")
+    assert ((tmp_path / "old" / "evolve.csv").read_bytes()
+            == (tmp_path / "new" / "evolve.csv").read_bytes())
+
+
+@pytest.mark.skipif(not _git_head(), reason="needs a git checkout")
+def test_against_reports_a_byte_difference(tmp_path, tool, monkeypatch,
+                                           capsys):
+    # one value, unchanged for --compare, written with other digits
+    def write_with(src, outdir, names):
+        os.makedirs(outdir)
+        with open(os.path.join(outdir, "a.csv"), "w") as fh:
+            fh.write("x\n0.5\n" if outdir.endswith("old") else "x\n0.50\n")
+        return []
+
+    monkeypatch.setattr(tool, "_write_with", write_with)
+    problems = tool.against("HEAD", str(tmp_path))
+    assert problems == ["not byte-identical: a.csv"]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "0 of 1 files byte-identical")
+
+
+def test_against_an_unknown_revision_exits_2_before_writing(tmp_path, tool,
+                                                            capsys):
+    assert tool.run(["--against", "no-such-revision", str(tmp_path)]) == 2
+    assert "git archive no-such-revision" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 _TRACED = textwrap.dedent("""\
     \"\"\"A module.\"\"\"
     import functools

@@ -3,6 +3,7 @@ or compare two such directories.
 
 Usage: python tools/canonical_outputs.py OUTDIR
        python tools/canonical_outputs.py --compare OLD NEW
+       python tools/canonical_outputs.py --against REF OUTDIR
 
 Runs each config below through ``cdgate.cli.main`` with the cdgate of this
 checkout (its ``src``) and keeps only the data file, named after the
@@ -22,21 +23,33 @@ largest change over all files, with its file, column and row, and the
 number of files whose every value is unchanged. Exits 1 if a change exceeds
 ``COMPARE_TOL``, a file or row is missing, or a value that was a number is
 NaN; a NaN in both is no change.
+
+``--against REF`` is the byte-identity check in one command. It extracts
+the ``src`` of the git revision REF with ``git archive``, runs this
+checkout's configs with it into ``OUTDIR/old`` and with this checkout's
+``src`` into ``OUTDIR/new``, each in a fresh interpreter, prints the
+``--compare`` report, then whether every file is byte-identical. Exits 1
+on any difference or a config that does not exit 0 on either side, and 2,
+before anything is written, if git cannot extract REF.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import filecmp
 import io
 import json
 import math
 import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "src"))
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_ROOT = os.path.join(_HERE, os.pardir)
+sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from cdgate.cli import main  # noqa: E402
 
@@ -166,6 +179,59 @@ def compare(old_dir: str, new_dir: str) -> list[str]:
     return problems
 
 
+# a fresh interpreter that imports the cdgate of argv[1] before this tool,
+# whose own src it then shadows, and writes the configs argv[4:] (all if
+# none) into argv[3]
+_WRITE_WITH = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import cdgate.cli
+sys.path.insert(0, sys.argv[2])
+import canonical_outputs as tool
+tool.CONFIGS = {name: tool.CONFIGS[name] for name in sys.argv[4:] or tool.CONFIGS}
+print(*tool.write_outputs(sys.argv[3]))
+"""
+
+
+def _write_with(src: str, outdir: str, names) -> list[str]:
+    """``write_outputs`` of the configs ``names`` with the cdgate of
+    ``src``; return the names of those that did not exit 0."""
+    return subprocess.run(
+        [sys.executable, "-c", _WRITE_WITH, src, _HERE, outdir, *names],
+        stdout=subprocess.PIPE, text=True, check=True).stdout.split()
+
+
+def against(ref: str, outdir: str, names=()) -> list[str]:
+    """Write the configs ``names`` (all if empty) with the ``src`` of git
+    revision ``ref`` into ``outdir/old`` and with this checkout's into
+    ``outdir/new``, compare them and check that every file is
+    byte-identical; return the problems. ``ValueError`` if git cannot
+    extract ``ref``, before anything is written."""
+    archive = subprocess.run(["git", "archive", "--format=tar", ref, "src"],
+                             cwd=_ROOT, capture_output=True)
+    if archive.returncode != 0:
+        raise ValueError(f"git archive {ref}: "
+                         f"{archive.stderr.decode().strip()}")
+    old, new = (os.path.join(outdir, side) for side in ("old", "new"))
+    with tempfile.TemporaryDirectory() as work:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(work, filter="data")
+        problems = [f"{ref}: {name} did not exit 0"
+                    for name in _write_with(os.path.join(work, "src"), old,
+                                            names)]
+    problems += [f"this checkout: {name} did not exit 0"
+                 for name in _write_with(os.path.join(_ROOT, "src"), new,
+                                         names)]
+    problems += compare(old, new)
+    common = sorted(set(os.listdir(old)) & set(os.listdir(new)))
+    _, differ, _ = filecmp.cmpfiles(old, new, common, shallow=False)
+    if differ:
+        problems.append(f"not byte-identical: {', '.join(differ)}")
+    print(f"{len(common) - len(differ)} of {len(common)} files "
+          f"byte-identical")
+    return problems
+
+
 def run(argv: list[str]) -> int:
     """The command line: usage on ``-h``/``--help`` (0), then exit 2 before
     anything is written for any other option or a wrong argument count."""
@@ -173,8 +239,13 @@ def run(argv: list[str]) -> int:
     if argv[:1] in (["-h"], ["--help"]):
         print(usage)
         return 0
-    if len(argv) == 3 and argv[0] == "--compare":
-        problems = compare(argv[1], argv[2])
+    if len(argv) == 3 and argv[0] in ("--compare", "--against"):
+        try:
+            problems = (compare if argv[0] == "--compare" else against)(
+                argv[1], argv[2])
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         for line in problems:
             print(line, file=sys.stderr)
         return 1 if problems else 0
