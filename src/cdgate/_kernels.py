@@ -26,8 +26,11 @@ density matrix on a sector of dimension up to ``_LIOUVILLIAN_MAX_DIM``
 (``_lifted``) their superoperators ``liouvillian(M, D)``, so that every
 Lindblad stage is then one matrix-vector product, as a Schroedinger stage
 is; larger sectors use the commutator form, ``lindblad_apply(D)``. The
-dissipator is constant, so it is lifted with ``-i h0`` once per run, and a
-block's superoperators are the one product that builds its generators.
+dissipator is constant, so it is lifted with ``-i h0`` once per set of
+terms, and a block's superoperators are the one product that builds its
+generators. A caller that runs one set of terms again and again passes a
+``workspace``, in which the lift and the block evaluators with their
+buffers are kept from one run to the next (``_reused``).
 
 The states are small, so a step costs numpy calls, not arithmetic. The
 system is linear, so a step is a map ``y -> P y`` whose error estimates
@@ -40,9 +43,14 @@ float view of amplitudes, or the four Hermitian coordinates of a 2x2
 density block, under real 4x4 stage matrices, as a pure 2-amplitude
 sector (``_coordinate_forms``), so its densities come out exactly
 Hermitian. A shorter block or a larger state runs in stage mode
-(``_stage_mode``), stage by stage on the state. Both modes take the same
-blocks and steps. After a stage-mode block ``symmetrize`` writes the last
-accepted density matrix straight into the state. The Monte-Carlo
+(``_stage_mode``), stage by stage on the state. Both modes plan the same
+blocks and accept a step by the same rule, but they form its error
+estimates by different products, which round differently; a norm within
+rounding of 1 can pass in one mode and fail in the other, so on some
+systems their step counts differ by a few, while their states agree within
+the tolerances (``tests/test_kernels.py``, ``TestModesAgree``). After a
+stage-mode block ``symmetrize`` writes the last accepted density matrix
+straight into the state. The Monte-Carlo
 dephasing average, ``dephasing_average``, advances every noise
 realization at once: the noise is constant within an RK4 step, so the step
 is one polynomial in it, whose matrices (``_rk4_polynomials``) are built
@@ -182,35 +190,68 @@ def _growth(err_norm):
     return min(_MAX_FACTOR, _SAFETY * err_norm ** -0.125)
 
 
-def _block_ends(t, h, steps, samples, isamp):
-    """Plan a block of at most ``steps`` steps from ``t``, from sample
-    ``isamp`` on: its step ends, the first of them ``t``; its step lengths
-    as ``(count, length)`` runs; and the samples it reaches as ``(end
-    index, sample index)`` pairs.
+def _block_planner(samples):
+    """The planner of a run's blocks over the sample times ``samples`` (a
+    list of floats), writing into arrays allocated once per run.
+    ``plan(t, h, steps, isamp)`` plans a block of at most ``steps`` steps
+    from ``t``, from sample ``isamp`` on, and returns ``(ts, hs, ends, runs,
+    reached)``: the block's ``11 m + 1`` stage times (``dop853``), its step
+    lengths and its step ends, the first of them ``t``, each a view of the
+    planner's arrays; its step lengths as ``(count, length)`` runs; and the
+    samples it reaches as ``(end index, sample index)`` pairs.
 
     Steps of one sample interval have one length: ``h``, or, where the
     block reaches the sample time ``s``, the ``ceil((s - t) / h)`` equal
     steps that end exactly at ``s``. A block goes on past a sample time.
+    Step ``j`` of a run from ``start`` ends at ``start + j length``,
+    rounded as the scalar sum.
     """
-    ends, runs, reached = [t], [], []
-    while isamp < len(samples):
-        room = steps + 1 - len(ends)
-        start, stop = ends[-1], samples[isamp]
-        span = stop - start
-        if span > h * room:
-            ends.extend([start + j * h for j in range(1, room + 1)])
-            runs.append((room, h))
-            break
-        if span > 0.0:
-            k = min(room, math.ceil(span / h))
-            ends.extend([start + j * (span / k) for j in range(1, k)])
-            ends.append(stop)
-            runs.append((k, span / k))
-        reached.append((len(ends) - 1, isamp))
-        isamp += 1
-        if len(ends) == steps + 1:
-            break
-    return ends, runs, reached
+    n = _BLOCK_STEPS
+    ends = np.empty(n + 1)
+    lengths = np.empty(n)
+    times = np.empty(11 * n + 1)
+    count = np.arange(1.0, n + 1.0)  # j = 1 .. n
+    nsamp = len(samples)
+
+    def plan(t, h, steps, isamp):
+        ends[0] = start = t
+        planned, runs, reached = 0, [], []
+        while isamp < nsamp:
+            room = steps - planned
+            stop = samples[isamp]
+            span = stop - start
+            full = span > h * room
+            if full:
+                k, length = room, h
+            elif span > 0.0:
+                k = min(room, math.ceil(span / h))
+                length = span / k
+            else:
+                k = 0
+            if k:
+                run = ends[planned + 1:planned + k + 1]
+                np.multiply(count[:k], length, out=run)
+                run += start
+                lengths[planned:planned + k] = length
+                runs.append((k, length))
+                planned += k
+            if full:
+                break
+            if k:
+                ends[planned] = start = stop  # exactly at the sample time
+            reached.append((planned, isamp))
+            isamp += 1
+            if planned == steps:
+                break
+        ts, hs = times[:11 * planned + 1], lengths[:planned]
+        ts[0] = t
+        grid = ts[1:].reshape(planned, 11)
+        np.multiply(hs[:, None], C_STAGE, out=grid)
+        grid += ends[:planned, None]
+        grid[:, -1] = ends[1:planned + 1]  # a step ends where the next starts
+        return ts, hs, ends[:planned + 1], runs, reached
+
+    return plan
 
 
 def _real_form(m):
@@ -303,18 +344,21 @@ def _matrix_mode(size, rtol, atol, root_width, dissipator):
     both error estimates are mapped back to complex entries through ``T``
     (exactly), so the error norm is taken over the complex entries as in
     stage mode, and a density sample is exactly Hermitian. The arrays are
-    allocated once per run, for ``_BLOCK_STEPS`` steps, and every block
-    runs the matrix chain on all of them: a step beyond the block's has
-    length 0 and is never read. Arrays sized to each block length would
-    take twice the memory, for no less time. Returns ``steps(M, hs, y) ->
-    (Y, errs)``, as ``_stage_mode``'s, with the error norms of all the
-    block's steps.
+    allocated for ``_BLOCK_STEPS`` steps when the evaluator is built, and
+    every block runs the matrix chain on all of them: a step beyond the
+    block's is never read. Arrays sized to each block length would take
+    twice the memory, for no less time.
+
+    Returns ``steps(M, hs, y, h=None) -> (Y, errs)``, as ``_stage_mode``'s,
+    with the error norms of all the block's steps; ``h``, when the block's
+    steps all have that length, scales its stage operators by one scalar.
+    ``steps.buffers`` lists the arrays that each block writes before it
+    reads them, so runs may share the evaluator (``dop853``).
     """
     n, rows = _BLOCK_STEPS, 11 * _BLOCK_STEPS + 1
     forms, t, read = _coordinate_forms(size, dissipator is None)
     wide = read.shape[0]
-    # the operators of the block's stage times in coordinates; zero until
-    # written
+    # the operators of the block's stage times in coordinates
     gathered = np.zeros((rows, wide, wide))
     flat_ops = gathered.reshape(rows, -1)
     # step k's stage s is operator 11 k + s, s = 0..11: a view, as steps
@@ -324,7 +368,7 @@ def _matrix_mode(size, rtol, atol, root_width, dissipator):
         gathered, (_N_STAGES, n, wide, wide), (row, 11 * row, wide * col, col),
         writeable=False)
     scaled = np.empty(stages.shape)  # h M of each stage and step
-    # each step's length over the entries of its operators
+    # each step's length over the entries of its operators, 0 past the block
     spread = np.empty((n, wide, wide))
     spread_rows = spread.reshape(n, -1)
     # I, then h K_0 .. h K_11 of each step
@@ -339,11 +383,13 @@ def _matrix_mode(size, rtol, atol, root_width, dissipator):
     states = np.zeros((n + 1, size), dtype=np.complex128)
     floats = states.view(np.float64)
     err = np.empty((2, n, 2 * size, 1))
+    buffers = [gathered, scaled, spread, z[1:], u, maps, states, err]
     if t is None:
         x = floats
     else:
         x = np.zeros((n + 1, wide))
         err_x = np.empty((2, n, wide, 1))
+        buffers += [x, err_x]
     walk = list(zip(maps[0], x[:-1], x[1:]))
     err_pairs = err.reshape(2, n, size, 2)
     magnitude = np.empty((n + 1, size))
@@ -351,21 +397,25 @@ def _matrix_mode(size, rtol, atol, root_width, dissipator):
     scale = np.empty((n, size))
     scale_col = scale[:, :, None]
     sums = np.empty((2, n))
+    buffers += [magnitude, scale, sums]
     estimators, columns = maps[1:], x[:-1, :, None]
     maps_flat = maps.reshape(3, -1)
 
-    def steps(M, hs, y):
+    def steps(M, hs, y, h=None):
         m, k = hs.shape[0], M.shape[0]
         M.reshape(k, -1).view(np.float64).dot(forms, flat_ops[:k])
-        spread_rows[:m] = hs[:, None]
-        spread_rows[m:] = 0.0
-        np.multiply(stages, spread, out=scaled)
+        if h is None:
+            spread_rows[:m] = hs[:, None]
+            spread_rows[m:] = 0.0
+            np.multiply(stages, spread, out=scaled)
+        else:
+            np.multiply(stages, h, out=scaled)
         z[1] = scaled[0]  # h K_0 = h M_0 I
         for coef, head, op, k_s in chain:
             coef.dot(head, u)
             np.matmul(op, u3, out=k_s)
         _MAPS.dot(flat, maps_flat)
-        np.take(y.view(np.float64), read, out=x[0])
+        y.view(np.float64).take(read, out=x[0])
         for p, x_k, x_next in walk[:m]:
             p.dot(x_k, x_next)
         if t is None:
@@ -381,29 +431,33 @@ def _matrix_mode(size, rtol, atol, root_width, dissipator):
         np.divide(err_pairs, scale_col, out=err_pairs)
         np.square(err, out=err)
         err_pairs.sum(axis=(2, 3), out=sums)
+        # _error_norm of each step, written out: no call per step
         err5, err3 = sums[:, :m].tolist()
-        return states, [_error_norm(a, b, root_width)
-                        for a, b in zip(err5, err3)]
+        return states, [
+            e5 / (math.sqrt(d) * root_width)
+            if 0.0 < (d := e5 + 0.01 * e3) < math.inf
+            else 0.0 if d == 0.0 else math.inf
+            for e5, e3 in zip(err5, err3)]
 
+    steps.buffers = buffers
     return steps
 
 
-def _stage_mode(size, rtol, atol, root_width, dissipator):
+def _stage_mode(size, rtol, atol, root_width, apply):
     """The block evaluator that runs the stages of each step on the state.
 
     The state and the stage derivatives are the rows of one block ``Z``:
     stage ``s`` is ``apply(M, (1, h a_s) . Z[:s + 1], out)``, which writes
     the derivative into its row: ``matvec``, or ``lindblad_apply`` for a
-    ``dissipator`` that is not ``_lifted``. A block's first derivative is
+    dissipator that is not ``_lifted``. A block's first derivative is
     evaluated at its start, and the FSAL derivative of each step is the
     next step's first. The steps of a block run in turn and stop at the
-    first that fails. Returns ``steps(M, hs, y) -> (Y, errs)`` for a
-    block of steps of lengths ``hs``: ``Y[k]`` is the state after ``k``
-    steps of the block (``Y[0]`` is ``y``), ``errs`` the error norms of
-    the steps up to the first that fails.
+    first that fails. Returns ``steps(M, hs, y) -> (Y, errs)`` for a block
+    of steps of lengths ``hs``: ``Y[k]`` is the state after ``k`` steps of
+    the block (``Y[0]`` is ``y``), ``errs`` the error norms of the steps up
+    to the first that fails. ``steps.buffers`` lists the arrays that each
+    block writes before it reads them.
     """
-    apply = (matvec if dissipator is None or _lifted(dissipator)
-             else lindblad_apply(dissipator))
     Z = np.zeros((_N_STAGES + 2, size), dtype=np.complex128)
     state, K = Z[0], Z[1:]  # the state, then the stage derivatives
     # column 0 weighs the state; the rest is h * _A_AUG, written per step
@@ -452,13 +506,14 @@ def _stage_mode(size, rtol, atol, root_width, dissipator):
             old, new = new, old
         return states, errs
 
+    steps.buffers = [Z, weights, states, dy, err, magnitude, scale]
     return steps
 
 
 # an overflowing stage makes the error norm inf: its step is rejected
 @np.errstate(over="ignore", invalid="ignore")
 def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
-           width=None):
+           width=None, workspace=None):
     """Integrate a flat complex ``y``: a pure state under ``dy/dt = M(t) y``
     with its ``norm_drift`` monitored, or, given the ``(dim, dim)``
     ``dissipator`` block ``alpha (d_a d_c - 1)``, a flattened density
@@ -476,7 +531,7 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     to 12, the last, ``t + h``, also the step's FSAL point and the next
     step's first) and returns the stage operators at those times, stacked
     (``stage_operators``). Steps of one sample interval have one length
-    (``_block_ends``), a block may cross sample times, and every sample
+    (``_block_planner``), a block may cross sample times, and every sample
     time is a step end, so states are recorded exactly at ``sample_times``
     (the first entry must equal the start time); the first step is a
     thousandth of their span.
@@ -497,8 +552,11 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     sector run takes the full run's steps under either rule. A block runs
     in matrix mode (``_matrix_mode``) when the stages apply ``matvec``, the
     state has at most ``_MATRIX_MAX_SIZE`` entries and the block at least
-    ``_MATRIX_MIN_STEPS`` steps, else in stage mode (``_stage_mode``); both
-    take the same steps.
+    ``_MATRIX_MIN_STEPS`` steps, else in stage mode (``_stage_mode``). The
+    modes round their error estimates differently, so where a norm is
+    within rounding of 1 they can take a few different steps. ``workspace``
+    is ``evolve_ramped``'s: the evaluators are kept there from one run to
+    the next.
 
     Returns ``(states, drift, stats)``: ``drift`` is the largest over the
     accepted states; ``stats`` counts the ``accepted`` and ``rejected``
@@ -520,11 +578,16 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     pure = dissipator is None
     full_blocks = getattr(generators, "full_blocks", False)
     drift_of = norm_drift if pure else trace_drift
-    stage = _stage_mode(size, rtol, atol, root_width, dissipator)
-    matrix = (_matrix_mode(size, rtol, atol, root_width, dissipator)
-              if size <= _MATRIX_MAX_SIZE and (pure or _lifted(dissipator))
-              else None)
-    times = np.empty(11 * _BLOCK_STEPS + 1)
+    apply = (matvec if pure or _lifted(dissipator)
+             else lindblad_apply(dissipator))
+    stage = _reused(workspace, "stage", (size, rtol, atol, root_width, apply),
+                    lambda: _stage_mode(size, rtol, atol, root_width, apply))
+    matrix = (_reused(workspace, "matrix", (size, rtol, atol, root_width,
+                                            pure),
+                      lambda: _matrix_mode(size, rtol, atol, root_width,
+                                           dissipator))
+              if size <= _MATRIX_MAX_SIZE and apply is matvec else None)
+    plan = _block_planner(samples)
     t = samples[0]
     h_abs = (samples[-1] - t) * 1e-3
     m, isamp = 1, 1
@@ -545,22 +608,16 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
                 "adaptive step size underflowed; the problem is too "
                 "stiff for the requested tolerances, or H(t) is not "
                 "finite")
-        ends, runs, reached = _block_ends(
-            t, h_abs, min(m, _MAX_TOTAL_STEPS - accepted - rejected),
-            samples, isamp)
-        lengths = [h for count, h in runs for _ in range(count)]
-        planned = len(lengths)
-        bounds = np.array(ends)
-        ts = times[:11 * planned + 1]
-        ts[0] = t
-        grid = ts[1:].reshape(planned, 11)
-        hs = np.array(lengths)
-        np.multiply(hs[:, None], C_STAGE, out=grid)
-        grid += bounds[:-1, None]
-        grid[:, -1] = bounds[1:]  # a step ends exactly where the next starts
-        steps = stage if matrix is None or planned < _MATRIX_MIN_STEPS else matrix
-        Y, errs = steps(generators(ts), hs, y)
-        finish = symmetrize if not pure and steps is stage else _copy
+        ts, hs, ends, runs, reached = plan(
+            t, h_abs, min(m, _MAX_TOTAL_STEPS - accepted - rejected), isamp)
+        planned = hs.shape[0]
+        if matrix is None or planned < _MATRIX_MIN_STEPS:
+            Y, errs = stage(generators(ts), hs, y)
+            finish = _copy if pure else symmetrize
+        else:
+            Y, errs = matrix(generators(ts), hs, y,
+                             runs[0][1] if len(runs) == 1 else None)
+            finish = _copy
         blocks += 1
         built += ts.shape[0]
 
@@ -571,9 +628,13 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
             f += 1
         if f:
             accepted += f
-            t = ends[f]
-            h_min = min(h_min, *lengths[:f])
-            h_max = max(h_max, *lengths[:f])
+            t = ends.item(f)
+            start = 0
+            for count, h in runs:
+                if start >= f:
+                    break
+                h_min, h_max = min(h_min, h), max(h_max, h)
+                start += count
             drift = max(drift, drift_of(Y[1:f + 1]))
             finish(Y[f], y)
         for k, i in reached:
@@ -584,7 +645,7 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
         if f < planned:
             rejected += 1
             discarded += planned - f - 1
-            h_abs = lengths[f] * max(_MIN_FACTOR,
+            h_abs = hs.item(f) * max(_MIN_FACTOR,
                                      _SAFETY * errs[f] ** -0.125)
             if not full_blocks:
                 m = max(1, m // 2)
@@ -599,6 +660,19 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
              "discarded": discarded, "blocks": blocks, "rhs_evals": built,
              "h_min": h_min if accepted else 0.0, "h_max": h_max}
     return out, drift, stats
+
+
+def _reused(workspace, slot, key, build):
+    """``build()``, kept in the dict ``workspace`` under ``slot`` with the
+    ``key`` of what it was built from: a later call with the same key gets
+    it back, one with another key builds anew and replaces it. Without a
+    workspace, ``build()``."""
+    if workspace is None:
+        return build()
+    kept = workspace.get(slot)
+    if kept is None or kept[0] != key:
+        kept = workspace[slot] = (key, build())
+    return kept[1]
 
 
 def _copy(y, out):
@@ -655,25 +729,33 @@ def stage_operators(m, dissipator, weights=1.0):
 
 
 def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
-                  width=None):
+                  width=None, workspace=None):
     """``dop853`` on the ramped system ``h``, a
     ``model.RampedGateHamiltonian``, in place of ``generators``.
 
     ``M(t) = -i H(t)`` is one real combination ``(1, J(t), c(t))`` of the
     float views of ``-i h0``, ``-i hz`` and ``-i hcd``: -i is folded in once
-    per call, and the generators of all stage times of a block are one
-    product, written into a block allocated once per call for the largest
-    block; so a block costs about the same at any length, and the stepper
-    plans full blocks (``full_blocks``). The model writes ``J(t)`` and
-    ``c(t)`` into the columns of the coefficient block. Where the
+    per set of terms, and the generators of all stage times of a block are
+    one product, written into a block allocated once per call for the
+    largest block; so a block costs about the same at any length, and the
+    stepper plans full blocks (``full_blocks``). The model writes ``J(t)``
+    and ``c(t)`` into the columns of the coefficient block. Where the
     ``dissipator`` is ``_lifted`` the same product builds the
     superoperators ``L(t) = (L0 + D) + J(t) Lz + c(t) Lcd`` of the three
-    terms, lifted once per call (``stage_operators``).
-    The other arguments and the result are ``dop853``'s.
+    terms, lifted once (``stage_operators``).
+
+    ``workspace``, a dict that a caller keeps for the runs of one set of
+    terms on one thread (``dynamics._Sector``), keeps the terms' lift for
+    the last dissipator and the block evaluators of the last tolerances
+    from one run to the next (``_reused``); without one, a run builds its
+    own. The other arguments and the result are ``dop853``'s.
     """
     # the constant D joins the lift of -i h0
-    terms = stage_operators(np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd]),
-                            dissipator, [1.0, 0.0, 0.0])
+    key = (None if dissipator is None else dissipator.tobytes(),
+           _lifted(dissipator))
+    terms = _reused(workspace, "terms", key, lambda: stage_operators(
+        np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd]), dissipator,
+        [1.0, 0.0, 0.0]))
     basis = terms.reshape(3, -1).view(np.float64)
     rows = 11 * _BLOCK_STEPS + 1
     block = np.empty((rows,) + terms.shape[1:], dtype=np.complex128)
@@ -693,7 +775,7 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
 
     generators.full_blocks = True
     return dop853(generators, sample_times, y0, rtol, atol, dissipator,
-                  width)
+                  width, workspace)
 
 
 def lindblad_apply(dissipator):

@@ -15,6 +15,7 @@ JSON output is strict: a NaN is written as null.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -173,7 +174,10 @@ _HELP = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on its first parse, as no
+    parse changes it."""
     parser = argparse.ArgumentParser(
         prog="cdgate",
         description="Driven CNOT gate simulator: spectra, gate runs, noise "

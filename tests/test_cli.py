@@ -347,6 +347,18 @@ class TestParseConfig:
         window = inspect.signature(find_optimal_tau).parameters["tau_window"]
         assert cli._parse_window(rc.tau_window) == window.default
 
+    def test_one_parser_keeps_nothing_between_parses(self, tmp_path, capsys):
+        # the parser is built once per process; a parse, a failed one
+        # included, leaves nothing that the next one reads
+        assert cli._build_parser() is cli._build_parser()
+        first = parse_config(["nqubit", "--n", "3", "--cd", "--tau", "5"])
+        with pytest.raises(SystemExit):
+            parse_config(["sweep-noise", "--cd"])
+        assert "--alpha is required" in capsys.readouterr().err
+        second = parse_config(["nqubit", "--n", "4"])
+        assert (first.n, first.cd, first.tau) == (3, True, "5")
+        assert second == RunConfig(command="nqubit", n=4, tau="0.5:50:20log")
+
     def test_missing_output_directory_exits_2(self, tmp_path, capsys):
         # found before any gate is computed, so no file is written
         code = main(["gate-check", "--tau", "7.3,1",

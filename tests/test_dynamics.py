@@ -1,4 +1,7 @@
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -6,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdgate import _kernels, dynamics
+from cdgate import _kernels, dynamics, model
 from cdgate.dynamics import (
     EvolutionConfig,
     NoiseModel,
@@ -996,6 +999,134 @@ class TestSystemMatchesStart:
         h0[2, 3], h0[3, 2] = -0.5, 0.2
         with pytest.raises(NotHermitianError, match="h0 is not Hermitian"):
             self._run(engine, replace(system, h0=h0), KET_10)
+
+
+def _traj_bytes(traj):
+    """Everything a run returns, as bytes and numbers that compare bit for
+    bit."""
+    return (traj.times.tobytes(), traj.states.tobytes(), traj.norm_drift,
+            traj.stats)
+
+
+def _fresh_run(n, params, tau, cd, alpha, cfg):
+    """The gate cell run with nothing kept from any earlier run: new gate
+    terms (``model._gate_terms``), so a new sector and new workspaces."""
+    model._gate_terms.cache_clear()
+    _kernels._coordinate_forms.cache_clear()
+    return _run_cell(_gate_cell(params, tau, cd, n, alpha), cfg)
+
+
+class TestSharedSetUp:
+    """The gate systems of one ``(n, j1, g)`` share their sector set-up and,
+    per thread, the kernels' workspaces from run to run
+    (``dynamics._sector_system``). A run must give bit for bit what it
+    gives with nothing kept, and the checks must still catch a system
+    that is not one of the model's."""
+
+    CFGS = [EvolutionConfig(), EvolutionConfig(rel_tol=1e-11, abs_tol=1e-13)]
+
+    def test_interleaved_cells_match_fresh_runs(self):
+        cells = [(n, CnotParams(j1=j1, g=g), cd, alpha, cfg)
+                 for n in (2, 4) for j1, g in ((1.0, 0.5), (1.5, 0.3))
+                 for cd in (False, True) for alpha in (None, 0.0, 0.1)
+                 for cfg in self.CFGS]
+        order = np.random.default_rng(5).permutation(len(cells))
+        kept = {}
+        for k in order:
+            n, params, cd, alpha, cfg = cells[k]
+            kept[k] = _run_cell(_gate_cell(params, 6.0, cd, n, alpha), cfg)
+        for k, (n, params, cd, alpha, cfg) in enumerate(cells):
+            fresh = _fresh_run(n, params, 6.0, cd, alpha, cfg)
+            assert _traj_bytes(kept[k]) == _traj_bytes(fresh), cells[k]
+
+    @pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])
+    def test_checks_hold_after_a_valid_cell(self, params, engine):
+        system, psi0, _ = _gate_cell(params, 5.0, True)
+
+        def run(h, psi):
+            if engine == "schrodinger":
+                return schrodinger_evolve(h, psi, EvolutionConfig())
+            return lindblad_evolve(h, np.outer(psi, psi.conj()),
+                                   NoiseModel(alpha=0.1), EvolutionConfig())
+
+        run(system, psi0)
+        bad = replace(system, hcd=system.hcd + 1j * np.eye(4))
+        with pytest.raises(NotHermitianError, match="hcd"):
+            run(bad, psi0)
+        with pytest.raises(ValueError, match="does not match the system"):
+            run(system, np.full(8, 8 ** -0.5, dtype=complex))
+        # a term made writable is not trusted either
+        system.hcd.setflags(write=True)
+        try:
+            assert dynamics._shared_sectors(system) is None
+        finally:
+            system.hcd.setflags(write=False)
+        assert dynamics._shared_sectors(system) is not None
+
+    def test_user_system_edited_in_place(self, params):
+        system, psi0, _ = _gate_cell(params, 5.0, True)
+        user = replace(system, h0=system.h0.copy(), hz=system.hz.copy(),
+                       hcd=system.hcd.copy())
+        cfg = EvolutionConfig()
+        first = schrodinger_evolve(user, psi0, cfg)
+        user.h0[2:, 2:] += 0.3 * np.array([[0, 1], [1, 0]])
+        second = schrodinger_evolve(user, psi0, cfg)
+        edited = replace(user, h0=user.h0.copy())
+        assert (_traj_bytes(second)
+                == _traj_bytes(schrodinger_evolve(edited, psi0, cfg)))
+        assert np.abs(second.final_state - first.final_state).max() > 0.1
+
+    def test_kept_sectors_are_bounded(self, params):
+        # one sector per start support is kept with the gate terms, up to
+        # _SECTORS_KEPT; past it they are dropped, and runs go on as
+        # before
+        model._gate_terms.cache_clear()  # new terms keep no sector yet
+        system = nqubit_system(3, params, 2.0)
+        cfg = EvolutionConfig()
+        starts = []
+        for k in range(dynamics._SECTORS_KEPT + 1):
+            psi0 = np.zeros(8, dtype=complex)
+            psi0[k % 8:k % 8 + 1 + k // 8] = 1.0
+            starts.append(psi0 / np.linalg.norm(psi0))
+        kept, sizes = dynamics._shared_sectors(system), []
+        first = []
+        for psi0 in starts:
+            first.append(_traj_bytes(schrodinger_evolve(system, psi0, cfg)))
+            sizes.append(len(kept))
+        # the ninth support came after a clear
+        assert sizes == list(range(1, dynamics._SECTORS_KEPT + 1)) + [1]
+        assert [_traj_bytes(schrodinger_evolve(system, psi0, cfg))
+                for psi0 in starts] == first
+
+    def test_threads_reproduce_serial_runs(self, params):
+        # threads, more than this host's two cores, run different noise
+        # cells of one sector at once, each in its own workspace; a switch
+        # every 10 us interleaves their blocks
+        jobs = [[(10.0, 0.1, True), (25.0, 0.0, False)],
+                [(15.0, 0.05, False), (30.0, 0.1, True)],
+                [(20.0, 0.02, True), (5.0, 0.1, False)]]
+
+        def run(job):
+            return [_traj_bytes(_run_cell(_gate_cell(params, tau, cd,
+                                                     alpha=alpha), None))
+                    for tau, alpha, cd in job]
+
+        serial = [run(job) for job in jobs]
+        barrier = threading.Barrier(len(jobs))
+
+        def repeated(job):
+            barrier.wait(timeout=60)
+            return [run(job) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(jobs)) as pool:
+                threaded = list(pool.map(repeated, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for job_serial, job_threaded in zip(serial, threaded):
+            assert all(runs == job_serial for runs in job_threaded)
 
 
 class TestScipyOracle:
