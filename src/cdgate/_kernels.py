@@ -28,9 +28,12 @@ Lindblad stage is then one matrix-vector product, as a Schroedinger stage
 is; larger sectors use the commutator form, ``lindblad_apply(D)``. The
 dissipator is constant, so it is lifted with ``-i h0`` once per set of
 terms, and a block's superoperators are the one product that builds its
-generators. A caller that runs one set of terms again and again passes a
-``workspace``, in which the lift and the block evaluators with their
-buffers are kept from one run to the next (``_reused``).
+generators. A run's fixed set-up is kept by one rule, ``_reused``: per
+thread, the last object built in each slot, under the content of what it
+was built from. ``evolve_ramped`` keeps the lift of the last terms and
+dissipator, ``dop853`` the block evaluators with their buffers of the last
+size and tolerances, and ``cdgate.dynamics`` its last invariant sector; a
+run whose set-up matches the last one on its thread builds none of them.
 
 The states are small, so a step costs numpy calls, not arithmetic. The
 system is linear, so a step is a map ``y -> P y`` whose error estimates
@@ -63,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -513,7 +517,7 @@ def _stage_mode(size, rtol, atol, root_width, apply):
 # an overflowing stage makes the error norm inf: its step is rejected
 @np.errstate(over="ignore", invalid="ignore")
 def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
-           width=None, workspace=None):
+           width=None):
     """Integrate a flat complex ``y``: a pure state under ``dy/dt = M(t) y``
     with its ``norm_drift`` monitored, or, given the ``(dim, dim)``
     ``dissipator`` block ``alpha (d_a d_c - 1)``, a flattened density
@@ -554,9 +558,10 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     state has at most ``_MATRIX_MAX_SIZE`` entries and the block at least
     ``_MATRIX_MIN_STEPS`` steps, else in stage mode (``_stage_mode``). The
     modes round their error estimates differently, so where a norm is
-    within rounding of 1 they can take a few different steps. ``workspace``
-    is ``evolve_ramped``'s: the evaluators are kept there from one run to
-    the next.
+    within rounding of 1 they can take a few different steps. The
+    evaluators are kept from one run to the next (``_reused``); they carry
+    nothing from one block to the next, so a run nested in ``generators``
+    may use them too.
 
     Returns ``(states, drift, stats)``: ``drift`` is the largest over the
     accepted states; ``stats`` counts the ``accepted`` and ``rejected``
@@ -580,10 +585,9 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     drift_of = norm_drift if pure else trace_drift
     apply = (matvec if pure or _lifted(dissipator)
              else lindblad_apply(dissipator))
-    stage = _reused(workspace, "stage", (size, rtol, atol, root_width, apply),
+    stage = _reused("stage", (size, rtol, atol, root_width, apply),
                     lambda: _stage_mode(size, rtol, atol, root_width, apply))
-    matrix = (_reused(workspace, "matrix", (size, rtol, atol, root_width,
-                                            pure),
+    matrix = (_reused("matrix", (size, rtol, atol, root_width, pure),
                       lambda: _matrix_mode(size, rtol, atol, root_width,
                                            dissipator))
               if size <= _MATRIX_MAX_SIZE and apply is matvec else None)
@@ -662,16 +666,23 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     return out, drift, stats
 
 
-def _reused(workspace, slot, key, build):
-    """``build()``, kept in the dict ``workspace`` under ``slot`` with the
-    ``key`` of what it was built from: a later call with the same key gets
-    it back, one with another key builds anew and replaces it. Without a
-    workspace, ``build()``."""
-    if workspace is None:
-        return build()
-    kept = workspace.get(slot)
+# this thread's kept objects: slot -> (key, object), written by _reused
+_kept = threading.local()
+
+
+def _reused(slot, key, build):
+    """``build()``, kept for this thread in ``slot`` with the ``key`` of
+    what it was built from, a sequence in which each array stands for its
+    dtype, shape and bytes: a later call with an equal key gets it back,
+    one with another key builds anew and replaces it. An array is compared
+    by content, never by identity, so one edited in place makes a new
+    key."""
+    key = [(v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+           else v for v in key]
+    kept = getattr(_kept, slot, None)
     if kept is None or kept[0] != key:
-        kept = workspace[slot] = (key, build())
+        kept = (key, build())
+        setattr(_kept, slot, kept)
     return kept[1]
 
 
@@ -729,7 +740,7 @@ def stage_operators(m, dissipator, weights=1.0):
 
 
 def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
-                  width=None, workspace=None):
+                  width=None):
     """``dop853`` on the ramped system ``h``, a
     ``model.RampedGateHamiltonian``, in place of ``generators``.
 
@@ -744,16 +755,12 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
     superoperators ``L(t) = (L0 + D) + J(t) Lz + c(t) Lcd`` of the three
     terms, lifted once (``stage_operators``).
 
-    ``workspace``, a dict that a caller keeps for the runs of one set of
-    terms on one thread (``dynamics._Sector``), keeps the terms' lift for
-    the last dissipator and the block evaluators of the last tolerances
-    from one run to the next (``_reused``); without one, a run builds its
-    own. The other arguments and the result are ``dop853``'s.
+    The lift is kept for the last terms and dissipator (``_reused``). The
+    other arguments and the result are ``dop853``'s.
     """
     # the constant D joins the lift of -i h0
-    key = (None if dissipator is None else dissipator.tobytes(),
-           _lifted(dissipator))
-    terms = _reused(workspace, "terms", key, lambda: stage_operators(
+    key = (h.h0, h.hz, h.hcd, dissipator, _lifted(dissipator))
+    terms = _reused("lift", key, lambda: stage_operators(
         np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd]), dissipator,
         [1.0, 0.0, 0.0]))
     basis = terms.reshape(3, -1).view(np.float64)
@@ -775,7 +782,7 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
 
     generators.full_blocks = True
     return dop853(generators, sample_times, y0, rtol, atol, dissipator,
-                  width, workspace)
+                  width)
 
 
 def lindblad_apply(dissipator):

@@ -21,10 +21,10 @@ sector's entries (a gate start is 2 amplitudes at any n) with the full
 width for the error norm, so the run takes the full run's steps, and
 scatters the samples back. ``schrodinger_evolve`` integrates a ramped
 sector without the global phase of its mean energy, restored on each
-sample. A ramped sector, a ``_Sector``, is set up once per start support
-for the read-only gate terms that ``model`` builds, and kept with them
-(``_sector_system``) with the kernels' workspaces, one per thread; any
-other system is set up and checked on every run. The Monte-Carlo oracle
+sample. A ramped sector, a ``_Sector``, is set up and checked, and kept
+per thread under the content of its start support and terms
+(``_sector_system``): the next run on the same support and terms, in any
+arrays, reuses it. The Monte-Carlo oracle
 evolves the same sector system on an array of times and embeds its
 average.
 ``_jump_diagonal`` picks the dephasing jump operator for the Lindblad engine
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
@@ -54,8 +53,7 @@ from .errors import (
     PositivityViolationError,
     TraceDriftExceededError,
 )
-from .model import (CnotParams, RampedGateHamiltonian, _shared_sectors,
-                    analytic_spectrum)
+from .model import CnotParams, RampedGateHamiltonian, analytic_spectrum
 from .numerics import TOL, as_state
 from .observables import _require_normalized, validate_density_matrix
 
@@ -63,9 +61,6 @@ HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
 
 # The largest dephasing rate whose dissipator entry, -2 alpha, is finite.
 _ALPHA_MAX = np.finfo(np.float64).max / 2.0
-# The most sectors kept with one set of the model's gate terms (one per
-# start support); past it they are dropped.
-_SECTORS_KEPT = 8
 # The smallest abs_tol: the error norm squares each error over abs_tol +
 # rel_tol |y|, which can overflow below it.
 _ABS_TOL_MIN = 1e-150
@@ -243,11 +238,8 @@ class _Sector:
     """A ramped system on the invariant sector of one start support, as
     ``_invariant_sector`` builds and checks it: ``idx``, the sector's
     indices; ``terms``, ``h0``, ``hz`` and ``hcd`` restricted to it, never
-    written; ``shift``, the mean energy ``c = tr(h0) / d`` of the sector,
-    which a pure run drops from ``h0`` (``system``); and the kernels'
-    workspaces of the runs on the sector (``_kernels.evolve_ramped``), one
-    per thread and kind of run, so that no buffer is shared across
-    threads."""
+    written; and ``shift``, the mean energy ``c = tr(h0) / d`` of the
+    sector, which a pure run drops from ``h0`` (``system``)."""
 
     def __init__(self, system: RampedGateHamiltonian, idx: np.ndarray):
         self.idx = idx
@@ -255,7 +247,6 @@ class _Sector:
         self.shift = np.trace(system.h0).real / system.dim
         self._shifted = (system.h0 - self.shift * np.eye(system.dim)
                          if self.shift else system.h0)
-        self._local = threading.local()
 
     def system(self, h: RampedGateHamiltonian,
                pure: bool) -> RampedGateHamiltonian:
@@ -263,47 +254,30 @@ class _Sector:
         h0, hz, hcd = self.terms
         return replace(h, h0=self._shifted if pure else h0, hz=hz, hcd=hcd)
 
-    def workspace(self, pure: bool) -> dict:
-        """This thread's workspace for the pure or the density runs."""
-        spaces = getattr(self._local, "spaces", None)
-        if spaces is None:
-            spaces = self._local.spaces = ({}, {})
-        return spaces[pure]
-
 
 def _sector_system(h_of_t: HamiltonianLike, support: np.ndarray,
                    span: tuple[float, float], pure: bool):
-    """``(system, idx, shift, workspace)`` of a run from a start supported
-    on ``support``: ``h_of_t`` on the invariant sector and its indices
+    """``(system, idx, shift)`` of a run from a start supported on
+    ``support``: ``h_of_t`` on the invariant sector and its indices
     (``_invariant_sector``); for a ramped system, from its ``_Sector``, the
-    sector's mean energy, which a ``pure`` run's system is without, and
-    this thread's workspace for the kernels; for a callable 0 and None.
+    sector's mean energy, which a ``pure`` run's system is without; for a
+    callable 0.
 
-    A system built on the model's read-only gate terms keeps the sectors of
-    its supports with those terms (``model._shared_sectors``, up to
-    ``_SECTORS_KEPT``), so every later run of any system on them reuses
-    the set-up, checks included, and the workspaces; the terms are
-    read-only, so nothing the checks saw can change. Any other system is
-    set up and checked anew on every run."""
+    The last ``_Sector`` built on this thread is kept under the content of
+    the support and of ``h0``, ``hz`` and ``hcd`` (``_kernels._reused``):
+    a run on the same support and terms, in any arrays, reuses its set-up,
+    checks included; any other builds and checks its own."""
     if not isinstance(h_of_t, RampedGateHamiltonian):
         system, idx = _invariant_sector(h_of_t, support, span)
-        return system, idx, 0.0, None
-    kept = _shared_sectors(h_of_t)
-    key = support.tobytes()
-    sector = None if kept is None else kept.get(key)
-    # threads that miss at once each build the sector; any of them serves
-    if sector is None:
-        sector = _Sector(*_invariant_sector(h_of_t, support, span))
-        if kept is not None:
-            if len(kept) >= _SECTORS_KEPT:
-                kept.clear()
-            kept[key] = sector
-    return (sector.system(h_of_t, pure), sector.idx, sector.shift,
-            sector.workspace(pure))
+        return system, idx, 0.0
+    sector = _kernels._reused(
+        "sector", (support, h_of_t.h0, h_of_t.hz, h_of_t.hcd),
+        lambda: _Sector(*_invariant_sector(h_of_t, support, span)))
+    return sector.system(h_of_t, pure), sector.idx, sector.shift
 
 
 def _integrate(h_of_t: HamiltonianLike, sector, times: np.ndarray, y0,
-               cfg: EvolutionConfig, dissipator=None, workspace=None):
+               cfg: EvolutionConfig, dissipator=None):
     """Integrate ``y`` from ``times[0]``, recording it at ``times``: a pure
     state, or given the sector's ``dissipator`` block a flattened density
     matrix (``_kernels.dop853``). Only the entries ``sector`` of the
@@ -311,14 +285,13 @@ def _integrate(h_of_t: HamiltonianLike, sector, times: np.ndarray, y0,
     them alone (``_invariant_sector``), the error norm divides by the full
     width, and the samples are scattered back, zero outside the sector.
 
-    A ramped system runs through ``_kernels.evolve_ramped``, with the
-    ``workspace`` of its ``_Sector``, a ``_stacked`` callable through
-    ``_integrate_callable``. Returns ``(states, drift, stats)``.
+    A ramped system runs through ``_kernels.evolve_ramped``, a
+    ``_stacked`` callable through ``_integrate_callable``. Returns
+    ``(states, drift, stats)``.
     """
     args = (times, y0[sector], cfg.rel_tol, cfg.abs_tol, dissipator, y0.size)
     if isinstance(h_of_t, RampedGateHamiltonian):
-        sampled, drift, stats = _kernels.evolve_ramped(h_of_t, *args,
-                                                       workspace)
+        sampled, drift, stats = _kernels.evolve_ramped(h_of_t, *args)
     else:
         sampled, drift, stats = _integrate_callable(h_of_t, *args)
     states = np.zeros((times.size, y0.size), dtype=np.complex128)
@@ -362,16 +335,14 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
     # A ramped sector is integrated without the global phase of its mean
     # energy c = tr(h0) / d, which commutes with every term, so the stepper
     # need not resolve it; each sample gets exp(-i c (t - t0)) back.
-    system, sector, shift, workspace = _sector_system(h_of_t, psi0 != 0,
-                                                      span, True)
+    system, sector, shift = _sector_system(h_of_t, psi0 != 0, span, True)
     if shift:
         # in Python floats, so that an overflow does not warn
         span = float(times[-1]) - float(times[0])
         if not math.isfinite(float(shift) * span):
             raise PhaseOverflowError(f"the sector's global phase {shift:.3e} "
                                      f"(t - t0) overflows over {span:.3e}")
-    states, drift, stats = _integrate(system, sector, times, psi0, cfg, None,
-                                      workspace)
+    states, drift, stats = _integrate(system, sector, times, psi0, cfg)
     if shift:
         states *= np.exp(-1j * shift * (times - times[0]))[:, None]
     if drift > TOL.norm_drift:
@@ -412,14 +383,13 @@ def lindblad_evolve(h_of_t: HamiltonianLike, rho0, noise: NoiseModel,
     dim = rho0.shape[0]
     span = _resolve_span(h_of_t, cfg, t_span)
     times = np.linspace(*span, cfg.sample_count)
-    system, idx, _, workspace = _sector_system(
-        h_of_t, (rho0 != 0).any(axis=0), span, False)
+    system, idx, _ = _sector_system(h_of_t, (rho0 != 0).any(axis=0), span,
+                                    False)
     d = _jump_diagonal(h_of_t, dim)[idx]
     # the sector's entries of the row-major flattened rho
     sector = (idx[:, None] * dim + idx).ravel()
     flat, drift, stats = _integrate(system, sector, times, rho0.ravel(), cfg,
-                                    noise.alpha * (np.outer(d, d) - 1.0),
-                                    workspace)
+                                    noise.alpha * (np.outer(d, d) - 1.0))
     if drift > TOL.trace_drift:
         raise TraceDriftExceededError(
             f"trace drifted by {drift:.3e} (limit {TOL.trace_drift:.0e})"
@@ -461,7 +431,7 @@ def noise_trajectory_oracle(h_of_t: HamiltonianLike, psi0, alpha: float,
         )
     NoiseModel(alpha=alpha)  # its range check
     t0, t1 = _resolve_span(h_of_t, None, t_span)
-    system, sector, _, _ = _sector_system(h_of_t, psi0 != 0, (t0, t1), False)
+    system, sector, _ = _sector_system(h_of_t, psi0 != 0, (t0, t1), False)
     d = _jump_diagonal(h_of_t, psi0.shape[0])[sector]
     span = t1 - t0
     if not 0 < dt <= span:

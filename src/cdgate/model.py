@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -362,42 +361,17 @@ def _ramped_system(params: CnotParams, tau: float, use_cd: bool,
         t_start=schedule.t_start, t_end=schedule.t_end)
 
 
-# id(h0) of each set of gate terms alive -> weak references to the terms,
-# and the dict in which ``dynamics`` keeps the invariant sectors of the
-# systems built on them; an entry goes with its h0
-_SHARED: dict = {}
-
-
 @functools.lru_cache(maxsize=32)
 def _gate_terms(n: int, j1: float, g: float):
     """``(h0, hz, hcd)`` of the n-qubit gate, which no tau changes: built
     once per ``(n, j1, g)`` and read-only, so that a write into one system's
     term raises instead of reaching every later system; ``build_h_n``
-    checks n. They are registered in ``_SHARED`` (``_shared_sectors``)."""
+    checks n."""
     terms = (build_h_n(n, j1, 0.0, g), _op_on(SIGMA_Z, n - 1, n),
              control_projector(n) @ _op_on(SIGMA_Y, n - 1, n))
     for term in terms:
         term.setflags(write=False)
-    key = id(terms[0])
-    _SHARED[key] = ([weakref.ref(term) for term in terms], {})
-    weakref.finalize(terms[0], _SHARED.pop, key, None)
     return terms
-
-
-def _shared_sectors(system: "RampedGateHamiltonian") -> dict | None:
-    """The dict in which ``dynamics`` keeps the sectors of ``system``'s
-    terms when all three are one set of ``_gate_terms``, still read-only,
-    shared by every system built on them; None for any other terms, such
-    as a user's arrays or a system made by ``dataclasses.replace`` with new
-    ones."""
-    entry = _SHARED.get(id(system.h0))
-    if entry is None:
-        return None
-    refs, sectors = entry
-    if all(ref() is term and not term.flags.writeable for ref, term in zip(
-            refs, (system.h0, system.hz, system.hcd))):
-        return sectors
-    return None
 
 
 def _gate_system(n: int, params: CnotParams, tau: float,

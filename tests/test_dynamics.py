@@ -1010,18 +1010,21 @@ def _traj_bytes(traj):
 
 def _fresh_run(n, params, tau, cd, alpha, cfg):
     """The gate cell run with nothing kept from any earlier run: new gate
-    terms (``model._gate_terms``), so a new sector and new workspaces."""
+    terms (``model._gate_terms``), new coordinate forms and an empty
+    per-thread store (``_kernels._reused``), so a new sector, lift and
+    evaluators."""
     model._gate_terms.cache_clear()
     _kernels._coordinate_forms.cache_clear()
+    vars(_kernels._kept).clear()
+    assert not vars(_kernels._kept)
     return _run_cell(_gate_cell(params, tau, cd, n, alpha), cfg)
 
 
 class TestSharedSetUp:
-    """The gate systems of one ``(n, j1, g)`` share their sector set-up and,
-    per thread, the kernels' workspaces from run to run
-    (``dynamics._sector_system``). A run must give bit for bit what it
-    gives with nothing kept, and the checks must still catch a system
-    that is not one of the model's."""
+    """A run keeps, per thread, its sector set-up, lift and evaluators for
+    the next run of the same content (``dynamics._sector_system``,
+    ``_kernels._reused``). A run must give bit for bit what it gives with
+    nothing kept, and the checks must still catch a bad system."""
 
     CFGS = [EvolutionConfig(), EvolutionConfig(rel_tol=1e-11, abs_tol=1e-13)]
 
@@ -1055,13 +1058,21 @@ class TestSharedSetUp:
             run(bad, psi0)
         with pytest.raises(ValueError, match="does not match the system"):
             run(system, np.full(8, 8 ** -0.5, dtype=complex))
-        # a term made writable is not trusted either
-        system.hcd.setflags(write=True)
+        # a model term made writable and edited in place gives the edited
+        # physics, not the set-up kept for its old content
+        before, h0 = run(system, psi0), system.h0
+        kept = h0.copy()
+        h0.setflags(write=True)
         try:
-            assert dynamics._shared_sectors(system) is None
+            h0[2:, 2:] += 0.3 * np.array([[0, 1], [1, 0]])
+            edited = run(system, psi0)
+            expected = run(replace(system, h0=h0.copy()), psi0)
         finally:
-            system.hcd.setflags(write=False)
-        assert dynamics._shared_sectors(system) is not None
+            h0[...] = kept
+            h0.setflags(write=False)
+        assert _traj_bytes(edited) == _traj_bytes(expected)
+        assert np.abs(edited.final_state - before.final_state).max() > 0.1
+        assert _traj_bytes(run(system, psi0)) == _traj_bytes(before)
 
     def test_user_system_edited_in_place(self, params):
         system, psi0, _ = _gate_cell(params, 5.0, True)
@@ -1076,31 +1087,72 @@ class TestSharedSetUp:
                 == _traj_bytes(schrodinger_evolve(edited, psi0, cfg)))
         assert np.abs(second.final_state - first.final_state).max() > 0.1
 
-    def test_kept_sectors_are_bounded(self, params):
-        # one sector per start support is kept with the gate terms, up to
-        # _SECTORS_KEPT; past it they are dropped, and runs go on as
-        # before
-        model._gate_terms.cache_clear()  # new terms keep no sector yet
+    def test_user_copy_reuses_the_kept_sector(self, params):
+        # the sector is kept under its terms' content, so a user's writable
+        # copy of the model's terms reuses it and runs bit for bit alike
+        system, psi0, _ = _gate_cell(params, 5.0, True)
+        user = replace(system, h0=system.h0.copy(), hz=system.hz.copy(),
+                       hcd=system.hcd.copy())
+        rho0 = np.outer(psi0, psi0.conj())
+        noise, cfg = NoiseModel(alpha=0.1), EvolutionConfig()
+        runs, sectors = [], []
+        for h in (system, user):
+            runs.append(_traj_bytes(schrodinger_evolve(h, psi0, cfg)))
+            sectors.append(_kernels._kept.sector[1])
+            runs.append(_traj_bytes(lindblad_evolve(h, rho0, noise, cfg)))
+            sectors.append(_kernels._kept.sector[1])
+        assert all(sector is sectors[0] for sector in sectors)
+        assert runs[:2] == runs[2:]
+
+    def test_one_sector_is_kept_per_thread(self, params):
+        # nine start supports in turn: each run replaces the one sector
+        # kept on this thread, and run again in reverse order each gives
+        # its bits back
         system = nqubit_system(3, params, 2.0)
         cfg = EvolutionConfig()
         starts = []
-        for k in range(dynamics._SECTORS_KEPT + 1):
+        for k in range(9):
             psi0 = np.zeros(8, dtype=complex)
             psi0[k % 8:k % 8 + 1 + k // 8] = 1.0
             starts.append(psi0 / np.linalg.norm(psi0))
-        kept, sizes = dynamics._shared_sectors(system), []
-        first = []
+        first, sectors = [], []
         for psi0 in starts:
             first.append(_traj_bytes(schrodinger_evolve(system, psi0, cfg)))
-            sizes.append(len(kept))
-        # the ninth support came after a clear
-        assert sizes == list(range(1, dynamics._SECTORS_KEPT + 1)) + [1]
+            key, sector = _kernels._kept.sector
+            assert key[0][2] == (psi0 != 0).tobytes()
+            sectors.append(sector)
+        assert len(set(map(id, sectors))) == len(starts)
         assert [_traj_bytes(schrodinger_evolve(system, psi0, cfg))
-                for psi0 in starts] == first
+                for psi0 in starts[::-1]] == first[::-1]
+
+    def test_nested_runs_leave_the_outer_run_alone(self, params):
+        # a callable whose H(t) runs a callable and a gate system of the
+        # outer run's state size and tolerances, which share its kept
+        # evaluators between its blocks, gives the outer run's bits
+        system = cnot_system(params, 20.0, True)
+        cfg, span = EvolutionConfig(), (-1.0, 1.0)
+        psi0 = np.array([0, 0, 1, 0], dtype=complex)
+        uniform = np.full(4, 0.5, dtype=complex)  # its sector is all 4
+        shared = []
+
+        def nested(t):
+            for h in (system.__call__, system):
+                schrodinger_evolve(h, uniform, cfg, (0.0, 0.01))
+                shared.append(_kernels._kept.stage[1])
+            return system(t)
+
+        plain = schrodinger_evolve(system.__call__, psi0, cfg, span)
+        # blocks of 1 and 2 steps in stage mode, then 4, 8 and 3 in matrix
+        # mode (_MATRIX_MIN_STEPS)
+        assert (plain.stats["accepted"], plain.stats["rejected"],
+                plain.stats["blocks"]) == (18, 0, 5)
+        assert _traj_bytes(schrodinger_evolve(nested, psi0, cfg, span)) \
+            == _traj_bytes(plain)
+        assert all(steps is _kernels._kept.stage[1] for steps in shared)
 
     def test_threads_reproduce_serial_runs(self, params):
         # threads, more than this host's two cores, run different noise
-        # cells of one sector at once, each in its own workspace; a switch
+        # cells of one sector at once, each with its own kept set-up; a switch
         # every 10 us interleaves their blocks
         jobs = [[(10.0, 0.1, True), (25.0, 0.0, False)],
                 [(15.0, 0.05, False), (30.0, 0.1, True)],

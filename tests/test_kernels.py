@@ -1009,9 +1009,9 @@ class TestStepperBuffers:
 
     @pytest.mark.parametrize("alpha", [None, 0.1])
     def test_reused_buffers_are_written_before_read(self, alpha):
-        # a workspace keeps the evaluators from run to run: a run after
-        # one of another tau, with every buffer the evaluators list
-        # filled with NaN, is bit for bit a run with its own evaluators
+        # the evaluators are kept from run to run (_kernels._reused): a
+        # run after one of another tau, with every buffer the evaluators
+        # list filled with NaN, is bit for bit a run with its own
         params = CnotParams()
         system, y0, _ = _gate_cell(params, 20.0, True, 3, alpha)
         support = y0 != 0 if y0.ndim == 1 else y0.any(axis=0)
@@ -1025,17 +1025,23 @@ class TestStepperBuffers:
                                               alpha)
         times = np.array([sub.t_start, 0.0, sub.t_end])
         args = (times, y0, 1e-10, 1e-12, dissipator, width)
-        workspace = {}
         other = _gate_cell(params, 3.0, True, 3)[0]
-        _kernels.evolve_ramped(replace(sub, slope=other.slope), *args,
-                               workspace)
-        evaluators = [workspace[slot][1] for slot in ("stage", "matrix")]
+
+        def kept():
+            return [getattr(_kernels._kept, slot)[1]
+                    for slot in ("stage", "matrix")]
+
+        vars(_kernels._kept).clear()
+        _kernels.evolve_ramped(replace(sub, slope=other.slope), *args)
+        evaluators = kept()
         for steps in evaluators:
             for buffer in steps.buffers:
                 buffer[...] = np.nan
-        reused = _kernels.evolve_ramped(sub, *args, workspace)
+        reused = _kernels.evolve_ramped(sub, *args)
+        assert kept() == evaluators
+        vars(_kernels._kept).clear()
         fresh = _kernels.evolve_ramped(sub, *args)
-        assert [workspace[s][1] for s in ("stage", "matrix")] == evaluators
+        assert all(a is not b for a, b in zip(kept(), evaluators))
         assert reused[0].tobytes() == fresh[0].tobytes()
         assert reused[1:] == fresh[1:]
         assert reused[2]["blocks"] > 10
