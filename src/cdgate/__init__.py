@@ -51,8 +51,6 @@ from .model import (
     nqubit_system,
 )
 from .numerics import (
-    EigenDecomposition,
-    Tolerances,
     TOL,
     commutator,
     frobenius_distance,

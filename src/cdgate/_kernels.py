@@ -30,10 +30,12 @@ dissipator is constant, so it is lifted with ``-i h0`` once per set of
 terms, and a block's superoperators are the one product that builds its
 generators. A run's fixed set-up is kept by one rule, ``_reused``: per
 thread, the last object built in each slot, under the content of what it
-was built from. ``evolve_ramped`` keeps the lift of the last terms and
-dissipator, ``dop853`` the block evaluators with their buffers of the last
-size and tolerances, and ``cdgate.dynamics`` its last invariant sector; a
-run whose set-up matches the last one on its thread builds none of them.
+was built from, arrays and numbers, never a function. ``evolve_ramped``
+keeps the lift of the last terms and dissipator, ``dop853`` the block
+evaluators of the last size and tolerances, with their buffers and matrix
+mode's coordinate forms (the stage equation is passed with each block, not
+kept), and ``cdgate.dynamics`` its last invariant sector; a run whose
+set-up matches the last one on its thread builds none of them.
 
 The states are small, so a step costs numpy calls, not arithmetic. The
 system is linear, so a step is a map ``y -> P y`` whose error estimates
@@ -64,7 +66,6 @@ Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd`` is defined in one place:
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 
@@ -297,14 +298,14 @@ def _hermitian_coordinates(dim):
     return t, np.array(read)
 
 
-@functools.lru_cache(maxsize=8)
 def _coordinate_forms(size, pure):
     """``(W, T, read)``: ``W``, the fixed real matrix that maps the float
     view of a flattened complex ``(size, size)`` operator to the real matrix
     that acts on a state's coordinates, one product for a stack of
     operators; ``T`` and ``read`` of a density matrix's coordinates
     (``_hermitian_coordinates``), or for a ``pure`` state None and every
-    float. Built once per ``(size, pure)``, read-only.
+    float. Built with each matrix-mode evaluator (``_matrix_mode``), and
+    kept with it.
 
     A pure state's coordinates are its float view and the matrix is the
     realification ``R(L)`` (``_real_form``): every entry one float of the
@@ -318,17 +319,13 @@ def _coordinate_forms(size, pure):
     if not pure:
         t, read = _hermitian_coordinates(math.isqrt(size))
         forms = forms[:, read].dot(t)
-        t.setflags(write=False)
-    forms = forms.reshape(forms.shape[0], -1)
-    for array in (forms, read):
-        array.setflags(write=False)
-    return forms, t, read
+    return forms.reshape(forms.shape[0], -1), t, read
 
 
-def _matrix_mode(size, rtol, atol, root_width, dissipator):
+def _matrix_mode(size, rtol, atol, root_width, pure):
     """The block evaluator of a state of length ``size`` under operators
-    that are ``(size, size)`` matrices on it: a pure state, or given a
-    ``dissipator`` a flattened density matrix under its ``liouvillian``.
+    that are ``(size, size)`` matrices on it: a ``pure`` state, or else a
+    flattened density matrix under its ``liouvillian``.
 
     The system is linear, so a step is a map ``y -> P y`` whose error
     estimates ``E5 y`` and ``E3 y`` are matrices too, none depending on
@@ -353,14 +350,15 @@ def _matrix_mode(size, rtol, atol, root_width, dissipator):
     block's is never read. Arrays sized to each block length would take
     twice the memory, for no less time.
 
-    Returns ``steps(M, hs, y, h=None) -> (Y, errs)``, as ``_stage_mode``'s,
-    with the error norms of all the block's steps; ``h``, when the block's
-    steps all have that length, scales its stage operators by one scalar.
+    Returns ``steps(M, hs, y, h=None) -> (Y, errs)``, as ``_stage_mode``'s
+    without its ``apply``, with the error norms of all the block's steps;
+    ``h``, when the block's steps all have that length, scales its stage
+    operators by one scalar.
     ``steps.buffers`` lists the arrays that each block writes before it
     reads them, so runs may share the evaluator (``dop853``).
     """
     n, rows = _BLOCK_STEPS, 11 * _BLOCK_STEPS + 1
-    forms, t, read = _coordinate_forms(size, dissipator is None)
+    forms, t, read = _coordinate_forms(size, pure)
     wide = read.shape[0]
     # the operators of the block's stage times in coordinates
     gathered = np.zeros((rows, wide, wide))
@@ -447,20 +445,21 @@ def _matrix_mode(size, rtol, atol, root_width, dissipator):
     return steps
 
 
-def _stage_mode(size, rtol, atol, root_width, apply):
+def _stage_mode(size, rtol, atol, root_width):
     """The block evaluator that runs the stages of each step on the state.
 
     The state and the stage derivatives are the rows of one block ``Z``:
     stage ``s`` is ``apply(M, (1, h a_s) . Z[:s + 1], out)``, which writes
-    the derivative into its row: ``matvec``, or ``lindblad_apply`` for a
-    dissipator that is not ``_lifted``. A block's first derivative is
-    evaluated at its start, and the FSAL derivative of each step is the
-    next step's first. The steps of a block run in turn and stop at the
-    first that fails. Returns ``steps(M, hs, y) -> (Y, errs)`` for a block
-    of steps of lengths ``hs``: ``Y[k]`` is the state after ``k`` steps of
-    the block (``Y[0]`` is ``y``), ``errs`` the error norms of the steps up
-    to the first that fails. ``steps.buffers`` lists the arrays that each
-    block writes before it reads them.
+    the derivative into its row. A block's first derivative is evaluated
+    at its start, and the FSAL derivative of each step is the next step's
+    first. The steps of a block run in turn and stop at the first that
+    fails. Returns ``steps(M, hs, y, apply) -> (Y, errs)`` for a block of
+    steps of lengths ``hs``: ``Y[k]`` is the state after ``k`` steps of the
+    block (``Y[0]`` is ``y``), ``errs`` the error norms of the steps up to
+    the first that fails. The equation is ``apply``, given with each block
+    (``dop853``), so one evaluator serves every equation of its size and
+    tolerances. ``steps.buffers`` lists the arrays that each block writes
+    before it reads them.
     """
     Z = np.zeros((_N_STAGES + 2, size), dtype=np.complex128)
     state, K = Z[0], Z[1:]  # the state, then the stage derivatives
@@ -479,7 +478,7 @@ def _stage_mode(size, rtol, atol, root_width, apply):
     magnitude, scale = np.empty((2, size)), np.empty(size)
     scale_col = scale[:, None]
 
-    def steps(M, hs, y):
+    def steps(M, hs, y, apply):
         states[0] = y
         state[:] = y
         apply(M[0], state, K[0])
@@ -559,9 +558,13 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     ``_MATRIX_MIN_STEPS`` steps, else in stage mode (``_stage_mode``). The
     modes round their error estimates differently, so where a norm is
     within rounding of 1 they can take a few different steps. The
-    evaluators are kept from one run to the next (``_reused``); they carry
-    nothing from one block to the next, so a run nested in ``generators``
-    may use them too.
+    evaluators are kept from one run to the next (``_reused``) under the
+    state's size, the tolerances and ``width``, matrix mode's also under
+    whether the state is pure; the stage equation, ``matvec`` or
+    ``lindblad_apply(dissipator)``, is picked on each run and passed with
+    each stage-mode block, so a commutator-form run keeps its evaluator
+    too. They carry nothing from one block to the next, so a run nested in
+    ``generators`` may use them too.
 
     Returns ``(states, drift, stats)``: ``drift`` is the largest over the
     accepted states; ``stats`` counts the ``accepted`` and ``rejected``
@@ -585,11 +588,10 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     drift_of = norm_drift if pure else trace_drift
     apply = (matvec if pure or _lifted(dissipator)
              else lindblad_apply(dissipator))
-    stage = _reused("stage", (size, rtol, atol, root_width, apply),
-                    lambda: _stage_mode(size, rtol, atol, root_width, apply))
+    stage = _reused("stage", (size, rtol, atol, root_width),
+                    lambda: _stage_mode(size, rtol, atol, root_width))
     matrix = (_reused("matrix", (size, rtol, atol, root_width, pure),
-                      lambda: _matrix_mode(size, rtol, atol, root_width,
-                                           dissipator))
+                      lambda: _matrix_mode(size, rtol, atol, root_width, pure))
               if size <= _MATRIX_MAX_SIZE and apply is matvec else None)
     plan = _block_planner(samples)
     t = samples[0]
@@ -616,7 +618,7 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
             t, h_abs, min(m, _MAX_TOTAL_STEPS - accepted - rejected), isamp)
         planned = hs.shape[0]
         if matrix is None or planned < _MATRIX_MIN_STEPS:
-            Y, errs = stage(generators(ts), hs, y)
+            Y, errs = stage(generators(ts), hs, y, apply)
             finish = _copy if pure else symmetrize
         else:
             Y, errs = matrix(generators(ts), hs, y,

@@ -21,7 +21,7 @@ sector's entries (a gate start is 2 amplitudes at any n) with the full
 width for the error norm, so the run takes the full run's steps, and
 scatters the samples back. ``schrodinger_evolve`` integrates a ramped
 sector without the global phase of its mean energy, restored on each
-sample. A ramped sector, a ``_Sector``, is set up and checked, and kept
+sample. A ramped sector is set up and checked in one function, and kept
 per thread under the content of its start support and terms
 (``_sector_system``): the next run on the same support and terms, in any
 arrays, reuses it. The Monte-Carlo oracle
@@ -198,7 +198,8 @@ def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray,
 
     For a ramped system the sector is the closure of the support under the
     joint nonzero pattern of ``h0``, ``hz`` and ``hcd``, and the system is
-    restricted to it: ``H(t)`` couples the sector to nothing else at any t
+    ``h_of_t`` with each term sliced to the sector's rows and columns, a
+    writable copy: ``H(t)`` couples the sector to nothing else at any t
     and the jump operator is diagonal, so every entry outside it stays
     exactly 0 and need not be integrated. A callable's pattern is unknown,
     so its sector is the whole space, and its system is ``_stacked``.
@@ -217,8 +218,9 @@ def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray,
                 grown := reach | coupled[:, reach].any(axis=1), reach):
             reach = grown
         idx = np.flatnonzero(reach)
-        system = h_of_t.restricted(idx)
-        terms = (system.h0, system.hz, system.hcd)
+        rows = np.ix_(idx, idx)
+        terms = tuple(h[rows] for h in terms)  # writable copies
+        system = replace(h_of_t, h0=terms[0], hz=terms[1], hcd=terms[2])
     else:
         system, idx = _stacked(h_of_t), np.arange(support.size)
     # numerics.hermiticity_defect of each, in one pass over their stack
@@ -234,46 +236,36 @@ def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray,
     return system, idx
 
 
-class _Sector:
-    """A ramped system on the invariant sector of one start support, as
-    ``_invariant_sector`` builds and checks it: ``idx``, the sector's
-    indices; ``terms``, ``h0``, ``hz`` and ``hcd`` restricted to it, never
-    written; and ``shift``, the mean energy ``c = tr(h0) / d`` of the
-    sector, which a pure run drops from ``h0`` (``system``)."""
-
-    def __init__(self, system: RampedGateHamiltonian, idx: np.ndarray):
-        self.idx = idx
-        self.terms = (system.h0, system.hz, system.hcd)
-        self.shift = np.trace(system.h0).real / system.dim
-        self._shifted = (system.h0 - self.shift * np.eye(system.dim)
-                         if self.shift else system.h0)
-
-    def system(self, h: RampedGateHamiltonian,
-               pure: bool) -> RampedGateHamiltonian:
-        """``h`` on the sector; for a ``pure`` run without ``shift``."""
-        h0, hz, hcd = self.terms
-        return replace(h, h0=self._shifted if pure else h0, hz=hz, hcd=hcd)
-
-
 def _sector_system(h_of_t: HamiltonianLike, support: np.ndarray,
                    span: tuple[float, float], pure: bool):
     """``(system, idx, shift)`` of a run from a start supported on
     ``support``: ``h_of_t`` on the invariant sector and its indices
-    (``_invariant_sector``); for a ramped system, from its ``_Sector``, the
-    sector's mean energy, which a ``pure`` run's system is without; for a
+    (``_invariant_sector``); for a ramped system, the sector's mean energy
+    ``c = tr(h0) / d``, which a ``pure`` run's ``h0`` is without; for a
     callable 0.
 
-    The last ``_Sector`` built on this thread is kept under the content of
-    the support and of ``h0``, ``hz`` and ``hcd`` (``_kernels._reused``):
-    a run on the same support and terms, in any arrays, reuses its set-up,
-    checks included; any other builds and checks its own."""
+    A ramped sector is kept on this thread as one tuple, its system,
+    ``idx``, ``shift`` and shifted ``h0``, under the content of the support
+    and of ``h0``, ``hz`` and ``hcd`` (``_kernels._reused``): a run on the
+    same support and terms, in any arrays, reuses its set-up, checks
+    included, and takes its ramp from ``h_of_t``; any other builds and
+    checks its own."""
     if not isinstance(h_of_t, RampedGateHamiltonian):
         system, idx = _invariant_sector(h_of_t, support, span)
         return system, idx, 0.0
-    sector = _kernels._reused(
-        "sector", (support, h_of_t.h0, h_of_t.hz, h_of_t.hcd),
-        lambda: _Sector(*_invariant_sector(h_of_t, support, span)))
-    return sector.system(h_of_t, pure), sector.idx, sector.shift
+
+    def build():
+        system, idx = _invariant_sector(h_of_t, support, span)
+        shift = np.trace(system.h0).real / system.dim
+        shifted = (system.h0 - shift * np.eye(system.dim) if shift
+                   else system.h0)
+        return system, idx, shift, shifted
+
+    sector, idx, shift, shifted = _kernels._reused(
+        "sector", (support, h_of_t.h0, h_of_t.hz, h_of_t.hcd), build)
+    system = replace(h_of_t, h0=shifted if pure else sector.h0,
+                     hz=sector.hz, hcd=sector.hcd)
+    return system, idx, shift
 
 
 def _integrate(h_of_t: HamiltonianLike, sector, times: np.ndarray, y0,

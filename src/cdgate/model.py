@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -336,13 +336,6 @@ class RampedGateHamiltonian:
         np.multiply(j2, j2, out=out)
         np.add(self.g * self.g, out, out=out)
         return np.divide(0.5 * self.g * self.slope, out, out=out)
-
-    def restricted(self, idx) -> "RampedGateHamiltonian":
-        """The system on the basis states ``idx``: each term sliced to
-        its ``idx`` rows and columns, the ramp and CD switch unchanged."""
-        rows = np.ix_(idx, idx)
-        return replace(self, h0=self.h0[rows], hz=self.hz[rows],
-                       hcd=self.hcd[rows])
 
     def __call__(self, t) -> np.ndarray:
         shape = np.shape(t) + (1, 1)

@@ -637,11 +637,12 @@ class TestInvariantSector:
         assert _sector(system, np.outer(psi0, psi0.conj())) == [dim - 2,
                                                                 dim - 1]
 
-    def test_restricted_system_is_the_sliced_hamiltonian(self, params):
+    def test_sector_system_is_the_sliced_hamiltonian(self, params):
         system = nqubit_system(3, params, 4.0, use_cd=True)
-        sub = system.restricted(np.array([6, 7]))
+        sub, idx = dynamics._invariant_sector(system, np.arange(8) == 6,
+                                              (0.0, 1.0))
         ts = np.linspace(system.t_start, system.t_end, 5)
-        assert sub.dim == 2
+        assert idx.tolist() == [6, 7] and sub.dim == 2
         assert np.array_equal(sub(ts), system(ts)[:, 6:, 6:])
 
     def test_callable_sector_is_the_whole_space(self, params):
@@ -1008,16 +1009,20 @@ def _traj_bytes(traj):
             traj.stats)
 
 
-def _fresh_run(n, params, tau, cd, alpha, cfg):
-    """The gate cell run with nothing kept from any earlier run: new gate
-    terms (``model._gate_terms``), new coordinate forms and an empty
-    per-thread store (``_kernels._reused``), so a new sector, lift and
-    evaluators."""
+def _fresh(run):
+    """``run()`` with nothing kept from any earlier run: new gate terms
+    (``model._gate_terms``) and an empty per-thread store
+    (``_kernels._reused``), so a new sector, lift and evaluators."""
     model._gate_terms.cache_clear()
-    _kernels._coordinate_forms.cache_clear()
     vars(_kernels._kept).clear()
     assert not vars(_kernels._kept)
-    return _run_cell(_gate_cell(params, tau, cd, n, alpha), cfg)
+    return run()
+
+
+def _fresh_run(n, params, tau, cd, alpha, cfg):
+    """The gate cell run with nothing kept from any earlier run."""
+    return _fresh(lambda: _run_cell(_gate_cell(params, tau, cd, n, alpha),
+                                    cfg))
 
 
 class TestSharedSetUp:
@@ -1041,6 +1046,31 @@ class TestSharedSetUp:
         for k, (n, params, cd, alpha, cfg) in enumerate(cells):
             fresh = _fresh_run(n, params, 6.0, cd, alpha, cfg)
             assert _traj_bytes(kept[k]) == _traj_bytes(fresh), cells[k]
+
+    @pytest.mark.parametrize("case", ["commutator", "across_equations"])
+    def test_runs_share_one_stage_evaluator(self, params, case):
+        # commutator-form runs (n = 3 from a full-support density) at other
+        # rates, or runs of two equations on states of one length and
+        # width, keep one stage evaluator, and each run gives the bits of
+        # a run from an empty store
+        cfg = EvolutionConfig()
+        if case == "commutator":
+            system = nqubit_system(3, params, 2.0, True)
+            rho0 = np.full((8, 8), 1 / 8, dtype=complex)
+            runs = [lambda a=alpha: lindblad_evolve(system, rho0,
+                                                    NoiseModel(a), cfg)
+                    for alpha in (0.05, 0.1, 0.05)]
+        else:
+            lz, rho0 = lz_system(params, 2.0, True), np.full((2, 2), 0.5 + 0j)
+            cnot, psi0 = cnot_system(params, 2.0, True), np.full(4, 0.5 + 0j)
+            runs = [lambda: lindblad_evolve(lz, rho0, NoiseModel(0.1), cfg),
+                    lambda: schrodinger_evolve(cnot, psi0, cfg)] * 2
+        kept, stages = [], []
+        for run in runs:
+            kept.append(_traj_bytes(run()))
+            stages.append(_kernels._kept.stage[1])
+        assert all(stage is stages[0] for stage in stages)
+        assert kept == [_traj_bytes(_fresh(run)) for run in runs]
 
     @pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])
     def test_checks_hold_after_a_valid_cell(self, params, engine):

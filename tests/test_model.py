@@ -517,11 +517,18 @@ class TestGateTerms:
         assert a.h0 is not b.h0 and not np.array_equal(a.h0, b.h0)
         assert np.array_equal(a.hz, b.hz)
 
-    def test_restricted_terms_are_writable_copies(self):
+    def test_sector_terms_are_writable_copies(self):
+        # the invariant sector's terms are slices of the read-only model
+        # terms, copied
+        from cdgate import dynamics
+
         system = nqubit_system(3, CnotParams(), 5.0, use_cd=True)
-        sub = system.restricted([6, 7])
+        sub, idx = dynamics._invariant_sector(system, np.arange(8) == 6,
+                                              (0.0, 1.0))
+        assert idx.tolist() == [6, 7]
         for name in ("h0", "hz", "hcd"):
             term, full = getattr(sub, name), getattr(system, name)
+            assert not full.flags.writeable
             assert term.flags.writeable
             assert not np.shares_memory(term, full)
             assert np.array_equal(term, full[6:, 6:])
