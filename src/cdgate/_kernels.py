@@ -31,24 +31,29 @@ terms, and a block's superoperators are the one product that builds its
 generators. A run's fixed set-up is kept by one rule, ``_reused``: per
 thread, the last object built in each slot, under the content of what it
 was built from, arrays and numbers, never a function. ``evolve_ramped``
-keeps the lift of the last terms and dissipator, ``dop853`` the block
-evaluators of the last size and tolerances, with their buffers and matrix
-mode's coordinate forms (the stage equation is passed with each block, not
-kept), and ``cdgate.dynamics`` its last invariant sector; a run whose
-set-up matches the last one on its thread builds none of them.
+keeps the lift of the last terms and dissipator, with the terms in matrix
+mode's coordinates, ``dop853`` the block evaluators of the last size and
+tolerances (matrix mode's, one for each purity), with their buffers and
+matrix mode's coordinate forms (the stage equation is passed with each
+block, not kept), and ``cdgate.dynamics`` its last invariant sector; a run
+whose set-up matches the last one on its thread builds none of them.
 
 The states are small, so a step costs numpy calls, not arithmetic. The
 system is linear, so a step is a map ``y -> P y`` whose error estimates
 are matrices too: a block of at least ``_MATRIX_MIN_STEPS`` steps of a
 small state (``_MATRIX_MAX_SIZE``) under ``matvec`` runs in matrix mode
-(``_matrix_mode``), building the stage matrices of all its steps with one
+(``_matrix_mode``), building the step maps of all its steps with one
 stacked product per stage, then advancing the state by ``m``
 matrix-vector products. It works in real coordinates of the state: the
 float view of amplitudes, or the four Hermitian coordinates of a 2x2
 density block, under real 4x4 stage matrices, as a pure 2-amplitude
 sector (``_coordinate_forms``), so its densities come out exactly
-Hermitian. A shorter block or a larger state runs in stage mode
-(``_stage_mode``), stage by stage on the state. Both modes plan the same
+Hermitian. Its one input, a block's ``h``-scaled stage matrices in those
+coordinates, is one product of step-scaled rows ``(1, J(t), c(t)) h_k``
+against a ramped run's three terms, lifted into them once; a callable's
+operators reach it through the coordinate forms. A shorter block or a
+larger state runs in stage mode (``_stage_mode``), stage by stage on the
+state. Both modes plan the same
 blocks and accept a step by the same rule, but they form its error
 estimates by different products, which round differently; a norm within
 rounding of 1 can pass in one mode and fail in the other, so on some
@@ -209,16 +214,26 @@ def _block_planner(samples):
     block reaches the sample time ``s``, the ``ceil((s - t) / h)`` equal
     steps that end exactly at ``s``. A block goes on past a sample time.
     Step ``j`` of a run from ``start`` ends at ``start + j length``,
-    rounded as the scalar sum.
+    rounded as the scalar sum. A block that reaches no sample is one run:
+    its stage times are ``t + h unit``, ``unit = j + c_s`` built once, whose
+    ends ``j`` are whole, so they are the run's bit for bit.
     """
     n = _BLOCK_STEPS
     ends = np.empty(n + 1)
     lengths = np.empty(n)
     times = np.empty(11 * n + 1)
     count = np.arange(1.0, n + 1.0)  # j = 1 .. n
+    unit = np.concatenate([[0.0], np.add.outer(count - 1.0, C_STAGE).ravel()])
     nsamp = len(samples)
 
     def plan(t, h, steps, isamp):
+        if samples[isamp] - t > h * steps:  # one run of equal steps
+            ts = times[:11 * steps + 1]
+            np.multiply(unit[:11 * steps + 1], h, out=ts)
+            ts += t
+            hs = lengths[:steps]
+            hs.fill(h)
+            return ts, hs, ts[::11], [(steps, h)], []
         ends[0] = start = t
         planned, runs, reached = 0, [], []
         while isamp < nsamp:
@@ -340,52 +355,54 @@ def _matrix_mode(size, rtol, atol, root_width, pure):
     (``_coordinate_forms``): the float view of a pure state, under the
     ``2 size x 2 size`` realification of its operators, or the ``size``
     Hermitian coordinates of a density matrix, under ``size x size``
-    matrices, as small as a pure 2-amplitude sector's. One product with
-    ``W`` gathers the block's stage operators in that form. The states and
-    both error estimates are mapped back to complex entries through ``T``
-    (exactly), so the error norm is taken over the complex entries as in
-    stage mode, and a density sample is exactly Hermitian. The arrays are
-    allocated for ``_BLOCK_STEPS`` steps when the evaluator is built, and
-    every block runs the matrix chain on all of them: a step beyond the
-    block's is never read. Arrays sized to each block length would take
-    twice the memory, for no less time.
+    matrices, as small as a pure 2-amplitude sector's: an operator's float
+    view times ``W`` (``steps.forms``). The states and both error
+    estimates are mapped back to complex entries through ``T`` (exactly),
+    so the error norm is taken over the complex entries as in stage mode,
+    and a density sample is exactly Hermitian. The arrays are allocated for
+    ``_BLOCK_STEPS`` steps when the evaluator is built, and every block
+    runs the matrix chain on all of them: a step beyond the block's is
+    never read. Arrays sized to each block length would take twice the
+    memory, for no less time.
 
-    Returns ``steps(M, hs, y, h=None) -> (Y, errs)``, as ``_stage_mode``'s
-    without its ``apply``, with the error norms of all the block's steps;
-    ``h``, when the block's steps all have that length, scales its stage
-    operators by one scalar.
+    Returns ``steps(m, y) -> (Y, errs)`` for a block of ``m`` steps, as
+    ``_stage_mode``'s, with the error norms of all the block's steps. Its
+    input, written first, is ``steps.stages[s, k]``: ``h_k`` times stage
+    ``s`` of step ``k`` in coordinates, from a ramped source's one product
+    (``evolve_ramped``) or from complex stage operators by
+    ``steps.operators(M, hs, h)`` (all steps ``h`` long, or when None each
+    its own of ``hs``).
     ``steps.buffers`` lists the arrays that each block writes before it
     reads them, so runs may share the evaluator (``dop853``).
     """
     n, rows = _BLOCK_STEPS, 11 * _BLOCK_STEPS + 1
     forms, t, read = _coordinate_forms(size, pure)
     wide = read.shape[0]
+    # h M of each stage and step: the block's input
+    stages = np.zeros((_N_STAGES, n, wide, wide))
     # the operators of the block's stage times in coordinates
     gathered = np.zeros((rows, wide, wide))
     flat_ops = gathered.reshape(rows, -1)
     # step k's stage s is operator 11 k + s, s = 0..11: a view, as steps
     # share their end and start operator
     row, col = gathered.strides[0], gathered.strides[2]
-    stages = np.lib.stride_tricks.as_strided(
-        gathered, (_N_STAGES, n, wide, wide), (row, 11 * row, wide * col, col),
+    by_step = np.lib.stride_tricks.as_strided(
+        gathered, stages.shape, (row, 11 * row, wide * col, col),
         writeable=False)
-    scaled = np.empty(stages.shape)  # h M of each stage and step
-    # each step's length over the entries of its operators, 0 past the block
-    spread = np.empty((n, wide, wide))
-    spread_rows = spread.reshape(n, -1)
+    spread = np.zeros((n, 1, 1))  # each step's length; past the block unread
     # I, then h K_0 .. h K_11 of each step
     z = np.empty((_N_STAGES + 1, n, wide, wide))
     z[0] = np.eye(wide)
     flat = z.reshape(_N_STAGES + 1, -1)
     u = np.empty(n * wide * wide)
     u3 = u.reshape(n, wide, wide)
-    chain = [(_CHAIN[s, :s + 1], flat[:s + 1], scaled[s], z[s + 1])
+    chain = [(_CHAIN[s, :s + 1], flat[:s + 1], stages[s], z[s + 1])
              for s in range(1, _N_STAGES)]
     maps = np.empty((3, n, wide, wide))  # P, E5 and E3 of each step
     states = np.zeros((n + 1, size), dtype=np.complex128)
     floats = states.view(np.float64)
     err = np.empty((2, n, 2 * size, 1))
-    buffers = [gathered, scaled, spread, z[1:], u, maps, states, err]
+    buffers = [stages, gathered, spread, z[1:], u, maps, states, err]
     if t is None:
         x = floats
     else:
@@ -403,16 +420,16 @@ def _matrix_mode(size, rtol, atol, root_width, pure):
     estimators, columns = maps[1:], x[:-1, :, None]
     maps_flat = maps.reshape(3, -1)
 
-    def steps(M, hs, y, h=None):
-        m, k = hs.shape[0], M.shape[0]
+    def operators(M, hs, h):
+        k = M.shape[0]
         M.reshape(k, -1).view(np.float64).dot(forms, flat_ops[:k])
         if h is None:
-            spread_rows[:m] = hs[:, None]
-            spread_rows[m:] = 0.0
-            np.multiply(stages, spread, out=scaled)
-        else:
-            np.multiply(stages, h, out=scaled)
-        z[1] = scaled[0]  # h K_0 = h M_0 I
+            spread[:hs.shape[0], 0, 0] = hs
+            h = spread
+        np.multiply(by_step, h, out=stages)
+
+    def steps(m, y):
+        z[1] = stages[0]  # h K_0 = h M_0 I
         for coef, head, op, k_s in chain:
             coef.dot(head, u)
             np.matmul(op, u3, out=k_s)
@@ -441,6 +458,7 @@ def _matrix_mode(size, rtol, atol, root_width, pure):
             else 0.0 if d == 0.0 else math.inf
             for e5, e3 in zip(err5, err3)]
 
+    steps.stages, steps.forms, steps.operators = stages, forms, operators
     steps.buffers = buffers
     return steps
 
@@ -555,12 +573,14 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     sector run takes the full run's steps under either rule. A block runs
     in matrix mode (``_matrix_mode``) when the stages apply ``matvec``, the
     state has at most ``_MATRIX_MAX_SIZE`` entries and the block at least
-    ``_MATRIX_MIN_STEPS`` steps, else in stage mode (``_stage_mode``). The
-    modes round their error estimates differently, so where a norm is
-    within rounding of 1 they can take a few different steps. The
-    evaluators are kept from one run to the next (``_reused``) under the
-    state's size, the tolerances and ``width``, matrix mode's also under
-    whether the state is pure; the stage equation, ``matvec`` or
+    ``_MATRIX_MIN_STEPS`` steps, else in stage mode (``_stage_mode``); its
+    input is written by ``generators.coordinates(matrix)``, where a source
+    sets it (``evolve_ramped``), else by ``matrix.operators`` from
+    ``generators(ts)``. The modes round their error estimates differently,
+    so where a norm is within rounding of 1 they can take a few different
+    steps. The evaluators are kept from one run to the next (``_reused``)
+    under the state's size, the tolerances and ``width``, matrix mode's one
+    per purity; the stage equation, ``matvec`` or
     ``lindblad_apply(dissipator)``, is picked on each run and passed with
     each stage-mode block, so a commutator-form run keeps its evaluator
     too. They carry nothing from one block to the next, so a run nested in
@@ -571,8 +591,8 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     steps, the ``blocks``, the steps ``discarded`` (those of a block after
     its first failed step, whose stage operators were built: matrix mode
     computes them, stage mode stops at the failure) and the ``rhs_evals``,
-    the stage operators built, ``blocks + 11 (accepted + rejected +
-    discarded)``, and holds the smallest and largest accepted step,
+    the stage times the source was evaluated at, ``blocks + 11 (accepted +
+    rejected + discarded)``, and holds the smallest and largest accepted step,
     ``h_min`` and ``h_max`` (0 when no step was accepted). Raises
     ``StepUnderflowError`` when the step falls below 16 eps |t| or the
     budget of accepted plus rejected steps runs out.
@@ -590,9 +610,16 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
              else lindblad_apply(dissipator))
     stage = _reused("stage", (size, rtol, atol, root_width),
                     lambda: _stage_mode(size, rtol, atol, root_width))
-    matrix = (_reused("matrix", (size, rtol, atol, root_width, pure),
-                      lambda: _matrix_mode(size, rtol, atol, root_width, pure))
-              if size <= _MATRIX_MAX_SIZE and apply is matvec else None)
+    matrix = write_stages = None
+    if size <= _MATRIX_MAX_SIZE and apply is matvec:
+        matrix = _reused(
+            "matrix_pure" if pure else "matrix_density",
+            (size, rtol, atol, root_width),
+            lambda: _matrix_mode(size, rtol, atol, root_width, pure))
+        coordinates = getattr(generators, "coordinates", None)
+        write_stages = (
+            coordinates(matrix) if coordinates is not None
+            else lambda ts, hs, h: matrix.operators(generators(ts), hs, h))
     plan = _block_planner(samples)
     t = samples[0]
     h_abs = (samples[-1] - t) * 1e-3
@@ -621,8 +648,8 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
             Y, errs = stage(generators(ts), hs, y, apply)
             finish = _copy if pure else symmetrize
         else:
-            Y, errs = matrix(generators(ts), hs, y,
-                             runs[0][1] if len(runs) == 1 else None)
+            write_stages(ts, hs, runs[0][1] if len(runs) == 1 else None)
+            Y, errs = matrix(planned, y)
             finish = _copy
         blocks += 1
         built += ts.shape[0]
@@ -697,7 +724,7 @@ def norm_drift(y):
     """The largest |norm^2 - 1| over the states ``y``, one per row, or of
     the one flat state ``y``."""
     w = y.view(np.float64)
-    return float(np.abs(np.einsum("...i,...i", w, w) - 1.0).max())
+    return float(np.abs(np.vecdot(w, w) - 1.0).max())
 
 
 def trace_drift(y):
@@ -757,14 +784,21 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
     superoperators ``L(t) = (L0 + D) + J(t) Lz + c(t) Lcd`` of the three
     terms, lifted once (``stage_operators``).
 
-    The lift is kept for the last terms and dissipator (``_reused``). The
-    other arguments and the result are ``dop853``'s.
+    In matrix mode (``coordinates``) the same rows, laid out stage by step
+    and scaled by their step's length, give its input in one product
+    against the terms in coordinates, ``terms . W``; no operator is built.
+
+    The lift, and the terms in coordinates, are kept for the last terms and
+    dissipator (``_reused``). The other arguments and the result are
+    ``dop853``'s.
     """
-    # the constant D joins the lift of -i h0
+    # the constant D joins the lift of -i h0; the terms in coordinates are
+    # appended by a run's first matrix-mode use (W follows from the key)
     key = (h.h0, h.hz, h.hcd, dissipator, _lifted(dissipator))
-    terms = _reused("lift", key, lambda: stage_operators(
+    lift = _reused("lift", key, lambda: [stage_operators(
         np.stack([-1j * h.h0, -1j * h.hz, -1j * h.hcd]), dissipator,
-        [1.0, 0.0, 0.0]))
+        [1.0, 0.0, 0.0])])
+    terms = lift[0]
     basis = terms.reshape(3, -1).view(np.float64)
     rows = 11 * _BLOCK_STEPS + 1
     block = np.empty((rows,) + terms.shape[1:], dtype=np.complex128)
@@ -774,15 +808,45 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
     coef[:, 0] = 1.0
     drive, cd = coef[:, 1], coef[:, 2]
 
-    def generators(ts):
+    def write_rows(ts):
         k = ts.shape[0]
         h.drive_value(ts, drive[:k])
         if h.use_cd:
             h.cd_coefficient(ts, cd[:k])
+        return k
+
+    def generators(ts):
+        k = write_rows(ts)
         coef[:k].dot(basis, target[:k])
         return block[:k]
 
+    def coordinates(matrix):
+        # matrix mode's input for the evaluator ``matrix``
+        if len(lift) == 1:
+            lift.append(basis.dot(matrix.forms))
+        lifted = lift[1]
+        n = matrix.stages.shape[1]
+        out = matrix.stages.reshape(_N_STAGES * n, -1)
+        # step k's stage s is row 11 k + s, as in the evaluator's layout
+        row, col = coef.strides
+        by_step = np.lib.stride_tricks.as_strided(
+            coef, (_N_STAGES, n, 3), (row, 11 * row, col), writeable=False)
+        scaled = np.empty(by_step.shape)
+        scaled_rows = scaled.reshape(-1, 3)
+        spread = np.zeros((n, 1))  # each step's length; past the block unread
+
+        def write(ts, hs, length):
+            write_rows(ts)
+            if length is None:
+                spread[:hs.shape[0], 0] = hs
+                length = spread
+            np.multiply(by_step, length, out=scaled)
+            scaled_rows.dot(lifted, out)
+
+        return write
+
     generators.full_blocks = True
+    generators.coordinates = coordinates
     return dop853(generators, sample_times, y0, rtol, atol, dissipator,
                   width)
 
@@ -915,9 +979,10 @@ def dephasing_average(h_stack, d, t_start, dt, noise, psi0):
     ``Q_p`` of the block follow from a few stacked products; the result
     does not depend on the block size. Column ``i`` of the working state
     is realization ``i``: a step writes ``eta^p y`` into a ``(5, dim,
-    n_traj)`` buffer, four multiplies, and takes one ``(dim, 5 dim) @
+    n_traj)`` buffer, one multiply by ``eta^1..4`` (written for a chunk of
+    steps within ``_ORACLE_BLOCK_BYTES``), and takes one ``(dim, 5 dim) @
     (5 dim, n_traj)`` product. The memory held beyond ``noise`` is two such
-    buffers, one block of stage Hamiltonians and its ``Q_p`` tables.
+    buffers, the powers, one block of stage Hamiltonians and its ``Q_p``.
     """
     n_traj, n_steps = noise.shape
     dim = psi0.shape[0]
@@ -928,23 +993,28 @@ def dephasing_average(h_stack, d, t_start, dt, noise, psi0):
     # the current one is the state, and each step writes the other's
     buffers = np.empty((2, 5, dim, n_traj), dtype=np.complex128)
     buffers[0, 0] = psi0[:, None]
-    cur, nxt = [(*b, b.reshape(5 * dim, n_traj)) for b in buffers]
-    eta_c = np.empty(n_traj, dtype=np.complex128)
+    cur, nxt = [(b[0], b[1:], b.reshape(5 * dim, n_traj)) for b in buffers]
+    # eta^1 .. eta^4 of a chunk of steps, complex as the state, so that a
+    # step's four powers of y are one multiply that casts nothing
+    chunk = max(1, _ORACLE_BLOCK_BYTES // (4 * 16 * n_traj))
+    powers = np.empty((chunk, 4, 1, n_traj), dtype=np.complex128)
     multiply = np.multiply
     for k0 in range(0, n_steps, block):
         stop = min(k0 + block, n_steps)
         ts = (t_start + np.arange(k0, stop) * dt)[:, None] + offsets
         stages = np.multiply(-1j, h_stack(ts.ravel()))
         q = _rk4_polynomials(stages.reshape(stop - k0, 3, dim, dim), jump, dt)
-        for q_k, eta in zip(q, noise[:, k0:stop].T):
-            y, y1, y2, y3, y4, stacked = cur
-            eta_c[:] = eta
-            multiply(y, eta_c, y1)
-            multiply(y1, eta_c, y2)
-            multiply(y2, eta_c, y3)
-            multiply(y3, eta_c, y4)
-            q_k.dot(stacked, nxt[0])
-            cur, nxt = nxt, cur
+        for c0 in range(k0, stop, chunk):
+            c1 = min(c0 + chunk, stop)
+            eta = powers[:c1 - c0]
+            eta[:, 0, 0] = noise[:, c0:c1].T
+            for p in (1, 2, 3):
+                multiply(eta[:, p - 1], eta[:, 0], eta[:, p])
+            for q_k, eta_k in zip(q[c0 - k0:c1 - k0], eta):
+                y, y_powers, stacked = cur
+                multiply(y, eta_k, y_powers)
+                q_k.dot(stacked, nxt[0])
+                cur, nxt = nxt, cur
         del stages, q, q_k  # before the next block's are built
     y = cur[0]
     return (y @ y.conj().T) / n_traj

@@ -1072,6 +1072,34 @@ class TestSharedSetUp:
         assert all(stage is stages[0] for stage in stages)
         assert kept == [_traj_bytes(_fresh(run)) for run in runs]
 
+    def test_each_purity_keeps_one_matrix_evaluator(self, params,
+                                                    monkeypatch):
+        # a 2x2 density block under its Liouvillian and a 4-amplitude state
+        # both run matrix mode at size 4; runs that alternate between them
+        # build one evaluator per purity, and each run gives the bits of a
+        # run from an empty store
+        cfg = EvolutionConfig()
+        lz, rho0 = lz_system(params, 2.0, True), np.full((2, 2), 0.5 + 0j)
+        cnot, psi0 = cnot_system(params, 2.0, True), np.full(4, 0.5 + 0j)
+        runs = [lambda: lindblad_evolve(lz, rho0, NoiseModel(0.1), cfg),
+                lambda: schrodinger_evolve(cnot, psi0, cfg)] * 2
+        built, matrix_mode = [], _kernels._matrix_mode
+
+        def counted(size, rtol, atol, root_width, pure):
+            steps = matrix_mode(size, rtol, atol, root_width, pure)
+            built.append((size, pure, steps))
+            return steps
+
+        monkeypatch.setattr(_kernels, "_matrix_mode", counted)
+        kept = [_traj_bytes(_fresh(runs[0]))]
+        kept += [_traj_bytes(run()) for run in runs[1:]]
+        assert [(size, pure) for size, pure, _ in built] == [(4, False),
+                                                            (4, True)]
+        for slot, (_, _, steps) in zip(("matrix_density", "matrix_pure"),
+                                       built):
+            assert getattr(_kernels._kept, slot)[1] is steps
+        assert kept == [_traj_bytes(_fresh(run)) for run in runs]
+
     @pytest.mark.parametrize("engine", ["schrodinger", "lindblad"])
     def test_checks_hold_after_a_valid_cell(self, params, engine):
         system, psi0, _ = _gate_cell(params, 5.0, True)

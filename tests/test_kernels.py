@@ -589,11 +589,11 @@ class TestStepTelemetry:
         ramped = run(system)
         counts = ("accepted", "rejected", "rhs_evals")
         assert [ramped.stats[k] for k in counts] == [first[k] for k in counts]
-        if not lindblad:
-            assert ramped.stats == first
-        # its Liouvillian diagonal rounds differently (TestLiouvillian):
-        # measured h_min 5.0e-8 and h_max 9.4e-9 relative, states 1.6e-15;
-        # bounded at 2x and 3x those
+        # its stage matrices round differently: matrix mode builds them
+        # from coefficient rows against the terms in coordinates, and its
+        # Liouvillian diagonal is the lift's (TestLiouvillian); measured
+        # h_max 2.0e-8 relative and states 1.4e-15 apart (schrodinger),
+        # 1.4e-9 and 6.1e-16 (lindblad), h_min equal
         for key in ("h_min", "h_max"):
             assert ramped.stats[key] == pytest.approx(first[key], rel=1e-7)
         assert np.abs(ramped.states - callable_run.states).max() < 5e-15
@@ -761,6 +761,37 @@ class TestBlockRule:
         assert double[3].tobytes() == single[2].tobytes()
 
 
+class TestOneRunPlan:
+    """A block that reaches no sample time is one run of equal steps, whose
+    stage times the planner writes in one pass from a grid of whole-step
+    ends (``_block_planner``)."""
+
+    def test_grid_plan_is_the_run(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            t = rng.uniform(-100.0, 100.0) * 10.0 ** rng.integers(-3, 3)
+            h = 10.0 ** rng.uniform(-6.0, 1.0)
+            steps = int(rng.integers(1, _kernels._BLOCK_STEPS + 1))
+            plan = _kernels._block_planner([t, t + 2.0 * h * steps])
+            ts, hs, ends, runs, reached = plan(t, h, steps, 1)
+            assert runs == [(steps, h)] and reached == []
+            assert hs.tolist() == [h] * steps
+            # the ends of a run, step j at start + j length (the scalar
+            # sum), bit for bit, and each step's FSAL time its end
+            run = [t] + [t + j * h for j in range(1, steps + 1)]
+            assert ends.tolist() == run
+            assert ts[11::11].tolist() == run[1:]
+            # interior stage times: the general planner's end + c_s h,
+            # rounded otherwise; each is within about 2 ulps of the exact
+            # sum at the block's largest time, so they differ by at most 4
+            # (measured 3 over 20,000 draws; a time near 0 has a far
+            # smaller ulp of its own)
+            interior = ts[1:].reshape(steps, 11)[:, :-1]
+            general = ends[:-1, None] + h * _kernels.C_STAGE[:-1]
+            ulp = np.spacing(np.abs(ts).max())
+            assert np.abs(interior - general).max() <= 4.0 * ulp
+
+
 class TestModesAgree:
     """Matrix and stage mode plan the same blocks and accept a step by the
     same rule, but form its error estimates by different products, which
@@ -918,7 +949,8 @@ class TestHermitianCoordinates:
         ops = np.broadcast_to(
             _kernels.liouvillian((-1j * random_hermitian(rng, 2))[None],
                                  np.zeros(4)), (34, 4, 4)).copy()
-        states, errs = steps(ops, np.full(3, 0.1), y)
+        steps.operators(ops, np.full(3, 0.1), None)
+        states, errs = steps(3, y)
         scale = atol + rtol * np.abs(y)
 
         def squared(e):
@@ -960,6 +992,76 @@ class TestHermitianCoordinates:
         assert t is None and np.array_equal(read, np.arange(2 * size))
         assert gathered.tobytes() == _taken_real_forms(ops).tobytes()
         assert gathered.tobytes() == _kernels._real_form(ops).tobytes()
+
+
+class TestCoordinateStages:
+    """Matrix mode's input, the ``h``-scaled stage matrices in coordinates
+    laid out stage by step: a ramped source writes them as one product of
+    step-scaled coefficient rows against its terms in coordinates
+    (``evolve_ramped``), a source of complex operators through ``W``
+    (``steps.operators``); both give the same matrices."""
+
+    @staticmethod
+    def _draw(seed, use_cd):
+        rng = np.random.default_rng(seed)
+        h0, hcd = random_hermitian(rng, 2), random_hermitian(rng, 2)
+        tau = rng.uniform(5.0, 40.0)
+        return RampedGateHamiltonian(
+            h0=h0, hz=np.diag([1.0, -1.0]).astype(complex), hcd=hcd,
+            slope=rng.uniform(0.5, 4.0), g=rng.uniform(0.2, 1.0),
+            use_cd=use_cd, t_start=-tau / 2, t_end=tau / 2)
+
+    @pytest.mark.parametrize("samples", [2, 5])
+    @pytest.mark.parametrize("use_cd", [False, True])
+    @pytest.mark.parametrize("density", [False, True],
+                             ids=["pure", "liouvillian"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_coefficient_rows_match_operators(self, monkeypatch, seed,
+                                              density, use_cd, samples):
+        system = self._draw(seed, use_cd)
+        times = np.linspace(system.t_start, system.t_end, samples)
+        psi0 = random_state(np.random.default_rng(seed), 2)
+        y0, dissipator = psi0, None
+        if density:
+            y0 = np.outer(psi0, psi0.conj()).ravel()
+            dissipator = dephasing_dissipator(np.array([1.0, -1.0]), 0.2)
+        dop853, blocks = _kernels.dop853, []
+
+        def checked(generators, *args):
+            coordinates = generators.coordinates
+
+            def compared(matrix):
+                write = coordinates(matrix)
+
+                def write_and_compare(ts, hs, h):
+                    m = hs.shape[0]
+                    write(ts, hs, h)
+                    rows = matrix.stages[:, :m].copy()
+                    matrix.operators(generators(ts), hs, h)
+                    blocks.append((rows, matrix.stages[:, :m].copy(), h))
+                    matrix.stages[:, :m] = rows  # the run takes its own
+
+                return write_and_compare
+
+            generators.coordinates = compared
+            return dop853(generators, *args)
+
+        monkeypatch.setattr(_kernels, "dop853", checked)
+        stats = _kernels.evolve_ramped(system, times, y0, 1e-10, 1e-12,
+                                       dissipator)[2]
+        assert 0 < len(blocks) < stats["blocks"]
+        for rows, operators, _ in blocks:
+            assert rows.shape[2:] == (4, 4)
+            scale = np.abs(operators).max(axis=(2, 3), keepdims=True)
+            assert np.all(np.abs(rows - operators) <= 1e-14 * scale)
+        # blocks of one run and, between interior samples, of several
+        assert any(h is not None for *_, h in blocks)
+        assert any(h is None for *_, h in blocks) == (samples > 2)
+
+    def test_stage_input_is_a_listed_buffer(self):
+        for pure in (True, False):
+            steps = _kernels._matrix_mode(4, 1e-10, 1e-12, 2.0, pure)
+            assert any(b is steps.stages for b in steps.buffers)
 
 
 class TestStepperBuffers:
@@ -1025,7 +1127,8 @@ class TestStepperBuffers:
 
         def kept():
             return [getattr(_kernels._kept, slot)[1]
-                    for slot in ("stage", "matrix")]
+                    for slot in ("stage", "matrix_pure" if alpha is None
+                                 else "matrix_density")]
 
         vars(_kernels._kept).clear()
         _kernels.evolve_ramped(replace(sub, slope=other.slope), *args)
