@@ -1,72 +1,14 @@
-"""Numeric kernels shared by the evolution engines.
+"""Numeric kernels shared by the evolution engines, in plain numpy.
 
-Everything here is plain numpy. One adaptive Dormand-Prince 8(5,3) stepper,
-``dop853``, integrates every Schroedinger and Lindblad evolution. The
-kernels integrate exactly the state they are given: ``cdgate.dynamics``
-restricts a run to its invariant sector and embeds the result, and passes
-the full state's length as ``width``, which enters only the error norm, so
-a sector run takes the full run's steps. The stepper picks its first step
-(a thousandth of the span) and raises ``StepUnderflowError`` itself.
-
-``dop853`` is a block stepper with one step-size controller: a block is
-``m`` steps, 1 to ``_BLOCK_STEPS``, of one length per sample interval; it
-keeps its steps before the first that fails, and at ``m = 1`` it is the
-classical controller. A ramped run, whose block costs one product at any
-length, plans full blocks: ``m`` goes from 1 to ``_BLOCK_STEPS`` after its
-first clean block and stays there after a rejected step; a callable, one
-call per stage time, doubles and halves ``m``. Its one equation argument
-is the dissipator ``D = alpha (d_a d_c - 1)`` of a density matrix's
-sector, None for a pure state; the kernels derive the rest from it: drift
-monitor, Hermitian handling and form. ``generators(ts)``,
-``evolve_ramped`` for a ramped system or one call per stage time of a
-Hamiltonian callable, returns the stage operators (``stage_operators``) at
-the times ``ts``, once per block with its ``11 m + 1`` distinct stage
-times: generators ``M(t) = -i H(t)``, or for a
-density matrix on a sector of dimension up to ``_LIOUVILLIAN_MAX_DIM``
-(``_lifted``) their superoperators ``liouvillian(M, D)``, so that every
-Lindblad stage is then one matrix-vector product, as a Schroedinger stage
-is; larger sectors use the commutator form, ``lindblad_apply(D)``. The
-dissipator is constant, so it is lifted with ``-i h0`` once per set of
-terms, and a block's superoperators are the one product that builds its
-generators. A run's fixed set-up is kept by one rule, ``_reused``: per
-thread, the last object built in each slot, under the content of what it
-was built from, arrays and numbers, never a function. ``evolve_ramped``
-keeps the lift of the last terms and dissipator, with the terms in matrix
-mode's coordinates, ``dop853`` the block evaluators of the last size and
-tolerances (matrix mode's, one for each purity), with their buffers and
-matrix mode's coordinate forms (the stage equation is passed with each
-block, not kept), and ``cdgate.dynamics`` its last invariant sector; a run
-whose set-up matches the last one on its thread builds none of them.
-
-The states are small, so a step costs numpy calls, not arithmetic. The
-system is linear, so a step is a map ``y -> P y`` whose error estimates
-are matrices too: a block of at least ``_MATRIX_MIN_STEPS`` steps of a
-small state (``_MATRIX_MAX_SIZE``) under ``matvec`` runs in matrix mode
-(``_matrix_mode``), building the step maps of all its steps with one
-stacked product per stage, then advancing the state by ``m``
-matrix-vector products. It works in real coordinates of the state: the
-float view of amplitudes, or the four Hermitian coordinates of a 2x2
-density block, under real 4x4 stage matrices, as a pure 2-amplitude
-sector (``_coordinate_forms``), so its densities come out exactly
-Hermitian. Its one input, a block's ``h``-scaled stage matrices in those
-coordinates, is one product of step-scaled rows ``(1, J(t), c(t)) h_k``
-against a ramped run's three terms, lifted into them once; a callable's
-operators reach it through the coordinate forms. A shorter block or a
-larger state runs in stage mode (``_stage_mode``), stage by stage on the
-state. Both modes plan the same
-blocks and accept a step by the same rule, but they form its error
-estimates by different products, which round differently; a norm within
-rounding of 1 can pass in one mode and fail in the other, so on some
-systems their step counts differ by a few, while their states agree within
-the tolerances (``tests/test_kernels.py``, ``TestModesAgree``). After a
-stage-mode block ``symmetrize`` writes the last accepted density matrix
-straight into the state. The Monte-Carlo
-dephasing average, ``dephasing_average``, advances every noise
-realization at once: the noise is constant within an RK4 step, so the step
-is one polynomial in it, whose matrices (``_rk4_polynomials``) are built
-for a block of steps at once and shared by every realization. The ramped
-Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd`` is defined in one place:
-``model.RampedGateHamiltonian``.
+One adaptive Dormand-Prince 8(5,3) block stepper, ``dop853``, integrates
+every Schroedinger and Lindblad evolution, with the stage operators of a
+ramped system from ``evolve_ramped``; ``dephasing_average`` is the
+Monte-Carlo dephasing oracle's RK4 ensemble average. The kernels integrate
+exactly the state they are given: ``cdgate.dynamics`` restricts a run to
+its invariant sector and embeds the result. A run's fixed set-up is kept
+per thread by one rule, ``_reused``. The design, and the measurements
+behind each threshold below, are in ``docs/noise_model.md``,
+"Integration".
 """
 
 from __future__ import annotations
@@ -80,9 +22,8 @@ from .errors import StepUnderflowError
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Dormand-Prince 8(5,3) tableau ("DOP853", Hairer/Norsett/Wanner). The
-# embedded 5th/3rd order error estimators are combined exactly as in the
-# reference implementation. Twelve stages plus the FSAL evaluation.
+# Dormand-Prince 8(5,3) tableau ("DOP853", Hairer/Norsett/Wanner): twelve
+# stages plus the FSAL evaluation, and the embedded 5th/3rd order estimators.
 _N_STAGES = 12
 
 DP_C = np.array([
@@ -140,29 +81,14 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _MAX_TOTAL_STEPS = 20_000_000
-# Most steps in one block. A run starts with blocks of one step; a ramped
-# run plans this many after a block with no rejected step and keeps its block
-# after one with, a callable doubles and halves it (``dop853``). On the 40
-# noise-map cells, 8 ran slower than 16; 32 took 4% more steps and twice the
-# block memory, for a gain within this host's timing noise.
+# The block stepper's thresholds: the most steps in one block; the longest
+# state, and the fewest steps of a block, run in matrix mode; the largest
+# sector dimension of a density matrix run as vec(rho) under the
+# Liouvillian, above which it runs in the commutator form.
 _BLOCK_STEPS = 16
-# Longest state advanced in matrix mode; a longer one, or a density matrix in
-# the commutator form, runs in stage mode. At tau 20 with CD, from a
-# full-support pure start, matrix mode ran 1.8-2.4x faster at length 4 and
-# 0.85-1.08x at 8 (docs/noise_model.md, "Integration").
 _MATRIX_MAX_SIZE = 4
-# Largest sector dimension of a density matrix integrated as vec(rho) under
-# the Liouvillian: one d^2 x d^2 product per stage beats the commutator's five
-# numpy calls at d = 2 and 4 (36-65 against 93-159 us per step at d = 4,
-# single-step stepper), but building the stage operators costs d^4 and loses
-# from d = 8 on (timings in docs/noise_model.md, "Integration"); at d = 64
-# one is 268 MB. At d = 2, every gate sector block, the block stepper's
-# matrix mode runs the Liouvillian on 4 real Hermitian coordinates.
-_LIOUVILLIAN_MAX_DIM = 4
-# Fewest steps of a block run in matrix mode, whose cost barely grows with
-# the steps; a shorter block runs in stage mode, whose cost is per step.
-# The two cost about the same at 2 steps (docs/noise_model.md).
 _MATRIX_MIN_STEPS = 3
+_LIOUVILLIAN_MAX_DIM = 4
 
 # stage times of a step as fractions of h: stages 2..12. The last, c = 1, is
 # also the FSAL point t + h.
@@ -183,14 +109,16 @@ _MAPS[0] = _CHAIN[_N_STAGES]
 _MAPS[1:, 1:] = _E53.real[:, :_N_STAGES]
 
 
-def _error_norm(err5, err3, root_width):
-    """The DOP853 error norm of one step from the squared norms of its two
-    scaled error estimates, each estimate already multiplied by the step
-    length: 0 when both are 0, inf when either is not finite."""
-    denom = err5 + 0.01 * err3
-    if 0.0 < denom < math.inf:
-        return err5 / (math.sqrt(denom) * root_width)
-    return 0.0 if denom == 0.0 else math.inf
+def _error_norms(err5, err3, root_width):
+    """The DOP853 error norm of each step, ``err5 / sqrt(err5 + 0.01 err3)``
+    over ``root_width`` (Hairer, Norsett and Wanner, *Solving ODEs I*,
+    II.10), from the sequences of the squared norms of the steps' two scaled
+    error estimates, each already multiplied by its step length: 0 where
+    both are 0, inf where either is not finite."""
+    return [e5 / (math.sqrt(d) * root_width)
+            if 0.0 < (d := e5 + 0.01 * e3) < math.inf
+            else 0.0 if d == 0.0 else math.inf
+            for e5, e3 in zip(err5, err3)]
 
 
 def _growth(err_norm):
@@ -214,9 +142,7 @@ def _block_planner(samples):
     block reaches the sample time ``s``, the ``ceil((s - t) / h)`` equal
     steps that end exactly at ``s``. A block goes on past a sample time.
     Step ``j`` of a run from ``start`` ends at ``start + j length``,
-    rounded as the scalar sum. A block that reaches no sample is one run:
-    its stage times are ``t + h unit``, ``unit = j + c_s`` built once, whose
-    ends ``j`` are whole, so they are the run's bit for bit.
+    rounded as the scalar sum, and each step's last stage time is its end.
     """
     n = _BLOCK_STEPS
     ends = np.empty(n + 1)
@@ -319,14 +245,9 @@ def _coordinate_forms(size, pure):
     that acts on a state's coordinates, one product for a stack of
     operators; ``T`` and ``read`` of a density matrix's coordinates
     (``_hermitian_coordinates``), or for a ``pure`` state None and every
-    float. Built with each matrix-mode evaluator (``_matrix_mode``), and
-    kept with it.
-
-    A pure state's coordinates are its float view and the matrix is the
-    realification ``R(L)`` (``_real_form``): every entry one float of the
-    operator, so the product gathers it exactly. A density matrix's are its
-    Hermitian coordinates and the matrix is ``E R(L) T``, of a quarter the
-    size: every entry a sum of at most two floats.
+    float. A pure state's matrix is the realification ``R(L)``
+    (``_real_form``), every entry one float of the operator; a density
+    matrix's is ``E R(L) T``, every entry a sum of at most two floats.
     """
     basis = np.eye(2 * size * size).view(np.complex128)
     forms = _real_form(basis.reshape(-1, size, size))
@@ -340,40 +261,20 @@ def _coordinate_forms(size, pure):
 def _matrix_mode(size, rtol, atol, root_width, pure):
     """The block evaluator of a state of length ``size`` under operators
     that are ``(size, size)`` matrices on it: a ``pure`` state, or else a
-    flattened density matrix under its ``liouvillian``.
-
-    The system is linear, so a step is a map ``y -> P y`` whose error
-    estimates ``E5 y`` and ``E3 y`` are matrices too, none depending on
-    ``y``. The stage chain runs on the steps of a block at once, starting
-    from the identity: ``U_s = (1, a_s) . (I, h K_0, ...)`` and ``h K_s =
-    (h M_s) U_s``, each one stacked product; one more product gives every
-    ``P``, ``E5`` and ``E3``. The state then takes one matrix-vector
-    product per step, and all error estimates are one product.
-
-    All of it runs in real arithmetic, where a small stacked product costs
-    a third of a complex one, on real coordinates of the state
-    (``_coordinate_forms``): the float view of a pure state, under the
-    ``2 size x 2 size`` realification of its operators, or the ``size``
-    Hermitian coordinates of a density matrix, under ``size x size``
-    matrices, as small as a pure 2-amplitude sector's: an operator's float
-    view times ``W`` (``steps.forms``). The states and both error
-    estimates are mapped back to complex entries through ``T`` (exactly),
-    so the error norm is taken over the complex entries as in stage mode,
-    and a density sample is exactly Hermitian. The arrays are allocated for
-    ``_BLOCK_STEPS`` steps when the evaluator is built, and every block
-    runs the matrix chain on all of them: a step beyond the block's is
-    never read. Arrays sized to each block length would take twice the
-    memory, for no less time.
+    flattened density matrix under its ``liouvillian``, integrated in its
+    Hermitian coordinates, so that its samples are exactly Hermitian.
 
     Returns ``steps(m, y) -> (Y, errs)`` for a block of ``m`` steps, as
     ``_stage_mode``'s, with the error norms of all the block's steps. Its
     input, written first, is ``steps.stages[s, k]``: ``h_k`` times stage
-    ``s`` of step ``k`` in coordinates, from a ramped source's one product
+    ``s`` of step ``k`` in real coordinates (``_coordinate_forms``, whose
+    ``W`` is ``steps.forms``), from a ramped source's one product
     (``evolve_ramped``) or from complex stage operators by
     ``steps.operators(M, hs, h)`` (all steps ``h`` long, or when None each
-    its own of ``hs``).
-    ``steps.buffers`` lists the arrays that each block writes before it
-    reads them, so runs may share the evaluator (``dop853``).
+    its own of ``hs``). The chain runs on ``_BLOCK_STEPS`` steps whatever
+    ``m``; a step beyond the block's is never read. ``steps.buffers`` lists
+    the arrays that each block writes before it reads them, so runs may
+    share the evaluator (``dop853``).
     """
     n, rows = _BLOCK_STEPS, 11 * _BLOCK_STEPS + 1
     forms, t, read = _coordinate_forms(size, pure)
@@ -450,13 +351,7 @@ def _matrix_mode(size, rtol, atol, root_width, pure):
         np.divide(err_pairs, scale_col, out=err_pairs)
         np.square(err, out=err)
         err_pairs.sum(axis=(2, 3), out=sums)
-        # _error_norm of each step, written out: no call per step
-        err5, err3 = sums[:, :m].tolist()
-        return states, [
-            e5 / (math.sqrt(d) * root_width)
-            if 0.0 < (d := e5 + 0.01 * e3) < math.inf
-            else 0.0 if d == 0.0 else math.inf
-            for e5, e3 in zip(err5, err3)]
+        return states, _error_norms(*sums[:, :m].tolist(), root_width)
 
     steps.stages, steps.forms, steps.operators = stages, forms, operators
     steps.buffers = buffers
@@ -468,16 +363,14 @@ def _stage_mode(size, rtol, atol, root_width):
 
     The state and the stage derivatives are the rows of one block ``Z``:
     stage ``s`` is ``apply(M, (1, h a_s) . Z[:s + 1], out)``, which writes
-    the derivative into its row. A block's first derivative is evaluated
-    at its start, and the FSAL derivative of each step is the next step's
-    first. The steps of a block run in turn and stop at the first that
-    fails. Returns ``steps(M, hs, y, apply) -> (Y, errs)`` for a block of
-    steps of lengths ``hs``: ``Y[k]`` is the state after ``k`` steps of the
-    block (``Y[0]`` is ``y``), ``errs`` the error norms of the steps up to
-    the first that fails. The equation is ``apply``, given with each block
-    (``dop853``), so one evaluator serves every equation of its size and
-    tolerances. ``steps.buffers`` lists the arrays that each block writes
-    before it reads them.
+    the derivative into its row; the FSAL derivative of each step is the
+    next step's first. Returns ``steps(M, hs, y, apply) -> (Y, errs)`` for
+    a block of steps of lengths ``hs``: ``Y[k]`` is the state after ``k``
+    steps of the block (``Y[0]`` is ``y``), ``errs`` the error norms of the
+    steps up to the first that fails, where the block stops. The equation
+    ``apply`` is given with each block, so one evaluator serves every
+    equation of its size and tolerances. ``steps.buffers`` lists the arrays
+    that each block writes before it reads them.
     """
     Z = np.zeros((_N_STAGES + 2, size), dtype=np.complex128)
     state, K = Z[0], Z[1:]  # the state, then the stage derivatives
@@ -519,7 +412,7 @@ def _stage_mode(size, rtol, atol, root_width):
             np.multiply(w, h, out=w)
             np.divide(pairs, scale_col, out=pairs)
             (err5, _), (_, err3) = w.dot(w.T).tolist()
-            errs.append(_error_norm(err5, err3, root_width))
+            errs += _error_norms((err5,), (err3,), root_width)
             if not errs[-1] < 1.0:
                 break
             state[:] = y_new
@@ -541,59 +434,39 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     matrix under the Lindblad equation with its ``trace_drift`` monitored;
     never renormalized. A density matrix runs as ``vec(rho)`` under
     ``liouvillian`` superoperators where ``_lifted``, else in the commutator
-    form (``_stage_mode``), and is kept Hermitian: matrix mode integrates
-    its Hermitian coordinates, read from the diagonal and upper triangle,
-    and after a stage-mode block ``symmetrize`` writes the last accepted
-    and each sampled state.
+    form (``lindblad_apply``); its samples are exactly Hermitian.
 
-    Blocks of ``m`` steps (``_BLOCK_STEPS``) share one step-size
-    controller. ``generators(ts)`` is called once per block with its ``11 m
-    + 1`` distinct stage times (its start, then for each step its stages 2
-    to 12, the last, ``t + h``, also the step's FSAL point and the next
-    step's first) and returns the stage operators at those times, stacked
-    (``stage_operators``). Steps of one sample interval have one length
-    (``_block_planner``), a block may cross sample times, and every sample
-    time is a step end, so states are recorded exactly at ``sample_times``
-    (the first entry must equal the start time); the first step is a
-    thousandth of their span.
+    ``generators(ts)`` is called once per block of ``m`` steps with its
+    ``11 m + 1`` distinct stage times (its start, then each step's stages 2
+    to 12, the last, ``t + h``, also the next step's first) and returns the
+    stage operators at those times, stacked (``stage_operators``). States
+    are recorded exactly at ``sample_times``, each a step end, from the
+    first, the start time; the first step is a thousandth of their span.
 
-    Each step's error norm is DOP853's, divided by ``width`` (``len(y0)``
-    when None): a caller that integrates an invariant sector of a longer
-    state passes that state's length, and takes its steps. A block
-    accepts its steps before the first whose norm is not below 1. The next
-    step length is the smallest of ``h_k min(10, 0.9 err_k^-1/8)`` over
-    the block's steps when all are accepted, else ``h max(0.2, 0.9
-    err^-1/8)`` of the failed step; at ``m = 1`` this is the classical
-    controller. ``m`` starts at 1. A source whose block costs the same at
-    any length sets ``generators.full_blocks`` (``evolve_ramped``: one
-    product builds a block's generators): then ``m`` is ``_BLOCK_STEPS``
-    after a block with no rejected step and is kept after one with. Any
-    other source, such as a callable evaluated once per stage time, doubles
-    ``m`` after a clean block and halves it after a rejected step. A
-    sector run takes the full run's steps under either rule. A block runs
-    in matrix mode (``_matrix_mode``) when the stages apply ``matvec``, the
+    Each step's error norm is DOP853's (``_error_norms``), divided by
+    ``width`` (``len(y0)`` when None): a caller that integrates an invariant
+    sector of a longer state passes that state's length, and takes its
+    steps. A block keeps its steps before the first whose norm is not below
+    1. The next step is the smallest ``h_k min(10, 0.9 err_k^-1/8)`` over
+    the block when all its steps are accepted, else ``h max(0.2, 0.9
+    err^-1/8)`` of the failed step. ``m`` starts at 1. Where
+    ``generators.full_blocks`` is set, ``m`` is ``_BLOCK_STEPS`` after a
+    block with no rejected step and kept after one with; else it doubles
+    after a clean block and halves after a rejected step. A block runs in
+    matrix mode (``_matrix_mode``) when the stages apply ``matvec``, the
     state has at most ``_MATRIX_MAX_SIZE`` entries and the block at least
-    ``_MATRIX_MIN_STEPS`` steps, else in stage mode (``_stage_mode``); its
-    input is written by ``generators.coordinates(matrix)``, where a source
-    sets it (``evolve_ramped``), else by ``matrix.operators`` from
-    ``generators(ts)``. The modes round their error estimates differently,
-    so where a norm is within rounding of 1 they can take a few different
-    steps. The evaluators are kept from one run to the next (``_reused``)
-    under the state's size, the tolerances and ``width``, matrix mode's one
-    per purity; the stage equation, ``matvec`` or
-    ``lindblad_apply(dissipator)``, is picked on each run and passed with
-    each stage-mode block, so a commutator-form run keeps its evaluator
-    too. They carry nothing from one block to the next, so a run nested in
-    ``generators`` may use them too.
+    ``_MATRIX_MIN_STEPS`` steps, else in stage mode (``_stage_mode``), with
+    its input written by ``generators.coordinates(matrix)`` where set. The
+    modes can take a few different steps where a norm is within rounding of
+    1. The evaluators are kept (``_reused``) and carry nothing from one
+    block to the next, so a run nested in ``generators`` may use them too.
 
     Returns ``(states, drift, stats)``: ``drift`` is the largest over the
     accepted states; ``stats`` counts the ``accepted`` and ``rejected``
     steps, the ``blocks``, the steps ``discarded`` (those of a block after
-    its first failed step, whose stage operators were built: matrix mode
-    computes them, stage mode stops at the failure) and the ``rhs_evals``,
-    the stage times the source was evaluated at, ``blocks + 11 (accepted +
-    rejected + discarded)``, and holds the smallest and largest accepted step,
-    ``h_min`` and ``h_max`` (0 when no step was accepted). Raises
+    its first failed step) and the ``rhs_evals``, ``blocks + 11 (accepted +
+    rejected + discarded)``, and holds the smallest and largest accepted
+    step, ``h_min`` and ``h_max`` (0 when no step was accepted). Raises
     ``StepUnderflowError`` when the step falls below 16 eps |t| or the
     budget of accepted plus rejected steps runs out.
     """
@@ -736,14 +609,7 @@ def trace_drift(y):
 
 def symmetrize(y, out):
     """Keep a flattened density matrix exactly Hermitian: ``(rho + rho^H)
-    / 2``, written into ``out``.
-
-    ``rho^H`` is written into ``out``, then ``rho`` is added and the sum
-    halved in place, so ``y`` is only read and no temporary is made; the
-    stepper passes its state as ``out``. The Liouvillian maps Hermitian
-    matrices to Hermitian ones, so between two symmetrizations only
-    rounding departs from it.
-    """
+    / 2``, written into ``out`` with no temporary; ``y`` is only read."""
     dim = math.isqrt(y.shape[0])
     rho = y.reshape(dim, dim)
     sym = out.reshape(dim, dim)
@@ -773,24 +639,14 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
     """``dop853`` on the ramped system ``h``, a
     ``model.RampedGateHamiltonian``, in place of ``generators``.
 
-    ``M(t) = -i H(t)`` is one real combination ``(1, J(t), c(t))`` of the
-    float views of ``-i h0``, ``-i hz`` and ``-i hcd``: -i is folded in once
-    per set of terms, and the generators of all stage times of a block are
-    one product, written into a block allocated once per call for the
-    largest block; so a block costs about the same at any length, and the
-    stepper plans full blocks (``full_blocks``). The model writes ``J(t)``
-    and ``c(t)`` into the columns of the coefficient block. Where the
-    ``dissipator`` is ``_lifted`` the same product builds the
-    superoperators ``L(t) = (L0 + D) + J(t) Lz + c(t) Lcd`` of the three
-    terms, lifted once (``stage_operators``).
-
-    In matrix mode (``coordinates``) the same rows, laid out stage by step
-    and scaled by their step's length, give its input in one product
-    against the terms in coordinates, ``terms . W``; no operator is built.
-
-    The lift, and the terms in coordinates, are kept for the last terms and
-    dissipator (``_reused``). The other arguments and the result are
-    ``dop853``'s.
+    The stage operators of a block are one product of its coefficient rows
+    ``(1, J(t), c(t))`` with the three terms ``-i h0``, ``-i hz`` and ``-i
+    hcd``, lifted to ``L(t) = (L0 + D) + J(t) Lz + c(t) Lcd`` where the
+    ``dissipator`` is ``_lifted``, so the stepper plans full blocks; matrix
+    mode's input is the product of the same rows, scaled by their step's
+    length, with the terms in its coordinates. The lift, and the terms in
+    coordinates, are kept for the last terms and dissipator (``_reused``).
+    The other arguments and the result are ``dop853``'s.
     """
     # the constant D joins the lift of -i h0; the terms in coordinates are
     # appended by a run's first matrix-mode use (W follows from the key)
@@ -812,7 +668,7 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
         k = ts.shape[0]
         h.drive_value(ts, drive[:k])
         if h.use_cd:
-            h.cd_coefficient(ts, cd[:k])
+            h.cd_from_drive(drive[:k], cd[:k])
         return k
 
     def generators(ts):
@@ -821,7 +677,6 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
         return block[:k]
 
     def coordinates(matrix):
-        # matrix mode's input for the evaluator ``matrix``
         if len(lift) == 1:
             lift.append(basis.dot(matrix.forms))
         lifted = lift[1]
@@ -894,16 +749,7 @@ def liouvillian(m, dissipator):
 
 
 # Bytes of stage Hamiltonians built at once by ``dephasing_average``, at any
-# dimension: 85 steps at dim 4. A block also holds its step polynomials,
-# 5/3 of that size, and the polynomials that build them. On a 2-core x86
-# host (perfbench oracle-check, seed 2, three runs each), blocks of 16 KB
-# took 0.078-0.083 s at a peak RSS of 38.9 MB; 64 KB took 0.072-0.074 s at
-# 39.0-39.1 MB; 256 KB and 1 MB ran no faster (0.070-0.078 s) at 40.3 and
-# 44.2 MB. The dimension is the sector's: a ramped gate start is 2 at any
-# n, so only a callable or a wider start (full support at n = 5 or 6) runs
-# at dim 32 or 64, where building the step polynomials costs about 9 dim^3
-# per step and this block holds one step, about 2x slower than advancing
-# the stages one by one would be.
+# dimension: 85 steps at dim 4 (measured in docs/noise_model.md).
 _ORACLE_BLOCK_BYTES = 1 << 16
 
 
@@ -967,22 +813,14 @@ def dephasing_average(h_stack, d, t_start, dt, noise, psi0):
     step ``k``, where ``H(t)`` is the deterministic Hamiltonian shared by
     every realization and ``d`` is the real +-1 diagonal of the jump
     operator; ``noise`` is pre-scaled. ``h_stack(ts)`` returns ``H`` stacked
-    over a 1-D array of times: a ramped system evaluates it on the array,
-    and ``cdgate.dynamics`` stacks one call per time of any other callable.
-    Each step is one classical RK4 step with stage times ``t``,
-    ``t + dt/2`` and ``t + dt``. The noise ``eta`` is constant within a
-    step, so the step is exactly ``y' = sum_p eta^p Q_p y`` for p = 0..4,
-    with matrices ``Q_p`` shared by every realization
-    (``_rk4_polynomials``). The stage Hamiltonians of a block of steps
-    (``_oracle_block_steps(dim)``) come from one ``h_stack`` call, -i is
-    folded into them once per block and -i d once per run, and the
-    ``Q_p`` of the block follow from a few stacked products; the result
-    does not depend on the block size. Column ``i`` of the working state
-    is realization ``i``: a step writes ``eta^p y`` into a ``(5, dim,
-    n_traj)`` buffer, one multiply by ``eta^1..4`` (written for a chunk of
-    steps within ``_ORACLE_BLOCK_BYTES``), and takes one ``(dim, 5 dim) @
-    (5 dim, n_traj)`` product. The memory held beyond ``noise`` is two such
-    buffers, the powers, one block of stage Hamiltonians and its ``Q_p``.
+    over a 1-D array of times. Each step is one classical RK4 step with
+    stage times ``t``, ``t + dt/2`` and ``t + dt``, taken exactly as the
+    polynomial ``y' = sum_p eta^p Q_p y`` in its constant noise ``eta``,
+    whose matrices are shared by every realization (``_rk4_polynomials``)
+    and built for a block of ``_oracle_block_steps(dim)`` steps at once.
+    The result does not depend on the block size. The memory held beyond
+    ``noise`` is two ``(5, dim, n_traj)`` buffers of ``eta^p y``, the
+    powers, one block of stage Hamiltonians and its ``Q_p``.
     """
     n_traj, n_steps = noise.shape
     dim = psi0.shape[0]

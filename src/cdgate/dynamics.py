@@ -1,38 +1,15 @@
 """Time-evolution engines: Schroedinger and Lindblad integration plus a
 stochastic white-noise trajectory oracle.
 
-The gate Hamiltonian ``H(t) = H0 + J(t) Hz + c(t) Hcd`` is written once, in
-``model.RampedGateHamiltonian``; any callable t -> Hermitian matrix is
-accepted as well. Each remaining choice is made in one place here.
-The counterdiabatic term is part of the system (``use_cd`` when it is
-built); ``EvolutionConfig`` carries numerical controls and, for a callable
-only, a default span. ``_integrate`` runs every adaptive evolution
-through the one Dormand-Prince 8(5,3) stepper, ``_kernels.dop853``,
-taking the generators of a ramped system from ``_kernels.evolve_ramped``
-and those of a callable from ``_integrate_callable``; the Schroedinger and
-Lindblad engines differ only in the sector's dissipator block they pass
-it, none for a pure state, from which the kernels derive the equation.
-This module alone checks, restricts and embeds, each engine in
-``_invariant_sector``: the system is checked against the start, and a
-ramped run integrates only its invariant sector, the closure of the
-start's support under the nonzero pattern of the system's terms, whose
-outside entries stay exactly 0. ``_integrate`` hands the kernels the
-sector's entries (a gate start is 2 amplitudes at any n) with the full
-width for the error norm, so the run takes the full run's steps, and
-scatters the samples back. ``schrodinger_evolve`` integrates a ramped
-sector without the global phase of its mean energy, restored on each
-sample. A ramped sector is set up and checked in one function, and kept
-per thread under the content of its start support and terms
-(``_sector_system``): the next run on the same support and terms, in any
-arrays, reuses it. The Monte-Carlo oracle
-evolves the same sector system on an array of times and embeds its
-average.
-``_jump_diagonal`` picks the dephasing jump operator for the Lindblad engine
-and the oracle alike. States are never renormalized during integration;
-norm / trace drift is monitored and reported instead. The only in-flight
-correction is the documented Hermitian symmetrization of the density matrix
-at the end of each stage-mode block of steps and at each sample it
-reaches; matrix mode's densities are exactly Hermitian.
+The engines take a ``model.RampedGateHamiltonian``, whose ``use_cd`` carries
+the counterdiabatic term, or any callable t -> Hermitian matrix;
+``EvolutionConfig`` carries the numerical controls. This module alone checks
+a system against its start, restricts a ramped run to its invariant sector
+and embeds the result (``_invariant_sector``, ``_integrate``); every
+adaptive evolution runs through ``_kernels.dop853``. States are never
+renormalized: norm and trace drift are monitored and reported instead, and
+density matrices are kept exactly Hermitian. The design is in
+``docs/noise_model.md``, "Integration".
 """
 
 from __future__ import annotations
@@ -54,7 +31,7 @@ from .errors import (
     TraceDriftExceededError,
 )
 from .model import CnotParams, RampedGateHamiltonian, analytic_spectrum
-from .numerics import TOL, as_state
+from .numerics import TOL, as_state, hermiticity_defect
 from .observables import _require_normalized, validate_density_matrix
 
 HamiltonianLike = Union[RampedGateHamiltonian, Callable[[float], np.ndarray]]
@@ -77,13 +54,10 @@ def _as_index(value, name: str, error=ValueError) -> int:
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Integration controls. ``tau`` is read only for a callable given no
-    ``t_span``, whose samples then span [-tau/2, +tau/2] inclusive.
-
-    The default tolerances keep the accumulated norm^2 drift of the gate
-    runs below the 1e-8 monitor limit out to tau = 200 for n <= 6 at the
-    default ``j2_amp`` (6.6e-9 at n = 6, 1.4e-9 at n = 2). They do not at
-    tau = 2000 (1.16e-8 at n = 2), nor at n = 6, tau = 200 with ``j2_amp``
-    20 (1.19e-8, 1.24e-8 with CD).
+    ``t_span``, whose samples then span [-tau/2, +tau/2] inclusive. The
+    default tolerances keep the norm^2 drift of the gate runs at the default
+    ``CnotParams`` below the 1e-8 monitor limit for tau up to 200 and n up
+    to 6 (measured in ``docs/noise_model.md``, "Integration").
     """
 
     tau: float | None = None
@@ -197,12 +171,10 @@ def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray,
     on the sector, a callable at the start, midpoint and end of ``span``.
 
     For a ramped system the sector is the closure of the support under the
-    joint nonzero pattern of ``h0``, ``hz`` and ``hcd``, and the system is
-    ``h_of_t`` with each term sliced to the sector's rows and columns, a
-    writable copy: ``H(t)`` couples the sector to nothing else at any t
-    and the jump operator is diagonal, so every entry outside it stays
-    exactly 0 and need not be integrated. A callable's pattern is unknown,
-    so its sector is the whole space, and its system is ``_stacked``.
+    joint nonzero pattern of ``h0``, ``hz`` and ``hcd``, outside which every
+    entry stays exactly 0, and the system is ``h_of_t`` with each term
+    sliced to the sector, a writable copy. A callable's sector is the whole
+    space, and its system is ``_stacked``.
     """
     ramped = isinstance(h_of_t, RampedGateHamiltonian)
     t0, t1 = span
@@ -223,16 +195,11 @@ def _invariant_sector(h_of_t: HamiltonianLike, support: np.ndarray,
         system = replace(h_of_t, h0=terms[0], hz=terms[1], hcd=terms[2])
     else:
         system, idx = _stacked(h_of_t), np.arange(support.size)
-    # numerics.hermiticity_defect of each, in one pass over their stack
-    stack = np.array(terms)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN
-        defect = abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        ok = defect <= TOL.hermiticity * abs(stack).max(axis=(1, 2))
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise NotHermitianError((f"the system's {('h0', 'hz', 'hcd')[k]}"
-                                 if ramped else f"H(t) at t={times[k]}")
-                                + " is not Hermitian")
+    for k, term in enumerate(terms):
+        if hermiticity_defect(term) > TOL.hermiticity:
+            raise NotHermitianError((f"the system's {('h0', 'hz', 'hcd')[k]}"
+                                     if ramped else f"H(t) at t={times[k]}")
+                                    + " is not Hermitian")
     return system, idx
 
 
@@ -244,12 +211,10 @@ def _sector_system(h_of_t: HamiltonianLike, support: np.ndarray,
     ``c = tr(h0) / d``, which a ``pure`` run's ``h0`` is without; for a
     callable 0.
 
-    A ramped sector is kept on this thread as one tuple, its system,
-    ``idx``, ``shift`` and shifted ``h0``, under the content of the support
+    A ramped sector is kept on this thread under the content of the support
     and of ``h0``, ``hz`` and ``hcd`` (``_kernels._reused``): a run on the
-    same support and terms, in any arrays, reuses its set-up, checks
-    included, and takes its ramp from ``h_of_t``; any other builds and
-    checks its own."""
+    same support and terms, in any arrays, reuses it, checks included, and
+    takes its ramp from ``h_of_t``."""
     if not isinstance(h_of_t, RampedGateHamiltonian):
         system, idx = _invariant_sector(h_of_t, support, span)
         return system, idx, 0.0
@@ -275,11 +240,10 @@ def _integrate(h_of_t: HamiltonianLike, sector, times: np.ndarray, y0,
     matrix (``_kernels.dop853``). Only the entries ``sector`` of the
     full-width ``y0`` are integrated: ``h_of_t`` and ``dissipator`` act on
     them alone (``_invariant_sector``), the error norm divides by the full
-    width, and the samples are scattered back, zero outside the sector.
-
-    A ramped system runs through ``_kernels.evolve_ramped``, a
-    ``_stacked`` callable through ``_integrate_callable``. Returns
-    ``(states, drift, stats)``.
+    width, and the samples are scattered back, zero outside the sector. A
+    ramped system runs through ``_kernels.evolve_ramped``, a ``_stacked``
+    callable through ``_integrate_callable``. Returns ``(states, drift,
+    stats)``.
     """
     args = (times, y0[sector], cfg.rel_tol, cfg.abs_tol, dissipator, y0.size)
     if isinstance(h_of_t, RampedGateHamiltonian):
@@ -324,9 +288,8 @@ def schrodinger_evolve(h_of_t: HamiltonianLike, psi0, cfg: EvolutionConfig,
     _require_normalized(psi0, "psi0")
     span = _resolve_span(h_of_t, cfg, t_span)
     times = np.linspace(*span, cfg.sample_count)
-    # A ramped sector is integrated without the global phase of its mean
-    # energy c = tr(h0) / d, which commutes with every term, so the stepper
-    # need not resolve it; each sample gets exp(-i c (t - t0)) back.
+    # A ramped sector runs without the phase of its mean energy c = tr(h0) /
+    # d, which commutes with every term; each sample gets exp(-i c (t - t0)).
     system, sector, shift = _sector_system(h_of_t, psi0 != 0, span, True)
     if shift:
         # in Python floats, so that an overflow does not warn

@@ -301,12 +301,13 @@ class RampedGateHamiltonian:
     stacked over an array of times (shape ``t.shape + (dim, dim)``) with the
     same elementwise arithmetic, so each equals its scalar call bit for bit.
     ``hcd`` uses the projector normalization,
-    c(t) = g * slope / (2 (g^2 + J^2)). ``drive_value`` and
-    ``cd_coefficient`` are the only place J(t) and c(t) are written; both
-    take a float or a numpy array of times. A float gives a float; for an
-    array, ``out`` (an array of its shape, a strided view included) is
-    written in place with the same operations in the same order, and
-    returned.
+    c(t) = g * slope / (2 (g^2 + J^2)). ``drive_value`` is the one place
+    J(t) is written, and ``cd_from_drive`` the one place c is written from
+    J; ``cd_coefficient(t)`` is ``cd_from_drive(drive_value(t))``. Each
+    takes a float or a numpy array (of times, or of drive values). A float
+    gives a float; for an array, ``out`` (an array of its shape, a strided
+    view included, or the drive array itself) is written in place with the
+    same operations in the same order, and returned.
     """
 
     h0: np.ndarray
@@ -327,21 +328,23 @@ class RampedGateHamiltonian:
             return self.slope * t
         return np.multiply(self.slope, t, out=out)
 
-    def cd_coefficient(self, t, out=None):
+    def cd_from_drive(self, j2, out=None):
         # g * slope / (2 (g^2 + J^2)); halving g * slope first is exact
         if out is None:
-            j2 = self.drive_value(t)
             return 0.5 * self.g * self.slope / (self.g * self.g + j2 * j2)
-        j2 = self.drive_value(t, out)
         np.multiply(j2, j2, out=out)
         np.add(self.g * self.g, out, out=out)
         return np.divide(0.5 * self.g * self.slope, out, out=out)
 
+    def cd_coefficient(self, t, out=None):
+        return self.cd_from_drive(self.drive_value(t, out), out)
+
     def __call__(self, t) -> np.ndarray:
         shape = np.shape(t) + (1, 1)
-        h = self.h0 + np.reshape(self.drive_value(t), shape) * self.hz
+        j2 = self.drive_value(t)
+        h = self.h0 + np.reshape(j2, shape) * self.hz
         if self.use_cd:
-            h = h + np.reshape(self.cd_coefficient(t), shape) * self.hcd
+            h = h + np.reshape(self.cd_from_drive(j2), shape) * self.hcd
         return h
 
 

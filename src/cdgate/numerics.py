@@ -87,6 +87,7 @@ def phase_insensitive_distance(u, v) -> float:
     return float(np.sqrt(max(nu2 + nv2 - 2.0 * overlap, 0.0)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is no warning
 def hermiticity_defect(m) -> float:
     """||H - H^dag||_inf relative to ||H||_inf (0 for the zero matrix, inf
     for a matrix with a NaN or infinite entry)."""

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import warnings
@@ -33,7 +34,7 @@ from cdgate.experiments import _gate_cell, _run_cell
 from cdgate.model import (SIGMA_Z, CnotParams, analytic_spectrum, cnot_system,
                           lz_system,
                           nqubit_sector_states, nqubit_system)
-from cdgate.numerics import TOL
+from cdgate.numerics import TOL, hermitian_eig, hermiticity_defect
 from cdgate.observables import fidelity_pure
 
 from conftest import (dephasing_dissipator, random_hermitian,
@@ -1000,6 +1001,33 @@ class TestSystemMatchesStart:
         h0[2, 3], h0[3, 2] = -0.5, 0.2
         with pytest.raises(NotHermitianError, match="h0 is not Hermitian"):
             self._run(engine, replace(system, h0=h0), KET_10)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("where", ["ramped", "callable", "hermitian_eig"])
+    def test_one_hermiticity_threshold(self, params, where, factor):
+        # the engines and numerics share one rule: a term whose relative
+        # defect is half of TOL.hermiticity passes, one with twice fails
+        term = np.array([[1.0, 0.5], [0.5 + factor * TOL.hermiticity, -1.0]],
+                        dtype=complex)
+        assert hermiticity_defect(term) == pytest.approx(
+            factor * TOL.hermiticity, rel=1e-5)
+        psi0 = np.array([1.0, 0.0], dtype=complex)
+        if where == "ramped":
+            system = replace(lz_system(params, tau=1.0, use_cd=True), hcd=term)
+            run = lambda: schrodinger_evolve(system, psi0, EvolutionConfig())
+            message = "the system's hcd is not Hermitian"
+        elif where == "callable":
+            run = lambda: schrodinger_evolve(lambda t: term, psi0,
+                                             EvolutionConfig(), (0.0, 1.0))
+            message = "H(t) at t=0.0 is not Hermitian"
+        else:
+            run = lambda: hermitian_eig(term)
+            message = "matrix is not Hermitian"
+        if factor < 1.0:
+            run()
+        else:
+            with pytest.raises(NotHermitianError, match=re.escape(message)):
+                run()
 
 
 def _traj_bytes(traj):

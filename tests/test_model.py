@@ -468,9 +468,21 @@ class TestRampedSystems:
         assert np.array_equal(block[:, 1], system.drive_value(ts))
         assert np.array_equal(block[:, 2], system.cd_coefficient(ts))
         assert np.isnan(block[:, 0]).all()
+        # c from the drive column just written, into the strided CD column,
+        # as the kernel's block writer does: the same bits as from the times
+        expected = block[:, 2].copy()
+        block[:, 2] = np.nan
+        cd = system.cd_from_drive(block[:, 1], block[:, 2])
+        assert np.shares_memory(cd, block)
+        assert block[:, 2].tobytes() == expected.tobytes()
+        assert (system.cd_from_drive(system.drive_value(ts)).tobytes()
+                == expected.tobytes())
         for t in ts.tolist():
             assert type(system.drive_value(t)) is float
             assert type(system.cd_coefficient(t)) is float
+            j = system.drive_value(t)
+            assert type(system.cd_from_drive(j)) is float
+            assert system.cd_from_drive(j) == system.cd_coefficient(t)
 
     def test_nqubit_system_matches_cnot_system(self):
         p = CnotParams()

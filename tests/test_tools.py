@@ -1,6 +1,7 @@
 """The tools: ``tools/canonical_outputs.py``, its command line and the
 change ``--compare`` reports per file and column, and what makes it fail;
-``tools/coverage.py``, the statements it counts as run."""
+``tools/coverage.py``, the statements it counts as run;
+``tools/source_lines.py``, the kind it gives each line."""
 
 import importlib.util
 import json
@@ -217,3 +218,56 @@ def test_coverage_reports_every_package_file(tmp_path):
     lines = result.stdout.splitlines()
     assert "model.py: " in "\n".join(lines)
     assert lines[-1].startswith("total: ")
+
+
+_COUNTED = textwrap.dedent("""\
+    \"\"\"A module,
+    two lines.\"\"\"
+    # a comment
+
+    X = (1,  # code with a comment
+         2)
+
+
+    class C:
+        \"\"\"Doc.\"\"\"
+
+        def f(self):
+            \"\"\"Doc,
+
+            with a blank line.\"\"\"
+            s = \"\"\"not a docstring
+
+            \"\"\"
+            # another comment
+            return s
+    """)
+
+
+def test_source_lines_counts_each_kind(tmp_path, capsys):
+    source_lines = _load("source_lines")
+    # a docstring's blank line is docstring, a string's is code
+    assert source_lines.count(_COUNTED) == {
+        "code": 8, "docstring": 6, "comment": 2, "blank": 4}
+    (tmp_path / "a.py").write_text(_COUNTED, encoding="utf-8")
+    (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("# not Python\n", encoding="utf-8")
+    source_lines.report(str(tmp_path))
+    assert capsys.readouterr().out.splitlines() == [
+        "a.py: 20 lines: 8 code, 6 docstring, 2 comment, 4 blank",
+        "b.py: 1 lines: 1 code, 0 docstring, 0 comment, 0 blank",
+        "total: 21 lines: 9 code, 6 docstring, 2 comment, 4 blank"]
+
+
+def test_source_lines_adds_up_to_each_package_file(capsys):
+    # the package: every line of every module counted once
+    source_lines = _load("source_lines")
+    assert source_lines.main([]) == 0
+    out = capsys.readouterr().out.splitlines()
+    lines = 0
+    for name in sorted(os.listdir(source_lines.PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(source_lines.PACKAGE, name),
+                      encoding="utf-8") as fh:
+                lines += len(fh.read().splitlines())
+    assert out[-1].startswith(f"total: {lines} lines: ")
