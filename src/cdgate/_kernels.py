@@ -818,43 +818,51 @@ def dephasing_average(h_stack, d, t_start, dt, noise, psi0):
     polynomial ``y' = sum_p eta^p Q_p y`` in its constant noise ``eta``,
     whose matrices are shared by every realization (``_rk4_polynomials``)
     and built for a block of ``_oracle_block_steps(dim)`` steps at once.
-    The result does not depend on the block size. The memory held beyond
-    ``noise`` is two ``(5, dim, n_traj)`` buffers of ``eta^p y``, the
-    powers, one block of stage Hamiltonians and its ``Q_p``.
+    The result does not depend on the block size. The step is real, on rows
+    ``[Re y; Im y]``: the memory held beyond ``noise`` is two ``(5, 2 dim,
+    n_traj)`` buffers of ``eta^p y``, the powers, one block of stage
+    Hamiltonians, its ``Q_p`` and their real form.
     """
     n_traj, n_steps = noise.shape
     dim = psi0.shape[0]
     block = _oracle_block_steps(dim)
     offsets = np.array([0.0, 0.5 * dt, dt])
     jump = (-1j * d).reshape(-1, 1)
-    # two buffers of eta^p y, p = 0..4, realizations as columns; row 0 of
-    # the current one is the state, and each step writes the other's
-    buffers = np.empty((2, 5, dim, n_traj), dtype=np.complex128)
-    buffers[0, 0] = psi0[:, None]
-    cur, nxt = [(b[0], b[1:], b.reshape(5 * dim, n_traj)) for b in buffers]
-    # eta^1 .. eta^4 of a chunk of steps, complex as the state, so that a
-    # step's four powers of y are one multiply that casts nothing
-    chunk = max(1, _ORACLE_BLOCK_BYTES // (4 * 16 * n_traj))
-    powers = np.empty((chunk, 4, 1, n_traj), dtype=np.complex128)
+    # two buffers of eta^p [Re y; Im y], p = 0..4, realizations as columns;
+    # row 0 of the current one is the state, and each step writes the other's
+    buffers = np.empty((2, 5, 2 * dim, n_traj))
+    buffers[0, 0] = np.concatenate([psi0.real, psi0.imag])[:, None]
+    cur, nxt = [(b[0], b[1:], b.reshape(10 * dim, n_traj)) for b in buffers]
+    # eta^1 .. eta^4 of a chunk of steps
+    chunk = max(1, _ORACLE_BLOCK_BYTES // (4 * 8 * n_traj))
+    powers = np.empty((chunk, 4, 1, n_traj))
     multiply = np.multiply
     for k0 in range(0, n_steps, block):
         stop = min(k0 + block, n_steps)
         ts = (t_start + np.arange(k0, stop) * dt)[:, None] + offsets
         stages = np.multiply(-1j, h_stack(ts.ravel()))
         q = _rk4_polynomials(stages.reshape(stop - k0, 3, dim, dim), jump, dt)
+        # each Q_p as the real block [[Re, -Im], [Im, Re]]: row k is
+        # [R(Q_0) | ... | R(Q_4)] of step k, a real product with the stack
+        q = q.reshape(stop - k0, 1, dim, 5, 1, dim)
+        real = np.empty((stop - k0, 2, dim, 5, 2, dim))
+        real[:, :1, :, :, :1] = real[:, 1:, :, :, 1:] = q.real
+        np.negative(q.imag, out=real[:, :1, :, :, 1:])
+        real[:, 1:, :, :, :1] = q.imag
+        real = real.reshape(stop - k0, 2 * dim, 10 * dim)
         for c0 in range(k0, stop, chunk):
             c1 = min(c0 + chunk, stop)
             eta = powers[:c1 - c0]
             eta[:, 0, 0] = noise[:, c0:c1].T
             for p in (1, 2, 3):
                 multiply(eta[:, p - 1], eta[:, 0], eta[:, p])
-            for q_k, eta_k in zip(q[c0 - k0:c1 - k0], eta):
+            for r_k, eta_k in zip(real[c0 - k0:c1 - k0], eta):
                 y, y_powers, stacked = cur
                 multiply(y, eta_k, y_powers)
-                q_k.dot(stacked, nxt[0])
+                r_k.dot(stacked, nxt[0])
                 cur, nxt = nxt, cur
-        del stages, q, q_k  # before the next block's are built
-    y = cur[0]
+        del stages, q, real, r_k  # before the next block's are built
+    y = cur[0][:dim] + 1j * cur[0][dim:]
     return (y @ y.conj().T) / n_traj
 
 

@@ -187,17 +187,20 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"cdgate {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    per_command = {f for c in _COMMANDS.values() for f in c.options}
-    common = [f for f in _HELP if f not in per_command]
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help, description=command.help)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        for field in common + list(command.options):
+    def add_flags(p, fields):
+        for field in fields:
             flag = "--j2" if field == "j2_amp" else "--" + field.replace("_", "-")
-            kind = _FIELDS[field]
-            kwargs = ({"action": "store_const", "const": True} if kind is bool
-                      else {"type": kind})
+            kwargs = ({"action": "store_const", "const": True}
+                      if _FIELDS[field] is bool else {"type": _FIELDS[field]})
             p.add_argument(flag, dest=field, help=_HELP[field], **kwargs)
+
+    shared = argparse.ArgumentParser(add_help=False)  # every command's flags
+    shared.add_argument("--config", help="JSON config file; flags override it")
+    per_command = {f for c in _COMMANDS.values() for f in c.options}
+    add_flags(shared, [f for f in _HELP if f not in per_command])
+    for name, command in _COMMANDS.items():
+        add_flags(sub.add_parser(name, help=command.help, parents=[shared],
+                                 description=command.help), command.options)
     return parser
 
 

@@ -139,10 +139,11 @@ def _resolve_span(h_of_t: HamiltonianLike, cfg: EvolutionConfig | None,
 
 def _stacked(h_of_t):
     """A Hamiltonian callable over a 1-D array of times: one call per time,
-    in order, stacked into ``(k, dim, dim)``."""
+    in order, stacked into ``(k, dim, dim)`` complex; ``ValueError`` if
+    their shapes differ."""
 
     def h_stack(ts):
-        return np.stack([np.asarray(h_of_t(t)) for t in ts.tolist()])
+        return np.array([h_of_t(t) for t in ts.tolist()], dtype=np.complex128)
 
     return h_stack
 

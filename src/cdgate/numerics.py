@@ -97,6 +97,9 @@ def hermiticity_defect(m) -> float:
     scale = np.abs(m).max()
     if scale == 0.0:
         return 0.0
+    if scale == math.inf:  # |z| overflows for a finite z: measure m / max part
+        return hermiticity_defect(
+            m / max(np.abs(m.real).max(), np.abs(m.imag).max()))
     return float(np.abs(m - m.conj().T).max() / scale)
 
 

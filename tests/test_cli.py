@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import inspect
 import io
@@ -358,6 +359,68 @@ class TestParseConfig:
         second = parse_config(["nqubit", "--n", "4"])
         assert (first.n, first.cd, first.tau) == (3, True, "5")
         assert second == RunConfig(command="nqubit", n=4, tau="0.5:50:20log")
+
+    def test_shared_flags_parse_and_print_as_when_flat(self, monkeypatch,
+                                                       capsys):
+        # oracle: the parser as each subcommand once defined it, --config,
+        # then the common flags, then its own options, on the subparser
+        flat = argparse.ArgumentParser(
+            prog="cdgate",
+            description="Driven CNOT gate simulator: spectra, gate runs, "
+                        "noise sweeps and counterdiabatic control "
+                        "experiments.")
+        flat.add_argument("--version", action="version",
+                          version=f"cdgate {cli.__version__}")
+        sub = flat.add_subparsers(dest="command", required=True)
+        per_command = {f for c in cli._COMMANDS.values() for f in c.options}
+        common = [f for f in cli._HELP if f not in per_command]
+        for name, command in cli._COMMANDS.items():
+            p = sub.add_parser(name, help=command.help,
+                               description=command.help)
+            p.add_argument("--config",
+                           help="JSON config file; flags override it")
+            for field in common + list(command.options):
+                flag = ("--j2" if field == "j2_amp"
+                        else "--" + field.replace("_", "-"))
+                kwargs = ({"action": "store_const", "const": True}
+                          if cli._FIELDS[field] is bool
+                          else {"type": cli._FIELDS[field]})
+                p.add_argument(flag, dest=field, help=cli._HELP[field],
+                               **kwargs)
+
+        def subparsers(parser):
+            return next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+
+        def outcome(parser, argv):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsys.readouterr()
+
+        monkeypatch.setenv("COLUMNS", "80")
+        ours = cli._build_parser()
+        pairs = [(flat, ours)] + list(zip(subparsers(flat).values(),
+                                          subparsers(ours).values()))
+        assert list(subparsers(ours)) == list(cli._COMMANDS)
+        for old, new in pairs:
+            assert new.format_help() == old.format_help()
+            assert new.format_usage() == old.format_usage()
+        for argv in ([], ["--help"], ["--version"], ["nope"]):
+            assert outcome(ours, argv) == outcome(flat, argv)
+        for name, command in cli._COMMANDS.items():
+            # every flag given, then each way an argument can be refused
+            given_all = [name, "--config", "c.json"]
+            for action in subparsers(ours)[name]._actions[2:]:
+                given_all += action.option_strings[:1]
+                if action.nargs is None:
+                    given_all.append("2" if action.type in (int, float)
+                                     else "x")
+            for argv in ([name], given_all, [name, "--help"],
+                         [name, "--bogus"], [name, "--seed"],
+                         [name, "--seed", "x"]):
+                assert outcome(ours, argv) == outcome(flat, argv), argv
 
     def test_missing_output_directory_exits_2(self, tmp_path, capsys):
         # found before any gate is computed, so no file is written

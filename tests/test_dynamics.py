@@ -984,6 +984,17 @@ class TestSystemMatchesStart:
             self._run(engine, lambda t: np.zeros(shape), KET_11)
 
     @pytest.mark.parametrize("engine", ["schrodinger", "lindblad", "oracle"])
+    def test_callable_that_changes_shape_after_the_start(self, engine):
+        # the check sees the start, midpoint and end; a stacked block that
+        # meets matrices of two shapes still refuses them
+        def h_of_t(t):
+            return np.eye(2) if -0.5 < t < 0.0 else np.eye(4)
+
+        with pytest.raises(ValueError) as info:
+            self._run(engine, h_of_t, KET_11)
+        assert "does not match the system" not in str(info.value)
+
+    @pytest.mark.parametrize("engine", ["schrodinger", "lindblad", "oracle"])
     def test_callable_must_be_hermitian(self, engine, no_integration):
         def h_of_t(t):
             return np.triu(np.ones((4, 4))) if t == 0.0 else np.eye(4)
@@ -1028,6 +1039,24 @@ class TestSystemMatchesStart:
         else:
             with pytest.raises(NotHermitianError, match=re.escape(message)):
                 run()
+
+    @pytest.mark.parametrize("where", ["schrodinger", "hermitian_eig"])
+    def test_overflowing_magnitude_is_no_hermitian_pass(self, params, where):
+        # every entry is finite but |1.5e308 (1 + i)| is inf: the defect was
+        # inf / inf = NaN, which passed, and the run ended in
+        # StepUnderflowError while eigh returned NaN eigenvalues
+        z = 1.5e308 * (1 + 1j)
+        h0 = np.array([[0, z], [-z, 0]])
+        with pytest.raises(NotHermitianError):
+            if where == "schrodinger":
+                schrodinger_evolve(replace(lz_system(params, tau=1.0), h0=h0),
+                                   np.array([1.0, 0.0], dtype=complex),
+                                   EvolutionConfig())
+            else:
+                hermitian_eig(h0)
+        assert hermiticity_defect(h0) == pytest.approx(np.sqrt(2.0))
+        # the same magnitudes, Hermitian: no defect
+        assert hermiticity_defect(np.array([[0, z], [z.conjugate(), 0]])) == 0
 
 
 def _traj_bytes(traj):

@@ -1219,6 +1219,16 @@ def _ramped_batched_vs_loop(system):
     return batched, loop
 
 
+def _one_entry_sector(system, basis):
+    """``system`` on the invariant sector of basis state ``basis``, which
+    must hold that entry alone."""
+    support = np.arange(system.dim) == basis
+    sector, idx, _ = dynamics._sector_system(
+        system, support, (system.t_start, system.t_end), False)
+    assert idx.tolist() == [basis]
+    return sector
+
+
 class TestBatchedDephasingAverage:
     @pytest.mark.parametrize("use_cd", [False, True])
     def test_cnot_matches_per_trajectory_loop(self, use_cd):
@@ -1232,9 +1242,13 @@ class TestBatchedDephasingAverage:
         batched, loop = _ramped_batched_vs_loop(system)
         assert np.abs(batched - loop).max() < 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, "sector_00"])
     def test_blocks_match_loop_and_each_other(self, n, monkeypatch):
-        system = nqubit_system(n, CnotParams(), 3.0, use_cd=True)
+        if n == "sector_00":  # dim 1: cnot_system's sector of |00>
+            system = _one_entry_sector(cnot_system(CnotParams(), 3.0,
+                                                   use_cd=True), 0)
+        else:
+            system = nqubit_system(n, CnotParams(), 3.0, use_cd=True)
         dim = system.dim
         default = _kernels._oracle_block_steps(dim)
         # three default blocks, the last one partial
@@ -1259,6 +1273,20 @@ class TestBatchedDephasingAverage:
             assert rho.tobytes() == runs[0].tobytes()
         loop = _rk4_loop(system, system.hz, system.t_start, dt, noise, psi0)
         assert np.abs(runs[0] - loop).max() < 1e-12
+
+    @pytest.mark.parametrize("basis", [0, 1])
+    def test_one_entry_sector_matches_per_trajectory_loop(self, basis):
+        # |00> and |01> each span a sector of one entry: the real state
+        # rows are [Re y; Im y] of a single amplitude
+        system = cnot_system(CnotParams(), 2.0, use_cd=True)
+        assert _one_entry_sector(system, basis).dim == 1
+        psi0 = np.eye(4, dtype=complex)[basis]
+        alpha, dt, seed, n = 0.3, 2.0 / 128, 9, 100
+        rho = noise_trajectory_oracle(system, psi0, alpha, n, dt, seed)
+        noise = np.random.default_rng(seed).standard_normal((n, 128))
+        noise *= np.sqrt(alpha / dt)
+        loop = _rk4_loop(system, system.hz, system.t_start, dt, noise, psi0)
+        assert np.abs(rho - loop).max() < 1e-12
 
     def test_callable_oracle_matches_per_trajectory_loop(self):
         system = cnot_system(CnotParams(), 2.0, use_cd=True)
