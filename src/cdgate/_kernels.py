@@ -136,7 +136,8 @@ def _block_planner(samples):
     reached)``: the block's ``11 m + 1`` stage times (``dop853``), its step
     lengths and its step ends, the first of them ``t``, each a view of the
     planner's arrays; its step lengths as ``(count, length)`` runs; and the
-    samples it reaches as ``(end index, sample index)`` pairs.
+    samples it reaches as ``(end index, sample index)`` pairs. The step
+    lengths head ``plan.lengths``, zero past every block yet planned.
 
     Steps of one sample interval have one length: ``h``, or, where the
     block reaches the sample time ``s``, the ``ceil((s - t) / h)`` equal
@@ -146,7 +147,8 @@ def _block_planner(samples):
     """
     n = _BLOCK_STEPS
     ends = np.empty(n + 1)
-    lengths = np.empty(n)
+    # zero, not np.empty: the stage writer scales steps past the block too
+    lengths = np.zeros(n)
     times = np.empty(11 * n + 1)
     count = np.arange(1.0, n + 1.0)  # j = 1 .. n
     unit = np.concatenate([[0.0], np.add.outer(count - 1.0, C_STAGE).ravel()])
@@ -197,6 +199,7 @@ def _block_planner(samples):
         grid[:, -1] = ends[1:planned + 1]  # a step ends where the next starts
         return ts, hs, ends[:planned + 1], runs, reached
 
+    plan.lengths = lengths
     return plan
 
 
@@ -266,31 +269,19 @@ def _matrix_mode(size, rtol, atol, root_width, pure):
 
     Returns ``steps(m, y) -> (Y, errs)`` for a block of ``m`` steps, as
     ``_stage_mode``'s, with the error norms of all the block's steps. Its
-    input, written first, is ``steps.stages[s, k]``: ``h_k`` times stage
-    ``s`` of step ``k`` in real coordinates (``_coordinate_forms``, whose
-    ``W`` is ``steps.forms``), from a ramped source's one product
-    (``evolve_ramped``) or from complex stage operators by
-    ``steps.operators(M, hs, h)`` (all steps ``h`` long, or when None each
-    its own of ``hs``). The chain runs on ``_BLOCK_STEPS`` steps whatever
-    ``m``; a step beyond the block's is never read. ``steps.buffers`` lists
-    the arrays that each block writes before it reads them, so runs may
-    share the evaluator (``dop853``).
+    one input, written first by ``_stage_writer``, is ``steps.stages[s,
+    k]``: ``h_k`` times stage ``s`` of step ``k`` in real coordinates
+    (``_coordinate_forms``, whose ``W`` is ``steps.forms``). The chain runs
+    on ``_BLOCK_STEPS`` steps whatever ``m``; the steps beyond the block's
+    are never used. ``steps.buffers`` lists the arrays that each block
+    writes before it reads them, so runs may share the evaluator
+    (``dop853``).
     """
-    n, rows = _BLOCK_STEPS, 11 * _BLOCK_STEPS + 1
+    n = _BLOCK_STEPS
     forms, t, read = _coordinate_forms(size, pure)
     wide = read.shape[0]
     # h M of each stage and step: the block's input
     stages = np.zeros((_N_STAGES, n, wide, wide))
-    # the operators of the block's stage times in coordinates
-    gathered = np.zeros((rows, wide, wide))
-    flat_ops = gathered.reshape(rows, -1)
-    # step k's stage s is operator 11 k + s, s = 0..11: a view, as steps
-    # share their end and start operator
-    row, col = gathered.strides[0], gathered.strides[2]
-    by_step = np.lib.stride_tricks.as_strided(
-        gathered, stages.shape, (row, 11 * row, wide * col, col),
-        writeable=False)
-    spread = np.zeros((n, 1, 1))  # each step's length; past the block unread
     # I, then h K_0 .. h K_11 of each step
     z = np.empty((_N_STAGES + 1, n, wide, wide))
     z[0] = np.eye(wide)
@@ -303,7 +294,7 @@ def _matrix_mode(size, rtol, atol, root_width, pure):
     states = np.zeros((n + 1, size), dtype=np.complex128)
     floats = states.view(np.float64)
     err = np.empty((2, n, 2 * size, 1))
-    buffers = [stages, gathered, spread, z[1:], u, maps, states, err]
+    buffers = [stages, z[1:], u, maps, states, err]
     if t is None:
         x = floats
     else:
@@ -320,14 +311,6 @@ def _matrix_mode(size, rtol, atol, root_width, pure):
     buffers += [magnitude, scale, sums]
     estimators, columns = maps[1:], x[:-1, :, None]
     maps_flat = maps.reshape(3, -1)
-
-    def operators(M, hs, h):
-        k = M.shape[0]
-        M.reshape(k, -1).view(np.float64).dot(forms, flat_ops[:k])
-        if h is None:
-            spread[:hs.shape[0], 0, 0] = hs
-            h = spread
-        np.multiply(by_step, h, out=stages)
 
     def steps(m, y):
         z[1] = stages[0]  # h K_0 = h M_0 I
@@ -353,9 +336,46 @@ def _matrix_mode(size, rtol, atol, root_width, pure):
         err_pairs.sum(axis=(2, 3), out=sums)
         return states, _error_norms(*sums[:, :m].tolist(), root_width)
 
-    steps.stages, steps.forms, steps.operators = stages, forms, operators
-    steps.buffers = buffers
+    steps.stages, steps.forms, steps.buffers = stages, forms, buffers
     return steps
+
+
+def _stage_writer(generators, matrix, lengths):
+    """Matrix mode's input writer for one run: ``write(ts)`` fills a
+    block's coefficient rows at its stage times ``ts``, then sets
+    ``matrix.stages[s, k]`` to ``lengths[k]`` times row ``11 k + s`` against
+    the terms for every step the chain runs on, past the block too, so the
+    rows and ``lengths`` must start at zero. The fill, rows and terms are
+    ``generators.coordinates(W)`` where set, else the float views of the
+    stage operators ``generators(ts)`` as rows and ``W`` as terms."""
+    coordinates = getattr(generators, "coordinates", None)
+    if coordinates is None:
+        # zero, not np.empty: the rows past the block are read
+        ops = np.zeros((11 * _BLOCK_STEPS + 1, matrix.forms.shape[0] // 2),
+                       dtype=np.complex128)
+        rows, terms = ops.view(np.float64), matrix.forms
+
+        def fill(ts):
+            ops[:ts.shape[0]] = generators(ts).reshape(ts.shape[0], -1)
+    else:
+        fill, rows, terms = coordinates(matrix.forms)
+    n, width = _BLOCK_STEPS, rows.shape[1]
+    # step k's stage s is row 11 k + s, s = 0..11: a view, as steps share
+    # their end and start row
+    row, col = rows.strides
+    by_step = np.ndarray((_N_STAGES, n, width), rows.dtype, rows, 0,
+                         (row, 11 * row, col))
+    scaled = np.empty(by_step.shape)
+    scaled_rows = scaled.reshape(-1, width)
+    out = matrix.stages.reshape(_N_STAGES * n, -1)
+    h = lengths[:, None]
+
+    def write(ts):
+        fill(ts)
+        np.multiply(by_step, h, out=scaled)
+        scaled_rows.dot(terms, out)
+
+    return write
 
 
 def _stage_mode(size, rtol, atol, root_width):
@@ -455,11 +475,11 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
     after a clean block and halves after a rejected step. A block runs in
     matrix mode (``_matrix_mode``) when the stages apply ``matvec``, the
     state has at most ``_MATRIX_MAX_SIZE`` entries and the block at least
-    ``_MATRIX_MIN_STEPS`` steps, else in stage mode (``_stage_mode``), with
-    its input written by ``generators.coordinates(matrix)`` where set. The
-    modes can take a few different steps where a norm is within rounding of
-    1. The evaluators are kept (``_reused``) and carry nothing from one
-    block to the next, so a run nested in ``generators`` may use them too.
+    ``_MATRIX_MIN_STEPS`` steps, with its input from coefficient rows
+    (``_stage_writer``), else in stage mode (``_stage_mode``). The modes
+    can take a few different steps where a norm is within rounding of 1.
+    The evaluators are kept (``_reused``) and carry nothing from one block
+    to the next, so a run nested in ``generators`` may use them too.
 
     Returns ``(states, drift, stats)``: ``drift`` is the largest over the
     accepted states; ``stats`` counts the ``accepted`` and ``rejected``
@@ -483,17 +503,14 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
              else lindblad_apply(dissipator))
     stage = _reused("stage", (size, rtol, atol, root_width),
                     lambda: _stage_mode(size, rtol, atol, root_width))
+    plan = _block_planner(samples)
     matrix = write_stages = None
     if size <= _MATRIX_MAX_SIZE and apply is matvec:
         matrix = _reused(
             "matrix_pure" if pure else "matrix_density",
             (size, rtol, atol, root_width),
             lambda: _matrix_mode(size, rtol, atol, root_width, pure))
-        coordinates = getattr(generators, "coordinates", None)
-        write_stages = (
-            coordinates(matrix) if coordinates is not None
-            else lambda ts, hs, h: matrix.operators(generators(ts), hs, h))
-    plan = _block_planner(samples)
+        write_stages = _stage_writer(generators, matrix, plan.lengths)
     t = samples[0]
     h_abs = (samples[-1] - t) * 1e-3
     m, isamp = 1, 1
@@ -521,7 +538,7 @@ def dop853(generators, sample_times, y0, rtol, atol, dissipator=None,
             Y, errs = stage(generators(ts), hs, y, apply)
             finish = _copy if pure else symmetrize
         else:
-            write_stages(ts, hs, runs[0][1] if len(runs) == 1 else None)
+            write_stages(ts)
             Y, errs = matrix(planned, y)
             finish = _copy
         blocks += 1
@@ -643,10 +660,10 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
     ``(1, J(t), c(t))`` with the three terms ``-i h0``, ``-i hz`` and ``-i
     hcd``, lifted to ``L(t) = (L0 + D) + J(t) Lz + c(t) Lcd`` where the
     ``dissipator`` is ``_lifted``, so the stepper plans full blocks; matrix
-    mode's input is the product of the same rows, scaled by their step's
-    length, with the terms in its coordinates. The lift, and the terms in
-    coordinates, are kept for the last terms and dissipator (``_reused``).
-    The other arguments and the result are ``dop853``'s.
+    mode takes the same rows against the terms in its coordinates
+    (``generators.coordinates``). The lift and those terms are kept for the
+    last terms and dissipator (``_reused``). The other arguments and the
+    result are ``dop853``'s.
     """
     # the constant D joins the lift of -i h0; the terms in coordinates are
     # appended by a run's first matrix-mode use (W follows from the key)
@@ -659,7 +676,8 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
     rows = 11 * _BLOCK_STEPS + 1
     block = np.empty((rows,) + terms.shape[1:], dtype=np.complex128)
     target = block.reshape(rows, -1).view(np.float64)
-    # rows (1, J(t), c(t)), one per stage time; without CD c stays zero
+    # rows (1, J(t), c(t)), one per stage time; zero, not np.empty: the
+    # stage writer reads rows past the block, and without CD c stays zero
     coef = np.zeros((rows, 3))
     coef[:, 0] = 1.0
     drive, cd = coef[:, 1], coef[:, 2]
@@ -676,29 +694,10 @@ def evolve_ramped(h, sample_times, y0, rtol, atol, dissipator=None,
         coef[:k].dot(basis, target[:k])
         return block[:k]
 
-    def coordinates(matrix):
+    def coordinates(forms):
         if len(lift) == 1:
-            lift.append(basis.dot(matrix.forms))
-        lifted = lift[1]
-        n = matrix.stages.shape[1]
-        out = matrix.stages.reshape(_N_STAGES * n, -1)
-        # step k's stage s is row 11 k + s, as in the evaluator's layout
-        row, col = coef.strides
-        by_step = np.lib.stride_tricks.as_strided(
-            coef, (_N_STAGES, n, 3), (row, 11 * row, col), writeable=False)
-        scaled = np.empty(by_step.shape)
-        scaled_rows = scaled.reshape(-1, 3)
-        spread = np.zeros((n, 1))  # each step's length; past the block unread
-
-        def write(ts, hs, length):
-            write_rows(ts)
-            if length is None:
-                spread[:hs.shape[0], 0] = hs
-                length = spread
-            np.multiply(by_step, length, out=scaled)
-            scaled_rows.dot(lifted, out)
-
-        return write
+            lift.append(basis.dot(forms))
+        return write_rows, coef, lift[1]
 
     generators.full_blocks = True
     generators.coordinates = coordinates

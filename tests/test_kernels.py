@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -11,8 +12,8 @@ from cdgate.dynamics import (EvolutionConfig, NoiseModel, lindblad_evolve,
 from cdgate.errors import StepUnderflowError
 from cdgate.experiments import _cell, _gate_cell, _target
 from cdgate.model import (CnotParams, RampedGateHamiltonian,
-                          analytic_spectrum, cnot_system, lz_system,
-                          nqubit_system)
+                          analytic_spectrum, build_inverse_engineered,
+                          cnot_system, lz_system, nqubit_system)
 from cdgate.observables import fidelity_mixed
 
 from conftest import (dephasing_dissipator, random_hermitian,
@@ -20,6 +21,7 @@ from conftest import (dephasing_dissipator, random_hermitian,
 
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _evolve_ramped_loop(h0, hz, hcd, slope, g, use_cd, alpha, is_density,
@@ -946,10 +948,10 @@ class TestHermitianCoordinates:
         rtol, atol, root_width = 1e-10, 1e-12, 8.0
         steps = _kernels._matrix_mode(4, rtol, atol, root_width,
                                       not hermitian)
-        ops = np.broadcast_to(
-            _kernels.liouvillian((-1j * random_hermitian(rng, 2))[None],
-                                 np.zeros(4)), (34, 4, 4)).copy()
-        steps.operators(ops, np.full(3, 0.1), None)
+        op = _kernels.liouvillian((-1j * random_hermitian(rng, 2))[None],
+                                  np.zeros(4))
+        gathered = op.reshape(1, -1).view(np.float64).dot(steps.forms)
+        steps.stages[:, :3] = 0.1 * gathered.reshape(steps.stages.shape[2:])
         states, errs = steps(3, y)
         scale = atol + rtol * np.abs(y)
 
@@ -998,8 +1000,8 @@ class TestCoordinateStages:
     """Matrix mode's input, the ``h``-scaled stage matrices in coordinates
     laid out stage by step: a ramped source writes them as one product of
     step-scaled coefficient rows against its terms in coordinates
-    (``evolve_ramped``), a source of complex operators through ``W``
-    (``steps.operators``); both give the same matrices."""
+    (``evolve_ramped``), the same matrices as its complex stage operators
+    through ``W``."""
 
     @staticmethod
     def _draw(seed, use_cd):
@@ -1025,28 +1027,26 @@ class TestCoordinateStages:
         if density:
             y0 = np.outer(psi0, psi0.conj()).ravel()
             dissipator = dephasing_dissipator(np.array([1.0, -1.0]), 0.2)
-        dop853, blocks = _kernels.dop853, []
+        writer, blocks = _kernels._stage_writer, []
 
-        def checked(generators, *args):
-            coordinates = generators.coordinates
+        def compared(generators, matrix, lengths):
+            write = writer(generators, matrix, lengths)
 
-            def compared(matrix):
-                write = coordinates(matrix)
+            def write_and_compare(ts):
+                write(ts)
+                m = (ts.shape[0] - 1) // 11
+                hs = lengths[:m, None, None]
+                # the block's complex stage operators through W, step k's
+                # stage s the operator at 11 k + s
+                gathered = TestHermitianCoordinates._in_coordinates(
+                    generators(ts), dissipator)[0]
+                index = 11 * np.arange(m) + np.arange(12)[:, None]
+                blocks.append((matrix.stages[:, :m].copy(),
+                               hs * gathered[index], np.all(hs == hs[0])))
 
-                def write_and_compare(ts, hs, h):
-                    m = hs.shape[0]
-                    write(ts, hs, h)
-                    rows = matrix.stages[:, :m].copy()
-                    matrix.operators(generators(ts), hs, h)
-                    blocks.append((rows, matrix.stages[:, :m].copy(), h))
-                    matrix.stages[:, :m] = rows  # the run takes its own
+            return write_and_compare
 
-                return write_and_compare
-
-            generators.coordinates = compared
-            return dop853(generators, *args)
-
-        monkeypatch.setattr(_kernels, "dop853", checked)
+        monkeypatch.setattr(_kernels, "_stage_writer", compared)
         stats = _kernels.evolve_ramped(system, times, y0, 1e-10, 1e-12,
                                        dissipator)[2]
         assert 0 < len(blocks) < stats["blocks"]
@@ -1054,9 +1054,51 @@ class TestCoordinateStages:
             assert rows.shape[2:] == (4, 4)
             scale = np.abs(operators).max(axis=(2, 3), keepdims=True)
             assert np.all(np.abs(rows - operators) <= 1e-14 * scale)
-        # blocks of one run and, between interior samples, of several
-        assert any(h is not None for *_, h in blocks)
-        assert any(h is None for *_, h in blocks) == (samples > 2)
+        # blocks of one length and, between interior samples, of several
+        assert any(one for *_, one in blocks)
+        assert any(not one for *_, one in blocks) == (samples > 2)
+
+    @pytest.mark.parametrize("garbage", [1e-310, np.nan],
+                             ids=["subnormal", "nan"])
+    def test_stage_input_holds_no_uninitialised_value(self, monkeypatch,
+                                                      garbage):
+        # the chain runs on every step, the block's and those past it, so
+        # the stage matrices past the block must hold nothing np.empty left:
+        # a subnormal there slowed a gate check threefold, with outputs
+        # still correct. New arrays here start as garbage (a subnormal that
+        # survives a product with an entry below 1/2), and after every
+        # write the stage matrices of one callable propagator column and of
+        # one ramped run are finite and free of subnormals
+        empty, writer, clean = np.empty, _kernels._stage_writer, []
+
+        def garbage_filled(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind in "fc":
+                out.fill(garbage)
+            return out
+
+        def checked(generators, matrix, lengths):
+            write, stages = writer(generators, matrix, lengths), matrix.stages
+
+            def write_and_check(ts):
+                write(ts)
+                subnormal = (stages != 0.0) & (np.abs(stages) < _TINY)
+                clean.append((generators, np.isfinite(stages).all()
+                              and not subnormal.any()))
+
+            return write_and_check
+
+        monkeypatch.setattr(np, "empty", garbage_filled)
+        monkeypatch.setattr(_kernels, "_kept", threading.local())
+        monkeypatch.setattr(_kernels, "_stage_writer", checked)
+        h = build_inverse_engineered(np.pi / 5.0)
+        cfg = EvolutionConfig(abs_tol=1e-14, rel_tol=1e-12)
+        column = np.eye(4, dtype=np.complex128)[1]
+        schrodinger_evolve(lambda t: h, column, cfg, (0.0, 5.0))
+        system, psi0, _ = _gate_cell(CnotParams(), 20.0, True)
+        schrodinger_evolve(system, psi0, cfg)
+        assert len({id(source) for source, _ in clean}) == 2
+        assert all(ok for _, ok in clean)
 
     def test_stage_input_is_a_listed_buffer(self):
         for pure in (True, False):
